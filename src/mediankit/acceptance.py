@@ -9,6 +9,7 @@ the suite is reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -260,30 +261,12 @@ def criterion_5() -> CriterionResult:
 
 def _all_subgroups(group):
     """All subgroups of a small group given as a list of automorphisms."""
-    elems = {g.perm: g for g in group}
     subgroups = set()
-    import itertools
-    members = list(elems.values())
-    for r in range(0, min(3, len(members)) + 1):
-        for gens in itertools.combinations(members, r):
-            seen = {g.perm for g in gens}
-            ident = Automorphism.identity(members[0].pocset)
-            seen.add(ident.perm)
-            frontier = list(gens) + [ident]
-            while frontier:
-                nxt = []
-                for g in frontier:
-                    for s in gens:
-                        h = g.compose(s)
-                        if h.perm not in seen:
-                            seen.add(h.perm)
-                            nxt.append(h)
-                        h2 = g.compose(s.inverse())
-                        if h2.perm not in seen:
-                            seen.add(h2.perm)
-                            nxt.append(h2)
-                frontier = nxt
-            subgroups.add(frozenset(seen))
+    for r in range(0, min(3, len(group)) + 1):
+        for gens in itertools.combinations(group, r):
+            sub = TotalAction(group[0].pocset,
+                              {f"s{i}": g for i, g in enumerate(gens)}).group()
+            subgroups.add(frozenset(g.perm for g in sub))
     return subgroups
 
 

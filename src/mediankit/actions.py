@@ -15,6 +15,7 @@ deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -33,6 +34,7 @@ from .errors import (
 from .pocset import (
     Point,
     WeightedPocset,
+    _iter_bits,
     distance,
     halfspace_point_masks,
     median,
@@ -85,16 +87,15 @@ def reduce_word(word: Word) -> Word:
     return tuple(out)
 
 
-def enumerate_words(names: Sequence[str], max_len: int,
-                    include_identity: bool = False):
-    """Reduced words over the generators and their inverses, by length then
-    lexicographic order."""
-    alphabet = []
-    for n in names:
-        alphabet.append((n, 1))
-        alphabet.append((n, -1))
-    if include_identity:
-        yield ()
+def _alphabet(names: Sequence[str]) -> list:
+    """Letters in search order: each generator, then its inverse."""
+    return [(n, s) for n in names for s in (1, -1)]
+
+
+def enumerate_words(names: Sequence[str], max_len: int):
+    """Nontrivial reduced words over the generators and their inverses, by
+    length then lexicographic order."""
+    alphabet = _alphabet(names)
     frontier = [()]
     for _ in range(max_len):
         nxt = []
@@ -113,7 +114,10 @@ class PartialAutomorphism:
     pocset, given on halfspaces.  Point images are derived by forced
     up-closure completion and carry window resolution only: a point pinned
     at the window boundary may map to itself even though the underlying
-    infinite translation moves it."""
+    infinite translation moves it.
+
+    Structure is checked once, in ``from_ids``, where outside data comes in;
+    composites and inverses of checked maps preserve it by construction."""
 
     __slots__ = ("pocset", "name", "hmap")
 
@@ -121,7 +125,10 @@ class PartialAutomorphism:
         self.pocset = pocset
         self.name = name
         self.hmap = dict(hmap)  # halfspace index -> halfspace index
-        self._check_structure()
+
+    @classmethod
+    def identity(cls, P: WeightedPocset) -> "PartialAutomorphism":
+        return cls(P, "1", {i: i for i in range(P.n)})
 
     @classmethod
     def from_ids(cls, P: WeightedPocset, name: str, mapping: dict) -> "PartialAutomorphism":
@@ -136,7 +143,9 @@ class PartialAutomorphism:
                 if prev is not None and prev != sb:
                     raise NotAnAutomorphism(f"{name}: star images conflict")
                 hmap[sa] = sb
-        return cls(P, name, hmap)
+        g = cls(P, name, hmap)
+        g._check_structure()
+        return g
 
     def _check_structure(self):
         P = self.pocset
@@ -157,6 +166,30 @@ class PartialAutomorphism:
     def apply_idx(self, i: int) -> Optional[int]:
         return self.hmap.get(i)
 
+    def preimage_idx(self, i: int) -> Optional[int]:
+        for a, b in self.hmap.items():
+            if b == i:
+                return a
+        return None
+
+    def apply_point(self, p: Point) -> Optional[Point]:
+        """Map the visible halfspaces of ``p``, close upward, and accept only
+        a complete consistent orientation; None when the image leaves the
+        window."""
+        P = self.pocset
+        closed = 0
+        for i in _iter_bits(p.mask):
+            j = self.hmap.get(i)
+            if j is not None:
+                closed |= P.up[j]
+        for i, j in P.walls:
+            a, b = closed >> i & 1, closed >> j & 1
+            if a and b:
+                return None  # inconsistent image
+            if not a and not b:
+                return None  # wall left undecided: out of window
+        return Point(P, closed)
+
     def inverse(self) -> "PartialAutomorphism":
         return PartialAutomorphism(
             self.pocset, f"{self.name}^-1", {b: a for a, b in self.hmap.items()})
@@ -171,95 +204,31 @@ class PartialAutomorphism:
         return PartialAutomorphism(self.pocset, f"{self.name}*{other.name}", hmap)
 
 
-class _IdentityMap:
-    """Total identity, usable in either kind of action."""
-
-    def __init__(self, P: WeightedPocset):
-        self.pocset = P
-        self.name = "1"
-
-    def apply_idx(self, i: int) -> int:
-        return i
-
-
-class TotalAction:
-    """A finite pocset together with named total automorphisms."""
-
-    kind = "total"
+class _Action:
+    """A pocset with named generators, which are total or partial maps with
+    the same interface (``apply_idx``, ``preimage_idx``, ``apply_point``,
+    ``compose``, ``inverse``)."""
 
     def __init__(self, pocset: WeightedPocset, gens: dict,
                  budgets: Budgets = DEFAULT_BUDGETS):
         self.pocset = pocset
-        self.gens = dict(gens)  # name -> Automorphism
+        self.gens = dict(gens)  # name -> map
         self.budgets = budgets
 
     def gen_names(self) -> tuple:
         return tuple(self.gens)
 
-    def evaluate(self, word: Word) -> Automorphism:
+    def step(self, tok):
+        """The map of one letter: a generator or its inverse."""
+        g = self.gens[tok[0]]
+        return g if tok[1] > 0 else g.inverse()
+
+    def evaluate(self, word: Word):
         """The word reads as a product left-to-right: (a, b) is the element
         ab, whose rightmost factor acts first."""
-        g = Automorphism.identity(self.pocset)
-        for name, sign in word:
-            step = self.gens[name]
-            if sign < 0:
-                step = step.inverse()
-            g = g.compose(step)
-        return g
-
-    def apply_halfspace(self, word: Word, h: str) -> str:
-        return self.pocset.ids[self.evaluate(word).apply_idx(self.pocset.idx(h))]
-
-    def apply_point(self, word: Word, p: Point) -> Point:
-        return self.evaluate(word).apply_point(p)
-
-    def points(self):
-        return points(self.pocset, self.budgets)
-
-    def group(self) -> list:
-        """BFS closure of the generators; raises when the budget is hit."""
-        ident = Automorphism.identity(self.pocset)
-        seen = {ident.perm: ident}
-        frontier = [ident]
-        gens = [g for g in self.gens.values()] + [g.inverse() for g in self.gens.values()]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    h = s.compose(g)
-                    if h.perm not in seen:
-                        if len(seen) >= self.budgets.group_order:
-                            raise WallBudgetExceeded("generated group exceeds budget")
-                        seen[h.perm] = h
-                        nxt.append(h)
-            frontier = nxt
-        return [seen[p] for p in sorted(seen)]
-
-
-class WindowAction:
-    """A window pocset with named partial automorphisms."""
-
-    kind = "window"
-
-    def __init__(self, pocset: WeightedPocset, gens: dict,
-                 budgets: Budgets = DEFAULT_BUDGETS):
-        self.pocset = pocset
-        self.gens = dict(gens)  # name -> PartialAutomorphism
-        self.budgets = budgets
-
-    def gen_names(self) -> tuple:
-        return tuple(self.gens)
-
-    def evaluate(self, word: Word) -> Union[PartialAutomorphism, _IdentityMap]:
-        """Product reading as in TotalAction.evaluate."""
-        if not word:
-            return _IdentityMap(self.pocset)
-        g = None
-        for name, sign in word:
-            step = self.gens[name]
-            if sign < 0:
-                step = step.inverse()
-            g = step if g is None else g.compose(step)
+        g = self.identity()
+        for tok in word:
+            g = g.compose(self.step(tok))
         return g
 
     def apply_halfspace(self, word: Word, h: str) -> Optional[str]:
@@ -267,36 +236,81 @@ class WindowAction:
         return None if img is None else self.pocset.ids[img]
 
     def apply_point(self, word: Word, p: Point) -> Optional[Point]:
-        return partial_point_image(self.pocset, self.evaluate(word), p)
+        return self.evaluate(word).apply_point(p)
 
     def points(self):
         return points(self.pocset, self.budgets)
 
 
+class TotalAction(_Action):
+    """A finite pocset together with named total automorphisms."""
+
+    kind = "total"
+
+    def identity(self) -> Automorphism:
+        return Automorphism.identity(self.pocset)
+
+    def group(self) -> list:
+        """The generated group, sorted by permutation; raises when the
+        budget is hit."""
+        return sorted((g for _, g in self._shortlex_elements()),
+                      key=lambda g: g.perm)
+
+    def _shortlex_elements(self) -> list:
+        """(word, element) for every group element, with its shortlex-least
+        word, in shortlex order of the words.  Breadth-first search that
+        extends each parent, in shortlex order, by the letters in alphabet
+        order: a prefix of a shortlex-least word is shortlex-least, so the
+        first word reaching an element is its least."""
+        steps = [(tok, self.step(tok)) for tok in _alphabet(self.gen_names())]
+        ident = self.identity()
+        seen = {ident.perm}
+        frontier = [((), ident)]
+        out = list(frontier)
+        while frontier:
+            nxt = []
+            for word, g in frontier:
+                for tok, s in steps:
+                    h = g.compose(s)
+                    if h.perm not in seen:
+                        if len(seen) >= self.budgets.group_order:
+                            raise WallBudgetExceeded("generated group exceeds budget")
+                        seen.add(h.perm)
+                        nxt.append((word + (tok,), h))
+            out += nxt
+            frontier = nxt
+        return out
+
+
+class WindowAction(_Action):
+    """A window pocset with named partial automorphisms."""
+
+    kind = "window"
+
+    def identity(self) -> PartialAutomorphism:
+        return PartialAutomorphism.identity(self.pocset)
+
+
 Action = Union[TotalAction, WindowAction]
 
 
-def partial_point_image(P: WeightedPocset, pmap, p: Point) -> Optional[Point]:
-    """Image of a point under a partial map: map the visible halfspaces,
-    close upward, and accept only a complete consistent orientation."""
-    if isinstance(pmap, _IdentityMap):
-        return p
-    closed = 0
-    m = p.mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        m ^= low
-        j = pmap.apply_idx(i)
-        if j is not None:
-            closed |= P.up[j]
-    for i, j in P.walls:
-        a, b = closed >> i & 1, closed >> j & 1
-        if a and b:
-            return None  # inconsistent image
-        if not a and not b:
-            return None  # wall left undecided: out of window
-    return Point(P, closed)
+def _evaluator(action: Action):
+    """``action.evaluate`` for the words of one search, memoised for that
+    search: ev(w) = ev(w[:-1]) ∘ step(w[-1]) is evaluate's left fold, so
+    results are the same while words sharing a prefix share its map."""
+    memo = {(): action.identity()}
+    steps = {}
+
+    def ev(word: Word):
+        g = memo.get(word)
+        if g is None:
+            tok = word[-1]
+            if tok not in steps:
+                steps[tok] = action.step(tok)
+            g = memo[word] = ev(word[:-1]).compose(steps[tok])
+        return g
+
+    return ev
 
 
 # -- wall inversions -------------------------------------------------------
@@ -378,15 +392,16 @@ def find_nested(action: Action, x: Point, g_word: Word) -> NestedResult:
     rank+1 of them, and find a nested pair among its translates.
     """
     P = action.pocset
+    ev = _evaluator(action)
     r = rank(P, action.budgets)
     letters_used = sorted({tok for tok in g_word})
     total_gen = Fraction(0)
     for tok in letters_used:
-        lx = action.apply_point((tok,), x)
+        lx = ev((tok,)).apply_point(x)
         if lx is None:
             raise OutOfWindow(f"generator {tok[0]} undefined at the basepoint")
         total_gen += distance(P, x, lx)
-    gx = action.apply_point(g_word, x)
+    gx = ev(g_word).apply_point(x)
     if gx is None:
         raise OutOfWindow("word leaves the window at the basepoint")
     if distance(P, x, gx) <= r * total_gen:
@@ -397,7 +412,7 @@ def find_nested(action: Action, x: Point, g_word: Word) -> NestedResult:
     prefixes = [g_word[:j] for j in range(len(g_word) + 1)]
     xs = []
     for w in prefixes:
-        p = action.apply_point(w, x)
+        p = ev(w).apply_point(x)
         if p is None:
             raise OutOfWindow(f"prefix {word_str(w)} undefined at the basepoint")
         xs.append(p)
@@ -408,14 +423,9 @@ def find_nested(action: Action, x: Point, g_word: Word) -> NestedResult:
     # U_j = g_j^{-1} H(y_j | y_{j+1})
     universe: dict = {}
     for j in range(len(g_word)):
-        sep = ys[j + 1].mask & ~ys[j].mask
-        inv = action.evaluate(prefixes[j])
-        m = sep
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            pre = _preimage_idx(inv, i)
+        g = ev(prefixes[j])
+        for i in _iter_bits(ys[j + 1].mask & ~ys[j].mask):
+            pre = g.preimage_idx(i)
             if pre is None:
                 raise OutOfWindow("separating halfspace not visible through prefix")
             universe.setdefault(pre, []).append(j)
@@ -428,7 +438,7 @@ def find_nested(action: Action, x: Point, g_word: Word) -> NestedResult:
         js = universe[i]
         translates = []
         for j in js:
-            img = action.evaluate(prefixes[j]).apply_idx(i)
+            img = ev(prefixes[j]).apply_idx(i)
             if img is None:
                 continue
             translates.append((j, img))
@@ -442,25 +452,10 @@ def find_nested(action: Action, x: Point, g_word: Word) -> NestedResult:
                     # image under prefix ja sits inside the image under
                     # prefix jb, so g := (g_jb)^{-1} g_ja nests 𝔥 into itself
                     word = _segment_word(g_word, ja, jb)
-                    g = action.evaluate(word)
-                    img = g.apply_idx(i)
+                    img = ev(word).apply_idx(i)
                     if img is not None and img != i and P.leq_idx(img, i):
                         return NestedResult(word, P.ids[i])
     raise InvalidInput("internal: nested pair extraction failed")
-
-
-def _preimage_idx(g, i: int) -> Optional[int]:
-    if isinstance(g, Automorphism):
-        for a, b in enumerate(g.perm):
-            if b == i:
-                return a
-        return None
-    if isinstance(g, _IdentityMap):
-        return i
-    for a, b in g.hmap.items():
-        if b == i:
-            return a
-    return None
 
 
 def _segment_word(g_word: Word, ja: int, jb: int) -> Word:
@@ -501,7 +496,9 @@ def _halfspace_disjoint(P: WeightedPocset, i: int, j: int) -> bool:
 def find_flip(action: Action, h: str, max_len: Optional[int] = None) -> FlipResult:
     """Search for g with g𝔥* disjoint from 𝔥* and g𝔥* ≠ 𝔥.
 
-    Total actions exhaust the generated group, so a negative is definitive
+    Total actions exhaust the generated group, ignoring ``max_len``: each
+    element is tried once, with its shortlex-least word, so a positive
+    carries the shortlex-least flipping word and a negative is definitive
     and comes with the invariant convex set ⋂ g𝔥*.  Window actions search
     words up to ``max_len`` and otherwise return INCONCLUSIVE.
 
@@ -513,33 +510,24 @@ def find_flip(action: Action, h: str, max_len: Optional[int] = None) -> FlipResu
     P = action.pocset
     hs = P.star[P.idx(h)]
     if action.kind == "total":
-        group = action.group()
-        # words shortest-first until the whole group has been visited
-        seen = set()
-        for word in enumerate_words(action.gen_names(), 2 * len(group) + 1,
-                                    include_identity=True):
-            g = action.evaluate(word)
-            if g.perm in seen:
-                continue
-            seen.add(g.perm)
+        elements = action._shortlex_elements()
+        masks = halfspace_point_masks(P, action.budgets)
+        for word, g in elements:
             img = g.apply_idx(hs)
             if _halfspace_disjoint(P, img, hs) and img != P.idx(h):
-                masks = halfspace_point_masks(P, action.budgets)
                 assert masks[img] & masks[hs] == 0
                 return FlipResult("FLIPPED", word=word)
-            if len(seen) == len(group):
-                break
         pts = action.points()
-        masks = halfspace_point_masks(P, action.budgets)
         inter = (1 << len(pts)) - 1
-        for g in group:
+        for _, g in elements:
             inter &= masks[g.apply_idx(hs)]
-        members = tuple(pts[i] for i in _bits(inter))
+        members = tuple(pts[i] for i in _iter_bits(inter))
         return FlipResult("INVARIANT_SET", invariant_set=members)
+    ev = _evaluator(action)
     depth = max_len if max_len is not None else action.budgets.word_length
     skipped = 0
     for word in enumerate_words(action.gen_names(), depth):
-        img = action.evaluate(word).apply_idx(hs)
+        img = ev(word).apply_idx(hs)
         if img is None:
             skipped += 1
             continue
@@ -548,13 +536,6 @@ def find_flip(action: Action, h: str, max_len: Optional[int] = None) -> FlipResu
             assert masks[img] & masks[hs] == 0
             return FlipResult("FLIPPED", word=word, skipped=skipped)
     return FlipResult("INCONCLUSIVE", depth=depth, skipped=skipped)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # -- double skewering --------------------------------------------------------
@@ -589,9 +570,9 @@ def double_skewer(action: Action, h: str, k: str,
     hi, ki = P.idx(h), P.idx(k)
     depth = max_len if max_len is not None else action.budgets.word_length
     masks = halfspace_point_masks(P, action.budgets)
+    ev = _evaluator(action)
     for word in enumerate_words(action.gen_names(), depth):
-        g = action.evaluate(word)
-        img = g.apply_idx(ki)
+        img = ev(word).apply_idx(ki)
         if img is None:
             continue
         if img != hi and P.leq_idx(img, hi):
@@ -609,8 +590,8 @@ def _set_distance(P: WeightedPocset, amask: int, bmask: int,
                   budgets: Budgets) -> Fraction:
     pts = points(P, budgets)
     best = None
-    for i in _bits(amask):
-        for j in _bits(bmask):
+    for i in _iter_bits(amask):
+        for j in _iter_bits(bmask):
             d = distance(P, pts[i], pts[j])
             if best is None or d < best:
                 best = d
@@ -856,13 +837,14 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
     u𝔨 ∉ {𝔨,𝔨*}.
     """
     P = action.pocset
+    ev = _evaluator(action)
     depth = max_len if max_len is not None else action.budgets.word_length
     hi, ki = P.idx(h), P.idx(k)
     if hi == ki or hi == P.star[ki]:
         raise NotFacing("h and k must be sides of distinct walls")
     if reduce_word(a) == reduce_word(b) or not reduce_word(a) or not reduce_word(b):
         raise NotFacing("the two generator words must be distinct and nontrivial")
-    g_a, g_b = action.evaluate(a), action.evaluate(b)
+    g_a, g_b = ev(a), ev(b)
     a_hs = g_a.apply_idx(P.star[hi])
     b_ks = g_b.apply_idx(P.star[ki])
     if a_hs is None or b_ks is None:
@@ -884,13 +866,13 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
                   & masks[P.star[ki]] & masks[b_k])
     if omega_mask == 0:
         raise NotFacing("the central region Ω is empty")
-    omega = tuple(pts[i] for i in _bits(omega_mask))
+    omega = tuple(pts[i] for i in _iter_bits(omega_mask))
 
     prescribed = {
-        (_first(a), 1): a_hs,    # u = a u'  =>  uΩ ⊆ a𝔥*
-        (_first(a), -1): hi,     # u = a⁻¹u' =>  uΩ ⊆ 𝔥
-        (_first(b), 1): b_ks,
-        (_first(b), -1): ki,
+        ("A", 1): a_hs,    # u = a u'  =>  uΩ ⊆ a𝔥*
+        ("A", -1): hi,     # u = a⁻¹u' =>  uΩ ⊆ 𝔥
+        ("B", 1): b_ks,
+        ("B", -1): ki,
     }
     # the four displayed inclusion families, one ≤-check per member
     base_targets = {
@@ -902,7 +884,7 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
     base_count = 0
     for (gw, sign), (target, sources) in base_targets.items():
         word = gw if sign == 1 else tuple((n, -s) for n, s in reversed(gw))
-        g = action.evaluate(word)
+        g = ev(word)
         for src in sources:
             img = g.apply_idx(src)
             if img is None:
@@ -921,16 +903,16 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
     words_checked = 0
     checks = base_count
     stab_ok = True
-    for u in _reduced_letter_words(depth):
+    for u in enumerate_words(("A", "B"), depth):
         word = _expand_letters(u, letters)
-        gu = action.evaluate(word)
+        gu = ev(word)
         images = []
-        for i in _bits(omega_mask):
-            q = _apply_map_point(P, gu, pts[i])
+        for p in omega:
+            q = gu.apply_point(p)
             if q is None:
                 raise OutOfWindow(f"word {word_str(word)} leaves the window on Ω")
             images.append(q)
-        target = prescribed[(letters[u[0][0]], u[0][1])]
+        target = prescribed[u[0]]
         if any(not (q.mask >> target & 1) for q in images):
             raise InclusionFailed(
                 f"{word_str(word)}·Ω escapes {P.ids[target]}",
@@ -959,32 +941,6 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
     )
 
 
-def _first(word: Word):
-    return word
-
-
-def _apply_map_point(P: WeightedPocset, g, p: Point) -> Optional[Point]:
-    if isinstance(g, Automorphism):
-        return g.apply_point(p)
-    return partial_point_image(P, g, p)
-
-
-def _reduced_letter_words(depth: int):
-    """Reduced words over two abstract letters A, B (with inverses)."""
-    alphabet = [("A", 1), ("A", -1), ("B", 1), ("B", -1)]
-    frontier = [()]
-    for _ in range(depth):
-        nxt = []
-        for w in frontier:
-            for tok in alphabet:
-                if w and w[-1][0] == tok[0] and w[-1][1] == -tok[1]:
-                    continue
-                nw = w + (tok,)
-                nxt.append(nw)
-                yield nw
-        frontier = nxt
-
-
 def _expand_letters(u, letters) -> Word:
     out = []
     for name, sign in u:
@@ -1010,7 +966,7 @@ def _stabilizer_excluded(action, P, gu, wall_side: int, forbidden: int,
     masks = halfspace_point_masks(P, action.budgets)
     side_mask = masks[wall_side]
     for i in range(len(pts)):
-        q = _apply_map_point(P, gu, pts[i])
+        q = gu.apply_point(pts[i])
         if q is None:
             continue
         in_side = bool(side_mask >> i & 1)
@@ -1069,11 +1025,8 @@ def classify(action: Action, max_len: Optional[int] = None) -> ClassificationRep
     # window action: stage 1 candidates only
     fixed_candidates = 0
     for p in action.points():
-        if all(
-            (lambda q: q is not None and q.mask == p.mask)(
-                _apply_map_point(P, action.evaluate(((nm, 1),)), p))
-            for nm in action.gen_names()
-        ):
+        images = (g.apply_point(p) for g in action.gens.values())
+        if all(q is not None and q.mask == p.mask for q in images):
             fixed_candidates += 1
     log.append(
         f"stage1: {fixed_candidates} window-resolution fixed candidates "
@@ -1096,7 +1049,6 @@ def classify(action: Action, max_len: Optional[int] = None) -> ClassificationRep
     if not candidates:
         log.append("stage3: no facing 4-tuple")
         return ClassificationReport("INCONCLUSIVE", stage=3, log=tuple(log))
-    import itertools
     for tup in candidates:
         for h, hp, k, kp in itertools.permutations(tup):
             res_a = double_skewer(action, hp, P.ids[P.star[P.idx(h)]],
@@ -1148,11 +1100,8 @@ def is_lineal(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> LinealRe
     pairs = []
     for p in pts:
         comp = 0
-        m = p.mask
-        while m:
-            low = m & -m
-            comp |= 1 << P.star[low.bit_length() - 1]
-            m ^= low
+        for i in _iter_bits(p.mask):
+            comp |= 1 << P.star[i]
         if comp in by_mask and p.mask < comp:
             pairs.append((p, Point(P, comp)))
     return LinealResult(tuple(pairs))
@@ -1180,11 +1129,9 @@ def check_free_partition(action: Action, a: Word, b: Word,
     """
     P = action.pocset
     failures = []
-    labels = {}
     for h in P.ids:
         if h not in assignment:
             failures.append(f"halfspace {h} not assigned")
-        labels.setdefault(assignment.get(h), []).append(h)
     for h in P.ids:
         if assignment.get(h) != assignment.get(P.ids[P.star[P.idx(h)]]):
             failures.append(f"piece of {h} not star-invariant")

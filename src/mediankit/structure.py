@@ -275,10 +275,14 @@ class Automorphism:
     def apply_idx(self, i: int) -> int:
         return self.perm[i]
 
+    def preimage_idx(self, i: int) -> int:
+        return self.perm.index(i)
+
     def apply(self, h: str) -> str:
         return self.pocset.ids[self.perm[self.pocset.idx(h)]]
 
     def apply_point(self, p: Point) -> Point:
+        """Image of a point; never None, unlike a window map's."""
         mask = 0
         m = p.mask
         while m:

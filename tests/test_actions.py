@@ -1,12 +1,16 @@
 """Words, windows, flipping, skewering, facing tuples, ping-pong, classify."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from mediankit import fixtures as fx
 from mediankit.actions import (
+    FlipResult,
     TotalAction,
+    _evaluator,
+    _expand_letters,
     check_free_partition,
     classify,
     double_skewer,
@@ -30,7 +34,13 @@ from mediankit.errors import (
     NotFacing,
     NotTransverse,
 )
-from mediankit.pocset import WeightedPocset, distance, point_from_ids, points
+from mediankit.pocset import (
+    WeightedPocset,
+    distance,
+    halfspace_point_masks,
+    point_from_ids,
+    points,
+)
 from mediankit.structure import Automorphism, pocset_product
 
 ONE = Fraction(1)
@@ -86,6 +96,118 @@ def test_word_evaluation_is_multiplicative(square):
     act = TotalAction(square, {"r": named["rot"], "s": named["swap"]})
     rs = act.evaluate(parse_word("r s", act.gen_names()))
     assert rs.perm == named["rot"].compose(named["swap"]).perm
+
+
+# -- the search engine -------------------------------------------------------------
+
+def test_search_maps_match_evaluate():
+    """Every word's memoised map is the map evaluate() builds, and it passes
+    the structure check that only loading runs."""
+    for action in (fx.line_window(), fx.f2ball_window()):
+        ev = _evaluator(action)
+        for word in enumerate_words(action.gen_names(), 3):
+            g = ev(word)
+            assert g.hmap == action.evaluate(word).hmap
+            g._check_structure()
+
+
+def test_pingpong_letter_maps_match_evaluate():
+    """Letter words of a ping-pong search, with expansions that cancel
+    where two letters meet."""
+    W = fx.f2ball_window()
+    letters = {"A": parse_word("a b", W.gen_names()),
+               "B": parse_word("b^-1 a", W.gen_names())}
+    assert _expand_letters((("A", 1), ("B", 1)), letters) == \
+        parse_word("a a", W.gen_names())
+    ev = _evaluator(W)
+    for u in enumerate_words(("A", "B"), 3):
+        word = _expand_letters(u, letters)
+        g = ev(word)
+        assert g.hmap == W.evaluate(word).hmap
+        g._check_structure()
+
+
+def _closure_group(action):
+    """The generated group by left multiplication, as permutation tuples."""
+    ident = Automorphism.identity(action.pocset)
+    seen = {ident.perm: ident}
+    frontier = [ident]
+    gens = list(action.gens.values()) + [g.inverse() for g in action.gens.values()]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = s.compose(g)
+                if h.perm not in seen:
+                    seen[h.perm] = h
+                    nxt.append(h)
+        frontier = nxt
+    return [seen[p] for p in sorted(seen)]
+
+
+def _reference_total_flip(action, h):
+    """Total-action flip search by enumerating reduced words shortest-first
+    until every group element has been met, each at its first word."""
+    P = action.pocset
+    hs = P.star[P.idx(h)]
+    group = _closure_group(action)
+    seen = set()
+    words = itertools.chain(
+        [()], enumerate_words(action.gen_names(), 2 * len(group) + 1))
+    for word in words:
+        g = action.evaluate(word)
+        if g.perm in seen:
+            continue
+        seen.add(g.perm)
+        img = g.apply_idx(hs)
+        if P.leq_idx(img, P.star[hs]) and img != P.idx(h):
+            return FlipResult("FLIPPED", word=word)
+        if len(seen) == len(group):
+            break
+    pts = action.points()
+    masks = halfspace_point_masks(P, action.budgets)
+    inter = (1 << len(pts)) - 1
+    for g in group:
+        inter &= masks[g.apply_idx(hs)]
+    members = tuple(p for i, p in enumerate(pts) if inter >> i & 1)
+    return FlipResult("INVARIANT_SET", invariant_set=members)
+
+
+def test_total_flip_matches_word_enumeration():
+    for name in ("SQUARE", "TRIPOD", "GRID"):
+        names = tuple(fx.named_automorphisms(name))
+        for r in range(len(names) + 1):
+            for gens in itertools.combinations(names, r):
+                act = fx.total_action(name, gens) if gens else \
+                    TotalAction(fx.pocset(name), {})
+                assert [g.perm for g in act.group()] == \
+                    [g.perm for g in _closure_group(act)]
+                for h in act.pocset.ids:
+                    assert find_flip(act, h).to_json() == \
+                        _reference_total_flip(act, h).to_json(), (name, gens, h)
+
+
+def test_four_cube_flip_searches_the_whole_group():
+    """The hyperoctahedral group of the 4-cube, |G| = 384, from a 4-cycle of
+    axes, one axis swap and one sign flip."""
+    axes = ("x", "y", "z", "w")
+    P = WeightedPocset([(f"{a}+", f"{a}-", ONE) for a in axes], wall_ids=axes)
+    fixed = {f"{a}+": f"{a}+" for a in axes}
+    maps = {
+        "c": {f"{a}+": f"{axes[(i + 1) % 4]}+" for i, a in enumerate(axes)},
+        "s": dict(fixed, **{"x+": "y+", "y+": "x+"}),
+        "f": dict(fixed, **{"x+": "x-"}),
+    }
+    act = TotalAction(P, {n: Automorphism.from_mapping(P, m, n)
+                          for n, m in maps.items()})
+    group = act.group()
+    assert len(group) == 384
+    res = find_flip(act, "w+")
+    assert res.kind == "INVARIANT_SET"
+    wm = P.idx("w-")
+    want = [p.mask for p in points(P)
+            if all(p.mask >> g.apply_idx(wm) & 1 for g in group)]
+    assert [p.mask for p in res.invariant_set] == want
 
 
 # -- wall inversions ----------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mediankit.cli import main
 
 
@@ -244,3 +246,21 @@ def test_dump_fixture_kind_disambiguation(capsys, tmp_path):
     assert code == 0 and report["verdict"]["word"] == "a a"
     code, report, _ = run_cli(capsys, "dump-fixture", "LINE", "--kind", "system")
     assert code == 0 and report["verdict"]["kind"] == "chainSystem"
+
+
+@pytest.mark.parametrize("bad_map, reason", [
+    ({"w00+": "w02+", "w01+": "w02+"}, "not injective"),
+    ({"w00+": "w01+", "w01+": "w00+"}, "does not preserve order"),
+])
+def test_window_maps_are_checked_on_load(capsys, tmp_path, bad_map, reason):
+    from mediankit import fixtures as fx
+    from mediankit import serialize as se
+    data = se.dump_window_action(fx.line_window())
+    data["maps"] = [{"name": "s", "map": bad_map}]
+    window_file = tmp_path / "bad.json"
+    window_file.write_text(json.dumps(data))
+    code, report, _ = run_cli(
+        capsys, "flip", "--window", str(window_file), "--halfspace", "w10+")
+    assert code == 65
+    assert report["error"]["code"] == "NOT_AN_AUTOMORPHISM"
+    assert reason in report["error"]["message"]
