@@ -9,10 +9,14 @@ indices.
 
 Inseparable subsets meet every chain in an index interval, so UBS-like
 sets normalize to per-chain intervals with an optional infinite tail.
-Closures, almost-containment, minimal tails, the directed graph on minimal
-classes, the poset of classes and transfer characters all reduce to finite
-computations over one period block; a stabilization check over two horizons
-guards every tail decision, raising HORIZON_EXCEEDED rather than guessing.
+Each system fills a relation index lazily (per chain pair, one bitmask of
+the first chain's indices per index of the second, built with the
+resolver's precedence), so closures agree with ``rel`` exactly and take a
+few big-integer operations per chain.  Closures, almost-containment,
+minimal tails, the directed graph on minimal classes, the poset of classes
+and transfer characters all reduce to finite computations over one period
+block; a stabilization check over two horizons guards every tail decision,
+raising HORIZON_EXCEEDED rather than guessing.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -35,6 +41,12 @@ SUP = "sup"      # first element contains second
 TRANS = "trans"  # transverse
 
 _INVERSE = {SUB: SUP, SUP: SUB, TRANS: TRANS}
+
+
+def _range_mask(lo: int, hi: int) -> int:
+    """Bitmask of the integers in [max(lo, 0), hi]."""
+    lo = max(lo, 0)
+    return (1 << (hi + 1)) - (1 << lo) if lo <= hi else 0
 
 
 @dataclass(frozen=True)
@@ -108,6 +120,10 @@ class ChainSystem:
         self.head_extent = max(bounds)
         self.lcm_period = math.lcm(*[c.period for c in chains]) if chains else 1
         self.horizon = self.head_extent + 4 * self.lcm_period + 4
+        # relation index bounds: the deeper closure horizon and its scan
+        self.index_depth = self.horizon + self.lcm_period
+        self.index_scan = self.index_depth + self.head_extent + self.lcm_period + 1
+        self._index: dict = {}
 
     # -- relation resolution ---------------------------------------------
 
@@ -150,6 +166,58 @@ class ChainSystem:
                 if z.contains(d):
                     return _INVERSE[z.rel]
         return TRANS
+
+    def index(self, c: str, d: str, want: str) -> list:
+        """Relation index of chains ``c != d`` for ``want`` in {SUB, SUP}.
+
+        Entry ``m`` (``0 <= m <= index_scan``) is the bitmask of the
+        ``n <= index_depth`` with ``rel((c, n), (d, m)) == want``.  Filled on
+        first use; its value depends only on the system, which never changes.
+        """
+        masks = self._index.get((c, d, want))
+        if masks is None:
+            masks = self._index[c, d, want] = self._build_index(c, d, want)
+        return masks
+
+    def _build_index(self, c, d, want):
+        """Zones, then overrides in rising precedence (row rules in reverse
+        order, mirrored head entries, head entries), each clearing its pairs
+        and setting those equal to ``want``: ``_resolve``, bit for bit."""
+        N, M = self.index_depth, self.index_scan
+        # zones as ranges of n - m (all of it is in [-M, N]); the first zone
+        # that covers a pair decides it, (c, d) zones before (d, c) ones
+        pieces = [(-M if z.hi is None else -z.hi, N if z.lo is None else -z.lo,
+                   z.rel) for z in self.zones.get((c, d), ())]
+        pieces += [(-M if z.lo is None else z.lo, N if z.hi is None else z.hi,
+                    _INVERSE[z.rel]) for z in self.zones.get((d, c), ())]
+        masks = []
+        for m in range(M + 1):
+            bits = covered = 0
+            for lo, hi, code in pieces:
+                iv = _range_mask(m + lo, min(m + hi, N)) & ~covered
+                covered |= iv
+                if code == want:
+                    bits |= iv
+            masks.append(bits)
+
+        def assign(m, bits, code):
+            masks[m] = masks[m] | bits if code == want else masks[m] & ~bits
+
+        for r in reversed(self.rows):
+            if r.chain == c and r.other == d and 0 <= r.index <= N:
+                top = M if r.hi is None else min(r.hi, M)
+                for m in range(max(r.lo, 0), top + 1):
+                    assign(m, 1 << r.index, r.rel)
+            elif r.chain == d and r.other == c and 0 <= r.index <= M:
+                top = N if r.hi is None else min(r.hi, N)
+                assign(r.index, _range_mask(r.lo, top), _INVERSE[r.rel])
+        for (ci, n, cj, m), code in self.head.items():
+            if ci == d and cj == c and 0 <= m <= N and 0 <= n <= M:
+                assign(n, 1 << m, _INVERSE[code])
+        for (ci, n, cj, m), code in self.head.items():
+            if ci == c and cj == d and 0 <= n <= N and 0 <= m <= M:
+                assign(m, 1 << n, code)
+        return masks
 
     def zone_at_infinity(self, ci: str, cj: str) -> str:
         """rel((ci, n), (cj, m)) for m - n -> +infinity."""
@@ -198,9 +266,6 @@ class UBS:
     def has_tail(self) -> bool:
         return any(hi is None for _, hi in self.intervals.values())
 
-    def tail_chains(self) -> tuple:
-        return tuple(sorted(c for c, (_, hi) in self.intervals.items() if hi is None))
-
     def __eq__(self, other):
         return isinstance(other, UBS) and other.intervals == self.intervals
 
@@ -241,7 +306,9 @@ def union_seed(parts: Iterable[UBS]) -> dict:
 
 # -- validation -------------------------------------------------------------
 
-def validate_system(S: ChainSystem) -> ValidationReport:
+def validate_system_rules(S: ChainSystem) -> ValidationReport:
+    """The checks on the rules themselves: periods, weights, known chains,
+    zone partitions and zone conflicts; cheap, no truncation is built."""
     rep = ValidationReport(ok=True)
     for cid, c in S.chains.items():
         if c.period < 1 or len(c.weights) != c.period:
@@ -255,7 +322,7 @@ def validate_system(S: ChainSystem) -> ValidationReport:
             continue
         if not _zones_partition(zs):
             rep.fail("ZONES_NOT_PARTITION", f"({ci}, {cj})")
-        if (cj, ci) in S.zones:
+        elif _zones_partition(S.zones.get((cj, ci), ())):
             for d in range(-S.horizon, S.horizon + 1):
                 a = next(z.rel for z in zs if z.contains(d))
                 b = next(z.rel for z in S.zones[(cj, ci)] if z.contains(-d))
@@ -265,6 +332,11 @@ def validate_system(S: ChainSystem) -> ValidationReport:
     for r in S.rows:
         if r.chain not in S.chains or r.other not in S.chains:
             rep.fail("UNKNOWN_CHAIN", f"row rule {r}")
+    return rep
+
+
+def validate_system(S: ChainSystem) -> ValidationReport:
+    rep = validate_system_rules(S)
     if not rep.ok:
         return rep
 
@@ -346,8 +418,9 @@ def closure(S: ChainSystem, seed) -> UBS:
 
     Membership per chain is an index interval (everything between two
     members is a member), so the closure is computed as, per chain, the
-    least index below some member and the largest index above one.  Tail
-    decisions are confirmed at two horizons.
+    least index below some member and the largest index above one, both
+    read off the relation index.  Tail decisions are confirmed at two
+    horizons.
     """
     if isinstance(seed, UBS):
         seed = dict(seed.intervals)
@@ -369,105 +442,32 @@ def closure(S: ChainSystem, seed) -> UBS:
     return UBS(out)
 
 
-def _oriented_zones(S: ChainSystem, c: str, d: str):
-    """Zone list in (c, d) orientation, possibly inverted from (d, c)."""
-    zs = S.zones.get((c, d))
-    if zs is not None:
-        return zs
-    zs = S.zones.get((d, c))
-    if zs is None:
-        return (Zone(None, None, TRANS),)
-    out = [Zone(None if z.hi is None else -z.hi,
-                None if z.lo is None else -z.lo,
-                _INVERSE[z.rel]) for z in reversed(zs)]
-    return tuple(out)
-
-
-def _related_member_exists(S: ChainSystem, c: str, n: int, d: str,
-                           lo: int, hi: Optional[int], want: str,
-                           scan: int) -> bool:
-    """Is there m in the member interval of chain d with
-    rel((c, n), (d, m)) == want?  Exact, via overrides plus zone windows."""
-    top = scan if hi is None else min(hi, scan)
-    if top < lo:
-        return False
-    masked = set()
-    for r in S.rows:
-        if r.chain == c and r.index == n and r.other == d:
-            a, b = max(lo, r.lo), top if r.hi is None else min(top, r.hi)
-            if a <= b:
-                if r.rel == want:
-                    return True
-                masked.update(range(a, b + 1))
-        elif r.chain == d and r.other == c and r.matches(n):
-            if lo <= r.index <= top:
-                masked.add(r.index)
-                if _INVERSE[r.rel] == want:
-                    return True
-    for (ci, nn, cj, mm), code in S.head.items():
-        if ci == c and nn == n and cj == d and lo <= mm <= top:
-            masked.add(mm)
-            if code == want:
-                return True
-        elif ci == d and cj == c and mm == n and lo <= nn <= top:
-            masked.add(nn)
-            if _INVERSE[code] == want:
-                return True
-    for z in _oriented_zones(S, c, d):
-        if z.rel != want:
-            continue
-        a = lo if z.lo is None else max(lo, n + z.lo)
-        b = top if z.hi is None else min(top, n + z.hi)
-        if a > b:
-            continue
-        if (b - a + 1) > len(masked):
-            return True
-        if any(m not in masked for m in range(a, b + 1)):
-            return True
-    return False
-
-
 def _closure_at(S: ChainSystem, seed: dict, T: int) -> dict:
     scan = T + S.head_extent + S.lcm_period + 1
-
-    def above_exists(c: str, n: int) -> bool:
-        own = seed.get(c)
-        if own is not None and own[0] <= n:
-            return True
-        for d, (lo, hi) in seed.items():
-            if d != c and _related_member_exists(S, c, n, d, lo, hi, SUB, scan):
-                return True
-        return False
-
-    def below_exists(c: str, n: int) -> bool:
-        own = seed.get(c)
-        if own is not None and (own[1] is None or own[1] >= n):
-            return True
-        for d, (lo, hi) in seed.items():
-            if d != c and _related_member_exists(S, c, n, d, lo, hi, SUP, scan):
-                return True
-        return False
-
+    window = _range_mask(0, T)
     out = {}
     for c in S.chain_order:
-        A = None
-        for n in range(T + 1):
-            if above_exists(c, n):
-                A = n
-                break
-        if A is None:
-            continue
-        if not below_exists(c, T):
-            B = None
-            for n in range(T, A - 1, -1):
-                if below_exists(c, n):
-                    B = n
-                    break
-            if B is None:
+        above = below = 0
+        own = seed.get(c)
+        if own is not None:
+            above = _range_mask(own[0], T)
+            below = window if own[1] is None else _range_mask(0, min(own[1], T))
+        for d, (lo, hi) in seed.items():
+            if d == c:
                 continue
-            out[c] = (A, B, False)
-        else:
+            lo, top = max(lo, 0), scan if hi is None else min(hi, scan)
+            above |= reduce(or_, S.index(c, d, SUB)[lo:top + 1], 0)
+            below |= reduce(or_, S.index(c, d, SUP)[lo:top + 1], 0)
+        above &= window
+        if not above:
+            continue
+        A = (above & -above).bit_length() - 1
+        if below >> T & 1:
             out[c] = (A, T, True)
+            continue
+        below &= _range_mask(A, T)
+        if below:
+            out[c] = (A, below.bit_length() - 1, False)
     return out
 
 

@@ -28,7 +28,13 @@ from .actions import (
     wall_inversions,
     word_str,
 )
-from .boundary import chi_vector, dot_export, ubs_graph, validate_system
+from .boundary import (
+    chi_vector,
+    dot_export,
+    ubs_graph,
+    validate_system,
+    validate_system_rules,
+)
 from .config import budgets_from_env
 from .errors import MedianKitError
 from .pocset import (
@@ -321,8 +327,12 @@ def cmd_ubs_validate(args) -> int:
 
 def cmd_ubs_graph(args) -> int:
     S, src = _load_system(args)
-    G = ubs_graph(S)
     out = _report_base(args, "ubs-graph", src)
+    rep = validate_system_rules(S)
+    if not rep.ok:
+        out["verdict"] = rep.to_json()
+        return _emit(out, "ubs-graph: INVALID", EXIT_INVALID)
+    G = ubs_graph(S)
     out["verdict"] = G.to_json()
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -334,10 +344,14 @@ def cmd_ubs_graph(args) -> int:
 
 def cmd_ubs_chi(args) -> int:
     S, src = _load_system(args)
+    out = _report_base(args, "ubs-chi", src)
+    rep = validate_system_rules(S)
+    if not rep.ok:
+        out["verdict"] = rep.to_json()
+        return _emit(out, "ubs-chi: INVALID", EXIT_INVALID)
     g = serialize.load_shift_map(serialize.read_json(args.shift))
     G = ubs_graph(S)
     vec = chi_vector(S, g)
-    out = _report_base(args, "ubs-chi", src)
     out["verdict"] = {
         "classes": list(G.vertex_labels()),
         "chi": [str(v) for v in vec],

@@ -3,11 +3,13 @@
 Every verdict the search commands emit names concrete halfspaces, so a
 skeptical caller can re-check it against the pocset with point sets and
 distances alone, trusting no search bookkeeping.  This module deliberately
-imports nothing outside the core.
+imports nothing outside the core; chain-system closures are re-derived from
+the resolver ``rel`` alone.
 """
 
 from __future__ import annotations
 
+from .boundary import SUB
 from .config import DEFAULT_BUDGETS
 from .pocset import (
     WeightedPocset,
@@ -79,6 +81,23 @@ def verify_facing(P: WeightedPocset, tuple_ids, strong: bool,
                         clean = False
         out["noCommonTransversal"] = clean
     return out
+
+
+def closure_oracle(S, seed: dict, T: int) -> set:
+    """Inseparable closure of the chain intervals ``seed`` up to depth ``T``,
+    pair by pair through ``S.rel``: the (c, n) with n <= T that contain one
+    seed member and are contained in one, members taken up to the index
+    T + head_extent + lcm_period + 1 (the depth closures scan to)."""
+    scan = T + S.head_extent + S.lcm_period + 1
+    members = [(d, m) for d, (lo, hi) in seed.items()
+               for m in range(max(lo, 0), (scan if hi is None else min(hi, scan)) + 1)]
+
+    def inside(x, y):
+        return x == y or S.rel(*x, *y) == SUB
+
+    return {(c, n) for c in S.chain_order for n in range(T + 1)
+            if any(inside((c, n), y) for y in members)
+            and any(inside(y, (c, n)) for y in members)}
 
 
 def _sets_transverse(masks, P: WeightedPocset, i: int, j: int) -> bool:

@@ -14,6 +14,8 @@ from mediankit.boundary import (
     ShiftMap,
     SUB,
     SUP,
+    TRANS,
+    Zone,
     almost_contained,
     almost_disjoint,
     chi_vector,
@@ -34,7 +36,13 @@ from mediankit.boundary import (
     ubs_poset,
     validate_system,
 )
-from mediankit.errors import ClassNotPreserved, ClassPermuted, InvalidInput
+from mediankit.errors import (
+    ClassNotPreserved,
+    ClassPermuted,
+    HorizonExceeded,
+    InvalidInput,
+)
+from mediankit.verification import closure_oracle
 
 ONE = Fraction(1)
 
@@ -92,6 +100,96 @@ def test_closure_is_idempotent_on_random_systems(rng):
         cl = closure(S, tail(cid, 2))
         assert closure(S, dict(cl.intervals)) == cl
         assert is_ubs(S, cl)
+
+
+def _conflict_system():
+    """A row rule and a head entry on the same pair; the head entry wins."""
+    return ChainSystem(
+        [Chain("a", 1, (ONE,)), Chain("b", 1, (ONE,))],
+        zones={("a", "b"): (Zone(None, None, TRANS),)},
+        rows=[RowRule("a", 0, "b", SUB, 3, 3)],
+        head={("a", 0, "b", 3): TRANS})
+
+
+def _zone_gap_system():
+    """The (H, K) zones leave offsets 0..2 open: offsets 0 and 1 fall
+    through to the (K, H) zone, offset 2 to ``trans``."""
+    return ChainSystem(
+        [Chain("H", 1, (ONE,)), Chain("K", 2, (ONE, ONE))],
+        zones={("H", "K"): (Zone(None, -1, SUB), Zone(3, None, TRANS)),
+               ("K", "H"): (Zone(-1, 0, SUB),)},
+        rows=[RowRule("K", 1, "H", SUP, 4, None)])
+
+
+def _decorate(rng, S, tries, keep=lambda S: True):
+    """S plus random head entries and row rules on head-region pairs, each
+    changing the relation there; one is kept only if ``keep`` accepts the
+    system with it."""
+    chains = [S.chains[c] for c in S.chain_order]
+    rows, head = (), {}
+    for _ in range(tries if len(chains) > 1 else 0):
+        c, d = rng.sample(S.chain_order, 2)
+        n, m = rng.randint(0, 3), rng.randint(0, 5)
+        code = rng.choice([x for x in (SUB, SUP, TRANS) if x != S.rel(c, n, d, m)])
+        if rng.random() < 0.5:
+            cand = rows, {**head, (c, n, d, m): code}
+        else:
+            hi = rng.choice((None, m, m + rng.randint(0, 2)))
+            cand = rows + (RowRule(c, n, d, code, m, hi),), head
+        T = ChainSystem(chains, zones=S.zones, rows=cand[0], head=cand[1])
+        if keep(T):
+            rows, head = cand
+    return ChainSystem(chains, zones=S.zones, rows=rows, head=head)
+
+
+def test_head_entry_overrides_row_rule_in_closure():
+    S = _conflict_system()
+    assert validate_system(S).ok
+    assert S.rel("a", 0, "b", 3) == TRANS
+    # a_0 is not contained in b_3, so it is not between a seed pair
+    assert closure(S, {"b": (3, 3), "a": (1, 1)}) == \
+        bd.UBS({"a": (1, 1), "b": (3, 3)})
+
+
+def test_closure_matches_oracle(rng):
+    decorated = [_decorate(rng, rg.random_system(rng, max_chains=4), 12,
+                           lambda T: validate_system(T).ok) for _ in range(30)]
+    assert sum(len(S.head) + len(S.rows) for S in decorated) >= 15
+    systems = [fx.chain_system(name) for name in fx.SYSTEM_FIXTURES]
+    checked = 0
+    for S in systems + [_conflict_system()] + decorated:
+        first = S.chain_order[0]
+        seeds = [{first: (0, None), S.chain_order[-1]: (1, 2)}]
+        for c in S.chain_order:
+            seeds += [{c: (0, None)}, {c: (2, None)}, {c: (1, 3)}]
+        for seed in seeds:
+            try:
+                U = closure(S, seed)
+            except HorizonExceeded:
+                continue
+            got = {(c, n) for c, (lo, hi) in U.intervals.items()
+                   for n in range(lo, S.horizon + 1) if hi is None or n <= hi}
+            assert got == closure_oracle(S, seed, S.horizon), (S, seed)
+            checked += 1
+    assert checked >= 200
+
+
+def test_relation_index_matches_rel(rng):
+    systems = [fx.chain_system(name) for name in fx.SYSTEM_FIXTURES]
+    systems += [_conflict_system(), _zone_gap_system()]
+    systems += [_decorate(rng, rg.random_system(rng, max_chains=3), 6)
+                for _ in range(8)]
+    assert {f["code"] for f in validate_system(_zone_gap_system()).failures} \
+        == {"ZONES_NOT_PARTITION"}
+    for S in systems:
+        N, M = S.index_depth, S.index_scan
+        for c in S.chain_order:
+            for d in S.chain_order:
+                for want in (SUB, SUP) if c != d else ():
+                    expected = [
+                        sum(1 << n for n in range(N + 1) if S.rel(c, n, d, m) == want)
+                        for m in range(M + 1)]
+                    assert S.index(c, d, want) == expected, (S, c, d, want)
 
 
 # -- almost containment ---------------------------------------------------------

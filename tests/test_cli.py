@@ -177,6 +177,34 @@ def test_ubs_chi(capsys, tmp_path):
     assert report["verdict"]["kernel"] is False
 
 
+NON_PARTITION_SYSTEM = {
+    "chains": [{"id": "H", "period": 1, "weights": ["1"]},
+               {"id": "K", "period": 1, "weights": ["1"]}],
+    "rel": {"periodic": [
+        {"from": "H", "to": "K", "rule": "sub", "offsetRange": [None, -3]},
+        {"from": "H", "to": "K", "rule": "trans", "offsetRange": [0, None]},
+    ]},
+}
+
+
+@pytest.mark.parametrize("command", ["ubs-graph", "ubs-chi"])
+def test_ubs_commands_reject_invalid_systems(capsys, tmp_path, command):
+    system = tmp_path / "gap.json"
+    system.write_text(json.dumps(NON_PARTITION_SYSTEM))
+    shift = tmp_path / "shift.json"
+    shift.write_text(json.dumps(
+        {"tau": {"H": "H", "K": "K"}, "shift": {"H": 1, "K": 1},
+         "minIndex": 0}))
+    extra = ["--shift", str(shift)] if command == "ubs-chi" else []
+    code, report, err = run_cli(
+        capsys, command, "--system-file", str(system), *extra)
+    assert code == 65
+    assert report["verdict"]["ok"] is False
+    assert [f["code"] for f in report["verdict"]["failures"]] == \
+        ["ZONES_NOT_PARTITION"]
+    assert f"{command}: INVALID" in err
+
+
 def test_dump_fixture_round_trip(capsys, tmp_path):
     code, report, _ = run_cli(capsys, "dump-fixture", "SQUARE")
     assert code == 0
