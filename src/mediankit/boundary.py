@@ -34,7 +34,7 @@ from .errors import (
     HorizonExceeded,
     InvalidInput,
 )
-from .pocset import ValidationReport
+from .pocset import ValidationReport, _iter_bits
 
 SUB = "sub"      # first element contained in second
 SUP = "sup"      # first element contains second
@@ -363,14 +363,8 @@ def validate_system(S: ChainSystem) -> ValidationReport:
                 down[pos[(c, n)]] |= 1 << pos[(c, m)]
     # transitive closure must not add anything
     for i in range(len(elems)):
-        acc = down[i]
-        m = down[i]
-        while m:
-            low = m & -m
-            acc |= down[low.bit_length() - 1]
-            m ^= low
-        if acc & ~down[i]:
-            extra = (acc & ~down[i])
+        extra = reduce(or_, (down[j] for j in _iter_bits(down[i])), 0) & ~down[i]
+        if extra:
             j = (extra & -extra).bit_length() - 1
             rep.fail("REL_NOT_TRANSITIVE",
                      f"{elems[i]} should contain {elems[j]}")
@@ -593,15 +587,7 @@ def dilworth_chains(S: ChainSystem, elements: Sequence[tuple]) -> int:
 def truncation_antichain_bound(S: ChainSystem) -> int:
     """Maximum antichain of the standard truncation; the rank proxy."""
     T = S.head_extent + 2 * S.lcm_period
-    elems = [(c, n) for c in S.chain_order for n in range(T + 1)]
-
-    def less(x, y):
-        (ci, n), (cj, m) = x, y
-        if ci == cj:
-            return n > m
-        return S.rel(ci, n, cj, m) == SUB
-
-    return min_chain_cover(elems, less)
+    return dilworth_chains(S, [(c, n) for c in S.chain_order for n in range(T + 1)])
 
 
 # -- minimal tails and the graph ----------------------------------------------
@@ -823,34 +809,48 @@ def preimage_ubs(S: ChainSystem, U: UBS, g: ShiftMap) -> UBS:
     return UBS(out)
 
 
+def _transfer(S: ChainSystem, U: UBS, g: ShiftMap) -> Optional[Fraction]:
+    """nu(g^{-1}Ω \\ Ω) − nu(Ω \\ g^{-1}Ω) on a deep representative Ω of
+    U, or None when g does not preserve the class of U."""
+    omega = _deep_representative(S, U, g)
+    pre = preimage_ubs(S, omega, g)
+    gained, lost = almost_contained(S, pre, omega), almost_contained(S, omega, pre)
+    if gained.holds and lost.holds:
+        return gained.measure - lost.measure
+    return None
+
+
 def transfer_character(S: ChainSystem, U: UBS, g: ShiftMap) -> Fraction:
     """nu(g^{-1}Ω \\ Ω) − nu(Ω \\ g^{-1}Ω) on a deep representative.
 
     Well-defined on the equivalence class of Ω; requires g to preserve it.
     """
     validate_shift(S, g)
-    omega = _deep_representative(S, U, g)
-    pre = preimage_ubs(S, omega, g)
-    both = almost_contained(S, pre, omega), almost_contained(S, omega, pre)
-    if not (both[0].holds and both[1].holds):
+    value = _transfer(S, U, g)
+    if value is None:
         raise ClassNotPreserved(
             "the shift map does not preserve the class of the UBS")
-    return both[0].measure - both[1].measure
+    return value
+
+
+def class_characters(S: ChainSystem, G: UBSGraph, g: ShiftMap) -> tuple:
+    """Transfer characters of the classes of ``G = ubs_graph(S)``, in
+    vertex order, for a shift map that has passed ``validate_shift``."""
+    values = []
+    for lab, rep, _ in G.vertices:
+        value = _transfer(S, rep, g)
+        if value is None:
+            raise ClassPermuted(
+                f"class {lab} is moved by the shift map; pass to the "
+                "class-preserving subgroup first")
+        values.append(value)
+    return tuple(values)
 
 
 def chi_vector(S: ChainSystem, g: ShiftMap) -> tuple:
     """Per-minimal-class transfer characters, in graph vertex order."""
     validate_shift(S, g)
-    G = ubs_graph(S)
-    values = []
-    for lab, rep, chain in G.vertices:
-        pre = preimage_ubs(S, _deep_representative(S, rep, g), g)
-        if not equivalent(S, pre, _deep_representative(S, rep, g)):
-            raise ClassPermuted(
-                f"class {lab} is moved by the shift map; pass to the "
-                "class-preserving subgroup first")
-        values.append(transfer_character(S, rep, g))
-    return tuple(values)
+    return class_characters(S, ubs_graph(S), g)
 
 
 def in_chi_kernel(S: ChainSystem, g: ShiftMap) -> bool:

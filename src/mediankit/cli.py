@@ -29,9 +29,10 @@ from .actions import (
     word_str,
 )
 from .boundary import (
-    chi_vector,
+    class_characters,
     dot_export,
     ubs_graph,
+    validate_shift,
     validate_system,
     validate_system_rules,
 )
@@ -39,6 +40,7 @@ from .config import budgets_from_env
 from .errors import MedianKitError
 from .pocset import (
     distance,
+    ensure_valid,
     median,
     point_from_ids,
     points,
@@ -77,7 +79,7 @@ def _emit(report: dict, summary: str, code: int) -> int:
     return code
 
 
-def _load_pocset(args):
+def _read_pocset(args):
     if args.fixture:
         P = fixtures.pocset(args.fixture)
         src = {"fixture": args.fixture}
@@ -87,6 +89,15 @@ def _load_pocset(args):
         src = {"file": args.pocset, "digest": _digest(data)}
     else:
         raise MedianKitError("need --fixture or --pocset")
+    return P, src
+
+
+def _load_pocset(args):
+    """The pocset of ``--fixture`` or ``--pocset``; a file must pass
+    validation (exit 65 with the report) before anything is computed."""
+    P, src = _read_pocset(args)
+    if args.pocset:
+        ensure_valid(P, budgets_from_env())
     return P, src
 
 
@@ -135,7 +146,7 @@ def _points_by_ids(P, text):
 
 
 def cmd_validate(args) -> int:
-    P, src = _load_pocset(args)
+    P, src = _read_pocset(args)
     rep = validate(P, budgets_from_env())
     out = _report_base(args, "validate", src)
     out["verdict"] = rep.to_json()
@@ -199,8 +210,9 @@ def cmd_subdivide(args) -> int:
     out["verdict"] = {
         "depth": args.n,
         "pocset": serialize.dump_pocset(child),
-        "projection": {child.ids[i]: stages[-1].parent.ids[stages[-1].projection[i]]
-                       for i in range(child.n)} if stages else {},
+        "projection": {child.ids[c]: stages[-1].parent.ids[i]
+                       for i, pair in enumerate(stages[-1].copies)
+                       for c in pair} if stages else {},
         "atomMass": str(atom_mass(child)),
     }
     return _emit(out, f"subdivided to depth {args.n}: {child.wall_count} walls",
@@ -351,7 +363,8 @@ def cmd_ubs_chi(args) -> int:
         return _emit(out, "ubs-chi: INVALID", EXIT_INVALID)
     g = serialize.load_shift_map(serialize.read_json(args.shift))
     G = ubs_graph(S)
-    vec = chi_vector(S, g)
+    validate_shift(S, g)
+    vec = class_characters(S, G, g)
     out["verdict"] = {
         "classes": list(G.vertex_labels()),
         "chi": [str(v) for v in vec],

@@ -155,14 +155,6 @@ class WeightedPocset:
     def incomparable_idx(self, i: int, j: int) -> bool:
         return not (self.up[i] >> j & 1 or self.up[j] >> i & 1)
 
-    def wall_of(self, h: str) -> tuple[str, str]:
-        i = self.idx(h)
-        j = self.star[i]
-        return (self.ids[min(i, j)], self.ids[max(i, j)])
-
-    def wall_weight(self, h: str) -> Fraction:
-        return self.weight[self.idx(h)]
-
     def __repr__(self):
         return f"WeightedPocset({self.wall_count} walls, {self.n} halfspaces)"
 

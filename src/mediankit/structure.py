@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import InvalidInput, NotAnAutomorphism, WallBudgetExceeded
-from .pocset import Point, WeightedPocset, points
+from .pocset import Point, WeightedPocset, _iter_bits
 
 
 def transverse(P: WeightedPocset, h: str, k: str) -> bool:
@@ -71,10 +71,8 @@ def rank(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> int:
         nonlocal best
         if size + bin(cand).count("1") <= best:
             return
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
+        for v in _iter_bits(cand):
+            cand ^= 1 << v
             if size + 1 + bin(cand & adj[v]).count("1") <= best:
                 continue
             best = max(best, size + 1)
@@ -124,9 +122,6 @@ class Decomposition:
 
     factors: tuple[WeightedPocset, ...]
     assignment: dict  # parent halfspace id -> (factor index, factor halfspace id)
-
-    def factor_of(self, h: str) -> int:
-        return self.assignment[h][0]
 
     def to_json(self):
         return {
@@ -203,18 +198,9 @@ def pocset_product(parts: Sequence[WeightedPocset],
         for wi, _ in zip(Q.wall_ids, Q.walls):
             wall_ids.append(pref + wi)
         for a in range(Q.n):
-            for b in _iter_up(Q, a):
-                if a != b:
-                    order.append((pref + Q.ids[a], pref + Q.ids[b]))
+            for b in _iter_bits(Q.up[a] & ~(1 << a)):
+                order.append((pref + Q.ids[a], pref + Q.ids[b]))
     return WeightedPocset(walls, order, wall_ids=wall_ids)
-
-
-def _iter_up(Q: WeightedPocset, a: int):
-    m = Q.up[a]
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
 
 
 class Automorphism:
@@ -262,15 +248,15 @@ class Automorphism:
             if P.weight[i] != P.weight[perm[i]]:
                 return False
         for i in range(P.n):
-            im = 0
-            m = P.up[i]
-            while m:
-                low = m & -m
-                im |= 1 << perm[low.bit_length() - 1]
-                m ^= low
-            if im != P.up[perm[i]]:
+            if self._image(P.up[i]) != P.up[perm[i]]:
                 return False
         return True
+
+    def _image(self, mask: int) -> int:
+        im = 0
+        for i in _iter_bits(mask):
+            im |= 1 << self.perm[i]
+        return im
 
     def apply_idx(self, i: int) -> int:
         return self.perm[i]
@@ -283,13 +269,7 @@ class Automorphism:
 
     def apply_point(self, p: Point) -> Point:
         """Image of a point; never None, unlike a window map's."""
-        mask = 0
-        m = p.mask
-        while m:
-            low = m & -m
-            mask |= 1 << self.perm[low.bit_length() - 1]
-            m ^= low
-        return Point(self.pocset, mask)
+        return Point(self.pocset, self._image(p.mask))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self ∘ other: apply ``other`` first."""
@@ -394,29 +374,3 @@ def factor_permutation(P: WeightedPocset, D: Decomposition, g: Automorphism) -> 
     if sorted(perm) != list(range(len(D.factors))):
         raise NotAnAutomorphism("induced factor map is not a permutation")
     return perm
-
-
-def product_points_bijection(P1: WeightedPocset, P2: WeightedPocset,
-                             budgets: Budgets = DEFAULT_BUDGETS):
-    """Pairs each point of the product with its pair of factor points;
-    used by tests to confirm that distances add."""
-    prod = pocset_product([P1, P2], prefixes=["x.", "y."])
-    pairs = []
-    for p in points(prod, budgets):
-        m1 = 0
-        m2 = 0
-        for i in _iter_bits_local(p.mask):
-            h = prod.ids[i]
-            if h.startswith("x."):
-                m1 |= 1 << P1.idx(h[2:])
-            else:
-                m2 |= 1 << P2.idx(h[2:])
-        pairs.append((p, Point(P1, m1), Point(P2, m2)))
-    return prod, pairs
-
-
-def _iter_bits_local(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

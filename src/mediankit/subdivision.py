@@ -4,7 +4,9 @@ In finite positive-weight models every wall is an atom, so the subdivision
 splits them all.  Child halfspaces are named ``<parent>-`` and ``<parent>+``
 with the order rule: child j < child j' iff the parents are strictly
 ordered, or j, j' are the minus and plus copies of one parent.  The
-involution swaps copies across the wall: ``(a-)* = (a*)+``.
+involution swaps copies across the wall: ``(a-)* = (a*)+``.  Only
+:func:`subdivide` builds these names; everything after it works on child
+indices through the table ``Subdivision.copies``.
 
 Original points embed by taking both copies of each member halfspace; the
 embedding is isometric.  New points are the cube midpoints; ``cube_at``
@@ -23,7 +25,7 @@ from typing import Optional
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import NotANewPoint, NotAnAutomorphism, WallBudgetExceeded
-from .pocset import Point, WeightedPocset, is_ultrafilter
+from .pocset import Point, WeightedPocset, _iter_bits, is_ultrafilter
 from .structure import Automorphism
 
 MINUS = "-"
@@ -34,37 +36,30 @@ PLUS = "+"
 class Subdivision:
     parent: WeightedPocset
     child: WeightedPocset
-    # child halfspace index -> parent halfspace index
-    projection: tuple
+    # parent halfspace index -> (index of its minus copy, index of its plus
+    # copy) in the child; the only map between parent and child indices
+    copies: tuple
 
-    def project_id(self, child_h: str) -> str:
-        return self.parent.ids[self.projection[self.child.idx(child_h)]]
-
-    def child_id(self, parent_h: str, sign: str) -> str:
-        return parent_h + sign
+    def _both(self, i: int) -> int:
+        """The child mask of both copies of parent halfspace i."""
+        minus, plus = self.copies[i]
+        return 1 << minus | 1 << plus
 
     def embed(self, p: Point) -> Point:
         mask = 0
-        m = p.mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            h = self.parent.ids[i]
-            mask |= 1 << self.child.idx(h + MINUS)
-            mask |= 1 << self.child.idx(h + PLUS)
+        for i in _iter_bits(p.mask):
+            mask |= self._both(i)
         return Point(self.child, mask)
 
     def preimage(self, q: Point) -> Optional[Point]:
         """The original point embedding to q, or None when q is new."""
         mask = 0
-        for i, _ in self.parent.walls:
-            h = self.parent.ids[i]
-            hs = self.parent.ids[self.parent.star[i]]
-            if (h + MINUS) in q and (h + PLUS) in q:
-                mask |= 1 << i
-            elif (hs + MINUS) in q and (hs + PLUS) in q:
-                mask |= 1 << self.parent.star[i]
+        for i, j in self.parent.walls:
+            for side in (i, j):
+                both = self._both(side)
+                if q.mask & both == both:
+                    mask |= 1 << side
+                    break
             else:
                 return None
         return Point(self.parent, mask)
@@ -87,14 +82,13 @@ def subdivide(P: WeightedPocset) -> Subdivision:
             wall_ids.append(h + MINUS)
             wall_ids.append(h + PLUS)
         order.append((h + MINUS, h + PLUS))
-        for j in range(P.n):
-            if i != j and P.leq_idx(i, j):
-                for si in (MINUS, PLUS):
-                    for sj in (MINUS, PLUS):
-                        order.append((h + si, P.ids[j] + sj))
+        for j in _iter_bits(P.up[i] & ~(1 << i)):
+            for si in (MINUS, PLUS):
+                for sj in (MINUS, PLUS):
+                    order.append((h + si, P.ids[j] + sj))
     child = WeightedPocset(walls, order, wall_ids=wall_ids)
-    projection = tuple(P.idx(cid[:-1]) for cid in child.ids)
-    return Subdivision(P, child, projection)
+    copies = tuple((child.index[h + MINUS], child.index[h + PLUS]) for h in P.ids)
+    return Subdivision(P, child, copies)
 
 
 def lift(S: Subdivision, g: Automorphism) -> Automorphism:
@@ -103,11 +97,8 @@ def lift(S: Subdivision, g: Automorphism) -> Automorphism:
     if g.pocset is not P or not g.is_valid():
         raise NotAnAutomorphism("lift() requires an automorphism of the parent")
     perm = [0] * C.n
-    for ci in range(C.n):
-        cid = C.ids[ci]
-        sign = cid[-1]
-        image = P.ids[g.apply_idx(S.projection[ci])]
-        perm[ci] = C.idx(image + sign)
+    for i, (minus, plus) in enumerate(S.copies):
+        perm[minus], perm[plus] = S.copies[g.apply_idx(i)]
     lifted = Automorphism(C, perm, name=f"{g.name}'")
     if not lifted.is_valid():
         raise NotAnAutomorphism("internal: lift produced a non-automorphism")
@@ -122,7 +113,7 @@ class CanonicalCube:
     def __init__(self, sub: Subdivision, wall_sides: tuple, center: Point):
         self.sub = sub
         self.k = len(wall_sides)
-        self.wall_sides = wall_sides  # one parent halfspace per zero wall
+        self.wall_sides = wall_sides  # one parent halfspace index per zero wall
         self.center = center
 
     def vertex(self, signs: tuple) -> Point:
@@ -139,36 +130,26 @@ class CanonicalCube:
         side {h-, h+}, -1 to {(h*)-, (h*)+}.
         """
         S = self.sub
-        C = S.child
         mask = self.center.mask
-        for h, s in zip(self.wall_sides, signs):
-            hs = S.parent.ids[S.parent.star[S.parent.idx(h)]]
-            for cid in (h + MINUS, h + PLUS, hs + MINUS, hs + PLUS):
-                mask &= ~(1 << C.idx(cid))
+        for i, s in zip(self.wall_sides, signs):
+            j = S.parent.star[i]
+            mask &= ~(S._both(i) | S._both(j))
             if s == 0:
-                keep = (h + PLUS, hs + PLUS)
-            elif s == 1:
-                keep = (h + MINUS, h + PLUS)
+                mask |= 1 << S.copies[i][1] | 1 << S.copies[j][1]
             else:
-                keep = (hs + MINUS, hs + PLUS)
-            for cid in keep:
-                mask |= 1 << C.idx(cid)
-        if not is_ultrafilter(C, mask):
+                mask |= S._both(i if s == 1 else j)
+        if not is_ultrafilter(S.child, mask):
             raise NotANewPoint("internal: cube coordinate produced a non-point")
-        return Point(C, mask)
+        return Point(S.child, mask)
 
 
 def cube_at(S: Subdivision, x: Point) -> CanonicalCube:
     """The canonical cube centred at a new point of the subdivision."""
     if x.pocset is not S.child or not S.is_new(x):
         raise NotANewPoint("cube_at() requires a point not in the image of the parent")
-    sides = []
-    for i, _ in S.parent.walls:
-        h = S.parent.ids[i]
-        hs = S.parent.ids[S.parent.star[i]]
-        if (h + PLUS) in x and (hs + PLUS) in x:
-            sides.append(h)
-    return CanonicalCube(S, tuple(sides), x)
+    sides = tuple(i for i, j in S.parent.walls
+                  if x.mask >> S.copies[i][1] & 1 and x.mask >> S.copies[j][1] & 1)
+    return CanonicalCube(S, sides, x)
 
 
 def atom_mass(P: WeightedPocset) -> Fraction:

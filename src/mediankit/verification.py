@@ -13,6 +13,7 @@ from .boundary import SUB
 from .config import DEFAULT_BUDGETS
 from .pocset import (
     WeightedPocset,
+    _iter_bits,
     distance,
     halfspace_point_masks,
     points,
@@ -45,8 +46,8 @@ def verify_skewer(P: WeightedPocset, h: str, k: str, image_of_k: str,
     nested = P.leq_idx(hi, ki)
     gap = None
     star_mask = masks[P.star[hi]]
-    for i in _bits(masks[gi]):
-        for j in _bits(star_mask):
+    for i in _iter_bits(masks[gi]):
+        for j in _iter_bits(star_mask):
             d = distance(P, pts[i], pts[j])
             if gap is None or d < gap:
                 gap = d
@@ -105,10 +106,3 @@ def _sets_transverse(masks, P: WeightedPocset, i: int, j: int) -> bool:
         masks[x] & masks[y] != 0
         for x in (i, P.star[i]) for y in (j, P.star[j])
     )
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

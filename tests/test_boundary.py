@@ -62,6 +62,16 @@ def test_antisymmetry_violation_is_flagged():
     assert not rep.ok
 
 
+def test_transitivity_violation_names_the_first_missing_element():
+    S = ChainSystem(
+        [Chain("H", 1, (ONE,)), Chain("K", 1, (ONE,)), Chain("M", 1, (ONE,))],
+        head={("H", 0, "K", 0): SUB, ("K", 0, "M", 0): SUB})
+    assert validate_system(S).failures == [
+        {"code": "REL_NOT_TRANSITIVE", "detail": "('K', 0) should contain ('H', 1)"},
+        {"code": "REL_NOT_TRANSITIVE", "detail": "('M', 0) should contain ('H', 0)"},
+    ]
+
+
 def test_zero_weight_rejected():
     S = ChainSystem([Chain("H", 1, (Fraction(0),))])
     assert any(f["code"] == "NONPOSITIVE_WEIGHT"

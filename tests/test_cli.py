@@ -292,3 +292,35 @@ def test_window_maps_are_checked_on_load(capsys, tmp_path, bad_map, reason):
     assert code == 65
     assert report["error"]["code"] == "NOT_AN_AUTOMORPHISM"
     assert reason in report["error"]["message"]
+
+
+COMPARABLE_WITH_COMPLEMENT = {
+    "walls": [{"id": "a", "pos": "a", "neg": "a*", "weight": "1"}],
+    "order": [["a", "a*"]],
+}
+CYCLIC_ORDER = {
+    "walls": [{"id": "a", "pos": "a", "neg": "a*", "weight": "1"},
+              {"id": "b", "pos": "b", "neg": "b*", "weight": "1"}],
+    "order": [["a", "b"], ["b", "a"]],
+}
+
+
+@pytest.mark.parametrize("data, failure", [
+    (COMPARABLE_WITH_COMPLEMENT, "COMPARABLE_WITH_COMPLEMENT"),
+    (CYCLIC_ORDER, "NOT_ANTISYMMETRIC"),
+], ids=["comparable-with-complement", "cyclic-order"])
+def test_invalid_pocset_files_are_rejected_before_computing(
+        capsys, tmp_path, data, failure):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for command in ("points", "rank"):
+        code, report, _ = run_cli(capsys, command, "--pocset", str(bad))
+        assert code == 65
+        assert report["error"]["code"] == "INVALID_INPUT"
+        assert "verdict" not in report
+        assert failure in report["error"]["data"]["report"]
+    code, report, err = run_cli(capsys, "validate", "--pocset", str(bad))
+    assert code == 65
+    assert report["verdict"]["ok"] is False
+    assert failure in [f["code"] for f in report["verdict"]["failures"]]
+    assert "validate: INVALID" in err

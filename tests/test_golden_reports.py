@@ -1,0 +1,82 @@
+"""Golden reports: the README's CLI commands keep byte-identical reports.
+
+Each case pins the exit code and the sha256 of the JSON report with its
+``timing`` field removed, so a refactor that changes any report byte fails
+here, while the determinism test in ``test_cli.py`` only compares two runs
+of the same code.  The digests were recorded before subdivision switched
+from child names to the ``Subdivision.copies`` table; the extra
+``subdivide`` cases cover that switch beyond the README's ``-n 2`` run.
+Update a digest only for a deliberate change of report contents.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from mediankit.cli import main
+
+GOLDEN = [
+    ("rank --fixture SQUARE", 0,
+     "40ceb5bdbcc2e93d938cedf42aebf219c3a00eead9a96c74d9f234140db4b3a1"),
+    ("points --fixture PATH3", 0,
+     "bc5479ef2d98cfff5e3499f1b4fa89180466d451e819127743eb1f59dd7e550a"),
+    ("median --fixture SQUARE --x a,b --y a,b* --z a*,b", 0,
+     "c5c6cd38d187458e0068bafcc9eacb4fea91ded30ee19a120a7e03790b47f9aa"),
+    ("distance --fixture SQUARE --x a,b --y a*,b*", 0,
+     "036f14f7c245d0f7cbf937ec048519a6073d23e04bb6772e9bc0a672e85d1da3"),
+    ("decompose --fixture GRID", 0,
+     "813848d986ab5106bdc06ab242c685626e3976b7d90feeb71fb04d187998732e"),
+    ("subdivide --fixture SQUARE -n 2", 0,
+     "1fa7e8670604cc5f3d3b88ad72ba179903abfe2e31e8c5a6d86c1fe7d059a559"),
+    ("orbits --fixture SQUARE --gens rot,swap", 0,
+     "1ee80bea132025d547adca37713c08e44ce84f0128062101085a2c8ed582b07a"),
+    ("flip --fixture TRIPOD --gens rot --halfspace h1*", 0,
+     "901f90710f20ebb2372ad574acfc373634d08ac7717288f2bc9cd8bcb4b48468"),
+    ("skewer --fixture F2BALL --pair waa+,wa+ --max-word-len 3 --verify", 0,
+     "698e524c9258e457e67f26da1cafc55cd322ea8774449d68ec6461175638bd9a"),
+    ("facing --fixture TRIPOD --tuple-size 3 --strong", 0,
+     "ce8fa49d0e36b73337bd39136f6bfa9f3cfc2c7033ddcda5750cbb5f11784905"),
+    ("sectors --fixture SQUARE --pair a,b", 0,
+     "94fcdadfd3a0c2bc742434833130f02f1088955c76277bd7d568e55141973439"),
+    ("free-cert --fixture F2BALL --a a --b b --h wA+ --k wB+ --max-word-len 4", 0,
+     "f4b07c0988e1f719030cf98206a1514b1d9770e6fbd6b22399734b045f284add"),
+    ("lineal --fixture PATH3", 0,
+     "9a5a30c8f90238479ee8d7e57e130a49efbf4cf5e60d9ea3867539491500ead1"),
+    ("classify --fixture F2BALL --max-word-len 3", 0,
+     "20f161023063a25c8d91b1f08fc64e3272a446d0b37cc4448213d252accd107b"),
+    ("ubs-validate --system STAIRFLAP", 0,
+     "9bef47b6f277a5a58b2835ee9f14c8823754c17bd5db24941d4864c6f857fb1b"),
+    ("ubs-graph --system STAIRFLAP --dot graph.dot", 0,
+     "6e9a0e7a9be5744fd90deb3e9e36d6923f04adc4e683e5ed70696696fce71d62"),
+    ("ubs-chi --system STAIRFLAP --shift shift.json", 0,
+     "bd193fecec011f4931aa14c8cda0fbcabe26bcc384fa78d321b34e948ac89291"),
+    ("dump-fixture F2BALL", 0,
+     "4d4d8aa27ecf8593f4479705abc34a8b725e5de123a263e788f418c84b72bdc5"),
+    ("subdivide --fixture TRIPOD -n 2", 0,
+     "cf1308ea40f5b2d0ce00ab15eb994657214ead5f480730a88fb068bd68386a52"),
+    ("subdivide --fixture GRID -n 1", 0,
+     "c16da6adde53ee411301c1da69f203be15647e50c75e16ad267891c6483c182f"),
+    ("subdivide --fixture F2BALL -n 1", 0,
+     "21e3022564700d125fed4463b5e7fc8423d299993e551af7bbe8d448fb48ac5d"),
+]
+
+
+def report_digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    report = json.loads(out.getvalue())
+    report.pop("timing", None)
+    text = json.dumps(report, sort_keys=True, indent=2)
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_report_is_unchanged(command, code, digest, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative --dot and --shift paths land here
+    (tmp_path / "shift.json").write_text(json.dumps(
+        {"tau": {"H": "H", "K": "K"}, "shift": {"H": 1, "K": 1}, "minIndex": 0}))
+    assert report_digest(command.split()) == (code, digest)

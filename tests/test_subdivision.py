@@ -1,14 +1,17 @@
 """Barycentric subdivision: splitting, lifts, canonical cubes, towers."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from mediankit import fixtures as fx
+from mediankit import randomgen as rg
 from mediankit.actions import TotalAction, min_orbit
 from mediankit.errors import NotANewPoint, WallBudgetExceeded
 from mediankit.pocset import (
+    Point,
     WeightedPocset,
     convex_hull,
     distance,
@@ -16,7 +19,7 @@ from mediankit.pocset import (
     points,
     validate,
 )
-from mediankit.structure import Automorphism, rank
+from mediankit.structure import Automorphism, automorphisms, rank
 from mediankit.subdivision import (
     atom_mass,
     cube_at,
@@ -228,3 +231,93 @@ def test_finite_orbit_witness_from_canonical_cube(square):
     assert len(verts) <= 2 ** rank(square)
     orbit = min_orbit(TotalAction(square, named))
     assert {p.mask for p in orbit.orbit} == verts
+
+
+# -- the copy table against the name-based rule ----------------------------
+#
+# A reference that finds child copies by name, ``<parent>-`` and
+# ``<parent>+``, as the module did before ``Subdivision.copies``.  The table
+# must agree with it on every point, cube coordinate and lift.
+
+def _ref_both(S, h):
+    return 1 << S.child.idx(h + "-") | 1 << S.child.idx(h + "+")
+
+
+def _ref_embed(S, p):
+    mask = 0
+    for i in range(S.parent.n):
+        if p.mask >> i & 1:
+            mask |= _ref_both(S, S.parent.ids[i])
+    return mask
+
+
+def _ref_preimage(S, q):
+    mask = 0
+    for i, _ in S.parent.walls:
+        h = S.parent.ids[i]
+        hs = S.parent.ids[S.parent.star[i]]
+        if (h + "-") in q and (h + "+") in q:
+            mask |= 1 << i
+        elif (hs + "-") in q and (hs + "+") in q:
+            mask |= 1 << S.parent.star[i]
+        else:
+            return None
+    return mask
+
+
+def _ref_cube_sides(S, x):
+    return [S.parent.ids[i] for i, _ in S.parent.walls
+            if (S.parent.ids[i] + "+") in x
+            and (S.parent.ids[S.parent.star[i]] + "+") in x]
+
+
+def _ref_midpoint(S, sides, center, signs):
+    C = S.child
+    mask = center.mask
+    for h, s in zip(sides, signs):
+        hs = S.parent.star_of(h)
+        mask &= ~(_ref_both(S, h) | _ref_both(S, hs))
+        keep = {0: (h + "+", hs + "+"), 1: (h + "-", h + "+"),
+                -1: (hs + "-", hs + "+")}[s]
+        for cid in keep:
+            mask |= 1 << C.idx(cid)
+    return mask
+
+
+def _ref_lift_perm(S, g):
+    C = S.child
+    return tuple(C.idx(g.apply(cid[:-1]) + cid[-1]) for cid in C.ids)
+
+
+def _differential_pocsets():
+    rng = random.Random(20240611)
+    named = [pytest.param(fx.pocset(name), id=name)
+             for name in ("SQUARE", "PATH3", "TRIPOD", "GRID")]
+    return named + [
+        pytest.param(rg.random_pocset(rng, max_walls=6, max_points=12), id=f"random{k}")
+        for k in range(12)]
+
+
+@pytest.mark.parametrize("P", _differential_pocsets())
+def test_copy_table_matches_names(P):
+    S = subdivide(P)
+    for p in points(P):
+        assert S.embed(p).mask == _ref_embed(S, p)
+    for q in points(S.child):
+        ref = _ref_preimage(S, q)
+        pre = S.preimage(q)
+        assert (None if pre is None else pre.mask) == ref
+        assert S.is_new(q) == (ref is None)
+        if ref is not None:
+            continue
+        cube = cube_at(S, q)
+        sides = _ref_cube_sides(S, q)
+        assert [P.ids[i] for i in cube.wall_sides] == sides
+        for signs in itertools.product((-1, 0, 1), repeat=cube.k):
+            want = _ref_midpoint(S, sides, q, signs)
+            assert cube.midpoint(signs).mask == want
+            if 0 not in signs:
+                assert cube.vertex(signs).mask == _ref_preimage(
+                    S, Point(S.child, want))
+    for g in automorphisms(P)[:24]:
+        assert lift(S, g).perm == _ref_lift_perm(S, g)
