@@ -231,10 +231,6 @@ class _Action:
             g = g.compose(self.step(tok))
         return g
 
-    def apply_halfspace(self, word: Word, h: str) -> Optional[str]:
-        img = self.evaluate(word).apply_idx(self.pocset.idx(h))
-        return None if img is None else self.pocset.ids[img]
-
     def apply_point(self, word: Word, p: Point) -> Optional[Point]:
         return self.evaluate(word).apply_point(p)
 

@@ -12,9 +12,11 @@ sets normalize to per-chain intervals with an optional infinite tail.
 Each system fills a relation index lazily (per chain pair, one bitmask of
 the first chain's indices per index of the second, built with the
 resolver's precedence), so closures agree with ``rel`` exactly and take a
-few big-integer operations per chain.  Closures, almost-containment,
-minimal tails, the directed graph on minimal classes, the poset of classes
-and transfer characters all reduce to finite computations over one period
+few big-integer operations per chain.  Two UBS are equivalent (each
+almost contains the other) exactly when they meet the same chains in
+infinite tails, so classes are compared by tail sets.  Closures,
+almost-containment, minimal tails, the directed graph on minimal classes,
+the poset of classes and transfer characters all reduce to finite computations over one period
 block; a stabilization check over two horizons guards every tail decision,
 raising HORIZON_EXCEEDED rather than guessing.
 """
@@ -120,6 +122,9 @@ class ChainSystem:
         self.head_extent = max(bounds)
         self.lcm_period = math.lcm(*[c.period for c in chains]) if chains else 1
         self.horizon = self.head_extent + 4 * self.lcm_period + 4
+        # depth from which tails are deep: minimal tails stabilize by it, and
+        # it bounds the standard truncation
+        self.tail_depth = self.head_extent + 2 * self.lcm_period
         # relation index bounds: the deeper closure horizon and its scan
         self.index_depth = self.horizon + self.lcm_period
         self.index_scan = self.index_depth + self.head_extent + self.lcm_period + 1
@@ -266,6 +271,10 @@ class UBS:
     def has_tail(self) -> bool:
         return any(hi is None for _, hi in self.intervals.values())
 
+    def tails(self) -> frozenset:
+        """The chains met in an infinite tail."""
+        return frozenset(c for c, (_, hi) in self.intervals.items() if hi is None)
+
     def __eq__(self, other):
         return isinstance(other, UBS) and other.intervals == self.intervals
 
@@ -332,6 +341,13 @@ def validate_system_rules(S: ChainSystem) -> ValidationReport:
     for r in S.rows:
         if r.chain not in S.chains or r.other not in S.chains:
             rep.fail("UNKNOWN_CHAIN", f"row rule {r}")
+    for (ci, n, cj, m), code in S.head.items():
+        if ci not in S.chains or cj not in S.chains:
+            rep.fail("UNKNOWN_CHAIN", f"head entry ({ci}, {n}, {cj}, {m})")
+            continue
+        mirror = S.head.get((cj, m, ci, n))
+        if mirror is not None and (ci, n) < (cj, m) and mirror != _INVERSE[code]:
+            rep.fail("HEAD_CONFLICT", f"({ci}, {n}) vs ({cj}, {m})")
     return rep
 
 
@@ -373,15 +389,12 @@ def validate_system(S: ChainSystem) -> ValidationReport:
             rep.fail("REL_CYCLE", str(elems[i]))
     # periodic consistency across one full period block
     L = S.lcm_period
-    base = S.head_extent + L
-    for ci in S.chain_order:
-        for cj in S.chain_order:
-            if ci >= cj:
-                continue
-            for n in range(base, base + L):
-                for m in range(base, base + L):
-                    if S.rel(ci, n, cj, m) != S.rel(ci, n + L, cj, m + L):
-                        rep.fail("NOT_PERIODIC", f"({ci},{n}) vs ({cj},{m})")
+    period_shift = ShiftMap({c: c for c in S.chain_order},
+                            {c: L for c in S.chain_order})
+    pairs = [(ci, cj) for ci in S.chain_order for cj in S.chain_order if ci < cj]
+    block = range(S.head_extent + L, S.head_extent + 2 * L)
+    for ci, n, cj, m in _unpreserved(S, S, period_shift, block, pairs):
+        rep.fail("NOT_PERIODIC", f"({ci},{n}) vs ({cj},{m})")
     if rep.ok:
         rep.notes.append(
             f"truncation to depth {T} is a pocset-compatible partial order")
@@ -397,12 +410,6 @@ def _zones_partition(zs: Sequence[Zone]) -> bool:
         if a.hi is None or b.lo is None or b.lo != a.hi + 1:
             return False
     return True
-
-
-def ensure_valid_system(S: ChainSystem) -> None:
-    rep = validate_system(S)
-    if not rep.ok:
-        raise InvalidInput("chain system fails validation", report=rep.to_json())
 
 
 # -- closures ---------------------------------------------------------------
@@ -514,17 +521,14 @@ def almost_contained(S: ChainSystem, U1: UBS, U2: UBS) -> AlmostContainment:
 
 
 def equivalent(S: ChainSystem, U1: UBS, U2: UBS) -> bool:
-    return almost_contained(S, U1, U2).holds and almost_contained(S, U2, U1).holds
+    """Each almost contains the other: U1 \\ U2 is infinite exactly where U1
+    has a tail and U2 has none, so the two meet the same chains in tails."""
+    return U1.tails() == U2.tails()
 
 
 def almost_disjoint(S: ChainSystem, U1: UBS, U2: UBS) -> bool:
     """The intersection is not a UBS (meets every chain finitely)."""
-    for cid in S.chain_order:
-        a = U1.intervals.get(cid)
-        b = U2.intervals.get(cid)
-        if a and b and a[1] is None and b[1] is None:
-            return False
-    return True
+    return not U1.tails() & U2.tails()
 
 
 # -- Dilworth ---------------------------------------------------------------
@@ -586,32 +590,41 @@ def dilworth_chains(S: ChainSystem, elements: Sequence[tuple]) -> int:
 
 def truncation_antichain_bound(S: ChainSystem) -> int:
     """Maximum antichain of the standard truncation; the rank proxy."""
-    T = S.head_extent + 2 * S.lcm_period
-    return dilworth_chains(S, [(c, n) for c in S.chain_order for n in range(T + 1)])
+    return dilworth_chains(S, [(c, n) for c in S.chain_order
+                               for n in range(S.tail_depth + 1)])
 
 
 # -- minimal tails and the graph ----------------------------------------------
 
 def minimal_tail(S: ChainSystem, cid: str) -> tuple:
-    """Least N whose tail closures are all mutually equivalent from N on."""
+    """Least N whose tail closures are all mutually equivalent from N on.
+
+    Equivalence is equality of tail sets, hence transitive: walk down from
+    the deepest pair while consecutive closures agree."""
     if cid not in S.chains:
         raise InvalidInput(f"unknown chain {cid!r}")
-    top = S.head_extent + 2 * S.lcm_period
+    top = S.tail_depth
     cls = [closure(S, tail(cid, M)) for M in range(top + 2)]
-    N = None
-    for start in range(top + 1):
-        if all(equivalent(S, cls[start], cls[M]) for M in range(start, top + 2)):
-            N = start
-            break
-    if N is None:
+    tails = [U.tails() for U in cls]
+    if tails[top] != tails[top + 1]:
         raise HorizonExceeded(f"tail closures of {cid} do not stabilize")
+    N = top
+    while N and tails[N - 1] == tails[N]:
+        N -= 1
     return N, cls[N]
 
 
 @dataclass
 class UBSGraph:
     vertices: tuple  # (label, representative UBS, defining chain)
-    edges: tuple     # pairs of vertex positions (i, j): edge i -> j
+    starts: tuple    # minimal-tail start of each vertex's chain
+    succ: tuple      # succ[i]: bitmask of the j with an edge i -> j
+
+    @property
+    def edges(self) -> tuple:
+        """Pairs of vertex positions (i, j), one per edge i -> j."""
+        return tuple((i, j) for i, row in enumerate(self.succ)
+                     for j in _iter_bits(row))
 
     def vertex_labels(self) -> tuple:
         return tuple(v[0] for v in self.vertices)
@@ -629,47 +642,40 @@ class UBSGraph:
 
 def ubs_graph(S: ChainSystem) -> UBSGraph:
     """Minimal classes and the asymmetric almost-transversality edges."""
-    deep = S.head_extent + 2 * S.lcm_period
-    reps = []
+    reps, starts = [], []
     for cid in S.chain_order:
-        rep = closure(S, tail(cid, deep))
-        for _, existing, _ in reps:
-            if equivalent(S, rep, existing):
-                break
-        else:
+        rep = closure(S, tail(cid, S.tail_depth))
+        if all(rep.tails() != existing.tails() for _, existing, _ in reps):
             start = minimal_tail(S, cid)[0]
             reps.append((f"{cid}[{start}:]", rep, cid))
-    edges = []
-    for i, (_, _, ci) in enumerate(reps):
+            starts.append(start)
+    succ = []
+    for _, _, ci in reps:
+        row = 0
         for j, (_, _, cj) in enumerate(reps):
-            if i == j:
-                continue
-            fwd = S.zone_at_infinity(ci, cj) == TRANS
-            bwd = S.zone_at_infinity(cj, ci) == TRANS
-            if fwd and not bwd:
-                edges.append((i, j))
-    graph = UBSGraph(tuple(reps), tuple(edges))
+            if ci != cj and S.zone_at_infinity(ci, cj) == TRANS \
+                    and S.zone_at_infinity(cj, ci) != TRANS:
+                row |= 1 << j
+        succ.append(row)
+    graph = UBSGraph(tuple(reps), tuple(starts), tuple(succ))
     _assert_graph_laws(S, graph)
     return graph
 
 
 def _assert_graph_laws(S: ChainSystem, G: UBSGraph):
-    n = len(G.vertices)
-    adj = [[False] * n for _ in range(n)]
-    for i, j in G.edges:
-        adj[i][j] = True
-    reach = [row[:] for row in adj]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
-    for i in range(n):
-        if reach[i][i]:
+    """Acyclic and transitively closed: what each vertex reaches is its
+    successor set, which omits the vertex itself."""
+    for i, row in enumerate(G.succ):
+        reach, frontier = row, row
+        while frontier:
+            frontier = reduce(or_, (G.succ[j] for j in _iter_bits(frontier)), 0) \
+                & ~reach
+            reach |= frontier
+        if reach >> i & 1:
             raise InvalidInput("UBS graph has a directed cycle")
-        for j in range(n):
-            if reach[i][j] and not adj[i][j]:
-                raise InvalidInput("UBS graph reachability without an edge")
-    bound = truncation_antichain_bound(S)
+        if reach != row:
+            raise InvalidInput("UBS graph reachability without an edge")
+    n, bound = len(G.vertices), truncation_antichain_bound(S)
     if n > bound:
         raise InvalidInput(
             f"UBS graph has {n} vertices over antichain bound {bound}")
@@ -679,33 +685,22 @@ def ubs_poset(S: ChainSystem) -> list:
     """Inseparable vertex sets of the graph with verified representatives."""
     G = ubs_graph(S)
     n = len(G.vertices)
-    adj = [[False] * n for _ in range(n)]
-    for i, j in G.edges:
-        adj[i][j] = True
+    vertex_tails = [rep.tails() for _, rep, _ in G.vertices]
     out = []
-    deep0 = max(
-        [minimal_tail(S, chain)[0] for _, _, chain in G.vertices] or [0])
-    top = S.head_extent + 2 * S.lcm_period
     for mask in range(1, 1 << n):
-        chosen = [i for i in range(n) if mask >> i & 1]
-        inseparable = True
-        for z in range(n):
-            if mask >> z & 1:
-                continue
-            if any(adj[u][z] for u in chosen) and any(adj[z][w] for w in chosen):
-                inseparable = False
-                break
-        if not inseparable:
+        chosen = list(_iter_bits(mask))
+        # separated: some z outside the set lies on an edge path u -> z -> w
+        # between two of its members
+        leaving = reduce(or_, (G.succ[u] for u in chosen), 0) & ~mask
+        if any(G.succ[z] & mask for z in _iter_bits(leaving)):
             continue
         rep = None
-        for N in range(deep0, top + 1):
+        for N in range(max(G.starts, default=0), S.tail_depth + 1):
             cand = closure(S, union_seed(
                 [tail(G.vertices[i][2], N) for i in chosen]))
-            minimal_of = [
-                i for i in range(n)
-                if almost_contained(S, G.vertices[i][1], cand).holds
-            ]
-            if minimal_of == chosen:
+            cand_tails = cand.tails()
+            if sum(1 << i for i, t in enumerate(vertex_tails)
+                   if t <= cand_tails) == mask:
                 rep = cand
                 break
         if rep is None:
@@ -717,23 +712,21 @@ def ubs_poset(S: ChainSystem) -> list:
 
 def minimal_classes_of(S: ChainSystem, U: UBS) -> tuple:
     """Labels of the graph vertices almost contained in U."""
-    G = ubs_graph(S)
-    return tuple(lab for lab, rep, _ in G.vertices
-                 if almost_contained(S, rep, U).holds)
+    U_tails = U.tails()
+    return tuple(lab for lab, rep, _ in ubs_graph(S).vertices
+                 if rep.tails() <= U_tails)
 
 
 # -- shift maps and transfer characters ----------------------------------------
 
 @dataclass(frozen=True)
 class ShiftMap:
+    """A chain bijection with per-chain index shifts: a shift map of one
+    system, or an isomorphism between two (see ``verify_system_map``)."""
+
     tau: dict    # chain id -> chain id
     shift: dict  # chain id -> index shift (applied before tau renames)
     min_index: int = 0
-
-    def apply(self, cid: str, n: int) -> Optional[tuple]:
-        if n < self.min_index:
-            return None
-        return self.tau[cid], n + self.shift[cid]
 
     def compose(self, other: "ShiftMap") -> "ShiftMap":
         """self ∘ other (apply ``other`` first)."""
@@ -744,6 +737,10 @@ class ShiftMap:
             need = self.min_index - other.shift[c]
             min_index = max(min_index, need)
         return ShiftMap(tau, shift, min_index)
+
+    def is_identity(self) -> bool:
+        return all(k == v for k, v in self.tau.items()) and \
+            all(s == 0 for s in self.shift.values())
 
     def to_json(self):
         return {"tau": dict(sorted(self.tau.items())),
@@ -767,19 +764,25 @@ def validate_shift(S: ChainSystem, g: ShiftMap) -> None:
             if S.weight(c, n) != S.weight(g.tau[c], n + g.shift[c]):
                 raise InvalidInput(
                     f"shift map does not preserve weights on chain {c}")
-    for ci in S.chain_order:
-        for cj in S.chain_order:
-            if ci == cj:
-                continue
-            for n in range(base, base + L):
-                for m in range(base, base + L):
-                    before = S.rel(ci, n, cj, m)
-                    after = S.rel(g.tau[ci], n + g.shift[ci],
-                                  g.tau[cj], m + g.shift[cj])
-                    if before != after:
-                        raise InvalidInput(
-                            f"shift map does not preserve the relation on "
-                            f"({ci}, {cj})")
+    for ci, _, cj, _ in _unpreserved(S, S, g, range(base, base + L)):
+        raise InvalidInput(
+            f"shift map does not preserve the relation on ({ci}, {cj})")
+
+
+def _unpreserved(S1: ChainSystem, S2: ChainSystem, g: ShiftMap,
+                 block: range, pairs: Optional[Iterable] = None):
+    """The (ci, n, cj, m) whose relation in S1 differs from that of their
+    images under g in S2, for n and m in ``block``: pair by pair (every
+    ordered pair of distinct chains of S1 by default), then n, then m."""
+    if pairs is None:
+        pairs = [(ci, cj) for ci in S1.chain_order for cj in S1.chain_order
+                 if ci != cj]
+    for ci, cj in pairs:
+        ti, si, tj, sj = g.tau[ci], g.shift[ci], g.tau[cj], g.shift[cj]
+        for n in block:
+            for m in block:
+                if S1.rel(ci, n, cj, m) != S2.rel(ti, n + si, tj, m + sj):
+                    yield ci, n, cj, m
 
 
 def _deep_representative(S: ChainSystem, U: UBS, g: ShiftMap) -> UBS:
@@ -859,49 +862,22 @@ def in_chi_kernel(S: ChainSystem, g: ShiftMap) -> bool:
 
 # -- cross-system isomorphisms ---------------------------------------------
 
-@dataclass(frozen=True)
-class SystemMap:
-    """A chain bijection between two systems with per-chain index shifts."""
-
-    chain_map: dict
-    shift: dict
-
-    def compose(self, other: "SystemMap") -> "SystemMap":
-        cmap = {c: self.chain_map[other.chain_map[c]] for c in other.chain_map}
-        shift = {c: other.shift[c] + self.shift[other.chain_map[c]]
-                 for c in other.chain_map}
-        return SystemMap(cmap, shift)
-
-    def is_identity(self) -> bool:
-        return all(k == v for k, v in self.chain_map.items()) and \
-            all(s == 0 for s in self.shift.values())
-
-
-def verify_system_map(S1: ChainSystem, S2: ChainSystem, m: SystemMap) -> bool:
+def verify_system_map(S1: ChainSystem, S2: ChainSystem, m: ShiftMap) -> bool:
     """Weights and relations preserved over the common horizon."""
-    if sorted(m.chain_map) != sorted(S1.chain_order):
+    if sorted(m.tau) != sorted(S1.chain_order):
         return False
-    if sorted(m.chain_map.values()) != sorted(S2.chain_order):
+    if sorted(m.tau.values()) != sorted(S2.chain_order):
         return False
-    base = max(S1.head_extent, S2.head_extent) + max(s for s in [0] + [abs(v) for v in m.shift.values()])
+    base = max(S1.head_extent, S2.head_extent) + \
+        max((abs(v) for v in m.shift.values()), default=0)
     top = base + 2 * max(S1.lcm_period, S2.lcm_period)
     for c in S1.chain_order:
         for n in range(top):
             if n + m.shift[c] < 0:
                 continue
-            if S1.weight(c, n) != S2.weight(m.chain_map[c], n + m.shift[c]):
+            if S1.weight(c, n) != S2.weight(m.tau[c], n + m.shift[c]):
                 return False
-    for ci in S1.chain_order:
-        for cj in S1.chain_order:
-            if ci == cj:
-                continue
-            for n in range(base, top):
-                for mm in range(base, top):
-                    if S1.rel(ci, n, cj, mm) != S2.rel(
-                            m.chain_map[ci], n + m.shift[ci],
-                            m.chain_map[cj], mm + m.shift[cj]):
-                        return False
-    return True
+    return next(_unpreserved(S1, S2, m, range(base, top)), None) is None
 
 
 # -- DOT export ----------------------------------------------------------------

@@ -59,9 +59,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 EXIT_INVALID = 65
 
-NEGATIVE_KINDS = {"NOT_FOUND"}
-INCONCLUSIVE_KINDS = {"INCONCLUSIVE"}
-
 
 def _digest(obj) -> str:
     blob = json.dumps(obj, sort_keys=True).encode()
@@ -560,9 +557,9 @@ def main(argv=None) -> int:
         report = {
             "command": args.cmd,
             "error": {"code": exc.code, "message": str(exc),
-                      "data": {k: str(v) for k, v in exc.data.items()}},
+                      "data": exc.data},
         }
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=2, default=str))
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         inconclusive = {"OUT_OF_WINDOW", "DISPLACEMENT_TOO_SMALL",
                         "WALL_BUDGET_EXCEEDED", "HORIZON_EXCEEDED"}

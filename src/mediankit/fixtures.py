@@ -20,7 +20,6 @@ from .boundary import (
     ChainSystem,
     RowRule,
     ShiftMap,
-    SystemMap,
     Zone,
 )
 from .config import Budgets
@@ -283,7 +282,7 @@ def corner_translation(corner: str, axis: str) -> ShiftMap:
 def corner_rotation(corner: str) -> tuple:
     """Quarter rotation: the target corner plus the system map onto it."""
     nxt = {"PP": "MP", "MP": "MM", "MM": "PM", "PM": "PP"}[corner]
-    return nxt, SystemMap({"X": "Y", "Y": "X"}, {"X": 0, "Y": 0})
+    return nxt, ShiftMap({"X": "Y", "Y": "X"}, {"X": 0, "Y": 0})
 
 
 # -- registry ----------------------------------------------------------------------

@@ -46,7 +46,7 @@ class WeightedPocset:
 
     __slots__ = (
         "ids", "index", "star", "up", "down", "weight", "walls",
-        "wall_ids", "_points", "_hmasks", "_point_pos", "_validation",
+        "wall_ids", "_points", "_hmasks", "_validation",
         "_rank",
     )
 
@@ -122,7 +122,6 @@ class WeightedPocset:
             self.wall_ids = tuple(self.ids[i] for i, _ in self.walls)
         self._points = None
         self._hmasks = None
-        self._point_pos = None
         self._validation = None
         self._rank = None
 
@@ -357,7 +356,6 @@ def points(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Point
 
     rec(0, 0, 0)
     P._points = tuple(Point(P, m) for m in sorted(out))
-    P._point_pos = {p.mask: i for i, p in enumerate(P._points)}
     return P._points
 
 

@@ -294,6 +294,81 @@ def test_stairflap_minimal_tails():
     assert equivalent(S, closure(S, tail("K", 1)), rep_k)
 
 
+def _old_minimal_tail(S, cid):
+    """minimal_tail as it was: every start against every later closure."""
+    top = S.head_extent + 2 * S.lcm_period
+    cls = [closure(S, tail(cid, M)) for M in range(top + 2)]
+    for start in range(top + 1):
+        if all(almost_contained(S, cls[start], cls[M]).holds
+               and almost_contained(S, cls[M], cls[start]).holds
+               for M in range(start, top + 2)):
+            return start, cls[start]
+    raise HorizonExceeded(f"tail closures of {cid} do not stabilize")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HorizonExceeded as exc:
+        return "HorizonExceeded", str(exc)
+
+
+def test_tail_set_calculus_matches_almost_containment(rng):
+    """equivalent, almost_disjoint, minimal_classes_of and minimal_tail
+    against their definitions through almost_contained."""
+    decorated = [_decorate(rng, rg.random_system(rng, max_chains=4), 8,
+                           lambda T: validate_system(T).ok) for _ in range(20)]
+    systems = [fx.chain_system(name) for name in fx.SYSTEM_FIXTURES]
+    systems += [rg.random_system(rng, max_chains=4) for _ in range(20)]
+    seen = {"equivalent": set(), "disjoint": set(), "start": set()}
+    for S in systems + decorated:
+        for c in S.chain_order:
+            expected = _outcome(_old_minimal_tail, S, c)
+            assert _outcome(minimal_tail, S, c) == expected, (S, c)
+            seen["start"].add(expected[0])
+        seeds = [{c: (n, None)} for c in S.chain_order for n in (0, 1, 3)]
+        seeds.append({c: (0, None) for c in S.chain_order})
+        closures = []
+        for seed in seeds:
+            try:
+                closures.append(closure(S, seed))
+            except HorizonExceeded:
+                pass
+        for U in closures:
+            assert bd.minimal_classes_of(S, U) == tuple(
+                lab for lab, rep, _ in ubs_graph(S).vertices
+                if almost_contained(S, rep, U).holds)
+            for V in closures:
+                meet = bd.UBS({
+                    c: (max(U.intervals[c][0], V.intervals[c][0]),
+                        None if U.intervals[c][1] is None
+                        else U.intervals[c][1] if V.intervals[c][1] is None
+                        else min(U.intervals[c][1], V.intervals[c][1]))
+                    for c in U.intervals if c in V.intervals})
+                old_equivalent = almost_contained(S, U, V).holds and \
+                    almost_contained(S, V, U).holds
+                old_disjoint = almost_contained(S, meet, bd.UBS({})).holds
+                assert equivalent(S, U, V) == old_equivalent, (S, U, V)
+                assert almost_disjoint(S, U, V) == old_disjoint, (S, U, V)
+                seen["equivalent"].add(old_equivalent)
+                seen["disjoint"].add(old_disjoint)
+    assert seen["equivalent"] == seen["disjoint"] == {True, False}
+    assert {0, 1} <= seen["start"]
+
+
+def test_ubs_poset_reuses_the_graph_minimal_tails(monkeypatch):
+    calls = []
+    counted = bd.minimal_tail
+
+    def counting(S, cid):
+        calls.append(cid)
+        return counted(S, cid)
+
+    monkeypatch.setattr(bd, "minimal_tail", counting)
+    ubs_poset(fx.stairflap())
+    assert calls == ["H", "K"]
+
+
 # -- the graph ----------------------------------------------------------------------
 
 def test_line_graph():
@@ -426,16 +501,41 @@ def test_weighted_character_value():
     assert transfer_character(S, U, g) == 2  # one period block of mass 2
 
 
+def test_swapping_stairflap_chains_is_not_a_system_map():
+    S = fx.stairflap()
+    assert bd.verify_system_map(S, S, identity_shift(S))
+    swap = ShiftMap({"H": "K", "K": "H"}, {"H": 0, "K": 0})
+    assert not bd.verify_system_map(S, S, swap)
+
+
+def test_shift_must_preserve_the_relation():
+    # one period block of STAIRFLAP is its diagonal, where h_n and k_n are
+    # transverse both ways; shifting K by one moves the pair off it
+    swap = ShiftMap({"H": "K", "K": "H"}, {"H": 0, "K": 1})
+    with pytest.raises(InvalidInput,
+                       match=r"does not preserve the relation on \(H, K\)"):
+        bd.validate_shift(fx.stairflap(), swap)
+
+
+def test_shift_must_permute_the_chains():
+    g = ShiftMap({"H": "H", "K": "H"}, {"H": 0, "K": 0})
+    with pytest.raises(InvalidInput, match="must permute the chains"):
+        bd.validate_shift(fx.stairflap(), g)
+
+
 def test_corner_rotation_cycle():
     cur = "PP"
-    seen = [cur]
+    seen, maps = [cur], []
     for _ in range(4):
         nxt, m = fx.corner_rotation(cur)
         assert bd.verify_system_map(
             fx.corner_system(cur), fx.corner_system(nxt), m)
+        maps.append(m)
         cur = nxt
         seen.append(cur)
     assert seen == ["PP", "MP", "MM", "PM", "PP"]
+    assert not maps[0].is_identity()
+    assert maps[3].compose(maps[2]).compose(maps[1]).compose(maps[0]).is_identity()
 
 
 def test_closure_with_bounded_cross_chain_interval():

@@ -187,21 +187,53 @@ NON_PARTITION_SYSTEM = {
 }
 
 
-@pytest.mark.parametrize("command", ["ubs-graph", "ubs-chi"])
-def test_ubs_commands_reject_invalid_systems(capsys, tmp_path, command):
-    system = tmp_path / "gap.json"
-    system.write_text(json.dumps(NON_PARTITION_SYSTEM))
+def run_ubs_command(capsys, tmp_path, command, system_data):
+    """``command`` on a system file; ``ubs-chi`` gets the unit shift of H, K."""
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(system_data))
     shift = tmp_path / "shift.json"
     shift.write_text(json.dumps(
         {"tau": {"H": "H", "K": "K"}, "shift": {"H": 1, "K": 1},
          "minIndex": 0}))
     extra = ["--shift", str(shift)] if command == "ubs-chi" else []
-    code, report, err = run_cli(
-        capsys, command, "--system-file", str(system), *extra)
+    return run_cli(capsys, command, "--system-file", str(system), *extra)
+
+
+@pytest.mark.parametrize("command", ["ubs-graph", "ubs-chi"])
+def test_ubs_commands_reject_invalid_systems(capsys, tmp_path, command):
+    code, report, err = run_ubs_command(
+        capsys, tmp_path, command, NON_PARTITION_SYSTEM)
     assert code == 65
     assert report["verdict"]["ok"] is False
     assert [f["code"] for f in report["verdict"]["failures"]] == \
         ["ZONES_NOT_PARTITION"]
+    assert f"{command}: INVALID" in err
+
+
+def head_entry_system(*head):
+    return {"chains": [{"id": "H", "period": 1, "weights": ["1"]},
+                       {"id": "K", "period": 1, "weights": ["1"]}],
+            "rel": {"head": list(head)}}
+
+
+@pytest.mark.parametrize("command", ["ubs-validate", "ubs-graph", "ubs-chi"])
+def test_head_entry_naming_an_unknown_chain_is_rejected(capsys, tmp_path, command):
+    code, report, err = run_ubs_command(
+        capsys, tmp_path, command, head_entry_system(["Z", 0, "H", 1, "sup"]))
+    assert code == 65
+    assert report["verdict"]["failures"] == [
+        {"code": "UNKNOWN_CHAIN", "detail": "head entry (Z, 0, H, 1)"}]
+    assert f"{command}: INVALID" in err
+
+
+@pytest.mark.parametrize("command", ["ubs-validate", "ubs-graph", "ubs-chi"])
+def test_mirrored_head_entries_must_be_inverse(capsys, tmp_path, command):
+    code, report, err = run_ubs_command(
+        capsys, tmp_path, command, head_entry_system(
+            ["H", 0, "K", 2, "sub"], ["K", 2, "H", 0, "sub"]))
+    assert code == 65
+    assert report["verdict"]["failures"] == [
+        {"code": "HEAD_CONFLICT", "detail": "(H, 0) vs (K, 2)"}]
     assert f"{command}: INVALID" in err
 
 
@@ -318,7 +350,8 @@ def test_invalid_pocset_files_are_rejected_before_computing(
         assert code == 65
         assert report["error"]["code"] == "INVALID_INPUT"
         assert "verdict" not in report
-        assert failure in report["error"]["data"]["report"]
+        assert failure in [
+            f["code"] for f in report["error"]["data"]["report"]["failures"]]
     code, report, err = run_cli(capsys, "validate", "--pocset", str(bad))
     assert code == 65
     assert report["verdict"]["ok"] is False
