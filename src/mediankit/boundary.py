@@ -7,18 +7,16 @@ cross-chain pair to nested or transverse via finitely many exceptional
 entries (head overrides and row rules) plus offset-zone rules for large
 indices.
 
-Inseparable subsets meet every chain in an index interval, so UBS-like
-sets normalize to per-chain intervals with an optional infinite tail.
 Each system fills a relation index lazily (per chain pair, one bitmask of
 the first chain's indices per index of the second, built with the
-resolver's precedence), so closures agree with ``rel`` exactly and take a
-few big-integer operations per chain.  Two UBS are equivalent (each
-almost contains the other) exactly when they meet the same chains in
-infinite tails, so classes are compared by tail sets.  Closures,
-almost-containment, minimal tails, the directed graph on minimal classes,
-the poset of classes and transfer characters all reduce to finite computations over one period
-block; a stabilization check over two horizons guards every tail decision,
-raising HORIZON_EXCEEDED rather than guessing.
+resolver's precedence).  Validation, the antichain bound and closures read
+the relation only there; map checks compare ``rel`` pair by pair.
+Inseparable subsets meet every chain in an index interval, so UBS
+normalize to per-chain intervals with an optional infinite tail, and two
+are equivalent exactly when they meet the same chains in infinite tails.
+Everything reduces to finite computations past the head; a stabilization
+check over two horizons guards every tail decision, raising
+HORIZON_EXCEEDED rather than guessing.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
@@ -103,7 +102,6 @@ class ChainSystem:
         self.zones = dict(zones or {})   # (from, to) -> tuple[Zone]
         self.rows = tuple(rows)
         self.head = dict(head or {})     # (ci, n, cj, m) -> rel
-        self._rel_cache: dict = {}
         bounds = [1]
         for c in chains:
             bounds.append(len(c.head_weights))
@@ -138,13 +136,7 @@ class ChainSystem:
             if n == m:
                 return SUP  # reflexive containment both ways; callers avoid
             return SUP if n < m else SUB
-        key = (ci, n, cj, m)
-        cached = self._rel_cache.get(key)
-        if cached is not None:
-            return cached
-        out = self._resolve(ci, n, cj, m)
-        self._rel_cache[key] = out
-        return out
+        return self._resolve(ci, n, cj, m)
 
     def _resolve(self, ci, n, cj, m):
         direct = self.head.get((ci, n, cj, m))
@@ -317,7 +309,8 @@ def union_seed(parts: Iterable[UBS]) -> dict:
 
 def validate_system_rules(S: ChainSystem) -> ValidationReport:
     """The checks on the rules themselves: periods, weights, known chains,
-    zone partitions and zone conflicts; cheap, no truncation is built."""
+    zone partitions and conflicts, head entries within one chain (``rel``
+    never reads them) or not inverse to their mirror; no truncation."""
     rep = ValidationReport(ok=True)
     for cid, c in S.chains.items():
         if c.period < 1 or len(c.weights) != c.period:
@@ -345,6 +338,9 @@ def validate_system_rules(S: ChainSystem) -> ValidationReport:
         if ci not in S.chains or cj not in S.chains:
             rep.fail("UNKNOWN_CHAIN", f"head entry ({ci}, {n}, {cj}, {m})")
             continue
+        if ci == cj:
+            rep.fail("SAME_CHAIN_HEAD", f"head entry ({ci}, {n}, {cj}, {m})")
+            continue
         mirror = S.head.get((cj, m, ci, n))
         if mirror is not None and (ci, n) < (cj, m) and mirror != _INVERSE[code]:
             rep.fail("HEAD_CONFLICT", f"({ci}, {n}) vs ({cj}, {m})")
@@ -352,31 +348,35 @@ def validate_system_rules(S: ChainSystem) -> ValidationReport:
 
 
 def validate_system(S: ChainSystem) -> ValidationReport:
+    """The rule checks, then ``REL_NOT_TRANSITIVE``: the truncation to depth
+    ``horizon`` must be a partial order compatible with the chains.  Below
+    (c, n) lie the (c, m) with m > n and, on each other chain d, row n of
+    ``S.index(d, c, SUB)``.  No other check of the relation can fail once
+    the rules pass:
+
+    - antisymmetry: ``_resolve`` answers (c, n, d, m) and (d, m, c, n) from
+      one rule: a head entry or its mirror (inverse by ``HEAD_CONFLICT``),
+      the first row rule matching either way (never both, as c != d), the
+      first zone list consulted (a partition by ``ZONES_NOT_PARTITION``,
+      inverse to the other order's by ``ZONE_CONFLICT``), else ``trans``;
+      so rel((c, n), (d, m)) is SUP exactly where row n holds (d, m);
+    - acyclicity: no row holds its own element, so a cycle shows as
+      ``REL_NOT_TRANSITIVE``;
+    - periodicity: past ``head_extent`` no head entry or row rule applies
+      and zones depend on m - n only.
+    """
     rep = validate_system_rules(S)
     if not rep.ok:
         return rep
 
-    # truncated relation must be a partial order compatible with the chains
     T = S.horizon
+    window = _range_mask(0, T)
     elems = [(c, n) for c in S.chain_order for n in range(T + 1)]
-    pos = {e: i for i, e in enumerate(elems)}
-    down = [0] * len(elems)  # down[i] = elements below (contained in) elems[i]
-    for i, (ci, n) in enumerate(elems):
-        for j, (cj, m) in enumerate(elems):
-            if i == j:
-                continue
-            r = S.rel(ci, n, cj, m)
-            if ci == cj:
-                continue
-            mirrored = S.rel(cj, m, ci, n)
-            if mirrored != _INVERSE[r]:
-                rep.fail("REL_NOT_ANTISYMMETRIC", f"{(ci, n)} vs {(cj, m)}")
-            if r == SUP:
-                down[i] |= 1 << j
-    for c in S.chain_order:
-        for n in range(T + 1):
-            for m in range(n + 1, T + 1):
-                down[pos[(c, n)]] |= 1 << pos[(c, m)]
+    # down[i] = elements below (contained in) elems[i], chain by chain
+    down = [reduce(or_, (
+        (_range_mask(n + 1, T) if d == c else S.index(d, c, SUB)[n] & window)
+        << pos * (T + 1) for pos, d in enumerate(S.chain_order)))
+        for c, n in elems]
     # transitive closure must not add anything
     for i in range(len(elems)):
         extra = reduce(or_, (down[j] for j in _iter_bits(down[i])), 0) & ~down[i]
@@ -384,17 +384,6 @@ def validate_system(S: ChainSystem) -> ValidationReport:
             j = (extra & -extra).bit_length() - 1
             rep.fail("REL_NOT_TRANSITIVE",
                      f"{elems[i]} should contain {elems[j]}")
-    for i in range(len(elems)):
-        if down[i] >> i & 1:
-            rep.fail("REL_CYCLE", str(elems[i]))
-    # periodic consistency across one full period block
-    L = S.lcm_period
-    period_shift = ShiftMap({c: c for c in S.chain_order},
-                            {c: L for c in S.chain_order})
-    pairs = [(ci, cj) for ci in S.chain_order for cj in S.chain_order if ci < cj]
-    block = range(S.head_extent + L, S.head_extent + 2 * L)
-    for ci, n, cj, m in _unpreserved(S, S, period_shift, block, pairs):
-        rep.fail("NOT_PERIODIC", f"({ci},{n}) vs ({cj},{m})")
     if rep.ok:
         rep.notes.append(
             f"truncation to depth {T} is a pocset-compatible partial order")
@@ -577,13 +566,17 @@ def max_antichain_brute(elements: Sequence, less) -> int:
 
 
 def dilworth_chains(S: ChainSystem, elements: Sequence[tuple]) -> int:
-    """Minimum chain cover of a finite set of chain elements (ci, n)."""
+    """Minimum chain cover of a finite set of chain elements (ci, n), with
+    0 <= n <= ``index_depth``; containment is read off the relation index."""
+    if any(not 0 <= n <= S.index_depth for _, n in elements):
+        raise InvalidInput(
+            f"an element lies past the relation index depth {S.index_depth}")
 
     def less(x, y):  # strict containment x ⊊ y
         (ci, n), (cj, m) = x, y
         if ci == cj:
             return n > m
-        return S.rel(ci, n, cj, m) == SUB
+        return S.index(ci, cj, SUB)[m] >> n & 1
 
     return min_chain_cover(list(elements), less)
 
@@ -754,7 +747,8 @@ def identity_shift(S: ChainSystem) -> ShiftMap:
 
 
 def validate_shift(S: ChainSystem, g: ShiftMap) -> None:
-    """Structure preservation over one period block beyond the head."""
+    """Weights over two period blocks and the relation as ``_unpreserved``
+    compares it, from one period block past the head and ``min_index``."""
     if sorted(g.tau) != sorted(S.chain_order) or sorted(g.tau.values()) != sorted(S.chain_order):
         raise InvalidInput("shift map must permute the chains")
     base = max(g.min_index, S.head_extent) + S.lcm_period
@@ -769,18 +763,25 @@ def validate_shift(S: ChainSystem, g: ShiftMap) -> None:
             f"shift map does not preserve the relation on ({ci}, {cj})")
 
 
-def _unpreserved(S1: ChainSystem, S2: ChainSystem, g: ShiftMap,
-                 block: range, pairs: Optional[Iterable] = None):
-    """The (ci, n, cj, m) whose relation in S1 differs from that of their
-    images under g in S2, for n and m in ``block``: pair by pair (every
-    ordered pair of distinct chains of S1 by default), then n, then m."""
-    if pairs is None:
-        pairs = [(ci, cj) for ci in S1.chain_order for cj in S1.chain_order
-                 if ci != cj]
-    for ci, cj in pairs:
+def _unpreserved(S1: ChainSystem, S2: ChainSystem, g: ShiftMap, block: range):
+    """The (ci, n, cj, m), ci != cj, whose relation in S1 differs from that
+    of their images under g in S2, for n in ``block`` and m from its start
+    to ``reach`` past its end.
+
+    Enough for all n, m >= block.start when the block and its images lie
+    past the heads of systems that pass ``validate_system_rules``: there a
+    relation depends on m - n alone and is constant from offset head_extent
+    on, and the image offset is m - n + shift[cj] - shift[ci].  Offsets 0
+    to ``reach`` (the larger head extent plus the spread of the shifts)
+    meet both constant parts; negative ones are positive ones of (cj, ci)
+    by antisymmetry (see ``validate_system``)."""
+    shifts = g.shift.values()
+    reach = max(S1.head_extent, S2.head_extent) + \
+        max(shifts, default=0) - min(shifts, default=0)
+    for ci, cj in permutations(S1.chain_order, 2):
         ti, si, tj, sj = g.tau[ci], g.shift[ci], g.tau[cj], g.shift[cj]
         for n in block:
-            for m in block:
+            for m in range(block.start, block.stop + reach):
                 if S1.rel(ci, n, cj, m) != S2.rel(ti, n + si, tj, m + sj):
                     yield ci, n, cj, m
 
@@ -856,27 +857,20 @@ def chi_vector(S: ChainSystem, g: ShiftMap) -> tuple:
     return class_characters(S, ubs_graph(S), g)
 
 
-def in_chi_kernel(S: ChainSystem, g: ShiftMap) -> bool:
-    return all(v == 0 for v in chi_vector(S, g))
-
-
 # -- cross-system isomorphisms ---------------------------------------------
 
 def verify_system_map(S1: ChainSystem, S2: ChainSystem, m: ShiftMap) -> bool:
-    """Weights and relations preserved over the common horizon."""
-    if sorted(m.tau) != sorted(S1.chain_order):
-        return False
-    if sorted(m.tau.values()) != sorted(S2.chain_order):
+    """Weights up to two period blocks past both heads and every shift, and
+    the relation as ``_unpreserved`` compares it from there."""
+    if sorted(m.tau) != sorted(S1.chain_order) or \
+            sorted(m.tau.values()) != sorted(S2.chain_order):
         return False
     base = max(S1.head_extent, S2.head_extent) + \
         max((abs(v) for v in m.shift.values()), default=0)
     top = base + 2 * max(S1.lcm_period, S2.lcm_period)
-    for c in S1.chain_order:
-        for n in range(top):
-            if n + m.shift[c] < 0:
-                continue
-            if S1.weight(c, n) != S2.weight(m.tau[c], n + m.shift[c]):
-                return False
+    if any(S1.weight(c, n) != S2.weight(m.tau[c], n + m.shift[c])
+           for c in S1.chain_order for n in range(max(0, -m.shift[c]), top)):
+        return False
     return next(_unpreserved(S1, S2, m, range(base, top)), None) is None
 
 

@@ -322,11 +322,13 @@ def points(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Point
     has one leaf per ultrafilter, so the cost is proportional to the output
     rather than ``2^walls``.
     """
-    if P._points is not None:
-        return P._points
     if P.wall_count > budgets.point_walls:
         raise WallBudgetExceeded(
             f"{P.wall_count} walls exceed enumeration cap {budgets.point_walls}")
+    if P._points is not None:
+        if len(P._points) > budgets.max_points:
+            raise WallBudgetExceeded("point enumeration exceeded max_points cap")
+        return P._points
     star = P.star
     up = P.up
     walls = P.walls
@@ -361,9 +363,9 @@ def points(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Point
 
 def halfspace_point_masks(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[int, ...]:
     """For each halfspace, the bitmask of enumerated points lying in it."""
+    pts = points(P, budgets)
     if P._hmasks is not None:
         return P._hmasks
-    pts = points(P, budgets)
     masks = [0] * P.n
     for pos, p in enumerate(pts):
         for i in _iter_bits(p.mask):

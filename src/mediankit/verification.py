@@ -20,12 +20,15 @@ from .pocset import (
 )
 
 
-def _point_sets(P: WeightedPocset, budgets=DEFAULT_BUDGETS):
+def _point_sets(P: WeightedPocset, budgets=None):
+    # by default no wall cap, as a certificate comes from a search that has
+    # enumerated the points of P already; the cap on their number holds
+    budgets = budgets or DEFAULT_BUDGETS.with_(point_walls=P.wall_count)
     return points(P, budgets), halfspace_point_masks(P, budgets)
 
 
 def verify_flip(P: WeightedPocset, h: str, image_of_star: str,
-                budgets=DEFAULT_BUDGETS) -> dict:
+                budgets=None) -> dict:
     """g flips h when g(h*) is disjoint from h* and differs from h."""
     _, masks = _point_sets(P, budgets)
     hs = P.star[P.idx(h)]
@@ -37,7 +40,7 @@ def verify_flip(P: WeightedPocset, h: str, image_of_star: str,
 
 
 def verify_skewer(P: WeightedPocset, h: str, k: str, image_of_k: str,
-                  budgets=DEFAULT_BUDGETS) -> dict:
+                  budgets=None) -> dict:
     """Both displayed conditions: gk strictly inside h, and positive
     distance from gk to h*."""
     pts, masks = _point_sets(P, budgets)
@@ -60,7 +63,7 @@ def verify_skewer(P: WeightedPocset, h: str, k: str, image_of_k: str,
 
 
 def verify_facing(P: WeightedPocset, tuple_ids, strong: bool,
-                  budgets=DEFAULT_BUDGETS) -> dict:
+                  budgets=None) -> dict:
     """Pairwise disjointness (and, if asked, absence of common
     transversals) from raw point sets."""
     _, masks = _point_sets(P, budgets)

@@ -24,7 +24,6 @@ from mediankit.boundary import (
     dot_export,
     equivalent,
     identity_shift,
-    in_chi_kernel,
     is_ubs,
     max_antichain_brute,
     min_chain_cover,
@@ -202,6 +201,149 @@ def test_relation_index_matches_rel(rng):
                     assert S.index(c, d, want) == expected, (S, c, d, want)
 
 
+def _pairwise_validate_system(S):
+    """validate_system as it was: every pair of the truncation through
+    ``rel``, with the antisymmetry, cycle and periodicity checks."""
+    rep = bd.validate_system_rules(S)
+    if not rep.ok:
+        return rep
+    T = S.horizon
+    elems = [(c, n) for c in S.chain_order for n in range(T + 1)]
+    down = [0] * len(elems)
+    for i, (ci, n) in enumerate(elems):
+        for j, (cj, m) in enumerate(elems):
+            if ci == cj:
+                if n < m:
+                    down[i] |= 1 << j
+                continue
+            r = S.rel(ci, n, cj, m)
+            if S.rel(cj, m, ci, n) != bd._INVERSE[r]:
+                rep.fail("REL_NOT_ANTISYMMETRIC", f"{(ci, n)} vs {(cj, m)}")
+            if r == SUP:
+                down[i] |= 1 << j
+    for i in range(len(elems)):
+        below = 0
+        for j in range(len(elems)):
+            if down[i] >> j & 1:
+                below |= down[j]
+        extra = below & ~down[i]
+        if extra:
+            j = (extra & -extra).bit_length() - 1
+            rep.fail("REL_NOT_TRANSITIVE", f"{elems[i]} should contain {elems[j]}")
+    for i in range(len(elems)):
+        if down[i] >> i & 1:
+            rep.fail("REL_CYCLE", str(elems[i]))
+    L = S.lcm_period
+    block = range(S.head_extent + L, S.head_extent + 2 * L)
+    for ci in S.chain_order:
+        for cj in S.chain_order:
+            for n in block if ci < cj else ():
+                for m in block:
+                    if S.rel(ci, n, cj, m) != S.rel(ci, n + L, cj, m + L):
+                        rep.fail("NOT_PERIODIC", f"({ci},{n}) vs ({cj},{m})")
+    if rep.ok:
+        rep.notes.append(
+            f"truncation to depth {T} is a pocset-compatible partial order")
+    return rep
+
+
+def _pairwise_antichain_bound(S):
+    """truncation_antichain_bound as it was: containment through ``rel``."""
+    def less(x, y):
+        (ci, n), (cj, m) = x, y
+        return n > m if ci == cj else S.rel(ci, n, cj, m) == SUB
+
+    return min_chain_cover([(c, n) for c in S.chain_order
+                            for n in range(S.tail_depth + 1)], less)
+
+
+def _two_chains(**rules):
+    return ChainSystem([Chain("H", 1, (ONE,)), Chain("K", 1, (ONE,))], **rules)
+
+
+def _head_cycle_system():
+    """a_0 inside b_0 inside c_0 inside a_0."""
+    return ChainSystem(
+        [Chain(c, 1, (ONE,)) for c in "abc"],
+        head={("a", 0, "b", 0): SUB, ("b", 0, "c", 0): SUB,
+              ("c", 0, "a", 0): SUB})
+
+
+ASYMMETRIC_SYSTEMS = {
+    "HEAD_CONFLICT": lambda: _two_chains(
+        head={("H", 0, "K", 2): SUB, ("K", 2, "H", 0): SUB}),
+    # offsets 0..2 of (H, K) fall through to (K, H), which disagrees
+    "ZONES_NOT_PARTITION": lambda: _two_chains(zones={
+        ("H", "K"): (Zone(None, -1, SUB), Zone(3, None, TRANS)),
+        ("K", "H"): (Zone(None, None, TRANS),)}),
+    "ZONE_CONFLICT": lambda: _two_chains(zones={
+        ("H", "K"): (Zone(None, 0, TRANS), Zone(1, None, SUP)),
+        ("K", "H"): (Zone(None, 0, TRANS), Zone(1, None, SUP))}),
+}
+
+
+def test_validation_matches_the_pairwise_reference(rng):
+    systems = [fx.chain_system(name) for name in fx.SYSTEM_FIXTURES]
+    systems += [rg.random_system(rng) for _ in range(30)]
+    systems += [_decorate(rng, rg.random_system(rng, max_chains=4), 4)
+                for _ in range(100)]
+    systems += [_conflict_system(), _zone_gap_system(), _head_cycle_system()]
+    systems += [make() for make in ASYMMETRIC_SYSTEMS.values()]
+    rejected, codes = 0, set()
+    for S in systems:
+        got, expected = validate_system(S), _pairwise_validate_system(S)
+        assert (got.ok, got.failures, got.notes) == \
+            (expected.ok, expected.failures, expected.notes), S
+        assert truncation_antichain_bound(S) == _pairwise_antichain_bound(S), S
+        rejected += not got.ok
+        codes |= {f["code"] for f in got.failures}
+    assert rejected >= 50
+    assert codes == {"REL_NOT_TRANSITIVE", "HEAD_CONFLICT", "ZONE_CONFLICT",
+                     "ZONES_NOT_PARTITION"}
+
+
+def test_head_cycle_fails_transitivity():
+    assert [f["code"] for f in validate_system(_head_cycle_system()).failures] \
+        == ["REL_NOT_TRANSITIVE"] * 3
+
+
+class _NoPairReads(ChainSystem):
+    def rel(self, *args):
+        raise AssertionError("the relation was read pair by pair")
+
+    _resolve = rel
+
+
+def test_validation_and_the_antichain_bound_read_only_the_index(rng):
+    systems = [fx.stairflap(), _conflict_system(), _head_cycle_system()]
+    systems += [_decorate(rng, rg.random_system(rng, max_chains=3), 4)
+                for _ in range(5)]
+    for S in systems:
+        T = _NoPairReads([S.chains[c] for c in S.chain_order], zones=S.zones,
+                         rows=S.rows, head=S.head)
+        assert validate_system(T).failures == validate_system(S).failures
+        assert truncation_antichain_bound(T) == truncation_antichain_bound(S)
+
+
+@pytest.mark.parametrize("code", sorted(ASYMMETRIC_SYSTEMS))
+def test_each_asymmetric_resolver_fails_a_rule_check(code):
+    """The three rule checks that make the relation antisymmetric, each
+    on a system whose resolver is not."""
+    S = ASYMMETRIC_SYSTEMS[code]()
+    T = S.horizon
+    assert any(S.rel("H", n, "K", m) != bd._INVERSE[S.rel("K", m, "H", n)]
+               for n in range(T + 1) for m in range(T + 1))
+    assert {f["code"] for f in validate_system(S).failures} == {code}
+
+
+def test_zone_lists_of_a_pair_must_be_inverse():
+    S = ASYMMETRIC_SYSTEMS["ZONE_CONFLICT"]()
+    assert S.rel("H", 0, "K", 5) == SUP and S.rel("K", 5, "H", 0) == TRANS
+    assert validate_system(S).failures == [
+        {"code": "ZONE_CONFLICT", "detail": "(H, K) at offset -10"},
+        {"code": "ZONE_CONFLICT", "detail": "(K, H) at offset -10"}]
+
+
 # -- almost containment ---------------------------------------------------------
 
 def test_almost_containment_is_reflexive():
@@ -266,6 +408,12 @@ def test_dilworth_chain_and_antichain_examples():
     assert dilworth_chains(S, [("H", 1), ("K", 0), ("K", 1)]) == 2
     # three pairwise transverse elements
     assert dilworth_chains(S, [("H", 1), ("H", 2), ("K", 2)]) == 2
+
+
+def test_dilworth_reads_no_element_past_the_index():
+    S = fx.stairflap()
+    with pytest.raises(InvalidInput, match="past the relation index depth"):
+        dilworth_chains(S, [("H", 0), ("K", S.index_depth + 1)])
 
 
 def test_dilworth_matches_brute_force_antichain(rng):
@@ -431,7 +579,6 @@ def test_two_incomparable_vertices_give_three_classes():
 def test_identity_character_is_zero():
     S = fx.stairflap()
     assert chi_vector(S, identity_shift(S)) == (0, 0)
-    assert in_chi_kernel(S, identity_shift(S))
 
 
 def test_line_shift_character():
@@ -460,10 +607,14 @@ def test_character_invariant_under_equivalent_representatives():
 
 def test_character_additive_over_minimal_classes():
     S = fx.stairflap()
-    g = ShiftMap({"H": "H", "K": "K"}, {"H": 2, "K": 3}, 0)
+    g = ShiftMap({"H": "H", "K": "K"}, {"H": 2, "K": 2}, 0)
     big = closure(S, tail("H", 0))
     parts = [transfer_character(S, rep, g) for _, rep, _ in ubs_graph(S).vertices]
-    assert transfer_character(S, big, g) == sum(parts) == 5
+    assert transfer_character(S, big, g) == sum(parts) == 4
+    # h_n is inside k_m exactly for m < n, so H and K must shift alike
+    uneven = ShiftMap({"H": "H", "K": "K"}, {"H": 2, "K": 3}, 0)
+    with pytest.raises(InvalidInput, match=r"relation on \(K, H\)"):
+        transfer_character(S, big, uneven)
 
 
 def test_character_is_a_homomorphism():
@@ -515,6 +666,29 @@ def test_shift_must_preserve_the_relation():
     with pytest.raises(InvalidInput,
                        match=r"does not preserve the relation on \(H, K\)"):
         bd.validate_shift(fx.stairflap(), swap)
+
+
+def test_maps_compare_offsets_past_every_zone_bound():
+    # h_n and k_m are transverse up to offset 2 and nested from 3 on; the
+    # swap turns offset 3 around, beyond one period block of either check
+    S = _two_chains(zones={("H", "K"): (Zone(None, 2, TRANS), Zone(3, None, SUP))})
+    assert S.rel("H", 4, "K", 7) == SUP and S.rel("K", 4, "H", 7) == TRANS
+    swap = ShiftMap({"H": "K", "K": "H"}, {"H": 0, "K": 0})
+    assert not bd.verify_system_map(S, S, swap)
+    with pytest.raises(InvalidInput, match="does not preserve the relation"):
+        bd.validate_shift(S, swap)
+
+
+def test_translations_and_uniform_shifts_are_shift_maps(rng):
+    for corner in fx.CORNERS:
+        for axis in ("x", "y"):
+            bd.validate_shift(fx.corner_system(corner),
+                              fx.corner_translation(corner, axis))
+    for S in [fx.line_system(), fx.stairflap()] + \
+            [rg.random_system(rng) for _ in range(10)]:
+        L = S.lcm_period
+        bd.validate_shift(S, ShiftMap({c: c for c in S.chain_order},
+                                      {c: L for c in S.chain_order}))
 
 
 def test_shift_must_permute_the_chains():

@@ -237,6 +237,30 @@ def test_mirrored_head_entries_must_be_inverse(capsys, tmp_path, command):
     assert f"{command}: INVALID" in err
 
 
+@pytest.mark.parametrize("command", ["ubs-validate", "ubs-graph", "ubs-chi"])
+def test_head_entries_within_one_chain_are_rejected(capsys, tmp_path, command):
+    # rel never reads a head entry within one chain: the chain order decides
+    code, report, err = run_ubs_command(
+        capsys, tmp_path, command, head_entry_system(["H", 0, "H", 3, "trans"]))
+    assert code == 65
+    assert report["verdict"]["failures"] == [
+        {"code": "SAME_CHAIN_HEAD", "detail": "head entry (H, 0, H, 3)"}]
+    assert f"{command}: INVALID" in err
+
+
+def test_ubs_chi_rejects_the_unshifted_stairflap_swap(capsys, tmp_path):
+    # h_n lies inside k_m for m < n, while k_n never lies inside h_m
+    shift = tmp_path / "shift.json"
+    shift.write_text(json.dumps(
+        {"tau": {"H": "K", "K": "H"}, "shift": {"H": 0, "K": 0}}))
+    code, report, _ = run_cli(
+        capsys, "ubs-chi", "--system", "STAIRFLAP", "--shift", str(shift))
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
+    assert report["error"]["message"] == \
+        "shift map does not preserve the relation on (H, K)"
+
+
 def test_dump_fixture_round_trip(capsys, tmp_path):
     code, report, _ = run_cli(capsys, "dump-fixture", "SQUARE")
     assert code == 0

@@ -7,6 +7,7 @@ import pytest
 
 from mediankit import fixtures as fx
 from mediankit import randomgen as rg
+from mediankit.config import Budgets
 from mediankit.errors import EmptyInput, WallBudgetExceeded
 from mediankit.pocset import (
     ConvexSet,
@@ -15,6 +16,7 @@ from mediankit.pocset import (
     distance,
     gate_pair,
     gate_project,
+    halfspace_point_masks,
     halfspace_points,
     inseparable_closure,
     interval,
@@ -91,6 +93,17 @@ def test_wall_budget_guard():
     W = se.load_pocset(se.dump_pocset(fx.f2ball()))  # fresh, uncached copy
     with pytest.raises(WallBudgetExceeded):
         points(W)  # 160 walls exceed the default cap of 20
+
+
+def test_cached_points_still_respect_the_budgets():
+    P = fx.grid()
+    assert len(points(P)) == 16
+    with pytest.raises(WallBudgetExceeded, match="enumeration cap 1"):
+        points(P, Budgets(point_walls=1))
+    with pytest.raises(WallBudgetExceeded, match="max_points"):
+        points(P, Budgets(max_points=15))
+    with pytest.raises(WallBudgetExceeded, match="enumeration cap 1"):
+        halfspace_point_masks(P, Budgets(point_walls=1))
 
 
 def test_no_wall_pocset_is_a_single_point():
