@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -483,15 +484,14 @@ CRITERIA = [
 ]
 
 
-def run_all(verbose: bool = True, stream=None) -> list:
+def run_all() -> list:
     results = []
     for fn in CRITERIA:
         t0 = time.time()
         res = fn()
         res.seconds = time.time() - t0
         results.append(res)
-        if verbose:
-            state = "PASS" if res.passed else "FAIL"
-            print(f"{state}  criterion {res.index:2d}  {res.name}  "
-                  f"[{res.seconds:.2f}s]", file=stream)
+        state = "PASS" if res.passed else "FAIL"
+        print(f"{state}  criterion {res.index:2d}  {res.name}  "
+              f"[{res.seconds:.2f}s]", file=sys.stderr)
     return results

@@ -1101,46 +1101,3 @@ def is_lineal(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> LinealRe
         if comp in by_mask and p.mask < comp:
             pairs.append((p, Point(P, comp)))
     return LinealResult(tuple(pairs))
-
-
-# -- supplied-partition checker -----------------------------------------------
-
-@dataclass
-class PartitionReport:
-    ok: bool
-    failures: tuple = ()
-
-    def to_json(self):
-        return {"ok": self.ok, "failures": list(self.failures)}
-
-
-def check_free_partition(action: Action, a: Word, b: Word,
-                         assignment: dict) -> PartitionReport:
-    """Check a supplied halfspace partition indexed by group elements.
-
-    ``assignment`` maps each halfspace id to an opaque label (the group
-    element owning it).  Verified where visible: star-invariance of each
-    piece, and equivariance a·H_g = H_{a·g} in the sense that the two
-    supplied generators map pieces into single pieces.
-    """
-    P = action.pocset
-    failures = []
-    for h in P.ids:
-        if h not in assignment:
-            failures.append(f"halfspace {h} not assigned")
-    for h in P.ids:
-        if assignment.get(h) != assignment.get(P.ids[P.star[P.idx(h)]]):
-            failures.append(f"piece of {h} not star-invariant")
-    for word, nm in ((a, "a"), (b, "b")):
-        g = action.evaluate(word)
-        image_label: dict = {}
-        for h in P.ids:
-            img = g.apply_idx(P.idx(h))
-            if img is None:
-                continue
-            src, dst = assignment.get(h), assignment.get(P.ids[img])
-            if src in image_label and image_label[src] != dst:
-                failures.append(
-                    f"{nm} maps piece {src!r} into several pieces")
-            image_label[src] = dst
-    return PartitionReport(ok=not failures, failures=tuple(failures))

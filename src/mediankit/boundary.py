@@ -309,8 +309,9 @@ def union_seed(parts: Iterable[UBS]) -> dict:
 
 def validate_system_rules(S: ChainSystem) -> ValidationReport:
     """The checks on the rules themselves: periods, weights, known chains,
-    zone partitions and conflicts, head entries within one chain (``rel``
-    never reads them) or not inverse to their mirror; no truncation."""
+    zone partitions and conflicts, rules and head entries within one chain
+    (``rel`` never reads them), head entries not inverse to their mirror;
+    no truncation."""
     rep = ValidationReport(ok=True)
     for cid, c in S.chains.items():
         if c.period < 1 or len(c.weights) != c.period:
@@ -321,6 +322,9 @@ def validate_system_rules(S: ChainSystem) -> ValidationReport:
     for (ci, cj), zs in S.zones.items():
         if ci not in S.chains or cj not in S.chains:
             rep.fail("UNKNOWN_CHAIN", f"zone rule ({ci}, {cj})")
+            continue
+        if ci == cj:
+            rep.fail("SAME_CHAIN_RULE", f"zone rule ({ci}, {cj})")
             continue
         if not _zones_partition(zs):
             rep.fail("ZONES_NOT_PARTITION", f"({ci}, {cj})")
@@ -334,6 +338,8 @@ def validate_system_rules(S: ChainSystem) -> ValidationReport:
     for r in S.rows:
         if r.chain not in S.chains or r.other not in S.chains:
             rep.fail("UNKNOWN_CHAIN", f"row rule {r}")
+        elif r.chain == r.other:
+            rep.fail("SAME_CHAIN_RULE", f"row rule {r}")
     for (ci, n, cj, m), code in S.head.items():
         if ci not in S.chains or cj not in S.chains:
             rep.fail("UNKNOWN_CHAIN", f"head entry ({ci}, {n}, {cj}, {m})")
@@ -513,11 +519,6 @@ def equivalent(S: ChainSystem, U1: UBS, U2: UBS) -> bool:
     """Each almost contains the other: U1 \\ U2 is infinite exactly where U1
     has a tail and U2 has none, so the two meet the same chains in tails."""
     return U1.tails() == U2.tails()
-
-
-def almost_disjoint(S: ChainSystem, U1: UBS, U2: UBS) -> bool:
-    """The intersection is not a UBS (meets every chain finitely)."""
-    return not U1.tails() & U2.tails()
 
 
 # -- Dilworth ---------------------------------------------------------------
@@ -701,13 +702,6 @@ def ubs_poset(S: ChainSystem) -> list:
                 f"no representative for vertex set {chosen} within horizon")
         out.append((tuple(G.vertices[i][0] for i in chosen), rep))
     return out
-
-
-def minimal_classes_of(S: ChainSystem, U: UBS) -> tuple:
-    """Labels of the graph vertices almost contained in U."""
-    U_tails = U.tails()
-    return tuple(lab for lab, rep, _ in ubs_graph(S).vertices
-                 if rep.tails() <= U_tails)
 
 
 # -- shift maps and transfer characters ----------------------------------------

@@ -36,7 +36,7 @@ from .boundary import (
     validate_system,
     validate_system_rules,
 )
-from .config import budgets_from_env
+from .config import DEFAULT_BUDGETS, budget_overrides
 from .errors import MedianKitError
 from .pocset import (
     distance,
@@ -94,32 +94,36 @@ def _load_pocset(args):
     validation (exit 65 with the report) before anything is computed."""
     P, src = _read_pocset(args)
     if args.pocset:
-        ensure_valid(P, budgets_from_env())
+        ensure_valid(P, _budgets(args))
     return P, src
 
 
 def _load_action(args):
+    """The action of ``--window``, ``--auto-file`` or ``--fixture``, rebuilt
+    with the ``MEDIANKIT_BUDGET`` overrides on its own budgets (fixture
+    actions are cached, so they are never changed in place)."""
     if args.window:
         data = serialize.read_json(args.window)
-        return serialize.load_window_action(data, budgets_from_env(fixtures.WINDOW_BUDGETS)), \
-            {"file": args.window, "digest": _digest(data)}
-    auto_files = getattr(args, "auto_file", None) or []
-    if auto_files:
+        action = serialize.load_window_action(data, fixtures.WINDOW_BUDGETS)
+        src = {"file": args.window, "digest": _digest(data)}
+    elif args.auto_file:
         P, src = _load_pocset(args)
         gens = {}
-        for path in auto_files:
-            data = serialize.read_json(path)
-            g = serialize.load_automorphism(P, data)
+        for path in args.auto_file:
+            g = serialize.load_automorphism(P, serialize.read_json(path))
             gens[g.name] = g
-        src = dict(src, automorphismFiles=list(auto_files))
-        return TotalAction(P, gens), src
-    if args.fixture in fixtures.WINDOW_FIXTURES:
-        return fixtures.window(args.fixture), {"windowFixture": args.fixture}
-    if args.fixture:
+        action = TotalAction(P, gens)
+        src = dict(src, automorphismFiles=list(args.auto_file))
+    elif args.fixture in fixtures.WINDOW_FIXTURES:
+        action, src = fixtures.window(args.fixture), {"windowFixture": args.fixture}
+    elif args.fixture:
         gens = tuple(args.gens.split(",")) if args.gens else ()
-        return fixtures.total_action(args.fixture, gens), \
-            {"fixture": args.fixture, "gens": list(gens)}
-    raise MedianKitError("need --fixture or --window")
+        action = fixtures.total_action(args.fixture, gens)
+        src = {"fixture": args.fixture, "gens": list(gens)}
+    else:
+        raise MedianKitError("need --fixture or --window")
+    return type(action)(action.pocset, action.gens,
+                        _budgets(args, action.budgets)), src
 
 
 def _load_system(args):
@@ -133,8 +137,8 @@ def _load_system(args):
     raise MedianKitError("need --system or --system-file")
 
 
-def _report_base(args, command, inputs) -> dict:
-    return {"command": command, "inputs": inputs}
+def _budgets(args, base=DEFAULT_BUDGETS):
+    return base.with_(**args.budget_overrides)
 
 
 def _points_by_ids(P, text):
@@ -144,8 +148,8 @@ def _points_by_ids(P, text):
 
 def cmd_validate(args) -> int:
     P, src = _read_pocset(args)
-    rep = validate(P, budgets_from_env())
-    out = _report_base(args, "validate", src)
+    rep = validate(P, _budgets(args))
+    out = {"command": "validate", "inputs": src}
     out["verdict"] = rep.to_json()
     code = EXIT_OK if rep.ok else EXIT_INVALID
     return _emit(out, f"validate: {'ok' if rep.ok else 'INVALID'}", code)
@@ -153,8 +157,8 @@ def cmd_validate(args) -> int:
 
 def cmd_points(args) -> int:
     P, src = _load_pocset(args)
-    pts = points(P, budgets_from_env())
-    out = _report_base(args, "points", src)
+    pts = points(P, _budgets(args))
+    out = {"command": "points", "inputs": src}
     out["verdict"] = {"count": len(pts),
                       "points": [sorted(p.ids) for p in pts]}
     return _emit(out, f"points: {len(pts)}", EXIT_OK)
@@ -166,7 +170,7 @@ def cmd_median(args) -> int:
     y = _points_by_ids(P, args.y)
     z = _points_by_ids(P, args.z)
     m = median(P, x, y, z)
-    out = _report_base(args, "median", src)
+    out = {"command": "median", "inputs": src}
     out["verdict"] = {"median": sorted(m.ids)}
     return _emit(out, "median computed", EXIT_OK)
 
@@ -176,7 +180,7 @@ def cmd_distance(args) -> int:
     x = _points_by_ids(P, args.x)
     y = _points_by_ids(P, args.y)
     d = distance(P, x, y)
-    out = _report_base(args, "distance", src)
+    out = {"command": "distance", "inputs": src}
     out["verdict"] = {"distance": str(d),
                       "separating": list(separating(P, x, y))}
     return _emit(out, f"distance = {d}", EXIT_OK)
@@ -184,8 +188,8 @@ def cmd_distance(args) -> int:
 
 def cmd_rank(args) -> int:
     P, src = _load_pocset(args)
-    r = rank(P, budgets_from_env())
-    out = _report_base(args, "rank", src)
+    r = rank(P, _budgets(args))
+    out = {"command": "rank", "inputs": src}
     out["verdict"] = {"rank": r}
     return _emit(out, f"rank = {r}", EXIT_OK)
 
@@ -193,7 +197,7 @@ def cmd_rank(args) -> int:
 def cmd_decompose(args) -> int:
     P, src = _load_pocset(args)
     D = decompose(P)
-    out = _report_base(args, "decompose", src)
+    out = {"command": "decompose", "inputs": src}
     out["verdict"] = D.to_json()
     out["verdict"]["irreducible"] = len(D.factors) == 1
     return _emit(out, f"{len(D.factors)} irreducible factor(s)", EXIT_OK)
@@ -201,9 +205,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_subdivide(args) -> int:
     P, src = _load_pocset(args)
-    stages = tower(P, args.n, budgets_from_env())
+    stages = tower(P, args.n, _budgets(args))
     child = stages[-1].child if stages else P
-    out = _report_base(args, "subdivide", src)
+    out = {"command": "subdivide", "inputs": src}
     out["verdict"] = {
         "depth": args.n,
         "pocset": serialize.dump_pocset(child),
@@ -222,7 +226,7 @@ def cmd_orbits(args) -> int:
         raise MedianKitError("orbits needs a total action (fixture with --gens)")
     orb = min_orbit(action)
     r = rank(action.pocset, action.budgets)
-    out = _report_base(args, "orbits", src)
+    out = {"command": "orbits", "inputs": src}
     out["verdict"] = {"minOrbit": orb.to_json(), "rank": r,
                       "bound": 2 ** r, "withinBound": orb.size <= 2 ** r}
     return _emit(out, f"minimum orbit size {orb.size} (bound {2 ** r})", EXIT_OK)
@@ -231,7 +235,7 @@ def cmd_orbits(args) -> int:
 def cmd_flip(args) -> int:
     action, src = _load_action(args)
     res = find_flip(action, args.halfspace, args.max_word_len)
-    out = _report_base(args, "flip", src)
+    out = {"command": "flip", "inputs": src}
     out["verdict"] = res.to_json()
     if args.verify and res.kind == "FLIPPED":
         g = action.evaluate(res.word)
@@ -246,7 +250,7 @@ def cmd_skewer(args) -> int:
     action, src = _load_action(args)
     h, k = args.pair.split(",")
     res = double_skewer(action, h, k, args.max_word_len)
-    out = _report_base(args, "skewer", src)
+    out = {"command": "skewer", "inputs": src}
     out["verdict"] = res.to_json()
     if args.verify and res.kind == "SKEWERED":
         out["verify"] = verification.verify_skewer(action.pocset, h, k, res.image)
@@ -264,7 +268,7 @@ def cmd_facing(args) -> int:
     res = facing_tuple(P, args.tuple_size, seed=args.halfspace or None,
                        strong=args.strong, action=action,
                        max_len=args.max_word_len)
-    out = _report_base(args, "facing", src)
+    out = {"command": "facing", "inputs": src}
     out["verdict"] = res.to_json()
     if args.verify and res.kind == "FOUND":
         out["verify"] = verification.verify_facing(P, res.tuple_ids, args.strong)
@@ -276,7 +280,7 @@ def cmd_sectors(args) -> int:
     P, src = _load_pocset(args)
     h, k = args.pair.split(",")
     res = sector_halfspace(P, h, k)
-    out = _report_base(args, "sectors", src)
+    out = {"command": "sectors", "inputs": src}
     out["verdict"] = res.to_json()
     return _emit(out, f"sectors: {res.kind}", EXIT_OK)
 
@@ -287,7 +291,7 @@ def cmd_free_cert(args) -> int:
     a = parse_word(args.a, names)
     b = parse_word(args.b, names)
     cert = pingpong(action, a, b, args.h, args.k, args.max_word_len)
-    out = _report_base(args, "free-cert", src)
+    out = {"command": "free-cert", "inputs": src}
     out["verdict"] = cert.to_json()
     if args.verify:
         out["verify"] = verification.verify_facing(
@@ -299,8 +303,8 @@ def cmd_free_cert(args) -> int:
 
 def cmd_lineal(args) -> int:
     P, src = _load_pocset(args)
-    res = is_lineal(P, budgets_from_env())
-    out = _report_base(args, "lineal", src)
+    res = is_lineal(P, _budgets(args))
+    out = {"command": "lineal", "inputs": src}
     out["verdict"] = res.to_json()
     return _emit(out, f"lineal: {res.found} ({len(res.pairs)} pair(s))",
                  EXIT_OK if res.found else EXIT_NEGATIVE)
@@ -309,7 +313,7 @@ def cmd_lineal(args) -> int:
 def cmd_classify(args) -> int:
     action, src = _load_action(args)
     rep = classify(action, args.max_word_len)
-    out = _report_base(args, "classify", src)
+    out = {"command": "classify", "inputs": src}
     out["verdict"] = rep.to_json()
     code = EXIT_OK if rep.kind != "INCONCLUSIVE" else EXIT_INCONCLUSIVE
     return _emit(out, f"classify: {rep.kind} (stage {rep.stage})", code)
@@ -319,7 +323,7 @@ def cmd_inversions(args) -> int:
     action, src = _load_action(args)
     word = parse_word(args.word, action.gen_names())
     inv, undecided = wall_inversions(action, word)
-    out = _report_base(args, "inversions", src)
+    out = {"command": "inversions", "inputs": src}
     out["verdict"] = {"word": word_str(word), "inverted": list(inv),
                       "undecided": undecided}
     return _emit(out, f"{len(inv)} wall inversion(s)", EXIT_OK)
@@ -328,7 +332,7 @@ def cmd_inversions(args) -> int:
 def cmd_ubs_validate(args) -> int:
     S, src = _load_system(args)
     rep = validate_system(S)
-    out = _report_base(args, "ubs-validate", src)
+    out = {"command": "ubs-validate", "inputs": src}
     out["verdict"] = rep.to_json()
     return _emit(out, f"ubs-validate: {'ok' if rep.ok else 'INVALID'}",
                  EXIT_OK if rep.ok else EXIT_INVALID)
@@ -336,7 +340,7 @@ def cmd_ubs_validate(args) -> int:
 
 def cmd_ubs_graph(args) -> int:
     S, src = _load_system(args)
-    out = _report_base(args, "ubs-graph", src)
+    out = {"command": "ubs-graph", "inputs": src}
     rep = validate_system_rules(S)
     if not rep.ok:
         out["verdict"] = rep.to_json()
@@ -353,7 +357,7 @@ def cmd_ubs_graph(args) -> int:
 
 def cmd_ubs_chi(args) -> int:
     S, src = _load_system(args)
-    out = _report_base(args, "ubs-chi", src)
+    out = {"command": "ubs-chi", "inputs": src}
     rep = validate_system_rules(S)
     if not rep.ok:
         out["verdict"] = rep.to_json()
@@ -372,7 +376,7 @@ def cmd_ubs_chi(args) -> int:
 
 def cmd_acceptance(args) -> int:
     from . import acceptance
-    results = acceptance.run_all(verbose=True, stream=sys.stderr)
+    results = acceptance.run_all()
     out = {
         "command": "acceptance",
         "inputs": {},
@@ -411,10 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and boundary chain calculus.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, pocset_too=True):
+    def common(p):
         p.add_argument("--fixture", help="built-in fixture name")
-        if pocset_too:
-            p.add_argument("--pocset", help="pocset JSON file")
+        p.add_argument("--pocset", help="pocset JSON file")
         p.add_argument("--verify", action="store_true",
                        help="re-check the certificate using core primitives only")
 
@@ -552,6 +555,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     _START[0] = t0
     try:
+        args.budget_overrides = budget_overrides()
         code = args.fn(args)
     except MedianKitError as exc:
         report = {

@@ -4,13 +4,16 @@ All potentially exponential procedures are guarded by explicit caps.  The
 defaults suit desk-scale inputs; the ``MEDIANKIT_BUDGET`` environment
 variable overrides them for a whole CLI invocation, either as a bare integer
 (new wall cap for point enumeration) or as comma-separated ``key:value``
-pairs, e.g. ``MEDIANKIT_BUDGET="point_walls:24,word_length:6"``.
+pairs, e.g. ``MEDIANKIT_BUDGET="point_walls:24,word_length:6"``.  A part
+of any other form is an error.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -29,16 +32,20 @@ class Budgets:
 DEFAULT_BUDGETS = Budgets()
 
 
-def budgets_from_env(base: Budgets = DEFAULT_BUDGETS) -> Budgets:
+def budget_overrides() -> dict:
+    """The ``MEDIANKIT_BUDGET`` fields as ``{field: value}``; a part that
+    is not of the two forms raises InvalidInput naming it."""
     raw = os.environ.get("MEDIANKIT_BUDGET", "").strip()
-    if not raw:
-        return base
-    if raw.isdigit():
-        return base.with_(point_walls=int(raw))
     values = {}
-    for part in raw.split(","):
-        key, _, val = part.partition(":")
-        key = key.strip()
-        if key in Budgets.__dataclass_fields__ and val.strip().isdigit():
-            values[key] = int(val)
-    return base.with_(**values)
+    for part in raw.split(",") if raw else ():
+        key, sep, val = part.partition(":")
+        key, val = (key.strip(), val.strip()) if sep else ("point_walls", key.strip())
+        if key not in Budgets.__dataclass_fields__ or not (val.isascii() and val.isdigit()):
+            raise InvalidInput(f"MEDIANKIT_BUDGET part {part!r} is neither an "
+                               "integer nor field:integer with a budget field")
+        values[key] = int(val)
+    return values
+
+
+def budgets_from_env(base: Budgets = DEFAULT_BUDGETS) -> Budgets:
+    return base.with_(**budget_overrides())

@@ -489,11 +489,6 @@ def convex_hull(P: WeightedPocset, S: Iterable[Point],
     return ConvexSet(P, hull)
 
 
-def is_convex(P: WeightedPocset, C: ConvexSet, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
-    hull = [p.mask for p in points(P, budgets) if C.sigma & ~p.mask == 0]
-    return tuple(sorted(hull)) == C.masks
-
-
 def inseparable_closure(P: WeightedPocset, S: Iterable[str]) -> tuple[str, ...]:
     """Everything between two members of S: one pass suffices."""
     idxs = [P.idx(h) for h in S]
@@ -507,10 +502,3 @@ def inseparable_closure(P: WeightedPocset, S: Iterable[str]) -> tuple[str, ...]:
         above |= P.up[i]
     out = [j for j in _iter_bits(above) if P.up[j] & smask]
     return tuple(sorted(P.ids[j] for j in out))
-
-
-def halfspace_points(P: WeightedPocset, h: str,
-                     budgets: Budgets = DEFAULT_BUDGETS) -> ConvexSet:
-    """The set of points lying in halfspace ``h``."""
-    i = P.idx(h)
-    return ConvexSet(P, [p for p in points(P, budgets) if p.mask >> i & 1])

@@ -86,10 +86,6 @@ def load_automorphism(P: WeightedPocset, data: dict) -> Automorphism:
     return Automorphism.from_mapping(P, dict(data["map"]), data.get("name", "g"))
 
 
-def dump_automorphism(g: Automorphism) -> dict:
-    return {"name": g.name, "map": g.as_dict()}
-
-
 # -- window actions --------------------------------------------------------------
 
 def load_window_action(data: dict, budgets: Budgets = DEFAULT_BUDGETS) -> WindowAction:

@@ -86,36 +86,6 @@ def rank(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     return best
 
 
-def max_clique_lex(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[str, ...]:
-    """The lexicographically least maximum transverse family (by wall id)."""
-    r = rank(P, budgets)
-    adj = _transversality_adjacency(P)
-    reps = _wall_reps(P)
-    order = sorted(range(len(reps)), key=lambda a: P.wall_ids[a])
-
-    def can_extend(chosen: list[int], cand: set[int], need: int) -> bool:
-        if need == 0:
-            return True
-        for v in sorted(cand):
-            nc = {u for u in cand if adj[v] >> u & 1 and u != v}
-            if len(nc) >= need - 1 and can_extend(chosen + [v], nc, need - 1):
-                return True
-        return False
-
-    chosen: list[int] = []
-    cand = set(order)
-    while len(chosen) < r:
-        for v in sorted(cand, key=lambda a: P.wall_ids[a]):
-            nc = {u for u in cand if adj[v] >> u & 1}
-            if can_extend(chosen + [v], nc, r - len(chosen) - 1):
-                chosen.append(v)
-                cand = nc
-                break
-        else:
-            raise InvalidInput("internal: clique reconstruction failed")
-    return tuple(sorted(P.wall_ids[a] for a in chosen))
-
-
 @dataclass
 class Decomposition:
     """Irreducible factors plus the assignment of parent halfspaces."""
@@ -215,8 +185,8 @@ class Automorphism:
         self.name = name
 
     @classmethod
-    def from_mapping(cls, P: WeightedPocset, mapping: dict, name: str = "",
-                     check: bool = True) -> "Automorphism":
+    def from_mapping(cls, P: WeightedPocset, mapping: dict,
+                     name: str = "") -> "Automorphism":
         perm = [None] * P.n
         for a, b in mapping.items():
             perm[P.idx(a)] = P.idx(b)
@@ -229,7 +199,7 @@ class Automorphism:
         if any(v is None for v in perm):
             raise NotAnAutomorphism("mapping does not cover all halfspaces")
         g = cls(P, perm, name)
-        if check and not g.is_valid():
+        if not g.is_valid():
             raise NotAnAutomorphism(f"{name or mapping} fails structure preservation")
         return g
 
@@ -287,9 +257,6 @@ class Automorphism:
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.perm))
-
-    def as_dict(self) -> dict:
-        return {self.pocset.ids[i]: self.pocset.ids[v] for i, v in enumerate(self.perm)}
 
     def __eq__(self, other):
         return (

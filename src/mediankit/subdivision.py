@@ -173,9 +173,3 @@ def tower(P: WeightedPocset, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> list
         stages.append(S)
         current = S.child
     return stages
-
-
-def embed_through(stages: list[Subdivision], p: Point) -> Point:
-    for S in stages:
-        p = S.embed(p)
-    return p

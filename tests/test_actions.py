@@ -11,7 +11,6 @@ from mediankit.actions import (
     TotalAction,
     _evaluator,
     _expand_letters,
-    check_free_partition,
     classify,
     double_skewer,
     enumerate_words,
@@ -493,17 +492,6 @@ def test_pingpong_rejects_equal_walls():
     b = parse_word("b", W.gen_names())
     with pytest.raises(NotFacing):
         pingpong(W, a, b, "wA+", "wA+")
-
-
-def test_free_partition_checker():
-    W = fx.f2ball_window()
-    P = W.pocset
-    assignment = {}
-    for h in P.ids:
-        assignment[h] = h[1:-1]  # owner: the outer vertex of the wall
-    rep = check_free_partition(W, parse_word("a", ("a", "b")),
-                               parse_word("b", ("a", "b")), assignment)
-    assert rep.ok, rep.failures[:3]
 
 
 # -- classification ----------------------------------------------------------------

@@ -17,7 +17,6 @@ from mediankit.boundary import (
     TRANS,
     Zone,
     almost_contained,
-    almost_disjoint,
     chi_vector,
     closure,
     dilworth_chains,
@@ -370,36 +369,6 @@ def test_stairflap_tails_not_mutually_almost_contained():
     assert not almost_contained(S, big, small).holds  # all k_n escape
 
 
-def test_almost_disjoint_iff_intersection_bounded():
-    S = fx.stairflap()
-    h_min = closure(S, tail("H", 1))
-    k_min = closure(S, tail("K", 1))
-    assert almost_disjoint(S, h_min, k_min)
-    big = closure(S, tail("H", 0))
-    assert not almost_disjoint(S, big, k_min)
-    # both sides computed independently: bounded intersection per chain
-    inter = {
-        c: iv for c, iv in (
-            (c, _intersect(h_min.intervals.get(c), k_min.intervals.get(c)))
-            for c in S.chain_order) if iv}
-    assert all(hi is not None for _, hi in inter.values())
-
-
-def _intersect(a, b):
-    if a is None or b is None:
-        return None
-    lo = max(a[0], b[0])
-    if a[1] is None:
-        hi = b[1]
-    elif b[1] is None:
-        hi = a[1]
-    else:
-        hi = min(a[1], b[1])
-    if hi is not None and hi < lo:
-        return None
-    return (lo, hi)
-
-
 # -- Dilworth ---------------------------------------------------------------------
 
 def test_dilworth_chain_and_antichain_examples():
@@ -462,13 +431,13 @@ def _outcome(fn, *args):
 
 
 def test_tail_set_calculus_matches_almost_containment(rng):
-    """equivalent, almost_disjoint, minimal_classes_of and minimal_tail
-    against their definitions through almost_contained."""
+    """equivalent and minimal_tail against their definitions through
+    almost_contained."""
     decorated = [_decorate(rng, rg.random_system(rng, max_chains=4), 8,
                            lambda T: validate_system(T).ok) for _ in range(20)]
     systems = [fx.chain_system(name) for name in fx.SYSTEM_FIXTURES]
     systems += [rg.random_system(rng, max_chains=4) for _ in range(20)]
-    seen = {"equivalent": set(), "disjoint": set(), "start": set()}
+    seen = {"equivalent": set(), "start": set()}
     for S in systems + decorated:
         for c in S.chain_order:
             expected = _outcome(_old_minimal_tail, S, c)
@@ -483,24 +452,12 @@ def test_tail_set_calculus_matches_almost_containment(rng):
             except HorizonExceeded:
                 pass
         for U in closures:
-            assert bd.minimal_classes_of(S, U) == tuple(
-                lab for lab, rep, _ in ubs_graph(S).vertices
-                if almost_contained(S, rep, U).holds)
             for V in closures:
-                meet = bd.UBS({
-                    c: (max(U.intervals[c][0], V.intervals[c][0]),
-                        None if U.intervals[c][1] is None
-                        else U.intervals[c][1] if V.intervals[c][1] is None
-                        else min(U.intervals[c][1], V.intervals[c][1]))
-                    for c in U.intervals if c in V.intervals})
                 old_equivalent = almost_contained(S, U, V).holds and \
                     almost_contained(S, V, U).holds
-                old_disjoint = almost_contained(S, meet, bd.UBS({})).holds
                 assert equivalent(S, U, V) == old_equivalent, (S, U, V)
-                assert almost_disjoint(S, U, V) == old_disjoint, (S, U, V)
                 seen["equivalent"].add(old_equivalent)
-                seen["disjoint"].add(old_disjoint)
-    assert seen["equivalent"] == seen["disjoint"] == {True, False}
+    assert seen["equivalent"] == {True, False}
     assert {0, 1} <= seen["start"]
 
 
@@ -565,8 +522,10 @@ def test_stairflap_poset_has_three_classes():
     out = ubs_poset(fx.stairflap())
     assert sorted(labs for labs, _ in out) == [
         ("H[1:]",), ("H[1:]", "K[0:]"), ("K[0:]",)]
+    vertices = ubs_graph(fx.stairflap()).vertices
     for labs, rep in out:
-        assert bd.minimal_classes_of(fx.stairflap(), rep) == labs
+        assert labs == tuple(lab for lab, v, _ in vertices
+                             if v.tails() <= rep.tails())
 
 
 def test_two_incomparable_vertices_give_three_classes():

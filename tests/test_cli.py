@@ -248,6 +248,23 @@ def test_head_entries_within_one_chain_are_rejected(capsys, tmp_path, command):
     assert f"{command}: INVALID" in err
 
 
+@pytest.mark.parametrize("command", ["ubs-validate", "ubs-graph", "ubs-chi"])
+def test_rules_within_one_chain_are_rejected(capsys, tmp_path, command):
+    # rel never reads a row rule or zone list within one chain either
+    system = head_entry_system()
+    system["rel"]["periodic"] = [
+        {"from": "H", "fromIndex": 0, "to": "H", "rule": "trans",
+         "toRange": [3, None]},
+        {"from": "K", "to": "K", "rule": "trans", "offsetRange": [None, None]}]
+    code, report, err = run_ubs_command(capsys, tmp_path, command, system)
+    assert code == 65
+    assert report["verdict"]["failures"] == [
+        {"code": "SAME_CHAIN_RULE", "detail": "zone rule (K, K)"},
+        {"code": "SAME_CHAIN_RULE", "detail": "row rule RowRule(chain='H', "
+         "index=0, other='H', rel='trans', lo=3, hi=None)"}]
+    assert f"{command}: INVALID" in err
+
+
 def test_ubs_chi_rejects_the_unshifted_stairflap_swap(capsys, tmp_path):
     # h_n lies inside k_m for m < n, while k_n never lies inside h_m
     shift = tmp_path / "shift.json"
@@ -307,6 +324,58 @@ def test_env_budget_override(capsys, monkeypatch, tmp_path):
     code, report, _ = run_cli(capsys, "points", "--pocset", str(grid_file))
     assert code == 3
     assert report["error"]["code"] == "WALL_BUDGET_EXCEEDED"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--fixture", "SQUARE"],
+    ["median", "--fixture", "SQUARE", "--x", "a,b", "--y", "a,b*", "--z", "a*,b"],
+    ["ubs-validate", "--system", "STAIRFLAP"],
+    ["dump-fixture", "F2BALL"],
+])
+@pytest.mark.parametrize("budget, part", [
+    ("word_lenght:1,point_walls:abc", "'word_lenght:1'"),
+    ("point_walls:abc", "'point_walls:abc'"),
+    ("point_walls:-1", "'point_walls:-1'"),
+    ("4,", "''"),
+])
+def test_env_budget_typos_are_rejected(capsys, monkeypatch, argv, budget, part):
+    monkeypatch.setenv("MEDIANKIT_BUDGET", budget)
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
+    assert f"part {part} " in report["error"]["message"]
+
+
+def test_env_budget_forms(monkeypatch):
+    from mediankit.config import budget_overrides
+    monkeypatch.setenv("MEDIANKIT_BUDGET", " 24 , word_length : 6 ")
+    assert budget_overrides() == {"point_walls": 24, "word_length": 6}
+    monkeypatch.setenv("MEDIANKIT_BUDGET", " ")
+    assert budget_overrides() == {}
+
+
+@pytest.mark.parametrize("source, budget", [
+    ("gens", "group_order:2"), ("auto-file", "group_order:2"),
+    ("window", "point_walls:10")])
+def test_env_budget_applies_to_fixture_and_file_actions(
+        capsys, monkeypatch, tmp_path, source, budget):
+    from mediankit import fixtures as fx
+    auto = tmp_path / "rot.json"
+    auto.write_text(json.dumps({"name": "rot", "map": {
+        "h1": "h2", "h2": "h3", "h3": "h1"}}))
+    argv = {"gens": ["flip", "--fixture", "TRIPOD", "--gens", "rot",
+                     "--halfspace", "h1*"],
+            "auto-file": ["flip", "--fixture", "TRIPOD", "--auto-file",
+                          str(auto), "--halfspace", "h1*"],
+            "window": ["skewer", "--fixture", "F2BALL", "--pair", "waa+,wa+",
+                       "--max-word-len", "3"]}[source]
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setenv("MEDIANKIT_BUDGET", budget)
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 3
+    assert report["error"]["code"] == "WALL_BUDGET_EXCEEDED"
+    # the cached fixture keeps its own budgets
+    assert fx.window("F2BALL").budgets == fx.WINDOW_BUDGETS
 
 
 def test_automorphism_file_ingestion(capsys, tmp_path):

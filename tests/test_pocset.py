@@ -17,10 +17,8 @@ from mediankit.pocset import (
     gate_pair,
     gate_project,
     halfspace_point_masks,
-    halfspace_points,
     inseparable_closure,
     interval,
-    is_convex,
     median,
     point_from_ids,
     points,
@@ -265,7 +263,8 @@ def test_intervals_are_convex(rng):
     pts = points(P)
     for _ in range(10):
         x, y = rng.choice(pts), rng.choice(pts)
-        assert is_convex(P, interval(P, x, y))
+        I = interval(P, x, y)
+        assert convex_hull(P, I.points).masks == I.masks
 
 
 # -- gates ------------------------------------------------------------------------
@@ -415,13 +414,6 @@ def test_chain_bound_literal_form(rng):
                 assert len(chain) <= 2 * r
             else:
                 assert masks[P.star[top]] & masks[bottom] == 0
-
-
-# -- halfspace point sets -------------------------------------------------------------
-
-def test_halfspace_points(tripod):
-    side = halfspace_points(tripod, "h1")
-    assert [sorted(p.ids) for p in side.points] == [["h1", "h2*", "h3*"]]
 
 
 def test_separating_mass_equals_convex_set_distance(rng):

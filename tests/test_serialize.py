@@ -50,7 +50,8 @@ def test_bad_rational_is_named():
 
 def test_automorphism_round_trip(square):
     g = fx.named_automorphisms("SQUARE")["rot"]
-    back = se.load_automorphism(square, se.dump_automorphism(g))
+    back = se.load_automorphism(
+        square, {"name": "rot", "map": {"a": "b", "b": "a*"}})
     assert back.perm == g.perm
 
 

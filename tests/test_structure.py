@@ -13,7 +13,6 @@ from mediankit.structure import (
     automorphisms,
     decompose,
     factor_permutation,
-    max_clique_lex,
     pocset_product,
     rank,
     transverse,
@@ -38,10 +37,6 @@ def test_rank_examples(square, grid):
 
 def test_rank_of_tree_is_one():
     assert rank(fx.f2ball()) == 1
-
-
-def test_max_clique_is_lexicographically_least(grid):
-    assert max_clique_lex(grid) == ("x.h1", "y.h1")
 
 
 def test_decompose_square(square):

@@ -23,7 +23,6 @@ from mediankit.structure import Automorphism, automorphisms, rank
 from mediankit.subdivision import (
     atom_mass,
     cube_at,
-    embed_through,
     lift,
     subdivide,
     tower,
@@ -181,8 +180,9 @@ def test_tower_depths():
     assert set(stages[-1].child.weight) == {Fraction(1, 4)}
     x, y = points(P)
     dx = distance(P, x, y)
-    ex, ey = embed_through(stages, x), embed_through(stages, y)
-    assert distance(stages[-1].child, ex, ey) == dx
+    for S in stages:
+        x, y = S.embed(x), S.embed(y)
+    assert distance(stages[-1].child, x, y) == dx
 
 
 def test_tower_atom_mass(square):
