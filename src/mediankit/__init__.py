@@ -3,7 +3,7 @@ the boundary chain calculus, with exact rational arithmetic throughout."""
 
 __version__ = "0.1.0"
 
-from .config import Budgets, DEFAULT_BUDGETS, budgets_from_env
+from .config import Budgets, DEFAULT_BUDGETS
 from .errors import MedianKitError
 from .pocset import (
     ConvexSet,

@@ -34,7 +34,8 @@ DEFAULT_BUDGETS = Budgets()
 
 def budget_overrides() -> dict:
     """The ``MEDIANKIT_BUDGET`` fields as ``{field: value}``; a part that
-    is not of the two forms raises InvalidInput naming it."""
+    is not of the two forms, or sets a field set before, raises InvalidInput
+    naming it."""
     raw = os.environ.get("MEDIANKIT_BUDGET", "").strip()
     values = {}
     for part in raw.split(",") if raw else ():
@@ -43,9 +44,7 @@ def budget_overrides() -> dict:
         if key not in Budgets.__dataclass_fields__ or not (val.isascii() and val.isdigit()):
             raise InvalidInput(f"MEDIANKIT_BUDGET part {part!r} is neither an "
                                "integer nor field:integer with a budget field")
+        if key in values:
+            raise InvalidInput(f"MEDIANKIT_BUDGET part {part!r} sets {key} again")
         values[key] = int(val)
     return values
-
-
-def budgets_from_env(base: Budgets = DEFAULT_BUDGETS) -> Budgets:
-    return base.with_(**budget_overrides())

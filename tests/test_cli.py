@@ -337,6 +337,8 @@ def test_env_budget_override(capsys, monkeypatch, tmp_path):
     ("point_walls:abc", "'point_walls:abc'"),
     ("point_walls:-1", "'point_walls:-1'"),
     ("4,", "''"),
+    ("4,point_walls:30", "'point_walls:30'"),
+    ("point_walls:4,point_walls:8", "'point_walls:8'"),
 ])
 def test_env_budget_typos_are_rejected(capsys, monkeypatch, argv, budget, part):
     monkeypatch.setenv("MEDIANKIT_BUDGET", budget)

@@ -1,8 +1,9 @@
 """Every function, class and module-level constant of mediankit is used.
 
 A name defined in ``src/mediankit/`` is live when code in ``src/`` or
-``perfbench/`` refers to it: a ``Name`` or ``Attribute`` node or an import
-alias, found by parsing.  Comments, docstrings, strings and tests (``tests/``
+``perfbench/`` refers to it: a ``Name`` node that reads it, an ``Attribute``
+node or an import alias, found by parsing.  An assignment target is not a
+reference, so a constant that is only defined is dead.  Comments, docstrings, strings and tests (``tests/``
 and any ``test_*.py``) do not count, so a name that only a test reaches is
 dead.  ``PUBLIC`` lists the names kept without such a reference, each with
 the reason.
@@ -50,7 +51,7 @@ def references() -> set:
             if path.name.startswith("test_"):
                 continue
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     out.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     out.add(node.attr)
