@@ -253,13 +253,6 @@ class UBS:
             norm[cid] = (lo, hi)
         self.intervals = norm
 
-    def contains(self, cid: str, n: int) -> bool:
-        iv = self.intervals.get(cid)
-        if iv is None:
-            return False
-        lo, hi = iv
-        return n >= lo and (hi is None or n <= hi)
-
     def has_tail(self) -> bool:
         return any(hi is None for _, hi in self.intervals.values())
 
@@ -478,10 +471,6 @@ def is_ubs(S: ChainSystem, U: UBS) -> bool:
 class AlmostContainment:
     holds: bool
     measure: Optional[Fraction] = None  # nu(U1 \ U2) when it holds
-
-    def to_json(self):
-        return {"holds": self.holds,
-                "measure": None if self.measure is None else str(self.measure)}
 
 
 def _interval_minus(a, b):

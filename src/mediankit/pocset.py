@@ -46,8 +46,7 @@ class WeightedPocset:
 
     __slots__ = (
         "ids", "index", "star", "up", "down", "weight", "walls",
-        "wall_ids", "_points", "_hmasks", "_validation",
-        "_rank",
+        "wall_ids", "_points", "_hmasks", "_rank",
     )
 
     def __init__(
@@ -122,7 +121,6 @@ class WeightedPocset:
             self.wall_ids = tuple(self.ids[i] for i, _ in self.walls)
         self._points = None
         self._hmasks = None
-        self._validation = None
         self._rank = None
 
     # -- basic queries ----------------------------------------------------
@@ -307,10 +305,9 @@ def validate(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> Validatio
 
 
 def ensure_valid(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> None:
-    if P._validation is None:
-        P._validation = validate(P, budgets)
-    if not P._validation.ok:
-        raise InvalidInput("pocset fails validation", report=P._validation.to_json())
+    rep = validate(P, budgets)
+    if not rep.ok:
+        raise InvalidInput("pocset fails validation", report=rep.to_json())
 
 
 # -- point enumeration ----------------------------------------------------

@@ -38,7 +38,7 @@ def _median_close(vectors: set, n: int) -> set:
 
 
 def random_pocset(rng: random.Random, max_walls: int = 10,
-                  max_points: int = 16, weighted: bool = True) -> WeightedPocset:
+                  max_points: int = 16) -> WeightedPocset:
     while True:
         n = rng.randint(2, max_walls)
         seeds = {rng.getrandbits(n) for _ in range(rng.randint(2, 4))}
@@ -61,8 +61,7 @@ def random_pocset(rng: random.Random, max_walls: int = 10,
         order = []
         named = []
         for w, part in enumerate(parts):
-            weight = rng.choice(_WEIGHT_CHOICES) if weighted else Fraction(1)
-            walls.append((f"h{w}", f"h{w}*", weight))
+            walls.append((f"h{w}", f"h{w}*", rng.choice(_WEIGHT_CHOICES)))
             named.append((part, frozenset(closed - part)))
         for a, (pa, ca) in enumerate(named):
             for b, (pb, cb) in enumerate(named):

@@ -29,30 +29,49 @@ from .structure import Automorphism
 
 def parse_fraction(text, where: str = "") -> Fraction:
     try:
-        if isinstance(text, int):
-            return Fraction(text)
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError):
         raise InvalidInput(f"bad rational {text!r} at {where or 'input'}")
 
 
-def format_fraction(q: Fraction) -> str:
-    return str(q)
+def parse_int(text, where: str) -> int:
+    try:
+        return int(str(text))
+    except ValueError:
+        raise InvalidInput(f"bad integer {text!r} at {where}")
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidInput(f"{where} must be a JSON object")
+    return value
+
+
+def _fields(obj, where: str, *keys) -> list:
+    """The values of the required ``keys`` of the JSON object ``obj``."""
+    for key in keys:
+        if key not in _object(obj, where):
+            raise InvalidInput(f"{where} is missing {key!r}")
+    return [obj[key] for key in keys]
+
+
+def _index_range(value, where: str) -> list:
+    """``[lo, hi]`` of indices, where ``null`` leaves an end open."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise InvalidInput(f"{where} must be a pair [lo, hi]")
+    return [None if v is None else parse_int(v, where) for v in value]
 
 
 # -- pocsets -----------------------------------------------------------------
 
 def load_pocset(data: dict) -> WeightedPocset:
-    if not isinstance(data, dict) or "walls" not in data:
-        raise InvalidInput("pocset file needs a 'walls' array")
+    (entries,) = _fields(data, "pocset file", "walls")
     walls = []
     wall_ids = []
-    for i, w in enumerate(data["walls"]):
-        for key in ("id", "pos", "neg", "weight"):
-            if key not in w:
-                raise InvalidInput(f"walls[{i}] is missing {key!r}")
-        walls.append((w["pos"], w["neg"], parse_fraction(w["weight"], f"walls[{i}].weight")))
-        wall_ids.append(w["id"])
+    for i, w in enumerate(entries):
+        wid, pos, neg, weight = _fields(w, f"walls[{i}]", "id", "pos", "neg", "weight")
+        walls.append((pos, neg, parse_fraction(weight, f"walls[{i}].weight")))
+        wall_ids.append(wid)
     order = []
     for i, pair in enumerate(data.get("order", [])):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -68,7 +87,7 @@ def dump_pocset(P: WeightedPocset) -> dict:
             "id": P.wall_ids[pos],
             "pos": P.ids[i],
             "neg": P.ids[j],
-            "weight": format_fraction(P.weight[i]),
+            "weight": str(P.weight[i]),
         })
     order = []
     for i in range(P.n):
@@ -81,26 +100,23 @@ def dump_pocset(P: WeightedPocset) -> dict:
 # -- automorphisms --------------------------------------------------------------
 
 def load_automorphism(P: WeightedPocset, data: dict) -> Automorphism:
-    if "map" not in data:
-        raise InvalidInput("automorphism file needs a 'map' object")
-    return Automorphism.from_mapping(P, dict(data["map"]), data.get("name", "g"))
+    (mapping,) = _fields(data, "automorphism file", "map")
+    return Automorphism.from_mapping(P, _object(mapping, "map"), data.get("name", "g"))
 
 
 # -- window actions --------------------------------------------------------------
 
 def load_window_action(data: dict, budgets: Budgets = DEFAULT_BUDGETS) -> WindowAction:
-    if "window" not in data or "maps" not in data:
-        raise InvalidInput("window-action file needs 'window' and 'maps'")
-    P = load_pocset(data["window"])
+    window, maps = _fields(data, "window-action file", "window", "maps")
+    P = load_pocset(window)
     gens = {}
-    for i, m in enumerate(data["maps"]):
-        if "name" not in m or "map" not in m:
-            raise InvalidInput(f"maps[{i}] needs 'name' and 'map'")
-        mapping = dict(m["map"])
+    for i, m in enumerate(maps):
+        name, mapping = _fields(m, f"maps[{i}]", "name", "map")
+        mapping = _object(mapping, f"maps[{i}].map")
         domain = m.get("domain")
         if domain is not None:
             mapping = {k: v for k, v in mapping.items() if k in set(domain)}
-        gens[m["name"]] = PartialAutomorphism.from_ids(P, m["name"], mapping)
+        gens[name] = PartialAutomorphism.from_ids(P, name, mapping)
     return WindowAction(P, gens, budgets=budgets)
 
 
@@ -124,48 +140,44 @@ def _rel_code(text, where: str) -> str:
     return _REL_CODES[text]
 
 
-def load_chain_system(data: dict, name: str = "") -> ChainSystem:
-    if "chains" not in data:
-        raise InvalidInput("chain-system file needs a 'chains' array")
+def load_chain_system(data: dict) -> ChainSystem:
+    (entries,) = _fields(data, "chain-system file", "chains")
     chains = []
-    for i, c in enumerate(data["chains"]):
-        for key in ("id", "period", "weights"):
-            if key not in c:
-                raise InvalidInput(f"chains[{i}] is missing {key!r}")
+    for i, c in enumerate(entries):
+        cid, period, weights = _fields(c, f"chains[{i}]", "id", "period", "weights")
         chains.append(Chain(
-            c["id"], int(c["period"]),
-            tuple(parse_fraction(w, f"chains[{i}].weights") for w in c["weights"]),
+            cid, parse_int(period, f"chains[{i}].period"),
+            tuple(parse_fraction(w, f"chains[{i}].weights") for w in weights),
             tuple(parse_fraction(w, f"chains[{i}].headWeights")
                   for w in c.get("headWeights", ())),
         ))
-    rel = data.get("rel", {})
+    rel = _object(data.get("rel", {}), "rel")
     head = {}
     for i, entry in enumerate(rel.get("head", [])):
-        if len(entry) != 5:
-            raise InvalidInput(f"rel.head[{i}] must be [chain, n, chain, m, rel]")
+        where = f"rel.head[{i}]"
+        if not isinstance(entry, list) or len(entry) != 5:
+            raise InvalidInput(f"{where} must be [chain, n, chain, m, rel]")
         ci, n, cj, m, code = entry
-        head[(ci, int(n), cj, int(m))] = _rel_code(code, f"rel.head[{i}]")
+        head[(ci, parse_int(n, where), cj, parse_int(m, where))] = \
+            _rel_code(code, where)
     zones = {}
     rows = []
     for i, entry in enumerate(rel.get("periodic", [])):
         where = f"rel.periodic[{i}]"
+        ci, cj, rule = _fields(entry, where, "from", "to", "rule")
         if "fromIndex" in entry:
-            rng = entry.get("toRange", [0, None])
+            lo, hi = _index_range(entry.get("toRange", [0, None]), f"{where}.toRange")
             rows.append(RowRule(
-                entry["from"], int(entry["fromIndex"]), entry["to"],
-                _rel_code(entry["rule"], where),
-                int(rng[0]), None if rng[1] is None else int(rng[1])))
+                ci, parse_int(entry["fromIndex"], f"{where}.fromIndex"), cj,
+                _rel_code(rule, where), parse_int(lo, f"{where}.toRange"), hi))
             continue
-        key = (entry["from"], entry["to"])
-        rng = entry.get("offsetRange", [None, None])
-        zone = Zone(None if rng[0] is None else int(rng[0]),
-                    None if rng[1] is None else int(rng[1]),
-                    _rel_code(entry["rule"], where))
-        zones.setdefault(key, []).append(zone)
+        lo, hi = _index_range(entry.get("offsetRange", [None, None]),
+                              f"{where}.offsetRange")
+        zones.setdefault((ci, cj), []).append(Zone(lo, hi, _rel_code(rule, where)))
     zones = {k: tuple(sorted(v, key=lambda z: (z.lo is not None, z.lo or 0)))
              for k, v in zones.items()}
     return ChainSystem(chains, zones=zones, rows=rows, head=head,
-                       name=name or data.get("name", ""))
+                       name=data.get("name", ""))
 
 
 def dump_chain_system(S: ChainSystem) -> dict:
@@ -175,8 +187,8 @@ def dump_chain_system(S: ChainSystem) -> dict:
         chains.append({
             "id": c.id,
             "period": c.period,
-            "weights": [format_fraction(w) for w in c.weights],
-            "headWeights": [format_fraction(w) for w in c.head_weights],
+            "weights": [str(w) for w in c.weights],
+            "headWeights": [str(w) for w in c.head_weights],
         })
     head = [[ci, n, cj, m, code] for (ci, n, cj, m), code in sorted(S.head.items())]
     periodic = []
@@ -196,12 +208,11 @@ def dump_chain_system(S: ChainSystem) -> dict:
 
 
 def load_shift_map(data: dict) -> ShiftMap:
-    for key in ("tau", "shift"):
-        if key not in data:
-            raise InvalidInput(f"shift-map file is missing {key!r}")
-    return ShiftMap(dict(data["tau"]),
-                    {k: int(v) for k, v in data["shift"].items()},
-                    int(data.get("minIndex", 0)))
+    tau, shift = _fields(data, "shift-map file", "tau", "shift")
+    return ShiftMap(dict(_object(tau, "tau")),
+                    {k: parse_int(v, f"shift.{k}")
+                     for k, v in _object(shift, "shift").items()},
+                    parse_int(data.get("minIndex", 0), "minIndex"))
 
 
 def read_json(path: str) -> dict:

@@ -452,3 +452,177 @@ def test_invalid_pocset_files_are_rejected_before_computing(
     assert report["verdict"]["ok"] is False
     assert failure in [f["code"] for f in report["verdict"]["failures"]]
     assert "validate: INVALID" in err
+
+
+def test_window_flip_with_verify(capsys):
+    code, report, _ = run_cli(
+        capsys, "flip", "--fixture", "F2BALL", "--halfspace", "wa-",
+        "--max-word-len", "2", "--verify")
+    assert code == 0
+    assert report["verdict"]["kind"] == "FLIPPED"
+    assert report["verdict"]["word"] == "b"
+    assert report["verify"] == {"disjointFromComplement": True,
+                                "notEqualToHalfspace": True}
+
+
+def test_free_cert_with_verify(capsys):
+    code, report, _ = run_cli(
+        capsys, "free-cert", "--fixture", "F2BALL", "--a", "a", "--b", "b",
+        "--h", "wA+", "--k", "wB+", "--max-word-len", "2", "--verify")
+    assert code == 0
+    assert report["verdict"]["verified"] is True
+    assert report["verify"] == {"pairwiseDisjoint": True}
+
+
+def test_facing_on_a_pocset_file_needs_no_action(capsys, tmp_path):
+    from mediankit import fixtures as fx
+    from mediankit import serialize as se
+    tripod = tmp_path / "tripod.json"
+    tripod.write_text(json.dumps(se.dump_pocset(fx.tripod())))
+    code, report, _ = run_cli(
+        capsys, "facing", "--pocset", str(tripod), "--strong", "--verify")
+    assert code == 0
+    assert report["inputs"]["file"] == str(tripod)
+    assert report["verdict"]["tuple"] == ["h1", "h2", "h3"]
+    assert report["verify"] == {"pairwiseDisjoint": True,
+                                "noCommonTransversal": True}
+
+
+# Each valid invocation, then the option slot it does not read.
+REMOVED_OPTIONS = [
+    (["validate", "--fixture", "TRIPOD"], ["--verify"]),
+    (["points", "--fixture", "PATH3"], ["--verify"]),
+    (["median", "--fixture", "SQUARE", "--x", "a,b", "--y", "a,b*", "--z", "a*,b"],
+     ["--verify"]),
+    (["distance", "--fixture", "SQUARE", "--x", "a,b", "--y", "a*,b*"], ["--verify"]),
+    (["rank", "--fixture", "SQUARE"], ["--verify"]),
+    (["decompose", "--fixture", "GRID"], ["--verify"]),
+    (["subdivide", "--fixture", "SQUARE", "-n", "1"], ["--verify"]),
+    (["orbits", "--fixture", "SQUARE", "--gens", "rot,swap"], ["--verify"]),
+    (["sectors", "--fixture", "SQUARE", "--pair", "a,b"], ["--verify"]),
+    (["lineal", "--fixture", "PATH3"], ["--verify"]),
+    (["classify", "--fixture", "F2BALL", "--max-word-len", "3"], ["--verify"]),
+    (["inversions", "--fixture", "SQUARE", "--gens", "flipa", "--word", "flipa"],
+     ["--verify"]),
+    (["inversions", "--fixture", "SQUARE", "--gens", "flipa", "--word", "flipa"],
+     ["--max-word-len", "2"]),
+    (["ubs-validate"], ["--fixture", "STAIRFLAP"]),
+    (["ubs-graph"], ["--fixture", "STAIRFLAP"]),
+    (["ubs-chi", "--shift", "shift.json"], ["--fixture", "STAIRFLAP"]),
+    (["orbits", "--fixture", "SQUARE", "--gens", "rot,swap"],
+     ["--window", "f2ball.json"]),
+]
+
+
+@pytest.mark.parametrize("argv, option", REMOVED_OPTIONS,
+                         ids=[f"{a[0]} {o[0]}" for a, o in REMOVED_OPTIONS])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv, option):
+    from mediankit.cli import build_parser
+    if argv[0].startswith("ubs-"):  # --fixture stood for --system
+        build_parser().parse_args(argv + ["--system", "STAIRFLAP"])
+    else:
+        build_parser().parse_args(argv)
+    assert main(argv + option) == 64
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank"],
+    ["rank", "--fixture", "SQUARE", "--pocset", "square.json"],
+    ["flip", "--halfspace", "h1*"],
+    ["flip", "--fixture", "TRIPOD", "--window", "line.json", "--halfspace", "h1*"],
+    ["facing", "--pocset", "tripod.json", "--window", "line.json"],
+    ["ubs-validate"],
+    ["ubs-validate", "--system", "STAIRFLAP", "--system-file", "system.json"],
+], ids=["rank none", "rank two", "flip none", "flip two", "facing two",
+        "ubs-validate none", "ubs-validate two"])
+def test_each_run_names_exactly_one_source(capsys, argv):
+    assert main(argv) == 64
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["facing", "--fixture", "TRIPOD", "--auto-file", "missing.json",
+      "--tuple-size", "3"], "cannot read missing.json"),
+    (["facing", "--fixture", "SQUARE", "--gens", "bogus", "--tuple-size", "3"],
+     "no automorphism 'bogus'"),
+    (["flip", "--fixture", "F2BALL", "--gens", "a", "--halfspace", "wa-",
+      "--max-word-len", "2"], "--gens needs a total-action fixture"),
+    (["flip", "--fixture", "TRIPOD", "--gens", "rot", "--auto-file", "rot.json",
+      "--halfspace", "h1*"], "--gens needs a total-action fixture"),
+    (["facing", "--pocset", "tripod.json", "--gens", "rot"],
+     "--gens needs a total-action fixture"),
+    (["flip", "--window", "line.json", "--auto-file", "rot.json",
+      "--halfspace", "w10+"], "--auto-file needs --fixture or --pocset"),
+    (["flip", "--pocset", "tripod.json", "--halfspace", "h1*"],
+     "--pocset needs --auto-file"),
+], ids=["facing missing auto-file", "facing bogus gens", "gens on a window",
+        "gens with auto-file", "gens on a pocset file", "auto-file on a window",
+        "pocset without auto-file"])
+def test_action_inputs_are_checked_not_dropped(capsys, tmp_path, monkeypatch,
+                                               argv, message):
+    from mediankit import fixtures as fx
+    from mediankit import serialize as se
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tripod.json").write_text(json.dumps(se.dump_pocset(fx.tripod())))
+    (tmp_path / "line.json").write_text(
+        json.dumps(se.dump_window_action(fx.line_window())))
+    (tmp_path / "rot.json").write_text(json.dumps({"name": "rot", "map": {
+        "h1": "h2", "h2": "h3", "h3": "h1"}}))
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
+    assert message in report["error"]["message"]
+
+
+def malformed_input(kind):
+    """(file contents, the command that reads the file as ``F``, the field
+    the error names) of a file with one malformed field."""
+    from mediankit import fixtures as fx
+    from mediankit import serialize as se
+    system = head_entry_system()
+    system_argv = ["ubs-validate", "--system-file", "F"]
+    shift = {"tau": {"H": "H", "K": "K"}, "shift": {"H": 1, "K": 1}}
+    shift_argv = ["ubs-chi", "--system", "STAIRFLAP", "--shift", "F"]
+    if kind == "period":
+        system["chains"][0]["period"] = "x"
+        return system, system_argv, "chains[0].period"
+    if kind == "periodic-from":
+        system["rel"]["periodic"] = [
+            {"to": "K", "rule": "sub", "offsetRange": [None, None]}]
+        return system, system_argv, "rel.periodic[0] is missing 'from'"
+    if kind == "head-index":
+        system["rel"]["head"] = [["H", "x", "K", 1, "sup"]]
+        return system, system_argv, "rel.head[0]"
+    if kind == "to-range":
+        system["rel"]["periodic"] = [{"from": "H", "fromIndex": 0, "to": "K",
+                                      "rule": "sup", "toRange": ["a", None]}]
+        return system, system_argv, "rel.periodic[0].toRange"
+    if kind == "shift-value":
+        shift["shift"]["H"] = "x"
+        return shift, shift_argv, "shift.H"
+    if kind == "min-index":
+        shift["minIndex"] = "z"
+        return shift, shift_argv, "minIndex"
+    if kind == "wall-entry":
+        return {"walls": [5]}, ["rank", "--pocset", "F"], "walls[0]"
+    if kind == "automorphism-map":
+        return ({"name": "rot", "map": [1, 2]},
+                ["orbits", "--fixture", "SQUARE", "--auto-file", "F"], "map")
+    window = se.dump_window_action(fx.line_window())
+    window["maps"] = [{"name": "s", "map": [1]}]
+    return window, ["flip", "--window", "F", "--halfspace", "w10+"], "maps[0].map"
+
+
+@pytest.mark.parametrize("kind", [
+    "period", "periodic-from", "head-index", "to-range", "shift-value",
+    "min-index", "wall-entry", "automorphism-map", "window-map"])
+def test_malformed_fields_are_invalid_input(capsys, tmp_path, kind):
+    data, argv, field = malformed_input(kind)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, report, _ = run_cli(
+        capsys, *[str(path) if a == "F" else a for a in argv])
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
+    assert field in report["error"]["message"]
