@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import (
@@ -109,114 +109,33 @@ def enumerate_words(names: Sequence[str], max_len: int):
         frontier = nxt
 
 
-class PartialAutomorphism:
-    """An injective, structure-preserving map between fragments of a window
-    pocset, given on halfspaces.  Point images are derived by forced
-    up-closure completion and carry window resolution only: a point pinned
-    at the window boundary may map to itself even though the underlying
-    infinite translation moves it.
-
-    Structure is checked once, in ``from_ids``, where outside data comes in;
-    composites and inverses of checked maps preserve it by construction."""
-
-    __slots__ = ("pocset", "name", "hmap")
-
-    def __init__(self, pocset: WeightedPocset, name: str, hmap: dict):
-        self.pocset = pocset
-        self.name = name
-        self.hmap = dict(hmap)  # halfspace index -> halfspace index
-
-    @classmethod
-    def identity(cls, P: WeightedPocset) -> "PartialAutomorphism":
-        return cls(P, "1", {i: i for i in range(P.n)})
-
-    @classmethod
-    def from_ids(cls, P: WeightedPocset, name: str, mapping: dict) -> "PartialAutomorphism":
-        hmap = {}
-        for a, b in mapping.items():
-            hmap[P.idx(a)] = P.idx(b)
-        # close under star
-        for a, b in list(hmap.items()):
-            sa, sb = P.star[a], P.star[b]
-            if a != sa:
-                prev = hmap.get(sa)
-                if prev is not None and prev != sb:
-                    raise NotAnAutomorphism(f"{name}: star images conflict")
-                hmap[sa] = sb
-        g = cls(P, name, hmap)
-        g._check_structure()
-        return g
-
-    def _check_structure(self):
-        P = self.pocset
-        m = self.hmap
-        if len(set(m.values())) != len(m):
-            raise NotAnAutomorphism(f"{self.name}: not injective")
-        for a, b in m.items():
-            sa = P.star[a]
-            if sa in m and m[sa] != P.star[b]:
-                raise NotAnAutomorphism(f"{self.name}: does not commute with star")
-            if P.weight[a] != P.weight[b]:
-                raise NotAnAutomorphism(f"{self.name}: does not preserve weights")
-        for a in m:
-            for c in m:
-                if P.leq_idx(a, c) != P.leq_idx(m[a], m[c]):
-                    raise NotAnAutomorphism(f"{self.name}: does not preserve order")
-
-    def apply_idx(self, i: int) -> Optional[int]:
-        return self.hmap.get(i)
-
-    def preimage_idx(self, i: int) -> Optional[int]:
-        for a, b in self.hmap.items():
-            if b == i:
-                return a
-        return None
-
-    def apply_point(self, p: Point) -> Optional[Point]:
-        """Map the visible halfspaces of ``p``, close upward, and accept only
-        a complete consistent orientation; None when the image leaves the
-        window."""
-        P = self.pocset
-        closed = 0
-        for i in _iter_bits(p.mask):
-            j = self.hmap.get(i)
-            if j is not None:
-                closed |= P.up[j]
-        for i, j in P.walls:
-            a, b = closed >> i & 1, closed >> j & 1
-            if a and b:
-                return None  # inconsistent image
-            if not a and not b:
-                return None  # wall left undecided: out of window
-        return Point(P, closed)
-
-    def inverse(self) -> "PartialAutomorphism":
-        return PartialAutomorphism(
-            self.pocset, f"{self.name}^-1", {b: a for a, b in self.hmap.items()})
-
-    def compose(self, other: "PartialAutomorphism") -> "PartialAutomorphism":
-        """self ∘ other, with explicit domain shrinkage."""
-        hmap = {}
-        for a, b in other.hmap.items():
-            c = self.hmap.get(b)
-            if c is not None:
-                hmap[a] = c
-        return PartialAutomorphism(self.pocset, f"{self.name}*{other.name}", hmap)
-
-
-class _Action:
-    """A pocset with named generators, which are total or partial maps with
-    the same interface (``apply_idx``, ``preimage_idx``, ``apply_point``,
-    ``compose``, ``inverse``)."""
+class Action:
+    """A pocset with named generators: ``Automorphism``s, which in a window
+    action may be undefined on part of the pocset."""
 
     def __init__(self, pocset: WeightedPocset, gens: dict,
                  budgets: Budgets = DEFAULT_BUDGETS):
         self.pocset = pocset
         self.gens = dict(gens)  # name -> map
         self.budgets = budgets
+        holes = [n for n, g in self.gens.items() if None in g.perm]
+        if self.kind == "total" and holes:  # its negatives are definitive
+            raise NotAnAutomorphism(f"{holes[0]}: undefined on part of the pocset")
 
     def gen_names(self) -> tuple:
         return tuple(self.gens)
+
+    def identity(self) -> Automorphism:
+        return Automorphism.identity(self.pocset)
+
+    def depth(self, max_len: Optional[int]) -> int:
+        """The word length a search runs to: ``max_len``, or the budget's
+        when it is None; a negative length is invalid input."""
+        if max_len is None:
+            return self.budgets.word_length
+        if max_len < 0:
+            raise InvalidInput(f"word length {max_len} is negative")
+        return max_len
 
     def step(self, tok):
         """The map of one letter: a generator or its inverse."""
@@ -231,20 +150,14 @@ class _Action:
             g = g.compose(self.step(tok))
         return g
 
-    def apply_point(self, word: Word, p: Point) -> Optional[Point]:
-        return self.evaluate(word).apply_point(p)
-
     def points(self):
         return points(self.pocset, self.budgets)
 
 
-class TotalAction(_Action):
+class TotalAction(Action):
     """A finite pocset together with named total automorphisms."""
 
     kind = "total"
-
-    def identity(self) -> Automorphism:
-        return Automorphism.identity(self.pocset)
 
     def group(self) -> list:
         """The generated group, sorted by permutation; raises when the
@@ -278,16 +191,10 @@ class TotalAction(_Action):
         return out
 
 
-class WindowAction(_Action):
+class WindowAction(Action):
     """A window pocset with named partial automorphisms."""
 
     kind = "window"
-
-    def identity(self) -> PartialAutomorphism:
-        return PartialAutomorphism.identity(self.pocset)
-
-
-Action = Union[TotalAction, WindowAction]
 
 
 def _evaluator(action: Action):
@@ -503,6 +410,7 @@ def find_flip(action: Action, h: str, max_len: Optional[int] = None) -> FlipResu
     finite positive-weight models have no thin halfspaces, so no such
     counterexample is representable here.
     """
+    depth = action.depth(max_len)
     P = action.pocset
     hs = P.star[P.idx(h)]
     if action.kind == "total":
@@ -520,7 +428,6 @@ def find_flip(action: Action, h: str, max_len: Optional[int] = None) -> FlipResu
         members = tuple(pts[i] for i in _iter_bits(inter))
         return FlipResult("INVARIANT_SET", invariant_set=members)
     ev = _evaluator(action)
-    depth = max_len if max_len is not None else action.budgets.word_length
     skipped = 0
     for word in enumerate_words(action.gen_names(), depth):
         img = ev(word).apply_idx(hs)
@@ -560,11 +467,11 @@ class SkewerResult:
 def double_skewer(action: Action, h: str, k: str,
                   max_len: Optional[int] = None) -> SkewerResult:
     """Find g with g𝔨 ⊊ 𝔥 ⊆ 𝔨 and d(g𝔨, 𝔥*) > 0; shortest word first."""
+    depth = action.depth(max_len)
     P = action.pocset
     if not P.leq(h, k):
         raise InvalidInput(f"double_skewer() needs {h} contained in {k}")
     hi, ki = P.idx(h), P.idx(k)
-    depth = max_len if max_len is not None else action.budgets.word_length
     masks = halfspace_point_masks(P, action.budgets)
     ev = _evaluator(action)
     for word in enumerate_words(action.gen_names(), depth):
@@ -647,6 +554,8 @@ def facing_tuple(P: WeightedPocset, n: int, seed: Optional[str] = None,
     translating two members past the last one); a failure there is only
     INCONCLUSIVE.
     """
+    if action is not None:
+        max_len = action.depth(max_len)
     if n < 3:
         raise InvalidInput("facing tuples need n >= 3")
     base = [P.idx(seed)] if seed else []
@@ -662,8 +571,7 @@ def facing_tuple(P: WeightedPocset, n: int, seed: Optional[str] = None,
     # the backtracking search is exhaustive over the pocset, so the negative
     # is definitive unless the pocset is only a window into a larger space
     if action is not None and action.kind == "window":
-        return FacingResult("INCONCLUSIVE", strong=strong,
-                            depth=max_len or action.budgets.word_length)
+        return FacingResult("INCONCLUSIVE", strong=strong, depth=max_len)
     return FacingResult("NOT_FOUND", strong=strong)
 
 
@@ -832,9 +740,9 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
     uΩ ∩ Ω = ∅, and the four wall-stabilizer inequalities u𝔥 ∉ {𝔥,𝔥*},
     u𝔨 ∉ {𝔨,𝔨*}.
     """
+    depth = action.depth(max_len)
     P = action.pocset
     ev = _evaluator(action)
-    depth = max_len if max_len is not None else action.budgets.word_length
     hi, ki = P.idx(h), P.idx(k)
     if hi == ki or hi == P.star[ki]:
         raise NotFacing("h and k must be sides of distinct walls")
@@ -1002,6 +910,7 @@ def classify(action: Action, max_len: Optional[int] = None) -> ClassificationRep
     for window actions stage 1 records candidates without concluding and
     the pipeline proceeds; only a stage-3 certificate is a verdict.
     """
+    depth = action.depth(max_len)
     log = []
     P = action.pocset
     if action.kind == "total":
@@ -1029,7 +938,6 @@ def classify(action: Action, max_len: Optional[int] = None) -> ClassificationRep
         "(not conclusive for the underlying action)")
     log.append("stage2: window core restriction skipped (budgeted search)")
 
-    depth = max_len if max_len is not None else action.budgets.word_length
     facing = facing_tuple(P, 3, action=action, max_len=depth)
     if facing.kind != "FOUND":
         log.append("stage3: no facing triple found")

@@ -10,6 +10,7 @@ apart from the timing field.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -386,6 +387,7 @@ SEARCH = ACTION + ("--max-word-len",)
 CERTIFICATE = SEARCH + ("--verify",)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mediankit",

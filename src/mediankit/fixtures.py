@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .actions import PartialAutomorphism, TotalAction, WindowAction
+from .actions import TotalAction, WindowAction
 from .boundary import (
     SUB,
     SUP,
@@ -195,7 +195,7 @@ def line_window() -> WindowAction:
     smap = {}
     for i in range(n - 1):
         smap[f"w{i:02d}+"] = f"w{i + 1:02d}+"
-    s = PartialAutomorphism.from_ids(P, "s", smap)
+    s = Automorphism.from_mapping(P, smap, "s")
     return WindowAction(P, {"s": s}, budgets=WINDOW_BUDGETS)
 
 
@@ -205,7 +205,7 @@ def f2ball_window() -> WindowAction:
     P = f2ball()
     gens = {}
     for letter in ("a", "b"):
-        hmap = {}
+        mapping = {}
         for v in _f2_vertices(F2_RADIUS):
             if not v:
                 continue
@@ -218,12 +218,12 @@ def f2ball_window() -> WindowAction:
             outer, inner = (gv, gp) if len(gv) > len(gp) else (gp, gv)
             # cone(v) maps to the side of the image wall containing gv
             if outer == gv:
-                hmap[_f2_cone_id(v) + "+"] = _f2_cone_id(outer) + "+"
-                hmap[_f2_cone_id(v) + "-"] = _f2_cone_id(outer) + "-"
+                mapping[_f2_cone_id(v) + "+"] = _f2_cone_id(outer) + "+"
+                mapping[_f2_cone_id(v) + "-"] = _f2_cone_id(outer) + "-"
             else:
-                hmap[_f2_cone_id(v) + "+"] = _f2_cone_id(outer) + "-"
-                hmap[_f2_cone_id(v) + "-"] = _f2_cone_id(outer) + "+"
-        gens[letter] = PartialAutomorphism.from_ids(P, letter, hmap)
+                mapping[_f2_cone_id(v) + "+"] = _f2_cone_id(outer) + "-"
+                mapping[_f2_cone_id(v) + "-"] = _f2_cone_id(outer) + "+"
+        gens[letter] = Automorphism.from_mapping(P, mapping, letter)
     return WindowAction(P, gens, budgets=WINDOW_BUDGETS)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from .actions import PartialAutomorphism, WindowAction
+from .actions import WindowAction
 from .boundary import (
     SUB,
     SUP,
@@ -47,6 +47,12 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidInput(f"{where} must be a JSON array")
+    return value
+
+
 def _fields(obj, where: str, *keys) -> list:
     """The values of the required ``keys`` of the JSON object ``obj``."""
     for key in keys:
@@ -68,12 +74,12 @@ def load_pocset(data: dict) -> WeightedPocset:
     (entries,) = _fields(data, "pocset file", "walls")
     walls = []
     wall_ids = []
-    for i, w in enumerate(entries):
+    for i, w in enumerate(_array(entries, "walls")):
         wid, pos, neg, weight = _fields(w, f"walls[{i}]", "id", "pos", "neg", "weight")
         walls.append((pos, neg, parse_fraction(weight, f"walls[{i}].weight")))
         wall_ids.append(wid)
     order = []
-    for i, pair in enumerate(data.get("order", [])):
+    for i, pair in enumerate(_array(data.get("order", []), "order")):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidInput(f"order[{i}] must be a pair of halfspace ids")
         order.append((pair[0], pair[1]))
@@ -110,21 +116,22 @@ def load_window_action(data: dict, budgets: Budgets = DEFAULT_BUDGETS) -> Window
     window, maps = _fields(data, "window-action file", "window", "maps")
     P = load_pocset(window)
     gens = {}
-    for i, m in enumerate(maps):
+    for i, m in enumerate(_array(maps, "maps")):
         name, mapping = _fields(m, f"maps[{i}]", "name", "map")
         mapping = _object(mapping, f"maps[{i}].map")
         domain = m.get("domain")
         if domain is not None:
-            mapping = {k: v for k, v in mapping.items() if k in set(domain)}
-        gens[name] = PartialAutomorphism.from_ids(P, name, mapping)
+            domain = set(_array(domain, f"maps[{i}].domain"))
+            mapping = {k: v for k, v in mapping.items() if k in domain}
+        gens[name] = Automorphism.from_mapping(P, mapping, name)
     return WindowAction(P, gens, budgets=budgets)
 
 
 def dump_window_action(action: WindowAction) -> dict:
     maps = []
     P = action.pocset
-    for name, pa in action.gens.items():
-        mapping = {P.ids[a]: P.ids[b] for a, b in sorted(pa.hmap.items())}
+    for name, g in action.gens.items():
+        mapping = {P.ids[a]: P.ids[b] for a, b in enumerate(g.perm) if b is not None}
         maps.append({"name": name, "map": mapping, "domain": sorted(mapping)})
     return {"window": dump_pocset(P), "maps": maps}
 
@@ -143,17 +150,19 @@ def _rel_code(text, where: str) -> str:
 def load_chain_system(data: dict) -> ChainSystem:
     (entries,) = _fields(data, "chain-system file", "chains")
     chains = []
-    for i, c in enumerate(entries):
+    for i, c in enumerate(_array(entries, "chains")):
         cid, period, weights = _fields(c, f"chains[{i}]", "id", "period", "weights")
+        head_weights = c.get("headWeights", [])
         chains.append(Chain(
             cid, parse_int(period, f"chains[{i}].period"),
-            tuple(parse_fraction(w, f"chains[{i}].weights") for w in weights),
+            tuple(parse_fraction(w, f"chains[{i}].weights")
+                  for w in _array(weights, f"chains[{i}].weights")),
             tuple(parse_fraction(w, f"chains[{i}].headWeights")
-                  for w in c.get("headWeights", ())),
+                  for w in _array(head_weights, f"chains[{i}].headWeights")),
         ))
     rel = _object(data.get("rel", {}), "rel")
     head = {}
-    for i, entry in enumerate(rel.get("head", [])):
+    for i, entry in enumerate(_array(rel.get("head", []), "rel.head")):
         where = f"rel.head[{i}]"
         if not isinstance(entry, list) or len(entry) != 5:
             raise InvalidInput(f"{where} must be [chain, n, chain, m, rel]")
@@ -162,7 +171,7 @@ def load_chain_system(data: dict) -> ChainSystem:
             _rel_code(code, where)
     zones = {}
     rows = []
-    for i, entry in enumerate(rel.get("periodic", [])):
+    for i, entry in enumerate(_array(rel.get("periodic", []), "rel.periodic")):
         where = f"rel.periodic[{i}]"
         ci, cj, rule = _fields(entry, where, "from", "to", "rule")
         if "fromIndex" in entry:

@@ -174,12 +174,15 @@ def pocset_product(parts: Sequence[WeightedPocset],
 
 
 class Automorphism:
-    """A permutation of halfspaces commuting with star and preserving the
-    order and the weights."""
+    """A structure-preserving halfspace map: ``perm[i]`` is the image of
+    halfspace ``i``, or None where a window map is undefined.  Structure is
+    checked once, in ``from_mapping``; composites and inverses of checked
+    maps preserve it by construction."""
 
     __slots__ = ("pocset", "perm", "name")
 
-    def __init__(self, pocset: WeightedPocset, perm: Sequence[int], name: str = ""):
+    def __init__(self, pocset: WeightedPocset, perm: Sequence[Optional[int]],
+                 name: str = ""):
         self.pocset = pocset
         self.perm = tuple(perm)
         self.name = name
@@ -187,72 +190,91 @@ class Automorphism:
     @classmethod
     def from_mapping(cls, P: WeightedPocset, mapping: dict,
                      name: str = "") -> "Automorphism":
+        """The map of ``mapping`` (halfspace id to id), closed under star."""
         perm = [None] * P.n
         for a, b in mapping.items():
             perm[P.idx(a)] = P.idx(b)
-        for i in range(P.n):
-            if perm[i] is None:
-                # fill star-images when only one side of each wall was given
-                si = P.star[i]
-                if perm[si] is not None:
-                    perm[i] = P.star[perm[si]]
-        if any(v is None for v in perm):
-            raise NotAnAutomorphism("mapping does not cover all halfspaces")
+        for a, b in enumerate(list(perm)):
+            if b is not None:
+                sa, sb = P.star[a], P.star[b]
+                if perm[sa] not in (None, sb):
+                    raise NotAnAutomorphism(f"{name}: star images conflict")
+                perm[sa] = sb
         g = cls(P, perm, name)
-        if not g.is_valid():
-            raise NotAnAutomorphism(f"{name or mapping} fails structure preservation")
+        g.check()
         return g
 
     @classmethod
     def identity(cls, P: WeightedPocset) -> "Automorphism":
         return cls(P, range(P.n), "id")
 
+    def check(self):
+        """Raise NotAnAutomorphism unless the map is injective, commutes
+        with star, keeps weights and keeps order both ways on its domain."""
+        P, perm = self.pocset, self.perm
+        domain = [a for a, b in enumerate(perm) if b is not None]
+        if len({perm[a] for a in domain}) != len(domain):
+            raise NotAnAutomorphism(f"{self.name}: not injective")
+        for a in domain:
+            b = perm[a]
+            if perm[P.star[a]] not in (None, P.star[b]):
+                raise NotAnAutomorphism(f"{self.name}: does not commute with star")
+            if P.weight[a] != P.weight[b]:
+                raise NotAnAutomorphism(f"{self.name}: does not preserve weights")
+        for a in domain:
+            for c in domain:
+                if P.leq_idx(a, c) != P.leq_idx(perm[a], perm[c]):
+                    raise NotAnAutomorphism(f"{self.name}: does not preserve order")
+
     def is_valid(self) -> bool:
-        P = self.pocset
-        perm = self.perm
-        if sorted(perm) != list(range(P.n)):
+        """Total and passing ``check``: an automorphism of the pocset."""
+        if None in self.perm:
             return False
-        for i in range(P.n):
-            if perm[P.star[i]] != P.star[perm[i]]:
-                return False
-            if P.weight[i] != P.weight[perm[i]]:
-                return False
-        for i in range(P.n):
-            if self._image(P.up[i]) != P.up[perm[i]]:
-                return False
+        try:
+            self.check()
+        except NotAnAutomorphism:
+            return False
         return True
 
-    def _image(self, mask: int) -> int:
-        im = 0
-        for i in _iter_bits(mask):
-            im |= 1 << self.perm[i]
-        return im
-
-    def apply_idx(self, i: int) -> int:
+    def apply_idx(self, i: int) -> Optional[int]:
         return self.perm[i]
 
-    def preimage_idx(self, i: int) -> int:
-        return self.perm.index(i)
+    def preimage_idx(self, i: int) -> Optional[int]:
+        return self.perm.index(i) if i in self.perm else None
 
     def apply(self, h: str) -> str:
         return self.pocset.ids[self.perm[self.pocset.idx(h)]]
 
-    def apply_point(self, p: Point) -> Point:
-        """Image of a point; never None, unlike a window map's."""
-        return Point(self.pocset, self._image(p.mask))
+    def apply_point(self, p: Point) -> Optional[Point]:
+        """Map the halfspaces of ``p`` where defined, close upward, and
+        accept only a complete consistent orientation, else None.  A total
+        map takes ultrafilters to ultrafilters, so it never gives None.  A
+        window map's images carry window resolution only: a point pinned at
+        the window boundary may map to itself though the translation moves it."""
+        P = self.pocset
+        closed = 0
+        for i in _iter_bits(p.mask):
+            j = self.perm[i]
+            if j is not None:
+                closed |= P.up[j]
+        for i, j in P.walls:
+            if closed >> i & 1 == closed >> j & 1:
+                return None  # both sides (inconsistent) or neither (out of window)
+        return Point(P, closed)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
-        """self ∘ other: apply ``other`` first."""
+        """self ∘ other: apply ``other`` first; defined where both steps are."""
         return Automorphism(
             self.pocset,
-            tuple(self.perm[other.perm[i]] for i in range(len(self.perm))),
+            tuple(None if j is None else self.perm[j] for j in other.perm),
             name=f"{self.name}*{other.name}",
         )
 
     def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.perm)
+        inv = [None] * len(self.perm)
         for i, v in enumerate(self.perm):
-            inv[v] = i
+            if v is not None:
+                inv[v] = i
         return Automorphism(self.pocset, inv, name=f"{self.name}^-1")
 
     def is_identity(self) -> bool:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .config import Budgets, DEFAULT_BUDGETS
-from .errors import NotANewPoint, NotAnAutomorphism, WallBudgetExceeded
+from .errors import InvalidInput, NotANewPoint, NotAnAutomorphism, WallBudgetExceeded
 from .pocset import Point, WeightedPocset, _iter_bits, is_ultrafilter
 from .structure import Automorphism
 
@@ -162,7 +162,7 @@ def atom_mass(P: WeightedPocset) -> Fraction:
 def tower(P: WeightedPocset, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> list[Subdivision]:
     """Iterated subdivisions X_0 ... X_n with composable embeddings."""
     if n < 0:
-        raise WallBudgetExceeded("tower depth must be nonnegative")
+        raise InvalidInput(f"tower depth {n} is negative")
     if P.wall_count * (2 ** n) > max(budgets.point_walls * 64, 4096):
         raise WallBudgetExceeded(
             f"{P.wall_count} walls at depth {n} exceed the tower budget")

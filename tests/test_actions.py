@@ -106,8 +106,8 @@ def test_search_maps_match_evaluate():
         ev = _evaluator(action)
         for word in enumerate_words(action.gen_names(), 3):
             g = ev(word)
-            assert g.hmap == action.evaluate(word).hmap
-            g._check_structure()
+            assert g.perm == action.evaluate(word).perm
+            g.check()
 
 
 def test_pingpong_letter_maps_match_evaluate():
@@ -122,8 +122,8 @@ def test_pingpong_letter_maps_match_evaluate():
     for u in enumerate_words(("A", "B"), 3):
         word = _expand_letters(u, letters)
         g = ev(word)
-        assert g.hmap == W.evaluate(word).hmap
-        g._check_structure()
+        assert g.perm == W.evaluate(word).perm
+        g.check()
 
 
 def _closure_group(action):
@@ -307,7 +307,7 @@ def test_nested_iteration_increases_displacement():
         dists = [Fraction(0)]
         q = y
         for _ in range(12):
-            q2 = action.apply_point(res.word, q)
+            q2 = g.apply_point(q)
             if q2 is None or q2 == q:
                 break
             q = q2

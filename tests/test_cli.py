@@ -380,6 +380,36 @@ def test_env_budget_applies_to_fixture_and_file_actions(
     assert fx.window("F2BALL").budgets == fx.WINDOW_BUDGETS
 
 
+def test_a_total_map_must_cover_every_wall(capsys, tmp_path):
+    auto = tmp_path / "holes.json"
+    auto.write_text(json.dumps({"map": {"a": "b"}}))
+    code, report, _ = run_cli(
+        capsys, "orbits", "--fixture", "SQUARE", "--auto-file", str(auto))
+    assert code == 65
+    assert report["error"]["code"] == "NOT_AN_AUTOMORPHISM"
+
+
+@pytest.mark.parametrize("argv, depth", [
+    (["free-cert", "--fixture", "F2BALL", "--a", "a", "--b", "b", "--h", "wA+",
+      "--k", "wB+", "--max-word-len", "-1"], None),
+    (["flip", "--fixture", "LINE", "--halfspace", "w03+", "--max-word-len", "-2"],
+     None),
+    (["subdivide", "--fixture", "SQUARE", "-n", "-1"], None),
+    (["facing", "--fixture", "LINE", "--tuple-size", "3", "--max-word-len", "0"],
+     0),
+], ids=["free-cert", "flip", "subdivide", "facing"])
+def test_search_depths_are_checked(capsys, argv, depth):
+    """A negative depth is invalid input; a zero depth is reported as 0."""
+    code, report, _ = run_cli(capsys, *argv)
+    if depth is None:
+        assert code == 65
+        assert report["error"]["code"] == "INVALID_INPUT"
+        assert "negative" in report["error"]["message"]
+    else:
+        assert code == 3
+        assert report["verdict"]["depth"] == depth
+
+
 def test_automorphism_file_ingestion(capsys, tmp_path):
     auto = tmp_path / "rot.json"
     auto.write_text(json.dumps({"name": "rot", "map": {"a": "b", "b": "a*"}}))
@@ -406,6 +436,7 @@ def test_dump_fixture_kind_disambiguation(capsys, tmp_path):
 @pytest.mark.parametrize("bad_map, reason", [
     ({"w00+": "w02+", "w01+": "w02+"}, "not injective"),
     ({"w00+": "w01+", "w01+": "w00+"}, "does not preserve order"),
+    ({"w00+": "w01+", "w00-": "w03-"}, "star images conflict"),
 ])
 def test_window_maps_are_checked_on_load(capsys, tmp_path, bad_map, reason):
     from mediankit import fixtures as fx
@@ -584,6 +615,11 @@ def malformed_input(kind):
     system_argv = ["ubs-validate", "--system-file", "F"]
     shift = {"tau": {"H": "H", "K": "K"}, "shift": {"H": 1, "K": 1}}
     shift_argv = ["ubs-chi", "--system", "STAIRFLAP", "--shift", "F"]
+    if kind == "chains-array":
+        return {"chains": 5}, system_argv, "chains"
+    if kind == "weights-array":
+        system["chains"][0].update(period=2, weights="12")
+        return system, system_argv, "chains[0].weights"
     if kind == "period":
         system["chains"][0]["period"] = "x"
         return system, system_argv, "chains[0].period"
@@ -604,11 +640,19 @@ def malformed_input(kind):
     if kind == "min-index":
         shift["minIndex"] = "z"
         return shift, shift_argv, "minIndex"
+    if kind == "order-array":
+        return ({"walls": [{"id": "a", "pos": "a", "neg": "a*", "weight": "1"}],
+                 "order": 3}, ["rank", "--pocset", "F"], "order")
     if kind == "wall-entry":
         return {"walls": [5]}, ["rank", "--pocset", "F"], "walls[0]"
     if kind == "automorphism-map":
         return ({"name": "rot", "map": [1, 2]},
                 ["orbits", "--fixture", "SQUARE", "--auto-file", "F"], "map")
+    if kind == "domain-array":
+        window = se.dump_window_action(fx.line_window())
+        window["maps"] = [{"name": "s", "map": {"w00+": "w01+"}, "domain": "w00+"}]
+        return window, ["flip", "--window", "F", "--halfspace", "w10+"], \
+            "maps[0].domain"
     window = se.dump_window_action(fx.line_window())
     window["maps"] = [{"name": "s", "map": [1]}]
     return window, ["flip", "--window", "F", "--halfspace", "w10+"], "maps[0].map"
@@ -616,7 +660,8 @@ def malformed_input(kind):
 
 @pytest.mark.parametrize("kind", [
     "period", "periodic-from", "head-index", "to-range", "shift-value",
-    "min-index", "wall-entry", "automorphism-map", "window-map"])
+    "min-index", "wall-entry", "automorphism-map", "window-map", "chains-array",
+    "order-array", "weights-array", "domain-array"])
 def test_malformed_fields_are_invalid_input(capsys, tmp_path, kind):
     data, argv, field = malformed_input(kind)
     path = tmp_path / "input.json"

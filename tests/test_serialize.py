@@ -61,7 +61,7 @@ def test_window_action_round_trip():
     back = se.load_window_action(data, fx.WINDOW_BUDGETS)
     assert back.pocset.ids == W.pocset.ids
     assert back.gens.keys() == W.gens.keys()
-    assert back.gens["s"].hmap == W.gens["s"].hmap
+    assert back.gens["s"].perm == W.gens["s"].perm
 
 
 def test_chain_system_round_trip():
