@@ -217,7 +217,7 @@ class Automorphism:
             raise NotAnAutomorphism(f"{self.name}: not injective")
         for a in domain:
             b = perm[a]
-            if perm[P.star[a]] not in (None, P.star[b]):
+            if perm[P.star[a]] != P.star[b]:
                 raise NotAnAutomorphism(f"{self.name}: does not commute with star")
             if P.weight[a] != P.weight[b]:
                 raise NotAnAutomorphism(f"{self.name}: does not preserve weights")
