@@ -128,15 +128,6 @@ class Action:
     def identity(self) -> Automorphism:
         return Automorphism.identity(self.pocset)
 
-    def depth(self, max_len: Optional[int]) -> int:
-        """The word length a search runs to: ``max_len``, or the budget's
-        when it is None; a negative length is invalid input."""
-        if max_len is None:
-            return self.budgets.word_length
-        if max_len < 0:
-            raise InvalidInput(f"word length {max_len} is negative")
-        return max_len
-
     def step(self, tok):
         """The map of one letter: a generator or its inverse."""
         g = self.gens[tok[0]]
@@ -195,6 +186,17 @@ class WindowAction(Action):
     """A window pocset with named partial automorphisms."""
 
     kind = "window"
+
+
+def _depth(action: Optional[Action], max_len: Optional[int]) -> Optional[int]:
+    """The word length a search runs to: ``max_len``, or the action's budget
+    when it is None; a negative length is invalid input, with or without an
+    action."""
+    if max_len is None:
+        return action.budgets.word_length if action else None
+    if max_len < 0:
+        raise InvalidInput(f"word length {max_len} is negative")
+    return max_len
 
 
 def _evaluator(action: Action):
@@ -410,7 +412,7 @@ def find_flip(action: Action, h: str, max_len: Optional[int] = None) -> FlipResu
     finite positive-weight models have no thin halfspaces, so no such
     counterexample is representable here.
     """
-    depth = action.depth(max_len)
+    depth = _depth(action, max_len)
     P = action.pocset
     hs = P.star[P.idx(h)]
     if action.kind == "total":
@@ -467,7 +469,7 @@ class SkewerResult:
 def double_skewer(action: Action, h: str, k: str,
                   max_len: Optional[int] = None) -> SkewerResult:
     """Find g with g𝔨 ⊊ 𝔥 ⊆ 𝔨 and d(g𝔨, 𝔥*) > 0; shortest word first."""
-    depth = action.depth(max_len)
+    depth = _depth(action, max_len)
     P = action.pocset
     if not P.leq(h, k):
         raise InvalidInput(f"double_skewer() needs {h} contained in {k}")
@@ -492,13 +494,8 @@ def double_skewer(action: Action, h: str, k: str,
 def _set_distance(P: WeightedPocset, amask: int, bmask: int,
                   budgets: Budgets) -> Fraction:
     pts = points(P, budgets)
-    best = None
-    for i in _iter_bits(amask):
-        for j in _iter_bits(bmask):
-            d = distance(P, pts[i], pts[j])
-            if best is None or d < best:
-                best = d
-    return best if best is not None else Fraction(0)
+    return min((distance(P, pts[i], pts[j]) for i in _iter_bits(amask)
+                for j in _iter_bits(bmask)), default=Fraction(0))
 
 
 # -- separation, facing tuples, sectors --------------------------------------
@@ -554,8 +551,7 @@ def facing_tuple(P: WeightedPocset, n: int, seed: Optional[str] = None,
     translating two members past the last one); a failure there is only
     INCONCLUSIVE.
     """
-    if action is not None:
-        max_len = action.depth(max_len)
+    max_len = _depth(action, max_len)
     if n < 3:
         raise InvalidInput("facing tuples need n >= 3")
     base = [P.idx(seed)] if seed else []
@@ -740,7 +736,7 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
     uΩ ∩ Ω = ∅, and the four wall-stabilizer inequalities u𝔥 ∉ {𝔥,𝔥*},
     u𝔨 ∉ {𝔨,𝔨*}.
     """
-    depth = action.depth(max_len)
+    depth = _depth(action, max_len)
     P = action.pocset
     ev = _evaluator(action)
     hi, ki = P.idx(h), P.idx(k)
@@ -910,7 +906,7 @@ def classify(action: Action, max_len: Optional[int] = None) -> ClassificationRep
     for window actions stage 1 records candidates without concluding and
     the pipeline proceeds; only a stage-3 certificate is a verdict.
     """
-    depth = action.depth(max_len)
+    depth = _depth(action, max_len)
     log = []
     P = action.pocset
     if action.kind == "total":
@@ -1000,12 +996,9 @@ def is_lineal(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> LinealRe
     such a pair exists iff the whole space lies in the interval I(ξ, η)."""
     pts = points(P, budgets)
     by_mask = {p.mask for p in pts}
-    full = (1 << P.n) - 1
     pairs = []
     for p in pts:
-        comp = 0
-        for i in _iter_bits(p.mask):
-            comp |= 1 << P.star[i]
+        comp = P.star_map(p.mask)
         if comp in by_mask and p.mask < comp:
             pairs.append((p, Point(P, comp)))
     return LinealResult(tuple(pairs))

@@ -204,8 +204,6 @@ def cmd_subdivide(args) -> int:
 
 def cmd_orbits(args) -> int:
     action, src = _load_action(args)
-    if not isinstance(action, TotalAction):
-        raise MedianKitError("orbits needs a total action (fixture with --gens)")
     orb = min_orbit(action)
     r = rank(action.pocset, action.budgets)
     verdict = {"minOrbit": orb.to_json(), "rank": r,

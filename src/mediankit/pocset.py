@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -32,6 +33,40 @@ def _iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# the set bit positions of each byte value
+_BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
+
+
+class MaskMap:
+    """The map sending a mask of ``len(images)`` bits to the OR of
+    ``images[i]`` over its set bits.  Each byte position memoises the images
+    of the byte values met there, each computed when first met: memos stay
+    small for maps applied once, and a map applied often costs one lookup
+    per byte."""
+
+    __slots__ = ("images", "memos")
+
+    def __init__(self, images: Sequence[int]):
+        self.images = images
+        self.memos = [{} for _ in range((len(images) + 7) // 8)]
+
+    def __call__(self, mask: int) -> int:
+        out = 0
+        memos = self.memos
+        for pos, byte in enumerate(mask.to_bytes(len(memos), "little")):
+            if byte:
+                memo = memos[pos]
+                img = memo.get(byte)
+                if img is None:
+                    img = 0
+                    base = pos << 3
+                    for b in _BYTE_BITS[byte]:
+                        img |= self.images[base + b]
+                    memo[byte] = img
+                out |= img
+        return out
 
 
 class WeightedPocset:
@@ -46,7 +81,8 @@ class WeightedPocset:
 
     __slots__ = (
         "ids", "index", "star", "up", "down", "weight", "walls",
-        "wall_ids", "_points", "_hmasks", "_rank",
+        "wall_ids", "star_map", "up_map",
+        "_points", "_hmasks", "_rank", "_weight_groups",
     )
 
     def __init__(
@@ -111,6 +147,8 @@ class WeightedPocset:
                 pairs.append((min(i, j), max(i, j)))
                 used.update((i, j))
         self.walls = tuple(sorted(pairs))
+        self.star_map = MaskMap(tuple([1 << j for j in self.star]))
+        self.up_map = MaskMap(self.up)
         if wall_ids is not None:
             if len(wall_ids) != len(wall_list):
                 raise InvalidInput("wall_ids length mismatch")
@@ -122,6 +160,7 @@ class WeightedPocset:
         self._points = None
         self._hmasks = None
         self._rank = None
+        self._weight_groups = None  # built by the first distance
 
     # -- basic queries ----------------------------------------------------
 
@@ -326,16 +365,9 @@ def points(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Point
         if len(P._points) > budgets.max_points:
             raise WallBudgetExceeded("point enumeration exceeded max_points cap")
         return P._points
-    star = P.star
     up = P.up
     walls = P.walls
     out: list[int] = []
-
-    def star_mask(mask: int) -> int:
-        s = 0
-        for b in _iter_bits(mask):
-            s |= 1 << star[b]
-        return s
 
     def rec(w: int, chosen: int, banned: int):
         while w < len(walls) and (chosen >> walls[w][0] & 1 or chosen >> walls[w][1] & 1):
@@ -351,7 +383,7 @@ def points(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Point
             forced = up[side]
             if forced & banned:
                 continue
-            rec(w + 1, chosen | forced, banned | star_mask(forced))
+            rec(w + 1, chosen | forced, banned | P.star_map(forced))
 
     rec(0, 0, 0)
     P._points = tuple(Point(P, m) for m in sorted(out))
@@ -381,13 +413,9 @@ def point_from_ids(P: WeightedPocset, ids: Iterable[str]) -> Point:
 
 
 def is_ultrafilter(P: WeightedPocset, mask: int) -> bool:
-    for i, j in P.walls:
-        if (mask >> i & 1) == (mask >> j & 1):
-            return False
-    for b in _iter_bits(mask):
-        if P.up[b] & ~mask:
-            return False
-    return True
+    """One side of every wall (the star images are the other sides) and
+    closed upward."""
+    return P.star_map(mask) == ((1 << P.n) - 1) ^ mask and P.up_map(mask) == mask
 
 
 # -- median geometry ------------------------------------------------------
@@ -398,13 +426,19 @@ def median(P: WeightedPocset, x: Point, y: Point, z: Point) -> Point:
 
 
 def distance(P: WeightedPocset, x: Point, y: Point) -> Fraction:
-    """Total weight of the walls separating x from y (each wall once)."""
+    """Total weight of the walls separating x from y (each wall once),
+    summed by weight group: each weight as an integer over the common
+    denominator, times the number of separating walls of that weight."""
+    if P._weight_groups is None:
+        D = lcm(*(w.denominator for w in P.weight))
+        groups: dict = {}
+        for i, _ in P.walls:
+            k = P.weight[i].numerator * D // P.weight[i].denominator
+            groups[k] = groups.get(k, 0) | 1 << i
+        P._weight_groups = D, tuple(groups.items())
+    D, groups = P._weight_groups
     diff = x.mask ^ y.mask
-    total = Fraction(0)
-    for i, _ in P.walls:
-        if diff >> i & 1:
-            total += P.weight[i]
-    return total
+    return Fraction(sum(k * (diff & m).bit_count() for k, m in groups), D)
 
 
 def interval(P: WeightedPocset, x: Point, y: Point,
@@ -442,14 +476,8 @@ def gate_project(P: WeightedPocset, C, x: Point) -> Point:
     C = _as_convex(P, C)
     if not C.masks:
         raise EmptyInput("gate_project() requires a nonempty convex set")
-    mask = 0
-    for i, j in P.walls:
-        if C.sigma >> i & 1:
-            mask |= 1 << i
-        elif C.sigma >> j & 1:
-            mask |= 1 << j
-        else:
-            mask |= x.mask & ((1 << i) | (1 << j))
+    # sigma's sides, and x's side of each wall where sigma holds neither
+    mask = C.sigma | x.mask & ~P.star_map(C.sigma)
     gate = Point(P, mask)
     if not is_ultrafilter(P, mask):
         raise InvalidInput("gate projection produced a non-point; input not convex?")
@@ -494,8 +522,6 @@ def inseparable_closure(P: WeightedPocset, S: Iterable[str]) -> tuple[str, ...]:
     smask = 0
     for i in idxs:
         smask |= 1 << i
-    above = 0  # halfspaces lying above some member
-    for i in idxs:
-        above |= P.up[i]
+    above = P.up_map(smask)  # halfspaces lying above some member
     out = [j for j in _iter_bits(above) if P.up[j] & smask]
     return tuple(sorted(P.ids[j] for j in out))

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import InvalidInput, NotAnAutomorphism, WallBudgetExceeded
-from .pocset import Point, WeightedPocset, _iter_bits
+from .pocset import MaskMap, Point, WeightedPocset, _iter_bits
 
 
 def transverse(P: WeightedPocset, h: str, k: str) -> bool:
@@ -179,13 +179,14 @@ class Automorphism:
     checked once, in ``from_mapping``; composites and inverses of checked
     maps preserve it by construction."""
 
-    __slots__ = ("pocset", "perm", "name")
+    __slots__ = ("pocset", "perm", "name", "_up_map")
 
     def __init__(self, pocset: WeightedPocset, perm: Sequence[Optional[int]],
                  name: str = ""):
         self.pocset = pocset
         self.perm = tuple(perm)
         self.name = name
+        self._up_map = None  # built by the first apply_point
 
     @classmethod
     def from_mapping(cls, P: WeightedPocset, mapping: dict,
@@ -252,14 +253,11 @@ class Automorphism:
         window map's images carry window resolution only: a point pinned at
         the window boundary may map to itself though the translation moves it."""
         P = self.pocset
-        closed = 0
-        for i in _iter_bits(p.mask):
-            j = self.perm[i]
-            if j is not None:
-                closed |= P.up[j]
-        for i, j in P.walls:
-            if closed >> i & 1 == closed >> j & 1:
-                return None  # both sides (inconsistent) or neither (out of window)
+        if self._up_map is None:
+            self._up_map = MaskMap(tuple(0 if j is None else P.up[j] for j in self.perm))
+        closed = self._up_map(p.mask)
+        if P.star_map(closed) != ((1 << P.n) - 1) ^ closed:
+            return None  # both sides (inconsistent) or neither (out of window)
         return Point(P, closed)
 
     def compose(self, other: "Automorphism") -> "Automorphism":

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import InvalidInput, NotANewPoint, NotAnAutomorphism, WallBudgetExceeded
-from .pocset import Point, WeightedPocset, _iter_bits, is_ultrafilter
+from .pocset import MaskMap, Point, WeightedPocset, _iter_bits, is_ultrafilter
 from .structure import Automorphism
 
 MINUS = "-"
@@ -40,29 +40,23 @@ class Subdivision:
     # copy) in the child; the only map between parent and child indices
     copies: tuple
 
+    def __post_init__(self):
+        self._embed_map = MaskMap(tuple(map(self._both, range(self.parent.n))))
+
     def _both(self, i: int) -> int:
         """The child mask of both copies of parent halfspace i."""
         minus, plus = self.copies[i]
         return 1 << minus | 1 << plus
 
     def embed(self, p: Point) -> Point:
-        mask = 0
-        for i in _iter_bits(p.mask):
-            mask |= self._both(i)
-        return Point(self.child, mask)
+        return Point(self.child, self._embed_map(p.mask))
 
     def preimage(self, q: Point) -> Optional[Point]:
-        """The original point embedding to q, or None when q is new."""
-        mask = 0
-        for i, j in self.parent.walls:
-            for side in (i, j):
-                both = self._both(side)
-                if q.mask & both == both:
-                    mask |= 1 << side
-                    break
-            else:
-                return None
-        return Point(self.parent, mask)
+        """The original point embedding to q, or None when q is new.  Its
+        halfspaces have both copies in q; they embed to q unless q is new."""
+        mask = sum(1 << i for i, (minus, plus) in enumerate(self.copies)
+                   if q.mask >> minus & 1 and q.mask >> plus & 1)
+        return Point(self.parent, mask) if self._embed_map(mask) == q.mask else None
 
     def is_new(self, q: Point) -> bool:
         return self.preimage(q) is None

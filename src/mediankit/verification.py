@@ -2,19 +2,21 @@
 
 Every verdict the search commands emit names concrete halfspaces, so a
 skeptical caller can re-check it against the pocset with point sets and
-distances alone, trusting no search bookkeeping.  This module deliberately
+distances alone, trusting no search bookkeeping.  Distances are summed wall
+by wall here, not through the core's weight groups.  This module deliberately
 imports nothing outside the core; chain-system closures are re-derived from
 the resolver ``rel`` alone.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .boundary import SUB
 from .config import DEFAULT_BUDGETS
 from .pocset import (
     WeightedPocset,
     _iter_bits,
-    distance,
     halfspace_point_masks,
     points,
 )
@@ -47,13 +49,9 @@ def verify_skewer(P: WeightedPocset, h: str, k: str, image_of_k: str,
     hi, ki, gi = P.idx(h), P.idx(k), P.idx(image_of_k)
     proper = masks[gi] & ~masks[hi] == 0 and masks[gi] != masks[hi]
     nested = P.leq_idx(hi, ki)
-    gap = None
-    star_mask = masks[P.star[hi]]
-    for i in _iter_bits(masks[gi]):
-        for j in _iter_bits(star_mask):
-            d = distance(P, pts[i], pts[j])
-            if gap is None or d < gap:
-                gap = d
+    gap = min((_separating_mass(P, pts[i].mask, pts[j].mask)
+               for i in _iter_bits(masks[gi])
+               for j in _iter_bits(masks[P.star[hi]])), default=None)
     return {
         "properlyContained": proper,
         "hInsideK": nested,
@@ -102,6 +100,12 @@ def closure_oracle(S, seed: dict, T: int) -> set:
     return {(c, n) for c in S.chain_order for n in range(T + 1)
             if any(inside((c, n), y) for y in members)
             and any(inside(y, (c, n)) for y in members)}
+
+
+def _separating_mass(P: WeightedPocset, x: int, y: int) -> Fraction:
+    """The weight of the walls separating two point masks, wall by wall:
+    the reference for ``pocset.distance``, which sums by weight group."""
+    return sum((P.weight[i] for i, _ in P.walls if (x ^ y) >> i & 1), Fraction(0))
 
 
 def _sets_transverse(masks, P: WeightedPocset, i: int, j: int) -> bool:

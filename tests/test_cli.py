@@ -519,6 +519,29 @@ def test_facing_on_a_pocset_file_needs_no_action(capsys, tmp_path):
                                 "noCommonTransversal": True}
 
 
+@pytest.mark.parametrize("source", [["--pocset", "tripod.json"],
+                                    ["--fixture", "LINE"]],
+                         ids=["no action", "window action"])
+def test_facing_checks_the_depth_with_or_without_an_action(
+        capsys, tmp_path, monkeypatch, source):
+    from mediankit import fixtures as fx
+    from mediankit import serialize as se
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tripod.json").write_text(json.dumps(se.dump_pocset(fx.tripod())))
+    code, report, _ = run_cli(capsys, "facing", *source, "--tuple-size", "3",
+                              "--max-word-len", "-1")
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
+    assert "negative" in report["error"]["message"]
+
+
+def test_orbits_of_a_window_action_is_invalid_input(capsys):
+    code, report, _ = run_cli(capsys, "orbits", "--fixture", "LINE")
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
+    assert "total action" in report["error"]["message"]
+
+
 # Each valid invocation, then the option slot it does not read.
 REMOVED_OPTIONS = [
     (["validate", "--fixture", "TRIPOD"], ["--verify"]),
