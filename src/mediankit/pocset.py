@@ -72,11 +72,13 @@ class MaskMap:
 class WeightedPocset:
     """Finite set of halfspaces with involution, partial order and weights.
 
-    ``order`` pairs ``(a, b)`` mean ``a`` is contained in ``b``.  The
-    constructor closes the order under reflexivity, transitivity and the
-    star-reversal rule; it tolerates axiom violations (a fixed point of the
-    involution, a halfspace comparable with its complement) so that
-    :func:`validate` can report them.
+    ``order`` pairs ``(a, b)`` mean ``a`` is contained in ``b``.  Pair
+    input (files, fixtures, :mod:`randomgen`) is closed here under
+    reflexivity, transitivity and the star-reversal rule; the constructor
+    tolerates axiom violations (a fixed point of the involution, a
+    halfspace comparable with its complement) so that :func:`validate` can
+    report them.  Derived pocsets (subdivisions, factors, products) arrive
+    closed, as rows, through :meth:`from_rows`.
     """
 
     __slots__ = (
@@ -91,6 +93,41 @@ class WeightedPocset:
         order: Iterable[tuple[str, str]] = (),
         wall_ids: Optional[Sequence[str]] = None,
     ):
+        self._set_walls(walls, wall_ids)
+        n = self.n
+        up = [1 << i for i in range(n)]
+        for a, b in order:
+            if a not in self.index or b not in self.index:
+                raise InvalidInput(f"order pair ({a!r}, {b!r}) names unknown halfspace")
+            i, j = self.index[a], self.index[b]
+            up[i] |= 1 << j
+            up[self.star[j]] |= 1 << self.star[i]  # order-reversing involution
+        # transitive closure (Warshall over bitmask rows)
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n):
+                acc = up[i]
+                for j in _iter_bits(up[i]):
+                    acc |= up[j]
+                if acc != up[i]:
+                    up[i] = acc
+                    changed = True
+        self._set_rows(up)
+
+    @classmethod
+    def from_rows(cls, walls: Iterable[tuple[str, str, Fraction]], up: Sequence[int],
+                  wall_ids: Optional[Sequence[str]] = None) -> "WeightedPocset":
+        """The pocset whose halfspace k of the canonical index (ids in
+        sorted order) has the up-set ``up[k]``.  The rows must already be
+        closed (reflexive, transitive, star-reversing); no closure runs."""
+        P = cls.__new__(cls)
+        P._set_walls(walls, wall_ids)
+        P._set_rows(up)
+        return P
+
+    def _set_walls(self, walls, wall_ids):
+        """Everything but the order: ids, involution, weights, walls."""
         wall_list = list(walls)
         ids = []
         star_by_id = {}
@@ -110,45 +147,17 @@ class WeightedPocset:
             weight_by_id[neg] = Fraction(w)
         self.ids = tuple(sorted(ids))
         self.index = {h: i for i, h in enumerate(self.ids)}
-        n = len(self.ids)
         self.star = tuple(self.index[star_by_id[h]] for h in self.ids)
         self.weight = tuple(weight_by_id[h] for h in self.ids)
-
-        up = [1 << i for i in range(n)]
-        for a, b in order:
-            if a not in self.index or b not in self.index:
-                raise InvalidInput(f"order pair ({a!r}, {b!r}) names unknown halfspace")
-            i, j = self.index[a], self.index[b]
-            up[i] |= 1 << j
-            up[self.star[j]] |= 1 << self.star[i]  # order-reversing involution
-        # transitive closure (Warshall over bitmask rows)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = up[i]
-                for j in _iter_bits(up[i]):
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
-        self.up = tuple(up)
-        down = [0] * n
-        for i in range(n):
-            for j in _iter_bits(up[i]):
-                down[j] |= 1 << i
-        self.down = tuple(down)
-
         pairs = []
         used = set()
-        for i in range(n):
+        for i in range(self.n):
             j = self.star[i]
             if i not in used and j not in used:
                 pairs.append((min(i, j), max(i, j)))
                 used.update((i, j))
         self.walls = tuple(sorted(pairs))
         self.star_map = MaskMap(tuple([1 << j for j in self.star]))
-        self.up_map = MaskMap(self.up)
         if wall_ids is not None:
             if len(wall_ids) != len(wall_list):
                 raise InvalidInput("wall_ids length mismatch")
@@ -161,6 +170,13 @@ class WeightedPocset:
         self._hmasks = None
         self._rank = None
         self._weight_groups = None  # built by the first distance
+
+    def _set_rows(self, up: Sequence[int]):
+        """Store closed up-rows; i <= j iff j* <= i*, so the down-row of j
+        is the star image of the up-row of j*."""
+        self.up = tuple(up)
+        self.down = tuple(self.star_map(up[s]) for s in self.star)
+        self.up_map = MaskMap(self.up)
 
     # -- basic queries ----------------------------------------------------
 
@@ -187,9 +203,6 @@ class WeightedPocset:
 
     def leq_idx(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
-
-    def incomparable_idx(self, i: int, j: int) -> bool:
-        return not (self.up[i] >> j & 1 or self.up[j] >> i & 1)
 
     def __repr__(self):
         return f"WeightedPocset({self.wall_count} walls, {self.n} halfspaces)"
@@ -328,10 +341,7 @@ def validate(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> Validatio
                     for x in (i, P.star[i])
                     for y in (k, P.star[k])
                 )
-                incomp = (
-                    P.incomparable_idx(i, k)
-                    and P.incomparable_idx(i, P.star[k])
-                )
+                incomp = not (P.up[i] | P.down[i]) & (1 << k | 1 << P.star[k])
                 if sectors_ok != incomp:
                     rep.fail("TRANSVERSALITY_MISMATCH", f"({P.ids[i]}, {P.ids[k]})")
         rep.notes.append(f"{len(pts)} points enumerated; separation holds")

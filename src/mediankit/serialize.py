@@ -23,7 +23,7 @@ from .boundary import (
 )
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import InvalidInput
-from .pocset import WeightedPocset
+from .pocset import WeightedPocset, _iter_bits
 from .structure import Automorphism
 
 
@@ -95,11 +95,7 @@ def dump_pocset(P: WeightedPocset) -> dict:
             "neg": P.ids[j],
             "weight": str(P.weight[i]),
         })
-    order = []
-    for i in range(P.n):
-        for j in range(P.n):
-            if i != j and P.leq_idx(i, j):
-                order.append([P.ids[i], P.ids[j]])
+    order = [[P.ids[i], P.ids[j]] for i in range(P.n) for j in _iter_bits(P.up[i] & ~(1 << i))]
     return {"walls": walls, "order": sorted(order)}
 
 

@@ -30,26 +30,18 @@ def transverse(P: WeightedPocset, h: str, k: str) -> bool:
     nonemptiness whenever points are enumerable.
     """
     i, j = P.idx(h), P.idx(k)
-    if i == j or P.star[i] == j:
-        return False
-    return P.incomparable_idx(i, j) and P.incomparable_idx(i, P.star[j])
-
-
-def _wall_reps(P: WeightedPocset) -> list[int]:
-    return [i for i, _ in P.walls]
+    return not (P.up[i] | P.down[i]) & (1 << j | 1 << P.star[j])
 
 
 def _transversality_adjacency(P: WeightedPocset) -> list[int]:
-    reps = _wall_reps(P)
-    n = len(reps)
-    adj = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            i, k = reps[a], reps[b]
-            if P.incomparable_idx(i, k) and P.incomparable_idx(i, P.star[k]):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return adj
+    """Per wall, the mask of walls transverse to it: those with neither
+    side comparable with the wall's representative."""
+    wall_bit = [0] * P.n
+    for a, (i, j) in enumerate(P.walls):
+        wall_bit[i] = wall_bit[j] = 1 << a
+    touched = MaskMap(tuple(wall_bit))
+    every = (1 << len(P.walls)) - 1
+    return [every & ~touched(P.up[i] | P.down[i]) for i, _ in P.walls]
 
 
 def rank(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> int:
@@ -106,50 +98,40 @@ def decompose(P: WeightedPocset) -> Decomposition:
     """Split along connected components of the non-transversality graph."""
     if not P.walls:
         raise InvalidInput("decompose() needs at least one wall")
-    reps = _wall_reps(P)
-    nw = len(reps)
     adj_t = _transversality_adjacency(P)
-    comp = [-1] * nw
-    n_comp = 0
-    for a in range(nw):
-        if comp[a] != -1:
-            continue
-        stack = [a]
-        comp[a] = n_comp
-        while stack:
-            u = stack.pop()
-            for v in range(nw):
-                if comp[v] == -1 and u != v and not (adj_t[u] >> v & 1):
-                    comp[v] = n_comp
-                    stack.append(v)
-        n_comp += 1
+    comps = []  # wall masks of the non-transversality components
+    left = (1 << len(P.walls)) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            u = (frontier & -frontier).bit_length() - 1
+            frontier ^= 1 << u
+            grown = left & ~adj_t[u] & ~comp
+            comp |= grown
+            frontier |= grown
+        left &= ~comp
+        comps.append(comp)
     # deterministic factor order: by least wall id in the component
-    keyed = sorted(range(n_comp), key=lambda c: min(
-        P.wall_ids[a] for a in range(nw) if comp[a] == c))
-    renumber = {c: i for i, c in enumerate(keyed)}
+    comps.sort(key=lambda c: min(P.wall_ids[a] for a in _iter_bits(c)))
+    # a factor's ids are a sorted subsequence of P's, so the k-th member of
+    # a factor is its halfspace k
+    members = [sorted({i for a in _iter_bits(c) for i in P.walls[a]}) for c in comps]
+    # parent halfspace -> its bit in its own factor; comparable walls are not
+    # transverse, so an up-row never leaves its factor and needs no mask
+    local = [0] * P.n
+    for mem in members:
+        for k, i in enumerate(mem):
+            local[i] = 1 << k
+    to_factor = MaskMap(tuple(local))
     factors = []
     assignment = {}
-    for fi in range(n_comp):
-        c = keyed[fi]
-        wall_rows = [a for a in range(nw) if comp[a] == c]
-        ids_in = set()
-        for a in wall_rows:
-            i, j = P.walls[a]
-            ids_in.update((P.ids[i], P.ids[j]))
-        walls = [
-            (P.ids[P.walls[a][0]], P.ids[P.walls[a][1]], P.weight[P.walls[a][0]])
-            for a in wall_rows
-        ]
-        order = [
-            (a, b)
-            for a in ids_in
-            for b in ids_in
-            if a != b and P.leq(a, b)
-        ]
-        wall_id_list = [P.wall_ids[a] for a in wall_rows]
-        F = WeightedPocset(walls, order, wall_ids=wall_id_list)
-        for h in ids_in:
-            assignment[h] = (fi, h)
+    for fi, (c, mem) in enumerate(zip(comps, members)):
+        walls = [(P.ids[i], P.ids[j], P.weight[i])
+                 for i, j in (P.walls[a] for a in _iter_bits(c))]
+        F = WeightedPocset.from_rows(walls, [to_factor(P.up[i]) for i in mem],
+                                     wall_ids=[P.wall_ids[a] for a in _iter_bits(c)])
+        for i in mem:
+            assignment[P.ids[i]] = (fi, P.ids[i])
         factors.append(F)
     return Decomposition(tuple(factors), assignment)
 
@@ -160,17 +142,18 @@ def pocset_product(parts: Sequence[WeightedPocset],
     if prefixes is None:
         prefixes = [f"f{i}." for i in range(len(parts))]
     walls = []
-    order = []
     wall_ids = []
+    names = []
+    rows = []  # up-rows over the concatenated halfspaces of the parts
     for pref, Q in zip(prefixes, parts):
-        for i, j in Q.walls:
-            walls.append((pref + Q.ids[i], pref + Q.ids[j], Q.weight[i]))
-        for wi, _ in zip(Q.wall_ids, Q.walls):
-            wall_ids.append(pref + wi)
-        for a in range(Q.n):
-            for b in _iter_bits(Q.up[a] & ~(1 << a)):
-                order.append((pref + Q.ids[a], pref + Q.ids[b]))
-    return WeightedPocset(walls, order, wall_ids=wall_ids)
+        walls += [(pref + Q.ids[i], pref + Q.ids[j], Q.weight[i]) for i, j in Q.walls]
+        wall_ids += [pref + wi for wi in Q.wall_ids]
+        rows += [row << len(names) for row in Q.up]
+        names += [pref + h for h in Q.ids]
+    index = {h: k for k, h in enumerate(sorted(names))}  # the product's own index
+    to_index = MaskMap(tuple(1 << index[h] for h in names))
+    up = [row for _, row in sorted(zip(names, map(to_index, rows)))]
+    return WeightedPocset.from_rows(walls, up, wall_ids)
 
 
 class Automorphism:
@@ -222,10 +205,13 @@ class Automorphism:
                 raise NotAnAutomorphism(f"{self.name}: does not commute with star")
             if P.weight[a] != P.weight[b]:
                 raise NotAnAutomorphism(f"{self.name}: does not preserve weights")
+        # undefined entries map to nothing, so image(up[a]) is the image of
+        # the part of a's up-set inside the domain
+        image = MaskMap(tuple(0 if b is None else 1 << b for b in perm))
+        img = image((1 << P.n) - 1)
         for a in domain:
-            for c in domain:
-                if P.leq_idx(a, c) != P.leq_idx(perm[a], perm[c]):
-                    raise NotAnAutomorphism(f"{self.name}: does not preserve order")
+            if image(P.up[a]) != P.up[perm[a]] & img:
+                raise NotAnAutomorphism(f"{self.name}: does not preserve order")
 
     def is_valid(self) -> bool:
         """Total and passing ``check``: an automorphism of the pocset."""
@@ -298,48 +284,44 @@ def automorphisms(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tupl
     if P.wall_count > budgets.aut_walls:
         raise WallBudgetExceeded(
             f"{P.wall_count} walls exceed automorphism cap {budgets.aut_walls}")
-    reps = _wall_reps(P)
+    reps = [i for i, _ in P.walls]
     nw = len(reps)
     found: list[Automorphism] = []
-    perm = [None] * P.n
+    perm = [None] * P.n  # read only on the assigned halfspaces
+    # every automorphism keeps these; they prune before any row is compared
+    sig = [(w, u.bit_count(), d.bit_count()) for w, u, d in zip(P.weight, P.up, P.down)]
 
-    def extend_ok(i: int, gi: int) -> bool:
-        for j in range(P.n):
-            gj = perm[j]
-            if gj is None:
-                continue
-            if P.leq_idx(i, j) != P.leq_idx(gi, gj):
-                return False
-            if P.leq_idx(j, i) != P.leq_idx(gj, gi):
+    def extend_ok(i: int, gi: int, dom: int, img: int) -> bool:
+        """i -> gi keeps order both ways with the assigned halfspaces
+        ``dom`` and their images ``img``.  It also covers i* -> gi*: the
+        rows are star-symmetric and ``dom`` is a union of walls."""
+        for rows in (P.up, P.down):
+            image = 0
+            for j in _iter_bits(rows[i] & dom):
+                image |= 1 << perm[j]
+            if image != rows[gi] & img:
                 return False
         return True
 
-    def assign(i: int, gi: int) -> list[int]:
-        si, sgi = P.star[i], P.star[gi]
-        perm[i] = gi
-        perm[si] = sgi
-        return [i, si]
-
-    def rec(w: int, used_walls: int):
+    def rec(w: int, used_walls: int, dom: int, img: int):
         if w == nw:
             found.append(Automorphism(P, list(perm)))
             return
         i = reps[w]
+        si = P.star[i]
         for wb in range(nw):
             if used_walls >> wb & 1:
                 continue
             k = reps[wb]
-            if P.weight[i] != P.weight[k]:
-                continue
             for gi in (k, P.star[k]):
-                if not extend_ok(i, gi) or not extend_ok(P.star[i], P.star[gi]):
+                if sig[i] != sig[gi] or not extend_ok(i, gi, dom, img):
                     continue
-                touched = assign(i, gi)
-                rec(w + 1, used_walls | 1 << wb)
-                for t in touched:
-                    perm[t] = None
+                perm[i] = gi
+                perm[si] = P.star[gi]
+                rec(w + 1, used_walls | 1 << wb, dom | 1 << i | 1 << si,
+                    img | 1 << gi | 1 << P.star[gi])
 
-    rec(0, 0)
+    rec(0, 0, 0, 0)
     out = sorted(found, key=lambda g: g.perm)
     for pos, g in enumerate(out):
         g.name = "id" if g.is_identity() else f"g{pos}"

@@ -3,7 +3,11 @@
 In finite positive-weight models every wall is an atom, so the subdivision
 splits them all.  Child halfspaces are named ``<parent>-`` and ``<parent>+``
 with the order rule: child j < child j' iff the parents are strictly
-ordered, or j, j' are the minus and plus copies of one parent.  The
+ordered, or j, j' are the minus and plus copies of one parent.  The child's
+rows are the parent's mapped through the copies: for a valid parent, the
+up-set of ``h-`` is both copies of each halfspace strictly above ``h``,
+plus ``h-`` and ``h+``; that of ``h+`` is the same with ``h+`` alone.  No
+closure runs.  The
 involution swaps copies across the wall: ``(a-)* = (a*)+``.  Only
 :func:`subdivide` builds these names; everything after it works on child
 indices through the table ``Subdivision.copies``.
@@ -25,7 +29,7 @@ from typing import Optional
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import InvalidInput, NotANewPoint, NotAnAutomorphism, WallBudgetExceeded
-from .pocset import MaskMap, Point, WeightedPocset, _iter_bits, is_ultrafilter
+from .pocset import MaskMap, Point, WeightedPocset, is_ultrafilter
 from .structure import Automorphism
 
 MINUS = "-"
@@ -64,25 +68,22 @@ class Subdivision:
 
 def subdivide(P: WeightedPocset) -> Subdivision:
     walls = []
-    order = []
     wall_ids = []
-    for i in range(P.n):
-        h = P.ids[i]
-        hs = P.ids[P.star[i]]
-        # child walls: {h-, (h*)+} and {h+, (h*)-}; emit each wall once
-        if i < P.star[i]:
-            walls.append((h + MINUS, hs + PLUS, P.weight[i] / 2))
-            walls.append((h + PLUS, hs + MINUS, P.weight[i] / 2))
-            wall_ids.append(h + MINUS)
-            wall_ids.append(h + PLUS)
-        order.append((h + MINUS, h + PLUS))
-        for j in _iter_bits(P.up[i] & ~(1 << i)):
-            for si in (MINUS, PLUS):
-                for sj in (MINUS, PLUS):
-                    order.append((h + si, P.ids[j] + sj))
-    child = WeightedPocset(walls, order, wall_ids=wall_ids)
-    copies = tuple((child.index[h + MINUS], child.index[h + PLUS]) for h in P.ids)
-    return Subdivision(P, child, copies)
+    for i, j in P.walls:
+        h, hs = P.ids[i], P.ids[j]
+        # child walls: {h-, (h*)+} and {h+, (h*)-}
+        half = P.weight[i] / 2
+        walls += [(h + MINUS, hs + PLUS, half), (h + PLUS, hs + MINUS, half)]
+        wall_ids += [h + MINUS, h + PLUS]
+    index = {h: k for k, h in enumerate(sorted(h + s for h in P.ids for s in (MINUS, PLUS)))}
+    copies = tuple((index[h + MINUS], index[h + PLUS]) for h in P.ids)
+    both = MaskMap(tuple(1 << minus | 1 << plus for minus, plus in copies))
+    up = [0] * len(index)
+    for i, (minus, plus) in enumerate(copies):
+        above = both(P.up[i] & ~(1 << i))
+        up[minus] = above | 1 << minus | 1 << plus
+        up[plus] = above | 1 << plus
+    return Subdivision(P, WeightedPocset.from_rows(walls, up, wall_ids), copies)
 
 
 def lift(S: Subdivision, g: Automorphism) -> Automorphism:
