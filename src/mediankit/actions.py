@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import (
-    DisplacementTooSmall,
     InclusionFailed,
     InvalidInput,
     NotAnAutomorphism,
@@ -37,7 +37,6 @@ from .pocset import (
     _iter_bits,
     distance,
     halfspace_point_masks,
-    median,
     points,
 )
 from .structure import Automorphism, decompose, rank, transverse as _transverse
@@ -146,22 +145,25 @@ class Action:
 
 
 class TotalAction(Action):
-    """A finite pocset together with named total automorphisms."""
+    """A finite pocset together with named total automorphisms.  The
+    generated group is computed once, on first use, and serves ``group``
+    and every flip search."""
 
     kind = "total"
 
     def group(self) -> list:
         """The generated group, sorted by permutation; raises when the
         budget is hit."""
-        return sorted((g for _, g in self._shortlex_elements()),
-                      key=lambda g: g.perm)
+        return sorted((g for _, g in self.elements), key=lambda g: g.perm)
 
-    def _shortlex_elements(self) -> list:
+    @cached_property
+    def elements(self) -> list:
         """(word, element) for every group element, with its shortlex-least
-        word, in shortlex order of the words.  Breadth-first search that
-        extends each parent, in shortlex order, by the letters in alphabet
-        order: a prefix of a shortlex-least word is shortlex-least, so the
-        first word reaching an element is its least."""
+        word, in shortlex order of the words; raises, and stores nothing,
+        when the budget is hit.  Breadth-first search that extends each
+        parent, in shortlex order, by the letters in alphabet order: a
+        prefix of a shortlex-least word is shortlex-least, so the first word
+        reaching an element is its least."""
         steps = [(tok, self.step(tok)) for tok in _alphabet(self.gen_names())]
         ident = self.identity()
         seen = {ident.perm}
@@ -277,101 +279,6 @@ def min_orbit(action: TotalAction) -> OrbitResult:
     return OrbitResult(tuple(pts[i] for i in best), len(best))
 
 
-# -- nested halfspace search (unbounded displacement) ----------------------
-
-@dataclass
-class NestedResult:
-    word: Word
-    halfspace: str
-
-    def to_json(self):
-        return {"word": word_str(self.word), "halfspace": self.halfspace}
-
-
-def find_nested(action: Action, x: Point, g_word: Word) -> NestedResult:
-    """Extract (g', 𝔥) with g'𝔥 ⊊ 𝔥 from a long displacement.
-
-    Follows the geodesic construction: project the orbit points of the
-    letters of ``g_word`` onto intervals toward gx, pull the separating
-    halfspace sets back along prefixes, pigeonhole a halfspace into
-    rank+1 of them, and find a nested pair among its translates.
-    """
-    P = action.pocset
-    ev = _evaluator(action)
-    r = rank(P, action.budgets)
-    letters_used = sorted({tok for tok in g_word})
-    total_gen = Fraction(0)
-    for tok in letters_used:
-        lx = ev((tok,)).apply_point(x)
-        if lx is None:
-            raise OutOfWindow(f"generator {tok[0]} undefined at the basepoint")
-        total_gen += distance(P, x, lx)
-    gx = ev(g_word).apply_point(x)
-    if gx is None:
-        raise OutOfWindow("word leaves the window at the basepoint")
-    if distance(P, x, gx) <= r * total_gen:
-        raise DisplacementTooSmall(
-            f"d(x, gx) = {distance(P, x, gx)} <= rank * sum of generator "
-            f"displacements = {r * total_gen}")
-
-    prefixes = [g_word[:j] for j in range(len(g_word) + 1)]
-    xs = []
-    for w in prefixes:
-        p = ev(w).apply_point(x)
-        if p is None:
-            raise OutOfWindow(f"prefix {word_str(w)} undefined at the basepoint")
-        xs.append(p)
-    ys = [x]
-    for j in range(len(g_word)):
-        ys.append(median(P, ys[-1], gx, xs[j + 1]))
-
-    # U_j = g_j^{-1} H(y_j | y_{j+1})
-    universe: dict = {}
-    for j in range(len(g_word)):
-        g = ev(prefixes[j])
-        for i in _iter_bits(ys[j + 1].mask & ~ys[j].mask):
-            pre = g.preimage_idx(i)
-            if pre is None:
-                raise OutOfWindow("separating halfspace not visible through prefix")
-            universe.setdefault(pre, []).append(j)
-    candidates = sorted(
-        (i for i, js in universe.items() if len(js) >= r + 1),
-        key=lambda i: P.ids[i])
-    if not candidates:
-        raise InvalidInput("internal: pigeonhole failed despite displacement bound")
-    for i in candidates:
-        js = universe[i]
-        translates = []
-        for j in js:
-            img = ev(prefixes[j]).apply_idx(i)
-            if img is None:
-                continue
-            translates.append((j, img))
-        for a in range(len(translates)):
-            for b in range(len(translates)):
-                if a == b:
-                    continue
-                ja, ia = translates[a]
-                jb, ib = translates[b]
-                if ia != ib and P.leq_idx(ia, ib):
-                    # image under prefix ja sits inside the image under
-                    # prefix jb, so g := (g_jb)^{-1} g_ja nests 𝔥 into itself
-                    word = _segment_word(g_word, ja, jb)
-                    img = ev(word).apply_idx(i)
-                    if img is not None and img != i and P.leq_idx(img, i):
-                        return NestedResult(word, P.ids[i])
-    raise InvalidInput("internal: nested pair extraction failed")
-
-
-def _segment_word(g_word: Word, ja: int, jb: int) -> Word:
-    """(g_jb)^{-1} g_ja as a reduced word, for prefixes of g_word."""
-    if ja >= jb:
-        seg = g_word[jb:ja]
-        return tuple(seg)
-    seg = g_word[ja:jb]
-    return tuple((n, -s) for n, s in reversed(seg))
-
-
 # -- flipping ---------------------------------------------------------------
 
 @dataclass
@@ -416,7 +323,7 @@ def find_flip(action: Action, h: str, max_len: Optional[int] = None) -> FlipResu
     P = action.pocset
     hs = P.star[P.idx(h)]
     if action.kind == "total":
-        elements = action._shortlex_elements()
+        elements = action.elements
         masks = halfspace_point_masks(P, action.budgets)
         for word, g in elements:
             img = g.apply_idx(hs)
@@ -501,17 +408,15 @@ def _set_distance(P: WeightedPocset, amask: int, bmask: int,
 # -- separation, facing tuples, sectors --------------------------------------
 
 def strongly_separated(P: WeightedPocset, h: str, k: str) -> bool:
-    """Disjoint halfspaces with no wall transverse to both."""
+    """Disjoint halfspaces with no wall transverse to both.  A wall is
+    transverse to h unless one of its sides lies in ``up[h] | down[h]``, so
+    every halfspace must lie there or in k's rows, or be the complement of
+    one that does."""
     hi, ki = P.idx(h), P.idx(k)
     if not _halfspace_disjoint(P, hi, ki):
         return False
-    for j, _ in P.walls:
-        jid = P.ids[j]
-        if jid in (h, k) or P.star[j] in (hi, ki):
-            continue
-        if _transverse(P, jid, h) and _transverse(P, jid, k):
-            return False
-    return True
+    near = P.up[hi] | P.down[hi] | P.up[ki] | P.down[ki]
+    return near | P.star_map(near) == (1 << P.n) - 1
 
 
 @dataclass
@@ -519,7 +424,6 @@ class FacingResult:
     kind: str  # FOUND | NOT_FOUND | INCONCLUSIVE
     tuple_ids: tuple = ()
     strong: bool = False
-    upgraded: bool = False
     depth: Optional[int] = None
 
     def to_json(self):
@@ -532,11 +436,9 @@ class FacingResult:
 
 
 def _pair_ok(P: WeightedPocset, a: int, b: int, strong: bool) -> bool:
-    if not _halfspace_disjoint(P, a, b):
-        return False
     if strong:
         return strongly_separated(P, P.ids[a], P.ids[b])
-    return True
+    return _halfspace_disjoint(P, a, b)
 
 
 def facing_tuple(P: WeightedPocset, n: int, seed: Optional[str] = None,
@@ -560,7 +462,7 @@ def facing_tuple(P: WeightedPocset, n: int, seed: Optional[str] = None,
         upgraded = _upgrade_route(P, n, base, strong, action, max_len)
         if upgraded is not None:
             return FacingResult("FOUND", tuple(P.ids[i] for i in upgraded),
-                                strong=strong, upgraded=True)
+                                strong=strong)
     if combinatorial is not None:
         return FacingResult("FOUND", tuple(P.ids[i] for i in combinatorial),
                             strong=strong)
@@ -607,7 +509,8 @@ def _all_facing(P: WeightedPocset, idxs: Sequence[int], strong: bool) -> bool:
 
 def _facing_backtrack(P: WeightedPocset, n: int, base: list,
                       strong: bool) -> Optional[list]:
-    order = sorted(range(P.n), key=lambda i: P.ids[i])
+    """The first n-tuple extending ``base``, its new members taken in id
+    order, which is index order since ids are sorted."""
     chosen = list(base)
     if not _all_facing(P, chosen, strong):
         return None
@@ -615,13 +518,12 @@ def _facing_backtrack(P: WeightedPocset, n: int, base: list,
     def rec(start: int) -> Optional[list]:
         if len(chosen) == n:
             return list(chosen)
-        for pos in range(start, len(order)):
-            i = order[pos]
+        for i in range(start, P.n):
             if i in chosen:
                 continue
             if all(_pair_ok(P, i, c, strong) for c in chosen):
                 chosen.append(i)
-                got = rec(pos + 1)
+                got = rec(i + 1)
                 if got is not None:
                     return got
                 chosen.pop()
@@ -653,39 +555,30 @@ def sector_halfspace(P: WeightedPocset, h: str, k: str) -> SectorResult:
     if not _transverse(P, h, k):
         raise NotTransverse(f"{h} and {k} are not transverse")
     hi, ki = P.idx(h), P.idx(k)
-    four = {hi, P.star[hi], ki, P.star[ki]}
+    # the answer is the lowest halfspace below both sides of a sector; h and
+    # k are transverse, so none of their four sides is ever one
     for s1 in (hi, P.star[hi]):
         for s2 in (ki, P.star[ki]):
-            for j in range(P.n):
-                if j in four:
-                    continue
-                if P.leq_idx(j, s1) and P.leq_idx(j, s2):
-                    return SectorResult(
-                        "HALFSPACE", halfspace=P.ids[j],
-                        sector=(P.ids[s1], P.ids[s2]))
+            below = P.down[s1] & P.down[s2]
+            if below:
+                return SectorResult(
+                    "HALFSPACE", halfspace=P.ids[(below & -below).bit_length() - 1],
+                    sector=(P.ids[s1], P.ids[s2]))
     # no sector halfspace: build the transverse partition from the
     # inseparable envelope of the non-transversals of h
-    not_trans_h = {j for j in range(P.n)
-                   if not _transverse(P, P.ids[j], h)}
-    part1 = set()
-    for j in range(P.n):
-        if any(P.leq_idx(j, b) or P.leq_idx(b, j) for b in not_trans_h):
-            part1.add(j)
+    near_h = P.up[hi] | P.down[hi]
+    not_trans_h = near_h | P.star_map(near_h)
+    part1 = {j for j in range(P.n) if (P.up[j] | P.down[j]) & not_trans_h}
     part2 = set(range(P.n)) - part1
     if not part2:
         raise InvalidInput("internal: sector partition degenerated")
     ids1 = tuple(sorted(P.ids[j] for j in part1))
     ids2 = tuple(sorted(P.ids[j] for j in part2))
-    # decompose() must confirm: both pieces are unions of factors
-    D = decompose(P)
-    by_factor = {}
-    for hid in P.ids:
-        by_factor.setdefault(D.assignment[hid][0], set()).add(hid)
-    union_check = set()
-    for fi, ids in by_factor.items():
-        if ids <= set(ids1):
-            union_check |= ids
-    if union_check != set(ids1):
+    # decompose() must confirm: both pieces are unions of factors, so each
+    # factor meeting the first lies inside it
+    set1 = set(ids1)
+    if any(not set1.isdisjoint(F.ids) and not set1.issuperset(F.ids)
+           for F in decompose(P).factors):
         raise InvalidInput("internal: partition not confirmed by decompose()")
     return SectorResult("PRODUCT", partition=(ids1, ids2))
 

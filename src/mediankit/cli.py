@@ -501,8 +501,8 @@ def main(argv=None) -> int:
         }
         print(json.dumps(report, sort_keys=True, indent=2, default=str))
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        inconclusive = {"OUT_OF_WINDOW", "DISPLACEMENT_TOO_SMALL",
-                        "WALL_BUDGET_EXCEEDED", "HORIZON_EXCEEDED"}
+        inconclusive = {"OUT_OF_WINDOW", "WALL_BUDGET_EXCEEDED",
+                        "HORIZON_EXCEEDED"}
         negative = {"NOT_FACING", "NOT_TRANSVERSE", "INCLUSION_FAILED",
                     "CLASS_NOT_PRESERVED", "CLASS_PERMUTED"}
         if exc.code in inconclusive:

@@ -35,10 +35,6 @@ class OutOfWindow(MedianKitError):
     code = "OUT_OF_WINDOW"
 
 
-class DisplacementTooSmall(MedianKitError):
-    code = "DISPLACEMENT_TOO_SMALL"
-
-
 class NotTransverse(MedianKitError):
     code = "NOT_TRANSVERSE"
 

@@ -134,13 +134,13 @@ class WeightedPocset:
         weight_by_id = {}
         seen = set()
         for pos, neg, w in wall_list:
-            for h in (pos, neg):
-                if h in seen and not (pos == neg):
+            # a fixed-point wall names its one halfspace once
+            names = (pos,) if pos == neg else (pos, neg)
+            for h in names:
+                if h in seen:
                     raise InvalidInput(f"duplicate halfspace id {h!r}")
                 seen.add(h)
-            ids.append(pos)
-            if neg != pos:
-                ids.append(neg)
+            ids += names
             star_by_id[pos] = neg
             star_by_id[neg] = pos
             weight_by_id[pos] = Fraction(w)

@@ -226,9 +226,6 @@ class Automorphism:
     def apply_idx(self, i: int) -> Optional[int]:
         return self.perm[i]
 
-    def preimage_idx(self, i: int) -> Optional[int]:
-        return self.perm.index(i) if i in self.perm else None
-
     def apply(self, h: str) -> str:
         return self.pocset.ids[self.perm[self.pocset.idx(h)]]
 

@@ -16,7 +16,6 @@ from mediankit.actions import (
     enumerate_words,
     facing_tuple,
     find_flip,
-    find_nested,
     is_lineal,
     min_orbit,
     parse_word,
@@ -27,41 +26,21 @@ from mediankit.actions import (
     wall_inversions,
     word_str,
 )
+from mediankit.config import Budgets
 from mediankit.errors import (
-    DisplacementTooSmall,
     InvalidInput,
     NotFacing,
     NotTransverse,
+    WallBudgetExceeded,
 )
 from mediankit.pocset import (
     WeightedPocset,
-    distance,
     halfspace_point_masks,
-    point_from_ids,
     points,
 )
 from mediankit.structure import Automorphism, pocset_product
 
 ONE = Fraction(1)
-
-
-def vertex_of_line(action, k):
-    """The k-th vertex of the LINE window (above walls 0..k-1)."""
-    P = action.pocset
-    for p in points(P, action.budgets):
-        if all((f"w{i:02d}+" in p) == (i < k) for i in range(21)):
-            return p
-    raise AssertionError("vertex not found")
-
-
-def f2_vertex(action, word):
-    P = action.pocset
-    for p in points(P, action.budgets):
-        ids = set(p.ids)
-        if all((f"w{v}+" in ids) == word.startswith(v)
-               for v in [h[1:-1] for h in P.ids if h.endswith("+")]):
-            return p
-    raise AssertionError("vertex not found")
 
 
 # -- words -------------------------------------------------------------------
@@ -209,6 +188,34 @@ def test_four_cube_flip_searches_the_whole_group():
     assert [p.mask for p in res.invariant_set] == want
 
 
+def test_flip_searches_share_one_group_computation(monkeypatch):
+    """The first flip search computes the group; later searches and
+    ``group()`` compose no maps."""
+    calls = []
+    compose = Automorphism.compose
+    monkeypatch.setattr(Automorphism, "compose",
+                        lambda g, other: calls.append(1) or compose(g, other))
+    act = fx.total_action("GRID")
+    first = find_flip(act, "x.h1")
+    assert calls
+    calls.clear()
+    assert find_flip(act, "x.h1") == first
+    for h in act.pocset.ids:
+        find_flip(act, h)
+    assert len(act.group()) == 8
+    assert calls == []
+
+
+def test_group_over_budget_raises_on_every_call():
+    grid = fx.total_action("GRID")
+    act = TotalAction(grid.pocset, grid.gens, Budgets(group_order=4))
+    for _ in range(2):
+        with pytest.raises(WallBudgetExceeded):
+            find_flip(act, "x.h1")
+        with pytest.raises(WallBudgetExceeded):
+            act.group()
+
+
 # -- wall inversions ----------------------------------------------------------
 
 def test_wall_inversions_identity(square):
@@ -253,67 +260,6 @@ def test_tripod_rotation_fixes_center(tripod):
     orb = min_orbit(act)
     assert orb.size == 1
     assert sorted(orb.orbit[0].ids) == ["h1*", "h2*", "h3*"]
-
-
-# -- nested halfspace search --------------------------------------------------------
-
-def test_line_nested_search():
-    LINE = fx.line_window()
-    x = vertex_of_line(LINE, 11)  # center-ish vertex
-    res = find_nested(LINE, x, parse_word("s^9", LINE.gen_names()))
-    P = LINE.pocset
-    g = LINE.evaluate(res.word)
-    img = g.apply_idx(P.idx(res.halfspace))
-    assert img is not None and img != P.idx(res.halfspace)
-    assert P.leq_idx(img, P.idx(res.halfspace))
-
-
-def test_square_rotation_displacement_too_small(square):
-    act = fx.total_action("SQUARE", ("rot",))
-    x = point_from_ids(square, ["a", "b"])
-    with pytest.raises(DisplacementTooSmall):
-        find_nested(act, x, (("rot", 1),))
-
-
-def test_f2ball_nested_search():
-    W = fx.f2ball_window()
-    origin = f2_vertex(W, "")
-    res = find_nested(W, origin, parse_word("abab", W.gen_names()))
-    P = W.pocset
-    g = W.evaluate(res.word)
-    img = g.apply_idx(P.idx(res.halfspace))
-    assert img is not None and P.leq_idx(img, P.idx(res.halfspace))
-    assert img != P.idx(res.halfspace)
-
-
-def test_nested_iteration_increases_displacement():
-    """Iterating the nested word strictly increases displacement from a
-    basepoint between the nested pair, until the window boundary."""
-    for action, word, base, min_steps in (
-        (fx.line_window(), "s^9", 11, 5),
-        (fx.f2ball_window(), "abab", "", 1),
-    ):
-        x = vertex_of_line(action, base) if isinstance(base, int) \
-            else f2_vertex(action, base)
-        res = find_nested(action, x, parse_word(word, action.gen_names()))
-        P = action.pocset
-        # basepoint inside g'h* ∩ h
-        hi = P.idx(res.halfspace)
-        g = action.evaluate(res.word)
-        img = g.apply_idx(hi)
-        pool = [p for p in points(P, action.budgets)
-                if p.mask >> hi & 1 and not p.mask >> img & 1]
-        y = pool[0]
-        dists = [Fraction(0)]
-        q = y
-        for _ in range(12):
-            q2 = g.apply_point(q)
-            if q2 is None or q2 == q:
-                break
-            q = q2
-            dists.append(distance(P, y, q))
-        assert all(b > a for a, b in zip(dists, dists[1:]))
-        assert len(dists) >= 1 + min_steps
 
 
 # -- flipping -------------------------------------------------------------------

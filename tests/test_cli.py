@@ -311,6 +311,17 @@ def test_invalid_input_exit_code(capsys, tmp_path):
     assert report["error"]["code"] == "INVALID_INPUT"
 
 
+def test_pocset_file_naming_a_halfspace_twice_is_rejected(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"walls": [
+        {"id": "w0", "pos": "a", "neg": "b", "weight": "1"},
+        {"id": "w1", "pos": "a", "neg": "a", "weight": "1"}]}))
+    code, report, _ = run_cli(capsys, "rank", "--pocset", str(bad))
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
+    assert report["error"]["message"] == "duplicate halfspace id 'a'"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 64
 

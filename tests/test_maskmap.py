@@ -230,3 +230,8 @@ def test_values_with_filled_memos_still_pickle():
                for g in action2.gens.values() for p in pts]
     assert [(q and q.mask, e.mask) for q, e in images] == \
         [(q and q.mask, e.mask) for q, e in images2]
+    total = fx.total_action("GRID")
+    words = [(w, g.perm) for w, g in total.elements]
+    total2 = pickle.loads(pickle.dumps(total))
+    assert "elements" in vars(total2)
+    assert [(w, g.perm) for w, g in total2.elements] == words

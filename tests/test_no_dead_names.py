@@ -17,8 +17,6 @@ PACKAGE = ROOT / "src" / "mediankit"
 SEARCHED = ("src", "perfbench")
 
 PUBLIC = {
-    "find_nested": "the nested-halfspace step of the Tits alternative, "
-                   "advertised in README's actions row",
     "closure_oracle": "the pair-by-pair reference for the closures read "
                       "off the relation index",
     "vertex": "the vertex map of a cube of the public cube_at",

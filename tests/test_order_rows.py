@@ -6,8 +6,10 @@ decomposition factors and products built from name pairs through the pair
 constructor (and so closed by Warshall), ``down`` rows by transposing
 ``up``, the automorphism search whose ``extend_ok`` compared the order pair
 by pair, ``Automorphism.check``'s all-pairs order walk, ``dump_pocset``'s
-n² order scan and the pairwise transversality test.  Inputs are the five
-pocset fixtures and seeded random pocsets with mixed wall weights.
+n² order scan, the pairwise transversality test, and the per-wall and
+per-halfspace loops of ``strongly_separated`` and ``sector_halfspace``.
+Inputs are the five pocset fixtures and seeded random pocsets with mixed
+wall weights.
 """
 
 import random
@@ -17,7 +19,8 @@ import pytest
 
 from mediankit import fixtures as fx
 from mediankit import randomgen as rg
-from mediankit.errors import NotAnAutomorphism
+from mediankit.actions import SectorResult, sector_halfspace, strongly_separated
+from mediankit.errors import InvalidInput, NotAnAutomorphism, NotTransverse
 from mediankit.pocset import WeightedPocset
 from mediankit.serialize import dump_pocset
 from mediankit.structure import (
@@ -158,6 +161,75 @@ def ref_check(g):
             if P.leq_idx(a, c) != P.leq_idx(perm[a], perm[c]):
                 return f"{g.name}: does not preserve order"
     return None
+
+
+def ref_strongly_separated(P, h, k):
+    """Disjointness, then no wall transverse to both, wall by wall."""
+    hi, ki = P.idx(h), P.idx(k)
+    if not P.leq_idx(hi, P.star[ki]):
+        return False
+    for j, _ in P.walls:
+        jid = P.ids[j]
+        if jid in (h, k) or P.star[j] in (hi, ki):
+            continue
+        if transverse(P, jid, h) and transverse(P, jid, k):
+            return False
+    return True
+
+
+def ref_sector_halfspace(P, h, k):
+    """The sector scan halfspace by halfspace, and the partition from the
+    non-transversals of h pair by pair, confirmed factor by factor."""
+    if not transverse(P, h, k):
+        raise NotTransverse(f"{h} and {k} are not transverse")
+    hi, ki = P.idx(h), P.idx(k)
+    four = {hi, P.star[hi], ki, P.star[ki]}
+    for s1 in (hi, P.star[hi]):
+        for s2 in (ki, P.star[ki]):
+            for j in range(P.n):
+                if j not in four and P.leq_idx(j, s1) and P.leq_idx(j, s2):
+                    return SectorResult("HALFSPACE", halfspace=P.ids[j],
+                                        sector=(P.ids[s1], P.ids[s2]))
+    not_trans_h = {j for j in range(P.n) if not transverse(P, P.ids[j], h)}
+    part1 = {j for j in range(P.n)
+             if any(P.leq_idx(j, b) or P.leq_idx(b, j) for b in not_trans_h)}
+    part2 = set(range(P.n)) - part1
+    if not part2:
+        raise InvalidInput("internal: sector partition degenerated")
+    ids1 = tuple(sorted(P.ids[j] for j in part1))
+    ids2 = tuple(sorted(P.ids[j] for j in part2))
+    D = decompose(P)
+    by_factor = {}
+    for hid in P.ids:
+        by_factor.setdefault(D.assignment[hid][0], set()).add(hid)
+    union_check = set()
+    for ids in by_factor.values():
+        if ids <= set(ids1):
+            union_check |= ids
+    if union_check != set(ids1):
+        raise InvalidInput("internal: partition not confirmed by decompose()")
+    return SectorResult("PRODUCT", partition=(ids1, ids2))
+
+
+def outcome(fn, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except (InvalidInput, NotTransverse) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def halfspace_pairs(P, rng):
+    """Every ordered pair of halfspaces of a small pocset; 400 seeded pairs
+    of a large one."""
+    if P.n <= 40:
+        return [(h, k) for h in P.ids for k in P.ids]
+    return [(rng.choice(P.ids), rng.choice(P.ids)) for _ in range(400)]
+
+
+def separation_cases():
+    products = [pocset_product(random_pocsets(seed, 3, max_walls=4)) for seed in range(10)]
+    return pocsets() + random_pocsets(18, 60) + products
 
 
 def verdict(g):
@@ -313,3 +385,27 @@ def test_window_generators_pass_both_checks(name):
         broken[sa], broken[sc] = broken[sc], broken[sa]
         h = Automorphism(P, broken, "h")
         assert verdict(h) == ref_check(h) == "h: does not preserve order"
+
+
+def test_strongly_separated_matches_the_wall_loop():
+    rng = random.Random(19)
+    seen = set()
+    for P in separation_cases():
+        for h, k in halfspace_pairs(P, rng):
+            got = strongly_separated(P, h, k)
+            assert got == ref_strongly_separated(P, h, k), (P, h, k)
+            seen.add((got, P.leq(h, P.star_of(k))))
+    # disjoint pairs fall on both sides, so the wall test decides some
+    assert seen == {(False, False), (False, True), (True, True)}
+
+
+def test_sector_halfspace_matches_the_halfspace_loop():
+    rng = random.Random(20)
+    seen = set()
+    for P in separation_cases():
+        for h, k in halfspace_pairs(P, rng):
+            got = outcome(sector_halfspace, P, h, k)
+            assert got == outcome(ref_sector_halfspace, P, h, k), (P, h, k)
+            seen.add(got.kind if isinstance(got, SectorResult) else got[0])
+    # some irreducible pocsets have transverse pairs with neither
+    assert seen == {"HALFSPACE", "PRODUCT", "NotTransverse", "InvalidInput"}

@@ -8,7 +8,7 @@ import pytest
 from mediankit import fixtures as fx
 from mediankit import randomgen as rg
 from mediankit.config import Budgets
-from mediankit.errors import EmptyInput, WallBudgetExceeded
+from mediankit.errors import EmptyInput, InvalidInput, WallBudgetExceeded
 from mediankit.pocset import (
     ConvexSet,
     WeightedPocset,
@@ -44,6 +44,18 @@ def test_star_fixed_point_is_flagged():
     rep = validate(P)
     assert not rep.ok
     assert any(f["code"] == "STAR_FIXED_POINT" for f in rep.failures)
+
+
+def test_a_halfspace_named_by_two_walls_is_rejected():
+    """Also when one of the walls is a fixed point, whose name is checked
+    once: the star of every built pocset is an involution."""
+    for walls, name in (([("a", "b", ONE), ("a", "a", ONE)], "a"),
+                        ([("a", "a", ONE), ("b", "a", ONE)], "a"),
+                        ([("a", "a", ONE), ("a", "a", ONE)], "a"),
+                        ([("a", "b", ONE), ("c", "b", ONE)], "b")):
+        with pytest.raises(InvalidInput) as exc:
+            WeightedPocset(walls)
+        assert str(exc.value) == f"duplicate halfspace id {name!r}"
 
 
 def test_halfspace_comparable_with_complement_is_flagged():
