@@ -534,7 +534,7 @@ def _facing_backtrack(P: WeightedPocset, n: int, base: list,
 
 @dataclass
 class SectorResult:
-    kind: str  # HALFSPACE | PRODUCT
+    kind: str  # HALFSPACE | PRODUCT | NEITHER
     halfspace: Optional[str] = None
     sector: Optional[tuple] = None
     partition: Optional[tuple] = None  # (part1 ids, part2 ids)
@@ -550,8 +550,9 @@ class SectorResult:
 
 
 def sector_halfspace(P: WeightedPocset, h: str, k: str) -> SectorResult:
-    """A halfspace inside one of the four sectors of a transverse pair, or
-    the *-invariant transverse partition that witnesses a product split."""
+    """A halfspace inside one of the four sectors of a transverse pair;
+    else, when h and k lie in different irreducible factors, the partition
+    (h's factor, the rest) that witnesses a product split; else NEITHER."""
     if not _transverse(P, h, k):
         raise NotTransverse(f"{h} and {k} are not transverse")
     hi, ki = P.idx(h), P.idx(k)
@@ -564,22 +565,13 @@ def sector_halfspace(P: WeightedPocset, h: str, k: str) -> SectorResult:
                 return SectorResult(
                     "HALFSPACE", halfspace=P.ids[(below & -below).bit_length() - 1],
                     sector=(P.ids[s1], P.ids[s2]))
-    # no sector halfspace: build the transverse partition from the
-    # inseparable envelope of the non-transversals of h
-    near_h = P.up[hi] | P.down[hi]
-    not_trans_h = near_h | P.star_map(near_h)
-    part1 = {j for j in range(P.n) if (P.up[j] | P.down[j]) & not_trans_h}
-    part2 = set(range(P.n)) - part1
-    if not part2:
-        raise InvalidInput("internal: sector partition degenerated")
-    ids1 = tuple(sorted(P.ids[j] for j in part1))
-    ids2 = tuple(sorted(P.ids[j] for j in part2))
-    # decompose() must confirm: both pieces are unions of factors, so each
-    # factor meeting the first lies inside it
-    set1 = set(ids1)
-    if any(not set1.isdisjoint(F.ids) and not set1.issuperset(F.ids)
-           for F in decompose(P).factors):
-        raise InvalidInput("internal: partition not confirmed by decompose()")
+    # no sector halfspace: h and k in different factors split the pocset
+    D = decompose(P)
+    fh = D.assignment[h][0]
+    if fh == D.assignment[k][0]:
+        return SectorResult("NEITHER")
+    ids1 = tuple(sorted(x for x, (fi, _) in D.assignment.items() if fi == fh))
+    ids2 = tuple(sorted(x for x, (fi, _) in D.assignment.items() if fi != fh))
     return SectorResult("PRODUCT", partition=(ids1, ids2))
 
 

@@ -369,13 +369,8 @@ def validate_system(S: ChainSystem) -> ValidationReport:
         return rep
 
     T = S.horizon
-    window = _range_mask(0, T)
     elems = [(c, n) for c in S.chain_order for n in range(T + 1)]
-    # down[i] = elements below (contained in) elems[i], chain by chain
-    down = [reduce(or_, (
-        (_range_mask(n + 1, T) if d == c else S.index(d, c, SUB)[n] & window)
-        << pos * (T + 1) for pos, d in enumerate(S.chain_order)))
-        for c, n in elems]
+    down = _truncation_rows(S, T)
     # transitive closure must not add anything
     for i in range(len(elems)):
         extra = reduce(or_, (down[j] for j in _iter_bits(down[i])), 0) & ~down[i]
@@ -387,6 +382,18 @@ def validate_system(S: ChainSystem) -> ValidationReport:
         rep.notes.append(
             f"truncation to depth {T} is a pocset-compatible partial order")
     return rep
+
+
+def _truncation_rows(S: ChainSystem, T: int) -> list:
+    """The truncation to depth ``T <= index_depth`` as rows: (c, n), at
+    ``pos(c) * (T + 1) + n``, has those strictly below (contained in) it,
+    the (c, m) with m > n and on each other chain d row n of
+    ``S.index(d, c, SUB)``."""
+    window = _range_mask(0, T)
+    return [reduce(or_, (
+        (_range_mask(n + 1, T) if d == c else S.index(d, c, SUB)[n] & window)
+        << pos * (T + 1) for pos, d in enumerate(S.chain_order)))
+        for c in S.chain_order for n in range(T + 1)]
 
 
 def _zones_partition(zs: Sequence[Zone]) -> bool:
@@ -512,69 +519,39 @@ def equivalent(S: ChainSystem, U1: UBS, U2: UBS) -> bool:
 
 # -- Dilworth ---------------------------------------------------------------
 
-def min_chain_cover(elements: Sequence, less) -> int:
-    """Minimum number of chains covering a finite poset (König matching)."""
-    n = len(elements)
-    adj = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and less(elements[i], elements[j]):
-                adj[i].append(j)
-    match_r = [-1] * n
+def min_chain_cover(rows: Sequence[int]) -> int:
+    """Minimum number of chains covering a finite strict partial order
+    (König matching), given as one bitmask row per element: its strict
+    up-set or its strict down-set, as the matching has the same size on
+    the transposed relation."""
+    match_r = [-1] * len(rows)
 
     def try_kuhn(v, seen):
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
+        for u in _iter_bits(rows[v]):
+            if u not in seen:
+                seen.add(u)
                 if match_r[u] == -1 or try_kuhn(match_r[u], seen):
                     match_r[u] = v
                     return True
         return False
 
-    matching = 0
-    for v in range(n):
-        if try_kuhn(v, [False] * n):
-            matching += 1
-    return n - matching
+    return len(rows) - sum(try_kuhn(v, set()) for v in range(len(rows)))
 
 
-def max_antichain_brute(elements: Sequence, less) -> int:
-    """Exhaustive maximum antichain; for cross-checks on small posets."""
-    n = len(elements)
+def max_antichain_brute(rows: Sequence[int]) -> int:
+    """Exhaustive maximum antichain of a strict partial order given as
+    rows; for cross-checks on small posets."""
+    n = len(rows)
     best = 0
     for mask in range(1 << n):
-        idxs = [i for i in range(n) if mask >> i & 1]
-        if len(idxs) <= best:
-            continue
-        ok = all(
-            not less(elements[a], elements[b]) and not less(elements[b], elements[a])
-            for p, a in enumerate(idxs) for b in idxs[p + 1:]
-        )
-        if ok:
-            best = len(idxs)
+        if mask.bit_count() > best and all(rows[a] & mask == 0 for a in _iter_bits(mask)):
+            best = mask.bit_count()
     return best
-
-
-def dilworth_chains(S: ChainSystem, elements: Sequence[tuple]) -> int:
-    """Minimum chain cover of a finite set of chain elements (ci, n), with
-    0 <= n <= ``index_depth``; containment is read off the relation index."""
-    if any(not 0 <= n <= S.index_depth for _, n in elements):
-        raise InvalidInput(
-            f"an element lies past the relation index depth {S.index_depth}")
-
-    def less(x, y):  # strict containment x ⊊ y
-        (ci, n), (cj, m) = x, y
-        if ci == cj:
-            return n > m
-        return S.index(ci, cj, SUB)[m] >> n & 1
-
-    return min_chain_cover(list(elements), less)
 
 
 def truncation_antichain_bound(S: ChainSystem) -> int:
     """Maximum antichain of the standard truncation; the rank proxy."""
-    return dilworth_chains(S, [(c, n) for c in S.chain_order
-                               for n in range(S.tail_depth + 1)])
+    return min_chain_cover(_truncation_rows(S, S.tail_depth))
 
 
 # -- minimal tails and the graph ----------------------------------------------

@@ -94,7 +94,9 @@ def _load_action(args):
     """The action of the run's source and its automorphisms, rebuilt with the
     ``MEDIANKIT_BUDGET`` overrides on its own budgets (fixture actions are
     cached, so they are never changed in place).  ``--gens`` picks those of
-    a total-action fixture, ``--auto-file`` gives those of a pocset."""
+    a total-action fixture, ``--auto-file`` gives those of a pocset.  A
+    ``--window`` file's pocset must pass validation as a ``--pocset`` file's
+    does."""
     total_fixture = args.fixture and args.fixture not in fixtures.WINDOW_FIXTURES
     if args.gens and (args.auto_file or not total_fixture):
         raise InvalidInput("--gens needs a total-action fixture and no --auto-file")
@@ -103,6 +105,7 @@ def _load_action(args):
             raise InvalidInput("--auto-file needs --fixture or --pocset")
         data = serialize.read_json(args.window)
         action = serialize.load_window_action(data, fixtures.WINDOW_BUDGETS)
+        ensure_valid(action.pocset, _budgets(args))
         src = {"file": args.window, "digest": _digest(data)}
     elif args.auto_file:
         P, src = _load_pocset(args)
@@ -257,7 +260,8 @@ def cmd_sectors(args) -> int:
     P, src = _load_pocset(args)
     h, k = args.pair.split(",")
     res = sector_halfspace(P, h, k)
-    return _emit(args, src, res.to_json(), f"sectors: {res.kind}", EXIT_OK)
+    return _emit(args, src, res.to_json(), f"sectors: {res.kind}",
+                 EXIT_NEGATIVE if res.kind == "NEITHER" else EXIT_OK)
 
 
 def cmd_free_cert(args) -> int:

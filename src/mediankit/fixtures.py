@@ -102,20 +102,16 @@ def f2ball() -> WeightedPocset:
     """Radius-4 ball of the 4-valent tree (Cayley graph of a rank-2 free
     group); one wall per edge, named by the edge's outer vertex, with the
     ``+`` side the cone away from the origin."""
-    verts = _f2_vertices(F2_RADIUS)
-    walls = []
+    cones = _f2_vertices(F2_RADIUS)[1:]
+    walls = [(_f2_cone_id(v) + "+", _f2_cone_id(v) + "-", ONE) for v in cones]
+    # generating pairs: each cone lies in its parent's cone and is disjoint
+    # from its siblings' cones; the closure yields every other nesting
     order = []
-    cones = [v for v in verts if v]
     for v in cones:
-        walls.append((_f2_cone_id(v) + "+", _f2_cone_id(v) + "-", ONE))
-    for v in cones:
-        for u in cones:
-            if u != v and v.startswith(u):
-                # cone(v) ⊆ cone(u)
-                order.append((_f2_cone_id(v) + "+", _f2_cone_id(u) + "+"))
-            elif not v.startswith(u) and not u.startswith(v):
-                # disjoint cones
-                order.append((_f2_cone_id(v) + "+", _f2_cone_id(u) + "-"))
+        if len(v) > 1:
+            order.append((_f2_cone_id(v) + "+", _f2_cone_id(v[:-1]) + "+"))
+        order += [(_f2_cone_id(v) + "+", _f2_cone_id(u) + "-") for u in cones
+                  if u != v and u[:-1] == v[:-1]]
     return WeightedPocset(walls, order,
                           wall_ids=[_f2_cone_id(v) for v in cones])
 

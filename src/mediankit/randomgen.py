@@ -80,19 +80,19 @@ def random_points(rng: random.Random, pts, k: int):
     return pool[:k]
 
 
-def random_poset(rng: random.Random, size: int):
-    """A random strict partial order on range(size), as a ``less`` callable."""
-    less = [[False] * size for _ in range(size)]
+def random_poset(rng: random.Random, size: int) -> list:
+    """A random strict partial order on range(size), as one bitmask row per
+    element: the elements above it."""
+    rows = [0] * size
     for i in range(size):
         for j in range(i + 1, size):
             if rng.random() < 0.3:
-                less[i][j] = True
-    for k in range(size):
+                rows[i] |= 1 << j
+    for k in range(size):  # Warshall: all paths through k
         for i in range(size):
-            for j in range(size):
-                if less[i][k] and less[k][j]:
-                    less[i][j] = True
-    return lambda a, b: less[a][b]
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    return rows
 
 
 def random_system(rng: random.Random, max_chains: int = 5) -> ChainSystem:

@@ -1,5 +1,6 @@
 """Chain systems: closures, almost containment, the graph, characters."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from mediankit.boundary import (
     almost_contained,
     chi_vector,
     closure,
-    dilworth_chains,
     dot_export,
     equivalent,
     identity_shift,
@@ -246,14 +246,22 @@ def _pairwise_validate_system(S):
     return rep
 
 
-def _pairwise_antichain_bound(S):
-    """truncation_antichain_bound as it was: containment through ``rel``."""
-    def less(x, y):
-        (ci, n), (cj, m) = x, y
-        return n > m if ci == cj else S.rel(ci, n, cj, m) == SUB
+def _rel_up_rows(S, elems):
+    """Row i holds the elements strictly containing elems[i], read pair by
+    pair through ``rel``."""
+    rows = [0] * len(elems)
+    for i, (ci, n) in enumerate(elems):
+        for j, (cj, m) in enumerate(elems):
+            if (n > m if ci == cj else S.rel(ci, n, cj, m) == SUB):
+                rows[i] |= 1 << j
+    return rows
 
-    return min_chain_cover([(c, n) for c in S.chain_order
-                            for n in range(S.tail_depth + 1)], less)
+
+def _pairwise_antichain_bound(S):
+    """truncation_antichain_bound with containment through ``rel``, as up
+    rows (the bound reads down rows off the index)."""
+    return min_chain_cover(_rel_up_rows(S, [(c, n) for c in S.chain_order
+                                            for n in range(S.tail_depth + 1)]))
 
 
 def _two_chains(**rules):
@@ -373,24 +381,56 @@ def test_stairflap_tails_not_mutually_almost_contained():
 
 def test_dilworth_chain_and_antichain_examples():
     S = fx.stairflap()
-    assert dilworth_chains(S, [("H", i) for i in range(5)]) == 1
-    assert dilworth_chains(S, [("H", 1), ("K", 0), ("K", 1)]) == 2
+    assert min_chain_cover(_rel_up_rows(S, [("H", i) for i in range(5)])) == 1
+    assert min_chain_cover(_rel_up_rows(S, [("H", 1), ("K", 0), ("K", 1)])) == 2
     # three pairwise transverse elements
-    assert dilworth_chains(S, [("H", 1), ("H", 2), ("K", 2)]) == 2
-
-
-def test_dilworth_reads_no_element_past_the_index():
-    S = fx.stairflap()
-    with pytest.raises(InvalidInput, match="past the relation index depth"):
-        dilworth_chains(S, [("H", 0), ("K", S.index_depth + 1)])
+    assert min_chain_cover(_rel_up_rows(S, [("H", 1), ("H", 2), ("K", 2)])) == 2
 
 
 def test_dilworth_matches_brute_force_antichain(rng):
     for _ in range(30):
-        size = rng.randint(1, 11)
-        less = rg.random_poset(rng, size)
-        assert min_chain_cover(list(range(size)), less) == \
-            max_antichain_brute(list(range(size)), less)
+        rows = rg.random_poset(rng, rng.randint(1, 11))
+        assert min_chain_cover(rows) == max_antichain_brute(rows)
+        # the matching has the same size on the transposed order
+        down = [sum(1 << j for j, r in enumerate(rows) if r >> i & 1)
+                for i in range(len(rows))]
+        assert min_chain_cover(down) == min_chain_cover(rows)
+
+
+def _matrix_poset(rng, size):
+    """random_poset as it was: a boolean matrix closed by Floyd–Warshall."""
+    less = [[False] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < 0.3:
+                less[i][j] = True
+    for k in range(size):
+        for i in range(size):
+            for j in range(size):
+                if less[i][k] and less[k][j]:
+                    less[i][j] = True
+    return less
+
+
+def test_random_poset_rows_match_the_matrix_closure():
+    for seed in range(40):
+        size = 1 + seed % 13
+        rows = rg.random_poset(random.Random(seed), size)
+        less = _matrix_poset(random.Random(seed), size)
+        assert rows == [sum(1 << j for j in range(size) if less[i][j])
+                        for i in range(size)]
+
+
+def test_truncation_rows_are_the_strict_down_sets(rng):
+    systems = [fx.chain_system(name) for name in fx.SYSTEM_FIXTURES]
+    systems += [rg.random_system(rng) for _ in range(20)]
+    for S in systems:
+        T = S.tail_depth
+        elems = [(c, n) for c in S.chain_order for n in range(T + 1)]
+        up = _rel_up_rows(S, elems)
+        assert bd._truncation_rows(S, T) == [
+            sum(1 << j for j in range(len(elems)) if up[j] >> i & 1)
+            for i in range(len(elems))], S
 
 
 # -- minimal tails ------------------------------------------------------------------

@@ -496,6 +496,37 @@ def test_invalid_pocset_files_are_rejected_before_computing(
     assert "validate: INVALID" in err
 
 
+def _walls(*names):
+    return [{"id": h, "pos": h, "neg": h + "*", "weight": "1"} for h in names]
+
+
+# a window whose pocset has a <= a*, and an irreducible pocset in which h0
+# and h3 are transverse with no halfspace inside a sector
+BAD_WINDOW = {"window": {"walls": _walls("a", "b"), "order": [["a", "a*"]]},
+              "maps": [{"name": "s", "map": {"b": "b", "b*": "b*"}}]}
+NEITHER_POCSET = {"walls": _walls("h0", "h1", "h2", "h3"),
+                  "order": [["h2", "h0"], ["h2", "h1"], ["h3", "h1"]]}
+
+
+def test_invalid_window_files_are_rejected_before_computing(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(BAD_WINDOW))
+    code, report, _ = run_cli(capsys, "inversions", "--window", str(bad), "--word", "s")
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT" and "verdict" not in report
+    assert [f["code"] for f in report["error"]["data"]["report"]["failures"]] == \
+        ["COMPARABLE_WITH_COMPLEMENT", "COMPARABLE_WITH_COMPLEMENT"]
+
+
+def test_sectors_answers_neither_with_exit_2(capsys, tmp_path):
+    path = tmp_path / "neither.json"
+    path.write_text(json.dumps(NEITHER_POCSET))
+    code, report, err = run_cli(capsys, "sectors", "--pocset", str(path), "--pair", "h0,h3")
+    assert code == 2
+    assert report["verdict"] == {"kind": "NEITHER"}
+    assert "sectors: NEITHER" in err
+
+
 def test_window_flip_with_verify(capsys):
     code, report, _ = run_cli(
         capsys, "flip", "--fixture", "F2BALL", "--halfspace", "wa-",

@@ -6,10 +6,12 @@ decomposition factors and products built from name pairs through the pair
 constructor (and so closed by Warshall), ``down`` rows by transposing
 ``up``, the automorphism search whose ``extend_ok`` compared the order pair
 by pair, ``Automorphism.check``'s all-pairs order walk, ``dump_pocset``'s
-n² order scan, the pairwise transversality test, and the per-wall and
-per-halfspace loops of ``strongly_separated`` and ``sector_halfspace``.
-Inputs are the five pocset fixtures and seeded random pocsets with mixed
-wall weights.
+n² order scan, the pairwise transversality test, the per-wall and
+per-halfspace loops of ``strongly_separated``, ``sector_halfspace`` and
+``separating``, and ``validate``'s pair-by-pair order walk with its three
+checks that construction makes unreachable.  Inputs are the five pocset
+fixtures and seeded random pocsets with mixed wall weights, and for
+``validate`` also their derived pocsets and invalid pair input.
 """
 
 import random
@@ -20,8 +22,10 @@ import pytest
 from mediankit import fixtures as fx
 from mediankit import randomgen as rg
 from mediankit.actions import SectorResult, sector_halfspace, strongly_separated
-from mediankit.errors import InvalidInput, NotAnAutomorphism, NotTransverse
-from mediankit.pocset import WeightedPocset
+from mediankit.config import DEFAULT_BUDGETS
+from mediankit.errors import NotAnAutomorphism, NotTransverse
+from mediankit.pocset import (
+    ConvexSet, WeightedPocset, halfspace_point_masks, points, separating, validate)
 from mediankit.serialize import dump_pocset
 from mediankit.structure import (
     Automorphism, _transversality_adjacency, automorphisms, decompose,
@@ -177,9 +181,10 @@ def ref_strongly_separated(P, h, k):
     return True
 
 
-def ref_sector_halfspace(P, h, k):
+def ref_sector_halfspace(P, h, k, fallbacks):
     """The sector scan halfspace by halfspace, and the partition from the
-    non-transversals of h pair by pair, confirmed factor by factor."""
+    non-transversals of h pair by pair, confirmed factor by factor; where
+    that fails, the kind of the factor-based answer goes to ``fallbacks``."""
     if not transverse(P, h, k):
         raise NotTransverse(f"{h} and {k} are not transverse")
     hi, ki = P.idx(h), P.idx(k)
@@ -194,8 +199,6 @@ def ref_sector_halfspace(P, h, k):
     part1 = {j for j in range(P.n)
              if any(P.leq_idx(j, b) or P.leq_idx(b, j) for b in not_trans_h)}
     part2 = set(range(P.n)) - part1
-    if not part2:
-        raise InvalidInput("internal: sector partition degenerated")
     ids1 = tuple(sorted(P.ids[j] for j in part1))
     ids2 = tuple(sorted(P.ids[j] for j in part2))
     D = decompose(P)
@@ -206,16 +209,128 @@ def ref_sector_halfspace(P, h, k):
     for ids in by_factor.values():
         if ids <= set(ids1):
             union_check |= ids
-    if union_check != set(ids1):
-        raise InvalidInput("internal: partition not confirmed by decompose()")
-    return SectorResult("PRODUCT", partition=(ids1, ids2))
+    if part2 and union_check == set(ids1):
+        return SectorResult("PRODUCT", partition=(ids1, ids2))
+    # the envelope was degenerate or cut a factor, which the earlier code
+    # raised as an internal error: h's and k's factors decide
+    fh, fk = D.assignment[h][0], D.assignment[k][0]
+    res = SectorResult("NEITHER") if fh == fk else SectorResult(
+        "PRODUCT", partition=(tuple(sorted(by_factor[fh])),
+                              tuple(sorted(set(P.ids) - by_factor[fh]))))
+    fallbacks.append(res.kind)
+    return res
+
+
+def ref_validate(P, budgets=DEFAULT_BUDGETS):
+    """``validate`` as it was: the axioms pair by pair through ``leq_idx``,
+    with the involution, star-reversal and wall-weight checks."""
+    rep = {"ok": True, "failures": [], "notes": []}
+
+    def fail(code, detail):
+        rep["ok"] = False
+        rep["failures"].append({"code": code, "detail": detail})
+
+    n = P.n
+    for i in range(n):
+        if P.star[i] == i:
+            fail("STAR_FIXED_POINT", f"{P.ids[i]} is its own complement")
+        if P.star[P.star[i]] != i:
+            fail("STAR_NOT_INVOLUTION", P.ids[i])
+    for i in range(n):
+        si = P.star[i]
+        if si != i and (P.leq_idx(i, si) or P.leq_idx(si, i)):
+            fail("COMPARABLE_WITH_COMPLEMENT", f"{P.ids[i]} is comparable with {P.ids[si]}")
+    for i in range(n):
+        for j in bits(P.up[i]):
+            if i != j and P.leq_idx(j, i):
+                fail("NOT_ANTISYMMETRIC", f"{P.ids[i]} <= {P.ids[j]} <= {P.ids[i]}")
+            if not P.leq_idx(P.star[j], P.star[i]):
+                fail("STAR_NOT_ORDER_REVERSING", f"({P.ids[i]}, {P.ids[j]})")
+    for i, j in P.walls:
+        if P.weight[i] <= 0:
+            fail("NONPOSITIVE_WEIGHT", P.ids[i])
+        if P.weight[i] != P.weight[j]:
+            fail("WALL_WEIGHT_MISMATCH", P.ids[i])
+    if not rep["ok"]:
+        return rep
+    if P.wall_count > budgets.point_walls:
+        rep["notes"].append(f"point-level checks skipped: {P.wall_count} walls exceed cap "
+                            f"{budgets.point_walls}")
+        return rep
+    pts = points(P, budgets)
+    hmasks = halfspace_point_masks(P, budgets)
+    for i in range(n):
+        if hmasks[i] == 0:
+            fail("EMPTY_HALFSPACE", P.ids[i])
+        if hmasks[P.star[i]] == 0:
+            fail("FULL_HALFSPACE", P.ids[i])
+    for i in range(n):
+        for j in range(n):
+            if i != j and P.leq_idx(i, j) != (hmasks[i] & ~hmasks[j] == 0):
+                fail("ORDER_NOT_FAITHFUL", f"({P.ids[i]}, {P.ids[j]})")
+    for a in range(len(P.walls)):
+        i = P.walls[a][0]
+        for b in range(a + 1, len(P.walls)):
+            k = P.walls[b][0]
+            sectors_ok = all(hmasks[x] & hmasks[y] for x in (i, P.star[i])
+                             for y in (k, P.star[k]))
+            if sectors_ok != transverse(P, P.ids[i], P.ids[k]):
+                fail("TRANSVERSALITY_MISMATCH", f"({P.ids[i]}, {P.ids[k]})")
+    rep["notes"].append(f"{len(pts)} points enumerated; separation holds")
+    return rep
+
+
+def ref_separating(P, A, B):
+    """The halfspaces containing B whose complements contain A, one by one."""
+    out = []
+    for i in range(P.n):
+        if B.sigma >> i & 1 and A.sigma >> P.star[i] & 1:
+            out.append(P.ids[i])
+    return tuple(sorted(out))
+
+
+def unit_walls(*names):
+    return [(h, h + "*", Fraction(1)) for h in names]
+
+
+def invalid_pair_inputs(seed, count):
+    """Pair input breaking the axioms: cycles, a halfspace below or above
+    its complement, a lone fixed-point wall, non-positive weights, and
+    random pocsets with one to three random pairs added."""
+    out = [
+        WeightedPocset(unit_walls("a", "b", "c"), [("a", "b"), ("b", "c"), ("c", "a")]),
+        WeightedPocset(unit_walls("a", "b"), [("a", "b"), ("b", "a*")]),
+        WeightedPocset(unit_walls("a", "b"), [("a", "a*")]),
+        WeightedPocset(unit_walls("a", "b"), [("a*", "a"), ("b", "a")]),
+        WeightedPocset([("a", "a", Fraction(1))]),
+        WeightedPocset([("a", "a", Fraction(1))] + unit_walls("b"), [("b", "a")]),
+        WeightedPocset([("a", "a*", Fraction(0)), ("b", "b*", Fraction(-2)),
+                        ("c", "c*", Fraction(1, 2))], [("a", "b")]),
+    ]
+    rng = random.Random(seed)
+    for P in random_pocsets(seed, count, max_walls=6):
+        extra = [(rng.choice(P.ids), rng.choice(P.ids)) for _ in range(rng.randint(1, 3))]
+        out.append(WeightedPocset(wall_list(P), pair_order(P) + extra))
+    return out
+
+
+def construction_cases():
+    """Pocsets from every construction path: pair input (valid and
+    invalid), subdivisions, factors and products."""
+    base = pocsets() + random_pocsets(21, 40)
+    products = [pocset_product(random_pocsets(seed, 3, max_walls=4)) for seed in range(10)]
+    out = base + products + invalid_pair_inputs(22, 80)
+    out += [subdivide(P).child for P in base if P.n <= 40]
+    out += [subdivide(subdivide(P).child).child for P in random_pocsets(23, 5, max_walls=4)]
+    out += [F for P in base + products for F in decompose(P).factors]
+    return out
 
 
 def outcome(fn, *args):
     """The result, or the type and message of the error raised."""
     try:
         return fn(*args)
-    except (InvalidInput, NotTransverse) as exc:
+    except NotTransverse as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -240,7 +355,25 @@ def verdict(g):
     return None
 
 
+def ref_f2ball():
+    """The tree ball from every nesting and disjointness pair of cones."""
+    cones = fx._f2_vertices(fx.F2_RADIUS)[1:]
+    walls = [("w" + v + "+", "w" + v + "-", Fraction(1)) for v in cones]
+    order = []
+    for v in cones:
+        for u in cones:
+            if u != v and v.startswith(u):
+                order.append(("w" + v + "+", "w" + u + "+"))
+            elif not v.startswith(u) and not u.startswith(v):
+                order.append(("w" + v + "+", "w" + u + "-"))
+    return WeightedPocset(walls, order, wall_ids=["w" + v for v in cones])
+
+
 # -- tests ------------------------------------------------------------------
+
+def test_f2ball_from_generating_pairs_matches_all_pairs():
+    assert_same_pocset(fx.f2ball(), ref_f2ball())
+
 
 def test_pair_input_down_rows_are_the_transpose():
     for P in pocsets():
@@ -387,6 +520,39 @@ def test_window_generators_pass_both_checks(name):
         assert verdict(h) == ref_check(h) == "h: does not preserve order"
 
 
+def test_construction_makes_the_deleted_checks_unreachable():
+    """Every path gives an involutive star, rows that star reverses (so the
+    down rows are the transpose), and one weight per wall."""
+    for P in construction_cases():
+        assert all(P.star[P.star[i]] == i for i in range(P.n)), P
+        assert all(P.up[P.star[j]] >> P.star[i] & 1
+                   for i in range(P.n) for j in bits(P.up[i])), P
+        assert P.down == ref_down(P), P
+        assert all(P.weight[i] == P.weight[j] for i, j in P.walls), P
+
+
+def test_validate_reports_match_the_pair_walk():
+    codes = set()
+    for P in construction_cases():
+        got = validate(P).to_json()
+        assert got == ref_validate(P), P
+        codes |= {f["code"] for f in got["failures"]}
+    assert codes == {"STAR_FIXED_POINT", "COMPARABLE_WITH_COMPLEMENT", "NOT_ANTISYMMETRIC",
+                     "NONPOSITIVE_WEIGHT"}
+
+
+def test_separating_matches_the_halfspace_loop():
+    rng = random.Random(24)
+    for P in pocsets()[:4] + random_pocsets(25, 40):
+        pts = points(P)
+        for _ in range(20):
+            A = ConvexSet(P, rng.sample(pts, rng.randint(1, len(pts))))
+            B = ConvexSet(P, rng.sample(pts, rng.randint(1, len(pts))))
+            assert separating(P, A, B) == ref_separating(P, A, B)
+            x, y = rng.choice(pts), rng.choice(pts)
+            assert separating(P, x, y) == ref_separating(P, ConvexSet(P, [x]), ConvexSet(P, [y]))
+
+
 def test_strongly_separated_matches_the_wall_loop():
     rng = random.Random(19)
     seen = set()
@@ -399,13 +565,22 @@ def test_strongly_separated_matches_the_wall_loop():
     assert seen == {(False, False), (False, True), (True, True)}
 
 
+def four_wall_path():
+    """Irreducible, with h0 three non-transversality steps from h3."""
+    return WeightedPocset([(f"h{i}", f"h{i}*", Fraction(1)) for i in range(4)],
+                          [("h2", "h0"), ("h2", "h1"), ("h3", "h1")])
+
+
 def test_sector_halfspace_matches_the_halfspace_loop():
     rng = random.Random(20)
-    seen = set()
-    for P in separation_cases():
+    seen, fallbacks = set(), []
+    path = four_wall_path()
+    for P in separation_cases() + [path, pocset_product([path, fx.pocset("SQUARE")])]:
         for h, k in halfspace_pairs(P, rng):
             got = outcome(sector_halfspace, P, h, k)
-            assert got == outcome(ref_sector_halfspace, P, h, k), (P, h, k)
+            assert got == outcome(ref_sector_halfspace, P, h, k, fallbacks), (P, h, k)
             seen.add(got.kind if isinstance(got, SectorResult) else got[0])
-    # some irreducible pocsets have transverse pairs with neither
-    assert seen == {"HALFSPACE", "PRODUCT", "NotTransverse", "InvalidInput"}
+    # some irreducible pocsets have transverse pairs with neither, and some
+    # products a factor that reaches past the 2-step envelope of h
+    assert seen == {"HALFSPACE", "PRODUCT", "NEITHER", "NotTransverse"}
+    assert set(fallbacks) == {"NEITHER", "PRODUCT"}
