@@ -10,7 +10,9 @@ indices.
 Each system fills a relation index lazily (per chain pair, one bitmask of
 the first chain's indices per index of the second, built with the
 resolver's precedence).  Validation, the antichain bound and closures read
-the relation only there; map checks compare ``rel`` pair by pair.
+the relation only there; map checks compare ``rel`` pair by pair.  Closures
+also read suffix-OR tables of the index, and each system closes a seed at
+most once (its closure memo keeps horizon errors too).
 Inseparable subsets meet every chain in an index interval, so UBS
 normalize to per-chain intervals with an optional infinite tail, and two
 are equivalent exactly when they meet the same chains in infinite tails.
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
+from itertools import accumulate, permutations
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
@@ -87,7 +89,9 @@ class RowRule:
 
 
 class ChainSystem:
-    """Chains plus the relation resolver; immutable after construction."""
+    """Chains plus the relation resolver; immutable after construction, apart
+    from write-once caches that depend on nothing else: the relation index,
+    its suffix-OR tables and the closure memo."""
 
     def __init__(self, chains: Sequence[Chain],
                  zones: Optional[dict] = None,
@@ -127,6 +131,8 @@ class ChainSystem:
         self.index_depth = self.horizon + self.lcm_period
         self.index_scan = self.index_depth + self.head_extent + self.lcm_period + 1
         self._index: dict = {}
+        self._suffix: dict = {}
+        self._closures: dict = {}
 
     # -- relation resolution ---------------------------------------------
 
@@ -175,6 +181,17 @@ class ChainSystem:
         if masks is None:
             masks = self._index[c, d, want] = self._build_index(c, d, want)
         return masks
+
+    def suffix(self, c: str, d: str, want: str, top: int) -> list:
+        """Entry ``lo`` (``0 <= lo <= top <= index_scan``) is the OR of
+        ``index(c, d, want)[lo:top + 1]``; built by one backward pass on
+        first use."""
+        table = self._suffix.get((c, d, want, top))
+        if table is None:
+            masks = self.index(c, d, want)
+            table = self._suffix[c, d, want, top] = \
+                list(accumulate(masks[top::-1], or_))[::-1]
+        return table
 
     def _build_index(self, c, d, want):
         """Zones, then overrides in rising precedence (row rules in reverse
@@ -238,7 +255,10 @@ class ChainSystem:
 
 
 class UBS:
-    """Per-chain index intervals; ``hi`` is None for an infinite tail."""
+    """Per-chain index intervals; ``hi`` is None for an infinite tail.
+
+    Immutable: nothing changes ``intervals`` after construction, so the
+    closure memo hands out one object to every caller."""
 
     __slots__ = ("intervals",)
 
@@ -416,11 +436,26 @@ def closure(S: ChainSystem, seed) -> UBS:
     members is a member), so the closure is computed as, per chain, the
     least index below some member and the largest index above one, both
     read off the relation index.  Tail decisions are confirmed at two
-    horizons.
+    horizons.  Each seed (its non-None intervals, sorted by chain) is
+    closed once per system; a ``HorizonExceeded`` is kept and raised
+    afresh, with its message, on every later call.
     """
     if isinstance(seed, UBS):
-        seed = dict(seed.intervals)
-    seed = {c: iv for c, iv in seed.items() if iv is not None}
+        seed = seed.intervals
+    key = tuple(sorted((c, iv) for c, iv in seed.items() if iv is not None))
+    out = S._closures.get(key)
+    if out is None:
+        try:
+            out = _close(S, dict(key))
+        except HorizonExceeded as exc:
+            out = exc
+        S._closures[key] = out
+    if isinstance(out, HorizonExceeded):
+        raise HorizonExceeded(str(out))
+    return out
+
+
+def _close(S: ChainSystem, seed: dict) -> UBS:
     r1 = _closure_at(S, seed, S.horizon)
     r2 = _closure_at(S, seed, S.horizon + S.lcm_period)
     out = {}
@@ -439,6 +474,9 @@ def closure(S: ChainSystem, seed) -> UBS:
 
 
 def _closure_at(S: ChainSystem, seed: dict, T: int) -> dict:
+    """Per chain met: (least member, largest member up to T, whether T is
+    a member); a tail seed reads its cross-chain ORs off suffix tables
+    topped at this horizon's scan, a finite one ORs its slice."""
     scan = T + S.head_extent + S.lcm_period + 1
     window = _range_mask(0, T)
     out = {}
@@ -451,9 +489,15 @@ def _closure_at(S: ChainSystem, seed: dict, T: int) -> dict:
         for d, (lo, hi) in seed.items():
             if d == c:
                 continue
-            lo, top = max(lo, 0), scan if hi is None else min(hi, scan)
-            above |= reduce(or_, S.index(c, d, SUB)[lo:top + 1], 0)
-            below |= reduce(or_, S.index(c, d, SUP)[lo:top + 1], 0)
+            lo = max(lo, 0)
+            if hi is None:
+                if lo <= scan:
+                    above |= S.suffix(c, d, SUB, scan)[lo]
+                    below |= S.suffix(c, d, SUP, scan)[lo]
+            else:
+                top = min(hi, scan)
+                above |= reduce(or_, S.index(c, d, SUB)[lo:top + 1], 0)
+                below |= reduce(or_, S.index(c, d, SUP)[lo:top + 1], 0)
         above &= window
         if not above:
             continue
@@ -469,7 +513,7 @@ def _closure_at(S: ChainSystem, seed: dict, T: int) -> dict:
 
 def is_ubs(S: ChainSystem, U: UBS) -> bool:
     """Inseparable and contains a diverging chain (an infinite tail)."""
-    return U.has_tail() and closure(S, dict(U.intervals)) == U
+    return U.has_tail() and closure(S, U) == U
 
 
 # -- almost containment -------------------------------------------------------

@@ -96,7 +96,7 @@ def _load_action(args):
     cached, so they are never changed in place).  ``--gens`` picks those of
     a total-action fixture, ``--auto-file`` gives those of a pocset.  A
     ``--window`` file's pocset must pass validation as a ``--pocset`` file's
-    does."""
+    does, before its maps are checked."""
     total_fixture = args.fixture and args.fixture not in fixtures.WINDOW_FIXTURES
     if args.gens and (args.auto_file or not total_fixture):
         raise InvalidInput("--gens needs a total-action fixture and no --auto-file")
@@ -104,8 +104,8 @@ def _load_action(args):
         if args.auto_file:
             raise InvalidInput("--auto-file needs --fixture or --pocset")
         data = serialize.read_json(args.window)
-        action = serialize.load_window_action(data, fixtures.WINDOW_BUDGETS)
-        ensure_valid(action.pocset, _budgets(args))
+        action = serialize.load_window_action(data, fixtures.WINDOW_BUDGETS,
+                                              check=_budgets(args))
         src = {"file": args.window, "digest": _digest(data)}
     elif args.auto_file:
         P, src = _load_pocset(args)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Optional
+
 from .actions import WindowAction
 from .boundary import (
     SUB,
@@ -23,7 +25,7 @@ from .boundary import (
 )
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import InvalidInput
-from .pocset import WeightedPocset, _iter_bits
+from .pocset import WeightedPocset, _iter_bits, ensure_valid
 from .structure import Automorphism
 
 
@@ -108,9 +110,15 @@ def load_automorphism(P: WeightedPocset, data: dict) -> Automorphism:
 
 # -- window actions --------------------------------------------------------------
 
-def load_window_action(data: dict, budgets: Budgets = DEFAULT_BUDGETS) -> WindowAction:
+def load_window_action(data: dict, budgets: Budgets = DEFAULT_BUDGETS,
+                       check: Optional[Budgets] = None) -> WindowAction:
+    """The window action of ``data``; with ``check``, the window's pocset
+    must pass ``ensure_valid`` under those budgets before any map is built
+    on it."""
     window, maps = _fields(data, "window-action file", "window", "maps")
     P = load_pocset(window)
+    if check is not None:
+        ensure_valid(P, check)
     gens = {}
     for i, m in enumerate(_array(maps, "maps")):
         name, mapping = _fields(m, f"maps[{i}]", "name", "map")

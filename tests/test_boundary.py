@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -198,6 +200,165 @@ def test_relation_index_matches_rel(rng):
                         sum(1 << n for n in range(N + 1) if S.rel(c, n, d, m) == want)
                         for m in range(M + 1)]
                     assert S.index(c, d, want) == expected, (S, c, d, want)
+
+
+# -- the closure engine: suffix tables and the per-system memo ---------------
+
+def _slice_closure_at(S, seed, T):
+    """_closure_at as it was: every cross-chain interval ORs its slice of
+    the relation index."""
+    scan = T + S.head_extent + S.lcm_period + 1
+    window = bd._range_mask(0, T)
+    out = {}
+    for c in S.chain_order:
+        above = below = 0
+        own = seed.get(c)
+        if own is not None:
+            above = bd._range_mask(own[0], T)
+            below = window if own[1] is None else bd._range_mask(0, min(own[1], T))
+        for d, (lo, hi) in seed.items():
+            if d == c:
+                continue
+            lo, top = max(lo, 0), scan if hi is None else min(hi, scan)
+            above |= reduce(or_, S.index(c, d, SUB)[lo:top + 1], 0)
+            below |= reduce(or_, S.index(c, d, SUP)[lo:top + 1], 0)
+        above &= window
+        if not above:
+            continue
+        A = (above & -above).bit_length() - 1
+        if below >> T & 1:
+            out[c] = (A, T, True)
+            continue
+        below &= bd._range_mask(A, T)
+        if below:
+            out[c] = (A, below.bit_length() - 1, False)
+    return out
+
+
+def _slice_closure(S, seed):
+    """closure as it was: no memo, both horizons from slice ORs."""
+    seed = {c: iv for c, iv in seed.items() if iv is not None}
+    r1 = _slice_closure_at(S, seed, S.horizon)
+    r2 = _slice_closure_at(S, seed, S.horizon + S.lcm_period)
+    out = {}
+    for cid in S.chain_order:
+        a1, a2 = r1.get(cid), r2.get(cid)
+        if a1 is None and a2 is None:
+            continue
+        if a1 is None or a2 is None:
+            raise HorizonExceeded(f"closure unstable on chain {cid}")
+        (lo1, hi1, tail1), (lo2, hi2, tail2) = a1, a2
+        if lo1 != lo2 or tail1 != tail2 or (not tail1 and hi1 != hi2):
+            raise HorizonExceeded(f"closure unstable on chain {cid}")
+        out[cid] = (lo1, None if tail1 else hi1)
+    return bd.UBS(out)
+
+
+def _engine_seeds(S):
+    """Tail, finite and mixed seeds; a finite interval with ``hi < lo``; and
+    tails starting at, and just past, each horizon's scan (the second is
+    ``index_scan``), alone and next to a finite interval."""
+    first, last = S.chain_order[0], S.chain_order[-1]
+    seeds = [{first: (0, None), last: (1, 2)},
+             {c: (1, None) for c in S.chain_order},
+             {first: (0, None), last: (4, 2)}]
+    for c in S.chain_order:
+        seeds += [{c: (0, None)}, {c: (2, None)}, {c: (1, 3)}, {c: (4, 2)}]
+    for scan in (S.index_scan - S.lcm_period, S.index_scan):
+        for lo in (scan, scan + 1):
+            seeds += [{first: (lo, None)}, {first: (1, 3), last: (lo, None)},
+                      {last: (1, 3), first: (lo, None)}]
+    return seeds
+
+
+def test_closure_engine_matches_the_slice_reference(rng):
+    valid = [_decorate(rng, rg.random_system(rng, max_chains=4), 8,
+                       lambda T: validate_system(T).ok) for _ in range(30)]
+    unfiltered = [_decorate(rng, rg.random_system(rng, max_chains=4), 8)
+                  for _ in range(30)]
+    assert not all(validate_system(S).ok for S in unfiltered)
+    systems = [fx.chain_system(name) for name in fx.SYSTEM_FIXTURES]
+    systems += [_conflict_system(), _zone_gap_system()] + valid + unfiltered
+    kinds = set()
+    for S in systems:
+        for seed in _engine_seeds(S):
+            for T in (S.horizon, S.horizon + S.lcm_period):
+                assert bd._closure_at(S, seed, T) == _slice_closure_at(S, seed, T), \
+                    (S, seed, T)
+            expected = _outcome(_slice_closure, S, seed)
+            assert _outcome(closure, S, seed) == expected, (S, seed)
+            assert _outcome(closure, S, seed) == expected, (S, seed)
+            kinds.add(type(expected).__name__)
+        tops = set()
+        for (c, d, want, top), table in S._suffix.items():
+            assert table == [reduce(or_, S.index(c, d, want)[lo:top + 1], 0)
+                             for lo in range(top + 1)]
+            tops.add((want, top))
+        # one table per horizon, topped at that horizon's own scan
+        scans = (S.index_scan - S.lcm_period, S.index_scan)
+        assert tops == ({(w, t) for w in (SUB, SUP) for t in scans}
+                        if len(S.chains) > 1 else set())
+    assert kinds == {"UBS", "tuple"}  # tuple: a HorizonExceeded outcome
+
+
+def _count_closure_at(monkeypatch, inner=None):
+    """Patch ``_closure_at`` to record the horizon of each call."""
+    calls, inner = [], inner or bd._closure_at
+
+    def counting(S, seed, T):
+        calls.append(T)
+        return inner(S, seed, T)
+
+    monkeypatch.setattr(bd, "_closure_at", counting)
+    return calls
+
+
+def _fresh(S):
+    """A new system from the arguments of ``S`` (fixtures are cached, and
+    so are their closures)."""
+    return ChainSystem([S.chains[c] for c in S.chain_order], zones=S.zones,
+                       rows=S.rows, head=S.head)
+
+
+def test_closure_memo_closes_each_seed_once(monkeypatch):
+    calls = _count_closure_at(monkeypatch)
+    S = _fresh(fx.stairflap())
+    first = closure(S, tail("H", 1))
+    assert closure(S, tail("H", 1)) is first
+    assert len(calls) == 2
+
+
+def test_closure_memo_shares_ubs_and_dict_seeds(monkeypatch):
+    calls = _count_closure_at(monkeypatch)
+    S = _fresh(fx.stairflap())
+    U = bd.UBS({"H": (1, None), "K": (0, 2)})
+    first = closure(S, U)
+    assert closure(S, {"K": (0, 2), "H": (1, None)}) is first
+    assert closure(S, dict(U.intervals)) is first
+    assert len(calls) == 2
+
+
+def test_closure_memo_is_per_system(monkeypatch):
+    calls = _count_closure_at(monkeypatch)
+    twins = [_fresh(fx.stairflap()) for _ in range(2)]
+    assert closure(twins[0], tail("H", 0)) == closure(twins[1], tail("H", 0))
+    assert len(calls) == 4
+
+
+def test_closure_memo_replays_horizon_errors(monkeypatch):
+    def disagreeing(S, seed, T):
+        return {} if T == S.horizon else {S.chain_order[0]: (0, T, True)}
+
+    calls = _count_closure_at(monkeypatch, disagreeing)
+    S = _fresh(fx.line_system())
+    raised = []
+    for _ in range(2):
+        with pytest.raises(HorizonExceeded) as exc:
+            closure(S, tail("H", 0))
+        raised.append(exc.value)
+    assert [str(e) for e in raised] == ["closure unstable on chain H"] * 2
+    assert raised[0] is not raised[1]
+    assert len(calls) == 2
 
 
 def _pairwise_validate_system(S):

@@ -504,6 +504,9 @@ def _walls(*names):
 # and h3 are transverse with no halfspace inside a sector
 BAD_WINDOW = {"window": {"walls": _walls("a", "b"), "order": [["a", "a*"]]},
               "maps": [{"name": "s", "map": {"b": "b", "b*": "b*"}}]}
+# an invalid window whose map the order check would reject first
+UNORDERED_WINDOW = {"window": {"walls": _walls("a", "b"), "order": [["a", "a*"]]},
+                    "maps": [{"name": "s", "map": {"a": "b", "a*": "b*"}}]}
 NEITHER_POCSET = {"walls": _walls("h0", "h1", "h2", "h3"),
                   "order": [["h2", "h0"], ["h2", "h1"], ["h3", "h1"]]}
 
@@ -514,6 +517,16 @@ def test_invalid_window_files_are_rejected_before_computing(capsys, tmp_path):
     code, report, _ = run_cli(capsys, "inversions", "--window", str(bad), "--word", "s")
     assert code == 65
     assert report["error"]["code"] == "INVALID_INPUT" and "verdict" not in report
+    assert [f["code"] for f in report["error"]["data"]["report"]["failures"]] == \
+        ["COMPARABLE_WITH_COMPLEMENT", "COMPARABLE_WITH_COMPLEMENT"]
+
+
+def test_window_pocset_is_validated_before_its_maps(capsys, tmp_path):
+    path = tmp_path / "unordered.json"
+    path.write_text(json.dumps(UNORDERED_WINDOW))
+    code, report, _ = run_cli(capsys, "inversions", "--window", str(path), "--word", "s")
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
     assert [f["code"] for f in report["error"]["data"]["report"]["failures"]] == \
         ["COMPARABLE_WITH_COMPLEMENT", "COMPARABLE_WITH_COMPLEMENT"]
 
