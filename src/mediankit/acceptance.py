@@ -29,6 +29,9 @@ from .actions import (
     TotalAction,
 )
 from .config import Budgets, DEFAULT_BUDGETS
+from .oracles import (
+    embedded_distances, halved_distances, interval_medians, max_antichain_brute, medians,
+    wall_mass)
 from .pocset import (
     Point,
     WeightedPocset,
@@ -36,7 +39,6 @@ from .pocset import (
     distance,
     gate_project,
     halfspace_point_masks,
-    median,
     points,
     separating,
 )
@@ -47,7 +49,7 @@ from .structure import (
     pocset_product,
     rank,
 )
-from .subdivision import atom_mass, lift, subdivide
+from .subdivision import lift, subdivide
 
 SEED = 20260808
 
@@ -75,50 +77,20 @@ def _budget_for(P: WeightedPocset) -> Budgets:
     return DEFAULT_BUDGETS
 
 
-def _brute_median_oracle(P: WeightedPocset, budgets) -> bool:
-    """Every triple: the majority vote equals the unique common point of
-    the three pairwise intervals, computed by enumeration."""
-    pts = points(P, budgets)
-    n = len(pts)
-    pair_mask = {}
-    for a in range(n):
-        for b in range(a, n):
-            common = pts[a].mask & pts[b].mask
-            members = 0
-            for c in range(n):
-                if common & ~pts[c].mask == 0:
-                    members |= 1 << c
-            pair_mask[(a, b)] = members
-    pos = {p.mask: i for i, p in enumerate(pts)}
-
-    def pm(a, b):
-        return pair_mask[(a, b) if a <= b else (b, a)]
-
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(b, n):
-                inter = pm(a, b) & pm(b, c) & pm(a, c)
-                if inter == 0 or inter & (inter - 1):
-                    return False  # not a single point
-                z = inter.bit_length() - 1
-                m = median(P, pts[a], pts[b], pts[c])
-                if pos[m.mask] != z:
-                    return False
-    return True
-
-
 def criterion_1() -> CriterionResult:
     """Median oracle equivalence on fixtures and 100 random pocsets."""
     rng = random.Random(SEED)
     checked = []
     ok = True
     for name, P in _fixture_pocsets():
-        good = _brute_median_oracle(P, _budget_for(P))
+        pts = points(P, _budget_for(P))
+        good = medians(P, pts) == interval_medians(P, pts)
         checked.append(name)
         ok = ok and good
     for i in range(100):
         P = rg.random_pocset(rng, max_walls=10, max_points=16)
-        if not _brute_median_oracle(P, DEFAULT_BUDGETS):
+        pts = points(P, DEFAULT_BUDGETS)
+        if medians(P, pts) != interval_medians(P, pts):
             ok = False
             checked.append(f"random#{i}:FAIL")
     return CriterionResult(1, "median oracle equivalence", ok,
@@ -134,10 +106,8 @@ def criterion_2() -> CriterionResult:
         pts = points(P, budgets)
         for a in range(len(pts)):
             for b in range(a + 1, len(pts)):
-                mass = sum(
-                    (P.weight[P.idx(h)] for h in separating(P, pts[a], pts[b])),
-                    Fraction(0))
-                if mass != distance(P, pts[a], pts[b]):
+                if wall_mass(P, separating(P, pts[a], pts[b])) != \
+                        distance(P, pts[a], pts[b]):
                     ok = False
                 pairs += 1
     return CriterionResult(2, "metric-measure identity", ok, {"pairs": pairs})
@@ -234,14 +204,9 @@ def criterion_5() -> CriterionResult:
         child_budgets = budgets if P.wall_count * 2 <= budgets.point_walls \
             else fx.WINDOW_BUDGETS
         pts = points(P, budgets)
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                if distance(P, pts[a], pts[b]) != distance(
-                        S.child, S.embed(pts[a]), S.embed(pts[b])):
-                    ok = False
-        if P.walls and rank(S.child, fx.WINDOW_BUDGETS) != rank(P, fx.WINDOW_BUDGETS):
+        if embedded_distances(S, pts) != halved_distances(P, pts):
             ok = False
-        if P.walls and atom_mass(S.child) * 2 != atom_mass(P):
+        if P.walls and rank(S.child, fx.WINDOW_BUDGETS) != rank(P, fx.WINDOW_BUDGETS):
             ok = False
         if name == "SQUARE":
             nine = len(points(S.child, child_budgets))
@@ -369,7 +334,7 @@ def criterion_10() -> CriterionResult:
     for _ in range(60):
         size = rng.randint(1, 12)
         rows = rg.random_poset(rng, size)
-        if bd.min_chain_cover(rows) != bd.max_antichain_brute(rows):
+        if bd.min_chain_cover(rows) != max_antichain_brute(rows):
             dil_ok = False
     ok = ok and dil_ok
     return CriterionResult(10, "UBS graph laws and Dilworth", ok,

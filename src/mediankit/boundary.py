@@ -182,16 +182,17 @@ class ChainSystem:
             masks = self._index[c, d, want] = self._build_index(c, d, want)
         return masks
 
-    def suffix(self, c: str, d: str, want: str, top: int) -> list:
-        """Entry ``lo`` (``0 <= lo <= top <= index_scan``) is the OR of
-        ``index(c, d, want)[lo:top + 1]``; built by one backward pass on
-        first use."""
-        table = self._suffix.get((c, d, want, top))
-        if table is None:
-            masks = self.index(c, d, want)
-            table = self._suffix[c, d, want, top] = \
-                list(accumulate(masks[top::-1], or_))[::-1]
-        return table
+    def suffix(self, c: str, d: str, top: int) -> tuple:
+        """The SUB and SUP suffix-OR tables of chains ``c != d``: entry
+        ``lo`` (``0 <= lo <= top <= index_scan``) of each is the OR of its
+        index entries ``lo`` through ``top``; built by one backward pass
+        each on first use."""
+        tables = self._suffix.get((c, d, top))
+        if tables is None:
+            tables = self._suffix[c, d, top] = tuple(
+                list(accumulate(self.index(c, d, want)[top::-1], or_))[::-1]
+                for want in (SUB, SUP))
+        return tables
 
     def _build_index(self, c, d, want):
         """Zones, then overrides in rising precedence (row rules in reverse
@@ -492,8 +493,9 @@ def _closure_at(S: ChainSystem, seed: dict, T: int) -> dict:
             lo = max(lo, 0)
             if hi is None:
                 if lo <= scan:
-                    above |= S.suffix(c, d, SUB, scan)[lo]
-                    below |= S.suffix(c, d, SUP, scan)[lo]
+                    sub, sup = S.suffix(c, d, scan)
+                    above |= sub[lo]
+                    below |= sup[lo]
             else:
                 top = min(hi, scan)
                 above |= reduce(or_, S.index(c, d, SUB)[lo:top + 1], 0)
@@ -580,17 +582,6 @@ def min_chain_cover(rows: Sequence[int]) -> int:
         return False
 
     return len(rows) - sum(try_kuhn(v, set()) for v in range(len(rows)))
-
-
-def max_antichain_brute(rows: Sequence[int]) -> int:
-    """Exhaustive maximum antichain of a strict partial order given as
-    rows; for cross-checks on small posets."""
-    n = len(rows)
-    best = 0
-    for mask in range(1 << n):
-        if mask.bit_count() > best and all(rows[a] & mask == 0 for a in _iter_bits(mask)):
-            best = mask.bit_count()
-    return best
 
 
 def truncation_antichain_bound(S: ChainSystem) -> int:

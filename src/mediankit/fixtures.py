@@ -1,9 +1,12 @@
 """Built-in fixtures: pocsets, window actions and chain systems.
 
-Fixtures are constructed once and cached, so points of the same fixture
-compare equal across call sites.  Everything here is expressible in the
-JSON file formats and dumpable through the CLI, which keeps runs
-reproducible from the installed package alone.
+Pocsets, their named automorphisms and window actions are constructed
+once and cached, as points of the same fixture must compare equal across
+call sites.  Chain systems are built afresh on every call, so no closure
+memo is shared between callers or lives as long as the process.
+Everything here is expressible in the JSON file formats and dumpable
+through the CLI, which keeps runs reproducible from the installed package
+alone.
 """
 
 from __future__ import annotations
@@ -225,12 +228,10 @@ def f2ball_window() -> WindowAction:
 
 # -- chain systems ----------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def line_system() -> ChainSystem:
     return ChainSystem([Chain("H", 1, (ONE,))], name="LINE")
 
 
-@lru_cache(maxsize=None)
 def stairflap() -> ChainSystem:
     """Staircase with a one-dimensional flap.
 
@@ -252,7 +253,6 @@ def stairflap() -> ChainSystem:
 CORNERS = ("PP", "PM", "MP", "MM")
 
 
-@lru_cache(maxsize=None)
 def corner_system(corner: str) -> ChainSystem:
     """One corner of the standard cubulation of the plane: two independent
     chains of halfspaces, one per coordinate, all cross-pairs transverse."""

@@ -3,23 +3,17 @@
 Every verdict the search commands emit names concrete halfspaces, so a
 skeptical caller can re-check it against the pocset with point sets and
 distances alone, trusting no search bookkeeping.  Distances are summed wall
-by wall here, not through the core's weight groups.  This module deliberately
-imports nothing outside the core; chain-system closures are re-derived from
-the resolver ``rel`` alone.
+by wall here, not through the core's weight groups; ``separating_mass`` is
+also the reference for ``pocset.distance`` in ``oracles.ORACLES``.  This
+module deliberately imports nothing outside the core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .boundary import SUB
 from .config import DEFAULT_BUDGETS
-from .pocset import (
-    WeightedPocset,
-    _iter_bits,
-    halfspace_point_masks,
-    points,
-)
+from .pocset import Point, WeightedPocset, _iter_bits, halfspace_point_masks, points
 
 
 def _point_sets(P: WeightedPocset, budgets=None):
@@ -49,7 +43,7 @@ def verify_skewer(P: WeightedPocset, h: str, k: str, image_of_k: str,
     hi, ki, gi = P.idx(h), P.idx(k), P.idx(image_of_k)
     proper = masks[gi] & ~masks[hi] == 0 and masks[gi] != masks[hi]
     nested = P.leq_idx(hi, ki)
-    gap = min((_separating_mass(P, pts[i].mask, pts[j].mask)
+    gap = min((separating_mass(P, pts[i], pts[j])
                for i in _iter_bits(masks[gi])
                for j in _iter_bits(masks[P.star[hi]])), default=None)
     return {
@@ -85,31 +79,15 @@ def verify_facing(P: WeightedPocset, tuple_ids, strong: bool,
     return out
 
 
-def closure_oracle(S, seed: dict, T: int) -> set:
-    """Inseparable closure of the chain intervals ``seed`` up to depth ``T``,
-    pair by pair through ``S.rel``: the (c, n) with n <= T that contain one
-    seed member and are contained in one, members taken up to the index
-    T + head_extent + lcm_period + 1 (the depth closures scan to)."""
-    scan = T + S.head_extent + S.lcm_period + 1
-    members = [(d, m) for d, (lo, hi) in seed.items()
-               for m in range(max(lo, 0), (scan if hi is None else min(hi, scan)) + 1)]
-
-    def inside(x, y):
-        return x == y or S.rel(*x, *y) == SUB
-
-    return {(c, n) for c in S.chain_order for n in range(T + 1)
-            if any(inside((c, n), y) for y in members)
-            and any(inside(y, (c, n)) for y in members)}
-
-
-def _separating_mass(P: WeightedPocset, x: int, y: int) -> Fraction:
-    """The weight of the walls separating two point masks, wall by wall:
-    the reference for ``pocset.distance``, which sums by weight group."""
-    return sum((P.weight[i] for i, _ in P.walls if (x ^ y) >> i & 1), Fraction(0))
-
-
 def _sets_transverse(masks, P: WeightedPocset, i: int, j: int) -> bool:
     return all(
         masks[x] & masks[y] != 0
         for x in (i, P.star[i]) for y in (j, P.star[j])
     )
+
+
+def separating_mass(P: WeightedPocset, x: Point, y: Point) -> Fraction:
+    """The weight of the walls separating two points, wall by wall: the
+    reference for ``pocset.distance``, which sums by weight group."""
+    return sum((P.weight[i] for i, _ in P.walls if (x.mask ^ y.mask) >> i & 1),
+               Fraction(0))

@@ -61,6 +61,10 @@ GOLDEN = [
      "c16da6adde53ee411301c1da69f203be15647e50c75e16ad267891c6483c182f"),
     ("subdivide --fixture F2BALL -n 1", 0,
      "21e3022564700d125fed4463b5e7fc8423d299993e551af7bbe8d448fb48ac5d"),
+    ("validate --fixture GRID", 0,
+     "2d27022762ac0a355ee7992a97664cc16be6a32ff5fa84d34c16ef0d68633f51"),
+    ("validate --fixture F2BALL", 0,
+     "e84b99442722f4d6d1f15e2ef10338d9f3bfd4b214eaf86a1c0ebd2ed833a336"),
 ]
 
 

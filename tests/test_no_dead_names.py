@@ -17,9 +17,8 @@ PACKAGE = ROOT / "src" / "mediankit"
 SEARCHED = ("src", "perfbench")
 
 PUBLIC = {
-    "closure_oracle": "the pair-by-pair reference for the closures read "
-                      "off the relation index",
-    "vertex": "the vertex map of a cube of the public cube_at",
+    "ORACLES": "the table of fast paths and their references, which "
+               "tests/test_oracles.py runs row by row",
 }
 
 

@@ -9,7 +9,8 @@ by pair, ``Automorphism.check``'s all-pairs order walk, ``dump_pocset``'s
 n² order scan, the pairwise transversality test, the per-wall and
 per-halfspace loops of ``strongly_separated``, ``sector_halfspace`` and
 ``separating``, and ``validate``'s pair-by-pair order walk with its three
-checks that construction makes unreachable.  Inputs are the five pocset
+checks that construction makes unreachable and its four point-level checks
+that the order axioms make unreachable.  Inputs are the five pocset
 fixtures and seeded random pocsets with mixed wall weights, and for
 ``validate`` also their derived pocsets and invalid pair input.
 """
@@ -38,8 +39,7 @@ def bits(mask):
 
 
 def random_pocsets(seed, count, max_walls=8):
-    rng = random.Random(seed)
-    return [rg.random_pocset(rng, max_walls=max_walls) for _ in range(count)]
+    return rg.random_pocsets(random.Random(seed), count, max_walls)
 
 
 def pocsets():
@@ -223,7 +223,8 @@ def ref_sector_halfspace(P, h, k, fallbacks):
 
 def ref_validate(P, budgets=DEFAULT_BUDGETS):
     """``validate`` as it was: the axioms pair by pair through ``leq_idx``,
-    with the involution, star-reversal and wall-weight checks."""
+    with the involution, star-reversal and wall-weight checks, and the
+    empty, full, faithfulness and transversality checks on point sets."""
     rep = {"ok": True, "failures": [], "notes": []}
 
     def fail(code, detail):
@@ -411,7 +412,7 @@ def test_factor_rows_match_pair_built_factors():
 def test_product_rows_match_the_pair_built_product():
     rng = random.Random(13)
     for count in (1, 2, 3, 12):
-        parts = [rg.random_pocset(rng, max_walls=4) for _ in range(count)]
+        parts = rg.random_pocsets(rng, count, max_walls=4)
         # twelve default prefixes sort as f0., f1., f10., f11., f2., ...
         prefixes = [f"f{i}." for i in range(count)]
         assert_same_pocset(pocset_product(parts), ref_product(parts, prefixes))

@@ -143,24 +143,6 @@ def test_tripod_median_of_leaves_is_center(tripod):
     assert m == pt(tripod, "h1*", "h2*", "h3*")
 
 
-def _brute_interval_points(P, x, y):
-    common = x.mask & y.mask
-    return [z for z in points(P) if common & ~z.mask == 0]
-
-
-def test_median_is_unique_interval_intersection_on_random_pocsets(rng):
-    for _ in range(20):
-        P = rg.random_pocset(rng, max_walls=8, max_points=12)
-        pts = points(P)
-        for x, y, z in itertools.combinations_with_replacement(pts, 3):
-            ixy = set(p.mask for p in _brute_interval_points(P, x, y))
-            iyz = set(p.mask for p in _brute_interval_points(P, y, z))
-            izx = set(p.mask for p in _brute_interval_points(P, z, x))
-            inter = ixy & iyz & izx
-            assert len(inter) == 1
-            assert median(P, x, y, z).mask == inter.pop()
-
-
 def test_median_is_symmetric(rng):
     P = rg.random_pocset(rng)
     pts = points(P)
@@ -243,15 +225,6 @@ def test_separating_requires_nonempty_inputs(square):
         separating(square, ConvexSet(square, []), ConvexSet(square, []))
 
 
-def test_separating_mass_equals_distance(rng):
-    for _ in range(10):
-        P = rg.random_pocset(rng)
-        pts = points(P)
-        x, y = rng.choice(pts), rng.choice(pts)
-        mass = sum((P.weight[P.idx(h)] for h in separating(P, x, y)), Fraction(0))
-        assert mass == distance(P, x, y)
-
-
 # -- interval -------------------------------------------------------------------
 
 def test_interval_of_point_with_itself(square):
@@ -313,17 +286,6 @@ def test_gate_pair_realizes_distance(path3):
     x, y = gate_pair(path3, A, B)
     best = min(distance(path3, p, q) for p in A.points for q in B.points)
     assert distance(path3, x, y) == best
-
-
-def test_gate_pair_on_random_disjoint_convex_sets(rng):
-    for _ in range(15):
-        P = rg.random_pocset(rng)
-        pts = points(P)
-        A = convex_hull(P, rg.random_points(rng, pts, 2))
-        B = convex_hull(P, rg.random_points(rng, pts, 2))
-        x, y = gate_pair(P, A, B)
-        best = min(distance(P, p, q) for p in A.points for q in B.points)
-        assert distance(P, x, y) == best
 
 
 # -- hulls and closures ------------------------------------------------------------
@@ -426,19 +388,3 @@ def test_chain_bound_literal_form(rng):
                 assert len(chain) <= 2 * r
             else:
                 assert masks[P.star[top]] & masks[bottom] == 0
-
-
-def test_separating_mass_equals_convex_set_distance(rng):
-    """For gate-convex (here: all convex) sets, the mass of the separating
-    walls is the distance realized by a gate pair."""
-    for _ in range(15):
-        P = rg.random_pocset(rng)
-        pts = points(P)
-        A = convex_hull(P, rg.random_points(rng, pts, 2))
-        B = convex_hull(P, rg.random_points(rng, pts, 2))
-        if set(A.masks) & set(B.masks):
-            continue
-        mass = sum((P.weight[P.idx(h)] for h in separating(P, A, B)),
-                   Fraction(0))
-        best = min(distance(P, a, b) for a in A.points for b in B.points)
-        assert mass == best

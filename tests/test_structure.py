@@ -7,7 +7,7 @@ import pytest
 from mediankit import fixtures as fx
 from mediankit import randomgen as rg
 from mediankit.errors import NotAnAutomorphism, WallBudgetExceeded
-from mediankit.pocset import Point, WeightedPocset, distance, points, validate
+from mediankit.pocset import WeightedPocset, validate
 from mediankit.structure import (
     Automorphism,
     automorphisms,
@@ -64,14 +64,6 @@ def test_factors_are_standalone_pocsets(grid):
         assert rank(F) == 1
 
 
-def test_rank_additivity_on_random_products(rng):
-    for _ in range(20):
-        A = rg.random_pocset(rng, max_walls=5, max_points=10)
-        B = rg.random_pocset(rng, max_walls=5, max_points=10)
-        prod = pocset_product([A, B], prefixes=["x.", "y."])
-        assert rank(prod) == rank(A) + rank(B)
-
-
 def test_decompose_recovers_random_irreducible_factors(rng):
     made = 0
     while made < 15:
@@ -86,32 +78,6 @@ def test_decompose_recovers_random_irreducible_factors(rng):
         want = sorted([frozenset("x." + h for h in A.ids),
                        frozenset("y." + h for h in B.ids)])
         assert got == want
-
-
-def test_product_points_biject_and_distances_add(rng):
-    for _ in range(10):
-        A = rg.random_pocset(rng, max_walls=4, max_points=8)
-        B = rg.random_pocset(rng, max_walls=4, max_points=8)
-        prod = pocset_product([A, B], prefixes=["x.", "y."])
-        pa, pb = points(A), points(B)
-        pp = points(prod)
-        assert len(pp) == len(pa) * len(pb)
-        # distances add along the split
-        def split(p):
-            ma = 0
-            mb = 0
-            for h in p.ids:
-                if h.startswith("x."):
-                    ma |= 1 << A.idx(h[2:])
-                else:
-                    mb |= 1 << B.idx(h[2:])
-            return Point(A, ma), Point(B, mb)
-        for i in range(0, len(pp), max(1, len(pp) // 6)):
-            for j in range(0, len(pp), max(1, len(pp) // 6)):
-                xa, xb = split(pp[i])
-                ya, yb = split(pp[j])
-                assert distance(prod, pp[i], pp[j]) == \
-                    distance(A, xa, ya) + distance(B, xb, yb)
 
 
 def test_square_automorphism_group_is_dihedral(square):
