@@ -7,6 +7,7 @@ import pytest
 from mediankit import fixtures as fx
 from mediankit.actions import (
     TotalAction,
+    _evaluator,
     _expand_letters,
     classify,
     double_skewer,
@@ -73,6 +74,31 @@ def test_word_evaluation_is_multiplicative(square):
 
 
 # -- the search engine -------------------------------------------------------------
+
+def test_search_maps_match_evaluate():
+    """Every word's memoised map is the map evaluate() builds, and it passes
+    the structure check that only loading runs."""
+    for action in (fx.line_window(), fx.f2ball_window()):
+        ev = _evaluator(action)
+        for word in enumerate_words(action.gen_names(), 3):
+            g = ev(word)
+            assert g.perm == action.evaluate(word).perm
+            g.check()
+
+
+def test_pingpong_letter_maps_match_evaluate():
+    """The memoised maps of a ping-pong search's letter words are the maps
+    evaluate() builds."""
+    W = fx.f2ball_window()
+    letters = {"A": parse_word("a b", W.gen_names()),
+               "B": parse_word("b^-1 a", W.gen_names())}
+    ev = _evaluator(W)
+    for u in enumerate_words(("A", "B"), 3):
+        word = _expand_letters(u, letters)
+        g = ev(word)
+        assert g.perm == W.evaluate(word).perm
+        g.check()
+
 
 def test_letter_words_cancel_where_letters_meet():
     """Ping-pong letter words expand to generator words; the evaluator row

@@ -288,6 +288,13 @@ def test_gate_pair_realizes_distance(path3):
     assert distance(path3, x, y) == best
 
 
+def test_gate_pair_on_random_disjoint_convex_sets():
+    for P, A, B in rg.hull_pairs():
+        x, y = gate_pair(P, A, B)
+        best = min(distance(P, p, q) for p in A.points for q in B.points)
+        assert distance(P, x, y) == best
+
+
 # -- hulls and closures ------------------------------------------------------------
 
 def test_hull_of_single_point(square):
@@ -388,3 +395,18 @@ def test_chain_bound_literal_form(rng):
                 assert len(chain) <= 2 * r
             else:
                 assert masks[P.star[top]] & masks[bottom] == 0
+
+
+def test_separating_mass_equals_convex_set_distance():
+    """For gate-convex (here: all convex) sets, the mass of the separating
+    walls is the distance realized by a gate pair."""
+    disjoint = 0
+    for P, A, B in rg.hull_pairs():
+        if set(A.masks) & set(B.masks):
+            continue
+        disjoint += 1
+        mass = sum((P.weight[P.idx(h)] for h in separating(P, A, B)),
+                   Fraction(0))
+        best = min(distance(P, a, b) for a in A.points for b in B.points)
+        assert mass == best
+    assert disjoint

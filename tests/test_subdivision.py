@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from mediankit import fixtures as fx
+from mediankit import randomgen as rg
 from mediankit.actions import TotalAction, min_orbit
+from mediankit.oracles import cube_by_name, embed_by_name, lift_by_name, preimage_by_name
 from mediankit.errors import NotANewPoint, WallBudgetExceeded
 from mediankit.pocset import (
     WeightedPocset,
@@ -16,7 +18,7 @@ from mediankit.pocset import (
     points,
     validate,
 )
-from mediankit.structure import Automorphism, rank
+from mediankit.structure import Automorphism, automorphisms, rank
 from mediankit.subdivision import (
     atom_mass,
     cube_at,
@@ -49,6 +51,18 @@ def test_rank_preserved_on_fixtures():
         P = fx.pocset(name)
         S = subdivide(P)
         assert rank(S.child) == rank(P)
+
+
+def test_atom_mass_halves_exactly(square):
+    S = subdivide(square)
+    assert atom_mass(S.child) == atom_mass(square) / 2
+
+
+def test_embedding_is_isometric(grid):
+    S = subdivide(grid)
+    pts = points(grid)
+    for x, y in itertools.combinations(pts, 2):
+        assert distance(grid, x, y) == distance(S.child, S.embed(x), S.embed(y))
 
 
 def test_involution_crosses_the_split(square):
@@ -216,3 +230,35 @@ def test_finite_orbit_witness_from_canonical_cube(square):
     assert len(verts) <= 2 ** rank(square)
     orbit = min_orbit(TotalAction(square, named))
     assert {p.mask for p in orbit.orbit} == verts
+
+
+# -- the copy table against the name-based rule ----------------------------
+#
+# ``oracles`` finds child copies by name, ``<parent>-`` and ``<parent>+``,
+# as the module did before ``Subdivision.copies``.  The table must agree
+# with it on every point, cube coordinate and lift.
+
+def _copy_table_pocsets():
+    ids = ["SQUARE", "PATH3", "TRIPOD", "GRID"] + [f"random{k}" for k in range(12)]
+    return [pytest.param(P, id=i) for P, i in zip(rg.copy_table_pocsets(), ids, strict=True)]
+
+
+@pytest.mark.parametrize("P", _copy_table_pocsets())
+def test_copy_table_matches_names(P):
+    S = subdivide(P)
+    for p in points(P):
+        assert S.embed(p).mask == embed_by_name(S, p)
+    for q in points(S.child):
+        ref = preimage_by_name(S, q)
+        pre = S.preimage(q)
+        assert (None if pre is None else pre.mask) == ref
+        assert S.is_new(q) == (ref is None)
+        if ref is not None:
+            continue
+        cube = cube_at(S, q)
+        signs = list(itertools.product((-1, 0, 1), repeat=cube.k))
+        assert ([P.ids[i] for i in cube.wall_sides],
+                [cube.midpoint(s).mask for s in signs],
+                [cube.vertex(s).mask for s in signs if 0 not in s]) == cube_by_name(S, q)
+    for g in automorphisms(P)[:24]:
+        assert lift(S, g).perm == lift_by_name(S, g)
