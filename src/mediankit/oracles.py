@@ -28,10 +28,10 @@ from .boundary import (
     SUB, SUP, _INVERSE, _truncation_rows, chi_vector, closure, is_ubs, min_chain_cover, tail,
     truncation_antichain_bound, validate_system, validate_system_rules)
 from .pocset import (
-    Point, WeightedPocset, _iter_bits, distance, gate_pair, gate_project, halfspace_point_masks,
+    Point, WeightedPocset, _iter_bits, distance, gate_project, halfspace_point_masks,
     inseparable_closure, is_ultrafilter, median, points, separating)
 from .structure import Automorphism, pocset_product, rank
-from .subdivision import atom_mass, cube_at, lift, subdivide
+from .subdivision import atom_mass, cube_at, subdivide
 from .verification import separating_mass
 
 
@@ -189,11 +189,6 @@ def cube_by_name(S, q: Point) -> tuple:
         if 0 not in signs:
             verts.append(preimage_by_name(S, Point(C, mask)))
     return sides, mids, verts
-
-
-def lift_by_name(S, g: Automorphism) -> tuple:
-    C = S.child
-    return tuple(C.idx(g.apply(cid[:-1]) + cid[-1]) for cid in C.ids)
 
 
 # -- chain systems pair by pair through rel -------------------------------------
@@ -413,45 +408,36 @@ class Row:
 ORACLES = (
     Row("median", medians, interval_medians,
         lambda: [(P, points(P)) for P in rg.random_pocsets(rg.seeded(), 20, 8, 12)], 20),
-    Row("distance", distance, separating_mass, lambda: rg.point_cases("pairs"), 1724),
+    Row("distance", distance, separating_mass, rg.point_pairs, 1724),
     Row("points", lambda P: [p.mask for p in points(P, fx.WINDOW_BUDGETS)], points_per_bit,
         lambda: _each(rg.mixed_pocsets() + rg.window_pocsets()), 42),
     Row("halfspace_point_masks", lambda P: list(halfspace_point_masks(P, fx.WINDOW_BUDGETS)),
         point_sides, lambda: _each(rg.mixed_pocsets() + rg.window_pocsets()), 42),
     Row("up_map", lambda P, m: P.up_map(m),
         lambda P, m: reduce(or_, (P.up[i] for i in _iter_bits(m)), 0),
-        lambda: rg.point_cases("masks"), 2276),
+        rg.point_masks, 2276),
     Row("inseparable_closure",
         lambda P, m: inseparable_closure(P, [P.ids[i] for i in _iter_bits(m)]), between_members,
-        lambda: [(P, m) for P, m in rg.point_cases("masks") if P.n <= 18], 1973),
+        lambda: [(P, m) for P, m in rg.point_masks() if P.n <= 18], 1973),
     Row("separating", lambda P, x, y: wall_mass(P, separating(P, x, y)), separating_mass,
-        lambda: rg.point_cases("pairs"), 1724),
+        rg.point_pairs, 1724),
     Row("gate_project", lambda P, C, x: gate_project(P, C, x).mask, gate_per_wall,
-        lambda: rg.point_cases("gates"), 765),
-    Row("star_map", lambda P, m: P.star_map(m), star_image,
-        lambda: rg.point_cases("masks"), 2276),
-    Row("is_ultrafilter", is_ultrafilter, is_ultrafilter_per_bit,
-        lambda: rg.point_cases("masks"), 2276,
+        rg.point_gates, 765),
+    Row("star_map", lambda P, m: P.star_map(m), star_image, rg.point_masks, 2276),
+    Row("is_ultrafilter", is_ultrafilter, is_ultrafilter_per_bit, rg.point_masks, 2276,
         lambda case, uf: [(uf, star_image(*case) == ((1 << case[0].n) - 1) ^ case[1])],
         {(True, True): 1, (False, True): 1, (False, False): 1}),
-    Row("embed", lambda S, p: S.embed(p).mask, embed_by_name,
-        lambda: rg.child_cases("embed"), 463),
+    Row("embed", lambda S, p: S.embed(p).mask, embed_by_name, rg.embed_cases, 392),
     Row("preimage", lambda S, q: _mask(S.preimage(q)), preimage_by_name,
-        lambda: rg.child_cases("preimage"), 1179),
+        rg.preimage_cases, 952),
     Row("is_new", lambda S, q: S.is_new(q), lambda S, q: preimage_by_name(S, q) is None,
-        lambda: rg.child_cases("preimage"), 1179, lambda case, new: [new],
-        {True: 1, False: 1}),
-    Row("cube_at", _cube, cube_by_name, lambda: rg.child_cases("cube"), 85),
-    Row("lift", lambda S, g: lift(S, g).perm, lift_by_name,
-        lambda: rg.child_cases("lift"), 47),
+        rg.preimage_cases, 952, lambda case, new: [new], {True: 1, False: 1}),
+    Row("cube_at", _cube, cube_by_name, rg.cube_cases, 85),
     Row("apply_point", lambda g, p: _mask(g.apply_point(p)),
         lambda g, p: image_per_bit(g, p)[0], rg.image_cases, 3685, _image_kinds,
         {"point": 1, "inconsistent": 1, "outside": 1, "total": 1}),
     Row("is_lineal", lambda P: [(x.mask, y.mask) for x, y in is_lineal(P).pairs],
         lineal_pairs, lambda: _each(rg.mixed_pocsets()), 40),
-    Row("evaluator", lambda ev, action, word: (ev(word).perm, ev(word).check()),
-        lambda ev, action, word: (action.evaluate(word).perm, None),
-        rg.word_cases, 110),
     Row("group", lambda act: [g.perm for g in act.group()],
         lambda act: [g.perm for g in closure_group(act)],
         lambda: _each(rg.total_actions()), 24),
@@ -472,21 +458,21 @@ ORACLES = (
         lambda case, members: ["decorated" if case[0].head or case[0].rows else "plain"],
         {"decorated": 100, "plain": 1}),
     Row("relation_index", lambda S, c, d, want: S.index(c, d, want), rel_index,
-        lambda: [(S, c, d, want) for S in rg.system_lists("index") for c in S.chain_order
+        lambda: [(S, c, d, want) for S in rg.index_systems() for c in S.chain_order
                     for d in S.chain_order if c != d for want in (SUB, SUP)], 92),
     Row("validate_system", lambda S: validate_system(S).to_json(),
         lambda S: pairwise_validate_system(S).to_json(),
-        lambda: _each(rg.system_lists("checked")), 143,
+        lambda: _each(rg.checked_systems()), 143,
         lambda case, rep: ["accepted" if rep["ok"] else "rejected"]
         + [f["code"] for f in rep["failures"]],
         {"accepted": 1, "rejected": 50, "REL_NOT_TRANSITIVE": 1, "HEAD_CONFLICT": 1,
          "ZONE_CONFLICT": 1, "ZONES_NOT_PARTITION": 1}),
     Row("antichain_bound", truncation_antichain_bound,
         lambda S: min_chain_cover(rel_up_rows(S, _truncation(S, S.tail_depth))),
-        lambda: _each(rg.system_lists("checked")), 143),
+        lambda: _each(rg.checked_systems()), 143),
     Row("truncation_rows", lambda S: _truncation_rows(S, S.tail_depth),
         lambda S: _transpose(rel_up_rows(S, _truncation(S, S.tail_depth))),
-        lambda: _each(rg.system_lists("truncated")), 27),
+        lambda: _each(rg.truncated_systems()), 27),
     Row("dilworth", lambda rows: (min_chain_cover(rows), min_chain_cover(_transpose(rows))),
         lambda rows: (max_antichain_brute(rows),) * 2, rg.random_posets, 30),
     # laws of the paper, left side against right side
@@ -497,10 +483,6 @@ ORACLES = (
         lambda A, B: rank(A) + rank(B), lambda: rg.pocset_pairs(20, 5, 10), 20),
     Row("law: points biject and distances add over products", _product_distances,
         _factor_distances, lambda: rg.pocset_pairs(10, 4, 8), 10),
-    Row("law: gate pairs and separating walls realize the distance of convex sets",
-        lambda P, A, B: (distance(P, *gate_pair(P, A, B)), wall_mass(P, separating(P, A, B))),
-        lambda P, A, B: (min(distance(P, a, b) for a in A.points for b in B.points),) * 2,
-        rg.hull_pairs, 15),
     Row("law: subdivision is isometric and halves the atom mass",
         lambda P: embedded_distances(subdivide(P), points(P)),
         lambda P: halved_distances(P, points(P)),

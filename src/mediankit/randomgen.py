@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import fixtures as fx
-from .actions import TotalAction, _evaluator, _expand_letters, enumerate_words, parse_word
+from .actions import TotalAction, _evaluator, enumerate_words
 from .boundary import (
     SUB, SUP, TRANS, Chain, ChainSystem, RowRule, ShiftMap, Zone, closure, validate_system)
 from .errors import HorizonExceeded
@@ -243,7 +243,7 @@ def seeded(offset: int = 0) -> random.Random:
 
 @cache
 def mixed_pocsets() -> list:
-    """Forty random pocsets with mixed wall weights (made once: eleven rows
+    """Forty random pocsets with mixed wall weights (made once: many rows
     read them)."""
     return random_pocsets(random.Random(20261018), 40, max_walls=9, max_points=14)
 
@@ -252,53 +252,73 @@ def window_pocsets() -> list:
     return [fx.window(name).pocset for name in ("F2BALL", "LINE")]
 
 
-@cache
 def copy_table_pocsets() -> list:
     return [fx.pocset(name) for name in ("SQUARE", "PATH3", "TRIPOD", "GRID")] + \
         random_pocsets(random.Random(20240611), 12, max_walls=6, max_points=12)
 
 
-def point_cases(kind: str):
-    """Sampled pairs, gates onto hulls of sampled pairs, or masks (random
-    ones, points with one wall turned over, a side added or a side dropped,
-    and the points themselves) on the mixed and window pocsets."""
-    rng = random.Random(11)
+def _sample(rng: random.Random, seq, k: int) -> list:
+    return list(seq) if len(seq) <= k else rng.sample(list(seq), k)
+
+
+@cache
+def _point_samples() -> list:
+    """Per mixed and window pocset, drawn in turn from one stream of seed
+    11: sampled point pairs, gates onto hulls of sampled pairs, and masks
+    (random ones, points with one wall turned over, a side added or a side
+    dropped, and the points themselves)."""
+    rng, out = random.Random(11), []
     for P in mixed_pocsets() + window_pocsets():
         pts = points(P, fx.WINDOW_BUDGETS)
-        if kind == "pairs":
-            yield from ((P, x, y) for x in random_points(rng, pts, 12)
-                        for y in random_points(rng, pts, 12))
-        elif kind == "gates":
-            for _ in range(5):
-                C = convex_hull(P, random_points(rng, pts, 2), fx.WINDOW_BUDGETS)
-                yield from ((P, C, x) for x in random_points(rng, pts, 5))
-        else:
-            masks = [rng.getrandbits(P.n) for _ in range(30)]
-            for p in random_points(rng, pts, 10):
-                i, j = rng.choice(P.walls)
-                masks += [p.mask ^ (1 << i | 1 << j), p.mask | 1 << i | 1 << j,
-                          p.mask & ~(1 << i)]
-            yield from ((P, m) for m in masks + [p.mask for p in pts])
+        pairs = [(P, x, y) for x in _sample(rng, pts, 12) for y in _sample(rng, pts, 12)]
+        gates = []
+        for _ in range(5):
+            C = convex_hull(P, _sample(rng, pts, 2), fx.WINDOW_BUDGETS)
+            gates += [(P, C, x) for x in _sample(rng, pts, 5)]
+        masks = [rng.getrandbits(P.n) for _ in range(30)]
+        for p in _sample(rng, pts, 10):
+            i, j = rng.choice(P.walls)
+            masks += [p.mask ^ (1 << i | 1 << j), p.mask | 1 << i | 1 << j,
+                      p.mask & ~(1 << i)]
+        out.append((pairs, gates, [(P, m) for m in masks + [p.mask for p in pts]]))
+    return out
 
 
-def child_cases(kind: str):
-    """Parent points to embed; child points to pull back (the embedded
-    ones, and all of a parent with at most 9 walls); new child points for
-    cubes; automorphisms to lift."""
-    pocsets = copy_table_pocsets() if kind in ("cube", "lift") else \
-        mixed_pocsets() + window_pocsets() + copy_table_pocsets()
-    for P in pocsets:
-        S, pts = subdivide(P), points(P, fx.WINDOW_BUDGETS)
-        if kind == "embed":
-            yield from ((S, p) for p in pts)
-        elif kind == "preimage":
-            yield from ((S, S.embed(p)) for p in pts)
-            if P.wall_count <= 9:
-                yield from ((S, q) for q in points(S.child))
-        elif kind == "cube":
-            yield from ((S, q) for q in points(S.child) if S.is_new(q))
-        else:
-            yield from ((S, g) for g in automorphisms(P)[:24])
+def point_pairs() -> list:
+    return [case for pairs, _, _ in _point_samples() for case in pairs]
+
+
+def point_gates() -> list:
+    return [case for _, gates, _ in _point_samples() for case in gates]
+
+
+def point_masks() -> list:
+    return [case for _, _, masks in _point_samples() for case in masks]
+
+
+def embed_cases():
+    """The points of the mixed and window pocsets, each with the subdivision."""
+    for P in mixed_pocsets() + window_pocsets():
+        S = subdivide(P)
+        yield from ((S, p) for p in points(P, fx.WINDOW_BUDGETS))
+
+
+def preimage_cases():
+    """Child points to pull back: the embedded points of the mixed and
+    window pocsets, then every child point of those with at most 9 walls."""
+    for P in mixed_pocsets() + window_pocsets():
+        S = subdivide(P)
+        yield from ((S, S.embed(p)) for p in points(P, fx.WINDOW_BUDGETS))
+        if P.wall_count <= 9:
+            yield from ((S, q) for q in points(S.child))
+
+
+def cube_cases():
+    """The new child points of the copy-table pocsets, each with the
+    subdivision."""
+    for P in copy_table_pocsets():
+        S = subdivide(P)
+        yield from ((S, q) for q in points(S.child) if S.is_new(q))
 
 
 def image_cases():
@@ -313,19 +333,6 @@ def image_cases():
                     for p in action.points())
 
 
-def word_cases():
-    """Words of length at most 3 on the windows, then the letter words of
-    a ping-pong search on F2BALL, each window with one evaluator."""
-    for action in (fx.line_window(), fx.f2ball_window()):
-        ev = _evaluator(action)
-        yield from ((ev, action, w) for w in enumerate_words(action.gen_names(), 3))
-    W = fx.f2ball_window()
-    letters = {"A": parse_word("a b", W.gen_names()),
-               "B": parse_word("b^-1 a", W.gen_names())}
-    ev = _evaluator(W)
-    yield from ((ev, W, _expand_letters(u, letters)) for u in enumerate_words("AB", 3))
-
-
 def total_actions() -> list:
     """Every generating set of the SQUARE, TRIPOD and GRID automorphisms."""
     return [fx.total_action(name, gens) if gens else TotalAction(fx.pocset(name), {})
@@ -334,29 +341,41 @@ def total_actions() -> list:
             for gens in itertools.combinations(fx.named_automorphisms(name), r)]
 
 
-def system_lists(kind: str) -> list:
-    """The system fixtures, then for ``closure`` 30 decorated systems that
-    validate, for ``index`` 8 decorated ones, for ``checked`` 30 random and
-    100 decorated ones (most rejected), for ``truncated`` 20 random ones,
-    with some edge systems."""
-    rng, edges = seeded(), edge_systems()
-    out = [fx.chain_system(name) for name in fx.SYSTEM_FIXTURES]
-    if kind == "closure":
-        return out + [edges["conflict"]] + random_systems(
-            rng, 30, max_chains=4, tries=12, keep=lambda T: validate_system(T).ok)
-    if kind == "index":
-        return out + [edges["conflict"], edges["zone gap"]] + \
-            random_systems(rng, 8, max_chains=3, tries=6)
-    if kind == "checked":
-        return out + random_systems(rng, 30) + \
-            random_systems(rng, 100, max_chains=4, tries=4) + list(edges.values())
-    return out + random_systems(rng, 20)
+def _system_fixtures() -> list:
+    return [fx.chain_system(name) for name in fx.SYSTEM_FIXTURES]
+
+
+def closure_systems() -> list:
+    """The system fixtures, the conflict system and 30 decorated systems
+    that validate."""
+    return _system_fixtures() + [edge_systems()["conflict"]] + random_systems(
+        seeded(), 30, max_chains=4, tries=12, keep=lambda T: validate_system(T).ok)
+
+
+def index_systems() -> list:
+    """The system fixtures, the conflict and zone gap systems and 8
+    decorated systems."""
+    edges = edge_systems()
+    return _system_fixtures() + [edges["conflict"], edges["zone gap"]] + \
+        random_systems(seeded(), 8, max_chains=3, tries=6)
+
+
+def checked_systems() -> list:
+    """The system fixtures, 30 random and 100 decorated systems (most of
+    them rejected) and the edge systems."""
+    rng = seeded()
+    return _system_fixtures() + random_systems(rng, 30) + \
+        random_systems(rng, 100, max_chains=4, tries=4) + list(edge_systems().values())
+
+
+def truncated_systems() -> list:
+    return _system_fixtures() + random_systems(seeded(), 20)
 
 
 def closure_cases():
     """Tail, finite and mixed seeds, where the closure is stable at the
     horizon."""
-    for S in system_lists("closure"):
+    for S in closure_systems():
         seeds = [{S.chain_order[0]: (0, None), S.chain_order[-1]: (1, 2)}]
         seeds += [{c: iv} for c in S.chain_order for iv in ((0, None), (2, None), (1, 3))]
         for seed in seeds:
@@ -375,16 +394,6 @@ def random_posets() -> list:
 def pocset_pairs(count: int, max_walls: int, max_points: int) -> list:
     rng = seeded()
     return [random_pocsets(rng, 2, max_walls, max_points) for _ in range(count)]
-
-
-def hull_pairs() -> list:
-    """Hulls of two random points each, on random pocsets."""
-    rng, out = seeded(), []
-    for _ in range(15):
-        P = random_pocset(rng)
-        pts = points(P)
-        out.append((P, *(convex_hull(P, random_points(rng, pts, 2)) for _ in range(2))))
-    return out
 
 
 def uniform_shifts():

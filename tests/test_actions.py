@@ -87,27 +87,19 @@ def test_search_maps_match_evaluate():
 
 
 def test_pingpong_letter_maps_match_evaluate():
-    """The memoised maps of a ping-pong search's letter words are the maps
-    evaluate() builds."""
+    """Letter words of a ping-pong search, with expansions that cancel
+    where two letters meet."""
     W = fx.f2ball_window()
     letters = {"A": parse_word("a b", W.gen_names()),
                "B": parse_word("b^-1 a", W.gen_names())}
+    assert _expand_letters((("A", 1), ("B", 1)), letters) == \
+        parse_word("a a", W.gen_names())
     ev = _evaluator(W)
     for u in enumerate_words(("A", "B"), 3):
         word = _expand_letters(u, letters)
         g = ev(word)
         assert g.perm == W.evaluate(word).perm
         g.check()
-
-
-def test_letter_words_cancel_where_letters_meet():
-    """Ping-pong letter words expand to generator words; the evaluator row
-    of ``oracles.ORACLES`` checks their maps."""
-    W = fx.f2ball_window()
-    letters = {"A": parse_word("a b", W.gen_names()),
-               "B": parse_word("b^-1 a", W.gen_names())}
-    assert _expand_letters((("A", 1), ("B", 1)), letters) == \
-        parse_word("a a", W.gen_names())
 
 
 def test_four_cube_flip_searches_the_whole_group():

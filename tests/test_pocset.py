@@ -288,8 +288,12 @@ def test_gate_pair_realizes_distance(path3):
     assert distance(path3, x, y) == best
 
 
-def test_gate_pair_on_random_disjoint_convex_sets():
-    for P, A, B in rg.hull_pairs():
+def test_gate_pair_on_random_disjoint_convex_sets(rng):
+    for _ in range(15):
+        P = rg.random_pocset(rng)
+        pts = points(P)
+        A = convex_hull(P, rg.random_points(rng, pts, 2))
+        B = convex_hull(P, rg.random_points(rng, pts, 2))
         x, y = gate_pair(P, A, B)
         best = min(distance(P, p, q) for p in A.points for q in B.points)
         assert distance(P, x, y) == best
@@ -397,11 +401,15 @@ def test_chain_bound_literal_form(rng):
                 assert masks[P.star[top]] & masks[bottom] == 0
 
 
-def test_separating_mass_equals_convex_set_distance():
+def test_separating_mass_equals_convex_set_distance(rng):
     """For gate-convex (here: all convex) sets, the mass of the separating
     walls is the distance realized by a gate pair."""
     disjoint = 0
-    for P, A, B in rg.hull_pairs():
+    for _ in range(15):
+        P = rg.random_pocset(rng)
+        pts = points(P)
+        A = convex_hull(P, rg.random_points(rng, pts, 2))
+        B = convex_hull(P, rg.random_points(rng, pts, 2))
         if set(A.masks) & set(B.masks):
             continue
         disjoint += 1
