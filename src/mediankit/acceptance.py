@@ -49,7 +49,7 @@ from .structure import (
     pocset_product,
     rank,
 )
-from .subdivision import lift, subdivide
+from .subdivision import cube_at, lift, subdivide
 
 SEED = 20260808
 
@@ -212,6 +212,12 @@ def criterion_5() -> CriterionResult:
             nine = len(points(S.child, child_budgets))
             details["squarePrimePoints"] = nine
             ok = ok and nine == 9
+            # the canonical cube at each new point: 3^k distinct midpoints,
+            # with parent points at its vertices
+            for cube in (cube_at(S, x) for x in points(S.child, child_budgets) if S.is_new(x)):
+                mids = {s: cube.midpoint(s) for s in itertools.product((-1, 0, 1), repeat=cube.k)}
+                ok = ok and len({m.mask for m in mids.values()}) == 3 ** cube.k and all(
+                    S.preimage(m) is not None for s, m in mids.items() if 0 not in s)
         # every wall-inverting automorphism lifts to one without inversions
         if P.wall_count <= DEFAULT_BUDGETS.aut_walls:
             for g in automorphisms(P):

@@ -156,18 +156,13 @@ class ChainSystem:
                 return r.rel
             if r.chain == cj and r.index == m and r.other == ci and r.matches(n):
                 return _INVERSE[r.rel]
-        zs = self.zones.get((ci, cj))
-        if zs is not None:
-            d = m - n
-            for z in zs:
-                if z.contains(d):
-                    return z.rel
-        zs = self.zones.get((cj, ci))
-        if zs is not None:
-            d = n - m
-            for z in zs:
-                if z.contains(d):
-                    return _INVERSE[z.rel]
+        d = m - n
+        for z in self.zones.get((ci, cj), ()):
+            if z.contains(d):
+                return z.rel
+        for z in self.zones.get((cj, ci), ()):
+            if z.contains(-d):
+                return _INVERSE[z.rel]
         return TRANS
 
     def index(self, c: str, d: str, want: str) -> list:
@@ -236,16 +231,12 @@ class ChainSystem:
 
     def zone_at_infinity(self, ci: str, cj: str) -> str:
         """rel((ci, n), (cj, m)) for m - n -> +infinity."""
-        zs = self.zones.get((ci, cj))
-        if zs is not None:
-            for z in zs:
-                if z.hi is None:
-                    return z.rel
-        zs = self.zones.get((cj, ci))
-        if zs is not None:
-            for z in zs:
-                if z.lo is None:
-                    return _INVERSE[z.rel]
+        for z in self.zones.get((ci, cj), ()):
+            if z.hi is None:
+                return z.rel
+        for z in self.zones.get((cj, ci), ()):
+            if z.lo is None:
+                return _INVERSE[z.rel]
         return TRANS
 
     def weight(self, ci: str, n: int) -> Fraction:
@@ -264,15 +255,9 @@ class UBS:
     __slots__ = ("intervals",)
 
     def __init__(self, intervals: dict):
-        norm = {}
-        for cid, iv in intervals.items():
-            if iv is None:
-                continue
-            lo, hi = iv
-            if hi is not None and hi < lo:
-                continue
-            norm[cid] = (lo, hi)
-        self.intervals = norm
+        """Keeps the non-empty intervals: None and ``hi < lo`` are dropped."""
+        self.intervals = {cid: (iv[0], iv[1]) for cid, iv in intervals.items()
+                          if iv is not None and (iv[1] is None or iv[1] >= iv[0])}
 
     def has_tail(self) -> bool:
         return any(hi is None for _, hi in self.intervals.values())
@@ -437,13 +422,15 @@ def closure(S: ChainSystem, seed) -> UBS:
     members is a member), so the closure is computed as, per chain, the
     least index below some member and the largest index above one, both
     read off the relation index.  Tail decisions are confirmed at two
-    horizons.  Each seed (its non-None intervals, sorted by chain) is
-    closed once per system; a ``HorizonExceeded`` is kept and raised
-    afresh, with its message, on every later call.
+    horizons.  The seed is read as a ``UBS``, which drops empty intervals;
+    the others must lie in the horizon window: a seed interval starting
+    past ``horizon``, or a finite one ending at or past it, raises
+    ``HorizonExceeded`` naming its chain, as the scans would mistake it
+    for a tail or miss its members.  Each seed (its intervals, sorted by
+    chain) is closed once per system; a ``HorizonExceeded`` is kept and
+    raised afresh, with its message, on every later call.
     """
-    if isinstance(seed, UBS):
-        seed = seed.intervals
-    key = tuple(sorted((c, iv) for c, iv in seed.items() if iv is not None))
+    key = tuple(sorted((seed if isinstance(seed, UBS) else UBS(seed)).intervals.items()))
     out = S._closures.get(key)
     if out is None:
         try:
@@ -457,27 +444,25 @@ def closure(S: ChainSystem, seed) -> UBS:
 
 
 def _close(S: ChainSystem, seed: dict) -> UBS:
+    for cid, (lo, hi) in seed.items():
+        if lo > S.horizon or (hi is not None and hi >= S.horizon):
+            raise HorizonExceeded(
+                f"seed interval on chain {cid} leaves the window of horizon {S.horizon}")
     r1 = _closure_at(S, seed, S.horizon)
     r2 = _closure_at(S, seed, S.horizon + S.lcm_period)
-    out = {}
     for cid in S.chain_order:
-        a1 = r1.get(cid)
-        a2 = r2.get(cid)
-        if a1 is None and a2 is None:
-            continue
-        if a1 is None or a2 is None:
+        if r1.get(cid) != r2.get(cid):
             raise HorizonExceeded(f"closure unstable on chain {cid}")
-        (lo1, hi1, tail1), (lo2, hi2, tail2) = a1, a2
-        if lo1 != lo2 or tail1 != tail2 or (not tail1 and hi1 != hi2):
-            raise HorizonExceeded(f"closure unstable on chain {cid}")
-        out[cid] = (lo1, None if tail1 else hi1)
-    return UBS(out)
+    return UBS(r1)
 
 
 def _closure_at(S: ChainSystem, seed: dict, T: int) -> dict:
-    """Per chain met: (least member, largest member up to T, whether T is
-    a member); a tail seed reads its cross-chain ORs off suffix tables
-    topped at this horizon's scan, a finite one ORs its slice."""
+    """Per chain met: (least member, largest member below T, or None when
+    T is a member: a tail); a tail seed reads its cross-chain ORs off
+    suffix tables topped at this horizon's scan, a finite one ORs its
+    slice.  ``closure`` keeps every seed interval in [0, horizon], below
+    both scans, so the two horizons agree on a chain exactly when they
+    give it the same pair."""
     scan = T + S.head_extent + S.lcm_period + 1
     window = _range_mask(0, T)
     out = {}
@@ -486,30 +471,28 @@ def _closure_at(S: ChainSystem, seed: dict, T: int) -> dict:
         own = seed.get(c)
         if own is not None:
             above = _range_mask(own[0], T)
-            below = window if own[1] is None else _range_mask(0, min(own[1], T))
+            below = window if own[1] is None else _range_mask(0, own[1])
         for d, (lo, hi) in seed.items():
             if d == c:
                 continue
             lo = max(lo, 0)
             if hi is None:
-                if lo <= scan:
-                    sub, sup = S.suffix(c, d, scan)
-                    above |= sub[lo]
-                    below |= sup[lo]
+                sub, sup = S.suffix(c, d, scan)
+                above |= sub[lo]
+                below |= sup[lo]
             else:
-                top = min(hi, scan)
-                above |= reduce(or_, S.index(c, d, SUB)[lo:top + 1], 0)
-                below |= reduce(or_, S.index(c, d, SUP)[lo:top + 1], 0)
+                above |= reduce(or_, S.index(c, d, SUB)[lo:hi + 1], 0)
+                below |= reduce(or_, S.index(c, d, SUP)[lo:hi + 1], 0)
         above &= window
         if not above:
             continue
         A = (above & -above).bit_length() - 1
         if below >> T & 1:
-            out[c] = (A, T, True)
+            out[c] = (A, None)
             continue
         below &= _range_mask(A, T)
         if below:
-            out[c] = (A, below.bit_length() - 1, False)
+            out[c] = (A, below.bit_length() - 1)
     return out
 
 

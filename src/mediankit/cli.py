@@ -36,7 +36,6 @@ from .boundary import (
     ubs_graph,
     validate_shift,
     validate_system,
-    validate_system_rules,
 )
 from .config import DEFAULT_BUDGETS, budget_overrides
 from .errors import InvalidInput, MedianKitError
@@ -315,7 +314,7 @@ def cmd_ubs_validate(args) -> int:
 
 def cmd_ubs_graph(args) -> int:
     S, src = _load_system(args)
-    rep = validate_system_rules(S)
+    rep = validate_system(S)
     if not rep.ok:
         return _emit(args, src, rep.to_json(), "ubs-graph: INVALID", EXIT_INVALID)
     G = ubs_graph(S)
@@ -330,7 +329,7 @@ def cmd_ubs_graph(args) -> int:
 
 def cmd_ubs_chi(args) -> int:
     S, src = _load_system(args)
-    rep = validate_system_rules(S)
+    rep = validate_system(S)
     if not rep.ok:
         return _emit(args, src, rep.to_json(), "ubs-chi: INVALID", EXIT_INVALID)
     g = serialize.load_shift_map(serialize.read_json(args.shift))

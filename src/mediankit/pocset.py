@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -69,6 +71,20 @@ class MaskMap:
         return out
 
 
+def transitive_rows(rows: Sequence[int]) -> list:
+    """The transitive closure of a relation given as bitmask rows (row i
+    holds the j related to i): each round ORs into every row the rows of
+    its members, through one ``MaskMap``, until no row changes.  A round
+    doubles the path lengths covered, so about log2(len(rows)) rounds."""
+    rows = list(rows)
+    while True:
+        step = MaskMap(rows)
+        closed = [r | step(r) for r in rows]
+        if closed == rows:
+            return rows
+        rows = closed
+
+
 class WeightedPocset:
     """Finite set of halfspaces with involution, partial order and weights.
 
@@ -94,26 +110,14 @@ class WeightedPocset:
         wall_ids: Optional[Sequence[str]] = None,
     ):
         self._set_walls(walls, wall_ids)
-        n = self.n
-        up = [1 << i for i in range(n)]
+        up = [1 << i for i in range(self.n)]
         for a, b in order:
             if a not in self.index or b not in self.index:
                 raise InvalidInput(f"order pair ({a!r}, {b!r}) names unknown halfspace")
             i, j = self.index[a], self.index[b]
             up[i] |= 1 << j
             up[self.star[j]] |= 1 << self.star[i]  # order-reversing involution
-        # transitive closure (Warshall over bitmask rows)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = up[i]
-                for j in _iter_bits(up[i]):
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
-        self._set_rows(up)
+        self._set_rows(transitive_rows(up))
 
     @classmethod
     def from_rows(cls, walls: Iterable[tuple[str, str, Fraction]], up: Sequence[int],
@@ -149,14 +153,7 @@ class WeightedPocset:
         self.index = {h: i for i, h in enumerate(self.ids)}
         self.star = tuple(self.index[star_by_id[h]] for h in self.ids)
         self.weight = tuple(weight_by_id[h] for h in self.ids)
-        pairs = []
-        used = set()
-        for i in range(self.n):
-            j = self.star[i]
-            if i not in used and j not in used:
-                pairs.append((min(i, j), max(i, j)))
-                used.update((i, j))
-        self.walls = tuple(sorted(pairs))
+        self.walls = tuple(sorted({(min(i, j), max(i, j)) for i, j in enumerate(self.star)}))
         self.star_map = MaskMap(tuple([1 << j for j in self.star]))
         if wall_ids is not None:
             if len(wall_ids) != len(wall_list):
@@ -251,10 +248,7 @@ class ConvexSet:
         masks = sorted({p.mask for p in points})
         self.pocset = pocset
         self.masks = tuple(masks)
-        sigma = (1 << pocset.n) - 1 if masks else 0
-        for m in masks:
-            sigma &= m
-        self.sigma = sigma
+        self.sigma = reduce(and_, masks, (1 << pocset.n) - 1) if masks else 0
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -349,7 +343,11 @@ def points(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Point
 
     Wall-by-wall backtracking with up-closure propagation; the search tree
     has one leaf per ultrafilter, so the cost is proportional to the output
-    rather than ``2^walls``.
+    rather than ``2^walls``.  No side is ever pruned, as the rows of every
+    constructor are transitive and star-reversing, invalid input included:
+    ``chosen`` is up-closed, so a side whose complement is chosen has its
+    wall skipped, and an ``x >= side`` whose complement ``x*`` is chosen
+    gives ``side* >= x*``, so ``side*`` is chosen and the wall skipped too.
     """
     if P.wall_count > budgets.point_walls:
         raise WallBudgetExceeded(
@@ -362,7 +360,7 @@ def points(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Point
     walls = P.walls
     out: list[int] = []
 
-    def rec(w: int, chosen: int, banned: int):
+    def rec(w: int, chosen: int):
         while w < len(walls) and (chosen >> walls[w][0] & 1 or chosen >> walls[w][1] & 1):
             w += 1
         if w == len(walls):
@@ -371,14 +369,9 @@ def points(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Point
                 raise WallBudgetExceeded("point enumeration exceeded max_points cap")
             return
         for side in walls[w]:
-            if banned >> side & 1:
-                continue
-            forced = up[side]
-            if forced & banned:
-                continue
-            rec(w + 1, chosen | forced, banned | P.star_map(forced))
+            rec(w + 1, chosen | up[side])
 
-    rec(0, 0, 0)
+    rec(0, 0)
     P._points = tuple(Point(P, m) for m in sorted(out))
     return P._points
 
@@ -496,9 +489,7 @@ def convex_hull(P: WeightedPocset, S: Iterable[Point],
     members = list(S)
     if not members:
         raise EmptyInput("convex_hull() requires a nonempty set")
-    sigma = (1 << P.n) - 1
-    for p in members:
-        sigma &= p.mask
+    sigma = reduce(and_, (p.mask for p in members), (1 << P.n) - 1)
     hull = [p for p in points(P, budgets) if sigma & ~p.mask == 0]
     return ConvexSet(P, hull)
 
@@ -508,9 +499,7 @@ def inseparable_closure(P: WeightedPocset, S: Iterable[str]) -> tuple[str, ...]:
     idxs = [P.idx(h) for h in S]
     if not idxs:
         return ()
-    smask = 0
-    for i in idxs:
-        smask |= 1 << i
+    smask = reduce(or_, (1 << i for i in idxs))
     above = P.up_map(smask)  # halfspaces lying above some member
     out = [j for j in _iter_bits(above) if P.up[j] & smask]
     return tuple(sorted(P.ids[j] for j in out))

@@ -101,7 +101,8 @@ def lift(S: Subdivision, g: Automorphism) -> Automorphism:
 
 
 class CanonicalCube:
-    """The cube around a new point: vertex maps into parent and child."""
+    """The cube around a new point and its midpoint map into the child; the
+    parent point at a vertex is ``sub.preimage`` of its midpoint."""
 
     __slots__ = ("sub", "k", "wall_sides", "center")
 
@@ -110,13 +111,6 @@ class CanonicalCube:
         self.k = len(wall_sides)
         self.wall_sides = wall_sides  # one parent halfspace index per zero wall
         self.center = center
-
-    def vertex(self, signs: tuple) -> Point:
-        """ι_x: a {−1,1}-vector to an original point."""
-        p = self.sub.preimage(self.midpoint(signs))
-        if p is None:
-            raise NotANewPoint("vertex() needs all coordinates in {-1, 1}")
-        return p
 
     def midpoint(self, signs: tuple) -> Point:
         """ι̂_x: a {−1,0,1}-vector to a point of the subdivision.

@@ -4,8 +4,8 @@ Every verdict the search commands emit names concrete halfspaces, so a
 skeptical caller can re-check it against the pocset with point sets and
 distances alone, trusting no search bookkeeping.  Distances are summed wall
 by wall here, not through the core's weight groups; ``separating_mass`` is
-also the reference for ``pocset.distance`` in ``oracles.ORACLES``.  This
-module deliberately imports nothing outside the core.
+also the reference for ``pocset.distance`` in the tests' oracle table.
+This module deliberately imports nothing outside the core.
 """
 
 from __future__ import annotations

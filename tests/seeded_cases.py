@@ -1,0 +1,500 @@
+"""Seeded inputs of the oracle table and of the tests that share them.
+
+Each function gives the argument tuples of rows of ``test_oracles.ORACLES``
+(or the objects a row takes one at a time), or a list of models, from
+fixed seeds.  Random pocsets come from ``randomgen.random_pocset`` and
+random chain systems from ``randomgen.random_system``; ``decorate`` adds
+head entries and row rules to a system, which may break it, and
+``edge_systems`` are hand-made systems at the edges of the rule checks.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from functools import cache
+
+from mediankit import fixtures as fx
+from mediankit.actions import TotalAction, _evaluator, enumerate_words
+from mediankit.boundary import (
+    SUB, SUP, TRANS, Chain, ChainSystem, RowRule, ShiftMap, Zone, closure, validate_system)
+from mediankit.pocset import ConvexSet, WeightedPocset, convex_hull, points
+from mediankit.randomgen import random_pocset, random_poset, random_system
+from mediankit.structure import Automorphism, automorphisms, decompose, pocset_product
+from mediankit.subdivision import subdivide
+from references import pair_order, wall_list
+
+
+def random_pocsets(rng: random.Random, count: int, max_walls: int = 10,
+                   max_points: int = 16) -> list:
+    return [random_pocset(rng, max_walls, max_points) for _ in range(count)]
+
+
+def partial_maps(rng: random.Random, P: WeightedPocset) -> list:
+    """For at most 9 walls: the first six automorphisms, each with its
+    restriction to random walls, and one unchecked scramble whose images
+    can be inconsistent."""
+    out = []
+    if P.wall_count <= 9:
+        for g in automorphisms(P)[:6]:
+            out.append(g)
+            kept = [w for w in P.walls if rng.random() < 0.6]
+            perm = [None] * P.n
+            for i, j in kept:
+                perm[i], perm[j] = g.perm[i], g.perm[j]
+            out.append(Automorphism(P, perm, "restricted"))
+        sides = list(range(P.n))
+        rng.shuffle(sides)
+        perm = [s if rng.random() < 0.8 else None for s in sides]
+        out.append(Automorphism(P, perm, "scrambled"))
+    return out
+
+
+def random_systems(rng: random.Random, count: int, max_chains: int = 5,
+                   tries: int = 0, keep=None) -> list:
+    """``count`` random systems, each decorated by ``tries`` attempts if
+    ``tries`` is set."""
+    out = []
+    for _ in range(count):
+        S = random_system(rng, max_chains)
+        out.append(decorate(rng, S, tries, keep) if tries else S)
+    return out
+
+
+def decorate(rng: random.Random, S: ChainSystem, tries: int,
+             keep=None) -> ChainSystem:
+    """S plus random head entries and row rules on head-region pairs, each
+    changing the relation there; one is kept only if ``keep`` (if given)
+    accepts the system with it."""
+    chains = [S.chains[c] for c in S.chain_order]
+    rows, head = (), {}
+    for _ in range(tries if len(chains) > 1 else 0):
+        c, d = rng.sample(S.chain_order, 2)
+        n, m = rng.randint(0, 3), rng.randint(0, 5)
+        code = rng.choice([x for x in (SUB, SUP, TRANS) if x != S.rel(c, n, d, m)])
+        if rng.random() < 0.5:
+            cand = rows, {**head, (c, n, d, m): code}
+        else:
+            hi = rng.choice((None, m, m + rng.randint(0, 2)))
+            cand = rows + (RowRule(c, n, d, code, m, hi),), head
+        T = ChainSystem(chains, zones=S.zones, rows=cand[0], head=cand[1])
+        if keep is None or keep(T):
+            rows, head = cand
+    return ChainSystem(chains, zones=S.zones, rows=rows, head=head)
+
+
+def edge_systems() -> dict:
+    """By name: ``conflict``, a row rule under a head entry on one pair;
+    ``zone gap``, whose (H, K) zones leave offsets 0..2 to the (K, H) zone
+    and to ``trans``; ``head cycle``, a_0 in b_0 in c_0 in a_0; and, under
+    the code that rejects each, three resolvers that are not antisymmetric."""
+    one = (Fraction(1),)
+
+    def two(**rules):
+        return ChainSystem([Chain("H", 1, one), Chain("K", 1, one)], **rules)
+
+    return {
+        "conflict": ChainSystem(
+            [Chain("a", 1, one), Chain("b", 1, one)],
+            zones={("a", "b"): (Zone(None, None, TRANS),)},
+            rows=[RowRule("a", 0, "b", SUB, 3, 3)],
+            head={("a", 0, "b", 3): TRANS}),
+        "zone gap": ChainSystem(
+            [Chain("H", 1, one), Chain("K", 2, one * 2)],
+            zones={("H", "K"): (Zone(None, -1, SUB), Zone(3, None, TRANS)),
+                   ("K", "H"): (Zone(-1, 0, SUB),)},
+            rows=[RowRule("K", 1, "H", SUP, 4, None)]),
+        "head cycle": ChainSystem(
+            [Chain(c, 1, one) for c in "abc"],
+            head={("a", 0, "b", 0): SUB, ("b", 0, "c", 0): SUB,
+                  ("c", 0, "a", 0): SUB}),
+        "HEAD_CONFLICT": two(head={("H", 0, "K", 2): SUB, ("K", 2, "H", 0): SUB}),
+        "ZONES_NOT_PARTITION": two(zones={
+            ("H", "K"): (Zone(None, -1, SUB), Zone(3, None, TRANS)),
+            ("K", "H"): (Zone(None, None, TRANS),)}),
+        "ZONE_CONFLICT": two(zones={
+            ("H", "K"): (Zone(None, 0, TRANS), Zone(1, None, SUP)),
+            ("K", "H"): (Zone(None, 0, TRANS), Zone(1, None, SUP))}),
+    }
+
+
+# -- pocsets, points, maps and actions ---------------------------------------
+
+def seeded(offset: int = 0) -> random.Random:
+    """The generator of most inputs, seeded 987123 + ``offset``."""
+    return random.Random(987123 + offset)
+
+
+@cache
+def mixed_pocsets() -> list:
+    """Forty random pocsets with mixed wall weights (made once: many rows
+    read them)."""
+    return random_pocsets(random.Random(20261018), 40, max_walls=9, max_points=14)
+
+
+def window_pocsets() -> list:
+    return [fx.window(name).pocset for name in ("F2BALL", "LINE")]
+
+
+def copy_table_pocsets() -> list:
+    return small_fixtures() + random_pocsets(random.Random(20240611), 12, 6, 12)
+
+
+def _sample(rng: random.Random, seq, k: int) -> list:
+    return list(seq) if len(seq) <= k else rng.sample(list(seq), k)
+
+
+@cache
+def _point_samples() -> list:
+    """Per mixed and window pocset, drawn in turn from one stream of seed
+    11: sampled point pairs, gates onto hulls of sampled pairs, and masks
+    (random ones, points with one wall turned over, a side added or a side
+    dropped, and the points themselves)."""
+    rng, out = random.Random(11), []
+    for P in mixed_pocsets() + window_pocsets():
+        pts = points(P, fx.WINDOW_BUDGETS)
+        pairs = [(P, x, y) for x in _sample(rng, pts, 12) for y in _sample(rng, pts, 12)]
+        gates = []
+        for _ in range(5):
+            C = convex_hull(P, _sample(rng, pts, 2), fx.WINDOW_BUDGETS)
+            gates += [(P, C, x) for x in _sample(rng, pts, 5)]
+        masks = [rng.getrandbits(P.n) for _ in range(30)]
+        for p in _sample(rng, pts, 10):
+            i, j = rng.choice(P.walls)
+            masks += [p.mask ^ (1 << i | 1 << j), p.mask | 1 << i | 1 << j,
+                      p.mask & ~(1 << i)]
+        out.append((pairs, gates, [(P, m) for m in masks + [p.mask for p in pts]]))
+    return out
+
+
+def point_pairs() -> list:
+    return [case for pairs, _, _ in _point_samples() for case in pairs]
+
+
+def point_gates() -> list:
+    return [case for _, gates, _ in _point_samples() for case in gates]
+
+
+def point_masks() -> list:
+    return [case for _, _, masks in _point_samples() for case in masks]
+
+
+def embed_cases():
+    """The points of the mixed and window pocsets, each with the subdivision."""
+    for P in mixed_pocsets() + window_pocsets():
+        S = subdivide(P)
+        yield from ((S, p) for p in points(P, fx.WINDOW_BUDGETS))
+
+
+def preimage_cases():
+    """Child points to pull back: the embedded points of the mixed and
+    window pocsets, then every child point of those with at most 9 walls."""
+    for P in mixed_pocsets() + window_pocsets():
+        S = subdivide(P)
+        yield from ((S, S.embed(p)) for p in points(P, fx.WINDOW_BUDGETS))
+        if P.wall_count <= 9:
+            yield from ((S, q) for q in points(S.child))
+
+
+def cube_cases():
+    """The new child points of the copy-table pocsets, each with the
+    subdivision."""
+    for P in copy_table_pocsets():
+        S = subdivide(P)
+        yield from ((S, q) for q in points(S.child) if S.is_new(q))
+
+
+def image_cases():
+    """Total, restricted and scrambled maps on the mixed pocsets, and the
+    words of length at most 2 on the windows."""
+    rng = random.Random(7)
+    for P in mixed_pocsets():
+        yield from ((g, p) for g in partial_maps(rng, P) for p in points(P))
+    for action in map(fx.window, ("F2BALL", "LINE")):
+        ev = _evaluator(action)
+        yield from ((ev(w), p) for w in enumerate_words(action.gen_names(), 2)
+                    for p in action.points())
+
+
+def total_actions() -> list:
+    """Every generating set of the SQUARE, TRIPOD and GRID automorphisms."""
+    return [fx.total_action(name, gens) if gens else TotalAction(fx.pocset(name), {})
+            for name in ("SQUARE", "TRIPOD", "GRID")
+            for r in range(len(fx.named_automorphisms(name)) + 1)
+            for gens in itertools.combinations(fx.named_automorphisms(name), r)]
+
+
+def subgroups():
+    """Random pocsets acting by no automorphism, by each one and by each
+    pair."""
+    for P in random_pocsets(seeded(3), 12, max_walls=7, max_points=12):
+        auts = automorphisms(P)[:8]
+        yield from ((TotalAction(P, {f"g{i}": g for i, g in enumerate(gens)}),)
+                    for r in (0, 1, 2) for gens in itertools.combinations(auts, r))
+
+
+def pocset_pairs(count: int, max_walls: int, max_points: int) -> list:
+    rng = seeded()
+    return [random_pocsets(rng, 2, max_walls, max_points) for _ in range(count)]
+
+
+def random_posets() -> list:
+    rng = seeded()
+    return [(random_poset(rng, rng.randint(1, 11)),) for _ in range(30)]
+
+
+# -- chain systems -----------------------------------------------------------
+
+def _system_fixtures() -> list:
+    return [fx.chain_system(name) for name in fx.SYSTEM_FIXTURES]
+
+
+def closure_systems() -> list:
+    """The system fixtures, the conflict system and 30 decorated systems
+    that validate."""
+    return _system_fixtures() + [edge_systems()["conflict"]] + random_systems(
+        seeded(), 30, max_chains=4, tries=12, keep=lambda T: validate_system(T).ok)
+
+
+def index_systems() -> list:
+    """The system fixtures, the conflict and zone gap systems and 8
+    decorated systems."""
+    edges = edge_systems()
+    return _system_fixtures() + [edges["conflict"], edges["zone gap"]] + \
+        random_systems(seeded(), 8, max_chains=3, tries=6)
+
+
+def checked_systems() -> list:
+    """The system fixtures, 30 random and 100 decorated systems (most of
+    them rejected) and the edge systems."""
+    rng = seeded()
+    return _system_fixtures() + random_systems(rng, 30) + \
+        random_systems(rng, 100, max_chains=4, tries=4) + list(edge_systems().values())
+
+
+def truncated_systems() -> list:
+    return _system_fixtures() + random_systems(seeded(), 20)
+
+
+def closure_cases():
+    """On the closure systems: tail, finite and mixed seeds, an empty
+    interval (``hi < lo``), seeds at both edges of the horizon window, and
+    tails starting at, and just past, the scan of each horizon (the second
+    is ``index_scan``), alone and next to a finite interval."""
+    for S in closure_systems():
+        first, last, T = S.chain_order[0], S.chain_order[-1], S.horizon
+        seeds = [{first: (0, None), last: (1, 2)}, {c: (1, None) for c in S.chain_order},
+                 {first: (0, None), last: (4, 2)}, {first: (1, T - 1)}, {first: (1, T)},
+                 {last: (T, None)}, {last: (T + 1, None)}]
+        for c in S.chain_order:
+            seeds += [{c: (0, None)}, {c: (2, None)}, {c: (1, 3)}, {c: (4, 2)}]
+        for scan in (S.index_scan - S.lcm_period, S.index_scan):
+            for lo in (scan, scan + 1):
+                seeds += [{first: (lo, None)}, {first: (1, 3), last: (lo, None)},
+                          {last: (1, 3), first: (lo, None)}]
+        yield from ((S, seed) for seed in seeds)
+
+
+def tail_systems() -> list:
+    """The system fixtures, 20 random systems and 20 decorated systems that
+    validate."""
+    rng = seeded()
+    decorated = random_systems(rng, 20, max_chains=4, tries=8,
+                               keep=lambda T: validate_system(T).ok)
+    return _system_fixtures() + random_systems(rng, 20, max_chains=4) + decorated
+
+
+def tail_closure_pairs():
+    """Pairs of closures of tails of the tail systems: from 0, 1 and 3 on
+    one chain, from 0 on all."""
+    for S in tail_systems():
+        seeds = [{c: (n, None)} for c in S.chain_order for n in (0, 1, 3)]
+        closures = [closure(S, seed) for seed in seeds + [{c: (0, None) for c in S.chain_order}]]
+        yield from ((S, U, V) for U in closures for V in closures)
+
+
+def uniform_shifts():
+    """Pairs of uniform shifts by whole periods on random systems."""
+    for S in random_systems(seeded(1), 12, max_chains=4):
+        shift = [ShiftMap({c: c for c in S.chain_order},
+                          {c: k * S.lcm_period for c in S.chain_order}) for k in range(4)]
+        yield from ((S, shift[a], shift[b]) for a, b in ((1, 1), (1, 2), (0, 3)))
+
+
+# -- order rows: every construction path, maps and halfspace pairs -----------
+
+def order_pocsets() -> list:
+    """The pocset fixtures and 40 random pocsets of at most 8 walls."""
+    return [fx.pocset(name) for name in fx.POCSET_FIXTURES] + \
+        random_pocsets(random.Random(11), 40, 8)
+
+
+def small_fixtures() -> list:
+    return [fx.pocset(name) for name in fx.POCSET_FIXTURES[:4]]
+
+
+def products() -> list:
+    """Ten products of three random pocsets of at most 4 walls."""
+    return [pocset_product(random_pocsets(random.Random(seed), 3, 4)) for seed in range(10)]
+
+
+def child_cases() -> list:
+    """The order pocsets, and the children of 8 random pocsets, whose own
+    children are then children of children."""
+    return [(P,) for P in order_pocsets() +
+            [subdivide(P).child for P in random_pocsets(random.Random(12), 8, 5)]]
+
+
+def product_cases() -> list:
+    """Products of 1, 2, 3 and 12 random pocsets under the default prefixes
+    (twelve sort as f0., f1., f10., f11., f2., ...), and of TRIPOD and PATH3
+    under two given ones."""
+    rng = random.Random(13)
+    out = [(random_pocsets(rng, count, 4), None) for count in (1, 2, 3, 12)]
+    return out + [([fx.pocset("TRIPOD"), fx.pocset("PATH3")], ["y.", "x."])]
+
+
+def _relabelled(P, rng):
+    """P with unit weights and its halfspaces renamed at random, so that
+    the search meets the walls in another order and from either side."""
+    names = list(P.ids)
+    rng.shuffle(names)
+    new = {h: f"x{k:02d}" for k, h in enumerate(names)}
+    return WeightedPocset([(new[a], new[b], Fraction(1)) for a, b, _ in wall_list(P)],
+                          [(new[a], new[b]) for a, b in pair_order(P)])
+
+
+def automorphism_cases() -> list:
+    """Four fixtures, 30 random pocsets, 8 products and 120 relabelled
+    random pocsets."""
+    rng = random.Random(14)
+    cases = small_fixtures() + random_pocsets(random.Random(15), 30, 8)
+    cases += [pocset_product(random_pocsets(random.Random(seed), 2, 3)) for seed in range(8)]
+    cases += [_relabelled(P, rng) for P in random_pocsets(random.Random(16), 120, 7)]
+    return [(P,) for P in cases]
+
+
+def _scrambles(P, rng):
+    """Maps of P: random permutations, star-commuting weight-keeping wall
+    shuffles (which may break order), collisions, and restrictions of these
+    to random walls, or to all but one halfspace."""
+    out = []
+    for _ in range(6):
+        perm = list(range(P.n))
+        rng.shuffle(perm)
+        out.append(perm)
+        by_weight = {}
+        for i, j in P.walls:
+            by_weight.setdefault(P.weight[i], []).append((i, j))
+        perm = [None] * P.n
+        for group in by_weight.values():
+            images = group[:]
+            rng.shuffle(images)
+            for (i, j), (k, l) in zip(group, images):
+                k, l = (k, l) if rng.random() < 0.5 else (l, k)
+                perm[i], perm[j] = k, l
+        out.append(perm)
+        if P.n > 2:
+            clash = perm[:]
+            clash[0] = clash[1]
+            out.append(clash)
+    for perm in list(out):
+        part = perm[:]
+        for i, j in P.walls:
+            if rng.random() < 0.4:
+                part[i] = part[j] = None
+        out.append(part)
+        one_sided = perm[:]
+        one_sided[rng.randrange(P.n)] = None
+        out.append(one_sided)
+    return out
+
+
+def map_cases():
+    """The scrambles and automorphisms of four fixtures and 30 random
+    pocsets; then each window generator (the only maps of pocsets with more
+    than 8 walls), and the generator with the images of two incomparable
+    walls swapped, which breaks order."""
+    rng = random.Random(16)
+    for P in small_fixtures() + random_pocsets(random.Random(17), 30, 8):
+        yield from ((P, perm) for perm in _scrambles(P, rng) + [list(g.perm)
+                                                               for g in automorphisms(P)])
+    for g in (g for name in fx.WINDOW_FIXTURES for g in fx.window(name).gens.values()):
+        P, broken = g.pocset, list(g.perm)
+        a = next(i for i, b in enumerate(broken) if b is not None)
+        c = next(i for i, b in enumerate(broken) if b is not None and not P.leq_idx(a, i)
+                 and not P.leq_idx(i, a) and P.star[i] != a)
+        broken[a], broken[c] = broken[c], broken[a]
+        sa, sc = P.star[a], P.star[c]
+        broken[sa], broken[sc] = broken[sc], broken[sa]
+        yield from ((P, list(g.perm)), (P, broken))
+
+
+def convex_pairs():
+    """On four fixtures and 40 random pocsets, 20 times a pair of random
+    convex sets and a pair of points."""
+    rng = random.Random(24)
+    for P in small_fixtures() + random_pocsets(random.Random(25), 40, 8):
+        pts = points(P)
+        for _ in range(20):
+            A = ConvexSet(P, rng.sample(pts, rng.randint(1, len(pts))))
+            B = ConvexSet(P, rng.sample(pts, rng.randint(1, len(pts))))
+            yield from ((P, A, B), (P, rng.choice(pts), rng.choice(pts)))
+
+
+def four_wall_paths() -> list:
+    """An irreducible pocset with h0 three non-transversality steps from
+    h3, and its product with SQUARE."""
+    path = WeightedPocset([(f"h{i}", f"h{i}*", Fraction(1)) for i in range(4)],
+                          [("h2", "h0"), ("h2", "h1"), ("h3", "h1")])
+    return [path, pocset_product([path, fx.pocset("SQUARE")])]
+
+
+def halfspace_pairs(seed: int, extra=()):
+    """On the order pocsets, 60 random pocsets, the products and ``extra``:
+    every ordered pair of halfspaces of a pocset of at most 40, else 400
+    pairs drawn from a generator seeded ``seed``."""
+    rng = random.Random(seed)
+    for P in order_pocsets() + random_pocsets(random.Random(18), 60, 8) + products() + \
+            list(extra):
+        if P.n <= 40:
+            yield from ((P, h, k) for h in P.ids for k in P.ids)
+        else:
+            yield from ((P, rng.choice(P.ids), rng.choice(P.ids)) for _ in range(400))
+
+
+def _unit_walls(*names):
+    return [(h, h + "*", Fraction(1)) for h in names]
+
+
+def invalid_pair_inputs(seed: int, count: int) -> list:
+    """Pair input breaking the axioms: cycles, a halfspace below or above
+    its complement, a lone fixed-point wall, non-positive weights, and
+    random pocsets with one to three random pairs added."""
+    out = [
+        WeightedPocset(_unit_walls("a", "b", "c"), [("a", "b"), ("b", "c"), ("c", "a")]),
+        WeightedPocset(_unit_walls("a", "b"), [("a", "b"), ("b", "a*")]),
+        WeightedPocset(_unit_walls("a", "b"), [("a", "a*")]),
+        WeightedPocset(_unit_walls("a", "b"), [("a*", "a"), ("b", "a")]),
+        WeightedPocset([("a", "a", Fraction(1))]),
+        WeightedPocset([("a", "a", Fraction(1))] + _unit_walls("b"), [("b", "a")]),
+        WeightedPocset([("a", "a*", Fraction(0)), ("b", "b*", Fraction(-2)),
+                        ("c", "c*", Fraction(1, 2))], [("a", "b")]),
+    ]
+    rng = random.Random(seed)
+    for P in random_pocsets(random.Random(seed), count, 6):
+        extra = [(rng.choice(P.ids), rng.choice(P.ids)) for _ in range(rng.randint(1, 3))]
+        out.append(WeightedPocset(wall_list(P), pair_order(P) + extra))
+    return out
+
+
+def construction_cases() -> list:
+    """Pocsets from every construction path: pair input (valid and
+    invalid), subdivisions, subdivisions of subdivisions, factors and
+    products."""
+    base = order_pocsets() + random_pocsets(random.Random(21), 40, 8)
+    prods = products()
+    out = base + prods + invalid_pair_inputs(22, 80)
+    out += [subdivide(P).child for P in base if P.n <= 40]
+    out += [subdivide(subdivide(P).child).child
+            for P in random_pocsets(random.Random(23), 5, 4)]
+    return out + [F for P in base + prods for F in decompose(P).factors]

@@ -16,7 +16,9 @@ from mediankit.boundary import (
     minimal_tail, tail, transfer_character, truncation_antichain_bound, ubs_graph,
     ubs_poset, validate_system)
 from mediankit.errors import ClassNotPreserved, ClassPermuted, HorizonExceeded, InvalidInput
-from mediankit.oracles import rel_up_rows
+
+import seeded_cases as sc
+from references import rel_up_rows
 
 ONE = Fraction(1)
 
@@ -78,7 +80,7 @@ def test_stairflap_closure_of_index_one_tail_contains_no_k():
 
 
 def test_head_entry_overrides_row_rule_in_closure():
-    S = rg.edge_systems()["conflict"]
+    S = sc.edge_systems()["conflict"]
     assert validate_system(S).ok
     assert S.rel("a", 0, "b", 3) == TRANS
     # a_0 is not contained in b_3, so it is not between a seed pair
@@ -88,102 +90,42 @@ def test_head_entry_overrides_row_rule_in_closure():
 
 # -- the closure engine: suffix tables and the per-system memo ---------------
 
-def _slice_closure_at(S, seed, T):
-    """_closure_at as it was: every cross-chain interval ORs its slice of
-    the relation index."""
-    scan = T + S.head_extent + S.lcm_period + 1
-    window = bd._range_mask(0, T)
-    out = {}
-    for c in S.chain_order:
-        above = below = 0
-        own = seed.get(c)
-        if own is not None:
-            above = bd._range_mask(own[0], T)
-            below = window if own[1] is None else bd._range_mask(0, min(own[1], T))
-        for d, (lo, hi) in seed.items():
-            if d == c:
-                continue
-            lo, top = max(lo, 0), scan if hi is None else min(hi, scan)
-            above |= reduce(or_, S.index(c, d, SUB)[lo:top + 1], 0)
-            below |= reduce(or_, S.index(c, d, SUP)[lo:top + 1], 0)
-        above &= window
-        if not above:
-            continue
-        A = (above & -above).bit_length() - 1
-        if below >> T & 1:
-            out[c] = (A, T, True)
-            continue
-        below &= bd._range_mask(A, T)
-        if below:
-            out[c] = (A, below.bit_length() - 1, False)
-    return out
+@pytest.mark.parametrize("name, seed, expected", [
+    ("LINE", {"H": (11, None)}, "H"),
+    ("LINE", {"H": (8, 10)}, "H"),
+    ("STAIRFLAP", {"K": (1, 3), "H": (16, None)}, "H"),
+    ("STAIRFLAP", {"K": (0, None), "H": (4, 2)}, bd.UBS({"K": (0, None)}))])
+def test_closure_answers_only_inside_the_horizon_window(name, seed, expected):
+    """A tail starting past the horizon, or a finite interval ending at or
+    past it, raises naming its chain; an empty interval is dropped."""
+    S = fx.chain_system(name)
+    if isinstance(expected, str):
+        with pytest.raises(HorizonExceeded, match=f"on chain {expected} "):
+            closure(S, seed)
+    else:
+        assert closure(S, seed) == expected == closure(S, bd.UBS(seed))
 
 
-def _slice_closure(S, seed):
-    """closure as it was: no memo, both horizons from slice ORs."""
-    seed = {c: iv for c, iv in seed.items() if iv is not None}
-    r1 = _slice_closure_at(S, seed, S.horizon)
-    r2 = _slice_closure_at(S, seed, S.horizon + S.lcm_period)
-    out = {}
-    for cid in S.chain_order:
-        a1, a2 = r1.get(cid), r2.get(cid)
-        if a1 is None and a2 is None:
-            continue
-        if a1 is None or a2 is None:
-            raise HorizonExceeded(f"closure unstable on chain {cid}")
-        (lo1, hi1, tail1), (lo2, hi2, tail2) = a1, a2
-        if lo1 != lo2 or tail1 != tail2 or (not tail1 and hi1 != hi2):
-            raise HorizonExceeded(f"closure unstable on chain {cid}")
-        out[cid] = (lo1, None if tail1 else hi1)
-    return bd.UBS(out)
-
-
-def _engine_seeds(S):
-    """Tail, finite and mixed seeds; a finite interval with ``hi < lo``; and
-    tails starting at, and just past, each horizon's scan (the second is
-    ``index_scan``), alone and next to a finite interval."""
-    first, last = S.chain_order[0], S.chain_order[-1]
-    seeds = [{first: (0, None), last: (1, 2)},
-             {c: (1, None) for c in S.chain_order},
-             {first: (0, None), last: (4, 2)}]
-    for c in S.chain_order:
-        seeds += [{c: (0, None)}, {c: (2, None)}, {c: (1, 3)}, {c: (4, 2)}]
-    for scan in (S.index_scan - S.lcm_period, S.index_scan):
-        for lo in (scan, scan + 1):
-            seeds += [{first: (lo, None)}, {first: (1, 3), last: (lo, None)},
-                      {last: (1, 3), first: (lo, None)}]
-    return seeds
-
-
-def test_closure_engine_matches_the_slice_reference(rng):
-    valid = rg.random_systems(rng, 30, max_chains=4, tries=8,
-                              keep=lambda T: validate_system(T).ok)
-    unfiltered = rg.random_systems(rng, 30, max_chains=4, tries=8)
-    assert not all(validate_system(S).ok for S in unfiltered)
-    edges = rg.edge_systems()
-    systems = [fx.chain_system(name) for name in fx.SYSTEM_FIXTURES]
-    systems += [edges["conflict"], edges["zone gap"]] + valid + unfiltered
-    kinds = set()
-    for S in systems:
-        for seed in _engine_seeds(S):
-            for T in (S.horizon, S.horizon + S.lcm_period):
-                assert bd._closure_at(S, seed, T) == _slice_closure_at(S, seed, T), \
-                    (S, seed, T)
-            expected = _outcome(_slice_closure, S, seed)
-            assert _outcome(closure, S, seed) == expected, (S, seed)
-            assert _outcome(closure, S, seed) == expected, (S, seed)
-            kinds.add(type(expected).__name__)
+def test_suffix_tables_are_the_index_tails_at_both_scans():
+    """Once the closure row's seeds are closed, each system of two or more
+    chains holds suffix tables topped at each horizon's own scan, each the
+    ORs of its index tails, SUB then SUP."""
+    systems = {}
+    for S, seed in sc.closure_cases():
+        systems[id(S)] = S
+        try:
+            closure(S, seed)
+        except HorizonExceeded:
+            pass
+    for S in systems.values():
         tops = set()
         for (c, d, top), tables in S._suffix.items():
             assert tables == tuple(
                 [reduce(or_, S.index(c, d, want)[lo:top + 1], 0)
                  for lo in range(top + 1)] for want in (SUB, SUP))
             tops.add(top)
-        # one entry per chain pair and horizon, topped at that horizon's own
-        # scan, holding the SUB and the SUP table
         scans = {S.index_scan - S.lcm_period, S.index_scan}
         assert tops == (scans if len(S.chains) > 1 else set())
-    assert kinds == {"UBS", "tuple"}  # tuple: a HorizonExceeded outcome
 
 
 def _count_closure_at(monkeypatch, inner=None):
@@ -225,7 +167,7 @@ def test_closure_memo_is_per_system(monkeypatch):
 
 def test_closure_memo_replays_horizon_errors(monkeypatch):
     def disagreeing(S, seed, T):
-        return {} if T == S.horizon else {S.chain_order[0]: (0, T, True)}
+        return {} if T == S.horizon else {S.chain_order[0]: (0, None)}
 
     calls = _count_closure_at(monkeypatch, disagreeing)
     S = fx.line_system()
@@ -239,17 +181,13 @@ def test_closure_memo_replays_horizon_errors(monkeypatch):
     assert len(calls) == 2
 
 
-def _two_chains(**rules):
-    return ChainSystem([Chain("H", 1, (ONE,)), Chain("K", 1, (ONE,))], **rules)
-
-
 def test_head_cycle_fails_transitivity():
-    assert [f["code"] for f in validate_system(rg.edge_systems()["head cycle"]).failures] \
+    assert [f["code"] for f in validate_system(sc.edge_systems()["head cycle"]).failures] \
         == ["REL_NOT_TRANSITIVE"] * 3
 
 
 def test_zone_gap_fails_only_the_partition_check():
-    assert {f["code"] for f in validate_system(rg.edge_systems()["zone gap"]).failures} \
+    assert {f["code"] for f in validate_system(sc.edge_systems()["zone gap"]).failures} \
         == {"ZONES_NOT_PARTITION"}
 
 
@@ -261,9 +199,9 @@ class _NoPairReads(ChainSystem):
 
 
 def test_validation_and_the_antichain_bound_read_only_the_index(rng):
-    edges = rg.edge_systems()
+    edges = sc.edge_systems()
     systems = [fx.stairflap(), edges["conflict"], edges["head cycle"]]
-    systems += rg.random_systems(rng, 5, max_chains=3, tries=4)
+    systems += sc.random_systems(rng, 5, max_chains=3, tries=4)
     for S in systems:
         T = _NoPairReads([S.chains[c] for c in S.chain_order], zones=S.zones,
                          rows=S.rows, head=S.head)
@@ -275,7 +213,7 @@ def test_validation_and_the_antichain_bound_read_only_the_index(rng):
 def test_each_asymmetric_resolver_fails_a_rule_check(code):
     """The three rule checks that make the relation antisymmetric, each
     on a system whose resolver is not."""
-    S = rg.edge_systems()[code]
+    S = sc.edge_systems()[code]
     T = S.horizon
     assert any(S.rel("H", n, "K", m) != bd._INVERSE[S.rel("K", m, "H", n)]
                for n in range(T + 1) for m in range(T + 1))
@@ -283,7 +221,7 @@ def test_each_asymmetric_resolver_fails_a_rule_check(code):
 
 
 def test_zone_lists_of_a_pair_must_be_inverse():
-    S = rg.edge_systems()["ZONE_CONFLICT"]
+    S = sc.edge_systems()["ZONE_CONFLICT"]
     assert S.rel("H", 0, "K", 5) == SUP and S.rel("K", 5, "H", 0) == TRANS
     assert validate_system(S).failures == [
         {"code": "ZONE_CONFLICT", "detail": "(H, K) at offset -10"},
@@ -366,56 +304,6 @@ def test_stairflap_minimal_tails():
     n_k, rep_k = minimal_tail(S, "K")
     assert n_k == 0
     assert equivalent(S, closure(S, tail("K", 1)), rep_k)
-
-
-def _old_minimal_tail(S, cid):
-    """minimal_tail as it was: every start against every later closure."""
-    top = S.head_extent + 2 * S.lcm_period
-    cls = [closure(S, tail(cid, M)) for M in range(top + 2)]
-    for start in range(top + 1):
-        if all(almost_contained(S, cls[start], cls[M]).holds
-               and almost_contained(S, cls[M], cls[start]).holds
-               for M in range(start, top + 2)):
-            return start, cls[start]
-    raise HorizonExceeded(f"tail closures of {cid} do not stabilize")
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except HorizonExceeded as exc:
-        return "HorizonExceeded", str(exc)
-
-
-def test_tail_set_calculus_matches_almost_containment(rng):
-    """equivalent and minimal_tail against their definitions through
-    almost_contained."""
-    decorated = rg.random_systems(rng, 20, max_chains=4, tries=8,
-                                  keep=lambda T: validate_system(T).ok)
-    systems = [fx.chain_system(name) for name in fx.SYSTEM_FIXTURES]
-    systems += rg.random_systems(rng, 20, max_chains=4)
-    seen = {"equivalent": set(), "start": set()}
-    for S in systems + decorated:
-        for c in S.chain_order:
-            expected = _outcome(_old_minimal_tail, S, c)
-            assert _outcome(minimal_tail, S, c) == expected, (S, c)
-            seen["start"].add(expected[0])
-        seeds = [{c: (n, None)} for c in S.chain_order for n in (0, 1, 3)]
-        seeds.append({c: (0, None) for c in S.chain_order})
-        closures = []
-        for seed in seeds:
-            try:
-                closures.append(closure(S, seed))
-            except HorizonExceeded:
-                pass
-        for U in closures:
-            for V in closures:
-                old_equivalent = almost_contained(S, U, V).holds and \
-                    almost_contained(S, V, U).holds
-                assert equivalent(S, U, V) == old_equivalent, (S, U, V)
-                seen["equivalent"].add(old_equivalent)
-    assert seen["equivalent"] == {True, False}
-    assert {0, 1} <= seen["start"]
 
 
 def test_ubs_poset_reuses_the_graph_minimal_tails(monkeypatch):
@@ -579,7 +467,8 @@ def test_shift_must_preserve_the_relation():
 def test_maps_compare_offsets_past_every_zone_bound():
     # h_n and k_m are transverse up to offset 2 and nested from 3 on; the
     # swap turns offset 3 around, beyond one period block of either check
-    S = _two_chains(zones={("H", "K"): (Zone(None, 2, TRANS), Zone(3, None, SUP))})
+    S = ChainSystem([Chain("H", 1, (ONE,)), Chain("K", 1, (ONE,))],
+                    zones={("H", "K"): (Zone(None, 2, TRANS), Zone(3, None, SUP))})
     assert S.rel("H", 4, "K", 7) == SUP and S.rel("K", 4, "H", 7) == TRANS
     swap = ShiftMap({"H": "K", "K": "H"}, {"H": 0, "K": 0})
     assert not bd.verify_system_map(S, S, swap)

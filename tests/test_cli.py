@@ -5,6 +5,9 @@ import json
 import pytest
 
 from mediankit.cli import main
+from mediankit.serialize import dump_chain_system
+
+import seeded_cases as sc
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +210,18 @@ def test_ubs_commands_reject_invalid_systems(capsys, tmp_path, command):
     assert report["verdict"]["ok"] is False
     assert [f["code"] for f in report["verdict"]["failures"]] == \
         ["ZONES_NOT_PARTITION"]
+    assert f"{command}: INVALID" in err
+
+
+# a_0 in b_0 in c_0 in a_0: every rule check passes, transitivity fails
+HEAD_CYCLE_SYSTEM = dump_chain_system(sc.edge_systems()["head cycle"])
+
+
+@pytest.mark.parametrize("command", ["ubs-validate", "ubs-graph", "ubs-chi"])
+def test_ubs_commands_reject_a_head_cycle(capsys, tmp_path, command):
+    code, report, err = run_ubs_command(capsys, tmp_path, command, HEAD_CYCLE_SYSTEM)
+    assert code == 65
+    assert [f["code"] for f in report["verdict"]["failures"]] == ["REL_NOT_TRANSITIVE"] * 3
     assert f"{command}: INVALID" in err
 
 

@@ -1,18 +1,19 @@
-"""``pocset.MaskMap`` beyond its rows in ``oracles.ORACLES`` (each user
+"""``pocset.MaskMap`` beyond its rows in the oracle table (each user
 of a mask map against a per-bit reference): the inputs those rows share,
 and memos that survive pickling."""
 
 import pickle
 
 from mediankit import fixtures as fx
-from mediankit import randomgen as rg
 from mediankit.pocset import Point
 from mediankit.subdivision import subdivide
+
+import seeded_cases as sc
 
 
 def test_random_inputs_mix_weights():
     assert sum(len({P.weight[i] for i, _ in P.walls}) > 1
-               for P in rg.mixed_pocsets()) >= 20
+               for P in sc.mixed_pocsets()) >= 20
 
 
 def test_values_with_filled_memos_still_pickle():

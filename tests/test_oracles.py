@@ -1,12 +1,273 @@
-"""Every row of ``oracles.ORACLES``: a fast path against its
-independent reference, or one side of a law against the other, on the
-row's seeded cases."""
+"""The oracle table: every fast path against its one independent reference
+(in ``references.py``, or in ``mediankit.oracles`` where the acceptance
+suite runs it too), or one side of a law against the other, on the seeded
+cases of ``seeded_cases.py``; one test id per row."""
 
+import itertools
 from collections import Counter
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
+from typing import Callable
 
 import pytest
 
-from mediankit.oracles import ORACLES
+from mediankit import fixtures as fx
+from mediankit.actions import (
+    facing_tuple, find_flip, is_lineal, min_orbit, sector_halfspace, strongly_separated)
+from mediankit.boundary import (
+    SUB, SUP, _truncation_rows, chi_vector, closure, equivalent, is_ubs, min_chain_cover,
+    minimal_tail, tail, truncation_antichain_bound, validate_system)
+from mediankit.errors import MedianKitError
+from mediankit.oracles import (
+    embedded_distances, halved_distances, interval_medians, max_antichain_brute, medians)
+from mediankit.pocset import (
+    _iter_bits, distance, gate_project, halfspace_point_masks, inseparable_closure,
+    is_ultrafilter, points, separating, validate)
+from mediankit.serialize import dump_pocset
+from mediankit.structure import (
+    Automorphism, _transversality_adjacency, automorphisms, decompose, pocset_product, rank,
+    transverse)
+from mediankit.subdivision import cube_at, subdivide
+from mediankit.verification import separating_mass
+
+import seeded_cases as sc
+from references import (
+    automorphisms_pairwise, between_members, brute_total_flip, check_pairwise,
+    child_by_names, closure_group, closure_oracle, cube_by_name, embed_by_name,
+    equivalent_by_containment, factors_by_names, first_facing_triple, gate_per_wall,
+    image_per_bit, is_ultrafilter_per_bit, lineal_pairs, minimal_tail_by_containment,
+    pair_order, pairwise_validate_system, point_sides, points_per_bit, preimage_by_name,
+    product_by_names, rel_index, rel_up_rows, sector_per_halfspace, separating_per_halfspace,
+    shape, star_image, strongly_separated_per_wall, transpose_rows, transversality_pairwise,
+    truncation, validate_pairwise)
+
+
+@dataclass(frozen=True)
+class Row:
+    """A fast path and its reference, compared on every argument tuple that
+    ``cases()`` gives.  There are at least ``min_cases`` tuples, and the
+    labels ``kinds(case, expected)`` gives over all of them are exactly the
+    keys of ``want``, each occurring at least its value times."""
+    name: str
+    fast: Callable
+    oracle: Callable
+    cases: Callable
+    min_cases: int
+    kinds: Callable = lambda case, expected: ()
+    want: dict = field(default_factory=dict)
+
+
+def outcome(fn, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except MedianKitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _each(items) -> list:
+    return [(x,) for x in items]
+
+
+def _mask(p):
+    return None if p is None else p.mask
+
+
+def _members(S, seed) -> set:
+    return {(c, n) for c, (lo, hi) in closure(S, seed).intervals.items()
+            for n in range(lo, S.horizon + 1) if hi is None or n <= hi}
+
+
+def _cube(S, q) -> tuple:
+    cube = cube_at(S, q)
+    signs = list(itertools.product((-1, 0, 1), repeat=cube.k))
+    return ([S.parent.ids[i] for i in cube.wall_sides],
+            [cube.midpoint(s).mask for s in signs],
+            [S.preimage(cube.midpoint(s)).mask for s in signs if 0 not in s])
+
+
+def _image_kinds(case, q) -> list:
+    """A point image, also under a total map, or why there is none."""
+    if q is None:
+        return [image_per_bit(*case)[1]]
+    return ["point"] + (["total"] if None not in case[0].perm else [])
+
+
+def _child(P) -> tuple:
+    S = subdivide(P)
+    return shape(S.child), S.copies
+
+
+def _child_by_names(P) -> tuple:
+    C = child_by_names(P)
+    return shape(C), tuple((C.index[h + "-"], C.index[h + "+"]) for h in P.ids)
+
+
+def _factors(P) -> list:
+    D = decompose(P)
+    return [(shape(F), [D.assignment[h] for h in F.ids]) for F in D.factors]
+
+
+def _sector_kinds(case, res) -> list:
+    """The answer's kind; for a product or neither, also whether h's and
+    k's factors decided it where the envelope partition failed."""
+    if isinstance(res, tuple):
+        return [res[0]]
+    fallbacks = []
+    if res.kind != "HALFSPACE":
+        sector_per_halfspace(*case, fallbacks)
+    return [res.kind] + ["fallback " + kind for kind in fallbacks]
+
+
+def _product_distances(A, B) -> dict:
+    prod = pocset_product([A, B])
+    pts = points(prod)
+    return {(frozenset(x.ids), frozenset(y.ids)): distance(prod, x, y)
+            for x in pts for y in pts}
+
+
+def _factor_distances(A, B) -> dict:
+    """Over pairs of factor points, named as product points: the sum of
+    the factor distances."""
+    pairs = [(a, b, frozenset(["f0." + h for h in a.ids] + ["f1." + h for h in b.ids]))
+             for a in points(A) for b in points(B)]
+    return {(u, v): distance(A, a, c) + distance(B, b, d)
+            for a, b, u in pairs for c, d, v in pairs}
+
+
+ORACLES = (
+    Row("median", medians, interval_medians,
+        lambda: [(P, points(P)) for P in sc.random_pocsets(sc.seeded(), 20, 8, 12)], 20),
+    Row("distance", distance, separating_mass, sc.point_pairs, 1724),
+    Row("points", lambda P: [p.mask for p in points(P, fx.WINDOW_BUDGETS)], points_per_bit,
+        lambda: _each(sc.mixed_pocsets() + sc.window_pocsets()), 42),
+    Row("halfspace_point_masks", lambda P: list(halfspace_point_masks(P, fx.WINDOW_BUDGETS)),
+        point_sides, lambda: _each(sc.mixed_pocsets() + sc.window_pocsets()), 42),
+    Row("up_map", lambda P, m: P.up_map(m),
+        lambda P, m: reduce(or_, (P.up[i] for i in _iter_bits(m)), 0),
+        sc.point_masks, 2276),
+    Row("inseparable_closure",
+        lambda P, m: inseparable_closure(P, [P.ids[i] for i in _iter_bits(m)]), between_members,
+        lambda: [(P, m) for P, m in sc.point_masks() if P.n <= 18], 1973),
+    Row("separating", separating, separating_per_halfspace,
+        lambda: sc.point_pairs() + list(sc.convex_pairs()), 3484),
+    Row("gate_project", lambda P, C, x: gate_project(P, C, x).mask, gate_per_wall,
+        sc.point_gates, 765),
+    Row("star_map", lambda P, m: P.star_map(m), star_image, sc.point_masks, 2276),
+    Row("is_ultrafilter", is_ultrafilter, is_ultrafilter_per_bit, sc.point_masks, 2276,
+        lambda case, uf: [(uf, star_image(*case) == ((1 << case[0].n) - 1) ^ case[1])],
+        {(True, True): 1, (False, True): 1, (False, False): 1}),
+    Row("embed", lambda S, p: S.embed(p).mask, embed_by_name, sc.embed_cases, 392),
+    Row("preimage", lambda S, q: _mask(S.preimage(q)), preimage_by_name,
+        sc.preimage_cases, 952),
+    Row("is_new", lambda S, q: S.is_new(q), lambda S, q: preimage_by_name(S, q) is None,
+        sc.preimage_cases, 952, lambda case, new: [new], {True: 1, False: 1}),
+    Row("cube_at", _cube, cube_by_name, sc.cube_cases, 85),
+    Row("child_rows", _child, _child_by_names, sc.child_cases, 53),
+    Row("factor_rows", _factors,
+        lambda P: [(shape(F), [(fi, h) for h in F.ids])
+                   for fi, F in enumerate(factors_by_names(P))],
+        lambda: _each(sc.order_pocsets() + sc.products()), 55),
+    Row("product_rows", lambda parts, pre: shape(pocset_product(parts, pre)),
+        lambda parts, pre: shape(product_by_names(
+            parts, pre or [f"f{i}." for i in range(len(parts))])),
+        sc.product_cases, 5),
+    Row("transversality",
+        lambda P: (_transversality_adjacency(P),
+                   [transverse(P, h, k) for h in P.ids for k in P.ids] if P.n <= 40 else []),
+        transversality_pairwise, lambda: _each(sc.order_pocsets()), 45),
+    Row("dump_pocset_order", lambda P: dump_pocset(P)["order"],
+        lambda P: sorted([a, b] for a, b in pair_order(P)), lambda: _each(sc.order_pocsets()),
+        45),
+    Row("automorphisms", lambda P: [g.perm for g in automorphisms(P)], automorphisms_pairwise,
+        sc.automorphism_cases, 162),
+    Row("check", lambda P, perm: outcome(Automorphism(P, perm, "g").check),
+        lambda P, perm: outcome(check_pairwise, P, perm), sc.map_cases, 1816,
+        lambda case, res: [(case[0].wall_count > 8, res and res[1])],
+        {(False, None): 1, (False, "g: not injective"): 1,
+         (False, "g: does not commute with star"): 1, (False, "g: does not preserve weights"): 1,
+         (False, "g: does not preserve order"): 1,
+         (True, None): 3, (True, "g: does not preserve order"): 3}),
+    Row("validate", lambda P: validate(P).to_json(), validate_pairwise,
+        lambda: _each(sc.construction_cases()), 406,
+        lambda case, rep: [f["code"] for f in rep["failures"]],
+        {"STAR_FIXED_POINT": 1, "COMPARABLE_WITH_COMPLEMENT": 1, "NOT_ANTISYMMETRIC": 1,
+         "NONPOSITIVE_WEIGHT": 1}),
+    Row("strongly_separated", strongly_separated, strongly_separated_per_wall,
+        lambda: sc.halfspace_pairs(19), 3924,
+        lambda case, sep: [(sep, case[0].leq(case[1], case[0].star_of(case[2])))],
+        {(False, False): 1, (False, True): 1, (True, True): 1}),
+    Row("sector_halfspace", lambda P, h, k: outcome(sector_halfspace, P, h, k),
+        lambda P, h, k: outcome(sector_per_halfspace, P, h, k),
+        lambda: sc.halfspace_pairs(20, sc.four_wall_paths()), 4132,
+        _sector_kinds, {"HALFSPACE": 1, "PRODUCT": 1, "NEITHER": 1, "NotTransverse": 1,
+                        "fallback PRODUCT": 1, "fallback NEITHER": 1}),
+    Row("apply_point", lambda g, p: _mask(g.apply_point(p)),
+        lambda g, p: image_per_bit(g, p)[0], sc.image_cases, 3685, _image_kinds,
+        {"point": 1, "inconsistent": 1, "outside": 1, "total": 1}),
+    Row("is_lineal", lambda P: [(x.mask, y.mask) for x, y in is_lineal(P).pairs],
+        lineal_pairs, lambda: _each(sc.mixed_pocsets()), 40),
+    Row("group", lambda act: [g.perm for g in act.group()],
+        lambda act: [g.perm for g in closure_group(act)],
+        lambda: _each(sc.total_actions()), 24),
+    Row("total_flip", lambda act, h: find_flip(act, h).to_json(),
+        lambda act, h: brute_total_flip(act, h).to_json(),
+        lambda: [(act, h) for act in sc.total_actions() for h in act.pocset.ids], 136,
+        lambda case, res: [res["kind"]], {"FLIPPED": 1, "INVARIANT_SET": 1}),
+    Row("facing_triple", lambda P: facing_tuple(P, 3).tuple_ids, first_facing_triple,
+        lambda: _each(sc.random_pocsets(sc.seeded(), 10, 6, 12)
+                         + sc.random_pocsets(sc.seeded(4), 30)), 40,
+        lambda case, found: ["FOUND" if found else "NOT_FOUND"], {"FOUND": 1, "NOT_FOUND": 1}),
+    Row("law: closures are idempotent UBSs",
+        lambda S, seed: (closure(S, closure(S, seed).intervals), is_ubs(S, closure(S, seed))),
+        lambda S, seed: (closure(S, seed), True), lambda: [
+            (S, tail(S.chain_order[0], 2)) for S in sc.random_systems(sc.seeded(), 15, 4)], 15),
+    Row("closure", lambda S, seed: outcome(_members, S, seed),
+        lambda S, seed: outcome(closure_oracle, S, seed), sc.closure_cases, 1070,
+        lambda case, members: ["decorated" if case[0].head or case[0].rows else "plain"]
+        + (["HorizonExceeded"] if isinstance(members, tuple) else []),
+        {"decorated": 300, "plain": 1, "HorizonExceeded": 300}),
+    Row("minimal_tail", lambda S, c: outcome(minimal_tail, S, c),
+        lambda S, c: outcome(minimal_tail_by_containment, S, c),
+        lambda: [(S, c) for S in sc.tail_systems() for c in S.chain_order], 100,
+        lambda case, res: [res[0]], {0: 1, 1: 1}),
+    Row("equivalent", equivalent, equivalent_by_containment, sc.tail_closure_pairs, 2987,
+        lambda case, eq: [eq], {True: 1, False: 1}),
+    Row("relation_index", lambda S, c, d, want: S.index(c, d, want), rel_index,
+        lambda: [(S, c, d, want) for S in sc.index_systems() for c in S.chain_order
+                    for d in S.chain_order if c != d for want in (SUB, SUP)], 92),
+    Row("validate_system", lambda S: validate_system(S).to_json(),
+        lambda S: pairwise_validate_system(S).to_json(),
+        lambda: _each(sc.checked_systems()), 143,
+        lambda case, rep: ["accepted" if rep["ok"] else "rejected"]
+        + [f["code"] for f in rep["failures"]],
+        {"accepted": 1, "rejected": 50, "REL_NOT_TRANSITIVE": 1, "HEAD_CONFLICT": 1,
+         "ZONE_CONFLICT": 1, "ZONES_NOT_PARTITION": 1}),
+    Row("antichain_bound", truncation_antichain_bound,
+        lambda S: min_chain_cover(rel_up_rows(S, truncation(S, S.tail_depth))),
+        lambda: _each(sc.checked_systems()), 143),
+    Row("truncation_rows", lambda S: _truncation_rows(S, S.tail_depth),
+        lambda S: transpose_rows(rel_up_rows(S, truncation(S, S.tail_depth))),
+        lambda: _each(sc.truncated_systems()), 27),
+    Row("dilworth", lambda rows: (min_chain_cover(rows), min_chain_cover(transpose_rows(rows))),
+        lambda rows: (max_antichain_brute(rows),) * 2, sc.random_posets, 30),
+    # laws of the paper, left side against right side
+    Row("law: chi is a homomorphism", lambda S, g, h: chi_vector(S, g.compose(h)),
+        lambda S, g, h: tuple(a + b for a, b in zip(chi_vector(S, g), chi_vector(S, h))),
+        sc.uniform_shifts, 36),
+    Row("law: rank adds over products", lambda A, B: rank(pocset_product([A, B])),
+        lambda A, B: rank(A) + rank(B), lambda: sc.pocset_pairs(20, 5, 10), 20),
+    Row("law: points biject and distances add over products", _product_distances,
+        _factor_distances, lambda: sc.pocset_pairs(10, 4, 8), 10),
+    Row("law: subdivision is isometric and halves the atom mass",
+        lambda P: embedded_distances(subdivide(P), points(P)),
+        lambda P: halved_distances(P, points(P)),
+        lambda: _each(sc.random_pocsets(sc.seeded(2), 20, max_walls=8)), 20),
+    Row("law: minimum orbits have at most 2^rank points",
+        lambda act: len(min_orbit(act).orbit) <= 2 ** rank(act.pocset),
+        lambda act: True, sc.subgroups, 102),
+)
 
 
 @pytest.mark.parametrize("row", ORACLES, ids=[row.name for row in ORACLES])

@@ -6,10 +6,8 @@ from fractions import Fraction
 import pytest
 
 from mediankit import fixtures as fx
-from mediankit import randomgen as rg
 from mediankit.actions import TotalAction, min_orbit
 from mediankit.errors import NotANewPoint, WallBudgetExceeded
-from mediankit.oracles import embed_by_name, preimage_by_name
 from mediankit.pocset import (
     WeightedPocset,
     convex_hull,
@@ -26,6 +24,9 @@ from mediankit.subdivision import (
     subdivide,
     tower,
 )
+
+import seeded_cases as sc
+from references import embed_by_name, preimage_by_name
 
 ONE = Fraction(1)
 
@@ -136,7 +137,7 @@ def test_cube_at_center_of_square(square):
     assert dims == [1, 1, 1, 1, 2]
     center = [p for p in new if cube_at(S, p).k == 2][0]
     cube = cube_at(S, center)
-    verts = {cube.vertex(signs).mask
+    verts = {S.preimage(cube.midpoint(signs)).mask
              for signs in itertools.product((-1, 1), repeat=2)}
     assert verts == {p.mask for p in points(square)}
     assert cube.midpoint((0, 0)) == center
@@ -225,7 +226,7 @@ def test_finite_orbit_witness_from_canonical_cube(square):
              if all(g.apply_point(p) == p for g in lifted.values())]
     assert len(fixed) == 1 and S.is_new(fixed[0])
     cube = cube_at(S, fixed[0])
-    verts = {cube.vertex(s).mask
+    verts = {S.preimage(cube.midpoint(s)).mask
              for s in itertools.product((-1, 1), repeat=cube.k)}
     assert len(verts) <= 2 ** rank(square)
     orbit = min_orbit(TotalAction(square, named))
@@ -234,14 +235,14 @@ def test_finite_orbit_witness_from_canonical_cube(square):
 
 # -- the copy table against the name-based rule ----------------------------
 #
-# ``oracles`` finds child copies by name, ``<parent>-`` and ``<parent>+``,
+# ``references`` finds child copies by name, ``<parent>-`` and ``<parent>+``,
 # as the module did before ``Subdivision.copies``, and so does the lift
 # below.  The table must agree with them on every point and lift; the
-# ``cube_at`` row of ``oracles.ORACLES`` checks every cube coordinate.
+# ``cube_at`` row of the oracle table checks every cube coordinate.
 
 def _copy_table_pocsets():
     ids = ["SQUARE", "PATH3", "TRIPOD", "GRID"] + [f"random{k}" for k in range(12)]
-    return [pytest.param(P, id=i) for P, i in zip(rg.copy_table_pocsets(), ids, strict=True)]
+    return [pytest.param(P, id=i) for P, i in zip(sc.copy_table_pocsets(), ids, strict=True)]
 
 
 @pytest.mark.parametrize("P", _copy_table_pocsets())
