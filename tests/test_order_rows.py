@@ -1,6 +1,8 @@
 """Order rows as construction leaves them: the F2BALL tree ball from its
 generating pairs against all pairs, and the axioms that every construction
-path makes hold, so that ``validate`` and ``points`` need not check them.
+path makes hold, so that ``validate`` and ``points`` need not check them,
+and ``separating`` of two points against the halfspace loop on their
+singleton convex sets.
 Each derived pocset (built by ``from_rows``) and each reader of the rows is
 compared with its pair-by-pair reference in the oracle table
 (``test_oracles.py``)."""
@@ -8,10 +10,10 @@ compared with its pair-by-pair reference in the oracle table
 from fractions import Fraction
 
 from mediankit import fixtures as fx
-from mediankit.pocset import WeightedPocset, _iter_bits
+from mediankit.pocset import ConvexSet, Point, WeightedPocset, _iter_bits, separating
 
 import seeded_cases as sc
-from references import shape
+from references import separating_per_halfspace, shape
 
 
 def ref_f2ball():
@@ -44,3 +46,13 @@ def test_construction_makes_the_deleted_checks_unreachable():
         assert P.down == tuple(sum(1 << i for i in range(P.n) if P.up[i] >> j & 1)
                                for j in range(P.n)), P
         assert all(P.weight[i] == P.weight[j] for i, j in P.walls), P
+
+
+def test_separating_matches_the_halfspace_loop():
+    """Two points are separated by the walls that separate their singleton
+    convex sets (the oracle row compares each input kind with itself)."""
+    pairs = [(P, x, y) for P, x, y in sc.convex_pairs() if isinstance(x, Point)]
+    assert len(pairs) == 880
+    for P, x, y in pairs:
+        assert separating(P, x, y) == \
+            separating_per_halfspace(P, ConvexSet(P, [x]), ConvexSet(P, [y])), (P, x, y)
