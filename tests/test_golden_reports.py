@@ -47,6 +47,10 @@ GOLDEN = [
      "9a5a30c8f90238479ee8d7e57e130a49efbf4cf5e60d9ea3867539491500ead1"),
     ("classify --fixture F2BALL --max-word-len 3", 0,
      "20f161023063a25c8d91b1f08fc64e3272a446d0b37cc4448213d252accd107b"),
+    ("classify --fixture LINE --max-word-len 2", 3,
+     "b91abc486a855797e340f70c1d1a0aea39321751d7427dbfa9ae23dc6e1d0dc1"),
+    ("facing --fixture F2BALL --tuple-size 4 --strong --max-word-len 3", 0,
+     "ccf62b76880a9986584dd175afbf36a299cba0b22ed843d2907ada7cd5b79017"),
     ("ubs-validate --system STAIRFLAP", 0,
      "9bef47b6f277a5a58b2835ee9f14c8823754c17bd5db24941d4864c6f857fb1b"),
     ("ubs-graph --system STAIRFLAP --dot graph.dot", 0,
