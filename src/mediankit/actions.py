@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
+from operator import and_, or_
 from typing import Optional, Sequence
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -35,9 +36,9 @@ from .pocset import (
     Point,
     WeightedPocset,
     _iter_bits,
-    distance,
     halfspace_point_masks,
     points,
+    weight_groups,
 )
 from .structure import Automorphism, decompose, rank, transverse as _transverse
 
@@ -375,7 +376,11 @@ class SkewerResult:
 
 def double_skewer(action: Action, h: str, k: str,
                   max_len: Optional[int] = None) -> SkewerResult:
-    """Find g with g𝔨 ⊊ 𝔥 ⊆ 𝔨 and d(g𝔨, 𝔥*) > 0; shortest word first."""
+    """Find g with g𝔨 ⊊ 𝔥 ⊆ 𝔨 and d(g𝔨, 𝔥*) > 0; shortest word first.
+    The gap is one weight sum: by the bridge law, the distance between
+    nonempty convex sets A and B, such as halfspaces, is the mass of the
+    walls separating them, the sides σ_B ∩ (σ_A)* as in ``separating``,
+    where σ_A, the AND of A's points, holds the halfspaces holding A."""
     depth = _depth(action, max_len)
     P = action.pocset
     if not P.leq(h, k):
@@ -400,9 +405,16 @@ def double_skewer(action: Action, h: str, k: str,
 
 def _set_distance(P: WeightedPocset, amask: int, bmask: int,
                   budgets: Budgets) -> Fraction:
+    """d(A, B) for convex point sets A, B (masks) by the bridge law of
+    ``double_skewer``; 0, a minimum over no pairs, when one is empty."""
+    if not (amask and bmask):
+        return Fraction(0)
     pts = points(P, budgets)
-    return min((distance(P, pts[i], pts[j]) for i in _iter_bits(amask)
-                for j in _iter_bits(bmask)), default=Fraction(0))
+    sa, sb = (reduce(and_, (pts[i].mask for i in _iter_bits(m))) for m in (amask, bmask))
+    sep = sb & P.star_map(sa)
+    walls = sep | P.star_map(sep)  # both sides, as groups hold the lower ones
+    D, groups = weight_groups(P)
+    return Fraction(sum(k * (walls & m).bit_count() for k, m in groups), D)
 
 
 # -- separation, facing tuples, sectors --------------------------------------
@@ -411,11 +423,13 @@ def strongly_separated(P: WeightedPocset, h: str, k: str) -> bool:
     """Disjoint halfspaces with no wall transverse to both.  A wall is
     transverse to h unless one of its sides lies in ``up[h] | down[h]``, so
     every halfspace must lie there or in k's rows, or be the complement of
-    one that does."""
+    one that does.  Once h <= k* holds, the down rows add nothing: j <= h
+    gives j <= k*, so j* >= k, and j <= k gives j* >= h, so both down rows
+    lie in ``star_map(up[h] | up[k])``."""
     hi, ki = P.idx(h), P.idx(k)
     if not _halfspace_disjoint(P, hi, ki):
         return False
-    near = P.up[hi] | P.down[hi] | P.up[ki] | P.down[ki]
+    near = P.up[hi] | P.up[ki]
     return near | P.star_map(near) == (1 << P.n) - 1
 
 
@@ -510,26 +524,33 @@ def _all_facing(P: WeightedPocset, idxs: Sequence[int], strong: bool) -> bool:
 def _facing_backtrack(P: WeightedPocset, n: int, base: list,
                       strong: bool) -> Optional[list]:
     """The first n-tuple extending ``base``, its new members taken in id
-    order, which is index order since ids are sorted."""
+    order, which is index order since ids are sorted.  j is disjoint from i
+    exactly when j <= i*, so the candidates are the AND of the members'
+    rows ``down[i*]``, less the members, above the last member; taken
+    lowest first they are that index loop, and a level with fewer
+    candidates than members still needed is cut.  Strong separation
+    implies disjointness, so the masks bound a strong search too, whose
+    candidates are checked against the members as they are taken."""
     chosen = list(base)
     if not _all_facing(P, chosen, strong):
         return None
 
-    def rec(start: int) -> Optional[list]:
+    def rec(cands: int) -> Optional[list]:
         if len(chosen) == n:
             return list(chosen)
-        for i in range(start, P.n):
-            if i in chosen:
+        while cands.bit_count() >= n - len(chosen):
+            i = (cands & -cands).bit_length() - 1
+            cands &= cands - 1
+            if strong and not all(strongly_separated(P, P.ids[i], P.ids[c]) for c in chosen):
                 continue
-            if all(_pair_ok(P, i, c, strong) for c in chosen):
-                chosen.append(i)
-                got = rec(i + 1)
-                if got is not None:
-                    return got
-                chosen.pop()
+            chosen.append(i)
+            got = rec(cands & P.down[P.star[i]])
+            if got is not None:
+                return got
+            chosen.pop()
         return None
 
-    return rec(0)
+    return rec(reduce(and_, (P.down[P.star[c]] & ~(1 << c) for c in chosen), (1 << P.n) - 1))
 
 
 @dataclass
@@ -743,22 +764,19 @@ def _stabilizer_excluded(action, P, gu, wall_side: int, forbidden: int,
 
     Direct image when visible; otherwise refute via a witness point whose
     image lands on the wrong side: u·side = forbidden would force
-    u(side ∩ dom) ⊆ forbidden and u(side* ∩ dom) ⊆ forbidden*.
+    u(side ∩ dom) ⊆ forbidden and u(side* ∩ dom) ⊆ forbidden*.  A defined
+    image u·p, the up-closure of u(p ∩ dom), lies in forbidden exactly when
+    p holds a j with u(j) <= forbidden, so the witnesses are the points of
+    side XOR ``into`` (the OR of those j's masks) with a defined image.
     """
     img = gu.apply_idx(wall_side)
     if img is not None:
         return img != forbidden
     masks = halfspace_point_masks(P, action.budgets)
-    side_mask = masks[wall_side]
-    for i in range(len(pts)):
-        q = gu.apply_point(pts[i])
-        if q is None:
-            continue
-        in_side = bool(side_mask >> i & 1)
-        img_in_forbidden = bool(q.mask >> forbidden & 1)
-        if in_side != img_in_forbidden:
-            return True
-    return False
+    below = P.down[forbidden]
+    into = reduce(or_, (masks[j] for j, v in enumerate(gu.perm)
+                        if v is not None and below >> v & 1), 0)
+    return any(gu.apply_point(pts[i]) is not None for i in _iter_bits(masks[wall_side] ^ into))
 
 
 # -- classification pipeline --------------------------------------------------

@@ -166,7 +166,7 @@ class WeightedPocset:
         self._points = None
         self._hmasks = None
         self._rank = None
-        self._weight_groups = None  # built by the first distance
+        self._weight_groups = None  # built by the first weight_groups
 
     def _set_rows(self, up: Sequence[int]):
         """Store closed up-rows; i <= j iff j* <= i*, so the down-row of j
@@ -415,6 +415,15 @@ def distance(P: WeightedPocset, x: Point, y: Point) -> Fraction:
     """Total weight of the walls separating x from y (each wall once),
     summed by weight group: each weight as an integer over the common
     denominator, times the number of separating walls of that weight."""
+    D, groups = P._weight_groups or weight_groups(P)
+    diff = x.mask ^ y.mask
+    return Fraction(sum(k * (diff & m).bit_count() for k, m in groups), D)
+
+
+def weight_groups(P: WeightedPocset) -> tuple:
+    """The common denominator D of the weights, and (k, mask) for each
+    weight k/D, the mask holding the lower side of every wall of that
+    weight; built once per pocset."""
     if P._weight_groups is None:
         D = lcm(*(w.denominator for w in P.weight))
         groups: dict = {}
@@ -422,9 +431,7 @@ def distance(P: WeightedPocset, x: Point, y: Point) -> Fraction:
             k = P.weight[i].numerator * D // P.weight[i].denominator
             groups[k] = groups.get(k, 0) | 1 << i
         P._weight_groups = D, tuple(groups.items())
-    D, groups = P._weight_groups
-    diff = x.mask ^ y.mask
-    return Fraction(sum(k * (diff & m).bit_count() for k, m in groups), D)
+    return P._weight_groups
 
 
 def interval(P: WeightedPocset, x: Point, y: Point,

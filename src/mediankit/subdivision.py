@@ -56,10 +56,12 @@ class Subdivision:
         return Point(self.child, self._embed_map(p.mask))
 
     def preimage(self, q: Point) -> Optional[Point]:
-        """The original point embedding to q, or None when q is new.  Its
-        halfspaces have both copies in q; they embed to q unless q is new."""
-        mask = sum(1 << i for i, (minus, plus) in enumerate(self.copies)
-                   if q.mask >> minus & 1 and q.mask >> plus & 1)
+        """The original point embedding to q, or None when q is new.  An
+        embedded point holds both copies of its halfspaces and neither copy
+        of the others, so its plus copies name its preimage; a new q embeds
+        from no mask at all, so the comparison rejects it whatever its minus
+        copies hold."""
+        mask = sum(1 << i for i, (_, plus) in enumerate(self.copies) if q.mask >> plus & 1)
         return Point(self.parent, mask) if self._embed_map(mask) == q.mask else None
 
     def is_new(self, q: Point) -> bool:

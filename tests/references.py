@@ -8,7 +8,8 @@ references that ``mediankit acceptance`` runs too stay in
 """
 
 import itertools
-from functools import reduce
+from fractions import Fraction
+from functools import cache, reduce
 from operator import or_
 
 from mediankit.actions import FlipResult, SectorResult, enumerate_words
@@ -19,6 +20,7 @@ from mediankit.errors import HorizonExceeded, NotAnAutomorphism, NotTransverse
 from mediankit.pocset import (
     Point, WeightedPocset, _iter_bits, halfspace_point_masks, points)
 from mediankit.structure import Automorphism, decompose, transverse
+from mediankit.verification import separating_mass
 
 
 # -- pocsets bit by bit, per wall and pair by pair --------------------------------
@@ -535,9 +537,34 @@ def brute_total_flip(action, h: str) -> FlipResult:
         if all(sides[g.apply_idx(hs)] >> k & 1 for g in group)))
 
 
-def first_facing_triple(P: WeightedPocset) -> tuple:
-    """The first three pairwise disjoint halfspaces in id order, by name,
-    or () when there are none."""
-    return next((t for t in itertools.combinations(P.ids, 3)
-                 if all(P.leq(a, P.star_of(b))
-                        for a, b in itertools.combinations(t, 2))), ())
+def first_facing_tuple(P: WeightedPocset, n: int, strong: bool) -> tuple:
+    """The first n pairwise disjoint halfspaces in id order, by name, each
+    pair also strongly separated wall by wall if ``strong``, or () when
+    there are none."""
+    @cache
+    def ok(a: str, b: str) -> bool:
+        return strongly_separated_per_wall(P, a, b) if strong else P.leq(a, P.star_of(b))
+
+    return next((t for t in itertools.combinations(P.ids, n)
+                 if all(ok(a, b) for a, b in itertools.combinations(t, 2))), ())
+
+
+def stabilizer_per_point(action, gu: Automorphism, side: int, forbidden: int) -> bool:
+    """Whether some window point with a defined image lies in ``side``
+    exactly when its image misses ``forbidden``, point by point."""
+    return any((p >> side & 1) != (q >> forbidden & 1) for p, q in defined_images(action, gu))
+
+
+@cache
+def defined_images(action, gu: Automorphism) -> tuple:
+    """(point, image) masks of the window points with a defined image."""
+    return tuple((p.mask, q.mask) for p in action.points()
+                 if (q := gu.apply_point(p)) is not None)
+
+
+def gap_by_pairs(P: WeightedPocset, amask: int, bmask: int) -> Fraction:
+    """The least wall-by-wall distance between a point of ``amask`` and
+    one of ``bmask``."""
+    pts = points(P, DEFAULT_BUDGETS.with_(point_walls=P.wall_count))
+    return min((separating_mass(P, pts[i], pts[j]) for i in _iter_bits(amask)
+                for j in _iter_bits(bmask)), default=Fraction(0))

@@ -14,10 +14,11 @@ from fractions import Fraction
 from functools import cache
 
 from mediankit import fixtures as fx
-from mediankit.actions import TotalAction, _evaluator, enumerate_words
+from mediankit.actions import TotalAction, WindowAction, _evaluator, enumerate_words
 from mediankit.boundary import (
     SUB, SUP, TRANS, Chain, ChainSystem, RowRule, ShiftMap, Zone, closure, validate_system)
-from mediankit.pocset import ConvexSet, WeightedPocset, convex_hull, points
+from mediankit.pocset import (
+    ConvexSet, WeightedPocset, _iter_bits, convex_hull, halfspace_point_masks, points)
 from mediankit.randomgen import random_pocset, random_poset, random_system
 from mediankit.structure import Automorphism, automorphisms, decompose, pocset_product
 from mediankit.subdivision import subdivide
@@ -213,6 +214,63 @@ def image_cases():
         ev = _evaluator(action)
         yield from ((ev(w), p) for w in enumerate_words(action.gen_names(), 2)
                     for p in action.points())
+
+
+def stabilizer_cases():
+    """Every word of length at most 2 on the windows, and on the restricted
+    and scrambled maps of the mixed pocsets as window actions, with every
+    side whose image it leaves undefined and that side or its complement
+    as the forbidden image."""
+    rng = random.Random(8)
+    actions = [fx.window(name) for name in ("F2BALL", "LINE")] + [
+        WindowAction(P, {"g": g}) for P in mixed_pocsets()
+        for g in partial_maps(rng, P) if None in g.perm]
+    for action in actions:
+        P, ev = action.pocset, _evaluator(action)
+        for w in enumerate_words(action.gen_names(), 2):
+            gu = ev(w)
+            yield from ((action, gu, side, forbidden) for side in range(P.n)
+                        if gu.perm[side] is None for forbidden in (side, P.star[side]))
+
+
+def halfspace_sets():
+    """(P, point masks of i, point masks of j) for 40 ordered pairs of
+    halfspaces of each mixed pocset and of the LINE window, and 40 pairs
+    i, j* with i < j properly nested, drawn from a generator seeded 13.
+    F2BALL's point pairs are too many for the reference."""
+    rng = random.Random(13)
+    for P in mixed_pocsets() + [fx.window("LINE").pocset]:
+        masks = halfspace_point_masks(P, fx.WINDOW_BUDGETS)
+        pairs = _sample(rng, [(i, j) for i in range(P.n) for j in range(P.n)], 40)
+        nested = [(i, P.star[j]) for i in range(P.n) for j in _iter_bits(P.up[i] & ~(1 << i))]
+        yield from ((P, masks[i], masks[j]) for i, j in pairs + _sample(rng, nested, 40))
+
+
+def random_trees(rng: random.Random, count: int, max_edges: int) -> list:
+    """Weighted trees of 1 to ``max_edges`` edges: edge v joins vertex
+    v + 1 to an earlier vertex, and its side ``e{v}+`` is the subtree that
+    v + 1 roots."""
+    out = []
+    for _ in range(count):
+        m = rng.randint(1, max_edges)
+        above = [set()]  # vertex x and its ancestors but the root
+        for v in range(m):
+            above.append(above[rng.randrange(v + 1)] | {v + 1})
+        order = [(f"e{v}+", f"e{u}+" if u + 1 in above[v + 1] else f"e{u}-")
+                 for u in range(m) for v in range(m)
+                 if u != v and v + 1 not in above[u + 1]]
+        out.append(WeightedPocset([(f"e{v}+", f"e{v}-", rng.choice((1, 2, Fraction(1, 2))))
+                                   for v in range(m)], order))
+    return out
+
+
+def facing_pocsets() -> list:
+    """Random pocsets, of up to 12 walls too, where strong separation
+    fails between a candidate and an earlier member; trees; and products
+    of two trees, whose walls from different factors are all transverse."""
+    trees = random_trees(seeded(6), 30, 9)
+    return random_pocsets(seeded(4), 30) + random_pocsets(seeded(12), 100, 12, 24) + \
+        trees + [pocset_product(trees[k:k + 2]) for k in range(0, 10, 2)]
 
 
 def total_actions() -> list:

@@ -14,7 +14,8 @@ import pytest
 
 from mediankit import fixtures as fx
 from mediankit.actions import (
-    facing_tuple, find_flip, is_lineal, min_orbit, sector_halfspace, strongly_separated)
+    _set_distance, _stabilizer_excluded, facing_tuple, find_flip, is_lineal, min_orbit,
+    sector_halfspace, strongly_separated)
 from mediankit.boundary import (
     SUB, SUP, _truncation_rows, chi_vector, closure, equivalent, is_ubs, min_chain_cover,
     minimal_tail, tail, truncation_antichain_bound, validate_system)
@@ -34,13 +35,13 @@ from mediankit.verification import separating_mass
 import seeded_cases as sc
 from references import (
     automorphisms_pairwise, between_members, brute_total_flip, check_pairwise,
-    child_by_names, closure_group, closure_oracle, cube_by_name, embed_by_name,
-    equivalent_by_containment, factors_by_names, first_facing_triple, gate_per_wall,
-    image_per_bit, is_ultrafilter_per_bit, lineal_pairs, minimal_tail_by_containment,
+    child_by_names, closure_group, closure_oracle, cube_by_name, defined_images, embed_by_name,
+    equivalent_by_containment, factors_by_names, first_facing_tuple, gap_by_pairs,
+    gate_per_wall, image_per_bit, is_ultrafilter_per_bit, lineal_pairs, minimal_tail_by_containment,
     pair_order, pairwise_validate_system, point_sides, points_per_bit, preimage_by_name,
     product_by_names, rel_index, rel_up_rows, sector_per_halfspace, separating_per_halfspace,
-    shape, star_image, strongly_separated_per_wall, transpose_rows, transversality_pairwise,
-    truncation, validate_pairwise)
+    shape, stabilizer_per_point, star_image, strongly_separated_per_wall, transpose_rows,
+    transversality_pairwise, truncation, validate_pairwise)
 
 
 @dataclass(frozen=True)
@@ -215,10 +216,24 @@ ORACLES = (
         lambda act, h: brute_total_flip(act, h).to_json(),
         lambda: [(act, h) for act in sc.total_actions() for h in act.pocset.ids], 136,
         lambda case, res: [res["kind"]], {"FLIPPED": 1, "INVARIANT_SET": 1}),
-    Row("facing_triple", lambda P: facing_tuple(P, 3).tuple_ids, first_facing_triple,
+    Row("facing_triple", lambda P: facing_tuple(P, 3).tuple_ids,
+        lambda P: first_facing_tuple(P, 3, False),
         lambda: _each(sc.random_pocsets(sc.seeded(), 10, 6, 12)
                          + sc.random_pocsets(sc.seeded(4), 30)), 40,
         lambda case, found: ["FOUND" if found else "NOT_FOUND"], {"FOUND": 1, "NOT_FOUND": 1}),
+    Row("facing_tuple", lambda P: [facing_tuple(P, n, strong=True).tuple_ids for n in (3, 4)],
+        lambda P: [first_facing_tuple(P, n, True) for n in (3, 4)],
+        lambda: _each(sc.facing_pocsets()), 165,
+        lambda case, found: ["FOUND" if found[1] else "NOT_FOUND"], {"FOUND": 1, "NOT_FOUND": 1}),
+    Row("stabilizer_excluded",
+        lambda act, gu, side, forbidden: _stabilizer_excluded(
+            act, act.pocset, gu, side, forbidden, act.points()),
+        stabilizer_per_point, sc.stabilizer_cases, 8056,
+        lambda case, excluded: [(excluded, bool(defined_images(*case[:2])))],
+        {(True, True): 1, (False, True): 1, (False, False): 1}),
+    Row("skewer_gap", lambda P, a, b: _set_distance(P, a, b, fx.WINDOW_BUDGETS), gap_by_pairs,
+        sc.halfspace_sets, 1106, lambda case, gap: [(case[1] & case[2] == 0, gap > 0)],
+        {(True, True): 1, (False, False): 1}),
     Row("law: closures are idempotent UBSs",
         lambda S, seed: (closure(S, closure(S, seed).intervals), is_ubs(S, closure(S, seed))),
         lambda S, seed: (closure(S, seed), True), lambda: [
