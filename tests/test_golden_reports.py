@@ -6,6 +6,9 @@ here, while the determinism test in ``test_cli.py`` only compares two runs
 of the same code.  The digests were recorded before subdivision switched
 from child names to the ``Subdivision.copies`` table; the extra
 ``subdivide`` cases cover that switch beyond the README's ``-n 2`` run.
+The ``--window`` cases read the F2BALL window written by
+``dump_window_action`` to ``f2ball-window.json``, so they pin loading a
+window file as well as the search on it.
 Update a digest only for a deliberate change of report contents.
 """
 
@@ -16,7 +19,9 @@ import json
 
 import pytest
 
+from mediankit import fixtures
 from mediankit.cli import main
+from mediankit.serialize import dump_window_action
 
 GOLDEN = [
     ("rank --fixture SQUARE", 0,
@@ -69,6 +74,10 @@ GOLDEN = [
      "2d27022762ac0a355ee7992a97664cc16be6a32ff5fa84d34c16ef0d68633f51"),
     ("validate --fixture F2BALL", 0,
      "e84b99442722f4d6d1f15e2ef10338d9f3bfd4b214eaf86a1c0ebd2ed833a336"),
+    ("inversions --window f2ball-window.json --word a,b,a^-1", 0,
+     "12d30694f581c3798f3d892254b6d7e52f6add7f24d9b8d4ae1d419ef57e42f9"),
+    ("skewer --window f2ball-window.json --pair wab+,wa+ --max-word-len 2 --verify", 0,
+     "ca092b5f3c0b9dd858857d733a52f647a0582dfdb32c204b18cdc8b766d7324e"),
 ]
 
 
@@ -84,7 +93,10 @@ def report_digest(argv):
 
 @pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
 def test_report_is_unchanged(command, code, digest, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # relative --dot and --shift paths land here
+    monkeypatch.chdir(tmp_path)  # relative --dot, --shift and --window paths land here
     (tmp_path / "shift.json").write_text(json.dumps(
         {"tau": {"H": "H", "K": "K"}, "shift": {"H": 1, "K": 1}, "minIndex": 0}))
+    if "--window" in command:
+        (tmp_path / "f2ball-window.json").write_text(
+            json.dumps(dump_window_action(fixtures.window("F2BALL"))))
     assert report_digest(command.split()) == (code, digest)

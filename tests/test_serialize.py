@@ -7,6 +7,7 @@ import pytest
 
 from mediankit import fixtures as fx
 from mediankit import serialize as se
+from mediankit.cli import main
 from mediankit.boundary import ubs_graph, validate_system
 from mediankit.errors import InvalidInput
 from mediankit.pocset import points, validate
@@ -86,3 +87,23 @@ def test_file_parse_error_names_line(tmp_path):
     with pytest.raises(InvalidInput) as err:
         se.read_json(str(bad))
     assert "line 2" in str(err.value)
+
+
+def _pocset_file(tmp_path, order) -> str:
+    path = tmp_path / "pocset.json"
+    path.write_text(json.dumps({"walls": [
+        {"id": h, "pos": h, "neg": h + "*", "weight": "1"} for h in "abc"], "order": order}))
+    return str(path)
+
+
+@pytest.mark.parametrize("order, message", [
+    ([["a", "b"], "ab"], "order[1] must be a pair of halfspace ids"),
+    ([["a", "b"], ["a", "b", "c"]], "order[1] must be a pair of halfspace ids"),
+    ([["a", "b"], {"a": "b"}], "order[1] must be a pair of halfspace ids"),
+    ([["a", "b"], ["b", "c"], ["a", "zz"]], "order pair ('a', 'zz') names unknown halfspace"),
+], ids=["string", "triple", "object", "unknown id"])
+def test_bad_order_pair_exits_65_naming_the_first(order, message, tmp_path, capsys):
+    code = main(["rank", "--pocset", _pocset_file(tmp_path, order)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 65
+    assert report["error"] == {"code": "INVALID_INPUT", "message": message, "data": {}}
