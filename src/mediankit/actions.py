@@ -380,7 +380,11 @@ def double_skewer(action: Action, h: str, k: str,
     The gap is one weight sum: by the bridge law, the distance between
     nonempty convex sets A and B, such as halfspaces, is the mass of the
     walls separating them, the sides σ_B ∩ (σ_A)* as in ``separating``,
-    where σ_A, the AND of A's points, holds the halfspaces holding A."""
+    where σ_A, the AND of A's points, holds the halfspaces holding A.
+    On a valid pocset the gap is positive once g𝔨 ⊊ 𝔥, so it is not
+    tested: 𝔥 holds σ_{g𝔨} and 𝔥* holds σ_{𝔥*}, so the wall of 𝔥, of
+    positive weight, separates g𝔨 from 𝔥*; both are nonempty, as every
+    halfspace holds a point.  ``verify_skewer`` checks the gap anyway."""
     depth = _depth(action, max_len)
     P = action.pocset
     if not P.leq(h, k):
@@ -393,13 +397,10 @@ def double_skewer(action: Action, h: str, k: str,
         if img is None:
             continue
         if img != hi and P.leq_idx(img, hi):
-            # both displayed conditions, re-verified on point sets:
-            # containment is proper and the distance to 𝔥* is positive
+            # the proper containment, re-verified on point sets
             assert masks[img] & ~masks[hi] == 0 and masks[img] != masks[hi]
             gap = _set_distance(P, masks[img], masks[P.star[hi]], action.budgets)
-            if gap > 0:
-                return SkewerResult("SKEWERED", word=word, h=h, k=k,
-                                    image=P.ids[img], gap=gap)
+            return SkewerResult("SKEWERED", word=word, h=h, k=k, image=P.ids[img], gap=gap)
     return SkewerResult("INCONCLUSIVE", h=h, k=k, depth=depth)
 
 
@@ -473,7 +474,8 @@ def facing_tuple(P: WeightedPocset, n: int, seed: Optional[str] = None,
     base = [P.idx(seed)] if seed else []
     combinatorial = _facing_backtrack(P, n, base, strong)
     if action is not None and n > 3:
-        upgraded = _upgrade_route(P, n, base, strong, action, max_len)
+        upgraded = _upgrade_route(P, n, _facing_backtrack(P, 3, base, strong), strong,
+                                  action, max_len)
         if upgraded is not None:
             return FacingResult("FOUND", tuple(P.ids[i] for i in upgraded),
                                 strong=strong)
@@ -487,13 +489,12 @@ def facing_tuple(P: WeightedPocset, n: int, seed: Optional[str] = None,
     return FacingResult("NOT_FOUND", strong=strong)
 
 
-def _upgrade_route(P, n, base, strong, action, max_len):
-    """Grow a triple one member at a time: g h0* pushed inside the last
-    member replaces it with two translated members."""
-    current = _facing_backtrack(P, 3, base, strong)
-    if current is None:
+def _upgrade_route(P, n, triple, strong, action, max_len):
+    """Grow a facing ``triple`` (or None) one member at a time: g h0* pushed
+    inside the last member replaces it with two translated members."""
+    if triple is None:
         return None
-    current = list(current)
+    current = list(triple)
     while len(current) < n:
         h0 = current[0]
         last = current[-1]
@@ -837,18 +838,15 @@ def classify(action: Action, max_len: Optional[int] = None) -> ClassificationRep
         "(not conclusive for the underlying action)")
     log.append("stage2: window core restriction skipped (budgeted search)")
 
-    facing = facing_tuple(P, 3, action=action, max_len=depth)
-    if facing.kind != "FOUND":
+    # facing_tuple(P, 3 or 4, action=...), with each search run once
+    triple = _facing_backtrack(P, 3, [], strong=False)
+    if triple is None:
         log.append("stage3: no facing triple found")
         return ClassificationReport("INCONCLUSIVE", stage=3, log=tuple(log))
-    log.append(f"stage3: facing triple {facing.tuple_ids}")
-    candidates = []
-    plain = _facing_backtrack(P, 4, [], strong=False)
-    if plain is not None:
-        candidates.append(tuple(P.ids[i] for i in plain))
-    four = facing_tuple(P, 4, action=action, max_len=depth)
-    if four.kind == "FOUND" and four.tuple_ids not in candidates:
-        candidates.append(four.tuple_ids)
+    log.append(f"stage3: facing triple {tuple(P.ids[i] for i in triple)}")
+    fours = (_facing_backtrack(P, 4, [], strong=False),
+             _upgrade_route(P, 4, triple, False, action, depth))
+    candidates = list(dict.fromkeys(tuple(P.ids[i] for i in t) for t in fours if t is not None))
     if not candidates:
         log.append("stage3: no facing 4-tuple")
         return ClassificationReport("INCONCLUSIVE", stage=3, log=tuple(log))

@@ -109,12 +109,12 @@ def f2ball() -> WeightedPocset:
     walls = [(_f2_cone_id(v) + "+", _f2_cone_id(v) + "-", ONE) for v in cones]
     # generating pairs: each cone lies in its parent's cone and is disjoint
     # from its siblings' cones; the closure yields every other nesting
-    order = []
+    order = [(_f2_cone_id(v) + "+", _f2_cone_id(v[:-1]) + "+") for v in cones if len(v) > 1]
+    siblings = {}
     for v in cones:
-        if len(v) > 1:
-            order.append((_f2_cone_id(v) + "+", _f2_cone_id(v[:-1]) + "+"))
-        order += [(_f2_cone_id(v) + "+", _f2_cone_id(u) + "-") for u in cones
-                  if u != v and u[:-1] == v[:-1]]
+        siblings.setdefault(v[:-1], []).append(_f2_cone_id(v))
+    order += [(c + "+", d + "-") for group in siblings.values() for c in group for d in group
+              if c != d]
     return WeightedPocset(walls, order,
                           wall_ids=[_f2_cone_id(v) for v in cones])
 

@@ -71,6 +71,20 @@ class MaskMap:
         return out
 
 
+def transpose(rows: Sequence[int], width: int) -> list:
+    """Column k < ``width`` of the bit matrix ``rows``: the mask of the rows
+    holding bit k.  Each chunk of rows is written as bit strings, lowest bit
+    first, whose columns ``zip`` reads and ``int`` turns back into masks."""
+    chunk = 4096  # bounds the strings alive at once, for up to 2^20 points
+    cols = [0] * width
+    fmt = f"0{width}b"
+    for start in range(0, len(rows), chunk):
+        bits = [format(r, fmt)[::-1] for r in rows[start:start + chunk]]
+        for k, col in zip(range(width), zip(*bits)):
+            cols[k] |= int("".join(col)[::-1], 2) << start
+    return cols
+
+
 def transitive_rows(rows: Sequence[int]) -> list:
     """The transitive closure of a relation given as bitmask rows (row i
     holds the j related to i): each round ORs into every row the rows of
@@ -111,12 +125,14 @@ class WeightedPocset:
     ):
         self._set_walls(walls, wall_ids)
         up = [1 << i for i in range(self.n)]
+        index, star = self.index, self.star
         for a, b in order:
-            if a not in self.index or b not in self.index:
-                raise InvalidInput(f"order pair ({a!r}, {b!r}) names unknown halfspace")
-            i, j = self.index[a], self.index[b]
+            try:
+                i, j = index[a], index[b]
+            except KeyError:
+                raise InvalidInput(f"order pair ({a!r}, {b!r}) names unknown halfspace") from None
             up[i] |= 1 << j
-            up[self.star[j]] |= 1 << self.star[i]  # order-reversing involution
+            up[star[j]] |= 1 << star[i]  # order-reversing involution
         self._set_rows(transitive_rows(up))
 
     @classmethod
@@ -379,13 +395,8 @@ def points(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Point
 def halfspace_point_masks(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[int, ...]:
     """For each halfspace, the bitmask of enumerated points lying in it."""
     pts = points(P, budgets)
-    if P._hmasks is not None:
-        return P._hmasks
-    masks = [0] * P.n
-    for pos, p in enumerate(pts):
-        for i in _iter_bits(p.mask):
-            masks[i] |= 1 << pos
-    P._hmasks = tuple(masks)
+    if P._hmasks is None:
+        P._hmasks = tuple(transpose([p.mask for p in pts], P.n))
     return P._hmasks
 
 

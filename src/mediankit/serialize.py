@@ -1,15 +1,17 @@
 """JSON file formats: pocsets, automorphisms, window actions, chain systems
 and shift maps.
 
-Rationals are strings ``"p/q"`` (or ``"p"``); order pairs mean containment
-and are closed transitively on load.  Parse errors name the offending field
-instead of raising bare exceptions.
+Rationals are strings ``"p/q"`` (or ``"p"``); ids, map keys and map
+values are strings; order pairs mean containment and are closed
+transitively on load.  Parse errors name the offending field instead of
+raising bare exceptions.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain, compress
 from typing import Optional
 
 from .actions import WindowAction
@@ -25,7 +27,7 @@ from .boundary import (
 )
 from .config import Budgets, DEFAULT_BUDGETS
 from .errors import InvalidInput
-from .pocset import WeightedPocset, _iter_bits, ensure_valid
+from .pocset import WeightedPocset, ensure_valid
 from .structure import Automorphism
 
 
@@ -63,6 +65,20 @@ def _fields(obj, where: str, *keys) -> list:
     return [obj[key] for key in keys]
 
 
+def _id(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidInput(f"{where} must be a string id, not {value!r}")
+    return value
+
+
+def _id_map(value, where: str) -> dict:
+    """The JSON object ``value``, whose keys and values must be string ids."""
+    for k, v in _object(value, where).items():
+        if not (isinstance(k, str) and isinstance(v, str)):
+            raise InvalidInput(f"{where} must map string ids to string ids, not {k!r} to {v!r}")
+    return value
+
+
 def _index_range(value, where: str) -> list:
     """``[lo, hi]`` of indices, where ``null`` leaves an end open."""
     if not isinstance(value, list) or len(value) != 2:
@@ -78,17 +94,28 @@ def load_pocset(data: dict) -> WeightedPocset:
     wall_ids = []
     for i, w in enumerate(_array(entries, "walls")):
         wid, pos, neg, weight = _fields(w, f"walls[{i}]", "id", "pos", "neg", "weight")
-        walls.append((pos, neg, parse_fraction(weight, f"walls[{i}].weight")))
-        wall_ids.append(wid)
-    order = []
-    for i, pair in enumerate(_array(data.get("order", []), "order")):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise InvalidInput(f"order[{i}] must be a pair of halfspace ids")
-        order.append((pair[0], pair[1]))
+        walls.append((_id(pos, f"walls[{i}].pos"), _id(neg, f"walls[{i}].neg"),
+                      parse_fraction(weight, f"walls[{i}].weight")))
+        wall_ids.append(_id(wid, f"walls[{i}].id"))
+    # the pairs are checked by set comparisons; the loop, which names the
+    # first bad pair, runs only when one fails
+    order = _array(data.get("order", []), "order")
+    if not (set(map(type, order)) <= {list, tuple} and set(map(len, order)) <= {2}
+            and set(map(type, chain.from_iterable(order))) <= {str}):
+        for i, pair in enumerate(order):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(h, str) for h in pair)):
+                raise InvalidInput(f"order[{i}] must be a pair of halfspace ids")
     return WeightedPocset(walls, order, wall_ids=wall_ids)
 
 
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
 def dump_pocset(P: WeightedPocset) -> dict:
+    """The file of ``P``.  Row i's order pairs select their ids out of
+    ``P.ids`` by the row's bits as 0/1 bytes; since the canonical index is
+    in sorted id order, the pairs come out sorted by (ids[i], ids[j])."""
     walls = []
     for pos, (i, j) in enumerate(P.walls):
         walls.append({
@@ -97,15 +124,17 @@ def dump_pocset(P: WeightedPocset) -> dict:
             "neg": P.ids[j],
             "weight": str(P.weight[i]),
         })
-    order = [[P.ids[i], P.ids[j]] for i in range(P.n) for j in _iter_bits(P.up[i] & ~(1 << i))]
-    return {"walls": walls, "order": sorted(order)}
+    fmt = f"0{P.n}b"
+    order = [[a, b] for i, a in enumerate(P.ids) for b in compress(
+        P.ids, format(P.up[i] & ~(1 << i), fmt)[::-1].encode().translate(_SELECTORS))]
+    return {"walls": walls, "order": order}
 
 
 # -- automorphisms --------------------------------------------------------------
 
 def load_automorphism(P: WeightedPocset, data: dict) -> Automorphism:
     (mapping,) = _fields(data, "automorphism file", "map")
-    return Automorphism.from_mapping(P, _object(mapping, "map"), data.get("name", "g"))
+    return Automorphism.from_mapping(P, _id_map(mapping, "map"), data.get("name", "g"))
 
 
 # -- window actions --------------------------------------------------------------
@@ -122,12 +151,12 @@ def load_window_action(data: dict, budgets: Budgets = DEFAULT_BUDGETS,
     gens = {}
     for i, m in enumerate(_array(maps, "maps")):
         name, mapping = _fields(m, f"maps[{i}]", "name", "map")
-        mapping = _object(mapping, f"maps[{i}].map")
+        mapping = _id_map(mapping, f"maps[{i}].map")
         domain = m.get("domain")
         if domain is not None:
-            domain = set(_array(domain, f"maps[{i}].domain"))
+            domain = {_id(h, f"maps[{i}].domain") for h in _array(domain, f"maps[{i}].domain")}
             mapping = {k: v for k, v in mapping.items() if k in domain}
-        gens[name] = Automorphism.from_mapping(P, mapping, name)
+        gens[_id(name, f"maps[{i}].name")] = Automorphism.from_mapping(P, mapping, name)
     return WindowAction(P, gens, budgets=budgets)
 
 
@@ -158,7 +187,7 @@ def load_chain_system(data: dict) -> ChainSystem:
         cid, period, weights = _fields(c, f"chains[{i}]", "id", "period", "weights")
         head_weights = c.get("headWeights", [])
         chains.append(Chain(
-            cid, parse_int(period, f"chains[{i}].period"),
+            _id(cid, f"chains[{i}].id"), parse_int(period, f"chains[{i}].period"),
             tuple(parse_fraction(w, f"chains[{i}].weights")
                   for w in _array(weights, f"chains[{i}].weights")),
             tuple(parse_fraction(w, f"chains[{i}].headWeights")
@@ -171,13 +200,14 @@ def load_chain_system(data: dict) -> ChainSystem:
         if not isinstance(entry, list) or len(entry) != 5:
             raise InvalidInput(f"{where} must be [chain, n, chain, m, rel]")
         ci, n, cj, m, code = entry
-        head[(ci, parse_int(n, where), cj, parse_int(m, where))] = \
+        head[(_id(ci, where), parse_int(n, where), _id(cj, where), parse_int(m, where))] = \
             _rel_code(code, where)
     zones = {}
     rows = []
     for i, entry in enumerate(_array(rel.get("periodic", []), "rel.periodic")):
         where = f"rel.periodic[{i}]"
         ci, cj, rule = _fields(entry, where, "from", "to", "rule")
+        ci, cj = _id(ci, f"{where}.from"), _id(cj, f"{where}.to")
         if "fromIndex" in entry:
             lo, hi = _index_range(entry.get("toRange", [0, None]), f"{where}.toRange")
             rows.append(RowRule(
@@ -222,7 +252,7 @@ def dump_chain_system(S: ChainSystem) -> dict:
 
 def load_shift_map(data: dict) -> ShiftMap:
     tau, shift = _fields(data, "shift-map file", "tau", "shift")
-    return ShiftMap(dict(_object(tau, "tau")),
+    return ShiftMap(dict(_id_map(tau, "tau")),
                     {k: parse_int(v, f"shift.{k}")
                      for k, v in _object(shift, "shift").items()},
                     parse_int(data.get("minIndex", 0), "minIndex"))

@@ -493,9 +493,11 @@ def equivalent_by_containment(S, U, V) -> bool:
     return almost_contained(S, U, V).holds and almost_contained(S, V, U).holds
 
 
-def transpose_rows(rows) -> list:
+def transpose_rows(rows, width=None) -> list:
+    """Column i < ``width`` (by default, the number of rows) of the bit
+    matrix ``rows``, bit by bit."""
     return [sum(1 << j for j, r in enumerate(rows) if r >> i & 1)
-            for i in range(len(rows))]
+            for i in range(len(rows) if width is None else width)]
 
 
 # -- actions --------------------------------------------------------------------

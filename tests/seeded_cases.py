@@ -233,6 +233,19 @@ def stabilizer_cases():
                         if gu.perm[side] is None for forbidden in (side, P.star[side]))
 
 
+def bit_matrices() -> list:
+    """(rows, width): the point masks of the mixed and window pocsets, no
+    rows, and random rows of a generator seeded 18, some wider than they
+    are many, some narrower, and more of them than one chunk of
+    ``pocset.transpose``."""
+    rng = random.Random(18)
+    out = [([p.mask for p in points(P, fx.WINDOW_BUDGETS)], P.n)
+           for P in mixed_pocsets() + window_pocsets()]
+    out += [([], width) for width in (0, 1, 9)]
+    return out + [([rng.getrandbits(width) for _ in range(count)], width)
+                  for count, width in ((2, 0), (3, 70), (70, 3), (40, 40), (5000, 6))]
+
+
 def halfspace_sets():
     """(P, point masks of i, point masks of j) for 40 ordered pairs of
     halfspaces of each mixed pocset and of the LINE window, and 40 pairs

@@ -546,6 +546,31 @@ def test_window_pocset_is_validated_before_its_maps(capsys, tmp_path):
         ["COMPARABLE_WITH_COMPLEMENT", "COMPARABLE_WITH_COMPLEMENT"]
 
 
+# ids that are not strings, each in a different file kind
+NONSTRING_ID_POCSET = {"walls": _walls("a", "b"), "order": [["a", ["b"]]]}
+NONSTRING_ID_FILES = [
+    ("rank --pocset", NONSTRING_ID_POCSET, "order[0] must be a pair of halfspace ids"),
+    ("rank --pocset", {"walls": [{"id": "a", "pos": 5, "neg": "a*", "weight": "1"}]},
+     "walls[0].pos must be a string id, not 5"),
+    ("inversions --word s --window",
+     {"window": {"walls": _walls("a")}, "maps": [{"name": "s", "map": {"a": ["a"]}}]},
+     "maps[0].map must map string ids to string ids, not 'a' to ['a']"),
+    ("ubs-validate --system-file",
+     {"chains": [{"id": ["H"], "period": 1, "weights": ["1"]}]},
+     "chains[0].id must be a string id, not ['H']"),
+]
+
+
+@pytest.mark.parametrize("command, data, message", NONSTRING_ID_FILES,
+                         ids=["order pair", "wall side", "map value", "chain id"])
+def test_nonstring_ids_exit_65_naming_the_field(command, data, message, capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, report, _ = run_cli(capsys, *command.split(), str(path))
+    assert code == 65
+    assert report["error"] == {"code": "INVALID_INPUT", "message": message, "data": {}}
+
+
 def test_sectors_answers_neither_with_exit_2(capsys, tmp_path):
     path = tmp_path / "neither.json"
     path.write_text(json.dumps(NEITHER_POCSET))

@@ -24,7 +24,7 @@ from mediankit.oracles import (
     embedded_distances, halved_distances, interval_medians, max_antichain_brute, medians)
 from mediankit.pocset import (
     _iter_bits, distance, gate_project, halfspace_point_masks, inseparable_closure,
-    is_ultrafilter, points, separating, validate)
+    is_ultrafilter, points, separating, transpose, validate)
 from mediankit.serialize import dump_pocset
 from mediankit.structure import (
     Automorphism, _transversality_adjacency, automorphisms, decompose, pocset_product, rank,
@@ -145,6 +145,7 @@ ORACLES = (
         lambda: _each(sc.mixed_pocsets() + sc.window_pocsets()), 42),
     Row("halfspace_point_masks", lambda P: list(halfspace_point_masks(P, fx.WINDOW_BUDGETS)),
         point_sides, lambda: _each(sc.mixed_pocsets() + sc.window_pocsets()), 42),
+    Row("transpose", transpose, transpose_rows, sc.bit_matrices, 50),
     Row("up_map", lambda P, m: P.up_map(m),
         lambda P, m: reduce(or_, (P.up[i] for i in _iter_bits(m)), 0),
         sc.point_masks, 2276),
