@@ -107,3 +107,35 @@ def test_bad_order_pair_exits_65_naming_the_first(order, message, tmp_path, caps
     report = json.loads(capsys.readouterr().out)
     assert code == 65
     assert report["error"] == {"code": "INVALID_INPUT", "message": message, "data": {}}
+
+
+_WINDOW = {"window": {"walls": [{"id": "a", "pos": "a", "neg": "a*", "weight": "1"}]},
+           "maps": [{"name": "s", "map": {"a": "a"}, "domain": ["a"]}]}
+_SYSTEM = {"chains": [{"id": "H", "period": 1, "weights": ["1"]}],
+           "rel": {"head": [["H", 0, "H", 1, "sub"]],
+                   "periodic": [{"from": "H", "to": "H", "rule": "sub"}]}}
+
+
+_NONSTRING_IDS = [
+    (se.load_pocset, _WINDOW["window"], ["walls", 0, "id"], 7, "walls[0].id"),
+    (se.load_pocset, _WINDOW["window"], ["walls", 0, "neg"], None, "walls[0].neg"),
+    (se.load_window_action, _WINDOW, ["maps", 0, "domain", 0], ["a"], "maps[0].domain"),
+    (se.load_window_action, _WINDOW, ["maps", 0, "name"], ["s"], "maps[0].name"),
+    (se.load_chain_system, _SYSTEM, ["rel", "head", 0, 2], ["H"], "rel.head[0]"),
+    (se.load_chain_system, _SYSTEM, ["rel", "periodic", 0, "from"], 1, "rel.periodic[0].from"),
+    (se.load_shift_map, {"tau": {"H": "H"}, "shift": {"H": 1}}, ["tau", "H"], ["H"], "tau"),
+]
+
+
+@pytest.mark.parametrize("load, data, path, value, field", _NONSTRING_IDS,
+                         ids=[case[-1] for case in _NONSTRING_IDS])
+def test_every_nonstring_id_is_named(load, data, path, value, field):
+    data = json.loads(json.dumps(data))
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(InvalidInput) as err:
+        load(data)
+    assert str(err.value).startswith(field + " must ")
