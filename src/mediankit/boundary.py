@@ -7,12 +7,12 @@ cross-chain pair to nested or transverse via finitely many exceptional
 entries (head overrides and row rules) plus offset-zone rules for large
 indices.
 
-Each system fills a relation index lazily (per chain pair, one bitmask of
-the first chain's indices per index of the second, built with the
-resolver's precedence).  Validation, the antichain bound and closures read
-the relation only there; map checks compare ``rel`` pair by pair.  Closures
-also read suffix-OR tables of the index, and each system closes a seed at
-most once (its closure memo keeps horizon errors too).
+Each system fills a relation index lazily (per ordered chain pair, a SUB
+and a SUP table of bitmasks of the first chain's indices per index of the
+second, built in one pass with the resolver's precedence).  Validation,
+the antichain bound and closures read the relation only there; map checks
+compare ``rel`` pair by pair.  Closures also read one suffix-OR table pair
+per chain pair, and a memo closes each seed once, horizon errors included.
 Inseparable subsets meet every chain in an index interval, so UBS
 normalize to per-chain intervals with an optional infinite tail, and two
 are equivalent exactly when they meet the same chains in infinite tails.
@@ -37,7 +37,7 @@ from .errors import (
     HorizonExceeded,
     InvalidInput,
 )
-from .pocset import ValidationReport, _iter_bits
+from .pocset import MaskMap, ValidationReport, _iter_bits, transitive_rows
 
 SUB = "sub"      # first element contained in second
 SUP = "sup"      # first element contains second
@@ -165,34 +165,35 @@ class ChainSystem:
                 return _INVERSE[z.rel]
         return TRANS
 
-    def index(self, c: str, d: str, want: str) -> list:
-        """Relation index of chains ``c != d`` for ``want`` in {SUB, SUP}.
-
-        Entry ``m`` (``0 <= m <= index_scan``) is the bitmask of the
-        ``n <= index_depth`` with ``rel((c, n), (d, m)) == want``.  Filled on
-        first use; its value depends only on the system, which never changes.
-        """
-        masks = self._index.get((c, d, want))
-        if masks is None:
-            masks = self._index[c, d, want] = self._build_index(c, d, want)
-        return masks
-
-    def suffix(self, c: str, d: str, top: int) -> tuple:
-        """The SUB and SUP suffix-OR tables of chains ``c != d``: entry
-        ``lo`` (``0 <= lo <= top <= index_scan``) of each is the OR of its
-        index entries ``lo`` through ``top``; built by one backward pass
-        each on first use."""
-        tables = self._suffix.get((c, d, top))
+    def index(self, c: str, d: str) -> tuple:
+        """Relation index of chains ``c != d``: tables SUB and SUP, whose entry
+        ``m`` (``0 <= m <= index_scan``) is the bitmask of the ``n <= index_depth``
+        with ``rel((c, n), (d, m))`` equal to SUB, resp. SUP; filled on first
+        use (it depends only on the system, which never changes)."""
+        tables = self._index.get((c, d))
         if tables is None:
-            tables = self._suffix[c, d, top] = tuple(
-                list(accumulate(self.index(c, d, want)[top::-1], or_))[::-1]
-                for want in (SUB, SUP))
+            tables = self._index[c, d] = self._build_index(c, d)
         return tables
 
-    def _build_index(self, c, d, want):
+    def suffix(self, c: str, d: str) -> tuple:
+        """The SUB and SUP suffix-OR tables of chains ``c != d``: entry ``lo``
+        of each is the OR of its index entries ``lo`` through ``index_scan``,
+        built on first use.  They serve both horizons: for n <= T = ``horizon``
+        and m past T + head_extent + lcm_period + 1, m - n lies past every
+        finite zone bound, no head entry or mirrored row rule reaches m, and
+        only open-ended row rules of (c, n) apply; so on the window [0, T]
+        that ``_closure_at`` reads, the entries past that scan equal the one at it."""
+        tables = self._suffix.get((c, d))
+        if tables is None:
+            tables = self._suffix[c, d] = tuple(
+                list(accumulate(masks[::-1], or_))[::-1]
+                for masks in self.index(c, d))
+        return tables
+
+    def _build_index(self, c, d):
         """Zones, then overrides in rising precedence (row rules in reverse
-        order, mirrored head entries, head entries), each clearing its pairs
-        and setting those equal to ``want``: ``_resolve``, bit for bit."""
+        order, mirrored head entries, head entries), each setting its pairs in
+        its code's table, clearing them in the other: ``_resolve``, bit for bit."""
         N, M = self.index_depth, self.index_scan
         # zones as ranges of n - m (all of it is in [-M, N]); the first zone
         # that covers a pair decides it, (c, d) zones before (d, c) ones
@@ -200,18 +201,18 @@ class ChainSystem:
                    z.rel) for z in self.zones.get((c, d), ())]
         pieces += [(-M if z.lo is None else z.lo, N if z.hi is None else z.hi,
                     _INVERSE[z.rel]) for z in self.zones.get((d, c), ())]
-        masks = []
+        tables = {SUB: [0] * (M + 1), SUP: [0] * (M + 1)}
         for m in range(M + 1):
-            bits = covered = 0
+            covered = 0
             for lo, hi, code in pieces:
                 iv = _range_mask(m + lo, min(m + hi, N)) & ~covered
                 covered |= iv
-                if code == want:
-                    bits |= iv
-            masks.append(bits)
+                if code in tables:
+                    tables[code][m] |= iv
 
         def assign(m, bits, code):
-            masks[m] = masks[m] | bits if code == want else masks[m] & ~bits
+            for want, masks in tables.items():
+                masks[m] = masks[m] | bits if code == want else masks[m] & ~bits
 
         for r in reversed(self.rows):
             if r.chain == c and r.other == d and 0 <= r.index <= N:
@@ -227,7 +228,7 @@ class ChainSystem:
         for (ci, n, cj, m), code in self.head.items():
             if ci == c and cj == d and 0 <= n <= N and 0 <= m <= M:
                 assign(m, 1 << n, code)
-        return masks
+        return tables[SUB], tables[SUP]
 
     def zone_at_infinity(self, ci: str, cj: str) -> str:
         """rel((ci, n), (cj, m)) for m - n -> +infinity."""
@@ -355,9 +356,9 @@ def validate_system_rules(S: ChainSystem) -> ValidationReport:
 def validate_system(S: ChainSystem) -> ValidationReport:
     """The rule checks, then ``REL_NOT_TRANSITIVE``: the truncation to depth
     ``horizon`` must be a partial order compatible with the chains.  Below
-    (c, n) lie the (c, m) with m > n and, on each other chain d, row n of
-    ``S.index(d, c, SUB)``.  No other check of the relation can fail once
-    the rules pass:
+    (c, n) lie the (c, m) with m > n and, on each other chain d, entry n of
+    the SUB table ``S.index(d, c)[0]``.  No other check of the relation can
+    fail once the rules pass:
 
     - antisymmetry: ``_resolve`` answers (c, n, d, m) and (d, m, c, n) from
       one rule: a head entry or its mirror (inverse by ``HEAD_CONFLICT``),
@@ -377,9 +378,10 @@ def validate_system(S: ChainSystem) -> ValidationReport:
     T = S.horizon
     elems = [(c, n) for c in S.chain_order for n in range(T + 1)]
     down = _truncation_rows(S, T)
+    step = MaskMap(down)
     # transitive closure must not add anything
-    for i in range(len(elems)):
-        extra = reduce(or_, (down[j] for j in _iter_bits(down[i])), 0) & ~down[i]
+    for i, row in enumerate(down):
+        extra = step(row) & ~row
         if extra:
             j = (extra & -extra).bit_length() - 1
             rep.fail("REL_NOT_TRANSITIVE",
@@ -393,11 +395,11 @@ def validate_system(S: ChainSystem) -> ValidationReport:
 def _truncation_rows(S: ChainSystem, T: int) -> list:
     """The truncation to depth ``T <= index_depth`` as rows: (c, n), at
     ``pos(c) * (T + 1) + n``, has those strictly below (contained in) it,
-    the (c, m) with m > n and on each other chain d row n of
-    ``S.index(d, c, SUB)``."""
+    the (c, m) with m > n and on each other chain d entry n of the SUB
+    table ``S.index(d, c)[0]``."""
     window = _range_mask(0, T)
     return [reduce(or_, (
-        (_range_mask(n + 1, T) if d == c else S.index(d, c, SUB)[n] & window)
+        (_range_mask(n + 1, T) if d == c else S.index(d, c)[0][n] & window)
         << pos * (T + 1) for pos, d in enumerate(S.chain_order)))
         for c in S.chain_order for n in range(T + 1)]
 
@@ -458,12 +460,10 @@ def _close(S: ChainSystem, seed: dict) -> UBS:
 
 def _closure_at(S: ChainSystem, seed: dict, T: int) -> dict:
     """Per chain met: (least member, largest member below T, or None when
-    T is a member: a tail); a tail seed reads its cross-chain ORs off
-    suffix tables topped at this horizon's scan, a finite one ORs its
-    slice.  ``closure`` keeps every seed interval in [0, horizon], below
-    both scans, so the two horizons agree on a chain exactly when they
-    give it the same pair."""
-    scan = T + S.head_extent + S.lcm_period + 1
+    T is a member: a tail); a tail seed reads its cross-chain ORs off the
+    suffix tables, which serve both horizons, a finite one ORs its index
+    slices.  ``closure`` keeps every seed interval in [0, horizon], so the
+    two horizons agree on a chain exactly when they give it the same pair."""
     window = _range_mask(0, T)
     out = {}
     for c in S.chain_order:
@@ -477,12 +477,11 @@ def _closure_at(S: ChainSystem, seed: dict, T: int) -> dict:
                 continue
             lo = max(lo, 0)
             if hi is None:
-                sub, sup = S.suffix(c, d, scan)
-                above |= sub[lo]
-                below |= sup[lo]
+                sub, sup = (t[lo] for t in S.suffix(c, d))
             else:
-                above |= reduce(or_, S.index(c, d, SUB)[lo:hi + 1], 0)
-                below |= reduce(or_, S.index(c, d, SUP)[lo:hi + 1], 0)
+                sub, sup = (reduce(or_, t[lo:hi + 1], 0) for t in S.index(c, d))
+            above |= sub
+            below |= sup
         above &= window
         if not above:
             continue
@@ -643,12 +642,7 @@ def ubs_graph(S: ChainSystem) -> UBSGraph:
 def _assert_graph_laws(S: ChainSystem, G: UBSGraph):
     """Acyclic and transitively closed: what each vertex reaches is its
     successor set, which omits the vertex itself."""
-    for i, row in enumerate(G.succ):
-        reach, frontier = row, row
-        while frontier:
-            frontier = reduce(or_, (G.succ[j] for j in _iter_bits(frontier)), 0) \
-                & ~reach
-            reach |= frontier
+    for i, (row, reach) in enumerate(zip(G.succ, transitive_rows(G.succ))):
         if reach >> i & 1:
             raise InvalidInput("UBS graph has a directed cycle")
         if reach != row:
@@ -664,12 +658,13 @@ def ubs_poset(S: ChainSystem) -> list:
     G = ubs_graph(S)
     n = len(G.vertices)
     vertex_tails = [rep.tails() for _, rep, _ in G.vertices]
+    step = MaskMap(G.succ)
     out = []
     for mask in range(1, 1 << n):
         chosen = list(_iter_bits(mask))
         # separated: some z outside the set lies on an edge path u -> z -> w
         # between two of its members
-        leaving = reduce(or_, (G.succ[u] for u in chosen), 0) & ~mask
+        leaving = step(mask) & ~mask
         if any(G.succ[z] & mask for z in _iter_bits(leaving)):
             continue
         rep = None
@@ -703,10 +698,8 @@ class ShiftMap:
         """self ∘ other (apply ``other`` first)."""
         tau = {c: self.tau[other.tau[c]] for c in other.tau}
         shift = {c: other.shift[c] + self.shift[other.tau[c]] for c in other.tau}
-        min_index = other.min_index
-        for c in other.tau:
-            need = self.min_index - other.shift[c]
-            min_index = max(min_index, need)
+        min_index = max([other.min_index]
+                        + [self.min_index - other.shift[c] for c in other.tau])
         return ShiftMap(tau, shift, min_index)
 
     def is_identity(self) -> bool:
@@ -771,11 +764,8 @@ def _deep_representative(S: ChainSystem, U: UBS, g: ShiftMap) -> UBS:
         raise InvalidInput("transfer characters need a UBS with a tail")
     jump = max(abs(s) for s in g.shift.values()) if g.shift else 0
     depth = S.head_extent + S.lcm_period + g.min_index + jump + 2
-    out = {}
-    for cid, (lo, hi) in U.intervals.items():
-        if hi is None:
-            out[cid] = (max(lo, depth), None)
-    return UBS(out)
+    return UBS({cid: (max(lo, depth), None)
+                for cid, (lo, hi) in U.intervals.items() if hi is None})
 
 
 def preimage_ubs(S: ChainSystem, U: UBS, g: ShiftMap) -> UBS:

@@ -134,6 +134,13 @@ def _load_system(args):
         {"file": args.system_file, "digest": _digest(data)}
 
 
+def _pair(args) -> list:
+    ids = args.pair.split(",")
+    if len(ids) != 2:
+        raise InvalidInput(f"--pair needs two ids h,k, got {args.pair!r}")
+    return ids
+
+
 def _budgets(args, base=DEFAULT_BUDGETS):
     return base.with_(**args.budget_overrides)
 
@@ -228,8 +235,8 @@ def cmd_flip(args) -> int:
 
 
 def cmd_skewer(args) -> int:
+    h, k = _pair(args)
     action, src = _load_action(args)
-    h, k = args.pair.split(",")
     res = double_skewer(action, h, k, args.max_word_len)
     extra = {}
     if args.verify and res.kind == "SKEWERED":
@@ -256,8 +263,8 @@ def cmd_facing(args) -> int:
 
 
 def cmd_sectors(args) -> int:
+    h, k = _pair(args)
     P, src = _load_pocset(args)
-    h, k = args.pair.split(",")
     res = sector_halfspace(P, h, k)
     return _emit(args, src, res.to_json(), f"sectors: {res.kind}",
                  EXIT_NEGATIVE if res.kind == "NEITHER" else EXIT_OK)
@@ -320,8 +327,11 @@ def cmd_ubs_graph(args) -> int:
     G = ubs_graph(S)
     verdict = G.to_json()
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot_export(G))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot_export(G))
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {args.dot}: {exc}")
         verdict["dotFile"] = args.dot
     return _emit(args, src, verdict,
                  f"{len(G.vertices)} vertices, {len(G.edges)} edge(s)", EXIT_OK)

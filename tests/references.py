@@ -401,8 +401,8 @@ def closure_oracle(S, seed: dict) -> set:
     """Inseparable closure of the chain intervals ``seed`` up to depth
     ``horizon``, pair by pair through ``S.rel``: the (c, n) with n <= horizon
     that contain one seed member and are contained in one, members taken up
-    to the index horizon + head_extent + lcm_period + 1 (the depth closures
-    scan to).  Empty intervals are dropped; a tail starting past the
+    to the index horizon + head_extent + lcm_period + 1 (past which the
+    relation on the window repeats, see ``ChainSystem.suffix``).  Empty intervals are dropped; a tail starting past the
     horizon, or a finite interval ending at or past it, raises
     ``HorizonExceeded`` naming its chain, the first in chain order."""
     T = S.horizon

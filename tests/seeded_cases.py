@@ -349,8 +349,9 @@ def truncated_systems() -> list:
 def closure_cases():
     """On the closure systems: tail, finite and mixed seeds, an empty
     interval (``hi < lo``), seeds at both edges of the horizon window, and
-    tails starting at, and just past, the scan of each horizon (the second
-    is ``index_scan``), alone and next to a finite interval."""
+    tails starting at, and just past, ``index_scan`` and the old scan of
+    the lower horizon one period below it, alone and next to a finite
+    interval: all past the window, so they pin the horizon errors."""
     for S in closure_systems():
         first, last, T = S.chain_order[0], S.chain_order[-1], S.horizon
         seeds = [{first: (0, None), last: (1, 2)}, {c: (1, None) for c in S.chain_order},

@@ -106,10 +106,11 @@ def test_closure_answers_only_inside_the_horizon_window(name, seed, expected):
         assert closure(S, seed) == expected == closure(S, bd.UBS(seed))
 
 
-def test_suffix_tables_are_the_index_tails_at_both_scans():
-    """Once the closure row's seeds are closed, each system of two or more
-    chains holds suffix tables topped at each horizon's own scan, each the
-    ORs of its index tails, SUB then SUP."""
+def test_one_index_and_one_suffix_table_pair_per_chain_pair():
+    """Once the closure row's seeds are closed, each system caches one
+    index entry per ordered pair of distinct chains and at most one suffix
+    pair, each table the ORs of its index tails up to ``index_scan``; no
+    index entry is both SUB and SUP."""
     systems = {}
     for S, seed in sc.closure_cases():
         systems[id(S)] = S
@@ -118,14 +119,15 @@ def test_suffix_tables_are_the_index_tails_at_both_scans():
         except HorizonExceeded:
             pass
     for S in systems.values():
-        tops = set()
-        for (c, d, top), tables in S._suffix.items():
+        pairs = {(c, d) for c in S.chain_order for d in S.chain_order if c != d}
+        assert set(S._index) == pairs and set(S._suffix) <= pairs
+        for (c, d), tables in S._suffix.items():
             assert tables == tuple(
-                [reduce(or_, S.index(c, d, want)[lo:top + 1], 0)
-                 for lo in range(top + 1)] for want in (SUB, SUP))
-            tops.add(top)
-        scans = {S.index_scan - S.lcm_period, S.index_scan}
-        assert tops == (scans if len(S.chains) > 1 else set())
+                [reduce(or_, masks[lo:S.index_scan + 1], 0)
+                 for lo in range(S.index_scan + 1)] for masks in S.index(c, d))
+        for sub, sup in S._index.values():
+            assert len(sub) == len(sup) == S.index_scan + 1
+            assert not any(s & p for s, p in zip(sub, sup))
 
 
 def _count_closure_at(monkeypatch, inner=None):
@@ -350,6 +352,20 @@ def test_graph_laws_on_random_systems(rng):
                     assert (i, k) in edges
 
 
+@pytest.mark.parametrize("succ, message", [
+    ((0b010, 0b100, 0b010), "UBS graph reachability without an edge"),
+    ((0b110, 0b100, 0b010), "UBS graph has a directed cycle"),
+    ((0b110, 0b100, 0), "UBS graph has 3 vertices over antichain bound 2"),
+], ids=["reach before a later cycle", "cycle", "antichain bound"])
+def test_graph_laws_name_the_first_broken_law(succ, message):
+    """Vertex by vertex, a cycle through it, then a vertex reached without
+    an edge; the antichain bound only once every vertex passes."""
+    S = fx.stairflap()
+    G = bd.UBSGraph(tuple((f"v{i}", None, "H") for i in range(3)), (0, 0, 0), succ)
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        bd._assert_graph_laws(S, G)
+
+
 def test_dot_export():
     G = ubs_graph(fx.stairflap())
     dot = dot_export(G)
@@ -376,6 +392,22 @@ def test_stairflap_poset_has_three_classes():
 def test_two_incomparable_vertices_give_three_classes():
     out = ubs_poset(fx.corner_system("PP"))
     assert len(out) == 3
+
+
+def test_ubs_poset_keeps_the_vertex_sets_no_outside_vertex_splits(rng):
+    """A vertex set is kept unless an edge path u -> z -> w joins two of its
+    members through a vertex z outside it; 4 of the 20 graphs hold a path
+    of two edges."""
+    for S in sc.random_systems(rng, 20, max_chains=4):
+        G = ubs_graph(S)
+        n, edges = len(G.vertices), set(G.edges)
+        expected = {tuple(G.vertex_labels()[i] for i in range(n) if mask >> i & 1)
+                    for mask in range(1, 1 << n)
+                    if not any((u, z) in edges and (z, w) in edges
+                               for z in range(n) if not mask >> z & 1
+                               for u in range(n) if mask >> u & 1
+                               for w in range(n) if mask >> w & 1)}
+        assert {labs for labs, _ in ubs_poset(S)} == expected
 
 
 # -- shift maps and characters --------------------------------------------------------

@@ -113,6 +113,18 @@ def test_sectors(capsys):
     assert report["verdict"]["kind"] == "PRODUCT"
 
 
+@pytest.mark.parametrize("argv", [
+    ["skewer", "--fixture", "F2BALL", "--pair", "waa+"],
+    ["sectors", "--fixture", "SQUARE", "--pair", "a,b,c"],
+], ids=["skewer one id", "sectors three ids"])
+def test_pair_needs_exactly_two_ids(capsys, argv):
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
+    assert report["error"]["message"] == \
+        f"--pair needs two ids h,k, got {argv[-1]!r}"
+
+
 def test_free_cert(capsys):
     code, report, _ = run_cli(
         capsys, "free-cert", "--fixture", "F2BALL", "--a", "a", "--b", "b",
@@ -166,6 +178,16 @@ def test_ubs_commands(capsys, tmp_path):
     assert report["verdict"]["edges"] == [["H[1:]", "K[0:]"]]
     text = dot.read_text()
     assert '"H[1:]" -> "K[0:]"' in text
+
+
+def test_ubs_graph_dot_to_an_unwritable_path_is_invalid_input(capsys, tmp_path):
+    dot = tmp_path / "missing" / "g.dot"
+    code, report, _ = run_cli(
+        capsys, "ubs-graph", "--system", "STAIRFLAP", "--dot", str(dot))
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
+    assert report["error"]["message"].startswith(f"cannot write {dot}: ")
+    assert not dot.parent.exists()
 
 
 def test_ubs_chi(capsys, tmp_path):

@@ -250,7 +250,7 @@ ORACLES = (
         lambda case, res: [res[0]], {0: 1, 1: 1}),
     Row("equivalent", equivalent, equivalent_by_containment, sc.tail_closure_pairs, 2987,
         lambda case, eq: [eq], {True: 1, False: 1}),
-    Row("relation_index", lambda S, c, d, want: S.index(c, d, want), rel_index,
+    Row("relation_index", lambda S, c, d, want: S.index(c, d)[want == SUP], rel_index,
         lambda: [(S, c, d, want) for S in sc.index_systems() for c in S.chain_order
                     for d in S.chain_order if c != d for want in (SUB, SUP)], 92),
     Row("validate_system", lambda S: validate_system(S).to_json(),
