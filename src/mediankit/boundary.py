@@ -64,6 +64,15 @@ class Chain:
             return self.head_weights[n]
         return self.weights[(n - len(self.head_weights)) % self.period]
 
+    def mass(self, lo: int, hi: int, start: Fraction = Fraction(0)) -> Fraction:
+        """``start`` plus the weights of the indices lo..hi in closed form: two
+        or more whole period blocks past the head at the block sum, the
+        indices before them one by one, as ``weight`` reads them."""
+        blocks = (hi + 1 - max(lo, len(self.head_weights))) // self.period
+        blocks *= blocks > 1
+        total = sum(map(self.weight, range(lo, hi + 1 - blocks * self.period)), start)
+        return total + blocks * sum(self.weights) if blocks else total
+
 
 @dataclass(frozen=True)
 class Zone:
@@ -182,7 +191,7 @@ class ChainSystem:
         and m past T + head_extent + lcm_period + 1, m - n lies past every
         finite zone bound, no head entry or mirrored row rule reaches m, and
         only open-ended row rules of (c, n) apply; so on the window [0, T]
-        that ``_closure_at`` reads, the entries past that scan equal the one at it."""
+        that ``_members_at`` reads, the entries past that scan equal the one at it."""
         tables = self._suffix.get((c, d))
         if tables is None:
             tables = self._suffix[c, d] = tuple(
@@ -446,53 +455,48 @@ def closure(S: ChainSystem, seed) -> UBS:
 
 
 def _close(S: ChainSystem, seed: dict) -> UBS:
+    """One OR pass per chain, read at both horizons by ``_members_at``: the OR
+    of the other chains' suffix entries (which serve both horizons) or index
+    slices, and of the chain's own interval up to the deeper horizon T, is
+    the same for both.  The first chain, in chain order, whose readings differ raises."""
     for cid, (lo, hi) in seed.items():
         if lo > S.horizon or (hi is not None and hi >= S.horizon):
             raise HorizonExceeded(
                 f"seed interval on chain {cid} leaves the window of horizon {S.horizon}")
-    r1 = _closure_at(S, seed, S.horizon)
-    r2 = _closure_at(S, seed, S.horizon + S.lcm_period)
-    for cid in S.chain_order:
-        if r1.get(cid) != r2.get(cid):
-            raise HorizonExceeded(f"closure unstable on chain {cid}")
-    return UBS(r1)
-
-
-def _closure_at(S: ChainSystem, seed: dict, T: int) -> dict:
-    """Per chain met: (least member, largest member below T, or None when
-    T is a member: a tail); a tail seed reads its cross-chain ORs off the
-    suffix tables, which serve both horizons, a finite one ORs its index
-    slices.  ``closure`` keeps every seed interval in [0, horizon], so the
-    two horizons agree on a chain exactly when they give it the same pair."""
-    window = _range_mask(0, T)
+    T = S.horizon + S.lcm_period
     out = {}
     for c in S.chain_order:
         above = below = 0
-        own = seed.get(c)
-        if own is not None:
-            above = _range_mask(own[0], T)
-            below = window if own[1] is None else _range_mask(0, own[1])
         for d, (lo, hi) in seed.items():
-            if d == c:
-                continue
             lo = max(lo, 0)
-            if hi is None:
-                sub, sup = (t[lo] for t in S.suffix(c, d))
+            if d == c:
+                above |= _range_mask(lo, T)
+                below |= _range_mask(0, T if hi is None else hi)
+            elif hi is None:
+                sub, sup = S.suffix(c, d)
+                above, below = above | sub[lo], below | sup[lo]
             else:
-                sub, sup = (reduce(or_, t[lo:hi + 1], 0) for t in S.index(c, d))
-            above |= sub
-            below |= sup
-        above &= window
-        if not above:
-            continue
-        A = (above & -above).bit_length() - 1
-        if below >> T & 1:
-            out[c] = (A, None)
-            continue
-        below &= _range_mask(A, T)
-        if below:
-            out[c] = (A, below.bit_length() - 1)
-    return out
+                sub, sup = S.index(c, d)
+                above |= reduce(or_, sub[lo:hi + 1], 0)
+                below |= reduce(or_, sup[lo:hi + 1], 0)
+        pair = _members_at(above, below, S.horizon)
+        if pair != _members_at(above, below, T):
+            raise HorizonExceeded(f"closure unstable on chain {c}")
+        out[c] = pair
+    return UBS(out)
+
+
+def _members_at(above: int, below: int, T: int):
+    """A chain's closure at horizon T: (least member, largest member below
+    T or None when T is a member: a tail), or None when it is not met."""
+    above &= (2 << T) - 1
+    if not above:
+        return None
+    A = (above & -above).bit_length() - 1
+    if below >> T & 1:
+        return A, None
+    below &= (2 << T) - (1 << A)
+    return (A, below.bit_length() - 1) if below else None
 
 
 def is_ubs(S: ChainSystem, U: UBS) -> bool:
@@ -534,8 +538,7 @@ def almost_contained(S: ChainSystem, U1: UBS, U2: UBS) -> AlmostContainment:
         for lo, hi in _interval_minus(U1.intervals.get(cid), U2.intervals.get(cid)):
             if hi is None:
                 return AlmostContainment(False)
-            for n in range(lo, hi + 1):
-                total += S.weight(cid, n)
+            total = S.chains[cid].mass(lo, hi, total)
     return AlmostContainment(True, total)
 
 
@@ -576,19 +579,26 @@ def truncation_antichain_bound(S: ChainSystem) -> int:
 def minimal_tail(S: ChainSystem, cid: str) -> tuple:
     """Least N whose tail closures are all mutually equivalent from N on.
 
-    Equivalence is equality of tail sets, hence transitive: walk down from
-    the deepest pair while consecutive closures agree."""
+    Equivalence is equality of tail sets.  Closures are monotone in the
+    seed, so the tail set of ``tail(cid, M)``'s closure only shrinks as M
+    grows: once ``top`` and ``top + 1`` agree, probe 0, then bisect [1, top]
+    for the least M with ``top``'s tail set.  Each closure computed keeps
+    its two-horizon guard, so this answers as the walk over all of them
+    would, whenever none of the closures it skips raises."""
     if cid not in S.chains:
         raise InvalidInput(f"unknown chain {cid!r}")
     top = S.tail_depth
-    cls = [closure(S, tail(cid, M)) for M in range(top + 2)]
-    tails = [U.tails() for U in cls]
-    if tails[top] != tails[top + 1]:
+    deep = closure(S, tail(cid, top)).tails()
+    if closure(S, tail(cid, top + 1)).tails() != deep:
         raise HorizonExceeded(f"tail closures of {cid} do not stabilize")
-    N = top
-    while N and tails[N - 1] == tails[N]:
-        N -= 1
-    return N, cls[N]
+    lo, hi = (0, 0) if closure(S, tail(cid, 0)).tails() == deep else (1, top)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if closure(S, tail(cid, mid)).tails() == deep:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, closure(S, tail(cid, lo))
 
 
 @dataclass

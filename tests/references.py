@@ -493,6 +493,11 @@ def equivalent_by_containment(S, U, V) -> bool:
     return almost_contained(S, U, V).holds and almost_contained(S, V, U).holds
 
 
+def mass_per_index(chain, lo: int, hi: int) -> Fraction:
+    """The weights of the indices lo..hi, added one by one."""
+    return sum((chain.weight(n) for n in range(lo, hi + 1)), Fraction(0))
+
+
 def transpose_rows(rows, width=None) -> list:
     """Column i < ``width`` (by default, the number of rows) of the bit
     matrix ``rows``, bit by bit."""

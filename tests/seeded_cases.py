@@ -366,13 +366,26 @@ def closure_cases():
         yield from ((S, seed) for seed in seeds)
 
 
+def deep_flap(k: int, periods: tuple) -> ChainSystem:
+    """STAIRFLAP with the flap K inside h_0 .. h_{k-1} (one row rule each)
+    instead of h_0 alone: the closure of H's tail from n < k holds K's
+    tail, from k on it does not, so H's minimal tail starts at k."""
+    return ChainSystem(
+        [Chain(c, p, tuple(Fraction(i + 1, 2) for i in range(p)))
+         for c, p in zip("HK", periods)],
+        zones=fx.stairflap().zones,
+        rows=[RowRule("H", n, "K", SUP, 0, None) for n in range(k)], name=f"FLAP{k}")
+
+
 def tail_systems() -> list:
-    """The system fixtures, 20 random systems and 20 decorated systems that
-    validate."""
+    """The system fixtures, 20 random systems, 20 decorated systems that
+    validate and six deep flaps, whose minimal tails start at 2 to 7."""
     rng = seeded()
     decorated = random_systems(rng, 20, max_chains=4, tries=8,
                                keep=lambda T: validate_system(T).ok)
-    return _system_fixtures() + random_systems(rng, 20, max_chains=4) + decorated
+    flaps = [deep_flap(k, periods) for k, periods in
+             zip(range(2, 8), ((1, 1), (2, 1), (1, 3), (2, 3), (3, 2), (1, 2)))]
+    return _system_fixtures() + random_systems(rng, 20, max_chains=4) + decorated + flaps
 
 
 def tail_closure_pairs():
@@ -382,6 +395,20 @@ def tail_closure_pairs():
         seeds = [{c: (n, None)} for c in S.chain_order for n in (0, 1, 3)]
         closures = [closure(S, seed) for seed in seeds + [{c: (0, None) for c in S.chain_order}]]
         yield from ((S, U, V) for U in closures for V in closures)
+
+
+def mass_cases():
+    """The chains of the tail systems with non-empty index intervals: in
+    the head, across its end, from index -1 where there is a head (which
+    ``weight`` reads as the last head weight), and from the head's end and
+    just past it over 1, 2 and 40 blocks, with and without a remainder."""
+    for S in tail_systems():
+        for c in S.chains.values():
+            h, p = len(c.head_weights), c.period
+            intervals = [(0, h - 1), (h - 1, h + p), (-1, h)] + [
+                (lo, lo + k * p + r - 1) for lo in (h, h + 1) for k in (1, 2, 40)
+                for r in (0, p - 1)]
+            yield from ((c, lo, hi) for lo, hi in intervals if -h <= lo <= hi)
 
 
 def uniform_shifts():

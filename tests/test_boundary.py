@@ -130,49 +130,53 @@ def test_one_index_and_one_suffix_table_pair_per_chain_pair():
             assert not any(s & p for s, p in zip(sub, sup))
 
 
-def _count_closure_at(monkeypatch, inner=None):
-    """Patch ``_closure_at`` to record the horizon of each call."""
-    calls, inner = [], inner or bd._closure_at
+def _count_close(monkeypatch):
+    """Patch ``_close`` to record the seed of each call."""
+    calls, inner = [], bd._close
 
-    def counting(S, seed, T):
-        calls.append(T)
-        return inner(S, seed, T)
+    def counting(S, seed):
+        calls.append(seed)
+        return inner(S, seed)
 
-    monkeypatch.setattr(bd, "_closure_at", counting)
+    monkeypatch.setattr(bd, "_close", counting)
     return calls
 
 
 def test_closure_memo_closes_each_seed_once(monkeypatch):
-    calls = _count_closure_at(monkeypatch)
+    calls = _count_close(monkeypatch)
     S = fx.stairflap()
     first = closure(S, tail("H", 1))
     assert closure(S, tail("H", 1)) is first
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_closure_memo_shares_ubs_and_dict_seeds(monkeypatch):
-    calls = _count_closure_at(monkeypatch)
+    calls = _count_close(monkeypatch)
     S = fx.stairflap()
     U = bd.UBS({"H": (1, None), "K": (0, 2)})
     first = closure(S, U)
     assert closure(S, {"K": (0, 2), "H": (1, None)}) is first
     assert closure(S, dict(U.intervals)) is first
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_closure_memo_is_per_system(monkeypatch):
-    calls = _count_closure_at(monkeypatch)
+    calls = _count_close(monkeypatch)
     twins = [fx.stairflap() for _ in range(2)]
     assert closure(twins[0], tail("H", 0)) == closure(twins[1], tail("H", 0))
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_closure_memo_replays_horizon_errors(monkeypatch):
-    def disagreeing(S, seed, T):
-        return {} if T == S.horizon else {S.chain_order[0]: (0, None)}
-
-    calls = _count_closure_at(monkeypatch, disagreeing)
+    """The two horizons disagree on the first chain: the error is kept and
+    raised afresh, from one ``_close`` call."""
     S = fx.line_system()
+
+    def disagreeing(above, below, T):
+        return None if T == S.horizon else (0, None)
+
+    monkeypatch.setattr(bd, "_members_at", disagreeing)
+    calls = _count_close(monkeypatch)
     raised = []
     for _ in range(2):
         with pytest.raises(HorizonExceeded) as exc:
@@ -180,7 +184,7 @@ def test_closure_memo_replays_horizon_errors(monkeypatch):
         raised.append(exc.value)
     assert [str(e) for e in raised] == ["closure unstable on chain H"] * 2
     assert raised[0] is not raised[1]
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_head_cycle_fails_transitivity():
@@ -306,6 +310,33 @@ def test_stairflap_minimal_tails():
     n_k, rep_k = minimal_tail(S, "K")
     assert n_k == 0
     assert equivalent(S, closure(S, tail("K", 1)), rep_k)
+
+
+def test_minimal_tail_closes_the_deepest_pair_and_the_probes(monkeypatch):
+    """Start 0 costs three closures: ``tail_depth``, one past it and 0.
+    A deep flap's start k > 1 is found by bisecting [1, tail_depth]."""
+    calls = _count_close(monkeypatch)
+    S = fx.line_system()
+    assert minimal_tail(S, "H")[0] == 0
+    assert [seed["H"][0] for seed in calls] == [S.tail_depth, S.tail_depth + 1, 0]
+    for k, probes in ((2, [4, 5, 0, 2, 1]), (5, [7, 8, 0, 4, 6, 5])):
+        S = sc.deep_flap(k, (1, 1))
+        calls.clear()
+        assert validate_system(S).ok
+        assert minimal_tail(S, "H")[0] == k
+        assert [seed["H"][0] for seed in calls] == probes
+
+
+def test_minimal_tail_raises_when_the_deepest_pair_differs(monkeypatch):
+    S = fx.stairflap()
+    real = bd.closure
+
+    def emptied_past_the_depth(S, seed):
+        return bd.UBS({}) if seed == tail("H", S.tail_depth + 1) else real(S, seed)
+
+    monkeypatch.setattr(bd, "closure", emptied_past_the_depth)
+    with pytest.raises(HorizonExceeded, match="^tail closures of H do not stabilize$"):
+        minimal_tail(S, "H")
 
 
 def test_ubs_poset_reuses_the_graph_minimal_tails(monkeypatch):

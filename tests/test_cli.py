@@ -1,6 +1,7 @@
 """CLI behavior: reports, exit codes, determinism, DOT export."""
 
 import json
+import time
 
 import pytest
 
@@ -200,6 +201,19 @@ def test_ubs_chi(capsys, tmp_path):
     assert code == 0
     assert report["verdict"]["chi"] == ["1", "1"]
     assert report["verdict"]["kernel"] is False
+
+
+def test_ubs_chi_of_a_long_shift_answers_at_once(capsys, tmp_path):
+    """Interval masses are computed in closed form, not index by index."""
+    shift = tmp_path / "shift.json"
+    shift.write_text(json.dumps(
+        {"tau": {"H": "H", "K": "K"}, "shift": {"H": 10 ** 6, "K": 10 ** 6}}))
+    start = time.perf_counter()
+    code, report, _ = run_cli(
+        capsys, "ubs-chi", "--system", "STAIRFLAP", "--shift", str(shift))
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert report["verdict"]["chi"] == ["1000000", "1000000"]
 
 
 NON_PARTITION_SYSTEM = {

@@ -7,7 +7,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 from typing import Callable
 
 import pytest
@@ -37,11 +37,12 @@ from references import (
     automorphisms_pairwise, between_members, brute_total_flip, check_pairwise,
     child_by_names, closure_group, closure_oracle, cube_by_name, defined_images, embed_by_name,
     equivalent_by_containment, factors_by_names, first_facing_tuple, gap_by_pairs,
-    gate_per_wall, image_per_bit, is_ultrafilter_per_bit, lineal_pairs, minimal_tail_by_containment,
-    pair_order, pairwise_validate_system, point_sides, points_per_bit, preimage_by_name,
-    product_by_names, rel_index, rel_up_rows, sector_per_halfspace, separating_per_halfspace,
-    shape, stabilizer_per_point, star_image, strongly_separated_per_wall, transpose_rows,
-    transversality_pairwise, truncation, validate_pairwise)
+    gate_per_wall, image_per_bit, is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
+    minimal_tail_by_containment, pair_order, pairwise_validate_system, point_sides,
+    points_per_bit, preimage_by_name, product_by_names, rel_index, rel_up_rows,
+    sector_per_halfspace, separating_per_halfspace, shape, stabilizer_per_point, star_image,
+    strongly_separated_per_wall, transpose_rows, transversality_pairwise, truncation,
+    validate_pairwise)
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,22 @@ def _mask(p):
 def _members(S, seed) -> set:
     return {(c, n) for c, (lo, hi) in closure(S, seed).intervals.items()
             for n in range(lo, S.horizon + 1) if hi is None or n <= hi}
+
+
+def _tail_sets(S, c) -> list:
+    """The tail sets of the closures of c's tails from 0 to one past
+    ``tail_depth``."""
+    return [closure(S, tail(c, M)).tails() for M in range(S.tail_depth + 2)]
+
+
+def _mass_kinds(case, mass) -> list:
+    """Where the interval lies against the chain's head; whether it spans
+    40 blocks."""
+    c, lo, hi = case
+    h = len(c.head_weights)
+    where = "from -1" if lo < 0 else "head" if hi < h else \
+        "across the head" if lo < h else "past the head"
+    return [where] + (["40 blocks"] if hi - max(lo, h) >= 40 * c.period - 1 else [])
 
 
 def _cube(S, q) -> tuple:
@@ -246,8 +263,17 @@ ORACLES = (
         {"decorated": 300, "plain": 1, "HorizonExceeded": 300}),
     Row("minimal_tail", lambda S, c: outcome(minimal_tail, S, c),
         lambda S, c: outcome(minimal_tail_by_containment, S, c),
-        lambda: [(S, c) for S in sc.tail_systems() for c in S.chain_order], 100,
-        lambda case, res: [res[0]], {0: 1, 1: 1}),
+        lambda: [(S, c) for S in sc.tail_systems() for c in S.chain_order], 112,
+        lambda case, res: [res[0] if res[0] < 2 else "at least 2"],
+        {0: 1, 1: 1, "at least 2": 6}),
+    Row("law: tail sets of tail closures shrink as the start grows", _tail_sets,
+        lambda S, c: list(itertools.accumulate(_tail_sets(S, c), and_)),
+        lambda: [(S, c) for S in sc.tail_systems() for c in S.chain_order], 112,
+        lambda case, sets: ["shrinks" if sets[0] != sets[-1] else "constant"],
+        {"shrinks": 8, "constant": 1}),
+    Row("interval_mass", lambda c, lo, hi: c.mass(lo, hi), mass_per_index, sc.mass_cases,
+        1515, _mass_kinds, {"head": 50, "across the head": 50, "from -1": 50,
+                            "past the head": 1300, "40 blocks": 400}),
     Row("equivalent", equivalent, equivalent_by_containment, sc.tail_closure_pairs, 2987,
         lambda case, eq: [eq], {True: 1, False: 1}),
     Row("relation_index", lambda S, c, d, want: S.index(c, d)[want == SUP], rel_index,
