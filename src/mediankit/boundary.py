@@ -9,10 +9,11 @@ indices.
 
 Each system fills a relation index lazily (per ordered chain pair, a SUB
 and a SUP table of bitmasks of the first chain's indices per index of the
-second, built in one pass with the resolver's precedence).  Validation,
-the antichain bound and closures read the relation only there; map checks
-compare ``rel`` pair by pair.  Closures also read one suffix-OR table pair
-per chain pair, and a memo closes each seed once, horizon errors included.
+second, built in one pass with the rules' precedence), and every reader
+of the relation reads it there: ``rel`` folds a pair into the index
+window, and map checks read it only at columns where it can change.
+Closures also read one suffix-OR table pair per chain pair, and a memo
+closes each seed once, horizon errors included.
 Inseparable subsets meet every chain in an index interval, so UBS
 normalize to per-chain intervals with an optional infinite tail, and two
 are equivalent exactly when they meet the same chains in infinite tails.
@@ -61,6 +62,8 @@ class Chain:
 
     def weight(self, n: int) -> Fraction:
         if n < len(self.head_weights):
+            if n < 0:
+                raise InvalidInput(f"chain {self.id} has no index {n}")
             return self.head_weights[n]
         return self.weights[(n - len(self.head_weights)) % self.period]
 
@@ -93,12 +96,9 @@ class RowRule:
     lo: int = 0
     hi: Optional[int] = None
 
-    def matches(self, m: int) -> bool:
-        return m >= self.lo and (self.hi is None or m <= self.hi)
-
 
 class ChainSystem:
-    """Chains plus the relation resolver; immutable after construction, apart
+    """Chains plus the relation rules; immutable after construction, apart
     from write-once caches that depend on nothing else: the relation index,
     its suffix-OR tables and the closure memo."""
 
@@ -146,33 +146,28 @@ class ChainSystem:
     # -- relation resolution ---------------------------------------------
 
     def rel(self, ci: str, n: int, cj: str, m: int) -> str:
-        """Resolve the relation between chain element (ci, n) and (cj, m)."""
+        """The relation of (ci, n) to (cj, m), n, m >= 0, read off the index.
+        No head index, row rule index or bound, or finite zone bound reaches
+        E = ``head_extent``: past E a relation depends on m - n alone, and
+        no rule tells apart indices more than E past the other one.  So a
+        pair past E moves down until its lower index is E, and the higher
+        index to at most E past the lower.  A row still past ``index_depth``
+        (only when E > 5 lcm_period + 4) is read as the inverse of its
+        mirrored entry, exact on systems that pass ``validate_system_rules``."""
         if ci == cj:
-            if n == m:
-                return SUP  # reflexive containment both ways; callers avoid
-            return SUP if n < m else SUB
-        return self._resolve(ci, n, cj, m)
-
-    def _resolve(self, ci, n, cj, m):
-        direct = self.head.get((ci, n, cj, m))
-        if direct is not None:
-            return direct
-        mirror = self.head.get((cj, m, ci, n))
-        if mirror is not None:
-            return _INVERSE[mirror]
-        for r in self.rows:
-            if r.chain == ci and r.index == n and r.other == cj and r.matches(m):
-                return r.rel
-            if r.chain == cj and r.index == m and r.other == ci and r.matches(n):
-                return _INVERSE[r.rel]
-        d = m - n
-        for z in self.zones.get((ci, cj), ()):
-            if z.contains(d):
-                return z.rel
-        for z in self.zones.get((cj, ci), ()):
-            if z.contains(-d):
-                return _INVERSE[z.rel]
-        return TRANS
+            return SUP if n <= m else SUB  # n == m: containment both ways
+        E = self.head_extent
+        if n > E < m:
+            t = (n if n < m else m) - E
+            n, m = n - t, m - t
+        if m > n + E:
+            m = n + E
+        elif n > m + E:
+            n = m + E
+        if n > self.index_depth:
+            return _INVERSE[self.rel(cj, m, ci, n)]
+        sub, sup = self._index.get((ci, cj)) or self.index(ci, cj)
+        return SUB if sub[m] >> n & 1 else SUP if sup[m] >> n & 1 else TRANS
 
     def index(self, c: str, d: str) -> tuple:
         """Relation index of chains ``c != d``: tables SUB and SUP, whose entry
@@ -202,7 +197,10 @@ class ChainSystem:
     def _build_index(self, c, d):
         """Zones, then overrides in rising precedence (row rules in reverse
         order, mirrored head entries, head entries), each setting its pairs in
-        its code's table, clearing them in the other: ``_resolve``, bit for bit."""
+        its code's table, clearing them in the other; so by the rules'
+        precedence a pair reads the first of: its head entry, its mirror, the
+        first row rule either way round, the (c, d) zones, the (d, c) ones,
+        else ``trans``."""
         N, M = self.index_depth, self.index_scan
         # zones as ranges of n - m (all of it is in [-M, N]); the first zone
         # that covers a pair decides it, (c, d) zones before (d, c) ones
@@ -238,16 +236,6 @@ class ChainSystem:
             if ci == c and cj == d and 0 <= n <= N and 0 <= m <= M:
                 assign(m, 1 << n, code)
         return tables[SUB], tables[SUP]
-
-    def zone_at_infinity(self, ci: str, cj: str) -> str:
-        """rel((ci, n), (cj, m)) for m - n -> +infinity."""
-        for z in self.zones.get((ci, cj), ()):
-            if z.hi is None:
-                return z.rel
-        for z in self.zones.get((cj, ci), ()):
-            if z.lo is None:
-                return _INVERSE[z.rel]
-        return TRANS
 
     def weight(self, ci: str, n: int) -> Fraction:
         return self.chains[ci].weight(n)
@@ -369,8 +357,8 @@ def validate_system(S: ChainSystem) -> ValidationReport:
     the SUB table ``S.index(d, c)[0]``.  No other check of the relation can
     fail once the rules pass:
 
-    - antisymmetry: ``_resolve`` answers (c, n, d, m) and (d, m, c, n) from
-      one rule: a head entry or its mirror (inverse by ``HEAD_CONFLICT``),
+    - antisymmetry: the rules' precedence (see ``ChainSystem._build_index``)
+      answers (c, n, d, m) and (d, m, c, n) from one rule: a head entry or its mirror (inverse by ``HEAD_CONFLICT``),
       the first row rule matching either way (never both, as c != d), the
       first zone list consulted (a partition by ``ZONES_NOT_PARTITION``,
       inverse to the other order's by ``ZONE_CONFLICT``), else ``trans``;
@@ -628,23 +616,20 @@ class UBSGraph:
 
 
 def ubs_graph(S: ChainSystem) -> UBSGraph:
-    """Minimal classes and the asymmetric almost-transversality edges."""
-    reps, starts = [], []
+    """Minimal classes and the asymmetric almost-transversality edges: i -> j
+    when (ci, E) and (cj, 2 E), E = ``head_extent``, offset past every zone
+    bound, are transverse and (cj, E) and (ci, 2 E) are not."""
+    reps, starts, E = [], [], S.head_extent
     for cid in S.chain_order:
         rep = closure(S, tail(cid, S.tail_depth))
         if all(rep.tails() != existing.tails() for _, existing, _ in reps):
             start = minimal_tail(S, cid)[0]
             reps.append((f"{cid}[{start}:]", rep, cid))
             starts.append(start)
-    succ = []
-    for _, _, ci in reps:
-        row = 0
-        for j, (_, _, cj) in enumerate(reps):
-            if ci != cj and S.zone_at_infinity(ci, cj) == TRANS \
-                    and S.zone_at_infinity(cj, ci) != TRANS:
-                row |= 1 << j
-        succ.append(row)
-    graph = UBSGraph(tuple(reps), tuple(starts), tuple(succ))
+    succ = tuple(sum(1 << j for j, (_, _, cj) in enumerate(reps)
+                     if ci != cj and S.rel(ci, E, cj, 2 * E) == TRANS
+                     and S.rel(cj, E, ci, 2 * E) != TRANS) for _, _, ci in reps)
+    graph = UBSGraph(tuple(reps), tuple(starts), succ)
     _assert_graph_laws(S, graph)
     return graph
 
@@ -704,6 +689,11 @@ class ShiftMap:
     shift: dict  # chain id -> index shift (applied before tau renames)
     min_index: int = 0
 
+    def __post_init__(self):
+        for c, s in self.shift.items():
+            if self.min_index + min(s, 0) < 0:
+                raise InvalidInput(f"shift map reads a negative index on chain {c}")
+
     def compose(self, other: "ShiftMap") -> "ShiftMap":
         """self ∘ other (apply ``other`` first)."""
         tau = {c: self.tau[other.tau[c]] for c in other.tau}
@@ -739,15 +729,17 @@ def validate_shift(S: ChainSystem, g: ShiftMap) -> None:
             if S.weight(c, n) != S.weight(g.tau[c], n + g.shift[c]):
                 raise InvalidInput(
                     f"shift map does not preserve weights on chain {c}")
-    for ci, _, cj, _ in _unpreserved(S, S, g, range(base, base + L)):
+    pair = _unpreserved(S, S, g, range(base, base + L))
+    if pair:
         raise InvalidInput(
-            f"shift map does not preserve the relation on ({ci}, {cj})")
+            "shift map does not preserve the relation on (%s, %s)" % pair)
 
 
 def _unpreserved(S1: ChainSystem, S2: ChainSystem, g: ShiftMap, block: range):
-    """The (ci, n, cj, m), ci != cj, whose relation in S1 differs from that
-    of their images under g in S2, for n in ``block`` and m from its start
-    to ``reach`` past its end.
+    """The first (ci, cj), ci != cj, in ``permutations`` order, such that some
+    (ci, n) and (cj, m) relate in S1 otherwise than their images under g in
+    S2, for n in ``block`` and m from its start to ``reach`` past its end;
+    or None.
 
     Enough for all n, m >= block.start when the block and its images lie
     past the heads of systems that pass ``validate_system_rules``: there a
@@ -755,16 +747,23 @@ def _unpreserved(S1: ChainSystem, S2: ChainSystem, g: ShiftMap, block: range):
     on, and the image offset is m - n + shift[cj] - shift[ci].  Offsets 0
     to ``reach`` (the larger head extent plus the spread of the shifts)
     meet both constant parts; negative ones are positive ones of (cj, ci)
-    by antisymmetry (see ``validate_system``)."""
-    shifts = g.shift.values()
-    reach = max(S1.head_extent, S2.head_extent) + \
-        max(shifts, default=0) - min(shifts, default=0)
+    by antisymmetry (see ``validate_system``).  Per row n, only the columns
+    where a relation can change are read: both callers start the block at
+    or past E1, so S1's row is constant from n + E1 on, and the image row
+    changes only at head columns (m + sj < E2) and within E2 of its own
+    index o = n + si - sj.  The columns up to ``near`` and that window,
+    clipped to the range, keep one column of each constant stretch."""
+    E1, E2, shifts = S1.head_extent, S2.head_extent, g.shift.values()
+    lo = block.start
+    hi = block.stop + max(E1, E2) + max(shifts, default=0) - min(shifts, default=0)
     for ci, cj in permutations(S1.chain_order, 2):
         ti, si, tj, sj = g.tau[ci], g.shift[ci], g.tau[cj], g.shift[cj]
         for n in block:
-            for m in range(block.start, block.stop + reach):
+            o, near = n + si - sj, min(max(n + E1, E2 - sj) + 1, hi)
+            for m in (*range(lo, near), *range(max(o - E2, near), min(o + E2 + 1, hi))):
                 if S1.rel(ci, n, cj, m) != S2.rel(ti, n + si, tj, m + sj):
-                    yield ci, n, cj, m
+                    return ci, cj
+    return None
 
 
 def _deep_representative(S: ChainSystem, U: UBS, g: ShiftMap) -> UBS:
@@ -849,7 +848,7 @@ def verify_system_map(S1: ChainSystem, S2: ChainSystem, m: ShiftMap) -> bool:
     if any(S1.weight(c, n) != S2.weight(m.tau[c], n + m.shift[c])
            for c in S1.chain_order for n in range(max(0, -m.shift[c]), top)):
         return False
-    return next(_unpreserved(S1, S2, m, range(base, top)), None) is None
+    return _unpreserved(S1, S2, m, range(base, top)) is None
 
 
 # -- DOT export ----------------------------------------------------------------

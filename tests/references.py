@@ -1,7 +1,8 @@
 """The independent reference of every fast path that the oracle table
 (``test_oracles.py``) checks, written from the definition: bit by bit, by
 child names, by name pairs through the pair constructor, pair by pair
-through ``leq_idx`` or ``ChainSystem.rel``, or by enumeration.  The
+through ``leq_idx`` or the chain-system rules (``resolve``), or by
+enumeration.  The
 references that ``mediankit acceptance`` runs too stay in
 ``mediankit.oracles``, and the distance reference is
 ``verification.separating_mass``, which the certificate checks share.
@@ -14,7 +15,7 @@ from operator import or_
 
 from mediankit.actions import FlipResult, SectorResult, enumerate_words
 from mediankit.boundary import (
-    SUB, SUP, _INVERSE, almost_contained, closure, tail, validate_system_rules)
+    SUB, SUP, TRANS, _INVERSE, almost_contained, closure, tail, validate_system_rules)
 from mediankit.config import DEFAULT_BUDGETS
 from mediankit.errors import HorizonExceeded, NotAnAutomorphism, NotTransverse
 from mediankit.pocset import (
@@ -395,15 +396,61 @@ def cube_by_name(S, q: Point) -> tuple:
     return sides, mids, verts
 
 
-# -- chain systems pair by pair through rel, or by definition -------------------
+# -- chain systems pair by pair through the rules, or by definition ------------
+
+def resolve(S, ci: str, n: int, cj: str, m: int) -> str:
+    """The relation of (ci, n) to (cj, m) read off the rules, first match
+    wins: on one chain by index order; else the head entry, its mirror,
+    the row rules in order (either way round), the (ci, cj) zones by
+    m - n, the (cj, ci) zones by n - m; else ``trans``."""
+    if ci == cj:
+        return SUP if n <= m else SUB
+    direct = S.head.get((ci, n, cj, m))
+    if direct is not None:
+        return direct
+    mirror = S.head.get((cj, m, ci, n))
+    if mirror is not None:
+        return _INVERSE[mirror]
+    for r in S.rows:
+        if r.chain == ci and r.index == n and r.other == cj \
+                and r.lo <= m and (r.hi is None or m <= r.hi):
+            return r.rel
+        if r.chain == cj and r.index == m and r.other == ci \
+                and r.lo <= n and (r.hi is None or n <= r.hi):
+            return _INVERSE[r.rel]
+    for z in S.zones.get((ci, cj), ()):
+        if z.contains(m - n):
+            return z.rel
+    for z in S.zones.get((cj, ci), ()):
+        if z.contains(n - m):
+            return _INVERSE[z.rel]
+    return TRANS
+
+
+def unpreserved_pairwise(S1, S2, g, block: range):
+    """``boundary._unpreserved`` pair by pair through ``resolve``: the first
+    (ci, cj) in ``permutations`` order where some n in ``block`` and m from
+    its start to the larger head extent plus the spread of the shifts past
+    its end relate otherwise in S1 than their images under g in S2."""
+    shifts = g.shift.values()
+    reach = max(S1.head_extent, S2.head_extent) + max(shifts) - min(shifts)
+    for ci, cj in itertools.permutations(S1.chain_order, 2):
+        ti, si, tj, sj = g.tau[ci], g.shift[ci], g.tau[cj], g.shift[cj]
+        for n in block:
+            for m in range(block.start, block.stop + reach):
+                if resolve(S1, ci, n, cj, m) != resolve(S2, ti, n + si, tj, m + sj):
+                    return ci, cj
+    return None
+
 
 def closure_oracle(S, seed: dict) -> set:
     """Inseparable closure of the chain intervals ``seed`` up to depth
-    ``horizon``, pair by pair through ``S.rel``: the (c, n) with n <= horizon
-    that contain one seed member and are contained in one, members taken up
-    to the index horizon + head_extent + lcm_period + 1 (past which the
-    relation on the window repeats, see ``ChainSystem.suffix``).  Empty intervals are dropped; a tail starting past the
-    horizon, or a finite interval ending at or past it, raises
+    ``horizon``, pair by pair through ``resolve``: the (c, n) with
+    n <= horizon that contain one seed member and are contained in one,
+    members taken up to the index horizon + head_extent + lcm_period + 1
+    (past which the relation on the window repeats, see
+    ``ChainSystem.suffix``).  Empty intervals are dropped; a tail starting
+    past the horizon, or a finite interval ending at or past it, raises
     ``HorizonExceeded`` naming its chain, the first in chain order."""
     T = S.horizon
     seed = {c: (lo, hi) for c, (lo, hi) in sorted(seed.items()) if hi is None or hi >= lo}
@@ -415,7 +462,7 @@ def closure_oracle(S, seed: dict) -> set:
                for m in range(max(lo, 0), (scan if hi is None else hi) + 1)]
 
     def inside(x, y):
-        return x == y or S.rel(*x, *y) == SUB
+        return x == y or resolve(S, *x, *y) == SUB
 
     return {(c, n) for c in S.chain_order for n in range(T + 1)
             if any(inside((c, n), y) for y in members)
@@ -423,17 +470,17 @@ def closure_oracle(S, seed: dict) -> set:
 
 
 def rel_index(S, c: str, d: str, want: str) -> list:
-    """``ChainSystem.index`` through ``rel``: entry m is the mask of the
+    """``ChainSystem.index`` through ``resolve``: entry m is the mask of the
     n <= index_depth with rel((c, n), (d, m)) == want."""
-    return [sum(1 << n for n in range(S.index_depth + 1) if S.rel(c, n, d, m) == want)
+    return [sum(1 << n for n in range(S.index_depth + 1) if resolve(S, c, n, d, m) == want)
             for m in range(S.index_scan + 1)]
 
 
 def rel_up_rows(S, elems) -> list:
     """Row i holds the elements strictly containing elems[i], read pair by
-    pair through ``rel``."""
+    pair through ``resolve``."""
     return [sum(1 << j for j, (cj, m) in enumerate(elems)
-                if (n > m if ci == cj else S.rel(ci, n, cj, m) == SUB))
+                if (n > m if ci == cj else resolve(S, ci, n, cj, m) == SUB))
             for ci, n in elems]
 
 
@@ -442,14 +489,14 @@ def truncation(S, T: int) -> list:
 
 
 def pairwise_validate_system(S):
-    """``validate_system`` pair by pair through ``rel`` on the truncation,
+    """``validate_system`` pair by pair through ``resolve`` on the truncation,
     with the antisymmetry and periodicity checks that the rule checks make
     unreachable."""
     rep = validate_system_rules(S)
     if not rep.ok:
         return rep
     elems = truncation(S, S.horizon)
-    rel = [[S.rel(ci, n, cj, m) for cj, m in elems] for ci, n in elems]
+    rel = [[resolve(S, ci, n, cj, m) for cj, m in elems] for ci, n in elems]
     down = [0] * len(elems)
     for i, (ci, n) in enumerate(elems):
         for j, (cj, m) in enumerate(elems):
@@ -469,7 +516,7 @@ def pairwise_validate_system(S):
     L = S.lcm_period
     block = range(S.head_extent + L, S.head_extent + 2 * L)
     for ci, cj, n, m in itertools.product(S.chain_order, S.chain_order, block, block):
-        if ci < cj and S.rel(ci, n, cj, m) != S.rel(ci, n + L, cj, m + L):
+        if ci < cj and resolve(S, ci, n, cj, m) != resolve(S, ci, n + L, cj, m + L):
             rep.fail("NOT_PERIODIC", f"({ci},{n}) vs ({cj},{m})")
     if rep.ok:
         rep.notes.append(

@@ -10,19 +10,21 @@ head entries and row rules to a system, which may break it, and
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
 from mediankit import fixtures as fx
 from mediankit.actions import TotalAction, WindowAction, _evaluator, enumerate_words
 from mediankit.boundary import (
-    SUB, SUP, TRANS, Chain, ChainSystem, RowRule, ShiftMap, Zone, closure, validate_system)
+    SUB, SUP, TRANS, Chain, ChainSystem, RowRule, ShiftMap, Zone, closure, validate_system,
+    validate_system_rules)
 from mediankit.pocset import (
     ConvexSet, WeightedPocset, _iter_bits, convex_hull, halfspace_point_masks, points)
 from mediankit.randomgen import random_pocset, random_poset, random_system
 from mediankit.structure import Automorphism, automorphisms, decompose, pocset_product
 from mediankit.subdivision import subdivide
-from references import pair_order, wall_list
+from references import pair_order, resolve, wall_list
 
 
 def random_pocsets(rng: random.Random, count: int, max_walls: int = 10,
@@ -71,7 +73,7 @@ def decorate(rng: random.Random, S: ChainSystem, tries: int,
     for _ in range(tries if len(chains) > 1 else 0):
         c, d = rng.sample(S.chain_order, 2)
         n, m = rng.randint(0, 3), rng.randint(0, 5)
-        code = rng.choice([x for x in (SUB, SUP, TRANS) if x != S.rel(c, n, d, m)])
+        code = rng.choice([x for x in (SUB, SUP, TRANS) if x != resolve(S, c, n, d, m)])
         if rng.random() < 0.5:
             cand = rows, {**head, (c, n, d, m): code}
         else:
@@ -399,16 +401,118 @@ def tail_closure_pairs():
 
 def mass_cases():
     """The chains of the tail systems with non-empty index intervals: in
-    the head, across its end, from index -1 where there is a head (which
-    ``weight`` reads as the last head weight), and from the head's end and
-    just past it over 1, 2 and 40 blocks, with and without a remainder."""
+    the head, across its end, and from the head's end and just past it
+    over 1, 2 and 40 blocks, with and without a remainder."""
     for S in tail_systems():
         for c in S.chains.values():
             h, p = len(c.head_weights), c.period
-            intervals = [(0, h - 1), (h - 1, h + p), (-1, h)] + [
+            intervals = [(0, h - 1), (h - 1, h + p)] + [
                 (lo, lo + k * p + r - 1) for lo in (h, h + 1) for k in (1, 2, 40)
                 for r in (0, p - 1)]
-            yield from ((c, lo, hi) for lo, hi in intervals if -h <= lo <= hi)
+            yield from ((c, lo, hi) for lo, hi in intervals if 0 <= lo <= hi)
+
+
+def long_head_systems() -> list:
+    """Systems whose head extent E = B + 1 passes 5 lcm_period + 4 (all but
+    some of B = 12), so that ``rel`` reads rows past ``index_depth`` through
+    the mirrored table: for each zone bound B in 12, 30 and 57, two systems
+    of two or three chains of period 1 or 2, with three zones per chain pair
+    cut at random offsets within B, six head entries at random indices up
+    to B (none mirroring another) and four row rules, one of them of index
+    0 reaching B.  All pass ``validate_system_rules``."""
+    rng, codes, out = seeded(7), (SUB, SUP, TRANS), []
+    for B in (12, 30, 57):
+        for _ in range(2):
+            ids = "HKM"[:rng.randint(2, 3)]
+            chains = [Chain(c, p, tuple(Fraction(k + 1, p) for k in range(p)))
+                      for c, p in zip(ids, (rng.randint(1, 2) for _ in ids))]
+            zones = {}
+            for c, d in itertools.combinations(ids, 2):
+                a, b = sorted(rng.sample(range(1 - B, B - 1), 2))
+                zones[c, d] = (Zone(None, a, rng.choice(codes)),
+                               Zone(a + 1, b, rng.choice(codes)),
+                               Zone(b + 1, None, rng.choice(codes)))
+            head = {}
+            for _ in range(6):
+                c, d = rng.sample(ids, 2)
+                n, m = rng.randint(0, B), rng.randint(0, B)
+                if (d, m, c, n) not in head:
+                    head[c, n, d, m] = rng.choice(codes)
+            rows = []
+            for k in range(4):
+                c, d = rng.sample(ids, 2)
+                lo = rng.randint(0, B)
+                hi = B if k == 0 else rng.choice((None, rng.randint(lo, B)))
+                rows.append(RowRule(c, 0 if k == 0 else rng.randint(0, B), d,
+                                    rng.choice(codes), lo, hi))
+            out.append(ChainSystem(chains, zones=zones, rows=rows, head=head, name=f"LONG{B}"))
+    assert all(validate_system_rules(S).ok and S.head_extent == B + 1
+               for S, B in zip(out, (12, 12, 30, 30, 57, 57)))
+    return out
+
+
+def rel_cases():
+    """Per chain pair of the closure, tail and checked systems that pass
+    the rule checks, and of the long-head systems: the indices 0 to
+    3 head_extent, ``index_depth`` and one past it, ``index_scan`` and
+    10^9."""
+    systems = closure_systems() + tail_systems() + checked_systems()
+    for S in [S for S in systems if validate_system_rules(S).ok] + long_head_systems():
+        idx = [*range(3 * S.head_extent + 1), S.index_depth, S.index_depth + 1,
+               S.index_scan, 10 ** 9]
+        yield from ((S, c, d, idx) for c, d in itertools.permutations(S.chain_order, 2))
+
+
+def _renamed(S: ChainSystem, names: dict) -> ChainSystem:
+    """S with chain c renamed ``names[c]``, the chains listed by new name."""
+    return ChainSystem(
+        sorted((replace(S.chains[c], id=names[c]) for c in S.chain_order), key=lambda c: c.id),
+        zones={(names[c], names[d]): zs for (c, d), zs in S.zones.items()},
+        rows=[replace(r, chain=names[r.chain], other=names[r.other]) for r in S.rows],
+        head={(names[c], n, names[d], m): code for (c, n, d, m), code in S.head.items()})
+
+
+def unpreserved_cases():
+    """Arguments of ``boundary._unpreserved`` as its callers make them, on
+    the system fixtures, 12 random and 12 decorated systems that validate.
+    As ``validate_shift`` does, one period block from ``min_index`` or the
+    head extent on: uniform shifts by one period, by 1000 and by
+    -(head_extent + 4) from that ``min_index``; and three random chain
+    permutations per system, each with shifts in -3..3 from ``min_index``
+    0 to 3 past the largest negative one, with shifts down to
+    ``-min_index`` from ``min_index`` = head_extent + 4 (image rows in the
+    head), and, on the first 12 systems, with shifts of 0, 997 or 1000.  As
+    ``verify_system_map`` does, from the block past both heads and every
+    shift: each system to a copy with renamed chains, under the renaming
+    and under a random permutation, each unshifted and with shifts in
+    0..3; and the corner rotations."""
+    rng = seeded(8)
+    systems = _system_fixtures() + random_systems(rng, 12, max_chains=4) + random_systems(
+        rng, 12, max_chains=4, tries=8, keep=lambda T: validate_system(T).ok)
+    for pos, S in enumerate(systems):
+        ids, E, L = S.chain_order, S.head_extent, S.lcm_period
+        deep = E + 4
+        maps = [ShiftMap(dict(zip(ids, ids)), {c: k for c in ids}, max(0, -k))
+                for k in (L, 1000, -deep)]
+        for _ in range(3):
+            tau = dict(zip(ids, rng.sample(ids, len(ids))))
+            shift = {c: rng.randint(-3, 3) for c in ids}
+            maps.append(ShiftMap(tau, shift, max(0, -min(shift.values())) + rng.randint(0, 3)))
+            maps.append(ShiftMap(tau, {c: rng.choice((-deep, 1 - deep, 0, 2)) for c in ids}, deep))
+            if pos < 12:
+                maps.append(ShiftMap(tau, {c: rng.choice((0, 997, 1000)) for c in ids}))
+        for g in maps:
+            base = max(g.min_index, E) + L
+            yield S, S, g, range(base, base + L)
+        names = dict(zip(ids, rng.sample([c.lower() for c in ids], len(ids))))
+        T = _renamed(S, names)
+        for tau in (names, dict(zip(ids, rng.sample(list(names.values()), len(ids))))):
+            for shift in ({c: 0 for c in ids}, {c: rng.randint(0, 3) for c in ids}):
+                base = E + max(shift.values())
+                yield S, T, ShiftMap(tau, shift), range(base, base + 2 * max(L, T.lcm_period))
+    for corner in fx.CORNERS:
+        S1, S2 = fx.corner_system(corner), fx.corner_system(fx.corner_rotation(corner)[0])
+        yield S1, S2, fx.corner_rotation(corner)[1], range(1, 3)
 
 
 def uniform_shifts():

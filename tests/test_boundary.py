@@ -18,7 +18,7 @@ from mediankit.boundary import (
 from mediankit.errors import ClassNotPreserved, ClassPermuted, HorizonExceeded, InvalidInput
 
 import seeded_cases as sc
-from references import rel_up_rows
+from references import rel_up_rows, resolve
 
 ONE = Fraction(1)
 
@@ -201,8 +201,6 @@ class _NoPairReads(ChainSystem):
     def rel(self, *args):
         raise AssertionError("the relation was read pair by pair")
 
-    _resolve = rel
-
 
 def test_validation_and_the_antichain_bound_read_only_the_index(rng):
     edges = sc.edge_systems()
@@ -221,14 +219,14 @@ def test_each_asymmetric_resolver_fails_a_rule_check(code):
     on a system whose resolver is not."""
     S = sc.edge_systems()[code]
     T = S.horizon
-    assert any(S.rel("H", n, "K", m) != bd._INVERSE[S.rel("K", m, "H", n)]
+    assert any(resolve(S, "H", n, "K", m) != bd._INVERSE[resolve(S, "K", m, "H", n)]
                for n in range(T + 1) for m in range(T + 1))
     assert {f["code"] for f in validate_system(S).failures} == {code}
 
 
 def test_zone_lists_of_a_pair_must_be_inverse():
     S = sc.edge_systems()["ZONE_CONFLICT"]
-    assert S.rel("H", 0, "K", 5) == SUP and S.rel("K", 5, "H", 0) == TRANS
+    assert resolve(S, "H", 0, "K", 5) == SUP and resolve(S, "K", 5, "H", 0) == TRANS
     assert validate_system(S).failures == [
         {"code": "ZONE_CONFLICT", "detail": "(H, K) at offset -10"},
         {"code": "ZONE_CONFLICT", "detail": "(K, H) at offset -10"}]
@@ -555,6 +553,29 @@ def test_shift_must_permute_the_chains():
     g = ShiftMap({"H": "H", "K": "H"}, {"H": 0, "K": 0})
     with pytest.raises(InvalidInput, match="must permute the chains"):
         bd.validate_shift(fx.stairflap(), g)
+
+
+@pytest.mark.parametrize("min_index, shift, chain",
+                         [(-1, 0, "H"), (-1, 3, "H"), (0, -1, "K"), (2, -3, "K")])
+def test_shift_maps_reading_a_negative_index_are_rejected(min_index, shift, chain):
+    """The first chain, in shift order, that min_index or its image there
+    takes below 0 is named."""
+    with pytest.raises(InvalidInput, match=f"negative index on chain {chain}$"):
+        ShiftMap({"H": "H", "K": "K"}, {"H": 0, "K": shift}, min_index)
+
+
+def test_composition_keeps_shift_images_nonnegative():
+    tx = fx.corner_translation("MP", "x")
+    assert tx.compose(tx) == ShiftMap({"X": "X", "Y": "Y"}, {"X": -2, "Y": 0}, 2)
+
+
+def test_chain_weights_start_at_index_zero():
+    for c in (Chain("H", 1, (ONE,)), Chain("A", 2, (ONE, ONE), (ONE, Fraction(2)))):
+        assert c.weight(0) == ONE
+        with pytest.raises(InvalidInput, match=f"chain {c.id} has no index -1"):
+            c.weight(-1)
+        with pytest.raises(InvalidInput, match="no index -1"):
+            c.mass(-1, len(c.head_weights))
 
 
 def test_corner_rotation_cycle():

@@ -216,6 +216,36 @@ def test_ubs_chi_of_a_long_shift_answers_at_once(capsys, tmp_path):
     assert report["verdict"]["chi"] == ["1000000", "1000000"]
 
 
+# two period-1 chains and no rules: every cross pair is transverse
+FREE2_SYSTEM = {"chains": [{"id": "H", "period": 1, "weights": ["1"]},
+                           {"id": "K", "period": 1, "weights": ["1"]}]}
+HUGE_K_SHIFT = {"tau": {"H": "H", "K": "K"}, "shift": {"H": 0, "K": 10 ** 9}}
+
+
+def test_ubs_chi_of_a_huge_shift_answers_at_once(capsys, tmp_path):
+    """Shift maps are checked at the columns where a relation can change,
+    so the cost does not grow with the spread of the shifts."""
+    system, shift = tmp_path / "free2.json", tmp_path / "shift.json"
+    system.write_text(json.dumps(FREE2_SYSTEM))
+    shift.write_text(json.dumps(HUGE_K_SHIFT))
+    start = time.perf_counter()
+    code, report, _ = run_cli(
+        capsys, "ubs-chi", "--system-file", str(system), "--shift", str(shift))
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert report["verdict"]["chi"] == ["0", "1000000000"]
+
+
+def test_ubs_chi_rejects_a_shift_below_index_zero(capsys, tmp_path):
+    shift = tmp_path / "shift.json"
+    shift.write_text(json.dumps({"tau": {"H": "H", "K": "K"}, "shift": {"H": -5, "K": -5}}))
+    code, report, _ = run_cli(
+        capsys, "ubs-chi", "--system", "STAIRFLAP", "--shift", str(shift))
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
+    assert report["error"]["message"] == "shift map reads a negative index on chain H"
+
+
 NON_PARTITION_SYSTEM = {
     "chains": [{"id": "H", "period": 1, "weights": ["1"]},
                {"id": "K", "period": 1, "weights": ["1"]}],

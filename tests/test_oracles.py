@@ -17,8 +17,8 @@ from mediankit.actions import (
     _set_distance, _stabilizer_excluded, facing_tuple, find_flip, is_lineal, min_orbit,
     sector_halfspace, strongly_separated)
 from mediankit.boundary import (
-    SUB, SUP, _truncation_rows, chi_vector, closure, equivalent, is_ubs, min_chain_cover,
-    minimal_tail, tail, truncation_antichain_bound, validate_system)
+    SUB, SUP, _truncation_rows, _unpreserved, chi_vector, closure, equivalent, is_ubs,
+    min_chain_cover, minimal_tail, tail, truncation_antichain_bound, validate_system)
 from mediankit.errors import MedianKitError
 from mediankit.oracles import (
     embedded_distances, halved_distances, interval_medians, max_antichain_brute, medians)
@@ -39,10 +39,10 @@ from references import (
     equivalent_by_containment, factors_by_names, first_facing_tuple, gap_by_pairs,
     gate_per_wall, image_per_bit, is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
     minimal_tail_by_containment, pair_order, pairwise_validate_system, point_sides,
-    points_per_bit, preimage_by_name, product_by_names, rel_index, rel_up_rows,
+    points_per_bit, preimage_by_name, product_by_names, rel_index, rel_up_rows, resolve,
     sector_per_halfspace, separating_per_halfspace, shape, stabilizer_per_point, star_image,
     strongly_separated_per_wall, transpose_rows, transversality_pairwise, truncation,
-    validate_pairwise)
+    unpreserved_pairwise, validate_pairwise)
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,22 @@ def _mass_kinds(case, mass) -> list:
     40 blocks."""
     c, lo, hi = case
     h = len(c.head_weights)
-    where = "from -1" if lo < 0 else "head" if hi < h else \
-        "across the head" if lo < h else "past the head"
+    where = "head" if hi < h else "across the head" if lo < h else "past the head"
     return [where] + (["40 blocks"] if hi - max(lo, h) >= 40 * c.period - 1 else [])
+
+
+def _unpreserved_kinds(case, pair) -> list:
+    """The outcome, alone and with each feature of the case that has it: a
+    map between two systems, a negative shift, an image row in the head,
+    a shift of at least 997."""
+    S1, S2, g, block = case
+    shifts = g.shift.values()
+    outcome = "preserved" if pair is None else "unpreserved"
+    features = [name for name, has in (
+        ("S1 != S2", S1 is not S2), ("negative shift", min(shifts) < 0),
+        ("image row in the head", block.start + min(shifts) < S2.head_extent),
+        ("shift 10^3", max(shifts) >= 997)) if has]
+    return [outcome] + [f"{name}, {outcome}" for name in features]
 
 
 def _cube(S, q) -> tuple:
@@ -272,10 +285,21 @@ ORACLES = (
         lambda case, sets: ["shrinks" if sets[0] != sets[-1] else "constant"],
         {"shrinks": 8, "constant": 1}),
     Row("interval_mass", lambda c, lo, hi: c.mass(lo, hi), mass_per_index, sc.mass_cases,
-        1515, _mass_kinds, {"head": 50, "across the head": 50, "from -1": 50,
-                            "past the head": 1300, "40 blocks": 400}),
+        1440, _mass_kinds, {"head": 50, "across the head": 50, "past the head": 1300,
+                            "40 blocks": 400}),
     Row("equivalent", equivalent, equivalent_by_containment, sc.tail_closure_pairs, 2987,
         lambda case, eq: [eq], {True: 1, False: 1}),
+    Row("rel", lambda S, c, d, idx: [S.rel(c, n, d, m) for n in idx for m in idx],
+        lambda S, c, d, idx: [resolve(S, c, n, d, m) for n in idx for m in idx], sc.rel_cases,
+        1150, lambda case, rels: ["mirrored" if case[0].head_extent > 5 * case[0].lcm_period + 4
+                                  else "direct"], {"direct": 1100, "mirrored": 20}),
+    Row("unpreserved", _unpreserved, unpreserved_pairwise, sc.unpreserved_cases, 440,
+        _unpreserved_kinds,
+        {"preserved": 250, "unpreserved": 120, "S1 != S2, preserved": 80,
+         "S1 != S2, unpreserved": 30, "negative shift, preserved": 80,
+         "negative shift, unpreserved": 60, "image row in the head, preserved": 4,
+         "image row in the head, unpreserved": 8, "shift 10^3, preserved": 40,
+         "shift 10^3, unpreserved": 10}),
     Row("relation_index", lambda S, c, d, want: S.index(c, d)[want == SUP], rel_index,
         lambda: [(S, c, d, want) for S in sc.index_systems() for c in S.chain_order
                     for d in S.chain_order if c != d for want in (SUB, SUP)], 92),
