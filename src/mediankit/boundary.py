@@ -53,6 +53,19 @@ def _range_mask(lo: int, hi: int) -> int:
     return (1 << (hi + 1)) - (1 << lo) if lo <= hi else 0
 
 
+def _zone_ranges(S: ChainSystem, c: str, d: str, lo: int, hi: int) -> tuple:
+    """The zones of chains c != d as ranges (first, last, rel) of the offset
+    m - n of (c, n) against (d, m), open ends cut at ``lo`` and ``hi``: the
+    (c, d) zones, and the (d, c) ones read from c (offsets negated,
+    relations inverted).  In each list the first range covering an offset
+    decides it."""
+    own = [(lo if z.lo is None else z.lo, hi if z.hi is None else z.hi, z.rel)
+           for z in S.zones.get((c, d), ())]
+    mirrored = [(lo if z.hi is None else -z.hi, hi if z.lo is None else -z.lo,
+                 _INVERSE[z.rel]) for z in S.zones.get((d, c), ())]
+    return own, mirrored
+
+
 @dataclass(frozen=True)
 class Chain:
     id: str
@@ -82,9 +95,6 @@ class Zone:
     lo: Optional[int]  # None = -inf
     hi: Optional[int]  # None = +inf
     rel: str
-
-    def contains(self, d: int) -> bool:
-        return (self.lo is None or d >= self.lo) and (self.hi is None or d <= self.hi)
 
 
 @dataclass(frozen=True)
@@ -202,17 +212,13 @@ class ChainSystem:
         first row rule either way round, the (c, d) zones, the (d, c) ones,
         else ``trans``."""
         N, M = self.index_depth, self.index_scan
-        # zones as ranges of n - m (all of it is in [-M, N]); the first zone
-        # that covers a pair decides it, (c, d) zones before (d, c) ones
-        pieces = [(-M if z.hi is None else -z.hi, N if z.lo is None else -z.lo,
-                   z.rel) for z in self.zones.get((c, d), ())]
-        pieces += [(-M if z.lo is None else z.lo, N if z.hi is None else z.hi,
-                    _INVERSE[z.rel]) for z in self.zones.get((d, c), ())]
+        # the first zone range covering m - n (all in [-N, M]) decides a pair
+        own, mirrored = _zone_ranges(self, c, d, -N, M)
         tables = {SUB: [0] * (M + 1), SUP: [0] * (M + 1)}
         for m in range(M + 1):
             covered = 0
-            for lo, hi, code in pieces:
-                iv = _range_mask(m + lo, min(m + hi, N)) & ~covered
+            for first, last, code in own + mirrored:
+                iv = _range_mask(m - last, min(m - first, N)) & ~covered
                 covered |= iv
                 if code in tables:
                     tables[code][m] |= iv
@@ -307,8 +313,8 @@ def union_seed(parts: Iterable[UBS]) -> dict:
 def validate_system_rules(S: ChainSystem) -> ValidationReport:
     """The checks on the rules themselves: periods, weights, known chains,
     zone partitions and conflicts, rules and head entries within one chain
-    (``rel`` never reads them), head entries not inverse to their mirror;
-    no truncation."""
+    (``rel`` never reads them), negative indices in rules and head entries,
+    head entries not inverse to their mirror; no truncation."""
     rep = ValidationReport(ok=True)
     for cid, c in S.chains.items():
         if c.period < 1 or len(c.weights) != c.period:
@@ -325,27 +331,25 @@ def validate_system_rules(S: ChainSystem) -> ValidationReport:
             continue
         if not _zones_partition(zs):
             rep.fail("ZONES_NOT_PARTITION", f"({ci}, {cj})")
-        elif _zones_partition(S.zones.get((cj, ci), ())):
-            for d in range(-S.horizon, S.horizon + 1):
-                a = next(z.rel for z in zs if z.contains(d))
-                b = next(z.rel for z in S.zones[(cj, ci)] if z.contains(-d))
-                if a != _INVERSE[b]:
-                    rep.fail("ZONE_CONFLICT", f"({ci}, {cj}) at offset {d}")
-                    break
+        elif _zones_partition(S.zones.get((cj, ci), ())) and \
+                (d := _zone_conflict(S, ci, cj)) is not None:
+            rep.fail("ZONE_CONFLICT", f"({ci}, {cj}) at offset {d}")
     for r in S.rows:
         if r.chain not in S.chains or r.other not in S.chains:
             rep.fail("UNKNOWN_CHAIN", f"row rule {r}")
         elif r.chain == r.other:
             rep.fail("SAME_CHAIN_RULE", f"row rule {r}")
+        elif min(r.index, r.lo, r.hi or 0) < 0:
+            rep.fail("NEGATIVE_INDEX", f"row rule {r}")
     for (ci, n, cj, m), code in S.head.items():
+        entry = f"head entry ({ci}, {n}, {cj}, {m})"
         if ci not in S.chains or cj not in S.chains:
-            rep.fail("UNKNOWN_CHAIN", f"head entry ({ci}, {n}, {cj}, {m})")
-            continue
-        if ci == cj:
-            rep.fail("SAME_CHAIN_HEAD", f"head entry ({ci}, {n}, {cj}, {m})")
-            continue
-        mirror = S.head.get((cj, m, ci, n))
-        if mirror is not None and (ci, n) < (cj, m) and mirror != _INVERSE[code]:
+            rep.fail("UNKNOWN_CHAIN", entry)
+        elif ci == cj:
+            rep.fail("SAME_CHAIN_HEAD", entry)
+        elif min(n, m) < 0:
+            rep.fail("NEGATIVE_INDEX", entry)
+        elif (ci, n) < (cj, m) and S.head.get((cj, m, ci, n)) not in (None, _INVERSE[code]):
             rep.fail("HEAD_CONFLICT", f"({ci}, {n}) vs ({cj}, {m})")
     return rep
 
@@ -399,6 +403,20 @@ def _truncation_rows(S: ChainSystem, T: int) -> list:
         (_range_mask(n + 1, T) if d == c else S.index(d, c)[0][n] & window)
         << pos * (T + 1) for pos, d in enumerate(S.chain_order)))
         for c in S.chain_order for n in range(T + 1)]
+
+
+def _zone_conflict(S: ChainSystem, c: str, d: str) -> Optional[int]:
+    """The least offset in [-horizon, horizon] where the (c, d) zones and
+    the mirrored (d, c) ones, both partitions, disagree; or None.  Each
+    list is constant from one range's start to the next one's, and its
+    lowest range starts at -horizon, so only range starts are compared."""
+    own, mirrored = _zone_ranges(S, c, d, -S.horizon, S.horizon)
+
+    def at(ranges, x):
+        return next(rel for first, last, rel in ranges if first <= x <= last)
+
+    return next((x for x in sorted({r[0] for r in own + mirrored})
+                 if at(own, x) != at(mirrored, x)), None)
 
 
 def _zones_partition(zs: Sequence[Zone]) -> bool:
@@ -690,8 +708,12 @@ class ShiftMap:
     min_index: int = 0
 
     def __post_init__(self):
-        for c, s in self.shift.items():
-            if self.min_index + min(s, 0) < 0:
+        for c in (*self.shift, *self.tau):
+            if c not in self.tau:
+                raise InvalidInput(f"shift map shifts chain {c}, which tau does not map")
+            if c not in self.shift:
+                raise InvalidInput(f"shift map has no shift for chain {c}")
+            if self.min_index + min(self.shift[c], 0) < 0:
                 raise InvalidInput(f"shift map reads a negative index on chain {c}")
 
     def compose(self, other: "ShiftMap") -> "ShiftMap":
@@ -837,18 +859,24 @@ def chi_vector(S: ChainSystem, g: ShiftMap) -> tuple:
 # -- cross-system isomorphisms ---------------------------------------------
 
 def verify_system_map(S1: ChainSystem, S2: ChainSystem, m: ShiftMap) -> bool:
-    """Weights up to two period blocks past both heads and every shift, and
-    the relation as ``_unpreserved`` compares it from there."""
+    """Weights per chain c, of shift s, from index max(0, -s) to two blocks
+    of the larger lcm period past a = max(0, -s, E1, E2 - s), E the head
+    extents, and the relation as ``_unpreserved`` compares it from one such
+    block past both heads and every shift.  From a on, n -> S1.weight(c, n)
+    and n -> S2.weight(tau c, n + s) have periods p | L1 and q | L2, the lcm
+    periods; by Fine and Wilf, two sequences of periods p and q that agree
+    on p + q - gcd(p, q) < 2 max(L1, L2) consecutive indices agree from
+    then on, so these weights decide every index, whatever the shift."""
     if sorted(m.tau) != sorted(S1.chain_order) or \
             sorted(m.tau.values()) != sorted(S2.chain_order):
         return False
-    base = max(S1.head_extent, S2.head_extent) + \
-        max((abs(v) for v in m.shift.values()), default=0)
-    top = base + 2 * max(S1.lcm_period, S2.lcm_period)
-    if any(S1.weight(c, n) != S2.weight(m.tau[c], n + m.shift[c])
-           for c in S1.chain_order for n in range(max(0, -m.shift[c]), top)):
+    E1, E2 = S1.head_extent, S2.head_extent
+    span = 2 * max(S1.lcm_period, S2.lcm_period)
+    if any(S1.weight(c, n) != S2.weight(m.tau[c], n + s) for c, s in m.shift.items()
+           for n in range(max(0, -s), max(0, -s, E1, E2 - s) + span)):
         return False
-    return _unpreserved(S1, S2, m, range(base, top)) is None
+    base = max(E1, E2) + max((abs(v) for v in m.shift.values()), default=0)
+    return _unpreserved(S1, S2, m, range(base, base + span)) is None
 
 
 # -- DOT export ----------------------------------------------------------------

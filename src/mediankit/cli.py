@@ -364,19 +364,18 @@ def cmd_acceptance(args) -> int:
                  EXIT_OK if ok else EXIT_NEGATIVE)
 
 
+DUMPS = (("pocset", "pocset", fixtures.POCSET_FIXTURES, serialize.dump_pocset),
+         ("window", "window", fixtures.WINDOW_FIXTURES, serialize.dump_window_action),
+         ("system", "chainSystem", fixtures.SYSTEM_FIXTURES, serialize.dump_chain_system))
+
+
 def cmd_dump_fixture(args) -> int:
-    name = args.name
-    kind = args.kind
-    if name in fixtures.POCSET_FIXTURES and kind in (None, "pocset"):
-        verdict = {"kind": "pocset",
-                   "pocset": serialize.dump_pocset(fixtures.pocset(name))}
-    elif name in fixtures.WINDOW_FIXTURES and kind in (None, "window"):
-        verdict = {"kind": "window",
-                   "window": serialize.dump_window_action(fixtures.window(name))}
-    elif name in fixtures.SYSTEM_FIXTURES and kind in (None, "system"):
-        verdict = {"kind": "chainSystem",
-                   "system": serialize.dump_chain_system(fixtures.chain_system(name))}
-    else:
+    """The first fixture of that name, in the kind ``--kind`` names if any."""
+    name, kind = args.name, args.kind
+    verdict = next(({"kind": label, key: dump(table[name]())}
+                    for key, label, table, dump in DUMPS
+                    if name in table and kind in (None, key)), None)
+    if verdict is None:
         raise MedianKitError(f"unknown fixture {name!r} (kind {kind or 'any'})")
     return _emit(args, {"name": name, "kind": kind}, verdict, f"dumped {name}",
                  EXIT_OK)

@@ -12,7 +12,7 @@ alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .actions import TotalAction, WindowAction
 from .boundary import (
@@ -121,44 +121,25 @@ def f2ball() -> WeightedPocset:
 
 # -- named automorphisms --------------------------------------------------------
 
+# per total-action fixture, its generators as maps of one side per wall; their
+# order is the order in which word searches try them
+AUTOMORPHISM_MAPS = {
+    "SQUARE": {"rot": {"a": "b", "b": "a*"}, "swap": {"a": "b", "b": "a"},
+               "flipa": {"a": "a*", "b": "b"}, "flipb": {"a": "a", "b": "b*"}},
+    "PATH3": {"flip": {"h1": "h3*", "h2": "h2*", "h3": "h1*"}},
+    "TRIPOD": {"rot": {"h1": "h2", "h2": "h3", "h3": "h1"},
+               "swap12": {"h1": "h2", "h2": "h1", "h3": "h3"}},
+    "GRID": {"swapxy": {f"{a}.h{i}": f"{b}.h{i}" for a, b in ("xy", "yx") for i in (1, 2, 3)},
+             "flipx": {**{f"x.h{i}": f"x.h{4 - i}*" for i in (1, 2, 3)},
+                       **{f"y.h{i}": f"y.h{i}" for i in (1, 2, 3)}}},
+}
+
+
 @lru_cache(maxsize=None)
 def named_automorphisms(name: str) -> dict:
     P = pocset(name)
-    if name == "SQUARE":
-        return {
-            "rot": Automorphism.from_mapping(P, {"a": "b", "b": "a*"}, "rot"),
-            "swap": Automorphism.from_mapping(P, {"a": "b", "b": "a"}, "swap"),
-            "flipa": Automorphism.from_mapping(P, {"a": "a*", "b": "b"}, "flipa"),
-            "flipb": Automorphism.from_mapping(P, {"a": "a", "b": "b*"}, "flipb"),
-        }
-    if name == "PATH3":
-        return {
-            "flip": Automorphism.from_mapping(
-                P, {"h1": "h3*", "h2": "h2*", "h3": "h1*"}, "flip"),
-        }
-    if name == "TRIPOD":
-        return {
-            "rot": Automorphism.from_mapping(
-                P, {"h1": "h2", "h2": "h3", "h3": "h1"}, "rot"),
-            "swap12": Automorphism.from_mapping(
-                P, {"h1": "h2", "h2": "h1", "h3": "h3"}, "swap12"),
-        }
-    if name == "GRID":
-        swap = {}
-        for h in P.ids:
-            if h.startswith("x."):
-                swap[h] = "y." + h[2:]
-            else:
-                swap[h] = "x." + h[2:]
-        flipx = {}
-        for i in (1, 2, 3):
-            flipx[f"x.h{i}"] = f"x.h{4 - i}*"
-            flipx[f"y.h{i}"] = f"y.h{i}"
-        return {
-            "swapxy": Automorphism.from_mapping(P, swap, "swapxy"),
-            "flipx": Automorphism.from_mapping(P, flipx, "flipx"),
-        }
-    return {}
+    return {g: Automorphism.from_mapping(P, mapping, g)
+            for g, mapping in AUTOMORPHISM_MAPS.get(name, {}).items()}
 
 
 def total_action(name: str, gens: tuple = ()) -> TotalAction:
@@ -283,36 +264,27 @@ def corner_rotation(corner: str) -> tuple:
 
 # -- registry ----------------------------------------------------------------------
 
-POCSET_FIXTURES = ("SQUARE", "PATH3", "TRIPOD", "GRID", "F2BALL")
-WINDOW_FIXTURES = ("LINE", "F2BALL")
-SYSTEM_FIXTURES = ("LINE", "STAIRFLAP", "CORNER4",
-                   "CORNER4_PP", "CORNER4_PM", "CORNER4_MP", "CORNER4_MM")
+POCSET_FIXTURES = {"SQUARE": square, "PATH3": path3, "TRIPOD": tripod, "GRID": grid,
+                   "F2BALL": f2ball}
+WINDOW_FIXTURES = {"LINE": line_window, "F2BALL": f2ball_window}
+SYSTEM_FIXTURES = {"LINE": line_system, "STAIRFLAP": stairflap,
+                   "CORNER4": partial(corner_system, "PP"),
+                   **{f"CORNER4_{c}": partial(corner_system, c) for c in CORNERS}}
+
+
+def _build(table: dict, kind: str, name: str):
+    if name not in table:
+        raise InvalidInput(f"unknown {kind} fixture {name!r}")
+    return table[name]()
 
 
 def pocset(name: str) -> WeightedPocset:
-    table = {
-        "SQUARE": square, "PATH3": path3, "TRIPOD": tripod,
-        "GRID": grid, "F2BALL": f2ball,
-    }
-    if name not in table:
-        raise InvalidInput(f"unknown pocset fixture {name!r}")
-    return table[name]()
+    return _build(POCSET_FIXTURES, "pocset", name)
 
 
 def window(name: str) -> WindowAction:
-    table = {"LINE": line_window, "F2BALL": f2ball_window}
-    if name not in table:
-        raise InvalidInput(f"unknown window fixture {name!r}")
-    return table[name]()
+    return _build(WINDOW_FIXTURES, "window", name)
 
 
 def chain_system(name: str) -> ChainSystem:
-    if name == "LINE":
-        return line_system()
-    if name == "STAIRFLAP":
-        return stairflap()
-    if name in ("CORNER4", "CORNER4_PP"):
-        return corner_system("PP")
-    if name.startswith("CORNER4_") and name[8:] in CORNERS:
-        return corner_system(name[8:])
-    raise InvalidInput(f"unknown chain-system fixture {name!r}")
+    return _build(SYSTEM_FIXTURES, "chain-system", name)

@@ -15,7 +15,8 @@ from operator import or_
 
 from mediankit.actions import FlipResult, SectorResult, enumerate_words
 from mediankit.boundary import (
-    SUB, SUP, TRANS, _INVERSE, almost_contained, closure, tail, validate_system_rules)
+    SUB, SUP, TRANS, _INVERSE, _unpreserved, almost_contained, closure, tail,
+    validate_system_rules)
 from mediankit.config import DEFAULT_BUDGETS
 from mediankit.errors import HorizonExceeded, NotAnAutomorphism, NotTransverse
 from mediankit.pocset import (
@@ -419,12 +420,44 @@ def resolve(S, ci: str, n: int, cj: str, m: int) -> str:
                 and r.lo <= n and (r.hi is None or n <= r.hi):
             return _INVERSE[r.rel]
     for z in S.zones.get((ci, cj), ()):
-        if z.contains(m - n):
+        if in_zone(z, m - n):
             return z.rel
     for z in S.zones.get((cj, ci), ()):
-        if z.contains(n - m):
+        if in_zone(z, n - m):
             return _INVERSE[z.rel]
     return TRANS
+
+
+def in_zone(z, d: int) -> bool:
+    return (z.lo is None or d >= z.lo) and (z.hi is None or d <= z.hi)
+
+
+def zone_conflict_walk(S, ci: str, cj: str):
+    """The ``ZONE_CONFLICT`` check as it was: the first offset d, walking
+    [-horizon, horizon], where the (ci, cj) zone of d is not inverse to the
+    (cj, ci) zone of -d; or None."""
+    for d in range(-S.horizon, S.horizon + 1):
+        a = next(z.rel for z in S.zones[(ci, cj)] if in_zone(z, d))
+        b = next(z.rel for z in S.zones[(cj, ci)] if in_zone(z, -d))
+        if a != _INVERSE[b]:
+            return d
+    return None
+
+
+def system_map_by_range(S1, S2, m) -> bool:
+    """``verify_system_map`` as it was: weights for every n from
+    max(0, -shift) to two period blocks past both heads and every shift,
+    then the relation as ``_unpreserved`` compares it."""
+    if sorted(m.tau) != sorted(S1.chain_order) or \
+            sorted(m.tau.values()) != sorted(S2.chain_order):
+        return False
+    base = max(S1.head_extent, S2.head_extent) + \
+        max((abs(v) for v in m.shift.values()), default=0)
+    top = base + 2 * max(S1.lcm_period, S2.lcm_period)
+    if any(S1.weight(c, n) != S2.weight(m.tau[c], n + m.shift[c])
+           for c in S1.chain_order for n in range(max(0, -m.shift[c]), top)):
+        return False
+    return _unpreserved(S1, S2, m, range(base, top)) is None
 
 
 def unpreserved_pairwise(S1, S2, g, block: range):

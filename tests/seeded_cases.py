@@ -17,8 +17,8 @@ from functools import cache
 from mediankit import fixtures as fx
 from mediankit.actions import TotalAction, WindowAction, _evaluator, enumerate_words
 from mediankit.boundary import (
-    SUB, SUP, TRANS, Chain, ChainSystem, RowRule, ShiftMap, Zone, closure, validate_system,
-    validate_system_rules)
+    SUB, SUP, TRANS, _INVERSE, Chain, ChainSystem, RowRule, ShiftMap, Zone, closure,
+    validate_system, validate_system_rules)
 from mediankit.pocset import (
     ConvexSet, WeightedPocset, _iter_bits, convex_hull, halfspace_point_masks, points)
 from mediankit.randomgen import random_pocset, random_poset, random_system
@@ -89,7 +89,8 @@ def edge_systems() -> dict:
     """By name: ``conflict``, a row rule under a head entry on one pair;
     ``zone gap``, whose (H, K) zones leave offsets 0..2 to the (K, H) zone
     and to ``trans``; ``head cycle``, a_0 in b_0 in c_0 in a_0; and, under
-    the code that rejects each, three resolvers that are not antisymmetric."""
+    the code that rejects each, three resolvers that are not antisymmetric
+    and a head entry and a row rule of negative index."""
     one = (Fraction(1),)
 
     def two(**rules):
@@ -117,6 +118,8 @@ def edge_systems() -> dict:
         "ZONE_CONFLICT": two(zones={
             ("H", "K"): (Zone(None, 0, TRANS), Zone(1, None, SUP)),
             ("K", "H"): (Zone(None, 0, TRANS), Zone(1, None, SUP))}),
+        "NEGATIVE_INDEX": two(head={("H", -1, "K", 0): SUB},
+                              rows=[RowRule("K", -3, "H", SUP, 0, None)]),
     }
 
 
@@ -515,6 +518,126 @@ def unpreserved_cases():
         yield S1, S2, fx.corner_rotation(corner)[1], range(1, 3)
 
 
+def _source_chain(rng: random.Random, cid: str) -> Chain:
+    """Period 3 or 5, weights 1 or 2; a head of 0 to 3 random weights, or of
+    25 that continue the block backwards, the last one raised half the time."""
+    p = rng.choice((3, 5))
+    block = tuple(Fraction(rng.choice((1, 1, 2))) for _ in range(p))
+    head = [Fraction(rng.randint(1, 2)) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.3:
+        head = [block[(k - 25) % p] for k in range(25)]
+        head[-1] += rng.random() < 0.5
+    return Chain(cid, p, block, tuple(head))
+
+
+def _image_chain(rng: random.Random, c: Chain, s: int, cid: str, period: int,
+                 extra: int) -> Chain:
+    """A chain whose index k + s weighs what c's index k does, for
+    k >= max(0, -s): random weights at the indices below s, a head ending
+    ``extra`` past the image of c's head end, and a block of ``period``
+    weights read off c from there on."""
+    def w(k):
+        return c.weight(k - s) if k >= s else Fraction(rng.randint(1, 2))
+
+    h = max(len(c.head_weights) + s + extra, 0)
+    return Chain(cid, period, tuple(w(k) for k in range(h, h + period)),
+                 tuple(w(k) for k in range(h)))
+
+
+def system_map_cases():
+    """Arguments of ``verify_system_map``: a system of two source chains H
+    and K, half of the time with a zone cut in -3..3 on (H, K), mapped to a
+    system of chains h and k.  Each image chain weighs at k + s what its
+    chain does at k, of the chain's period or the other one of 3 and 5 (two
+    sequences of periods 3 and 5 that agree on 5 indices may part at the
+    sixth or seventh), with a head that ends where its chain's does, 25
+    indices later, or (for a head of 25) 25 earlier; the image zone is
+    moved by the spread of the shifts.  Then, each at random: the last head
+    weight, the first one compared or one block weight of an image raised,
+    the image zone left unmoved.  The shifts of H and K are drawn from 0 and
+    ±1..±7, each value of H's 8 times; 8 maps shift both by ±1000; 6 maps
+    send both to h.  Last, under uniform shifts in -2..2: a chain of period
+    3 or 5 whose image, of the other period, agrees with it on 6 indices
+    past both heads and parts at the seventh; and a chain whose last head
+    weight, its 25th, breaks its period, with an image that has none of it
+    in its head."""
+    rng = seeded(9)
+    small = [0, *range(1, 8), *range(-7, 0)]
+    shifts = [(sH, rng.choice(small)) for sH in small for _ in range(8)]
+    shifts += [(k, k) for k in (1000, -1000) for _ in range(4)] + [(0, 0)] * 6
+    for pos, (sH, sK) in enumerate(shifts):
+        chains = [_source_chain(rng, c) for c in "HK"]
+        shift = {"H": sH, "K": sK}
+        tau = {"H": "h", "K": "k"} if rng.random() < 0.5 else {"H": "k", "K": "h"}
+        images = sorted((_image_chain(
+            rng, c, shift[c.id], tau[c.id], c.period if rng.random() < 0.5 else 8 - c.period,
+            rng.choice((0, 0, 25) + ((-25,) if len(c.head_weights) == 25 else ())))
+            for c in chains), key=lambda c: c.id)
+        if rng.random() < 0.3:
+            k = rng.randrange(2)
+            c, head, block = images[k], list(images[k].head_weights), list(images[k].weights)
+            first = max(shift[next(d for d in tau if tau[d] == c.id)], 0)
+            where = rng.choice([i for i in (first, len(head) - 1) if first <= i < len(head)] or [None])
+            if where is None or rng.random() < 0.3:
+                block[rng.randrange(c.period)] += 1
+            else:
+                head[where] += 1
+            images[k] = replace(c, head_weights=tuple(head), weights=tuple(block))
+        zones1 = zones2 = {}
+        if rng.random() < 0.5:
+            a = rng.randint(-3, 3)
+            b = a + (sK - sH if rng.random() < 0.75 else 0)
+            zones1 = {("H", "K"): (Zone(None, a, SUB), Zone(a + 1, None, TRANS))}
+            zones2 = {(tau["H"], tau["K"]): (Zone(None, b, SUB), Zone(b + 1, None, TRANS))}
+        if pos >= len(shifts) - 6:
+            tau = {"H": "h", "K": "h"}
+        yield (ChainSystem(chains, zones=zones1), ChainSystem(images, zones=zones2),
+               ShiftMap(tau, shift, max(0, -sH, -sK)))
+    block, K = tuple(map(Fraction, (1, 2, 1, 1, 2))), Chain("K", 1, (Fraction(1),))
+    late = Chain("H", 3, block[:3], tuple(block[(k - 25) % 3] for k in range(24)) + (Fraction(3),))
+    for H, period, extra in ((Chain("H", 3, block[:3], (Fraction(2),)), 5, 0),
+                             (Chain("H", 5, block, (Fraction(2),)), 3, 0), (late, 3, -25)):
+        for s in (0, 1, 2, -1, -2):
+            yield (ChainSystem([H, K]),
+                   ChainSystem([_image_chain(rng, H, s, "h", period, extra),
+                                _image_chain(rng, K, s, "k", 1, 0)]),
+                   ShiftMap({"H": "h", "K": "k"}, {"H": s, "K": s}, max(0, -s)))
+
+
+def _random_zones(rng: random.Random, count: int) -> tuple:
+    """A partition of the offsets into ``count`` zones of random codes, cut
+    at random offsets in -8..8."""
+    cuts = sorted(rng.sample(range(-8, 8), count - 1))
+    return tuple(Zone(lo, hi, rng.choice((SUB, SUP, TRANS)))
+                 for lo, hi in zip([None] + [b + 1 for b in cuts], cuts + [None]))
+
+
+def _mirrored(zones: tuple) -> tuple:
+    """The zone list of the other order of a pair that agrees with ``zones``."""
+    return tuple(Zone(None if z.hi is None else -z.hi, None if z.lo is None else -z.lo,
+                      _INVERSE[z.rel]) for z in reversed(zones))
+
+
+def zone_conflict_cases():
+    """(S, c, d) for both orders of the two chains of 200 systems whose
+    (H, K) zones are a random partition of 1 to 4 zones, each taken with
+    three (K, H) lists: its mirror, which agrees; the mirror with one
+    zone's code changed, the lowest zone's one time in four, so the
+    conflict lies in that zone's range (for the lowest zone, from
+    -horizon on); and another random partition."""
+    rng, one = seeded(10), (Fraction(1),)
+    chains = [Chain("H", 1, one), Chain("K", 1, one)]
+    for _ in range(200):
+        zones = _random_zones(rng, rng.randint(1, 4))
+        changed = list(_mirrored(zones))
+        k = 0 if rng.random() < 0.25 else rng.randrange(len(changed))
+        changed[k] = replace(changed[k], rel=rng.choice(
+            [code for code in (SUB, SUP, TRANS) if code != changed[k].rel]))
+        for other in (_mirrored(zones), tuple(changed), _random_zones(rng, rng.randint(1, 4))):
+            S = ChainSystem(chains, zones={("H", "K"): zones, ("K", "H"): other})
+            yield from ((S, "H", "K"), (S, "K", "H"))
+
+
 def uniform_shifts():
     """Pairs of uniform shifts by whole periods on random systems."""
     for S in random_systems(seeded(1), 12, max_chains=4):
@@ -532,7 +655,7 @@ def order_pocsets() -> list:
 
 
 def small_fixtures() -> list:
-    return [fx.pocset(name) for name in fx.POCSET_FIXTURES[:4]]
+    return [fx.pocset(name) for name in list(fx.POCSET_FIXTURES)[:4]]
 
 
 def products() -> list:

@@ -1,6 +1,7 @@
 """Chain systems: closures, almost containment, the graph, characters."""
 
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -195,6 +196,20 @@ def test_head_cycle_fails_transitivity():
 def test_zone_gap_fails_only_the_partition_check():
     assert {f["code"] for f in validate_system(sc.edge_systems()["zone gap"]).failures} \
         == {"ZONES_NOT_PARTITION"}
+
+
+@pytest.mark.parametrize("rules, detail", [
+    ({"head": {("H", -1, "K", 0): SUB}}, "head entry (H, -1, K, 0)"),
+    ({"head": {("H", 0, "K", -2): TRANS}}, "head entry (H, 0, K, -2)"),
+    ({"rows": [RowRule("H", -3, "K", SUP)]}, "row rule RowRule(chain='H', index=-3, "
+     "other='K', rel='sup', lo=0, hi=None)"),
+    ({"rows": [RowRule("K", 0, "H", SUB, -1, 4)]}, "row rule RowRule(chain='K', index=0, "
+     "other='H', rel='sub', lo=-1, hi=4)"),
+    ({"rows": [RowRule("K", 0, "H", SUB, 0, -1)]}, "row rule RowRule(chain='K', index=0, "
+     "other='H', rel='sub', lo=0, hi=-1)")])
+def test_rules_of_negative_index_are_rejected(rules, detail):
+    S = ChainSystem([Chain("H", 1, (ONE,)), Chain("K", 1, (ONE,))], **rules)
+    assert validate_system(S).failures == [{"code": "NEGATIVE_INDEX", "detail": detail}]
 
 
 class _NoPairReads(ChainSystem):
@@ -553,6 +568,26 @@ def test_shift_must_permute_the_chains():
     g = ShiftMap({"H": "H", "K": "H"}, {"H": 0, "K": 0})
     with pytest.raises(InvalidInput, match="must permute the chains"):
         bd.validate_shift(fx.stairflap(), g)
+
+
+@pytest.mark.parametrize("shift, message", [
+    ({"H": 0}, "has no shift for chain K"), ({"H": 0, "K": 0, "Z": 1, "Y": 2},
+                                             "shifts chain Z, which tau does not map"),
+    ({"K": 0, "Z": 1}, "shifts chain Z, which tau does not map")])
+def test_shift_maps_shift_the_chains_of_tau(shift, message):
+    """The first shifted chain that tau does not map, else the first chain
+    of tau without a shift, is named."""
+    with pytest.raises(InvalidInput, match=f"^shift map {message}$"):
+        ShiftMap({"H": "H", "K": "K"}, shift)
+
+
+def test_system_map_of_a_huge_uniform_shift_answers_at_once():
+    """Weights are compared up to two lcm blocks past both heads, whatever
+    the shift."""
+    S = fx.stairflap()
+    start = time.perf_counter()
+    assert bd.verify_system_map(S, S, ShiftMap({"H": "H", "K": "K"}, {"H": 10 ** 9, "K": 10 ** 9}))
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("min_index, shift, chain",

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from mediankit import fixtures as fx
 from mediankit.cli import main
 from mediankit.serialize import dump_chain_system
 
@@ -244,6 +245,48 @@ def test_ubs_chi_rejects_a_shift_below_index_zero(capsys, tmp_path):
     assert code == 65
     assert report["error"]["code"] == "INVALID_INPUT"
     assert report["error"]["message"] == "shift map reads a negative index on chain H"
+
+
+# a shift map whose shift misses chain K of its tau
+SHIFT_WITHOUT_K = {"tau": {"H": "H", "K": "K"}, "shift": {"H": 1}}
+
+
+@pytest.mark.parametrize("shift, message", [
+    (SHIFT_WITHOUT_K, "shift map has no shift for chain K"),
+    ({"tau": {"H": "H", "K": "K"}, "shift": {"H": 1, "K": 1, "Z": 4}},
+     "shift map shifts chain Z, which tau does not map")])
+def test_ubs_chi_rejects_a_shift_of_other_chains_than_tau(capsys, tmp_path, shift, message):
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps(shift))
+    code, report, _ = run_cli(
+        capsys, "ubs-chi", "--system", "STAIRFLAP", "--shift", str(path))
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
+    assert report["error"]["message"] == message
+
+
+# the STAIRFLAP file with a head entry of negative index, and with its row
+# rule at a negative index
+STAIRFLAP_SYSTEM = dump_chain_system(fx.stairflap())
+NEGATIVE_HEAD_SYSTEM = {**STAIRFLAP_SYSTEM, "rel": {
+    **STAIRFLAP_SYSTEM["rel"], "head": [["H", -1, "K", 0, "sub"]]}}
+NEGATIVE_ROW_SYSTEM = {**STAIRFLAP_SYSTEM, "rel": {
+    **STAIRFLAP_SYSTEM["rel"], "periodic": [
+        {**entry, "fromIndex": -3} if "fromIndex" in entry else entry
+        for entry in STAIRFLAP_SYSTEM["rel"]["periodic"]]}}
+
+
+@pytest.mark.parametrize("system, detail", [
+    (NEGATIVE_HEAD_SYSTEM, "head entry (H, -1, K, 0)"),
+    (NEGATIVE_ROW_SYSTEM, "row rule RowRule(chain='H', index=-3, other='K', rel='sup', "
+     "lo=0, hi=None)")])
+def test_ubs_validate_rejects_a_negative_rule_index(capsys, tmp_path, system, detail):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    code, report, err = run_cli(capsys, "ubs-validate", "--system-file", str(path))
+    assert code == 65
+    assert report["verdict"]["failures"] == [{"code": "NEGATIVE_INDEX", "detail": detail}]
+    assert "ubs-validate: INVALID" in err
 
 
 NON_PARTITION_SYSTEM = {

@@ -17,8 +17,9 @@ from mediankit.actions import (
     _set_distance, _stabilizer_excluded, facing_tuple, find_flip, is_lineal, min_orbit,
     sector_halfspace, strongly_separated)
 from mediankit.boundary import (
-    SUB, SUP, _truncation_rows, _unpreserved, chi_vector, closure, equivalent, is_ubs,
-    min_chain_cover, minimal_tail, tail, truncation_antichain_bound, validate_system)
+    SUB, SUP, _truncation_rows, _unpreserved, _zone_conflict, chi_vector, closure, equivalent,
+    is_ubs, min_chain_cover, minimal_tail, tail, truncation_antichain_bound, validate_system,
+    verify_system_map)
 from mediankit.errors import MedianKitError
 from mediankit.oracles import (
     embedded_distances, halved_distances, interval_medians, max_antichain_brute, medians)
@@ -41,8 +42,8 @@ from references import (
     minimal_tail_by_containment, pair_order, pairwise_validate_system, point_sides,
     points_per_bit, preimage_by_name, product_by_names, rel_index, rel_up_rows, resolve,
     sector_per_halfspace, separating_per_halfspace, shape, stabilizer_per_point, star_image,
-    strongly_separated_per_wall, transpose_rows, transversality_pairwise, truncation,
-    unpreserved_pairwise, validate_pairwise)
+    strongly_separated_per_wall, system_map_by_range, transpose_rows, transversality_pairwise,
+    truncation, unpreserved_pairwise, validate_pairwise, zone_conflict_walk)
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,22 @@ def _unpreserved_kinds(case, pair) -> list:
         ("image row in the head", block.start + min(shifts) < S2.head_extent),
         ("shift 10^3", max(shifts) >= 997)) if has]
     return [outcome] + [f"{name}, {outcome}" for name in features]
+
+
+def _system_map_kinds(case, verdict) -> list:
+    """The verdict, alone and with each feature of the case that has it:
+    a chain whose image has another period, a longer head on either side,
+    a negative shift, a shift of 10^3, two chains sent to one."""
+    S1, S2, g = case
+    shifts = g.shift.values()
+    features = [name for name, has in (
+        ("periods 3 and 5", any(S1.chains[c].period != S2.chains[d].period
+                                for c, d in g.tau.items())),
+        ("head in S1", S1.head_extent > S2.head_extent),
+        ("head in S2", S2.head_extent > S1.head_extent),
+        ("negative shift", min(shifts) < 0), ("shift 10^3", max(map(abs, shifts)) == 1000),
+        ("non-permutation", len(set(g.tau.values())) < len(g.tau))) if has]
+    return [verdict] + [(name, verdict) for name in features]
 
 
 def _cube(S, q) -> tuple:
@@ -300,6 +317,16 @@ ORACLES = (
          "negative shift, unpreserved": 60, "image row in the head, preserved": 4,
          "image row in the head, unpreserved": 8, "shift 10^3, preserved": 40,
          "shift 10^3, unpreserved": 10}),
+    Row("system_map", verify_system_map, system_map_by_range, sc.system_map_cases, 149,
+        _system_map_kinds,
+        {True: 25, False: 90, ("periods 3 and 5", True): 5, ("periods 3 and 5", False): 60,
+         ("head in S1", True): 5, ("head in S1", False): 10, ("head in S2", True): 15,
+         ("head in S2", False): 30, ("negative shift", True): 15, ("negative shift", False): 40,
+         ("shift 10^3", True): 2, ("shift 10^3", False): 2, ("non-permutation", False): 6}),
+    Row("zone_conflict", _zone_conflict, zone_conflict_walk, sc.zone_conflict_cases, 1200,
+        lambda case, d: ["agree" if d is None else "conflict at -horizon"
+                         if d == -case[0].horizon else "conflict above -horizon"],
+        {"agree": 300, "conflict at -horizon": 300, "conflict above -horizon": 150}),
     Row("relation_index", lambda S, c, d, want: S.index(c, d)[want == SUP], rel_index,
         lambda: [(S, c, d, want) for S in sc.index_systems() for c in S.chain_order
                     for d in S.chain_order if c != d for want in (SUB, SUP)], 92),
@@ -309,7 +336,7 @@ ORACLES = (
         lambda case, rep: ["accepted" if rep["ok"] else "rejected"]
         + [f["code"] for f in rep["failures"]],
         {"accepted": 1, "rejected": 50, "REL_NOT_TRANSITIVE": 1, "HEAD_CONFLICT": 1,
-         "ZONE_CONFLICT": 1, "ZONES_NOT_PARTITION": 1}),
+         "ZONE_CONFLICT": 1, "ZONES_NOT_PARTITION": 1, "NEGATIVE_INDEX": 1}),
     Row("antichain_bound", truncation_antichain_bound,
         lambda S: min_chain_cover(rel_up_rows(S, truncation(S, S.tail_depth))),
         lambda: _each(sc.checked_systems()), 143),
