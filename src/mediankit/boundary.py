@@ -212,16 +212,18 @@ class ChainSystem:
         first row rule either way round, the (c, d) zones, the (d, c) ones,
         else ``trans``."""
         N, M = self.index_depth, self.index_scan
-        # the first zone range covering m - n (all in [-N, M]) decides a pair
+        # the first zone range covering o = m - n (all in [-N, M]) decides a
+        # pair; per code, one mask holds its offsets o at bit M - o, which
+        # entry m shifts down to bit n and cuts to the window [0, N]
         own, mirrored = _zone_ranges(self, c, d, -N, M)
-        tables = {SUB: [0] * (M + 1), SUP: [0] * (M + 1)}
-        for m in range(M + 1):
-            covered = 0
-            for first, last, code in own + mirrored:
-                iv = _range_mask(m - last, min(m - first, N)) & ~covered
-                covered |= iv
-                if code in tables:
-                    tables[code][m] |= iv
+        covered, offsets = 0, {SUB: 0, SUP: 0, TRANS: 0}
+        for first, last, code in own + mirrored:
+            iv = _range_mask(M - last, M - first) & ~covered
+            covered |= iv
+            offsets[code] |= iv
+        window = _range_mask(0, N)
+        tables = {code: [offsets[code] >> (M - m) & window for m in range(M + 1)]
+                  for code in (SUB, SUP)}
 
         def assign(m, bits, code):
             for want, masks in tables.items():
@@ -397,12 +399,14 @@ def _truncation_rows(S: ChainSystem, T: int) -> list:
     """The truncation to depth ``T <= index_depth`` as rows: (c, n), at
     ``pos(c) * (T + 1) + n``, has those strictly below (contained in) it,
     the (c, m) with m > n and on each other chain d entry n of the SUB
-    table ``S.index(d, c)[0]``."""
-    window = _range_mask(0, T)
-    return [reduce(or_, (
-        (_range_mask(n + 1, T) if d == c else S.index(d, c)[0][n] & window)
-        << pos * (T + 1) for pos, d in enumerate(S.chain_order)))
-        for c in S.chain_order for n in range(T + 1)]
+    table ``S.index(d, c)[0]``, looked up once per chain pair."""
+    window, rows = _range_mask(0, T), []
+    for c in S.chain_order:
+        subs = [None if d == c else S.index(d, c)[0] for d in S.chain_order]
+        rows += [reduce(or_, (
+            (_range_mask(n + 1, T) if sub is None else sub[n] & window) << pos * (T + 1)
+            for pos, sub in enumerate(subs))) for n in range(T + 1)]
+    return rows
 
 
 def _zone_conflict(S: ChainSystem, c: str, d: str) -> Optional[int]:
@@ -461,30 +465,46 @@ def closure(S: ChainSystem, seed) -> UBS:
 
 
 def _close(S: ChainSystem, seed: dict) -> UBS:
-    """One OR pass per chain, read at both horizons by ``_members_at``: the OR
-    of the other chains' suffix entries (which serve both horizons) or index
-    slices, and of the chain's own interval up to the deeper horizon T, is
-    the same for both.  The first chain, in chain order, whose readings differ raises."""
+    """The window guard, then the OR of the seed intervals' reads, per
+    chain, read at both horizons by ``_read_closure``."""
     for cid, (lo, hi) in seed.items():
         if lo > S.horizon or (hi is not None and hi >= S.horizon):
             raise HorizonExceeded(
                 f"seed interval on chain {cid} leaves the window of horizon {S.horizon}")
-    T = S.horizon + S.lcm_period
-    out = {}
+    return _read_closure(S, reduce(_or_reads, (
+        _seed_reads(S, d, lo, hi) for d, (lo, hi) in seed.items()), [(0, 0)] * len(S.chains)))
+
+
+def _seed_reads(S: ChainSystem, d: str, lo: int, hi: Optional[int]) -> list:
+    """Per chain c, in chain order, the (above, below) masks that the seed
+    interval [lo, hi] on chain d (hi None: a tail) adds to c's closure:
+    d's suffix entries at lo (which serve both horizons) or the OR of its
+    index slice, and on d itself the interval up to the deeper horizon T,
+    so that one OR serves both horizons."""
+    T, lo = S.horizon + S.lcm_period, max(lo, 0)
+    reads = []
     for c in S.chain_order:
-        above = below = 0
-        for d, (lo, hi) in seed.items():
-            lo = max(lo, 0)
-            if d == c:
-                above |= _range_mask(lo, T)
-                below |= _range_mask(0, T if hi is None else hi)
-            elif hi is None:
-                sub, sup = S.suffix(c, d)
-                above, below = above | sub[lo], below | sup[lo]
-            else:
-                sub, sup = S.index(c, d)
-                above |= reduce(or_, sub[lo:hi + 1], 0)
-                below |= reduce(or_, sup[lo:hi + 1], 0)
+        if c == d:
+            reads.append((_range_mask(lo, T), _range_mask(0, T if hi is None else hi)))
+        elif hi is None:
+            sub, sup = S.suffix(c, d)
+            reads.append((sub[lo], sup[lo]))
+        else:
+            sub, sup = S.index(c, d)
+            reads.append((reduce(or_, sub[lo:hi + 1], 0), reduce(or_, sup[lo:hi + 1], 0)))
+    return reads
+
+
+def _or_reads(a: list, b: list) -> list:
+    return [(x | u, y | v) for (x, y), (u, v) in zip(a, b)]
+
+
+def _read_closure(S: ChainSystem, reads: list) -> UBS:
+    """The closure of ORed seed reads, each chain read at ``horizon`` and at
+    the deeper T by ``_members_at``; the first chain, in chain order, whose
+    readings differ raises."""
+    T, out = S.horizon + S.lcm_period, {}
+    for c, (above, below) in zip(S.chain_order, reads):
         pair = _members_at(above, below, S.horizon)
         if pair != _members_at(above, below, T):
             raise HorizonExceeded(f"closure unstable on chain {c}")
@@ -667,11 +687,15 @@ def _assert_graph_laws(S: ChainSystem, G: UBSGraph):
 
 
 def ubs_poset(S: ChainSystem) -> list:
-    """Inseparable vertex sets of the graph with verified representatives."""
+    """Inseparable vertex sets of the graph with verified representatives.
+    The candidate of a set at N is the closure of its vertices' tails at N
+    (one per chain): the OR of each vertex's ``_seed_reads`` at N, read
+    once per vertex and N, taken by ``_read_closure`` to a ``UBS``."""
     G = ubs_graph(S)
     n = len(G.vertices)
     vertex_tails = [rep.tails() for _, rep, _ in G.vertices]
     step = MaskMap(G.succ)
+    reads_at: dict = {}
     out = []
     for mask in range(1, 1 << n):
         chosen = list(_iter_bits(mask))
@@ -682,8 +706,9 @@ def ubs_poset(S: ChainSystem) -> list:
             continue
         rep = None
         for N in range(max(G.starts, default=0), S.tail_depth + 1):
-            cand = closure(S, union_seed(
-                [tail(G.vertices[i][2], N) for i in chosen]))
+            if N not in reads_at:
+                reads_at[N] = [_seed_reads(S, chain, N, None) for _, _, chain in G.vertices]
+            cand = _read_closure(S, reduce(_or_reads, (reads_at[N][i] for i in chosen)))
             cand_tails = cand.tails()
             if sum(1 << i for i, t in enumerate(vertex_tails)
                    if t <= cand_tails) == mask:

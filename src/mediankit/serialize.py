@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from typing import Optional
 
 from .actions import WindowAction
@@ -97,16 +97,24 @@ def load_pocset(data: dict) -> WeightedPocset:
         walls.append((_id(pos, f"walls[{i}].pos"), _id(neg, f"walls[{i}].neg"),
                       parse_fraction(weight, f"walls[{i}].weight")))
         wall_ids.append(_id(wid, f"walls[{i}].id"))
-    # the pairs are checked by set comparisons; the loop, which names the
-    # first bad pair, runs only when one fails
+    # pair types and lengths are checked by set comparisons, the members by
+    # the constructor's id lookup; the loop that names the first bad pair
+    # runs only when one of them fails
     order = _array(data.get("order", []), "order")
-    if not (set(map(type, order)) <= {list, tuple} and set(map(len, order)) <= {2}
-            and set(map(type, chain.from_iterable(order))) <= {str}):
-        for i, pair in enumerate(order):
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(isinstance(h, str) for h in pair)):
-                raise InvalidInput(f"order[{i}] must be a pair of halfspace ids")
-    return WeightedPocset(walls, order, wall_ids=wall_ids)
+    if not (set(map(type, order)) <= {list, tuple} and set(map(len, order)) <= {2}):
+        _name_bad_pair(order)
+    try:
+        return WeightedPocset(walls, order, wall_ids=wall_ids)
+    except (InvalidInput, TypeError):
+        _name_bad_pair(order)
+        raise
+
+
+def _name_bad_pair(order: list) -> None:
+    for i, pair in enumerate(order):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(h, str) for h in pair)):
+            raise InvalidInput(f"order[{i}] must be a pair of halfspace ids")
 
 
 _SELECTORS = bytes.maketrans(b"01", b"\0\1")

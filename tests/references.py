@@ -15,8 +15,8 @@ from operator import or_
 
 from mediankit.actions import FlipResult, SectorResult, enumerate_words
 from mediankit.boundary import (
-    SUB, SUP, TRANS, _INVERSE, _unpreserved, almost_contained, closure, tail,
-    validate_system_rules)
+    SUB, SUP, TRANS, _INVERSE, _unpreserved, almost_contained, closure, tail, ubs_graph,
+    union_seed, validate_system_rules)
 from mediankit.config import DEFAULT_BUDGETS
 from mediankit.errors import HorizonExceeded, NotAnAutomorphism, NotTransverse
 from mediankit.pocset import (
@@ -567,6 +567,33 @@ def minimal_tail_by_containment(S, cid: str) -> tuple:
         if all(equivalent_by_containment(S, cls[start], cls[M]) for M in range(start, top + 2)):
             return start, cls[start]
     raise HorizonExceeded(f"tail closures of {cid} do not stabilize")
+
+
+def poset_by_closures(S) -> list:
+    """``ubs_poset`` set by set: each vertex set of ``ubs_graph(S)`` that no
+    edge path u -> z -> w joins through an outside z, with the closure of
+    its vertices' tails at the first N from the largest minimal-tail start
+    on whose tail set holds exactly the set's vertices' tail sets, each
+    closed through ``closure``."""
+    G = ubs_graph(S)
+    n, edges = len(G.vertices), set(G.edges)
+    out = []
+    for mask in range(1, 1 << n):
+        chosen = [i for i in range(n) if mask >> i & 1]
+        outside = [z for z in range(n) if not mask >> z & 1]
+        if any((u, z) in edges and (z, w) in edges
+               for z in outside for u in chosen for w in chosen):
+            continue
+        for N in range(max(G.starts, default=0), S.tail_depth + 1):
+            cand = closure(S, union_seed([tail(G.vertices[i][2], N) for i in chosen]))
+            if [i for i, (_, rep, _) in enumerate(G.vertices)
+                    if rep.tails() <= cand.tails()] == chosen:
+                out.append((tuple(G.vertices[i][0] for i in chosen), cand))
+                break
+        else:
+            raise HorizonExceeded(
+                f"no representative for vertex set {chosen} within horizon")
+    return out
 
 
 def equivalent_by_containment(S, U, V) -> bool:

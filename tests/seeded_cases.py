@@ -331,12 +331,32 @@ def closure_systems() -> list:
         seeded(), 30, max_chains=4, tries=12, keep=lambda T: validate_system(T).ok)
 
 
+def staircase(theta: int, head: int) -> ChainSystem:
+    """Chains A, B, C of periods 1, 2, 3 and ``head`` head weights, each
+    containing the later chains' elements from offset ``theta`` on, with
+    the zones ``(None, theta - 1, trans)`` and ``(theta, None, sup)`` given
+    only from the earlier chain, as the benchmark's staircases have them."""
+    steps = (Zone(None, theta - 1, TRANS), Zone(theta, None, SUP))
+    return ChainSystem(
+        [Chain(c, p, tuple(Fraction(k + 1, p) for k in range(p)), (Fraction(1, 3),) * head)
+         for c, p in zip("ABC", (1, 2, 3))],
+        zones={pair: steps for pair in itertools.combinations("ABC", 2)},
+        name=f"STAIR{theta}")
+
+
 def index_systems() -> list:
-    """The system fixtures, the conflict and zone gap systems and 8
-    decorated systems."""
+    """The system fixtures, the conflict and zone gap systems, 8 decorated
+    systems, two staircases, one stepping at offset 0, one at its chains'
+    head extent 4 (one below the system's), and a system of three zones
+    given only from K to H."""
     edges = edge_systems()
+    one_way = ChainSystem(
+        [Chain("H", 1, (Fraction(1),), (Fraction(2),) * 2), Chain("K", 2, (Fraction(1),) * 2)],
+        zones={("K", "H"): (Zone(None, -3, SUP), Zone(-2, 1, TRANS), Zone(2, None, SUB))},
+        name="ONE WAY")
     return _system_fixtures() + [edges["conflict"], edges["zone gap"]] + \
-        random_systems(seeded(), 8, max_chains=3, tries=6)
+        random_systems(seeded(), 8, max_chains=3, tries=6) + \
+        [staircase(0, 1), staircase(4, 4), one_way]
 
 
 def checked_systems() -> list:
@@ -345,6 +365,13 @@ def checked_systems() -> list:
     rng = seeded()
     return _system_fixtures() + random_systems(rng, 30) + \
         random_systems(rng, 100, max_chains=4, tries=4) + list(edge_systems().values())
+
+
+def poset_systems() -> list:
+    """The checked systems that pass validation and 30 random systems of up
+    to 5 chains."""
+    return [S for S in checked_systems() if validate_system(S).ok] + \
+        random_systems(seeded(8), 30, max_chains=5)
 
 
 def truncated_systems() -> list:

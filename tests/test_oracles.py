@@ -18,8 +18,8 @@ from mediankit.actions import (
     sector_halfspace, strongly_separated)
 from mediankit.boundary import (
     SUB, SUP, _truncation_rows, _unpreserved, _zone_conflict, chi_vector, closure, equivalent,
-    is_ubs, min_chain_cover, minimal_tail, tail, truncation_antichain_bound, validate_system,
-    verify_system_map)
+    is_ubs, min_chain_cover, minimal_tail, tail, truncation_antichain_bound, ubs_graph,
+    ubs_poset, validate_system, verify_system_map)
 from mediankit.errors import MedianKitError
 from mediankit.oracles import (
     embedded_distances, halved_distances, interval_medians, max_antichain_brute, medians)
@@ -35,15 +35,16 @@ from mediankit.verification import separating_mass
 
 import seeded_cases as sc
 from references import (
-    automorphisms_pairwise, between_members, brute_total_flip, check_pairwise,
-    child_by_names, closure_group, closure_oracle, cube_by_name, defined_images, embed_by_name,
+    automorphisms_pairwise, between_members, brute_total_flip, check_pairwise, child_by_names,
+    closure_group, closure_oracle, cube_by_name, defined_images, embed_by_name,
     equivalent_by_containment, factors_by_names, first_facing_tuple, gap_by_pairs,
     gate_per_wall, image_per_bit, is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
     minimal_tail_by_containment, pair_order, pairwise_validate_system, point_sides,
-    points_per_bit, preimage_by_name, product_by_names, rel_index, rel_up_rows, resolve,
-    sector_per_halfspace, separating_per_halfspace, shape, stabilizer_per_point, star_image,
-    strongly_separated_per_wall, system_map_by_range, transpose_rows, transversality_pairwise,
-    truncation, unpreserved_pairwise, validate_pairwise, zone_conflict_walk)
+    points_per_bit, poset_by_closures, preimage_by_name, product_by_names, rel_index,
+    rel_up_rows, resolve, sector_per_halfspace, separating_per_halfspace, shape,
+    stabilizer_per_point, star_image, strongly_separated_per_wall, system_map_by_range,
+    transpose_rows, transversality_pairwise, truncation, unpreserved_pairwise,
+    validate_pairwise, zone_conflict_walk)
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,15 @@ def _system_map_kinds(case, verdict) -> list:
         ("negative shift", min(shifts) < 0), ("shift 10^3", max(map(abs, shifts)) == 1000),
         ("non-permutation", len(set(g.tau.values())) < len(g.tau))) if has]
     return [verdict] + [(name, verdict) for name in features]
+
+
+def _poset_kinds(case, poset) -> list:
+    """One label per kept and per dropped vertex set; one if the graph has
+    an edge path of length 2."""
+    G = ubs_graph(case[0])
+    edges, dropped = set(G.edges), (1 << len(G.vertices)) - 1 - len(poset)
+    path = any((j, k) in edges for _, j in edges for k in range(len(G.vertices)))
+    return ["kept"] * len(poset) + ["dropped"] * dropped + ["two-edge path"] * path
 
 
 def _cube(S, q) -> tuple:
@@ -329,7 +339,9 @@ ORACLES = (
         {"agree": 300, "conflict at -horizon": 300, "conflict above -horizon": 150}),
     Row("relation_index", lambda S, c, d, want: S.index(c, d)[want == SUP], rel_index,
         lambda: [(S, c, d, want) for S in sc.index_systems() for c in S.chain_order
-                    for d in S.chain_order if c != d for want in (SUB, SUP)], 92),
+                    for d in S.chain_order if c != d for want in (SUB, SUP)], 120),
+    Row("ubs_poset", ubs_poset, poset_by_closures, lambda: _each(sc.poset_systems()), 90,
+        _poset_kinds, {"kept": 700, "dropped": 120, "two-edge path": 20}),
     Row("validate_system", lambda S: validate_system(S).to_json(),
         lambda S: pairwise_validate_system(S).to_json(),
         lambda: _each(sc.checked_systems()), 143,

@@ -101,7 +101,11 @@ def _pocset_file(tmp_path, order) -> str:
     ([["a", "b"], ["a", "b", "c"]], "order[1] must be a pair of halfspace ids"),
     ([["a", "b"], {"a": "b"}], "order[1] must be a pair of halfspace ids"),
     ([["a", "b"], ["b", "c"], ["a", "zz"]], "order pair ('a', 'zz') names unknown halfspace"),
-], ids=["string", "triple", "object", "unknown id"])
+    ([["a", "b"], ["a", 5]], "order[1] must be a pair of halfspace ids"),
+    ([["a", "zz"], ["b", None]], "order[1] must be a pair of halfspace ids"),
+    ([["a", "zz"], ["b", {"c": 1}]], "order[1] must be a pair of halfspace ids"),
+], ids=["string", "triple", "object", "unknown id", "integer member",
+        "unknown id before a null member", "unknown id before an object member"])
 def test_bad_order_pair_exits_65_naming_the_first(order, message, tmp_path, capsys):
     code = main(["rank", "--pocset", _pocset_file(tmp_path, order)])
     report = json.loads(capsys.readouterr().out)
