@@ -9,11 +9,15 @@ indices.
 
 Each system fills a relation index lazily (per ordered chain pair, a SUB
 and a SUP table of bitmasks of the first chain's indices per index of the
-second, built in one pass with the rules' precedence), and every reader
-of the relation reads it there: ``rel`` folds a pair into the index
-window, and map checks read it only at columns where it can change.
-Closures also read one suffix-OR table pair per chain pair, and a memo
-closes each seed once, horizon errors included.
+second, built in one pass with the rules' precedence; the zones are
+resolved once per code as one mask over offsets, which each entry reads
+by a shift), and every reader of the relation reads it there: ``rel``
+folds a pair into the index window, and map checks read it only at
+columns where it can change.  Closures also read one suffix-OR table
+pair per chain pair, and a memo closes each seed once, horizon errors
+included.  A closure is the OR of its seed intervals' per-chain reads,
+so the class poset reads each vertex's tail once and takes the candidate
+of a vertex set as the OR of its vertices' reads.
 Inseparable subsets meet every chain in an index interval, so UBS
 normalize to per-chain intervals with an optional infinite tail, and two
 are equivalent exactly when they meet the same chains in infinite tails.
@@ -478,9 +482,9 @@ def _close(S: ChainSystem, seed: dict) -> UBS:
 def _seed_reads(S: ChainSystem, d: str, lo: int, hi: Optional[int]) -> list:
     """Per chain c, in chain order, the (above, below) masks that the seed
     interval [lo, hi] on chain d (hi None: a tail) adds to c's closure:
-    d's suffix entries at lo (which serve both horizons) or the OR of its
-    index slice, and on d itself the interval up to the deeper horizon T,
-    so that one OR serves both horizons."""
+    the (c, d) suffix entries at lo (which serve both horizons) or the OR
+    of the (c, d) index entries lo..hi, and on d itself the interval up to
+    the deeper horizon T, so that one OR serves both horizons."""
     T, lo = S.horizon + S.lcm_period, max(lo, 0)
     reads = []
     for c in S.chain_order:

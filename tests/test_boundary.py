@@ -131,6 +131,21 @@ def test_one_index_and_one_suffix_table_pair_per_chain_pair():
             assert not any(s & p for s, p in zip(sub, sup))
 
 
+def test_zone_tables_cost_no_range_per_column(monkeypatch):
+    """``_build_index`` turns each zone range into one offset mask, so its
+    ``_range_mask`` calls are the same for tables several times longer."""
+    calls, inner = [], bd._range_mask
+    monkeypatch.setattr(bd, "_range_mask", lambda lo, hi: calls.append(hi) or inner(lo, hi))
+    counts = []
+    for period in (1, 7):
+        S = ChainSystem([Chain("H", 1, (ONE,)), Chain("K", period, (ONE,) * period)],
+                        zones=fx.stairflap().zones)
+        calls.clear()
+        S.index("H", "K")
+        counts.append((S.index_scan, len(calls)))
+    assert counts[0][0] < counts[1][0] and counts[0][1] == counts[1][1]
+
+
 def _count_close(monkeypatch):
     """Patch ``_close`` to record the seed of each call."""
     calls, inner = [], bd._close
@@ -363,6 +378,18 @@ def test_ubs_poset_reuses_the_graph_minimal_tails(monkeypatch):
     monkeypatch.setattr(bd, "minimal_tail", counting)
     ubs_poset(fx.stairflap())
     assert calls == ["H", "K"]
+
+
+def test_ubs_poset_closes_no_vertex_set(monkeypatch):
+    """A vertex set's candidate is the OR of its vertices' reads: the only
+    ``closure`` calls are those of ``ubs_graph``."""
+    calls, inner = [], bd.closure
+    monkeypatch.setattr(bd, "closure", lambda S, seed: calls.append(seed) or inner(S, seed))
+    ubs_graph(fx.corner_system("PP"))
+    graph_calls = list(calls)
+    calls.clear()
+    assert len(ubs_poset(fx.corner_system("PP"))) == 3
+    assert calls == graph_calls
 
 
 # -- the graph ----------------------------------------------------------------------
