@@ -62,7 +62,8 @@ EXIT_INVALID = 65
 
 
 def _digest(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True).encode()
+    # a parsed file or a report is a tree: no circular check needed
+    blob = json.dumps(obj, sort_keys=True, check_circular=False).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -72,7 +73,7 @@ def _emit(args, src: dict, verdict: dict, summary: str, code: int, **extra) -> i
               "tool": {"name": "mediankit", "version": __version__},
               "timing": {"seconds": round(time.time() - args.start, 6)},
               **extra}
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json.dumps(report, sort_keys=True, indent=2, check_circular=False))
     print(summary, file=sys.stderr)
     return code
 

@@ -3,17 +3,18 @@
 Every verdict the search commands emit names concrete halfspaces, so a
 skeptical caller can re-check it against the pocset with point sets and
 distances alone, trusting no search bookkeeping.  Distances are summed wall
-by wall here, not through the core's weight groups; ``separating_mass`` is
-also the reference for ``pocset.distance`` in the tests' oracle table.
-This module deliberately imports nothing outside the core.
+by wall here, over the bits where two points differ, not through the
+core's weight groups.  This module deliberately imports nothing outside
+the core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .config import DEFAULT_BUDGETS
-from .pocset import Point, WeightedPocset, _iter_bits, halfspace_point_masks, points
+from .pocset import WeightedPocset, _iter_bits, halfspace_point_masks, points
 
 
 def _point_sets(P: WeightedPocset, budgets=None):
@@ -43,9 +44,17 @@ def verify_skewer(P: WeightedPocset, h: str, k: str, image_of_k: str,
     hi, ki, gi = P.idx(h), P.idx(k), P.idx(image_of_k)
     proper = masks[gi] & ~masks[hi] == 0 and masks[gi] != masks[hi]
     nested = P.leq_idx(hi, ki)
-    gap = min((separating_mass(P, pts[i], pts[j])
-               for i in _iter_bits(masks[gi])
-               for j in _iter_bits(masks[P.star[hi]])), default=None)
+    # an ultrafilter holds one side of each wall, so a wall separates two
+    # points where its lower side's bit differs: sum over differing bits,
+    # the weight scaled by den on the lower side and 0 on the upper
+    den = lcm(*(w.denominator for w in P.weight))
+    scaled = [0] * P.n
+    for i, _ in P.walls:
+        scaled[i] = int(P.weight[i] * den)
+    far = [pts[j].mask for j in _iter_bits(masks[P.star[hi]])]
+    least = min((sum(scaled[b] for b in _iter_bits(pts[i].mask ^ y))
+                 for i in _iter_bits(masks[gi]) for y in far), default=None)
+    gap = None if least is None else Fraction(least, den)
     return {
         "properlyContained": proper,
         "hInsideK": nested,
@@ -66,16 +75,11 @@ def verify_facing(P: WeightedPocset, tuple_ids, strong: bool,
     )
     out = {"pairwiseDisjoint": disjoint}
     if strong:
-        clean = True
-        for p, a in enumerate(idxs):
-            for b in idxs[p + 1:]:
-                for j in range(P.n):
-                    if j in (a, P.star[a], b, P.star[b]):
-                        continue
-                    if _sets_transverse(masks, P, j, a) and \
-                            _sets_transverse(masks, P, j, b):
-                        clean = False
-        out["noCommonTransversal"] = clean
+        # _sets_transverse(j, .) reads both sides of j's wall: one side per wall
+        out["noCommonTransversal"] = not any(
+            _sets_transverse(masks, P, j, a) and _sets_transverse(masks, P, j, b)
+            for p, a in enumerate(idxs) for b in idxs[p + 1:]
+            for j, _ in P.walls if j not in (a, P.star[a], b, P.star[b]))
     return out
 
 
@@ -85,9 +89,3 @@ def _sets_transverse(masks, P: WeightedPocset, i: int, j: int) -> bool:
         for x in (i, P.star[i]) for y in (j, P.star[j])
     )
 
-
-def separating_mass(P: WeightedPocset, x: Point, y: Point) -> Fraction:
-    """The weight of the walls separating two points, wall by wall: the
-    reference for ``pocset.distance``, which sums by weight group."""
-    return sum((P.weight[i] for i, _ in P.walls if (x.mask ^ y.mask) >> i & 1),
-               Fraction(0))

@@ -4,8 +4,7 @@ child names, by name pairs through the pair constructor, pair by pair
 through ``leq_idx`` or the chain-system rules (``resolve``), or by
 enumeration.  The
 references that ``mediankit acceptance`` runs too stay in
-``mediankit.oracles``, and the distance reference is
-``verification.separating_mass``, which the certificate checks share.
+``mediankit.oracles``.
 """
 
 import itertools
@@ -22,7 +21,6 @@ from mediankit.errors import HorizonExceeded, NotAnAutomorphism, NotTransverse
 from mediankit.pocset import (
     Point, WeightedPocset, _iter_bits, halfspace_point_masks, points)
 from mediankit.structure import Automorphism, decompose, transverse
-from mediankit.verification import separating_mass
 
 
 # -- pocsets bit by bit, per wall and pair by pair --------------------------------
@@ -674,6 +672,13 @@ def defined_images(action, gu: Automorphism) -> tuple:
     """(point, image) masks of the window points with a defined image."""
     return tuple((p.mask, q.mask) for p in action.points()
                  if (q := gu.apply_point(p)) is not None)
+
+
+def separating_mass(P: WeightedPocset, x: Point, y: Point) -> Fraction:
+    """The weight of the walls separating two points, wall by wall: the
+    reference for ``pocset.distance``, which sums by weight group."""
+    return sum((P.weight[i] for i, _ in P.walls if (x.mask ^ y.mask) >> i & 1),
+               Fraction(0))
 
 
 def gap_by_pairs(P: WeightedPocset, amask: int, bmask: int) -> Fraction:

@@ -264,6 +264,16 @@ def halfspace_sets():
         yield from ((P, masks[i], masks[j]) for i, j in pairs + _sample(rng, nested, 40))
 
 
+def certificate_pairs() -> list:
+    """(P, g, h) for every ordered pair of halfspaces of each mixed pocset,
+    and 150 ordered pairs of the LINE window drawn from a generator seeded
+    25 (all 1,764 would take seconds in the reference)."""
+    line = fx.window("LINE").pocset
+    return ([(P, g, h) for P in mixed_pocsets() for g in P.ids for h in P.ids]
+            + [(line, g, h) for g, h in _sample(
+                random.Random(25), list(itertools.product(line.ids, repeat=2)), 150)])
+
+
 def random_trees(rng: random.Random, count: int, max_edges: int) -> list:
     """Weighted trees of 1 to ``max_edges`` edges: edge v joins vertex
     v + 1 to an earlier vertex, and its side ``e{v}+`` is the subtree that

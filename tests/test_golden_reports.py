@@ -8,7 +8,8 @@ from child names to the ``Subdivision.copies`` table; the extra
 ``subdivide`` cases cover that switch beyond the README's ``-n 2`` run.
 The ``--window`` cases read the F2BALL window written by
 ``dump_window_action`` to ``f2ball-window.json``, so they pin loading a
-window file as well as the search on it.
+window file as well as the search on it.  The two ``facing ... --verify``
+cases pin the certificate check of strongly separated tuples.
 Update a digest only for a deliberate change of report contents.
 """
 
@@ -56,6 +57,10 @@ GOLDEN = [
      "b91abc486a855797e340f70c1d1a0aea39321751d7427dbfa9ae23dc6e1d0dc1"),
     ("facing --fixture F2BALL --tuple-size 4 --strong --max-word-len 3", 0,
      "ccf62b76880a9986584dd175afbf36a299cba0b22ed843d2907ada7cd5b79017"),
+    ("facing --fixture TRIPOD --tuple-size 3 --strong --verify", 0,
+     "169815758ce3b88f564a74a3dcb92e147315ba969100ac526cccfe546d47bb48"),
+    ("facing --fixture F2BALL --tuple-size 4 --strong --max-word-len 3 --verify", 0,
+     "b5c1a3716b2e687355e5e727d1952386b69f13ec32282f92455b92425b8d5471"),
     ("ubs-validate --system STAIRFLAP", 0,
      "9bef47b6f277a5a58b2835ee9f14c8823754c17bd5db24941d4864c6f857fb1b"),
     ("ubs-graph --system STAIRFLAP --dot graph.dot", 0,

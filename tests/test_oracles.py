@@ -31,7 +31,7 @@ from mediankit.structure import (
     Automorphism, _transversality_adjacency, automorphisms, decompose, pocset_product, rank,
     transverse)
 from mediankit.subdivision import cube_at, subdivide
-from mediankit.verification import separating_mass
+from mediankit.verification import verify_skewer
 
 import seeded_cases as sc
 from references import (
@@ -41,8 +41,8 @@ from references import (
     gate_per_wall, image_per_bit, is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
     minimal_tail_by_containment, pair_order, pairwise_validate_system, point_sides,
     points_per_bit, poset_by_closures, preimage_by_name, product_by_names, rel_index,
-    rel_up_rows, resolve, sector_per_halfspace, separating_per_halfspace, shape,
-    stabilizer_per_point, star_image, strongly_separated_per_wall, system_map_by_range,
+    rel_up_rows, resolve, sector_per_halfspace, separating_mass, separating_per_halfspace,
+    shape, stabilizer_per_point, star_image, strongly_separated_per_wall, system_map_by_range,
     transpose_rows, transversality_pairwise, truncation, unpreserved_pairwise,
     validate_pairwise, zone_conflict_walk)
 
@@ -178,6 +178,12 @@ def _sector_kinds(case, res) -> list:
     return [res.kind] + ["fallback " + kind for kind in fallbacks]
 
 
+def _certificate_gap(P, g, h) -> str:
+    """The least distance from g's points to those of h*, pair by pair."""
+    masks = halfspace_point_masks(P, fx.WINDOW_BUDGETS)
+    return str(gap_by_pairs(P, masks[P.idx(g)], masks[P.star[P.idx(h)]]))
+
+
 def _product_distances(A, B) -> dict:
     prod = pocset_product([A, B])
     pts = points(prod)
@@ -292,6 +298,10 @@ ORACLES = (
     Row("skewer_gap", lambda P, a, b: _set_distance(P, a, b, fx.WINDOW_BUDGETS), gap_by_pairs,
         sc.halfspace_sets, 1106, lambda case, gap: [(case[1] & case[2] == 0, gap > 0)],
         {(True, True): 1, (False, False): 1}),
+    Row("skewer_certificate_gap", lambda P, g, h: verify_skewer(P, h, h, g)["gapToComplement"],
+        _certificate_gap, sc.certificate_pairs, 1600,
+        lambda case, gap: ["0" if gap == "0" else "fraction" if "/" in gap else "whole"],
+        {"0": 1000, "whole": 150, "fraction": 200}),
     Row("law: closures are idempotent UBSs",
         lambda S, seed: (closure(S, closure(S, seed).intervals), is_ubs(S, closure(S, seed))),
         lambda S, seed: (closure(S, seed), True), lambda: [
