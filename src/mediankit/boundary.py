@@ -5,25 +5,40 @@ basepoint and a boundary point: finitely many strictly descending chains
 with eventually periodic weights, and a relation table that resolves every
 cross-chain pair to nested or transverse via finitely many exceptional
 entries (head overrides and row rules) plus offset-zone rules for large
-indices.
+indices.  Inseparable subsets meet every chain in an index interval, so UBS
+normalize to per-chain intervals with an optional infinite tail, and two
+are equivalent exactly when they meet the same chains in infinite tails.
 
 Each system fills a relation index lazily (per ordered chain pair, a SUB
 and a SUP table of bitmasks of the first chain's indices per index of the
-second, built in one pass with the rules' precedence; the zones are
-resolved once per code as one mask over offsets, which each entry reads
-by a shift), and every reader of the relation reads it there: ``rel``
-folds a pair into the index window, and map checks read it only at
-columns where it can change.  Closures also read one suffix-OR table
-pair per chain pair, and a memo closes each seed once, horizon errors
-included.  A closure is the OR of its seed intervals' per-chain reads,
-so the class poset reads each vertex's tail once and takes the candidate
-of a vertex set as the OR of its vertices' reads.
-Inseparable subsets meet every chain in an index interval, so UBS
-normalize to per-chain intervals with an optional infinite tail, and two
-are equivalent exactly when they meet the same chains in infinite tails.
-Everything reduces to finite computations past the head; a stabilization
-check over two horizons guards every tail decision, raising
-HORIZON_EXCEEDED rather than guessing.
+second, built in one pass with the rules' precedence, as deep as its
+callers ask; the zones are resolved once per code as one mask over
+offsets, which each entry reads by a shift), and every reader of the
+relation reads it there.  Closures also read suffix-OR tables, and a memo
+closes each seed once, window errors included.  A closure is the OR of
+its seed intervals' per-chain reads, and so is a class poset candidate.
+
+Every depth read is set by E = ``head_extent``, not by the periods, by
+``ChainSystem.rel``'s fold: for c != d and n, m >= E a relation depends
+on m - n alone, and from m >= n + E on rel(c, n, d, m) = rel(c, n, d,
+n + E), likewise for n >= m + E.
+
+- One exact closure read.  Let x be a seed's largest start or finite end
+  and R = max(x, E) + E.  From index R on, each chain's "above" and
+  "below" bits are constant: the relations of (c, n) to the seed's
+  members, as a set, are those of n = R.  So one read at R decides every
+  chain, and no deeper read can differ.
+- Translation.  Take a seed that is one interval on chain d, from s >= 2E
+  on.  A member (c, n), c != d, has n >= s - E: else both its witnesses on
+  d lie more than E past n, where the relation is constant, so it cannot
+  be both SUB and SUP.  All pairs from there on depend on offsets alone,
+  so on a system that passes ``validate_system`` the closure of the seed
+  moved by t is its closure moved by t.  Seeds on two chains can have
+  their witnesses on different chains, so they are not moved.
+- Transitivity at 3E.  A failing triple keeps its three relations while
+  all three indices move down until the lowest is at most E, and while
+  each gap between sorted indices past E is cut to E; so it ends at most
+  3E.  Likewise an antichain, one per chain, folds below k E for k chains.
 """
 
 from __future__ import annotations
@@ -36,12 +51,7 @@ from itertools import accumulate, permutations
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    ClassNotPreserved,
-    ClassPermuted,
-    HorizonExceeded,
-    InvalidInput,
-)
+from .errors import ClassNotPreserved, ClassPermuted, HorizonExceeded, InvalidInput
 from .pocset import MaskMap, ValidationReport, _iter_bits, transitive_rows
 
 SUB = "sub"      # first element contained in second
@@ -113,8 +123,9 @@ class RowRule:
 
 class ChainSystem:
     """Chains plus the relation rules; immutable after construction, apart
-    from write-once caches that depend on nothing else: the relation index,
-    its suffix-OR tables and the closure memo."""
+    from caches that depend on nothing else: the relation index and its
+    suffix-OR tables (rebuilt deeper when a caller asks for more) and the
+    closure memo."""
 
     def __init__(self, chains: Sequence[Chain],
                  zones: Optional[dict] = None,
@@ -129,30 +140,17 @@ class ChainSystem:
         self.zones = dict(zones or {})   # (from, to) -> tuple[Zone]
         self.rows = tuple(rows)
         self.head = dict(head or {})     # (ci, n, cj, m) -> rel
-        bounds = [1]
-        for c in chains:
-            bounds.append(len(c.head_weights))
-        for (ci, n, cj, m) in self.head:
-            bounds.append(max(n, m) + 1)
-        for r in self.rows:
-            bounds.append(r.index + 1)
-            bounds.append(r.lo + 1)
-            if r.hi is not None:
-                bounds.append(r.hi + 1)
-        for zs in self.zones.values():
-            for z in zs:
-                for v in (z.lo, z.hi):
-                    if v is not None:
-                        bounds.append(abs(v) + 1)
+        bounds = [1, *(len(c.head_weights) for c in chains)]
+        bounds += [max(n, m) + 1 for (_, n, _, m) in self.head]
+        bounds += [v + 1 for r in self.rows for v in (r.index, r.lo, r.hi) if v is not None]
+        bounds += [abs(v) + 1 for zs in self.zones.values() for z in zs
+                   for v in (z.lo, z.hi) if v is not None]
         self.head_extent = max(bounds)
         self.lcm_period = math.lcm(*[c.period for c in chains]) if chains else 1
+        # the window of seeds and of the reported truncation
         self.horizon = self.head_extent + 4 * self.lcm_period + 4
-        # depth from which tails are deep: minimal tails stabilize by it, and
-        # it bounds the standard truncation
+        # depth from which tails are deep: the graph's representatives
         self.tail_depth = self.head_extent + 2 * self.lcm_period
-        # relation index bounds: the deeper closure horizon and its scan
-        self.index_depth = self.horizon + self.lcm_period
-        self.index_scan = self.index_depth + self.head_extent + self.lcm_period + 1
         self._index: dict = {}
         self._suffix: dict = {}
         self._closures: dict = {}
@@ -165,9 +163,7 @@ class ChainSystem:
         E = ``head_extent``: past E a relation depends on m - n alone, and
         no rule tells apart indices more than E past the other one.  So a
         pair past E moves down until its lower index is E, and the higher
-        index to at most E past the lower.  A row still past ``index_depth``
-        (only when E > 5 lcm_period + 4) is read as the inverse of its
-        mirrored entry, exact on systems that pass ``validate_system_rules``."""
+        index to at most E past the lower: both end at most 2E."""
         if ci == cj:
             return SUP if n <= m else SUB  # n == m: containment both ways
         E = self.head_extent
@@ -178,44 +174,40 @@ class ChainSystem:
             m = n + E
         elif n > m + E:
             n = m + E
-        if n > self.index_depth:
-            return _INVERSE[self.rel(cj, m, ci, n)]
-        sub, sup = self._index.get((ci, cj)) or self.index(ci, cj)
+        sub, sup = self.index(ci, cj, 2 * E)
         return SUB if sub[m] >> n & 1 else SUP if sup[m] >> n & 1 else TRANS
 
-    def index(self, c: str, d: str) -> tuple:
-        """Relation index of chains ``c != d``: tables SUB and SUP, whose entry
-        ``m`` (``0 <= m <= index_scan``) is the bitmask of the ``n <= index_depth``
-        with ``rel((c, n), (d, m))`` equal to SUB, resp. SUP; filled on first
-        use (it depends only on the system, which never changes)."""
+    def index(self, c: str, d: str, depth: int) -> tuple:
+        """Relation index of chains ``c != d`` to ``depth``: tables SUB and
+        SUP, whose entry ``m`` (``m <= depth + head_extent``) is the bitmask
+        of the ``n <= depth`` with ``rel((c, n), (d, m))`` equal to SUB,
+        resp. SUP.  Built on first use, and again when a caller asks
+        deeper; a deeper table serves too."""
         tables = self._index.get((c, d))
-        if tables is None:
-            tables = self._index[c, d] = self._build_index(c, d)
+        if tables is None or len(tables[0]) <= depth + self.head_extent:
+            tables = self._index[c, d] = self._build_index(c, d, depth)
         return tables
 
-    def suffix(self, c: str, d: str) -> tuple:
-        """The SUB and SUP suffix-OR tables of chains ``c != d``: entry ``lo``
-        of each is the OR of its index entries ``lo`` through ``index_scan``,
-        built on first use.  They serve both horizons: for n <= T = ``horizon``
-        and m past T + head_extent + lcm_period + 1, m - n lies past every
-        finite zone bound, no head entry or mirrored row rule reaches m, and
-        only open-ended row rules of (c, n) apply; so on the window [0, T]
-        that ``_members_at`` reads, the entries past that scan equal the one at it."""
+    def suffix(self, c: str, d: str, depth: int) -> tuple:
+        """The SUB and SUP suffix-OR tables of chains ``c != d`` to ``depth``:
+        entry ``lo`` of each is the OR of its index entries from ``lo`` on.
+        Past entry n + E, bit n no longer changes (the fold in ``rel``), so
+        the OR up to the last entry, E past the depth, is exact."""
         tables = self._suffix.get((c, d))
-        if tables is None:
+        if tables is None or len(tables[0]) <= depth + self.head_extent:
             tables = self._suffix[c, d] = tuple(
                 list(accumulate(masks[::-1], or_))[::-1]
-                for masks in self.index(c, d))
+                for masks in self.index(c, d, depth))
         return tables
 
-    def _build_index(self, c, d):
+    def _build_index(self, c, d, depth):
         """Zones, then overrides in rising precedence (row rules in reverse
         order, mirrored head entries, head entries), each setting its pairs in
         its code's table, clearing them in the other; so by the rules'
         precedence a pair reads the first of: its head entry, its mirror, the
         first row rule either way round, the (c, d) zones, the (d, c) ones,
         else ``trans``."""
-        N, M = self.index_depth, self.index_scan
+        N, M = depth, depth + self.head_extent
         # the first zone range covering o = m - n (all in [-N, M]) decides a
         # pair; per code, one mask holds its offsets o at bit M - o, which
         # entry m shifts down to bit n and cuts to the window [0, N]
@@ -290,11 +282,7 @@ class UBS:
         return "UBS(" + " ".join(parts) + ")"
 
     def to_json(self):
-        return {
-            "intervals": {
-                cid: [lo, hi] for cid, (lo, hi) in sorted(self.intervals.items())
-            }
-        }
+        return {"intervals": {cid: [lo, hi] for cid, (lo, hi) in sorted(self.intervals.items())}}
 
 
 def tail(cid: str, start: int) -> UBS:
@@ -362,17 +350,19 @@ def validate_system_rules(S: ChainSystem) -> ValidationReport:
 
 def validate_system(S: ChainSystem) -> ValidationReport:
     """The rule checks, then ``REL_NOT_TRANSITIVE``: the truncation to depth
-    ``horizon`` must be a partial order compatible with the chains.  Below
-    (c, n) lie the (c, m) with m > n and, on each other chain d, entry n of
-    the SUB table ``S.index(d, c)[0]``.  No other check of the relation can
+    T = ``horizon`` must be a partial order compatible with the chains.  A
+    failing triple folds to depth 3E (module docstring), so that
+    truncation is checked first; only a failing one is checked again at T,
+    which lists every failing row.  No other check of the relation can
     fail once the rules pass:
 
     - antisymmetry: the rules' precedence (see ``ChainSystem._build_index``)
-      answers (c, n, d, m) and (d, m, c, n) from one rule: a head entry or its mirror (inverse by ``HEAD_CONFLICT``),
-      the first row rule matching either way (never both, as c != d), the
-      first zone list consulted (a partition by ``ZONES_NOT_PARTITION``,
-      inverse to the other order's by ``ZONE_CONFLICT``), else ``trans``;
-      so rel((c, n), (d, m)) is SUP exactly where row n holds (d, m);
+      answers (c, n, d, m) and (d, m, c, n) from one rule: a head entry or
+      its mirror (inverse by ``HEAD_CONFLICT``), the first row rule
+      matching either way (never both, as c != d), the first zone list
+      consulted (a partition by ``ZONES_NOT_PARTITION``, inverse to the
+      other order's by ``ZONE_CONFLICT``), else ``trans``; so
+      rel((c, n), (d, m)) is SUP exactly where row n holds (d, m);
     - acyclicity: no row holds its own element, so a cycle shows as
       ``REL_NOT_TRANSITIVE``;
     - periodicity: past ``head_extent`` no head entry or row rule applies
@@ -381,32 +371,37 @@ def validate_system(S: ChainSystem) -> ValidationReport:
     rep = validate_system_rules(S)
     if not rep.ok:
         return rep
-
     T = S.horizon
-    elems = [(c, n) for c in S.chain_order for n in range(T + 1)]
-    down = _truncation_rows(S, T)
-    step = MaskMap(down)
-    # transitive closure must not add anything
-    for i, row in enumerate(down):
-        extra = step(row) & ~row
-        if extra:
-            j = (extra & -extra).bit_length() - 1
-            rep.fail("REL_NOT_TRANSITIVE",
-                     f"{elems[i]} should contain {elems[j]}")
-    if rep.ok:
+    if _intransitive(S, min(T, 3 * S.head_extent)):
+        for below, missing in _intransitive(S, T):
+            rep.fail("REL_NOT_TRANSITIVE", f"{below} should contain {missing}")
+    else:
         rep.notes.append(
             f"truncation to depth {T} is a pocset-compatible partial order")
     return rep
 
 
+def _intransitive(S: ChainSystem, T: int) -> list:
+    """Per element (c, n) of the truncation to depth T, in row order, whose
+    row the transitive closure grows: (c, n) and the first element added."""
+    down = _truncation_rows(S, T)
+    step, out = MaskMap(down), []
+    for i, row in enumerate(down):
+        extra = step(row) & ~row
+        if extra:
+            j = (extra & -extra).bit_length() - 1
+            out.append(tuple((S.chain_order[k // (T + 1)], k % (T + 1)) for k in (i, j)))
+    return out
+
+
 def _truncation_rows(S: ChainSystem, T: int) -> list:
-    """The truncation to depth ``T <= index_depth`` as rows: (c, n), at
+    """The truncation to depth ``T`` as rows: (c, n), at
     ``pos(c) * (T + 1) + n``, has those strictly below (contained in) it,
     the (c, m) with m > n and on each other chain d entry n of the SUB
-    table ``S.index(d, c)[0]``, looked up once per chain pair."""
+    table ``S.index(d, c, T)[0]``, looked up once per chain pair."""
     window, rows = _range_mask(0, T), []
     for c in S.chain_order:
-        subs = [None if d == c else S.index(d, c)[0] for d in S.chain_order]
+        subs = [None if d == c else S.index(d, c, T)[0] for d in S.chain_order]
         rows += [reduce(or_, (
             (_range_mask(n + 1, T) if sub is None else sub[n] & window) << pos * (T + 1)
             for pos, sub in enumerate(subs))) for n in range(T + 1)]
@@ -446,13 +441,12 @@ def closure(S: ChainSystem, seed) -> UBS:
     Membership per chain is an index interval (everything between two
     members is a member), so the closure is computed as, per chain, the
     least index below some member and the largest index above one, both
-    read off the relation index.  Tail decisions are confirmed at two
-    horizons.  The seed is read as a ``UBS``, which drops empty intervals;
-    the others must lie in the horizon window: a seed interval starting
-    past ``horizon``, or a finite one ending at or past it, raises
-    ``HorizonExceeded`` naming its chain, as the scans would mistake it
-    for a tail or miss its members.  Each seed (its intervals, sorted by
-    chain) is closed once per system; a ``HorizonExceeded`` is kept and
+    read off the relation index at the exact depth (module docstring).
+    The seed is read as a ``UBS``, which drops empty intervals; the others
+    must lie in the horizon window: a seed interval starting past
+    ``horizon``, or a finite one ending at or past it, raises
+    ``HorizonExceeded`` naming its chain.  Each seed (its intervals, sorted
+    by chain) is closed once per system; a ``HorizonExceeded`` is kept and
     raised afresh, with its message, on every later call.
     """
     key = tuple(sorted((seed if isinstance(seed, UBS) else UBS(seed)).intervals.items()))
@@ -469,32 +463,41 @@ def closure(S: ChainSystem, seed) -> UBS:
 
 
 def _close(S: ChainSystem, seed: dict) -> UBS:
-    """The window guard, then the OR of the seed intervals' reads, per
-    chain, read at both horizons by ``_read_closure``."""
+    """The window guard, then the OR of the seed intervals' reads at the
+    exact depth R, or at that of ``minimal_tail``'s deepest tail if deeper,
+    so a graph builds its tables once; a one-interval seed from s > 2E on
+    is closed moved down to 2E, and its closure moved back up."""
     for cid, (lo, hi) in seed.items():
         if lo > S.horizon or (hi is not None and hi >= S.horizon):
             raise HorizonExceeded(
                 f"seed interval on chain {cid} leaves the window of horizon {S.horizon}")
-    return _read_closure(S, reduce(_or_reads, (
-        _seed_reads(S, d, lo, hi) for d, (lo, hi) in seed.items()), [(0, 0)] * len(S.chains)))
+    E, t = S.head_extent, 0
+    if len(seed) == 1:
+        ((d, (lo, hi)),) = seed.items()
+        t = max(lo - 2 * E, 0)
+        seed = {d: (lo - t, None if hi is None else hi - t)}
+    R = max([E, *(lo if hi is None else hi for lo, hi in seed.values())]) + E
+    R = max(R, min(3 * E, S.tail_depth + 1 + E))
+    reads = [_seed_reads(S, d, lo, hi, R) for d, (lo, hi) in seed.items()]
+    out = _read_closure(S, reduce(_or_reads, reads, [(0, 0)] * len(S.chains)), R)
+    return UBS({c: (lo + t, None if hi is None else hi + t)
+                for c, (lo, hi) in out.intervals.items()}) if t else out
 
 
-def _seed_reads(S: ChainSystem, d: str, lo: int, hi: Optional[int]) -> list:
+def _seed_reads(S: ChainSystem, d: str, lo: int, hi: Optional[int], R: int) -> list:
     """Per chain c, in chain order, the (above, below) masks that the seed
-    interval [lo, hi] on chain d (hi None: a tail) adds to c's closure:
-    the (c, d) suffix entries at lo (which serve both horizons) or the OR
-    of the (c, d) index entries lo..hi, and on d itself the interval up to
-    the deeper horizon T, so that one OR serves both horizons."""
-    T, lo = S.horizon + S.lcm_period, max(lo, 0)
-    reads = []
+    interval [lo, hi] on chain d (hi None: a tail) adds to c's closure,
+    exact up to bit R: the (c, d) suffix entries at lo, or the OR of the
+    (c, d) index entries lo..hi, and on d itself the interval."""
+    lo, reads = max(lo, 0), []
     for c in S.chain_order:
         if c == d:
-            reads.append((_range_mask(lo, T), _range_mask(0, T if hi is None else hi)))
+            reads.append((_range_mask(lo, R), _range_mask(0, R if hi is None else hi)))
         elif hi is None:
-            sub, sup = S.suffix(c, d)
+            sub, sup = S.suffix(c, d, R)
             reads.append((sub[lo], sup[lo]))
         else:
-            sub, sup = S.index(c, d)
+            sub, sup = S.index(c, d, R)
             reads.append((reduce(or_, sub[lo:hi + 1], 0), reduce(or_, sup[lo:hi + 1], 0)))
     return reads
 
@@ -503,22 +506,15 @@ def _or_reads(a: list, b: list) -> list:
     return [(x | u, y | v) for (x, y), (u, v) in zip(a, b)]
 
 
-def _read_closure(S: ChainSystem, reads: list) -> UBS:
-    """The closure of ORed seed reads, each chain read at ``horizon`` and at
-    the deeper T by ``_members_at``; the first chain, in chain order, whose
-    readings differ raises."""
-    T, out = S.horizon + S.lcm_period, {}
-    for c, (above, below) in zip(S.chain_order, reads):
-        pair = _members_at(above, below, S.horizon)
-        if pair != _members_at(above, below, T):
-            raise HorizonExceeded(f"closure unstable on chain {c}")
-        out[c] = pair
-    return UBS(out)
+def _read_closure(S: ChainSystem, reads: list, R: int) -> UBS:
+    """The closure of ORed seed reads, each chain read at depth R."""
+    return UBS({c: _members_at(above, below, R)
+                for c, (above, below) in zip(S.chain_order, reads)})
 
 
 def _members_at(above: int, below: int, T: int):
-    """A chain's closure at horizon T: (least member, largest member below
-    T or None when T is a member: a tail), or None when it is not met."""
+    """A chain's closure read at depth T: (least member, largest member
+    below T or None when T is a member: a tail), or None when it is not met."""
     above &= (2 << T) - 1
     if not above:
         return None
@@ -600,8 +596,10 @@ def min_chain_cover(rows: Sequence[int]) -> int:
 
 
 def truncation_antichain_bound(S: ChainSystem) -> int:
-    """Maximum antichain of the standard truncation; the rank proxy."""
-    return min_chain_cover(_truncation_rows(S, S.tail_depth))
+    """Maximum antichain of the truncation to depth ``tail_depth``, the rank
+    proxy, read at depth min(``tail_depth``, k E) for k chains, to which
+    every antichain folds (module docstring)."""
+    return min_chain_cover(_truncation_rows(S, min(S.tail_depth, len(S.chains) * S.head_extent)))
 
 
 # -- minimal tails and the graph ----------------------------------------------
@@ -612,9 +610,8 @@ def minimal_tail(S: ChainSystem, cid: str) -> tuple:
     Equivalence is equality of tail sets.  Closures are monotone in the
     seed, so the tail set of ``tail(cid, M)``'s closure only shrinks as M
     grows: once ``top`` and ``top + 1`` agree, probe 0, then bisect [1, top]
-    for the least M with ``top``'s tail set.  Each closure computed keeps
-    its two-horizon guard, so this answers as the walk over all of them
-    would, whenever none of the closures it skips raises."""
+    for the least M with ``top``'s tail set.  So this answers as the walk
+    over all of them would."""
     if cid not in S.chains:
         raise InvalidInput(f"unknown chain {cid!r}")
     top = S.tail_depth
@@ -694,7 +691,8 @@ def ubs_poset(S: ChainSystem) -> list:
     """Inseparable vertex sets of the graph with verified representatives.
     The candidate of a set at N is the closure of its vertices' tails at N
     (one per chain): the OR of each vertex's ``_seed_reads`` at N, read
-    once per vertex and N, taken by ``_read_closure`` to a ``UBS``."""
+    once per vertex and N, taken by ``_read_closure`` to a ``UBS`` at the
+    exact depth max(N, E) + E."""
     G = ubs_graph(S)
     n = len(G.vertices)
     vertex_tails = [rep.tails() for _, rep, _ in G.vertices]
@@ -710,9 +708,10 @@ def ubs_poset(S: ChainSystem) -> list:
             continue
         rep = None
         for N in range(max(G.starts, default=0), S.tail_depth + 1):
+            R = max(N, S.head_extent) + S.head_extent
             if N not in reads_at:
-                reads_at[N] = [_seed_reads(S, chain, N, None) for _, _, chain in G.vertices]
-            cand = _read_closure(S, reduce(_or_reads, (reads_at[N][i] for i in chosen)))
+                reads_at[N] = [_seed_reads(S, chain, N, None, R) for _, _, chain in G.vertices]
+            cand = _read_closure(S, reduce(_or_reads, (reads_at[N][i] for i in chosen)), R)
             cand_tails = cand.tails()
             if sum(1 << i for i, t in enumerate(vertex_tails)
                    if t <= cand_tails) == mask:

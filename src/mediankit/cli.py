@@ -112,7 +112,7 @@ def _load_action(args):
         gens = {}
         for path in args.auto_file:
             g = serialize.load_automorphism(P, serialize.read_json(path))
-            gens[g.name] = g
+            serialize.add_generator(gens, g.name, g)
         action = TotalAction(P, gens)
         src = dict(src, automorphismFiles=list(args.auto_file))
     elif total_fixture:
@@ -398,6 +398,13 @@ SEARCH = ACTION + ("--max-word-len",)
 CERTIFICATE = SEARCH + ("--verify",)
 
 
+def _source(value: str) -> str:
+    """A source value: a name or path, never empty."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -413,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         if sources:
             group = p.add_mutually_exclusive_group(required=True)
             for flag in sources:
-                group.add_argument(flag, help=sources[flag])
+                group.add_argument(flag, help=sources[flag], type=_source)
         for flag in options:
             p.add_argument(flag, **OPTIONS[flag])
         p.set_defaults(fn=fn)

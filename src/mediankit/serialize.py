@@ -142,7 +142,15 @@ def dump_pocset(P: WeightedPocset) -> dict:
 
 def load_automorphism(P: WeightedPocset, data: dict) -> Automorphism:
     (mapping,) = _fields(data, "automorphism file", "map")
-    return Automorphism.from_mapping(P, _id_map(mapping, "map"), data.get("name", "g"))
+    return Automorphism.from_mapping(P, _id_map(mapping, "map"),
+                                     _id(data.get("name", "g"), "name"))
+
+
+def add_generator(gens: dict, name: str, g: Automorphism) -> None:
+    """Adds ``g`` to ``gens`` under ``name``, which must be new."""
+    if name in gens:
+        raise InvalidInput(f"generator name {name!r} is used twice")
+    gens[name] = g
 
 
 # -- window actions --------------------------------------------------------------
@@ -164,7 +172,8 @@ def load_window_action(data: dict, budgets: Budgets = DEFAULT_BUDGETS,
         if domain is not None:
             domain = {_id(h, f"maps[{i}].domain") for h in _array(domain, f"maps[{i}].domain")}
             mapping = {k: v for k, v in mapping.items() if k in domain}
-        gens[_id(name, f"maps[{i}].name")] = Automorphism.from_mapping(P, mapping, name)
+        add_generator(gens, _id(name, f"maps[{i}].name"),
+                      Automorphism.from_mapping(P, mapping, name))
     return WindowAction(P, gens, budgets=budgets)
 
 
@@ -183,7 +192,7 @@ _REL_CODES = {"sub": SUB, "sup": SUP, "trans": TRANS, "transverse": TRANS}
 
 
 def _rel_code(text, where: str) -> str:
-    if text not in _REL_CODES:
+    if not isinstance(text, str) or text not in _REL_CODES:
         raise InvalidInput(f"bad relation code {text!r} at {where}")
     return _REL_CODES[text]
 

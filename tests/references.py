@@ -474,37 +474,45 @@ def unpreserved_pairwise(S1, S2, g, block: range):
     return None
 
 
+def closure_depth(S, seed: dict) -> int:
+    """R = max(x, E) + E, x the seed's largest start or finite end and E
+    the head extent: the depth from which a closure's chains are constant
+    (``boundary`` module docstring).  Empty intervals are dropped."""
+    x = max((lo if hi is None else hi for lo, hi in seed.values() if hi is None or hi >= lo),
+            default=0)
+    return max(x, S.head_extent) + S.head_extent
+
+
 def closure_oracle(S, seed: dict) -> set:
     """Inseparable closure of the chain intervals ``seed`` up to depth
-    ``horizon``, pair by pair through ``resolve``: the (c, n) with
-    n <= horizon that contain one seed member and are contained in one,
-    members taken up to the index horizon + head_extent + lcm_period + 1
-    (past which the relation on the window repeats, see
-    ``ChainSystem.suffix``).  Empty intervals are dropped; a tail starting
-    past the horizon, or a finite interval ending at or past it, raises
-    ``HorizonExceeded`` naming its chain, the first in chain order."""
+    R = ``closure_depth``, pair by pair through ``resolve``: the (c, n) with
+    n <= R that contain one seed member and are contained in one, members
+    taken up to R + head_extent (past which the relation of an index up to
+    R to them no longer changes).  Empty intervals are dropped; a tail
+    starting past the horizon, or a finite interval ending at or past it,
+    raises ``HorizonExceeded`` naming its chain, the first in chain order."""
     T = S.horizon
     seed = {c: (lo, hi) for c, (lo, hi) in sorted(seed.items()) if hi is None or hi >= lo}
     for c, (lo, hi) in seed.items():
         if lo > T or (hi is not None and hi >= T):
             raise HorizonExceeded(f"seed interval on chain {c} leaves the window of horizon {T}")
-    scan = T + S.head_extent + S.lcm_period + 1
+    R = closure_depth(S, seed)
     members = [(d, m) for d, (lo, hi) in seed.items()
-               for m in range(max(lo, 0), (scan if hi is None else hi) + 1)]
+               for m in range(max(lo, 0), (R + S.head_extent if hi is None else hi) + 1)]
 
     def inside(x, y):
         return x == y or resolve(S, *x, *y) == SUB
 
-    return {(c, n) for c in S.chain_order for n in range(T + 1)
+    return {(c, n) for c in S.chain_order for n in range(R + 1)
             if any(inside((c, n), y) for y in members)
             and any(inside(y, (c, n)) for y in members)}
 
 
-def rel_index(S, c: str, d: str, want: str) -> list:
-    """``ChainSystem.index`` through ``resolve``: entry m is the mask of the
-    n <= index_depth with rel((c, n), (d, m)) == want."""
-    return [sum(1 << n for n in range(S.index_depth + 1) if resolve(S, c, n, d, m) == want)
-            for m in range(S.index_scan + 1)]
+def rel_index(S, c: str, d: str, want: str, depth: int) -> list:
+    """``ChainSystem.index`` through ``resolve``: entry m <= depth + E is
+    the mask of the n <= depth with rel((c, n), (d, m)) == want."""
+    return [sum(1 << n for n in range(depth + 1) if resolve(S, c, n, d, m) == want)
+            for m in range(depth + S.head_extent + 1)]
 
 
 def rel_up_rows(S, elems) -> list:

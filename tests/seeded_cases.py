@@ -335,10 +335,12 @@ def _system_fixtures() -> list:
 
 
 def closure_systems() -> list:
-    """The system fixtures, the conflict system and 30 decorated systems
-    that validate."""
+    """The system fixtures, the conflict system, 30 decorated systems that
+    validate and the gap systems of G = 3, 8 (head extent past 4
+    lcm_period + 4) and 12."""
     return _system_fixtures() + [edge_systems()["conflict"]] + random_systems(
-        seeded(), 30, max_chains=4, tries=12, keep=lambda T: validate_system(T).ok)
+        seeded(), 30, max_chains=4, tries=12, keep=lambda T: validate_system(T).ok) + \
+        [gap_system(G) for G in (3, 8, 12)]
 
 
 def staircase(theta: int, head: int) -> ChainSystem:
@@ -377,11 +379,20 @@ def checked_systems() -> list:
         random_systems(rng, 100, max_chains=4, tries=4) + list(edge_systems().values())
 
 
+def validated_systems() -> list:
+    """The checked systems, the long-head systems, gap systems, the spread
+    triples and 40 random systems of up to 4 chains with 8 head entries
+    and row rules tried each, kept or not, many of them intransitive."""
+    return checked_systems() + long_head_systems() + [gap_system(G) for G in (3, 9, 12)] + \
+        spread_triples() + random_systems(seeded(12), 40, max_chains=4, tries=8)
+
+
 def poset_systems() -> list:
-    """The checked systems that pass validation and 30 random systems of up
-    to 5 chains."""
+    """The checked systems that pass validation, 30 random systems of up
+    to 5 chains and gap systems with D listed first, whose one class's
+    candidate holds C only from G past its start."""
     return [S for S in checked_systems() if validate_system(S).ok] + \
-        random_systems(seeded(8), 30, max_chains=5)
+        random_systems(seeded(8), 30, max_chains=5) + [gap_system(G, "DC") for G in (3, 12)]
 
 
 def truncated_systems() -> list:
@@ -390,18 +401,25 @@ def truncated_systems() -> list:
 
 def closure_cases():
     """On the closure systems: tail, finite and mixed seeds, an empty
-    interval (``hi < lo``), seeds at both edges of the horizon window, and
-    tails starting at, and just past, ``index_scan`` and the old scan of
-    the lower horizon one period below it, alone and next to a finite
-    interval: all past the window, so they pin the horizon errors."""
+    interval (``hi < lo``), seeds at both edges of the horizon window,
+    tails from around 2 head_extent, where closures move with the seed,
+    alone and on two chains (never moved), and tails starting at, and just
+    past, horizon + E + 2 lcm_period + 1 (the length of the index tables
+    sized by the period) and one period below it, alone and next to a
+    finite interval: all past the window, so they pin the horizon errors."""
     for S in closure_systems():
-        first, last, T = S.chain_order[0], S.chain_order[-1], S.horizon
+        first, last, T, E = S.chain_order[0], S.chain_order[-1], S.horizon, S.head_extent
         seeds = [{first: (0, None), last: (1, 2)}, {c: (1, None) for c in S.chain_order},
                  {first: (0, None), last: (4, 2)}, {first: (1, T - 1)}, {first: (1, T)},
                  {last: (T, None)}, {last: (T + 1, None)}]
         for c in S.chain_order:
             seeds += [{c: (0, None)}, {c: (2, None)}, {c: (1, 3)}, {c: (4, 2)}]
-        for scan in (S.index_scan - S.lcm_period, S.index_scan):
+            seeds += [{c: (lo, None)} for lo in (E + 1, 2 * E - 1, 2 * E, 2 * E + 1) if lo <= T]
+        if 2 * E + 3 <= T:
+            seeds += [{first: (2 * E + 1, None), last: (2 * E + 3, None)},
+                      {first: (2 * E + 2, 2 * E + 2), last: (2 * E + 1, None)}]
+        scan = T + E + 2 * S.lcm_period + 1
+        for scan in (scan - S.lcm_period, scan):
             for lo in (scan, scan + 1):
                 seeds += [{first: (lo, None)}, {first: (1, 3), last: (lo, None)},
                           {last: (1, 3), first: (lo, None)}]
@@ -454,12 +472,13 @@ def mass_cases():
 
 def long_head_systems() -> list:
     """Systems whose head extent E = B + 1 passes 5 lcm_period + 4 (all but
-    some of B = 12), so that ``rel`` reads rows past ``index_depth`` through
-    the mirrored table: for each zone bound B in 12, 30 and 57, two systems
-    of two or three chains of period 1 or 2, with three zones per chain pair
-    cut at random offsets within B, six head entries at random indices up
-    to B (none mirroring another) and four row rules, one of them of index
-    0 reaching B.  All pass ``validate_system_rules``."""
+    some of B = 12), so that ``rel`` reads rows past horizon + lcm_period,
+    where the index tables sized by the period ended: for each zone bound
+    B in 12, 30 and 57, two systems of two or three chains of period 1 or
+    2, with three zones per chain pair cut at random offsets within B, six
+    head entries at random indices up to B (none mirroring another) and
+    four row rules, one of them of index 0 reaching B.  All pass
+    ``validate_system_rules``."""
     rng, codes, out = seeded(7), (SUB, SUP, TRANS), []
     for B in (12, 30, 57):
         for _ in range(2):
@@ -491,15 +510,48 @@ def long_head_systems() -> list:
     return out
 
 
+def gap_system(G: int, order: str = "CD") -> ChainSystem:
+    """Chains C and D of period 1 and weight 1, listed in ``order``, where
+    C_n contains D_m for m >= n, lies in it for m <= n - G and is
+    transverse to it between: zones ``sub`` up to offset -G, ``trans`` to
+    -1 and ``sup`` from 0 on.  Its head extent G + 1 passes the horizon's
+    4 lcm_period + 4 from G = 8 on, so a closure reaches past the horizon."""
+    one = (Fraction(1),)
+    return ChainSystem([Chain(c, 1, one) for c in order], zones={("C", "D"): (
+        Zone(None, -G, SUB), Zone(1 - G, -1, TRANS), Zone(0, None, SUP))}, name=f"GAP{G}")
+
+
+def spread_triples() -> list:
+    """Two systems of chains A, B, C of period 1 whose only failing triples
+    lie past depth E = ``head_extent``: A_n contains B_m from offset g on,
+    B_m contains C_r from offset g on, and A_n and C_r are transverse (g = 5,
+    E = 6, a triple at 0, 5, 10), or contain each other from offset 2g on
+    except that a row rule makes A_2g transverse to every C_r (g = 3,
+    E = 7, a triple at 6, 9, 12)."""
+    one = (Fraction(1),)
+    chains = [Chain(c, 1, one) for c in "ABC"]
+
+    def step(g):
+        return (Zone(None, g - 1, TRANS), Zone(g, None, SUP))
+
+    return [ChainSystem(chains, zones={("A", "B"): step(5), ("B", "C"): step(5),
+                                       ("A", "C"): (Zone(None, None, TRANS),)}, name="SPREAD5"),
+            ChainSystem(chains, zones={("A", "B"): step(3), ("B", "C"): step(3),
+                                       ("A", "C"): step(6)},
+                        rows=[RowRule("A", 6, "C", TRANS)], name="SPREAD3")]
+
+
 def rel_cases():
     """Per chain pair of the closure, tail and checked systems that pass
     the rule checks, and of the long-head systems: the indices 0 to
-    3 head_extent, ``index_depth`` and one past it, ``index_scan`` and
-    10^9."""
+    3 head_extent, D = horizon + lcm_period and D + 1, D + E + lcm_period + 1
+    (the depth and the length of the index tables sized by the period)
+    and 10^9."""
     systems = closure_systems() + tail_systems() + checked_systems()
     for S in [S for S in systems if validate_system_rules(S).ok] + long_head_systems():
-        idx = [*range(3 * S.head_extent + 1), S.index_depth, S.index_depth + 1,
-               S.index_scan, 10 ** 9]
+        depth = S.horizon + S.lcm_period
+        idx = [*range(3 * S.head_extent + 1), depth, depth + 1,
+               depth + S.head_extent + S.lcm_period + 1, 10 ** 9]
         yield from ((S, c, d, idx) for c, d in itertools.permutations(S.chain_order, 2))
 
 

@@ -109,9 +109,12 @@ def test_closure_answers_only_inside_the_horizon_window(name, seed, expected):
 
 def test_one_index_and_one_suffix_table_pair_per_chain_pair():
     """Once the closure row's seeds are closed, each system caches one
-    index entry per ordered pair of distinct chains and at most one suffix
-    pair, each table the ORs of its index tails up to ``index_scan``; no
-    index entry is both SUB and SUP."""
+    index table pair per ordered pair of distinct chains, as deep as the
+    least closure depth 2 head_extent at least, and at most one suffix pair, each
+    table the ORs of the index tails of a fresh system at its depth; no
+    index entry is both SUB and SUP.  A deeper request rebuilds a pair's
+    tables to exactly that depth, and a shallower one reads them as they
+    are."""
     systems = {}
     for S, seed in sc.closure_cases():
         systems[id(S)] = S
@@ -120,30 +123,37 @@ def test_one_index_and_one_suffix_table_pair_per_chain_pair():
         except HorizonExceeded:
             pass
     for S in systems.values():
+        E = S.head_extent
+        fresh = ChainSystem([S.chains[c] for c in S.chain_order], zones=S.zones,
+                            rows=S.rows, head=S.head)
         pairs = {(c, d) for c in S.chain_order for d in S.chain_order if c != d}
         assert set(S._index) == pairs and set(S._suffix) <= pairs
         for (c, d), tables in S._suffix.items():
             assert tables == tuple(
-                [reduce(or_, masks[lo:S.index_scan + 1], 0)
-                 for lo in range(S.index_scan + 1)] for masks in S.index(c, d))
+                [reduce(or_, masks[lo:], 0) for lo in range(len(masks))]
+                for masks in fresh.index(c, d, len(tables[0]) - E - 1))
         for sub, sup in S._index.values():
-            assert len(sub) == len(sup) == S.index_scan + 1
+            assert len(sub) == len(sup) > 3 * E
             assert not any(s & p for s, p in zip(sub, sup))
+        for c, d in sorted(pairs)[:1]:
+            depth = len(S._index[c, d][0]) - E + 5
+            tables = S.index(c, d, depth)
+            assert len(tables[0]) == depth + E + 1 and S.index(c, d, depth - 3) is tables
 
 
 def test_zone_tables_cost_no_range_per_column(monkeypatch):
     """``_build_index`` turns each zone range into one offset mask, so its
-    ``_range_mask`` calls are the same for tables several times longer."""
+    ``_range_mask`` calls are the same for tables several times longer,
+    here of a head extent 21 against 2."""
     calls, inner = [], bd._range_mask
     monkeypatch.setattr(bd, "_range_mask", lambda lo, hi: calls.append(hi) or inner(lo, hi))
     counts = []
-    for period in (1, 7):
-        S = ChainSystem([Chain("H", 1, (ONE,)), Chain("K", period, (ONE,) * period)],
+    for head in (0, 21):
+        S = ChainSystem([Chain("H", 1, (ONE,), (ONE,) * head), Chain("K", 1, (ONE,))],
                         zones=fx.stairflap().zones)
         calls.clear()
-        S.index("H", "K")
-        counts.append((S.index_scan, len(calls)))
-    assert counts[0][0] < counts[1][0] and counts[0][1] == counts[1][1]
+        counts.append((len(S.index("H", "K", 2 * S.head_extent)[0]), len(calls)))
+    assert counts[0][0] * 5 < counts[1][0] and counts[0][1] == counts[1][1]
 
 
 def _count_close(monkeypatch):
@@ -184,23 +194,48 @@ def test_closure_memo_is_per_system(monkeypatch):
 
 
 def test_closure_memo_replays_horizon_errors(monkeypatch):
-    """The two horizons disagree on the first chain: the error is kept and
-    raised afresh, from one ``_close`` call."""
+    """A tail past the horizon window: the error is kept and raised afresh,
+    from one ``_close`` call."""
     S = fx.line_system()
-
-    def disagreeing(above, below, T):
-        return None if T == S.horizon else (0, None)
-
-    monkeypatch.setattr(bd, "_members_at", disagreeing)
     calls = _count_close(monkeypatch)
     raised = []
     for _ in range(2):
         with pytest.raises(HorizonExceeded) as exc:
-            closure(S, tail("H", 0))
+            closure(S, tail("H", S.horizon + 1))
         raised.append(exc.value)
-    assert [str(e) for e in raised] == ["closure unstable on chain H"] * 2
+    assert [str(e) for e in raised] == \
+        [f"seed interval on chain H leaves the window of horizon {S.horizon}"] * 2
     assert raised[0] is not raised[1]
     assert len(calls) == 1
+
+
+def test_a_long_head_closure_reads_past_the_horizon():
+    """In the gap-12 system (head extent 13, horizon 21), C_n lies in D_m
+    exactly for m <= n - 12: the closure of D's tail from 15 holds C's tail
+    from 27, past the horizon, which reads at the horizon missed."""
+    S = sc.gap_system(12)
+    assert validate_system(S).ok and S.horizon == 21
+    assert closure(S, tail("D", 15)) == bd.UBS({"C": (27, None), "D": (15, None)})
+    assert [closure(S, tail("D", n)).intervals["C"] for n in (10, 21)] == \
+        [(22, None), (33, None)]
+
+
+def test_rel_reads_past_a_shallower_table():
+    """The antichain bound of the gap-12 system reads its tables to depth
+    15, its ``tail_depth``, short of the 2 head_extent = 26 that ``rel``
+    reads: ``rel`` builds them deeper."""
+    S = sc.gap_system(12)
+    truncation_antichain_bound(S)
+    assert len(S._index["D", "C"][0]) == 15 + 13 + 1
+    idx = range(3 * S.head_extent + 1)
+    assert [S.rel(c, n, d, m) for c, d in ("CD", "DC") for n in idx for m in idx] == \
+        [resolve(S, c, n, d, m) for c, d in ("CD", "DC") for n in idx for m in idx]
+
+
+def test_spread_triples_fail_transitivity_past_the_head():
+    assert [validate_system(S).failures[0] for S in sc.spread_triples()] == [
+        {"code": "REL_NOT_TRANSITIVE", "detail": "('A', 0) should contain ('C', 10)"},
+        {"code": "REL_NOT_TRANSITIVE", "detail": "('A', 6) should contain ('C', 12)"}]
 
 
 def test_head_cycle_fails_transitivity():

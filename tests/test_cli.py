@@ -898,3 +898,83 @@ def test_malformed_fields_are_invalid_input(capsys, tmp_path, kind):
     assert code == 65
     assert report["error"]["code"] == "INVALID_INPUT"
     assert field in report["error"]["message"]
+
+
+# -- loader defects: names, duplicate generators, rule codes, empty sources ---
+
+SQUARE_ROT_G = {"name": "g", "map": {"a": "b", "b": "a*"}}
+SQUARE_SWAP_G = {"name": "g", "map": {"a": "b", "b": "a"}}
+
+
+def test_an_automorphism_name_must_be_a_string(capsys, tmp_path):
+    auto = tmp_path / "a.json"
+    auto.write_text(json.dumps({**SQUARE_ROT_G, "name": 7}))
+    code, report, _ = run_cli(capsys, "inversions", "--fixture", "SQUARE",
+                              "--auto-file", str(auto), "--word", "g")
+    assert code == 65
+    assert report["error"]["message"] == "name must be a string id, not 7"
+
+
+def test_auto_files_must_name_their_generators_apart(capsys, tmp_path):
+    """A rotation and a swap of SQUARE, both named g: the second used to
+    replace the first, giving minimum orbit size 1 instead of 4."""
+    paths = []
+    for k, data in enumerate((SQUARE_ROT_G, SQUARE_SWAP_G)):
+        paths += ["--auto-file", str(tmp_path / f"{k}.json")]
+        (tmp_path / f"{k}.json").write_text(json.dumps(data))
+    code, report, _ = run_cli(capsys, "orbits", "--fixture", "SQUARE", *paths)
+    assert code == 65
+    assert report["error"]["message"] == "generator name 'g' is used twice"
+
+
+def test_window_maps_must_be_named_apart(capsys, tmp_path):
+    from mediankit import fixtures as fx
+    from mediankit import serialize as se
+    data = se.dump_window_action(fx.line_window())
+    data["maps"] = data["maps"] * 2
+    window_file = tmp_path / "twice.json"
+    window_file.write_text(json.dumps(data))
+    code, report, _ = run_cli(
+        capsys, "flip", "--window", str(window_file), "--halfspace", "w10+")
+    assert code == 65
+    assert report["error"]["message"] == "generator name 's' is used twice"
+
+
+@pytest.mark.parametrize("rule", [["sub"], {"sub": 1}])
+def test_a_rule_code_that_is_not_a_string_is_invalid_input(capsys, tmp_path, rule):
+    data = dump_chain_system(fx.stairflap())
+    data["rel"]["periodic"][0]["rule"] = rule
+    code, report, _ = run_ubs_command(capsys, tmp_path, "ubs-validate", data)
+    assert code == 65
+    assert report["error"]["message"] == f"bad relation code {rule!r} at rel.periodic[0]"
+
+
+@pytest.mark.parametrize("argv", [["points", "--fixture", ""],
+                                  ["ubs-graph", "--system", ""],
+                                  ["ubs-validate", "--system-file", ""],
+                                  ["inversions", "--window", "", "--word", "s"]])
+def test_an_empty_source_is_a_usage_error(capsys, argv):
+    assert main(argv) == 64
+    assert "must not be empty" in capsys.readouterr().err
+
+
+# -- systems sized by the head extent, not by the periods --------------------
+
+def periods_system(*periods) -> dict:
+    """Rule-free chains A, B, ... of the given periods, weights 1 to p."""
+    return {"name": "PERIODS", "chains": [
+        {"id": c, "period": p, "weights": [str(k + 1) for k in range(p)]}
+        for c, p in zip("ABCDEFGH", periods)]}
+
+
+PERIODS_3 = periods_system(7, 11, 13)
+PERIODS_4 = periods_system(7, 11, 13, 17)
+GAP_12 = dump_chain_system(sc.gap_system(12))
+
+
+@pytest.mark.parametrize("system, seconds", [(PERIODS_3, 0.2), (PERIODS_4, 0.5)],
+                         ids=["lcm 1001", "lcm 17017"])
+def test_lcm_sized_systems_answer_at_once(capsys, tmp_path, system, seconds):
+    for command in ("ubs-validate", "ubs-graph"):
+        code, report, _ = run_ubs_command(capsys, tmp_path, command, system)
+        assert code == 0 and report["timing"]["seconds"] < seconds

@@ -9,7 +9,10 @@ from child names to the ``Subdivision.copies`` table; the extra
 The ``--window`` cases read the F2BALL window written by
 ``dump_window_action`` to ``f2ball-window.json``, so they pin loading a
 window file as well as the search on it.  The two ``facing ... --verify``
-cases pin the certificate check of strongly separated tuples.
+cases pin the certificate check of strongly separated tuples.  The
+``--system-file`` cases pin the gap-12 system, whose closures read past
+the horizon, and rule-free systems of lcm period 1,001 and 17,017, whose
+tables are sized by the head extent.
 Update a digest only for a deliberate change of report contents.
 """
 
@@ -23,6 +26,8 @@ import pytest
 from mediankit import fixtures
 from mediankit.cli import main
 from mediankit.serialize import dump_window_action
+
+from test_cli import GAP_12, PERIODS_3, PERIODS_4
 
 GOLDEN = [
     ("rank --fixture SQUARE", 0,
@@ -83,7 +88,20 @@ GOLDEN = [
      "12d30694f581c3798f3d892254b6d7e52f6add7f24d9b8d4ae1d419ef57e42f9"),
     ("skewer --window f2ball-window.json --pair wab+,wa+ --max-word-len 2 --verify", 0,
      "ca092b5f3c0b9dd858857d733a52f647a0582dfdb32c204b18cdc8b766d7324e"),
+    ("ubs-graph --system-file gap12.json", 0,
+     "9fc6e79c6adf7521a595a65c43cd974737193f117fd4b84f1cb05b07901dc2b1"),
+    ("ubs-validate --system-file periods-3.json", 0,
+     "13630cddec41b0ef40464078daea6389a01ff7f0ac295ff01bd49b2fabd042cd"),
+    ("ubs-graph --system-file periods-3.json", 0,
+     "a11fbe203834f423061a5c8a48b1f4dc6928a36b7c80be4121c43433f13ec985"),
+    ("ubs-validate --system-file periods-4.json", 0,
+     "a697c5290d7d9e3dae564e9246b3466b0c81be292ec779d3b4d238ca15bb61b3"),
+    ("ubs-graph --system-file periods-4.json", 0,
+     "35e9e051aab6101f41a801d2f7276f2476b376c5a1d56a5fefc614b3ac2cae99"),
 ]
+
+# chain-system files the ``--system-file`` cases read from the test's directory
+SYSTEM_FILES = {"gap12.json": GAP_12, "periods-3.json": PERIODS_3, "periods-4.json": PERIODS_4}
 
 
 def report_digest(argv):
@@ -104,4 +122,6 @@ def test_report_is_unchanged(command, code, digest, tmp_path, monkeypatch):
     if "--window" in command:
         (tmp_path / "f2ball-window.json").write_text(
             json.dumps(dump_window_action(fixtures.window("F2BALL"))))
+    for name, data in SYSTEM_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
     assert report_digest(command.split()) == (code, digest)

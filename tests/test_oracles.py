@@ -36,7 +36,7 @@ from mediankit.verification import verify_skewer
 import seeded_cases as sc
 from references import (
     automorphisms_pairwise, between_members, brute_total_flip, check_pairwise, child_by_names,
-    closure_group, closure_oracle, cube_by_name, defined_images, embed_by_name,
+    closure_depth, closure_group, closure_oracle, cube_by_name, defined_images, embed_by_name,
     equivalent_by_containment, factors_by_names, first_facing_tuple, gap_by_pairs,
     gate_per_wall, image_per_bit, is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
     minimal_tail_by_containment, pair_order, pairwise_validate_system, point_sides,
@@ -79,8 +79,18 @@ def _mask(p):
 
 
 def _members(S, seed) -> set:
+    """The closure's members up to the depth ``closure_depth``."""
     return {(c, n) for c, (lo, hi) in closure(S, seed).intervals.items()
-            for n in range(lo, S.horizon + 1) if hi is None or n <= hi}
+            for n in range(lo, closure_depth(S, seed) + 1) if hi is None or n <= hi}
+
+
+def _validate_kinds(case, rep) -> list:
+    """The verdict and each code once; whether a failing transitivity check ran
+    again at the horizon after failing at 3 head_extent below it."""
+    S = case[0]
+    codes = list(dict.fromkeys(f["code"] for f in rep["failures"]))
+    deep = "REL_NOT_TRANSITIVE" in codes and 3 * S.head_extent < S.horizon
+    return ["accepted" if rep["ok"] else "rejected"] + codes + ["rerun at horizon"] * deep
 
 
 def _tail_sets(S, c) -> list:
@@ -309,8 +319,9 @@ ORACLES = (
     Row("closure", lambda S, seed: outcome(_members, S, seed),
         lambda S, seed: outcome(closure_oracle, S, seed), sc.closure_cases, 1070,
         lambda case, members: ["decorated" if case[0].head or case[0].rows else "plain"]
-        + (["HorizonExceeded"] if isinstance(members, tuple) else []),
-        {"decorated": 300, "plain": 1, "HorizonExceeded": 300}),
+        + (["HorizonExceeded"] if isinstance(members, tuple) else [])
+        + (["gap"] if case[0].name.startswith("GAP") else []),
+        {"decorated": 300, "plain": 1, "HorizonExceeded": 300, "gap": 90}),
     Row("minimal_tail", lambda S, c: outcome(minimal_tail, S, c),
         lambda S, c: outcome(minimal_tail_by_containment, S, c),
         lambda: [(S, c) for S in sc.tail_systems() for c in S.chain_order], 112,
@@ -328,8 +339,8 @@ ORACLES = (
         lambda case, eq: [eq], {True: 1, False: 1}),
     Row("rel", lambda S, c, d, idx: [S.rel(c, n, d, m) for n in idx for m in idx],
         lambda S, c, d, idx: [resolve(S, c, n, d, m) for n in idx for m in idx], sc.rel_cases,
-        1150, lambda case, rels: ["mirrored" if case[0].head_extent > 5 * case[0].lcm_period + 4
-                                  else "direct"], {"direct": 1100, "mirrored": 20}),
+        1150, lambda case, rels: ["long head" if case[0].head_extent > 5 * case[0].lcm_period + 4
+                                  else "direct"], {"direct": 1100, "long head": 20}),
     Row("unpreserved", _unpreserved, unpreserved_pairwise, sc.unpreserved_cases, 440,
         _unpreserved_kinds,
         {"preserved": 250, "unpreserved": 120, "S1 != S2, preserved": 80,
@@ -347,21 +358,22 @@ ORACLES = (
         lambda case, d: ["agree" if d is None else "conflict at -horizon"
                          if d == -case[0].horizon else "conflict above -horizon"],
         {"agree": 300, "conflict at -horizon": 300, "conflict above -horizon": 150}),
-    Row("relation_index", lambda S, c, d, want: S.index(c, d)[want == SUP], rel_index,
-        lambda: [(S, c, d, want) for S in sc.index_systems() for c in S.chain_order
-                    for d in S.chain_order if c != d for want in (SUB, SUP)], 120),
+    Row("relation_index", lambda S, c, d, want, depth: S.index(c, d, depth)[want == SUP],
+        rel_index, lambda: [(S, c, d, want, depth) for S in sc.index_systems()
+                            for c in S.chain_order for d in S.chain_order if c != d
+                            for depth in sorted({0, 3 * S.head_extent, S.horizon + S.lcm_period})
+                            for want in (SUB, SUP)], 340),
     Row("ubs_poset", ubs_poset, poset_by_closures, lambda: _each(sc.poset_systems()), 90,
         _poset_kinds, {"kept": 700, "dropped": 120, "two-edge path": 20}),
     Row("validate_system", lambda S: validate_system(S).to_json(),
         lambda S: pairwise_validate_system(S).to_json(),
-        lambda: _each(sc.checked_systems()), 143,
-        lambda case, rep: ["accepted" if rep["ok"] else "rejected"]
-        + [f["code"] for f in rep["failures"]],
-        {"accepted": 1, "rejected": 50, "REL_NOT_TRANSITIVE": 1, "HEAD_CONFLICT": 1,
-         "ZONE_CONFLICT": 1, "ZONES_NOT_PARTITION": 1, "NEGATIVE_INDEX": 1}),
+        lambda: _each(sc.validated_systems()), 190, _validate_kinds,
+        {"accepted": 70, "rejected": 110, "REL_NOT_TRANSITIVE": 100, "HEAD_CONFLICT": 1,
+         "ZONE_CONFLICT": 1, "ZONES_NOT_PARTITION": 1, "NEGATIVE_INDEX": 1,
+         "rerun at horizon": 80}),
     Row("antichain_bound", truncation_antichain_bound,
         lambda S: min_chain_cover(rel_up_rows(S, truncation(S, S.tail_depth))),
-        lambda: _each(sc.checked_systems()), 143),
+        lambda: _each(sc.validated_systems()), 190),
     Row("truncation_rows", lambda S: _truncation_rows(S, S.tail_depth),
         lambda S: transpose_rows(rel_up_rows(S, truncation(S, S.tail_depth))),
         lambda: _each(sc.truncated_systems()), 27),
