@@ -163,8 +163,8 @@ class WeightedPocset:
             ids += names
             star_by_id[pos] = neg
             star_by_id[neg] = pos
-            weight_by_id[pos] = Fraction(w)
-            weight_by_id[neg] = Fraction(w)
+            # callers mostly pass Fractions, which need no conversion
+            weight_by_id[pos] = weight_by_id[neg] = w if type(w) is Fraction else Fraction(w)
         self.ids = tuple(sorted(ids))
         self.index = {h: i for i, h in enumerate(self.ids)}
         self.star = tuple(self.index[star_by_id[h]] for h in self.ids)
@@ -461,23 +461,31 @@ def _as_convex(P: WeightedPocset, C) -> ConvexSet:
     return ConvexSet(P, list(C))
 
 
+def _sigma(P: WeightedPocset, C) -> Optional[int]:
+    """The co-ultrafilter of C, None when C is empty; a point's is its
+    own mask, so a point needs no ``ConvexSet``."""
+    if isinstance(C, Point):
+        return C.mask
+    C = _as_convex(P, C)
+    return C.sigma if C.masks else None
+
+
 def separating(P: WeightedPocset, A, B) -> tuple[str, ...]:
     """The halfspaces containing B whose complements contain A."""
-    A = _as_convex(P, A)
-    B = _as_convex(P, B)
-    if not A.masks or not B.masks:
+    a, b = _sigma(P, A), _sigma(P, B)
+    if a is None or b is None:
         raise EmptyInput("separating() requires nonempty sets")
-    return tuple(P.ids[i] for i in _iter_bits(B.sigma & P.star_map(A.sigma)))
+    return tuple(P.ids[i] for i in _iter_bits(b & P.star_map(a)))
 
 
 def gate_project(P: WeightedPocset, C, x: Point) -> Point:
     """The gate of x in C: per wall, C's side when C lies in one side,
     otherwise x's side."""
-    C = _as_convex(P, C)
-    if not C.masks:
+    sigma = _sigma(P, C)
+    if sigma is None:
         raise EmptyInput("gate_project() requires a nonempty convex set")
     # sigma's sides, and x's side of each wall where sigma holds neither
-    mask = C.sigma | x.mask & ~P.star_map(C.sigma)
+    mask = sigma | x.mask & ~P.star_map(sigma)
     gate = Point(P, mask)
     if not is_ultrafilter(P, mask):
         raise InvalidInput("gate projection produced a non-point; input not convex?")

@@ -4,7 +4,11 @@ The rank of a pocset is the maximal size of a pairwise-transverse family of
 walls (a clique in the wall transversality graph).  A pocset splits as a
 product exactly along the connected components of the complementary
 (non-transversality) graph; factors are materialized as standalone pocsets
-so downstream code never needs the parent.
+so downstream code never needs the parent.  The graph is read off the
+order rows with no map, one row per wall kept at the wall's lower side
+(``_transversality_adjacency``); ``P.walls`` is sorted by lower side, so
+cliques, components and factor walls come in wall order.  ``rank``
+searches one wall per class of twins (walls with equal rows).
 
 For finite models every isometry of the point space is induced by a
 halfspace permutation (halfspaces and points determine each other), so
@@ -34,46 +38,56 @@ def transverse(P: WeightedPocset, h: str, k: str) -> bool:
 
 
 def _transversality_adjacency(P: WeightedPocset) -> list[int]:
-    """Per wall, the mask of walls transverse to it: those with neither
-    side comparable with the wall's representative."""
-    wall_bit = [0] * P.n
-    for a, (i, j) in enumerate(P.walls):
-        wall_bit[i] = wall_bit[j] = 1 << a
-    touched = MaskMap(tuple(wall_bit))
-    every = (1 << len(P.walls)) - 1
-    return [every & ~touched(P.up[i] | P.down[i]) for i, _ in P.walls]
+    """At each wall's lower side ``i``, the mask of the lower sides of the
+    walls transverse to it; 0 at upper sides.  ``down[i]`` is the star
+    image of ``up[i*]``, so ``up[i] | up[i*] | down[i] | down[i*]`` is
+    star-closed: it holds a side of a wall exactly when it holds the
+    wall's lower side, and its lower sides are the walls with a side
+    comparable with ``i``, its own wall included."""
+    lower = sum(1 << i for i, _ in P.walls)
+    up, down = P.up, P.down
+    adj = [0] * P.n
+    for i, j in P.walls:
+        adj[i] = lower & ~(up[i] | up[j] | down[i] | down[j])
+    return adj
 
 
 def rank(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> int:
-    """Maximum clique size in the wall transversality graph; 0 iff a point."""
+    """Maximum clique size in the wall transversality graph; 0 iff a point.
+
+    Walls with equal adjacency rows are twins: a wall is never in its own
+    row, so no two twins are transverse, and a clique holds at most one of
+    them, which any other can replace.  So the search runs over the first
+    wall of each distinct row alone (tree factors and the copies of a
+    subdivided wall are twins).  The ``clique_walls`` budget counts the
+    active walls (those with a transverse partner) before this collapse."""
     if P._rank is not None:
         return P._rank
     adj = _transversality_adjacency(P)
-    active = [a for a in range(len(adj)) if adj[a]]
+    active = [i for i, _ in P.walls if adj[i]]
     if not active:
         P._rank = 1 if P.walls else 0
         return P._rank
     if len(active) > budgets.clique_walls:
         raise WallBudgetExceeded(
             f"{len(active)} mutually transverse-capable walls exceed clique cap")
-    order = sorted(active, key=lambda a: -bin(adj[a]).count("1"))
+    firsts = {}  # per distinct row, the bit of its first wall
+    for i in active:
+        firsts.setdefault(adj[i], 1 << i)
     best = 1
 
     def bb(cand: int, size: int):
         nonlocal best
-        if size + bin(cand).count("1") <= best:
+        if size + cand.bit_count() <= best:
             return
         for v in _iter_bits(cand):
             cand ^= 1 << v
-            if size + 1 + bin(cand & adj[v]).count("1") <= best:
+            if size + 1 + (cand & adj[v]).bit_count() <= best:
                 continue
             best = max(best, size + 1)
             bb(cand & adj[v], size + 1)
 
-    start = 0
-    for a in order:
-        start |= 1 << a
-    bb(start, 0)
+    bb(sum(firsts.values()), 0)
     P._rank = best
     return best
 
@@ -98,24 +112,25 @@ def decompose(P: WeightedPocset) -> Decomposition:
     """Split along connected components of the non-transversality graph."""
     if not P.walls:
         raise InvalidInput("decompose() needs at least one wall")
-    adj_t = _transversality_adjacency(P)
-    comps = []  # wall masks of the non-transversality components
-    left = (1 << len(P.walls)) - 1
+    adj = _transversality_adjacency(P)
+    wall_at = {i: a for a, (i, _) in enumerate(P.walls)}  # lower side -> wall
+    comps = []  # lower-side masks of the non-transversality components
+    left = sum(1 << i for i in wall_at)
     while left:
         comp = frontier = left & -left
         while frontier:
             u = (frontier & -frontier).bit_length() - 1
             frontier ^= 1 << u
-            grown = left & ~adj_t[u] & ~comp
+            grown = left & ~adj[u] & ~comp
             comp |= grown
             frontier |= grown
         left &= ~comp
         comps.append(comp)
     # deterministic factor order: by least wall id in the component
-    comps.sort(key=lambda c: min(P.wall_ids[a] for a in _iter_bits(c)))
+    comps.sort(key=lambda c: min(P.wall_ids[wall_at[i]] for i in _iter_bits(c)))
     # a factor's ids are a sorted subsequence of P's, so the k-th member of
     # a factor is its halfspace k
-    members = [sorted({i for a in _iter_bits(c) for i in P.walls[a]}) for c in comps]
+    members = [sorted({h for i in _iter_bits(c) for h in (i, P.star[i])}) for c in comps]
     # parent halfspace -> its bit in its own factor; comparable walls are not
     # transverse, so an up-row never leaves its factor and needs no mask
     local = [0] * P.n
@@ -126,10 +141,9 @@ def decompose(P: WeightedPocset) -> Decomposition:
     factors = []
     assignment = {}
     for fi, (c, mem) in enumerate(zip(comps, members)):
-        walls = [(P.ids[i], P.ids[j], P.weight[i])
-                 for i, j in (P.walls[a] for a in _iter_bits(c))]
+        walls = [(P.ids[i], P.ids[P.star[i]], P.weight[i]) for i in _iter_bits(c)]
         F = WeightedPocset.from_rows(walls, [to_factor(P.up[i]) for i in mem],
-                                     wall_ids=[P.wall_ids[a] for a in _iter_bits(c)])
+                                     wall_ids=[P.wall_ids[wall_at[i]] for i in _iter_bits(c)])
         for i in mem:
             assignment[P.ids[i]] = (fi, P.ids[i])
         factors.append(F)

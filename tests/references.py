@@ -135,6 +135,22 @@ def transversality_pairwise(P: WeightedPocset) -> tuple:
     return adj, pairs
 
 
+def rank_by_families(P: WeightedPocset) -> int:
+    """The size of the largest family of pairwise transverse walls, over
+    families of growing size, each pair through ``transverse``; at most 12
+    walls.  A family is a subfamily of a larger one, so the first size with
+    no family ends the search."""
+    assert P.wall_count <= 12
+    reps = [P.ids[i] for i, _ in P.walls]
+    best = min(len(reps), 1)
+    for size in range(2, len(reps) + 1):
+        if not any(all(transverse(P, h, k) for h, k in itertools.combinations(family, 2))
+                   for family in itertools.combinations(reps, size)):
+            break
+        best = size
+    return best
+
+
 # -- derived pocsets by name pairs ----------------------------------------------
 #
 # Built through the pair constructor from names, as the code did before

@@ -24,7 +24,7 @@ from mediankit.pocset import (
 from mediankit.randomgen import random_pocset, random_poset, random_system
 from mediankit.structure import Automorphism, automorphisms, decompose, pocset_product
 from mediankit.subdivision import subdivide
-from references import pair_order, resolve, wall_list
+from references import pair_order, resolve, transversality_pairwise, wall_list
 
 
 def random_pocsets(rng: random.Random, count: int, max_walls: int = 10,
@@ -757,6 +757,28 @@ def child_cases() -> list:
     children are then children of children."""
     return [(P,) for P in order_pocsets() +
             [subdivide(P).child for P in random_pocsets(random.Random(12), 8, 5)]]
+
+
+def rank_cases() -> list:
+    """Pocsets of at most 12 walls with a transverse pair, each with where
+    it comes from: 20 products of two or three random trees, each factor
+    one class of twins; out of 200 random pocsets, the children of the
+    first 20 of at most 6 walls, whose walls come in twin pairs, and those
+    whose walls with a transverse partner have pairwise distinct rows."""
+    rng = seeded(27)
+    products = []
+    while len(products) < 20:
+        trees = random_trees(rng, rng.randint(2, 3), 5)
+        if sum(T.wall_count for T in trees) <= 12:
+            products.append((pocset_product(trees), "tree product"))
+    children, twin_free = [], []
+    for P in random_pocsets(rng, 200, max_walls=12, max_points=64):
+        active = [row for row in transversality_pairwise(P)[0] if row]
+        if active and P.wall_count <= 6 and len(children) < 20:
+            children.append((subdivide(P).child, "subdivision child"))
+        if active and len(set(active)) == len(active):
+            twin_free.append((P, "twin-free random"))
+    return products + children + twin_free
 
 
 def product_cases() -> list:

@@ -40,11 +40,11 @@ from references import (
     equivalent_by_containment, factors_by_names, first_facing_tuple, gap_by_pairs,
     gate_per_wall, image_per_bit, is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
     minimal_tail_by_containment, pair_order, pairwise_validate_system, point_sides,
-    points_per_bit, poset_by_closures, preimage_by_name, product_by_names, rel_index,
-    rel_up_rows, resolve, sector_per_halfspace, separating_mass, separating_per_halfspace,
-    shape, stabilizer_per_point, star_image, strongly_separated_per_wall, system_map_by_range,
-    transpose_rows, transversality_pairwise, truncation, unpreserved_pairwise,
-    validate_pairwise, zone_conflict_walk)
+    points_per_bit, poset_by_closures, preimage_by_name, product_by_names, rank_by_families,
+    rel_index, rel_up_rows, resolve, sector_per_halfspace, separating_mass,
+    separating_per_halfspace, shape, stabilizer_per_point, star_image,
+    strongly_separated_per_wall, system_map_by_range, transpose_rows, transversality_pairwise,
+    truncation, unpreserved_pairwise, validate_pairwise, zone_conflict_walk)
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,14 @@ def outcome(fn, *args):
 
 def _each(items) -> list:
     return [(x,) for x in items]
+
+
+def _wall_rows(P, adj) -> list:
+    """Rows kept at lower sides, as masks over wall positions; an upper
+    side has no row."""
+    wall_at = {i: a for a, (i, _) in enumerate(P.walls)}
+    assert not any(adj[j] for _, j in P.walls if j not in wall_at)
+    return [sum(1 << wall_at[k] for k in _iter_bits(adj[i])) for i in wall_at]
 
 
 def _mask(p):
@@ -249,9 +257,13 @@ ORACLES = (
             parts, pre or [f"f{i}." for i in range(len(parts))])),
         sc.product_cases, 5),
     Row("transversality",
-        lambda P: (_transversality_adjacency(P),
+        lambda P: (_wall_rows(P, _transversality_adjacency(P)),
                    [transverse(P, h, k) for h in P.ids for k in P.ids] if P.n <= 40 else []),
         transversality_pairwise, lambda: _each(sc.order_pocsets()), 45),
+    Row("rank", lambda P, source: rank(P), lambda P, source: rank_by_families(P),
+        sc.rank_cases, 92, lambda case, r: [case[1]] + ["rank 3 or more"] * (r >= 3),
+        {"subdivision child": 20, "tree product": 20, "twin-free random": 50,
+         "rank 3 or more": 35}),
     Row("dump_pocset_order", lambda P: dump_pocset(P)["order"],
         lambda P: sorted([a, b] for a, b in pair_order(P)), lambda: _each(sc.order_pocsets()),
         45),
@@ -385,6 +397,8 @@ ORACLES = (
         sc.uniform_shifts, 36),
     Row("law: rank adds over products", lambda A, B: rank(pocset_product([A, B])),
         lambda A, B: rank(A) + rank(B), lambda: sc.pocset_pairs(20, 5, 10), 20),
+    Row("law: subdivision keeps the rank", lambda P: rank(subdivide(P).child), rank,
+        lambda: _each(sc.order_pocsets()), 45),
     Row("law: points biject and distances add over products", _product_distances,
         _factor_distances, lambda: sc.pocset_pairs(10, 4, 8), 10),
     Row("law: subdivision is isometric and halves the atom mass",

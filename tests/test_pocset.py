@@ -193,6 +193,16 @@ def test_distance_splits_at_median(rng):
         assert distance(P, x, y) == distance(P, x, m) + distance(P, m, y)
 
 
+def test_weights_are_stored_as_fractions():
+    """Other numbers are converted once per wall; a Fraction is kept as
+    given, for both sides of its wall."""
+    half = Fraction(1, 2)
+    P = WeightedPocset([("a", "a*", 2), ("b", "b*", "1/3"), ("c", "c*", half)])
+    assert P.weight == (Fraction(2),) * 2 + (Fraction(1, 3),) * 2 + (half,) * 2
+    assert all(type(w) is Fraction for w in P.weight)
+    assert P.weight[4] is half and P.weight[5] is half
+
+
 # -- separating -----------------------------------------------------------------
 
 def test_separating_of_equal_points_is_empty(square):
@@ -223,6 +233,13 @@ def test_disjoint_convex_sets_are_separated_in_path3(path3):
 def test_separating_requires_nonempty_inputs(square):
     with pytest.raises(EmptyInput):
         separating(square, ConvexSet(square, []), ConvexSet(square, []))
+
+
+def test_separating_a_point_from_an_empty_set_raises(square):
+    x = pt(square, "a", "b")
+    for A, B in ((x, []), ([], x), (x, ConvexSet(square, []))):
+        with pytest.raises(EmptyInput):
+            separating(square, A, B)
 
 
 # -- interval -------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Rank, transversality, decomposition and automorphism groups."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from mediankit import fixtures as fx
 from mediankit import randomgen as rg
+from mediankit.config import DEFAULT_BUDGETS
 from mediankit.errors import NotAnAutomorphism, WallBudgetExceeded
 from mediankit.pocset import WeightedPocset, validate
 from mediankit.structure import (
@@ -17,6 +19,7 @@ from mediankit.structure import (
     rank,
     transverse,
 )
+from mediankit.subdivision import subdivide
 
 ONE = Fraction(1)
 
@@ -37,6 +40,25 @@ def test_rank_examples(square, grid):
 
 def test_rank_of_tree_is_one():
     assert rank(fx.f2ball()) == 1
+
+
+def test_rank_of_a_subdivided_eight_factor_product_is_fast():
+    """The six child walls of each PATH3 factor are twins, so the clique
+    search runs over eight walls, not 48."""
+    P = subdivide(pocset_product([fx.pocset("PATH3")] * 8)).child
+    start = time.perf_counter()
+    assert rank(P) == 8
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_clique_budget_counts_twins():
+    """The budget counts every wall with a transverse partner, twins
+    included, and not the eight walls that the search runs over."""
+    P = subdivide(pocset_product([fx.pocset("PATH3")] * 8)).child
+    with pytest.raises(WallBudgetExceeded) as exc:
+        rank(P, DEFAULT_BUDGETS.with_(clique_walls=47))
+    assert str(exc.value) == "48 mutually transverse-capable walls exceed clique cap"
+    assert rank(P, DEFAULT_BUDGETS.with_(clique_walls=48)) == 8
 
 
 def test_decompose_square(square):
