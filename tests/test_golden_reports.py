@@ -10,6 +10,8 @@ The ``--window`` cases read the F2BALL window written by
 ``dump_window_action`` to ``f2ball-window.json``, so they pin loading a
 window file as well as the search on it.  The two ``facing ... --verify``
 cases pin the certificate check of strongly separated tuples.  The
+irreducible TRIPOD and F2BALL ``decompose`` cases pin the report of a
+pocset that is its own only factor.  The
 ``--system-file`` cases pin the gap-12 system, whose closures read past
 the horizon, and rule-free systems of lcm period 1,001 and 17,017, whose
 tables are sized by the head extent.
@@ -40,6 +42,10 @@ GOLDEN = [
      "036f14f7c245d0f7cbf937ec048519a6073d23e04bb6772e9bc0a672e85d1da3"),
     ("decompose --fixture GRID", 0,
      "813848d986ab5106bdc06ab242c685626e3976b7d90feeb71fb04d187998732e"),
+    ("decompose --fixture TRIPOD", 0,
+     "f0553f70570b8e3f4cda34951a0a6067a10784bd6c34af5b888fd93fd2750ff4"),
+    ("decompose --fixture F2BALL", 0,
+     "28e33f419b75f6bd31aeb4aad4af5532660b9496bc8d0d6b471041364d23803b"),
     ("subdivide --fixture SQUARE -n 2", 0,
      "1fa7e8670604cc5f3d3b88ad72ba179903abfe2e31e8c5a6d86c1fe7d059a559"),
     ("orbits --fixture SQUARE --gens rot,swap", 0,
