@@ -28,6 +28,7 @@ from .boundary import (
 from .config import Budgets
 from .errors import InvalidInput
 from .pocset import WeightedPocset
+from .serialize import add_generator
 from .structure import Automorphism, pocset_product
 
 ONE = Fraction(1)
@@ -149,12 +150,9 @@ def total_action(name: str, gens: tuple = ()) -> TotalAction:
         gens = tuple(named)
     chosen = {}
     for g in gens:
-        if g == "id":
-            chosen[g] = Automorphism.identity(P)
-        elif g in named:
-            chosen[g] = named[g]
-        else:
+        if g != "id" and g not in named:
             raise InvalidInput(f"fixture {name} has no automorphism {g!r}")
+        add_generator(chosen, g, Automorphism.identity(P) if g == "id" else named[g])
     return TotalAction(P, chosen)
 
 

@@ -133,17 +133,26 @@ class WeightedPocset:
                 raise InvalidInput(f"order pair ({a!r}, {b!r}) names unknown halfspace") from None
             up[i] |= 1 << j
             up[star[j]] |= 1 << star[i]  # order-reversing involution
-        self._set_rows(transitive_rows(up))
+        self.up = tuple(transitive_rows(up))
+        # i <= j iff j* <= i*, so the down-row of j is the star image of
+        # the up-row of j*
+        self.down = tuple(self.star_map(self.up[s]) for s in star)
+        self.up_map = MaskMap(self.up)
 
     @classmethod
     def from_rows(cls, walls: Iterable[tuple[str, str, Fraction]], up: Sequence[int],
+                  down: Sequence[int],
                   wall_ids: Optional[Sequence[str]] = None) -> "WeightedPocset":
         """The pocset whose halfspace k of the canonical index (ids in
-        sorted order) has the up-set ``up[k]``.  The rows must already be
-        closed (reflexive, transitive, star-reversing); no closure runs."""
+        sorted order) has the up-set ``up[k]`` and the down-set
+        ``down[k]``.  The rows must already be closed (reflexive,
+        transitive, star-reversing) and ``down`` must be the transpose of
+        ``up``; a derived pocset maps both from its parent's rows, and no
+        closure runs."""
         P = cls.__new__(cls)
         P._set_walls(walls, wall_ids)
-        P._set_rows(up)
+        P.up, P.down = tuple(up), tuple(down)
+        P.up_map = MaskMap(P.up)
         return P
 
     def _set_walls(self, walls, wall_ids):
@@ -169,7 +178,7 @@ class WeightedPocset:
         self.index = {h: i for i, h in enumerate(self.ids)}
         self.star = tuple(self.index[star_by_id[h]] for h in self.ids)
         self.weight = tuple(weight_by_id[h] for h in self.ids)
-        self.walls = tuple(sorted({(min(i, j), max(i, j)) for i, j in enumerate(self.star)}))
+        self.walls = tuple((i, j) for i, j in enumerate(self.star) if i <= j)
         self.star_map = MaskMap(tuple([1 << j for j in self.star]))
         if wall_ids is not None:
             if len(wall_ids) != len(wall_list):
@@ -183,13 +192,6 @@ class WeightedPocset:
         self._hmasks = None
         self._rank = None
         self._weight_groups = None  # built by the first weight_groups
-
-    def _set_rows(self, up: Sequence[int]):
-        """Store closed up-rows; i <= j iff j* <= i*, so the down-row of j
-        is the star image of the up-row of j*."""
-        self.up = tuple(up)
-        self.down = tuple(self.star_map(up[s]) for s in self.star)
-        self.up_map = MaskMap(self.up)
 
     # -- basic queries ----------------------------------------------------
 

@@ -109,7 +109,9 @@ class Decomposition:
 
 
 def decompose(P: WeightedPocset) -> Decomposition:
-    """Split along connected components of the non-transversality graph."""
+    """Split along connected components of the non-transversality graph.
+    An irreducible P is its own only factor: a copy would have P's ids,
+    rows, weights and wall ids, and would enumerate its points again."""
     if not P.walls:
         raise InvalidInput("decompose() needs at least one wall")
     adj = _transversality_adjacency(P)
@@ -126,28 +128,28 @@ def decompose(P: WeightedPocset) -> Decomposition:
             frontier |= grown
         left &= ~comp
         comps.append(comp)
+    if len(comps) == 1:
+        return Decomposition((P,), {h: (0, h) for h in P.ids})
     # deterministic factor order: by least wall id in the component
     comps.sort(key=lambda c: min(P.wall_ids[wall_at[i]] for i in _iter_bits(c)))
     # a factor's ids are a sorted subsequence of P's, so the k-th member of
     # a factor is its halfspace k
     members = [sorted({h for i in _iter_bits(c) for h in (i, P.star[i])}) for c in comps]
     # parent halfspace -> its bit in its own factor; comparable walls are not
-    # transverse, so an up-row never leaves its factor and needs no mask
+    # transverse, so a row never leaves its factor and needs no mask
     local = [0] * P.n
     for mem in members:
         for k, i in enumerate(mem):
             local[i] = 1 << k
     to_factor = MaskMap(tuple(local))
     factors = []
-    assignment = {}
-    for fi, (c, mem) in enumerate(zip(comps, members)):
+    for c, mem in zip(comps, members):
         walls = [(P.ids[i], P.ids[P.star[i]], P.weight[i]) for i in _iter_bits(c)]
-        F = WeightedPocset.from_rows(walls, [to_factor(P.up[i]) for i in mem],
-                                     wall_ids=[P.wall_ids[wall_at[i]] for i in _iter_bits(c)])
-        for i in mem:
-            assignment[P.ids[i]] = (fi, P.ids[i])
-        factors.append(F)
-    return Decomposition(tuple(factors), assignment)
+        factors.append(WeightedPocset.from_rows(
+            walls, [to_factor(P.up[i]) for i in mem], [to_factor(P.down[i]) for i in mem],
+            [P.wall_ids[wall_at[i]] for i in _iter_bits(c)]))
+    return Decomposition(tuple(factors), {P.ids[i]: (fi, P.ids[i])
+                                          for fi, mem in enumerate(members) for i in mem})
 
 
 def pocset_product(parts: Sequence[WeightedPocset],
@@ -158,16 +160,18 @@ def pocset_product(parts: Sequence[WeightedPocset],
     walls = []
     wall_ids = []
     names = []
-    rows = []  # up-rows over the concatenated halfspaces of the parts
+    ups, downs = [], []  # rows over the concatenated halfspaces of the parts
     for pref, Q in zip(prefixes, parts):
         walls += [(pref + Q.ids[i], pref + Q.ids[j], Q.weight[i]) for i, j in Q.walls]
         wall_ids += [pref + wi for wi in Q.wall_ids]
-        rows += [row << len(names) for row in Q.up]
+        ups += [row << len(names) for row in Q.up]
+        downs += [row << len(names) for row in Q.down]
         names += [pref + h for h in Q.ids]
     index = {h: k for k, h in enumerate(sorted(names))}  # the product's own index
     to_index = MaskMap(tuple(1 << index[h] for h in names))
-    up = [row for _, row in sorted(zip(names, map(to_index, rows)))]
-    return WeightedPocset.from_rows(walls, up, wall_ids)
+    up = [row for _, row in sorted(zip(names, map(to_index, ups)))]
+    down = [row for _, row in sorted(zip(names, map(to_index, downs)))]
+    return WeightedPocset.from_rows(walls, up, down, wall_ids)
 
 
 class Automorphism:

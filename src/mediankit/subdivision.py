@@ -6,8 +6,9 @@ with the order rule: child j < child j' iff the parents are strictly
 ordered, or j, j' are the minus and plus copies of one parent.  The child's
 rows are the parent's mapped through the copies: for a valid parent, the
 up-set of ``h-`` is both copies of each halfspace strictly above ``h``,
-plus ``h-`` and ``h+``; that of ``h+`` is the same with ``h+`` alone.  No
-closure runs.  The
+plus ``h-`` and ``h+``; that of ``h+`` is the same with ``h+`` alone.  The
+down-sets mirror them: both copies of each halfspace strictly below ``h``,
+plus ``h-`` for ``h-`` and both copies for ``h+``.  No closure runs.  The
 involution swaps copies across the wall: ``(a-)* = (a*)+``.  Only
 :func:`subdivide` builds these names; everything after it works on child
 indices through the table ``Subdivision.copies``.
@@ -23,7 +24,7 @@ the continuum limit of the tower is represented only by its finite stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -43,17 +44,12 @@ class Subdivision:
     # parent halfspace index -> (index of its minus copy, index of its plus
     # copy) in the child; the only map between parent and child indices
     copies: tuple
-
-    def __post_init__(self):
-        self._embed_map = MaskMap(tuple(map(self._both, range(self.parent.n))))
-
-    def _both(self, i: int) -> int:
-        """The child mask of both copies of parent halfspace i."""
-        minus, plus = self.copies[i]
-        return 1 << minus | 1 << plus
+    # a parent mask -> the child mask of both copies of its halfspaces: the
+    # embedding, and the map the child's rows were read through
+    both: MaskMap = field(repr=False, compare=False)
 
     def embed(self, p: Point) -> Point:
-        return Point(self.child, self._embed_map(p.mask))
+        return Point(self.child, self.both(p.mask))
 
     def preimage(self, q: Point) -> Optional[Point]:
         """The original point embedding to q, or None when q is new.  An
@@ -62,7 +58,7 @@ class Subdivision:
         from no mask at all, so the comparison rejects it whatever its minus
         copies hold."""
         mask = sum(1 << i for i, (_, plus) in enumerate(self.copies) if q.mask >> plus & 1)
-        return Point(self.parent, mask) if self._embed_map(mask) == q.mask else None
+        return Point(self.parent, mask) if self.both(mask) == q.mask else None
 
     def is_new(self, q: Point) -> bool:
         return self.preimage(q) is None
@@ -81,11 +77,15 @@ def subdivide(P: WeightedPocset) -> Subdivision:
     copies = tuple((index[h + MINUS], index[h + PLUS]) for h in P.ids)
     both = MaskMap(tuple(1 << minus | 1 << plus for minus, plus in copies))
     up = [0] * len(index)
+    down = [0] * len(index)
     for i, (minus, plus) in enumerate(copies):
         above = both(P.up[i] & ~(1 << i))
         up[minus] = above | 1 << minus | 1 << plus
         up[plus] = above | 1 << plus
-    return Subdivision(P, WeightedPocset.from_rows(walls, up, wall_ids), copies)
+        below = both(P.down[i] & ~(1 << i))
+        down[minus] = below | 1 << minus
+        down[plus] = below | 1 << minus | 1 << plus
+    return Subdivision(P, WeightedPocset.from_rows(walls, up, down, wall_ids), copies, both)
 
 
 def lift(S: Subdivision, g: Automorphism) -> Automorphism:
@@ -124,11 +124,11 @@ class CanonicalCube:
         mask = self.center.mask
         for i, s in zip(self.wall_sides, signs):
             j = S.parent.star[i]
-            mask &= ~(S._both(i) | S._both(j))
+            mask &= ~S.both(1 << i | 1 << j)
             if s == 0:
                 mask |= 1 << S.copies[i][1] | 1 << S.copies[j][1]
             else:
-                mask |= S._both(i if s == 1 else j)
+                mask |= S.both(1 << (i if s == 1 else j))
         if not is_ultrafilter(S.child, mask):
             raise NotANewPoint("internal: cube coordinate produced a non-point")
         return Point(S.child, mask)

@@ -926,12 +926,19 @@ def invalid_pair_inputs(seed: int, count: int) -> list:
 
 def construction_cases() -> list:
     """Pocsets from every construction path: pair input (valid and
-    invalid), subdivisions, subdivisions of subdivisions, factors and
-    products."""
+    invalid), subdivisions (F2BALL's too, of 640 halfspaces),
+    subdivisions of subdivisions, factors, products, and a product of
+    irreducible factors (each one its own factor, so the product reads
+    the rows of pair-built pocsets) under prefixes that sort the parts
+    backwards, so that the product's index reorders the concatenation."""
     base = order_pocsets() + random_pocsets(random.Random(21), 40, 8)
     prods = products()
     out = base + prods + invalid_pair_inputs(22, 80)
     out += [subdivide(P).child for P in base if P.n <= 40]
+    out.append(subdivide(fx.pocset("F2BALL")).child)
     out += [subdivide(subdivide(P).child).child
             for P in random_pocsets(random.Random(23), 5, 4)]
+    irreducible = [F for T in random_trees(random.Random(24), 4, 6) + [fx.pocset("TRIPOD")]
+                   for F in decompose(T).factors]
+    out.append(pocset_product(irreducible, [f"p{k}." for k in range(len(irreducible), 0, -1)]))
     return out + [F for P in base + prods for F in decompose(P).factors]

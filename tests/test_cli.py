@@ -927,6 +927,15 @@ def test_auto_files_must_name_their_generators_apart(capsys, tmp_path):
     assert report["error"]["message"] == "generator name 'g' is used twice"
 
 
+@pytest.mark.parametrize("command", [["orbits"], ["flip", "--halfspace", "a"]])
+def test_gens_must_not_repeat_a_name(capsys, command):
+    """``--gens rot,rot`` used to run the action of a single rot while the
+    report named two."""
+    code, report, _ = run_cli(capsys, *command, "--fixture", "SQUARE", "--gens", "rot,rot")
+    assert code == 65
+    assert report["error"]["message"] == "generator name 'rot' is used twice"
+
+
 def test_window_maps_must_be_named_apart(capsys, tmp_path):
     from mediankit import fixtures as fx
     from mediankit import serialize as se

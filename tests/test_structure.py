@@ -9,7 +9,7 @@ from mediankit import fixtures as fx
 from mediankit import randomgen as rg
 from mediankit.config import DEFAULT_BUDGETS
 from mediankit.errors import NotAnAutomorphism, WallBudgetExceeded
-from mediankit.pocset import WeightedPocset, validate
+from mediankit.pocset import WeightedPocset, points, validate
 from mediankit.structure import (
     Automorphism,
     automorphisms,
@@ -69,6 +69,18 @@ def test_decompose_square(square):
 
 def test_decompose_tripod_is_irreducible(tripod):
     assert len(decompose(tripod).factors) == 1
+
+
+@pytest.mark.parametrize("name", ["TRIPOD", "F2BALL"])
+def test_an_irreducible_pocset_is_its_own_factor(name):
+    """No copy is built, so the factor answers from P's caches: its points
+    are P's tuple, not a second enumeration."""
+    P = fx.pocset(name)
+    pts = points(P, fx.WINDOW_BUDGETS)
+    D = decompose(P)
+    assert len(D.factors) == 1 and D.factors[0] is P
+    assert D.assignment == {h: (0, h) for h in P.ids}
+    assert points(D.factors[0], fx.WINDOW_BUDGETS) is pts
 
 
 def test_decompose_grid(grid):
