@@ -36,8 +36,8 @@ def test_f2ball_from_generating_pairs_matches_all_pairs():
 
 def test_construction_makes_the_deleted_checks_unreachable():
     """Every path gives an involutive star, transitive rows that star
-    reverses (so the down rows are the transpose), and one weight per
-    wall."""
+    reverses, down rows equal to the transpose of the up rows (derived
+    pocsets map theirs from the parent's), and one weight per wall."""
     for P in sc.construction_cases():
         assert all(P.star[P.star[i]] == i for i in range(P.n)), P
         assert all(P.up_map(P.up[i]) == P.up[i] for i in range(P.n)), P
