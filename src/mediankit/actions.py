@@ -43,11 +43,15 @@ from .pocset import (
 from .structure import Automorphism, decompose, rank, transverse as _transverse
 
 Word = tuple  # tuple[tuple[str, int], ...]
+WORD_LETTERS = 100_000
 
 
 def parse_word(text: str, names: Sequence[str]) -> Word:
     """Parse ``"a a b^-1"`` or comma-separated tokens; when every generator
-    name is a single character, a compact run like ``"aab"`` also parses."""
+    name is a single character, a compact run like ``"aab"`` also parses.
+    A word expands to at most ``WORD_LETTERS`` (100,000) letters; the
+    token whose exponent would pass that is invalid input, checked before
+    it is expanded."""
     text = text.strip()
     if not text:
         return ()
@@ -66,6 +70,8 @@ def parse_word(text: str, names: Sequence[str]) -> Word:
                 raise InvalidInput(f"bad exponent in word token {tok!r}")
         if name not in names:
             raise InvalidInput(f"unknown generator {name!r} in word")
+        if len(out) + abs(e) > WORD_LETTERS:
+            raise InvalidInput(f"word token {tok!r} expands past {WORD_LETTERS} letters")
         sign = 1 if e > 0 else -1
         out.extend([(name, sign)] * abs(e))
     return tuple(out)

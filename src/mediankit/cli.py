@@ -15,6 +15,9 @@ import hashlib
 import json
 import sys
 import time
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
+
 from . import __version__
 from .actions import (
     TotalAction,
@@ -67,13 +70,54 @@ def _digest(obj) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _indented(obj, ind: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, each line break
+    followed by the indent of ``ind`` (a newline and spaces).  With
+    ``indent`` set the stdlib encodes in Python, a call per value; here a
+    list of strings is one join of quoted strings, and so is a list of
+    string rows of one length (order pairs, points), row by row.  Dicts
+    with string keys recurse; ints, bools and None are literals; anything
+    else (floats, other keys, subclasses, mixed rows) is the stdlib's own
+    text, re-indented, which is exact since JSON text holds no raw
+    newline inside a string."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = ind + "  "
+    if kind is dict and set(map(type, obj)) <= {str}:
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _indented(obj[k], inner) for k in sorted(obj)]) + ind + "}"
+    if kind is not list and kind is not tuple:
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", ind)
+    if not obj:
+        return "[]"
+    types = set(map(type, obj))
+    if types == {str}:
+        return "[" + inner + ("," + inner).join(map(_quote, obj)) + ind + "]"
+    k = len(obj[0]) if types <= {list, tuple} else 0
+    if k and set(map(len, obj)) == {k} and set(map(type, chain.from_iterable(obj))) == {str}:
+        row = inner + "  "
+        rows = map(("," + row).join, zip(*[map(_quote, chain.from_iterable(obj))] * k))
+        return "[" + inner + "[" + row + (inner + "]," + inner + "[" + row).join(rows) \
+            + inner + "]" + ind + "]"
+    return "[" + inner + ("," + inner).join([_indented(x, inner) for x in obj]) + ind + "]"
+
+
 def _emit(args, src: dict, verdict: dict, summary: str, code: int, **extra) -> int:
     """Print the report of ``args.cmd`` on ``src`` and its summary line."""
     report = {"command": args.cmd, "inputs": src, "verdict": verdict,
               "tool": {"name": "mediankit", "version": __version__},
               "timing": {"seconds": round(time.time() - args.start, 6)},
               **extra}
-    print(json.dumps(report, sort_keys=True, indent=2, check_circular=False))
+    print(_indented(report))
     print(summary, file=sys.stderr)
     return code
 

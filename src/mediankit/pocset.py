@@ -124,15 +124,19 @@ class WeightedPocset:
         wall_ids: Optional[Sequence[str]] = None,
     ):
         self._set_walls(walls, wall_ids)
-        up = [1 << i for i in range(self.n)]
         index, star = self.index, self.star
+        # ORs of precomputed bits (the star map's images are the star
+        # bits): no shift allocates a new int per pair
+        bit = [1 << i for i in range(self.n)]
+        star_bit = self.star_map.images
+        up = bit.copy()
         for a, b in order:
             try:
                 i, j = index[a], index[b]
             except KeyError:
                 raise InvalidInput(f"order pair ({a!r}, {b!r}) names unknown halfspace") from None
-            up[i] |= 1 << j
-            up[star[j]] |= 1 << star[i]  # order-reversing involution
+            up[i] |= bit[j]
+            up[star[j]] |= star_bit[i]  # order-reversing involution
         self.up = tuple(transitive_rows(up))
         # i <= j iff j* <= i*, so the down-row of j is the star image of
         # the up-row of j*

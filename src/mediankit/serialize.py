@@ -97,6 +97,11 @@ def load_pocset(data: dict) -> WeightedPocset:
         walls.append((_id(pos, f"walls[{i}].pos"), _id(neg, f"walls[{i}].neg"),
                       parse_fraction(weight, f"walls[{i}].weight")))
         wall_ids.append(_id(wid, f"walls[{i}].id"))
+    # reports name walls by id (inversions), so two walls must not share one
+    if len(set(wall_ids)) < len(wall_ids):
+        i = next(i for i, wid in enumerate(wall_ids) if wid in wall_ids[:i])
+        raise InvalidInput(f"walls[{i}].id {wall_ids[i]!r} repeats "
+                           f"walls[{wall_ids.index(wall_ids[i])}].id")
     # pair types and lengths are checked by set comparisons, the members by
     # the constructor's id lookup; the loop that names the first bad pair
     # runs only when one of them fails

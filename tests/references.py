@@ -8,6 +8,7 @@ references that ``mediankit acceptance`` runs too stay in
 """
 
 import itertools
+import json
 from fractions import Fraction
 from functools import cache, reduce
 from operator import or_
@@ -109,6 +110,26 @@ def pair_order(P) -> list:
     """The order as name pairs, read pair by pair."""
     return [(P.ids[i], P.ids[j]) for i in range(P.n) for j in range(P.n)
             if i != j and P.leq_idx(i, j)]
+
+
+def up_rows_by_names(walls, order) -> tuple:
+    """The up rows of pair input, closed by names: each halfspace is below
+    itself, each pair comes with its star reversal, and then Warshall's
+    loop over sets of names (a relation closed under star reversal stays
+    so under transitivity, as paths reverse)."""
+    star = {}
+    for pos, neg, _ in walls:
+        star[pos], star[neg] = neg, pos
+    ids = sorted(star)
+    above = {h: {h} for h in ids}
+    for a, b in order:
+        above[a].add(b)
+        above[star[b]].add(star[a])
+    for k in ids:
+        for h in ids:
+            if k in above[h]:
+                above[h] |= above[k]
+    return tuple(sum(1 << ids.index(b) for b in above[h]) for h in ids)
 
 
 def separating_per_halfspace(P: WeightedPocset, A, B) -> tuple:
@@ -711,3 +732,10 @@ def gap_by_pairs(P: WeightedPocset, amask: int, bmask: int) -> Fraction:
     pts = points(P, DEFAULT_BUDGETS.with_(point_walls=P.wall_count))
     return min((separating_mass(P, pts[i], pts[j]) for i in _iter_bits(amask)
                 for j in _iter_bits(bmask)), default=Fraction(0))
+
+
+# -- reports ------------------------------------------------------------------
+
+def indented_by_stdlib(obj) -> str:
+    """The report text of ``cli._indented``, by the stdlib's own encoder."""
+    return json.dumps(obj, sort_keys=True, indent=2)

@@ -942,3 +942,82 @@ def construction_cases() -> list:
                    for F in decompose(T).factors]
     out.append(pocset_product(irreducible, [f"p{k}." for k in range(len(irreducible), 0, -1)]))
     return out + [F for P in base + prods for F in decompose(P).factors]
+
+
+# -- pair input and reports -----------------------------------------------------
+
+def f2ball_generating_pairs() -> list:
+    """F2BALL's generating pairs, as its fixture gives them: each cone in
+    its parent's cone, and out of each sibling's."""
+    cones = fx._f2_vertices(fx.F2_RADIUS)[1:]
+    order = [("w" + v + "+", "w" + v[:-1] + "+") for v in cones if len(v) > 1]
+    order += [("w" + v + "+", "w" + u + "-") for v in cones for u in cones
+              if u != v and u[:-1] == v[:-1]]
+    return order
+
+
+def pair_input_cases() -> list:
+    """(kind, walls, order) pair input: the closed order of each order
+    pocset (F2BALL's 25,440 pairs among them) shuffled, shuffled with a
+    third of its pairs repeated, and with one pair kept of each couple of
+    star reversals; F2BALL's 480 generating pairs and its closed order as
+    it stands."""
+    rng = seeded(30)
+    out = []
+    for P in order_pocsets():
+        walls, pairs = wall_list(P), pair_order(P)
+        star = {P.ids[i]: P.ids[j] for i, j in enumerate(P.star)}
+        out.append(("shuffled", walls, rng.sample(pairs, len(pairs))))
+        repeated = pairs + rng.choices(pairs, k=len(pairs) // 3) if pairs else []
+        out.append(("repeated", walls, rng.sample(repeated, len(repeated))))
+        out.append(("star-incomplete", walls,
+                    [(a, b) for a, b in pairs if rng.choice(((a, b), (star[b], star[a])))
+                     == (a, b)]))
+    F = fx.pocset("F2BALL")
+    out.append(("F2BALL generating", wall_list(F), f2ball_generating_pairs()))
+    out.append(("F2BALL closed", wall_list(F), pair_order(F)))
+    return out
+
+
+# strings with the characters JSON escapes or that a format would read
+REPORT_STRINGS = ("h1", "a*", "wab+", 'say "hi"', "back\\slash", "tab\there\nline\x1f",
+                  "café ∂ 𝔥", "100% %s", "")
+
+
+def _report_value(rng: random.Random, depth: int):
+    """A report value of one of ten shapes; containers nest to depth 4."""
+    def strings(k):
+        return [rng.choice(REPORT_STRINGS) for _ in range(k)]
+
+    shape = rng.randrange(10 if depth < 4 else 3)
+    if shape == 0:
+        return rng.choice(REPORT_STRINGS)
+    if shape == 1:
+        return rng.choice((0, 1, -12, 10 ** 20, True, False, None, [True, 1], [0, False, 1]))
+    if shape == 2:
+        return rng.choice((0.5, 1e-07, -0.0, float("nan"), float("inf"), -float("inf")))
+    if shape == 3:
+        return strings(rng.randrange(5))
+    if shape == 4:  # rows of one length, a few of them tuples
+        k = rng.randint(1, 3)
+        return [strings(k) if rng.random() < 0.8 else tuple(strings(k))
+                for _ in range(rng.randint(1, 4))]
+    if shape == 5:  # ragged rows, or rows one of which holds a non-string
+        rows = [strings(rng.randint(1, 3)) for _ in range(rng.randint(2, 4))]
+        if rng.random() < 0.5:
+            rows[rng.randrange(len(rows))][0] = rng.choice((1, 7, True, None))
+        return rows
+    if shape == 6:
+        return {h: _report_value(rng, depth + 1) for h in strings(rng.randrange(4))}
+    if shape == 7:  # keys of one sortable kind other than str
+        keys = rng.choice(([2, 1, 10], [0.5, -1.0], [None], [True, False]))
+        return {k: _report_value(rng, depth + 1) for k in keys[:rng.randint(1, len(keys))]}
+    items = [_report_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return tuple(items) if shape == 8 else items
+
+
+def report_cases() -> list:
+    """600 report-like trees: a command name and a random verdict."""
+    rng = seeded(31)
+    return [({"command": rng.choice(REPORT_STRINGS), "verdict": _report_value(rng, 1)},)
+            for _ in range(600)]

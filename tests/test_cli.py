@@ -7,7 +7,7 @@ import pytest
 
 from mediankit import fixtures as fx
 from mediankit.cli import main
-from mediankit.serialize import dump_chain_system
+from mediankit.serialize import dump_chain_system, dump_pocset
 
 import seeded_cases as sc
 
@@ -167,6 +167,20 @@ def test_inversions(capsys):
         "--word", "flipa")
     assert code == 0
     assert report["verdict"]["inverted"] == ["a"]
+
+
+@pytest.mark.parametrize("word", ["rot^100001", "rot^99999999999", "rot^60000 rot^-40001"])
+def test_a_word_past_the_letter_bound_is_invalid_input(capsys, word):
+    """The exponent is checked before the token is expanded, so even
+    10^11 letters answer at once."""
+    start = time.perf_counter()
+    code, report, _ = run_cli(
+        capsys, "inversions", "--fixture", "SQUARE", "--gens", "rot", "--word", word)
+    assert time.perf_counter() - start < 1
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
+    assert report["error"]["message"] == \
+        f"word token {word.split()[-1]!r} expands past 100000 letters"
 
 
 def test_ubs_commands(capsys, tmp_path):
@@ -444,6 +458,23 @@ def test_pocset_file_naming_a_halfspace_twice_is_rejected(capsys, tmp_path):
     assert code == 65
     assert report["error"]["code"] == "INVALID_INPUT"
     assert report["error"]["message"] == "duplicate halfspace id 'a'"
+
+
+# TRIPOD's file with its second wall given the first one's id
+DUPLICATE_WALL_ID = dump_pocset(fx.pocset("TRIPOD"))
+DUPLICATE_WALL_ID["walls"][1]["id"] = DUPLICATE_WALL_ID["walls"][0]["id"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["points"], ["rank"], ["decompose"], ["subdivide", "-n", "1"]])
+def test_a_pocset_file_giving_two_walls_one_id_is_rejected(capsys, tmp_path, argv):
+    """Reports name walls by id, so two walls with one id would be one."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(DUPLICATE_WALL_ID))
+    code, report, _ = run_cli(capsys, argv[0], "--pocset", str(bad), *argv[1:])
+    assert code == 65
+    assert report["error"]["code"] == "INVALID_INPUT"
+    assert report["error"]["message"] == "walls[1].id 'h1' repeats walls[0].id"
 
 
 def test_usage_error_exit_code(capsys):

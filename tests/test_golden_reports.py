@@ -15,6 +15,8 @@ pocset that is its own only factor.  The
 ``--system-file`` cases pin the gap-12 system, whose closures read past
 the horizon, and rule-free systems of lcm period 1,001 and 17,017, whose
 tables are sized by the head extent.
+Each case also checks that the raw report is the stdlib's
+``json.dumps(report, sort_keys=True, indent=2)`` byte for byte.
 Update a digest only for a deliberate change of report contents.
 """
 
@@ -111,10 +113,15 @@ SYSTEM_FILES = {"gap12.json": GAP_12, "periods-3.json": PERIODS_3, "periods-4.js
 
 
 def report_digest(argv):
+    """The exit code and the digest of the report without ``timing``; the
+    raw output must be the stdlib's indented encoding of the report, byte
+    for byte (the digest alone re-encodes the parsed report, so it would
+    not see the encoder change)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     report = json.loads(out.getvalue())
+    assert out.getvalue() == json.dumps(report, sort_keys=True, indent=2) + "\n"
     report.pop("timing", None)
     text = json.dumps(report, sort_keys=True, indent=2)
     return code, hashlib.sha256(text.encode()).hexdigest()

@@ -4,6 +4,7 @@ suite runs it too), or one side of a law against the other, on the seeded
 cases of ``seeded_cases.py``; one test id per row."""
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
@@ -16,6 +17,7 @@ from mediankit import fixtures as fx
 from mediankit.actions import (
     _set_distance, _stabilizer_excluded, facing_tuple, find_flip, is_lineal, min_orbit,
     sector_halfspace, strongly_separated)
+from mediankit.cli import _indented
 from mediankit.boundary import (
     SUB, SUP, _truncation_rows, _unpreserved, _zone_conflict, chi_vector, closure, equivalent,
     is_ubs, min_chain_cover, minimal_tail, tail, truncation_antichain_bound, ubs_graph,
@@ -24,8 +26,8 @@ from mediankit.errors import MedianKitError
 from mediankit.oracles import (
     embedded_distances, halved_distances, interval_medians, max_antichain_brute, medians)
 from mediankit.pocset import (
-    _iter_bits, distance, gate_project, halfspace_point_masks, inseparable_closure,
-    is_ultrafilter, points, separating, transpose, validate)
+    WeightedPocset, _iter_bits, distance, gate_project, halfspace_point_masks,
+    inseparable_closure, is_ultrafilter, points, separating, transpose, validate)
 from mediankit.serialize import dump_pocset
 from mediankit.structure import (
     Automorphism, _transversality_adjacency, automorphisms, decompose, pocset_product, rank,
@@ -38,13 +40,13 @@ from references import (
     automorphisms_pairwise, between_members, brute_total_flip, check_pairwise, child_by_names,
     closure_depth, closure_group, closure_oracle, cube_by_name, defined_images, embed_by_name,
     equivalent_by_containment, factors_by_names, first_facing_tuple, gap_by_pairs,
-    gate_per_wall, image_per_bit, is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
+    gate_per_wall, image_per_bit, indented_by_stdlib, is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
     minimal_tail_by_containment, pair_order, pairwise_validate_system, point_sides,
     points_per_bit, poset_by_closures, preimage_by_name, product_by_names, rank_by_families,
     rel_index, rel_up_rows, resolve, sector_per_halfspace, separating_mass,
     separating_per_halfspace, shape, stabilizer_per_point, star_image,
     strongly_separated_per_wall, system_map_by_range, transpose_rows, transversality_pairwise,
-    truncation, unpreserved_pairwise, validate_pairwise, zone_conflict_walk)
+    truncation, unpreserved_pairwise, up_rows_by_names, validate_pairwise, zone_conflict_walk)
 
 
 @dataclass(frozen=True)
@@ -218,6 +220,47 @@ def _factor_distances(A, B) -> dict:
             for a, b, u in pairs for c, d, v in pairs}
 
 
+def _report_kinds(case, text) -> set:
+    """What the report's tree holds that an encoder could get wrong: rows
+    of one length k of strings, ragged rows, rows holding an int; empty
+    containers, tuples, nesting 4 deep; keys that are not strings; NaN,
+    inf and -0.0; True next to 1 in one list; characters that strings
+    escape or a format would read."""
+    kinds = set()
+
+    def walk(x, depth):
+        if type(x) is str:
+            kinds.update(label for label, has in (
+                ("quote", '"' in x), ("backslash", "\\" in x),
+                ("control", any(c < " " for c in x)), ("non-ASCII", any(c > "~" for c in x)),
+                ("%", "%" in x)) if has)
+        elif type(x) is float:
+            kinds.update(label for label, has in (
+                ("NaN", x != x), ("inf", math.isinf(x)),
+                ("-0.0", x == 0 and math.copysign(1, x) < 0)) if has)
+        elif isinstance(x, (list, tuple, dict)):
+            kinds.update(label for label, has in (
+                ("empty", not x), ("tuple", type(x) is tuple), ("nesting", depth == 4),
+                ("non-str key", type(x) is dict and any(type(k) is not str for k in x)),
+                ("True next to 1", type(x) is list and any(v is True for v in x)
+                 and any(type(v) is int and v == 1 for v in x))) if has)
+            rows = list(x) if type(x) is not dict and x and all(
+                type(r) in (list, tuple) and r for r in x) else []
+            lengths = {len(r) for r in rows}
+            if rows and all(type(v) is str for r in rows for v in r):
+                if len(lengths) > 1:
+                    kinds.add("ragged rows")
+                elif len(rows[0]) <= 3:
+                    kinds.add(f"rows k={len(rows[0])}")
+            elif rows and len(lengths) == 1 and any(type(v) is int for r in rows for v in r):
+                kinds.add("rows holding ints")
+            for v in (x.values() if type(x) is dict else x):
+                walk(v, depth + 1)
+
+    walk(case[0], 0)
+    return kinds
+
+
 ORACLES = (
     Row("median", medians, interval_medians,
         lambda: [(P, points(P)) for P in sc.random_pocsets(sc.seeded(), 20, 8, 12)], 20),
@@ -264,6 +307,17 @@ ORACLES = (
         sc.rank_cases, 92, lambda case, r: [case[1]] + ["rank 3 or more"] * (r >= 3),
         {"subdivision child": 20, "tree product": 20, "twin-free random": 50,
          "rank 3 or more": 35}),
+    Row("pair_rows", lambda kind, walls, order: WeightedPocset(walls, order).up,
+        lambda kind, walls, order: up_rows_by_names(walls, order), sc.pair_input_cases, 137,
+        lambda case, rows: [case[0]],
+        {"shuffled": 45, "repeated": 45, "star-incomplete": 45, "F2BALL generating": 1,
+         "F2BALL closed": 1}),
+    Row("indented_report", _indented, indented_by_stdlib, sc.report_cases, 600,
+        _report_kinds,
+        {"rows k=1": 25, "rows k=2": 25, "rows k=3": 20, "ragged rows": 25,
+         "rows holding ints": 4, "empty": 50, "tuple": 70, "nesting": 25, "non-str key": 50,
+         "NaN": 10, "inf": 20, "-0.0": 10, "True next to 1": 8, "quote": 90,
+         "backslash": 100, "control": 100, "non-ASCII": 100, "%": 90}),
     Row("dump_pocset_order", lambda P: dump_pocset(P)["order"],
         lambda P: sorted([a, b] for a, b in pair_order(P)), lambda: _each(sc.order_pocsets()),
         45),

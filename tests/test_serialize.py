@@ -10,7 +10,7 @@ from mediankit import serialize as se
 from mediankit.cli import main
 from mediankit.boundary import ubs_graph, validate_system
 from mediankit.errors import InvalidInput
-from mediankit.pocset import points, validate
+from mediankit.pocset import WeightedPocset, points, validate
 
 
 def test_pocset_round_trip(grid):
@@ -111,6 +111,23 @@ def test_bad_order_pair_exits_65_naming_the_first(order, message, tmp_path, caps
     report = json.loads(capsys.readouterr().out)
     assert code == 65
     assert report["error"] == {"code": "INVALID_INPUT", "message": message, "data": {}}
+
+
+def test_an_unknown_id_late_in_a_long_order_names_the_first_bad_pair():
+    """F2BALL's 25,440 pairs with two bad ones near the end: the file
+    loader and the pair constructor both name the first."""
+    data = se.dump_pocset(fx.pocset("F2BALL"))
+    order = data["order"]
+    order.insert(24_000, ["zz", "wb+"])
+    order.insert(20_000, ["wa+", "zz"])
+    message = "order pair ('wa+', 'zz') names unknown halfspace"
+    with pytest.raises(InvalidInput) as err:
+        se.load_pocset(data)
+    assert str(err.value) == message
+    walls = [(w["pos"], w["neg"], Fraction(w["weight"])) for w in data["walls"]]
+    with pytest.raises(InvalidInput) as err:
+        WeightedPocset(walls, order)
+    assert str(err.value) == message
 
 
 _WINDOW = {"window": {"walls": [{"id": "a", "pos": "a", "neg": "a*", "weight": "1"}]},
