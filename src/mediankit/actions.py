@@ -83,6 +83,10 @@ def word_str(word: Word) -> str:
     return " ".join(n if e == 1 else f"{n}^-1" for n, e in word)
 
 
+def invert_word(word: Word) -> Word:
+    return tuple((n, -s) for n, s in reversed(word))
+
+
 def reduce_word(word: Word) -> Word:
     out: list = []
     for tok in word:
@@ -134,17 +138,18 @@ class Action:
     def identity(self) -> Automorphism:
         return Automorphism.identity(self.pocset)
 
-    def step(self, tok):
-        """The map of one letter: a generator or its inverse."""
-        g = self.gens[tok[0]]
-        return g if tok[1] > 0 else g.inverse()
+    @cached_property
+    def letters(self) -> dict:
+        """Each letter's map, a generator or its inverse, built once, in
+        alphabet order: the one step table of every word search."""
+        return {(n, s): g if s > 0 else g.inverse() for n, g in self.gens.items() for s in (1, -1)}
 
     def evaluate(self, word: Word):
         """The word reads as a product left-to-right: (a, b) is the element
         ab, whose rightmost factor acts first."""
         g = self.identity()
         for tok in word:
-            g = g.compose(self.step(tok))
+            g = g.compose(self.letters[tok])
         return g
 
     def points(self):
@@ -171,7 +176,7 @@ class TotalAction(Action):
         parent, in shortlex order, by the letters in alphabet order: a
         prefix of a shortlex-least word is shortlex-least, so the first word
         reaching an element is its least."""
-        steps = [(tok, self.step(tok)) for tok in _alphabet(self.gen_names())]
+        steps = self.letters.items()
         ident = self.identity()
         seen = {ident.perm}
         frontier = [((), ident)]
@@ -208,23 +213,46 @@ def _depth(action: Optional[Action], max_len: Optional[int]) -> Optional[int]:
     return max_len
 
 
-def _evaluator(action: Action):
-    """``action.evaluate`` for the words of one search, memoised for that
-    search: ev(w) = ev(w[:-1]) ∘ step(w[-1]) is evaluate's left fold, so
-    results are the same while words sharing a prefix share its map."""
-    memo = {(): action.identity()}
-    steps = {}
+class WordImages:
+    """The images one search reads under its words, of the halfspaces
+    ``idxs`` (None where undefined) and of halfspace sets, composing no
+    whole map: ev(w) = letters[w[0]] ∘ ev(w[1:]), so a word's images are its
+    suffix's through the letter table, one lookup each, kept in a trie of
+    suffixes read from the word's right end.  Set images compose exactly
+    under partial injections; point images do not, as closing after each
+    letter differs from the composite on 216 of the 2,576 (word of length
+    <= 2, point) pairs of F2BALL.  So a point steps as a set, closed once."""
 
-    def ev(word: Word):
-        g = memo.get(word)
-        if g is None:
-            tok = word[-1]
-            if tok not in steps:
-                steps[tok] = action.step(tok)
-            g = memo[word] = ev(word[:-1]).compose(steps[tok])
-        return g
+    def __init__(self, action: Action, idxs: Sequence[int] = ()):
+        self.action = action
+        self.root = (tuple(idxs), {}, {})  # images, longer suffixes by letter, set images
 
-    return ev
+    def _node(self, node: tuple, tok) -> tuple:
+        perm = self.action.letters[tok].perm
+        images = tuple([None if j is None else perm[j] for j in node[0]])
+        return node[1].setdefault(tok, (images, {}, {}))
+
+    def __call__(self, word: Word) -> tuple:
+        """The images of ``idxs``."""
+        node = self.root
+        for tok in reversed(word):
+            node = node[1].get(tok) or self._node(node, tok)
+        return node[0]
+
+    def set_image(self, word: Word, mask: int) -> int:
+        """The image of the halfspace set ``mask``."""
+        node, image = self.root, mask
+        for tok in reversed(word):
+            node = node[1].get(tok) or self._node(node, tok)
+            got = node[2].get(mask)
+            image = node[2][mask] = self.action.letters[tok].image(image) if got is None else got
+        return image
+
+    def point(self, word: Word, mask: int) -> Optional[Point]:
+        """The image of the point ``mask``: its set image under all letters
+        but the first, which maps it and closes it at once."""
+        g = self.action.letters[word[0]] if word else self.action.identity()
+        return g.image_point(self.set_image(word[1:], mask))
 
 
 # -- wall inversions -------------------------------------------------------
@@ -343,10 +371,10 @@ def find_flip(action: Action, h: str, max_len: Optional[int] = None) -> FlipResu
             inter &= masks[g.apply_idx(hs)]
         members = tuple(pts[i] for i in _iter_bits(inter))
         return FlipResult("INVARIANT_SET", invariant_set=members)
-    ev = _evaluator(action)
+    images = WordImages(action, (hs,))
     skipped = 0
     for word in enumerate_words(action.gen_names(), depth):
-        img = ev(word).apply_idx(hs)
+        img = images(word)[0]
         if img is None:
             skipped += 1
             continue
@@ -397,9 +425,9 @@ def double_skewer(action: Action, h: str, k: str,
         raise InvalidInput(f"double_skewer() needs {h} contained in {k}")
     hi, ki = P.idx(h), P.idx(k)
     masks = halfspace_point_masks(P, action.budgets)
-    ev = _evaluator(action)
+    images = WordImages(action, (ki,))
     for word in enumerate_words(action.gen_names(), depth):
-        img = ev(word).apply_idx(ki)
+        img = images(word)[0]
         if img is None:
             continue
         if img != hi and P.leq_idx(img, hi):
@@ -508,8 +536,7 @@ def _upgrade_route(P, n, triple, strong, action, max_len):
                             max_len=max_len)
         upgraded = None
         if res.kind == "SKEWERED":
-            g = action.evaluate(res.word)
-            news = [g.apply_idx(current[1]), g.apply_idx(current[2])]
+            news = list(WordImages(action, current[1:3])(res.word))
             if all(x is not None for x in news):
                 cand = current[:-1] + news
                 if len(set(cand)) == len(cand) and _all_facing(P, cand, strong):
@@ -651,15 +678,14 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
     """
     depth = _depth(action, max_len)
     P = action.pocset
-    ev = _evaluator(action)
     hi, ki = P.idx(h), P.idx(k)
     if hi == ki or hi == P.star[ki]:
         raise NotFacing("h and k must be sides of distinct walls")
     if reduce_word(a) == reduce_word(b) or not reduce_word(a) or not reduce_word(b):
         raise NotFacing("the two generator words must be distinct and nontrivial")
-    g_a, g_b = ev(a), ev(b)
-    a_hs = g_a.apply_idx(P.star[hi])
-    b_ks = g_b.apply_idx(P.star[ki])
+    ends = WordImages(action, (hi, P.star[hi], ki, P.star[ki]))
+    a_h, a_hs, _, _ = ends(a)
+    _, _, b_k, b_ks = ends(b)
     if a_hs is None or b_ks is None:
         raise OutOfWindow("a𝔥* or b𝔨* is not visible in the window")
     tup = [hi, a_hs, ki, b_ks]
@@ -669,8 +695,6 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
             tuple=[P.ids[i] for i in tup])
 
     # Ω = h* ∩ a h ∩ k* ∩ b k as a point set
-    a_h = g_a.apply_idx(hi)
-    b_k = g_b.apply_idx(ki)
     if a_h is None or b_k is None:
         raise OutOfWindow("a𝔥 or b𝔨 is not visible in the window")
     masks = halfspace_point_masks(P, action.budgets)
@@ -696,10 +720,8 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
     }
     base_count = 0
     for (gw, sign), (target, sources) in base_targets.items():
-        word = gw if sign == 1 else tuple((n, -s) for n, s in reversed(gw))
-        g = ev(word)
-        for src in sources:
-            img = g.apply_idx(src)
+        word = gw if sign == 1 else invert_word(gw)
+        for src, img in zip(sources, WordImages(action, sources)(word)):
             if img is None:
                 raise OutOfWindow(
                     f"inclusion source {P.ids[src]} not visible under "
@@ -716,27 +738,25 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
     words_checked = 0
     checks = base_count
     stab_ok = True
+    images = WordImages(action, (hi, ki))
     for u in enumerate_words(("A", "B"), depth):
         word = _expand_letters(u, letters)
-        gu = ev(word)
-        images = []
-        for p in omega:
-            q = gu.apply_point(p)
-            if q is None:
-                raise OutOfWindow(f"word {word_str(word)} leaves the window on Ω")
-            images.append(q)
+        mapped = [images.point(word, p.mask) for p in omega]
+        if any(q is None for q in mapped):
+            raise OutOfWindow(f"word {word_str(word)} leaves the window on Ω")
         target = prescribed[u[0]]
-        if any(not (q.mask >> target & 1) for q in images):
+        if any(not (q.mask >> target & 1) for q in mapped):
             raise InclusionFailed(
                 f"{word_str(word)}·Ω escapes {P.ids[target]}",
                 halfspace=P.ids[target])
         checks += 1  # claim inclusion
-        if any(omega_mask >> pos[q.mask] & 1 for q in images):
+        if any(omega_mask >> pos[q.mask] & 1 for q in mapped):
             raise InclusionFailed(f"{word_str(word)} fixes part of Ω")
         checks += 1  # uΩ ∩ Ω = ∅
-        for wi in (hi, ki):
+        for wi, img in zip((hi, ki), images(word)):
             for forbidden in (wi, P.star[wi]):
-                if not _stabilizer_excluded(action, P, gu, wi, forbidden, pts):
+                if img == forbidden or img is None and \
+                        not _stabilizer_excluded(images, word, wi, forbidden):
                     stab_ok = False
                 checks += 1
         words_checked += 1
@@ -757,33 +777,24 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
 def _expand_letters(u, letters) -> Word:
     out = []
     for name, sign in u:
-        base = letters[name]
-        if sign == 1:
-            out.extend(base)
-        else:
-            out.extend((n, -s) for n, s in reversed(base))
+        out.extend(letters[name] if sign == 1 else invert_word(letters[name]))
     return reduce_word(tuple(out))
 
 
-def _stabilizer_excluded(action, P, gu, wall_side: int, forbidden: int,
-                         pts) -> bool:
-    """Certify u·(side) != forbidden.
-
-    Direct image when visible; otherwise refute via a witness point whose
-    image lands on the wrong side: u·side = forbidden would force
-    u(side ∩ dom) ⊆ forbidden and u(side* ∩ dom) ⊆ forbidden*.  A defined
-    image u·p, the up-closure of u(p ∩ dom), lies in forbidden exactly when
-    p holds a j with u(j) <= forbidden, so the witnesses are the points of
-    side XOR ``into`` (the OR of those j's masks) with a defined image.
-    """
-    img = gu.apply_idx(wall_side)
-    if img is not None:
-        return img != forbidden
-    masks = halfspace_point_masks(P, action.budgets)
-    below = P.down[forbidden]
-    into = reduce(or_, (masks[j] for j, v in enumerate(gu.perm)
-                        if v is not None and below >> v & 1), 0)
-    return any(gu.apply_point(pts[i]) is not None for i in _iter_bits(masks[wall_side] ^ into))
+def _stabilizer_excluded(images: WordImages, word: Word, side: int, forbidden: int) -> bool:
+    """Certify u·side != forbidden where u·side is undefined, by a witness
+    point whose image lands on the wrong side: u·side = forbidden would
+    force u(side ∩ dom) ⊆ forbidden and u(side* ∩ dom) ⊆ forbidden*.  A
+    defined image u·p, the up-closure of u(p ∩ dom), lies in forbidden
+    exactly when p holds a j with u(j) <= forbidden, the image of
+    ``down[forbidden]`` under the inverse letters; so the witnesses are
+    the points of side XOR ``into`` (the OR of those j's masks) with a
+    defined image."""
+    P, budgets = images.action.pocset, images.action.budgets
+    masks, pts = halfspace_point_masks(P, budgets), points(P, budgets)
+    below = images.set_image(invert_word(word), P.down[forbidden])
+    into = reduce(or_, (masks[j] for j in _iter_bits(below)), 0)
+    return any(images.point(word, pts[i].mask) is not None for i in _iter_bits(masks[side] ^ into))
 
 
 # -- classification pipeline --------------------------------------------------

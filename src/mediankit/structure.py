@@ -180,14 +180,15 @@ class Automorphism:
     checked once, in ``from_mapping``; composites and inverses of checked
     maps preserve it by construction."""
 
-    __slots__ = ("pocset", "perm", "name", "_up_map")
+    __slots__ = ("pocset", "perm", "name", "_up_map", "_image")
 
     def __init__(self, pocset: WeightedPocset, perm: Sequence[Optional[int]],
                  name: str = ""):
         self.pocset = pocset
         self.perm = tuple(perm)
         self.name = name
-        self._up_map = None  # built by the first apply_point
+        self._up_map = None  # built by the first image_point
+        self._image = None  # built by the first image
 
     @classmethod
     def from_mapping(cls, P: WeightedPocset, mapping: dict,
@@ -223,12 +224,10 @@ class Automorphism:
                 raise NotAnAutomorphism(f"{self.name}: does not commute with star")
             if P.weight[a] != P.weight[b]:
                 raise NotAnAutomorphism(f"{self.name}: does not preserve weights")
-        # undefined entries map to nothing, so image(up[a]) is the image of
-        # the part of a's up-set inside the domain
-        image = MaskMap(tuple(0 if b is None else 1 << b for b in perm))
-        img = image((1 << P.n) - 1)
+        # image(up[a]) is the image of the part of a's up-set in the domain
+        img = self.image((1 << P.n) - 1)
         for a in domain:
-            if image(P.up[a]) != P.up[perm[a]] & img:
+            if self.image(P.up[a]) != P.up[perm[a]] & img:
                 raise NotAnAutomorphism(f"{self.name}: does not preserve order")
 
     def is_valid(self) -> bool:
@@ -241,6 +240,13 @@ class Automorphism:
             return False
         return True
 
+    @property
+    def image(self) -> MaskMap:
+        """Halfspace sets to their images, undefined entries dropped."""
+        if self._image is None:
+            self._image = MaskMap(tuple(0 if b is None else 1 << b for b in self.perm))
+        return self._image
+
     def apply_idx(self, i: int) -> Optional[int]:
         return self.perm[i]
 
@@ -248,18 +254,21 @@ class Automorphism:
         return self.pocset.ids[self.perm[self.pocset.idx(h)]]
 
     def apply_point(self, p: Point) -> Optional[Point]:
-        """Map the halfspaces of ``p`` where defined, close upward, and
-        accept only a complete consistent orientation, else None.  A total
-        map takes ultrafilters to ultrafilters, so it never gives None.  A
-        window map's images carry window resolution only: a point pinned at
-        the window boundary may map to itself though the translation moves it."""
-        P = self.pocset
-        if self._up_map is None:
-            self._up_map = MaskMap(tuple(0 if j is None else P.up[j] for j in self.perm))
-        closed = self._up_map(p.mask)
-        if P.star_map(closed) != ((1 << P.n) - 1) ^ closed:
-            return None  # both sides (inconsistent) or neither (out of window)
-        return Point(P, closed)
+        return self.image_point(p.mask)
+
+    def image_point(self, mask: int) -> Optional[Point]:
+        """Map the halfspaces of ``mask`` where defined, close upward, and
+        accept only a complete consistent orientation, else None: both
+        sides (inconsistent) or neither (out of window).  A total map takes
+        ultrafilters to ultrafilters, so it never gives None.  A window
+        map's images carry window resolution only: a point pinned at the
+        window boundary may map to itself though the translation moves it."""
+        P, n = self.pocset, self.pocset.n
+        if self._up_map is None:  # up[j] and, above bit n, its star image down[j*]
+            self._up_map = MaskMap(tuple(0 if j is None else P.up[j] | P.down[P.star[j]] << n
+                                         for j in self.perm))
+        both, full = self._up_map(mask), (1 << n) - 1
+        return Point(P, both & full) if both >> n == full ^ both & full else None
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self ∘ other: apply ``other`` first; defined where both steps are."""

@@ -657,6 +657,25 @@ def transpose_rows(rows, width=None) -> list:
 
 # -- actions --------------------------------------------------------------------
 
+@cache
+def composed_map(action, word) -> Automorphism:
+    """The whole map of ``word``, composing letter maps left to right: (a, b)
+    is the element ab, whose rightmost factor acts first.  Each inverse is
+    built from its generator, and words sharing a prefix share its map."""
+    if not word:
+        return Automorphism.identity(action.pocset)
+    name, sign = word[-1]
+    g = action.gens[name]
+    return composed_map(action, word[:-1]).compose(g if sign > 0 else g.inverse())
+
+
+def composite_images(action, word, cancelled) -> tuple:
+    """The images of every halfspace and, bit by bit, of every point under
+    the composed map of ``word``."""
+    g = composed_map(action, word)
+    return g.perm, [image_per_bit(g, p)[0] for p in action.points()]
+
+
 def closure_group(action) -> list:
     """The generated group by left multiplication, sorted by permutation."""
     gens = list(action.gens.values()) + [g.inverse() for g in action.gens.values()]
@@ -706,10 +725,12 @@ def first_facing_tuple(P: WeightedPocset, n: int, strong: bool) -> tuple:
                  if all(ok(a, b) for a, b in itertools.combinations(t, 2))), ())
 
 
-def stabilizer_per_point(action, gu: Automorphism, side: int, forbidden: int) -> bool:
-    """Whether some window point with a defined image lies in ``side``
-    exactly when its image misses ``forbidden``, point by point."""
-    return any((p >> side & 1) != (q >> forbidden & 1) for p, q in defined_images(action, gu))
+def stabilizer_per_point(action, word, side: int, forbidden: int) -> bool:
+    """Whether some window point with a defined image under the composed
+    map of ``word`` lies in ``side`` exactly when its image misses
+    ``forbidden``, point by point."""
+    return any((p >> side & 1) != (q >> forbidden & 1)
+               for p, q in defined_images(action, composed_map(action, word)))
 
 
 @cache

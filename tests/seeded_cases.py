@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import cache
 
 from mediankit import fixtures as fx
-from mediankit.actions import TotalAction, WindowAction, _evaluator, enumerate_words
+from mediankit.actions import (
+    TotalAction, WindowAction, _expand_letters, enumerate_words, parse_word)
 from mediankit.boundary import (
     SUB, SUP, TRANS, _INVERSE, Chain, ChainSystem, RowRule, ShiftMap, Zone, closure,
     validate_system, validate_system_rules)
@@ -24,7 +25,8 @@ from mediankit.pocset import (
 from mediankit.randomgen import random_pocset, random_poset, random_system
 from mediankit.structure import Automorphism, automorphisms, decompose, pocset_product
 from mediankit.subdivision import subdivide
-from references import pair_order, resolve, transversality_pairwise, wall_list
+from references import (
+    composed_map, pair_order, resolve, transversality_pairwise, wall_list)
 
 
 def random_pocsets(rng: random.Random, count: int, max_walls: int = 10,
@@ -216,26 +218,44 @@ def image_cases():
     for P in mixed_pocsets():
         yield from ((g, p) for g in partial_maps(rng, P) for p in points(P))
     for action in map(fx.window, ("F2BALL", "LINE")):
-        ev = _evaluator(action)
-        yield from ((ev(w), p) for w in enumerate_words(action.gen_names(), 2)
-                    for p in action.points())
+        yield from ((composed_map(action, w), p)
+                    for w in enumerate_words(action.gen_names(), 2) for p in action.points())
+
+
+@cache
+def partial_actions() -> list:
+    """The windows, and the restricted and scrambled maps of the mixed
+    pocsets as window actions, drawn from a generator seeded 8."""
+    rng = random.Random(8)
+    return [fx.window(name) for name in ("F2BALL", "LINE")] + [
+        WindowAction(P, {"g": g}) for P in mixed_pocsets()
+        for g in partial_maps(rng, P) if None in g.perm]
 
 
 def stabilizer_cases():
-    """Every word of length at most 2 on the windows, and on the restricted
-    and scrambled maps of the mixed pocsets as window actions, with every
+    """Every word of length at most 2 on the partial actions, with every
     side whose image it leaves undefined and that side or its complement
     as the forbidden image."""
-    rng = random.Random(8)
-    actions = [fx.window(name) for name in ("F2BALL", "LINE")] + [
-        WindowAction(P, {"g": g}) for P in mixed_pocsets()
-        for g in partial_maps(rng, P) if None in g.perm]
-    for action in actions:
-        P, ev = action.pocset, _evaluator(action)
+    for action in partial_actions():
+        P = action.pocset
         for w in enumerate_words(action.gen_names(), 2):
-            gu = ev(w)
-            yield from ((action, gu, side, forbidden) for side in range(P.n)
+            gu = composed_map(action, w)
+            yield from ((action, w, side, forbidden) for side in range(P.n)
                         if gu.perm[side] is None for forbidden in (side, P.star[side]))
+
+
+def word_image_cases():
+    """(action, word, whether its letters cancel) for the words of length
+    at most 3 on the partial actions, and the expansions of the letter
+    words of length at most 3 of a ping-pong search on F2BALL whose
+    letters, a b and b^-1 a, cancel where B follows A."""
+    for action in partial_actions():
+        yield from ((action, w, False) for w in enumerate_words(action.gen_names(), 3))
+    W = fx.window("F2BALL")
+    letters = {"A": parse_word("a b", W.gen_names()), "B": parse_word("b^-1 a", W.gen_names())}
+    for u in enumerate_words(("A", "B"), 3):
+        word = _expand_letters(u, letters)
+        yield W, word, len(word) < 2 * len(u)
 
 
 def bit_matrices() -> list:

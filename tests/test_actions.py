@@ -7,7 +7,7 @@ import pytest
 from mediankit import fixtures as fx
 from mediankit.actions import (
     TotalAction,
-    _evaluator,
+    WordImages,
     _expand_letters,
     classify,
     double_skewer,
@@ -29,6 +29,7 @@ from mediankit.errors import (
     InvalidInput,
     NotFacing,
     NotTransverse,
+    OutOfWindow,
     WallBudgetExceeded,
 )
 from mediankit.pocset import (
@@ -36,6 +37,7 @@ from mediankit.pocset import (
     points,
 )
 from mediankit.structure import Automorphism, pocset_product
+from references import composed_map
 
 ONE = Fraction(1)
 
@@ -76,13 +78,14 @@ def test_word_evaluation_is_multiplicative(square):
 # -- the search engine -------------------------------------------------------------
 
 def test_search_maps_match_evaluate():
-    """Every word's memoised map is the map evaluate() builds, and it passes
-    the structure check that only loading runs."""
+    """Every word's halfspace images in the engine are those of the map
+    evaluate() builds and of the composed reference, which passes the
+    structure check that only loading runs."""
     for action in (fx.line_window(), fx.f2ball_window()):
-        ev = _evaluator(action)
+        images = WordImages(action, range(action.pocset.n))
         for word in enumerate_words(action.gen_names(), 3):
-            g = ev(word)
-            assert g.perm == action.evaluate(word).perm
+            g = composed_map(action, word)
+            assert images(word) == g.perm == action.evaluate(word).perm
             g.check()
 
 
@@ -94,12 +97,22 @@ def test_pingpong_letter_maps_match_evaluate():
                "B": parse_word("b^-1 a", W.gen_names())}
     assert _expand_letters((("A", 1), ("B", 1)), letters) == \
         parse_word("a a", W.gen_names())
-    ev = _evaluator(W)
+    images = WordImages(W, range(W.pocset.n))
     for u in enumerate_words(("A", "B"), 3):
         word = _expand_letters(u, letters)
-        g = ev(word)
-        assert g.perm == W.evaluate(word).perm
+        g = composed_map(W, word)
+        assert images(word) == g.perm == W.evaluate(word).perm
         g.check()
+
+
+def test_long_generator_words_leave_the_window_without_recursing():
+    """Images are read along a trie of suffixes, so a ping-pong generator of
+    5,000 letters walks its word, where a recursion over suffixes would
+    pass Python's recursion limit."""
+    W = fx.f2ball_window()
+    a, b = (parse_word(x, W.gen_names()) for x in ("a^5000", "b"))
+    with pytest.raises(OutOfWindow, match="not visible in the window"):
+        pingpong(W, a, b, "wA+", "wB+", max_len=2)
 
 
 def test_four_cube_flip_searches_the_whole_group():

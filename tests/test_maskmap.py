@@ -5,6 +5,7 @@ and memos that survive pickling."""
 import pickle
 
 from mediankit import fixtures as fx
+from mediankit.actions import find_flip, parse_word, pingpong
 from mediankit.pocset import Point
 from mediankit.subdivision import subdivide
 
@@ -32,3 +33,14 @@ def test_values_with_filled_memos_still_pickle():
     total2 = pickle.loads(pickle.dumps(total))
     assert "elements" in vars(total2)
     assert [(w, g.perm) for w, g in total2.elements] == words
+    # after a ping-pong and a flip search the letter table is cached and its
+    # maps' set-image memos are filled; a copy gives the same answers
+    W = fx.window("F2BALL")
+    a, b = (parse_word(x, W.gen_names()) for x in "ab")
+    cert = pingpong(W, a, b, "wA+", "wB+", max_len=3).to_json()
+    flip = find_flip(W, "wa+", 2).to_json()
+    assert "letters" in vars(W) and all(any(g.image.memos) for g in W.letters.values())
+    W2 = pickle.loads(pickle.dumps(W))
+    assert "letters" in vars(W2) and all(any(g.image.memos) for g in W2.letters.values())
+    assert pingpong(W2, a, b, "wA+", "wB+", max_len=3).to_json() == cert
+    assert find_flip(W2, "wa+", 2).to_json() == flip

@@ -15,8 +15,8 @@ import pytest
 
 from mediankit import fixtures as fx
 from mediankit.actions import (
-    _set_distance, _stabilizer_excluded, facing_tuple, find_flip, is_lineal, min_orbit,
-    sector_halfspace, strongly_separated)
+    WordImages, _set_distance, _stabilizer_excluded, facing_tuple, find_flip, is_lineal,
+    min_orbit, sector_halfspace, strongly_separated)
 from mediankit.cli import _indented
 from mediankit.boundary import (
     SUB, SUP, _truncation_rows, _unpreserved, _zone_conflict, chi_vector, closure, equivalent,
@@ -38,8 +38,9 @@ from mediankit.verification import verify_skewer
 import seeded_cases as sc
 from references import (
     automorphisms_pairwise, between_members, brute_total_flip, check_pairwise, child_by_names,
-    closure_depth, closure_group, closure_oracle, cube_by_name, defined_images, embed_by_name,
-    equivalent_by_containment, factors_by_names, first_facing_tuple, gap_by_pairs,
+    closure_depth, closure_group, closure_oracle, composed_map, composite_images, cube_by_name,
+    defined_images, embed_by_name, equivalent_by_containment, factors_by_names,
+    first_facing_tuple, gap_by_pairs,
     gate_per_wall, image_per_bit, indented_by_stdlib, is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
     minimal_tail_by_containment, pair_order, pairwise_validate_system, point_sides,
     points_per_bit, poset_by_closures, preimage_by_name, product_by_names, rank_by_families,
@@ -170,6 +171,23 @@ def _image_kinds(case, q) -> list:
     if q is None:
         return [image_per_bit(*case)[1]]
     return ["point"] + (["total"] if None not in case[0].perm else [])
+
+
+def _word_images(action, word, cancelled) -> tuple:
+    """The engine's images of every halfspace and every point."""
+    images = WordImages(action, range(action.pocset.n))
+    return images(word), [_mask(images.point(word, p.mask)) for p in action.points()]
+
+
+def _word_image_kinds(case, images) -> list:
+    """Whether some point has an image, some halfspace or point leaves the
+    window, some point maps to an inconsistent set; a cancelled expansion."""
+    action, word, cancelled = case
+    g = composed_map(action, word)
+    why = {image_per_bit(g, p)[1] for p, q in zip(action.points(), images[1]) if q is None}
+    return ["defined"] * any(q is not None for q in images[1]) \
+        + ["left the window"] * (None in images[0] or "outside" in why) \
+        + ["inconsistent point"] * ("inconsistent" in why) + ["cancelled expansion"] * cancelled
 
 
 def _child(P) -> tuple:
@@ -365,11 +383,13 @@ ORACLES = (
         lambda P: [first_facing_tuple(P, n, True) for n in (3, 4)],
         lambda: _each(sc.facing_pocsets()), 165,
         lambda case, found: ["FOUND" if found[1] else "NOT_FOUND"], {"FOUND": 1, "NOT_FOUND": 1}),
+    Row("word_images", _word_images, composite_images, sc.word_image_cases, 536,
+        _word_image_kinds, {"defined": 300, "left the window": 500, "inconsistent point": 60,
+                            "cancelled expansion": 12}),
     Row("stabilizer_excluded",
-        lambda act, gu, side, forbidden: _stabilizer_excluded(
-            act, act.pocset, gu, side, forbidden, act.points()),
+        lambda act, w, side, forbidden: _stabilizer_excluded(WordImages(act), w, side, forbidden),
         stabilizer_per_point, sc.stabilizer_cases, 8056,
-        lambda case, excluded: [(excluded, bool(defined_images(*case[:2])))],
+        lambda case, excluded: [(excluded, bool(defined_images(case[0], composed_map(*case[:2]))))],
         {(True, True): 1, (False, True): 1, (False, False): 1}),
     Row("skewer_gap", lambda P, a, b: _set_distance(P, a, b, fx.WINDOW_BUDGETS), gap_by_pairs,
         sc.halfspace_sets, 1106, lambda case, gap: [(case[1] & case[2] == 0, gap > 0)],
