@@ -261,15 +261,27 @@ def wall_inversions(action: Action, word: Word) -> tuple:
     """Walls 𝔴 with g𝔴 flipped onto itself: g𝔥 = 𝔥*.
 
     For window actions only walls with visible images are decided; the
-    count of undecided walls is returned alongside.
+    count of undecided walls is returned alongside.  The walls' lower
+    sides step through the letter table from the word's right end, as
+    ``evaluate``'s composite maps them, with index n standing for an
+    undefined image, which every step keeps; a run of k equal letters
+    steps by the letter's powers 2^i for the bits i of k.
     """
-    P = action.pocset
-    g = action.evaluate(word)
+    P, steps = action.pocset, {}
+    images = [i for i, _ in P.walls]
+    for tok, run in itertools.groupby(reversed(word)):
+        if tok not in steps:
+            steps[tok] = [P.n if j is None else j for j in action.letters[tok].perm] + [P.n]
+        k, step = sum(1 for _ in run), steps[tok]
+        while k:
+            if k & 1:
+                images = list(map(step.__getitem__, images))
+            k >>= 1
+            step = list(map(step.__getitem__, step)) if k else step
     inverted = []
     undecided = 0
-    for pos, (i, j) in enumerate(P.walls):
-        img = g.apply_idx(i)
-        if img is None:
+    for pos, ((i, _), img) in enumerate(zip(P.walls, images)):
+        if img == P.n:
             undecided += 1
         elif img == P.star[i]:
             inverted.append(P.wall_ids[pos])

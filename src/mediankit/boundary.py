@@ -124,8 +124,8 @@ class RowRule:
 class ChainSystem:
     """Chains plus the relation rules; immutable after construction, apart
     from caches that depend on nothing else: the relation index and its
-    suffix-OR tables (rebuilt deeper when a caller asks for more) and the
-    closure memo."""
+    suffix-OR tables (rebuilt deeper when a caller asks for more), the
+    closure memo and the UBS graph."""
 
     def __init__(self, chains: Sequence[Chain],
                  zones: Optional[dict] = None,
@@ -154,6 +154,7 @@ class ChainSystem:
         self._index: dict = {}
         self._suffix: dict = {}
         self._closures: dict = {}
+        self._graph = None
 
     # -- relation resolution ---------------------------------------------
 
@@ -628,7 +629,7 @@ def minimal_tail(S: ChainSystem, cid: str) -> tuple:
     return lo, closure(S, tail(cid, lo))
 
 
-@dataclass
+@dataclass(frozen=True)
 class UBSGraph:
     vertices: tuple  # (label, representative UBS, defining chain)
     starts: tuple    # minimal-tail start of each vertex's chain
@@ -657,7 +658,21 @@ class UBSGraph:
 def ubs_graph(S: ChainSystem) -> UBSGraph:
     """Minimal classes and the asymmetric almost-transversality edges: i -> j
     when (ci, E) and (cj, 2 E), E = ``head_extent``, offset past every zone
-    bound, are transverse and (cj, E) and (ci, 2 E) are not."""
+    bound, are transverse and (cj, E) and (ci, 2 E) are not.  Built once
+    per system, as a closure is: a graph that breaks its laws, or whose
+    closures leave the window, is kept as its error and raised afresh,
+    with its message, on every later call."""
+    if S._graph is None:
+        try:
+            S._graph = _build_graph(S)
+        except (HorizonExceeded, InvalidInput) as exc:
+            S._graph = exc
+    if isinstance(S._graph, Exception):
+        raise type(S._graph)(str(S._graph))
+    return S._graph
+
+
+def _build_graph(S: ChainSystem) -> UBSGraph:
     reps, starts, E = [], [], S.head_extent
     for cid in S.chain_order:
         rep = closure(S, tail(cid, S.tail_depth))
@@ -768,52 +783,142 @@ def identity_shift(S: ChainSystem) -> ShiftMap:
 
 
 def validate_shift(S: ChainSystem, g: ShiftMap) -> None:
-    """Weights over two period blocks and the relation as ``_unpreserved``
-    compares it, from one period block past the head and ``min_index``."""
+    """Weights over two period blocks, as ``_weights_differ`` reads them,
+    and the relation as ``_unpreserved`` compares it, from one period
+    block past the head and ``min_index``."""
     if sorted(g.tau) != sorted(S.chain_order) or sorted(g.tau.values()) != sorted(S.chain_order):
         raise InvalidInput("shift map must permute the chains")
-    base = max(g.min_index, S.head_extent) + S.lcm_period
     L = S.lcm_period
+    base = max(g.min_index, S.head_extent) + L
     for c in S.chain_order:
-        for n in range(base, base + 2 * L):
-            if S.weight(c, n) != S.weight(g.tau[c], n + g.shift[c]):
-                raise InvalidInput(
-                    f"shift map does not preserve weights on chain {c}")
+        if _weights_differ(S.chains[c], S.chains[g.tau[c]], g.shift[c], base, base + 2 * L):
+            raise InvalidInput(
+                f"shift map does not preserve weights on chain {c}")
     pair = _unpreserved(S, S, g, range(base, base + L))
     if pair:
         raise InvalidInput(
             "shift map does not preserve the relation on (%s, %s)" % pair)
 
 
+def _weights_differ(c: Chain, d: Chain, s: int, start: int, stop: int) -> bool:
+    """Whether c.weight(n) != d.weight(n + s) for some n in [start, stop),
+    n + s >= 0.  From a = max(start, c's head, d's head - s) on, the two
+    sequences have periods p = c.period and q = d.period; by Fine and Wilf,
+    two such sequences that agree on p + q - gcd(p, q) consecutive indices
+    agree from then on.  So the indices from start to that many past a
+    decide the range, however far ``stop`` lies."""
+    a = max(start, len(c.head_weights), len(d.head_weights) - s)
+    stop = min(stop, a + c.period + d.period - math.gcd(c.period, d.period))
+    return any(c.weight(n) != d.weight(n + s) for n in range(start, stop))
+
+
 def _unpreserved(S1: ChainSystem, S2: ChainSystem, g: ShiftMap, block: range):
     """The first (ci, cj), ci != cj, in ``permutations`` order, such that some
-    (ci, n) and (cj, m) relate in S1 otherwise than their images under g in
-    S2, for n in ``block`` and m from its start to ``reach`` past its end;
-    or None.
+    (ci, n) and (cj, m) relate in S1 otherwise than their images
+    (tau ci, n + si) and (tau cj, m + sj) in S2, for n in ``block`` and m
+    in two column ranges: from the block's start to n + E1, and past that
+    the offsets m - n in [-dl - E2, -dl + E2], where dl = sj - si and E1,
+    E2 are the head extents; or None.
 
     Enough for all n, m >= block.start when the block and its images lie
     past the heads of systems that pass ``validate_system_rules``: there a
-    relation depends on m - n alone and is constant from offset head_extent
-    on, and the image offset is m - n + shift[cj] - shift[ci].  Offsets 0
-    to ``reach`` (the larger head extent plus the spread of the shifts)
-    meet both constant parts; negative ones are positive ones of (cj, ci)
-    by antisymmetry (see ``validate_system``).  Per row n, only the columns
-    where a relation can change are read: both callers start the block at
-    or past E1, so S1's row is constant from n + E1 on, and the image row
-    changes only at head columns (m + sj < E2) and within E2 of its own
-    index o = n + si - sj.  The columns up to ``near`` and that window,
-    clipped to the range, keep one column of each constant stretch."""
-    E1, E2, shifts = S1.head_extent, S2.head_extent, g.shift.values()
-    lo = block.start
-    hi = block.stop + max(E1, E2) + max(shifts, default=0) - min(shifts, default=0)
+    relation depends on m - n alone and is constant from offset
+    head_extent on, and the image offset is m - n + dl, so the two ranges
+    meet every offset where either side changes; negative offsets are
+    positive ones of (cj, ci) by antisymmetry (see ``validate_system``).
+
+    Both callers start the block at or past E1 and its images at or past
+    0 and E2 - E1, so every S1 pair read lies past S1's head.  The pairs
+    are read in three parts, each a comparison of two clamped profiles on
+    intervals of positions (``_differs``), read off the index tables with
+    no ``rel`` call and no table deeper than ``rel``'s:
+
+    - Image row and column past S2's head.  Both sides depend on the
+      offset d = m - n alone: S1's on d clamped to [-E1, E1], S2's on
+      d + dl clamped to [-E2, E2] (``_profile``).  So only the offsets read
+      matter, at position p = -d: from -E1 to the block's last row less
+      its start, and the second range, each cut where the image column
+      enters S2's head for every row.  A row more than max(E1, E2 + dl)
+      past the block's start adds an offset where both sides are constant
+      and read as at that row's, so at most min(len(block), 2E + spread +
+      1) rows decide, E the larger head extent.
+    - Image rows in S2's head (n + si < E2, under negative shifts): per
+      row, S2's row read bit by bit off the index entries up to E2 past its
+      own index, from where it is constant (``rel``'s fold).
+    - Image columns in S2's head (m + sj < E2, under negative shifts) on
+      image rows past it: per column, S2's index entry, constant from row
+      m + sj + E2 on.
+
+    So the work follows E1, E2 and at most E2 head rows and columns per
+    chain pair, not the block's length or the shifts."""
+    E1, E2, lo, top = S1.head_extent, S2.head_extent, block.start, block.stop - 1
+    ones = {pair: _profile(S1, *pair) for pair in permutations(S1.chain_order, 2)}
+    twos = ones if S2 is S1 else {pair: _profile(S2, *pair)
+                                  for pair in permutations(S2.chain_order, 2)}
     for ci, cj in permutations(S1.chain_order, 2):
         ti, si, tj, sj = g.tau[ci], g.shift[ci], g.tau[cj], g.shift[cj]
-        for n in block:
-            o, near = n + si - sj, min(max(n + E1, E2 - sj) + 1, hi)
-            for m in (*range(lo, near), *range(max(o - E2, near), min(o + E2 + 1, hi))):
-                if S1.rel(ci, n, cj, m) != S2.rel(ti, n + si, tj, m + sj):
-                    return ci, cj
+        dl, one = sj - si, ones[ci, cj]
+        a, b = (*one, -E1, E1), (*twos[ti, tj], dl - E2, dl + E2)
+        sub, sup = S2.index(ti, tj, 2 * E2)
+        far = (dl - E2, min(dl + E2, -E1 - 1))
+        first, cut = max(lo, E2 - si), top + sj - E2
+        if first <= top and a != b and \
+                _differs(a, b, ((-E1, min(top - lo, cut)), (far[0], min(far[1], cut)))):
+            return ci, cj
+        for n in range(lo, min(top + 1, E2 - si)):
+            N = n + si
+            row = [sum((t[M] >> N & 1) << (N + E2 - M) for M in range(N + E2 + 1))
+                   for t in (sub, sup)]
+            if _differs(a, (*row, dl - E2, dl + N), ((-E1, n - lo), far)):
+                return ci, cj
+        for M in range(lo + sj, E2) if first <= top else ():
+            m, col = M - sj, _range_mask(0, M + E2)
+            if _differs((*one, m - E1, m + E1), (sub[M] & col, sup[M] & col, -si, M + E2 - si),
+                        ((max(first, m - E1), top), (max(first, m + far[0]), min(top, m + far[1])))):
+                return ci, cj
     return None
+
+
+def _profile(S: ChainSystem, c: str, d: str) -> tuple:
+    """The relation of chains c != d past S's head, where it depends on the
+    offset alone: the SUB and the SUP bits, bit k for the offset E - k of
+    (d, m) from (c, n), n, m >= E = ``head_extent``.  Read in ``rel``'s
+    table: index entry 2E holds the offsets E..0 at bits E..2E, entry E
+    the offsets 0..-E.  From a position p0 on, (SUB bits, SUP bits, p0,
+    p0 + 2E) is a clamped profile (``_differs``)."""
+    E = S.head_extent
+    return tuple(t[2 * E] >> E & _range_mask(0, E) | t[E] & _range_mask(E, 2 * E)
+                 for t in S.index(c, d, 2 * E))
+
+
+def _differs(a: tuple, b: tuple, intervals: Iterable) -> bool:
+    """Whether the clamped profiles a and b differ at a position of one of
+    the ``intervals`` (lo, hi).  A profile (SUB bits, SUP bits, p0, p1)
+    holds at position p the codes of bit min(max(p, p0), p1) - p0.  Only
+    an interval's lowest position and its positions within a range
+    [p0, p1] are read: off both ranges each profile is constant on a
+    stretch, and if a stretch starts past an interval's lowest position,
+    the position before it lies in the interval and in a range, where each
+    profile takes the values it takes on the stretch."""
+    for lo, hi in intervals:
+        for w0, w1 in ((lo, lo), a[2:], b[2:]):
+            w0, w1 = max(w0, lo), min(w1, hi)
+            if w0 <= w1 and any(_placed(x, *a[2:], w0, w1) != _placed(y, *b[2:], w0, w1)
+                                for x, y in zip(a[:2], b[:2])):
+                return True
+    return False
+
+
+def _placed(bits: int, p0: int, p1: int, w0: int, w1: int) -> int:
+    """``bits`` held at positions p0..p1 (bit p - p0) and clamped past
+    them, as a mask over the positions w0..w1 (bit p - w0)."""
+    out = _range_mask(0, min(p0 - 1, w1) - w0) if bits & 1 else 0
+    if bits >> (p1 - p0) & 1:
+        out |= _range_mask(max(p1 + 1, w0) - w0, w1 - w0)
+    if w0 <= p1 and p0 <= w1:
+        out |= (bits << p0 - w0 if p0 >= w0 else bits >> w0 - p0) \
+            & _range_mask(max(p0, w0) - w0, min(p1, w1) - w0)
+    return out
 
 
 def _deep_representative(S: ChainSystem, U: UBS, g: ShiftMap) -> UBS:
@@ -889,19 +994,19 @@ def chi_vector(S: ChainSystem, g: ShiftMap) -> tuple:
 def verify_system_map(S1: ChainSystem, S2: ChainSystem, m: ShiftMap) -> bool:
     """Weights per chain c, of shift s, from index max(0, -s) to two blocks
     of the larger lcm period past a = max(0, -s, E1, E2 - s), E the head
-    extents, and the relation as ``_unpreserved`` compares it from one such
-    block past both heads and every shift.  From a on, n -> S1.weight(c, n)
-    and n -> S2.weight(tau c, n + s) have periods p | L1 and q | L2, the lcm
-    periods; by Fine and Wilf, two sequences of periods p and q that agree
-    on p + q - gcd(p, q) < 2 max(L1, L2) consecutive indices agree from
-    then on, so these weights decide every index, whatever the shift."""
+    extents, as ``_weights_differ`` reads them, and the relation as
+    ``_unpreserved`` compares it from one such block past both heads and
+    every shift.  From a on, n -> S1.weight(c, n) and n -> S2.weight(tau c,
+    n + s) are periodic, and their periods p | L1 and q | L2, the lcm
+    periods, have p + q - gcd(p, q) < 2 max(L1, L2); so these weights
+    decide every index, whatever the shift."""
     if sorted(m.tau) != sorted(S1.chain_order) or \
             sorted(m.tau.values()) != sorted(S2.chain_order):
         return False
     E1, E2 = S1.head_extent, S2.head_extent
     span = 2 * max(S1.lcm_period, S2.lcm_period)
-    if any(S1.weight(c, n) != S2.weight(m.tau[c], n + s) for c, s in m.shift.items()
-           for n in range(max(0, -s), max(0, -s, E1, E2 - s) + span)):
+    if any(_weights_differ(S1.chains[c], S2.chains[m.tau[c]], s, max(0, -s),
+                           max(0, -s, E1, E2 - s) + span) for c, s in m.shift.items()):
         return False
     base = max(E1, E2) + max((abs(v) for v in m.shift.values()), default=0)
     return _unpreserved(S1, S2, m, range(base, base + span)) is None

@@ -15,10 +15,10 @@ from operator import or_
 
 from mediankit.actions import FlipResult, SectorResult, enumerate_words
 from mediankit.boundary import (
-    SUB, SUP, TRANS, _INVERSE, _unpreserved, almost_contained, closure, tail, ubs_graph,
-    union_seed, validate_system_rules)
+    SUB, SUP, TRANS, _INVERSE, almost_contained, closure, tail, ubs_graph, union_seed,
+    validate_system_rules)
 from mediankit.config import DEFAULT_BUDGETS
-from mediankit.errors import HorizonExceeded, NotAnAutomorphism, NotTransverse
+from mediankit.errors import HorizonExceeded, InvalidInput, NotAnAutomorphism, NotTransverse
 from mediankit.pocset import (
     Point, WeightedPocset, _iter_bits, halfspace_point_masks, points)
 from mediankit.structure import Automorphism, decompose, transverse
@@ -479,10 +479,51 @@ def zone_conflict_walk(S, ci: str, cj: str):
     return None
 
 
+def shift_check_by_pairs(S, g) -> None:
+    """``validate_shift`` as it was: weights at every index of two period
+    blocks, then the relation pair by pair (``unpreserved_by_pairs``) on
+    one block, from one period block past the head and ``min_index``."""
+    if sorted(g.tau) != sorted(S.chain_order) or sorted(g.tau.values()) != sorted(S.chain_order):
+        raise InvalidInput("shift map must permute the chains")
+    L = S.lcm_period
+    base = max(g.min_index, S.head_extent) + L
+    for c in S.chain_order:
+        if any(S.weight(c, n) != S.weight(g.tau[c], n + g.shift[c])
+               for n in range(base, base + 2 * L)):
+            raise InvalidInput(f"shift map does not preserve weights on chain {c}")
+    pair = unpreserved_by_pairs(S, S, g, range(base, base + L))
+    if pair:
+        raise InvalidInput("shift map does not preserve the relation on (%s, %s)" % pair)
+
+
+def unpreserved_mismatches(S1, S2, g, block: range):
+    """The pair loop of ``boundary._unpreserved`` as it was: per (ci, cj) in
+    ``permutations`` order and n in ``block``, through ``rel``, the columns
+    m from the block's start to n + E1 and within E2 of the image row's own
+    index n + si - sj, cut at the larger head extent plus the spread of the
+    shifts past the block's end; each (ci, cj, n, m) whose relation in S1
+    differs from its image's under g in S2."""
+    E1, E2, shifts = S1.head_extent, S2.head_extent, g.shift.values()
+    lo = block.start
+    hi = block.stop + max(E1, E2) + max(shifts, default=0) - min(shifts, default=0)
+    for ci, cj in itertools.permutations(S1.chain_order, 2):
+        ti, si, tj, sj = g.tau[ci], g.shift[ci], g.tau[cj], g.shift[cj]
+        for n in block:
+            o, near = n + si - sj, min(max(n + E1, E2 - sj) + 1, hi)
+            for m in (*range(lo, near), *range(max(o - E2, near), min(o + E2 + 1, hi))):
+                if S1.rel(ci, n, cj, m) != S2.rel(ti, n + si, tj, m + sj):
+                    yield ci, cj, n, m
+
+
+def unpreserved_by_pairs(S1, S2, g, block: range):
+    """The first (ci, cj) of ``unpreserved_mismatches``, or None."""
+    return next((pair[:2] for pair in unpreserved_mismatches(S1, S2, g, block)), None)
+
+
 def system_map_by_range(S1, S2, m) -> bool:
     """``verify_system_map`` as it was: weights for every n from
     max(0, -shift) to two period blocks past both heads and every shift,
-    then the relation as ``_unpreserved`` compares it."""
+    then the relation pair by pair (``unpreserved_by_pairs``)."""
     if sorted(m.tau) != sorted(S1.chain_order) or \
             sorted(m.tau.values()) != sorted(S2.chain_order):
         return False
@@ -492,7 +533,7 @@ def system_map_by_range(S1, S2, m) -> bool:
     if any(S1.weight(c, n) != S2.weight(m.tau[c], n + m.shift[c])
            for c in S1.chain_order for n in range(max(0, -m.shift[c]), top)):
         return False
-    return _unpreserved(S1, S2, m, range(base, top)) is None
+    return unpreserved_by_pairs(S1, S2, m, range(base, top)) is None
 
 
 def unpreserved_pairwise(S1, S2, g, block: range):
@@ -667,6 +708,15 @@ def composed_map(action, word) -> Automorphism:
     name, sign = word[-1]
     g = action.gens[name]
     return composed_map(action, word[:-1]).compose(g if sign > 0 else g.inverse())
+
+
+def inversions_by_composite(action, word) -> tuple:
+    """``wall_inversions`` through the word's whole map (``composed_map``):
+    the ids of the walls whose lower side it maps to the upper one, and the
+    count of walls whose lower side it leaves undefined."""
+    P, g = action.pocset, composed_map(action, word)
+    return (tuple(w for w, (i, j) in zip(P.wall_ids, P.walls) if g.perm[i] == j),
+            sum(g.perm[i] is None for i, _ in P.walls))
 
 
 def composite_images(action, word, cancelled) -> tuple:

@@ -258,6 +258,20 @@ def word_image_cases():
         yield W, word, len(word) < 2 * len(u)
 
 
+def inversion_cases():
+    """(action, word): the words of length at most 3 on the partial and
+    total actions, and on each action with generators, its first generator
+    g to the powers 5, -8 and 33, and g^3 h^-2 g^6 for its last one h."""
+    for action in partial_actions() + total_actions():
+        names = action.gen_names()
+        yield from ((action, w) for w in enumerate_words(names, 3))
+        if names:
+            g, h = names[0], names[-1]
+            for word in (((g, 1),) * 5, ((g, -1),) * 8, ((g, 1),) * 33,
+                         ((g, 1),) * 3 + ((h, -1),) * 2 + ((g, 1),) * 6):
+                yield action, word
+
+
 def bit_matrices() -> list:
     """(rows, width): the point masks of the mixed and window pocsets, no
     rows, and random rows of a generator seeded 18, some wider than they
@@ -711,6 +725,59 @@ def system_map_cases():
                    ChainSystem([_image_chain(rng, H, s, "h", period, extra),
                                 _image_chain(rng, K, s, "k", 1, 0)]),
                    ShiftMap({"H": "h", "K": "k"}, {"H": s, "K": s}, max(0, -s)))
+
+
+def _unit_weights(S: ChainSystem) -> ChainSystem:
+    """S with every weight 1, so that every shift map keeps its weights."""
+    return ChainSystem(
+        [replace(S.chains[c], weights=(Fraction(1),) * S.chains[c].period,
+                 head_weights=(Fraction(1),) * len(S.chains[c].head_weights))
+         for c in S.chain_order], zones=S.zones, rows=S.rows, head=S.head, name=S.name)
+
+
+def head_rule_system(rng: random.Random, order: str) -> ChainSystem:
+    """Chains A and B, listed in ``order``, of period 1 or 2 and unit
+    weights, transverse but for row rules by which B's first h elements,
+    h in 3..5, contain every element of A; so a map that moves B's image
+    down into its first h elements breaks the relation there alone."""
+    h = rng.randint(3, 5)
+    chains = {c: Chain(c, p, (Fraction(1),) * p) for c, p in zip("AB", rng.choices((1, 2), k=2))}
+    return ChainSystem([chains[c] for c in order],
+                       rows=[RowRule("B", i, "A", SUP, 0, None) for i in range(h)],
+                       name=f"HEADRULE{h}")
+
+
+def shift_check_cases():
+    """Arguments (S1, S2, g, block) of the shift check: block None for a
+    map of one system S1 = S2, which ``validate_shift`` checks, else a
+    block of ``_unpreserved`` between two systems.  Those of
+    ``unpreserved_cases``; uniform shifts by 1 and 2 on the fixtures and 20
+    random systems, whose weights past the head may not keep; three random
+    chain permutations with shifts in 0..3 on the same systems with unit
+    weights, whose relation may break past the heads; on 24 head-rule
+    systems of either chain order, B shifted by -k, k = 6..9, from
+    ``min_index`` k and A by 0..2, so that B's image columns or rows (in
+    the other order) fall among its first elements; and the system map
+    cases that send the chains apart, on ``verify_system_map``'s block."""
+    for S1, S2, g, block in unpreserved_cases():
+        yield S1, S2, g, None if S1 is S2 else block
+    rng = seeded(10)
+    systems = _system_fixtures() + random_systems(rng, 20, max_chains=4)
+    for S in systems:
+        ids = S.chain_order
+        for k in (1, 2):
+            yield S, S, ShiftMap(dict(zip(ids, ids)), {c: k for c in ids}), None
+        U = _unit_weights(S)
+        for _ in range(3):
+            tau = dict(zip(ids, rng.sample(ids, len(ids))))
+            yield U, U, ShiftMap(tau, {c: rng.randint(0, 3) for c in ids}), None
+    for pos in range(24):
+        S, k = head_rule_system(rng, "AB" if pos % 2 else "BA"), rng.randint(6, 9)
+        yield S, S, ShiftMap({"A": "A", "B": "B"}, {"A": rng.randint(0, 2), "B": -k}, k), None
+    for S1, S2, g in system_map_cases():
+        if len(set(g.tau.values())) == len(g.tau):
+            base = max(S1.head_extent, S2.head_extent) + max(map(abs, g.shift.values()))
+            yield S1, S2, g, range(base, base + 2 * max(S1.lcm_period, S2.lcm_period))
 
 
 def _random_zones(rng: random.Random, count: int) -> tuple:

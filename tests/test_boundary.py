@@ -472,6 +472,38 @@ def test_graph_laws_name_the_first_broken_law(succ, message):
         bd._assert_graph_laws(S, G)
 
 
+def test_a_system_builds_its_graph_once(monkeypatch):
+    """``chi_vector`` and ``ubs_poset`` read the graph ``ubs_graph`` built:
+    the laws are checked once per system, and again on a new one."""
+    checked, inner = [], bd._assert_graph_laws
+    monkeypatch.setattr(bd, "_assert_graph_laws",
+                        lambda S, G: checked.append(S) or inner(S, G))
+    S = fx.stairflap()
+    G = ubs_graph(S)
+    assert chi_vector(S, ShiftMap({"H": "H", "K": "K"}, {"H": 1, "K": 1})) == (1, 1)
+    assert len(ubs_poset(S)) == 3
+    assert ubs_graph(S) is G and checked == [S]
+    T = fx.stairflap()
+    assert ubs_graph(T).to_json() == G.to_json() and checked == [S, T]
+
+
+def test_a_graph_that_breaks_its_laws_raises_on_every_call(monkeypatch):
+    """The kept error is raised afresh, with its message, by ``ubs_graph``
+    and by its readers, and the graph is not built again."""
+    built, inner = [], bd._build_graph
+    monkeypatch.setattr(bd, "_build_graph", lambda S: built.append(S) or inner(S))
+    monkeypatch.setattr(bd, "truncation_antichain_bound", lambda S: 1)
+    S = fx.stairflap()
+    raised = []
+    for call in (ubs_graph, ubs_graph, ubs_poset,
+                 lambda S: chi_vector(S, identity_shift(S))):
+        with pytest.raises(InvalidInput, match="^UBS graph has 2 vertices over antichain bound 1$") \
+                as exc:
+            call(S)
+        raised.append(exc.value)
+    assert len({id(e) for e in raised}) == 4 and built == [S]
+
+
 def test_dot_export():
     G = ubs_graph(fx.stairflap())
     dot = dot_export(G)

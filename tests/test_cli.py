@@ -1000,21 +1000,41 @@ def test_an_empty_source_is_a_usage_error(capsys, argv):
 
 # -- systems sized by the head extent, not by the periods --------------------
 
-def periods_system(*periods) -> dict:
-    """Rule-free chains A, B, ... of the given periods, weights 1 to p."""
+def periods_system(*periods, unit: bool = False) -> dict:
+    """Rule-free chains A, B, ... of the given periods, weights 1 to p, or
+    all 1 when ``unit``."""
     return {"name": "PERIODS", "chains": [
-        {"id": c, "period": p, "weights": [str(k + 1) for k in range(p)]}
+        {"id": c, "period": p, "weights": ["1" if unit else str(k + 1) for k in range(p)]}
         for c, p in zip("ABCDEFGH", periods)]}
+
+
+def unit_shift(system: dict) -> dict:
+    """Every chain of the system shifted by 1 onto itself."""
+    ids = [c["id"] for c in system["chains"]]
+    return {"tau": {c: c for c in ids}, "shift": {c: 1 for c in ids}}
 
 
 PERIODS_3 = periods_system(7, 11, 13)
 PERIODS_4 = periods_system(7, 11, 13, 17)
+PERIODS_5_UNIT = periods_system(7, 11, 13, 17, 19, unit=True)
 GAP_12 = dump_chain_system(sc.gap_system(12))
 
 
-@pytest.mark.parametrize("system, seconds", [(PERIODS_3, 0.2), (PERIODS_4, 0.5)],
-                         ids=["lcm 1001", "lcm 17017"])
-def test_lcm_sized_systems_answer_at_once(capsys, tmp_path, system, seconds):
+@pytest.mark.parametrize("periods, seconds", [((7, 11, 13), 0.2), ((7, 11, 13, 17), 0.5),
+                                              ((11, 13, 17), 0.2), ((7, 11, 13, 17, 19), 1)],
+                         ids=["lcm 1001", "lcm 17017", "lcm 2431", "lcm 323323"])
+def test_lcm_sized_systems_answer_at_once(capsys, tmp_path, periods, seconds):
+    """Validation and the graph on weights 1..p; the transfer characters on
+    unit weights under the unit shift, which weights 1..p do not keep:
+    one unit of mass per class, its shift checked at the heads, not over a
+    period block of lcm rows."""
+    system, unit = periods_system(*periods), periods_system(*periods, unit=True)
     for command in ("ubs-validate", "ubs-graph"):
         code, report, _ = run_ubs_command(capsys, tmp_path, command, system)
         assert code == 0 and report["timing"]["seconds"] < seconds
+    (tmp_path / "unit.json").write_text(json.dumps(unit))
+    (tmp_path / "unit-shift.json").write_text(json.dumps(unit_shift(unit)))
+    code, report, _ = run_cli(capsys, "ubs-chi", "--system-file", str(tmp_path / "unit.json"),
+                              "--shift", str(tmp_path / "unit-shift.json"))
+    assert code == 0 and report["verdict"]["chi"] == ["1"] * len(periods)
+    assert report["timing"]["seconds"] < seconds

@@ -14,7 +14,9 @@ irreducible TRIPOD and F2BALL ``decompose`` cases pin the report of a
 pocset that is its own only factor.  The
 ``--system-file`` cases pin the gap-12 system, whose closures read past
 the horizon, and rule-free systems of lcm period 1,001 and 17,017, whose
-tables are sized by the head extent.
+tables are sized by the head extent, and the transfer characters of five
+unit-weight chains of lcm period 323,323 under the unit shift, whose
+check is sized by the heads.
 Each case also checks that the raw report is the stdlib's
 ``json.dumps(report, sort_keys=True, indent=2)`` byte for byte.
 Update a digest only for a deliberate change of report contents.
@@ -31,7 +33,7 @@ from mediankit import fixtures
 from mediankit.cli import main
 from mediankit.serialize import dump_window_action
 
-from test_cli import GAP_12, PERIODS_3, PERIODS_4
+from test_cli import GAP_12, PERIODS_3, PERIODS_4, PERIODS_5_UNIT, unit_shift
 
 GOLDEN = [
     ("rank --fixture SQUARE", 0,
@@ -106,10 +108,15 @@ GOLDEN = [
      "a697c5290d7d9e3dae564e9246b3466b0c81be292ec779d3b4d238ca15bb61b3"),
     ("ubs-graph --system-file periods-4.json", 0,
      "35e9e051aab6101f41a801d2f7276f2476b376c5a1d56a5fefc614b3ac2cae99"),
+    ("ubs-chi --system-file periods-5-unit.json --shift periods-5-shift.json", 0,
+     "53bbdf48a5dc9603e1ea679d859e168d09ed897ea9ad125187a96862077ebb17"),
 ]
 
-# chain-system files the ``--system-file`` cases read from the test's directory
-SYSTEM_FILES = {"gap12.json": GAP_12, "periods-3.json": PERIODS_3, "periods-4.json": PERIODS_4}
+# chain-system and shift files the ``--system-file`` cases read from the
+# test's directory
+SYSTEM_FILES = {"gap12.json": GAP_12, "periods-3.json": PERIODS_3, "periods-4.json": PERIODS_4,
+                "periods-5-unit.json": PERIODS_5_UNIT,
+                "periods-5-shift.json": unit_shift(PERIODS_5_UNIT)}
 
 
 def report_digest(argv):

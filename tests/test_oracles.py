@@ -16,12 +16,12 @@ import pytest
 from mediankit import fixtures as fx
 from mediankit.actions import (
     WordImages, _set_distance, _stabilizer_excluded, facing_tuple, find_flip, is_lineal,
-    min_orbit, sector_halfspace, strongly_separated)
+    min_orbit, sector_halfspace, strongly_separated, wall_inversions)
 from mediankit.cli import _indented
 from mediankit.boundary import (
     SUB, SUP, _truncation_rows, _unpreserved, _zone_conflict, chi_vector, closure, equivalent,
     is_ubs, min_chain_cover, minimal_tail, tail, truncation_antichain_bound, ubs_graph,
-    ubs_poset, validate_system, verify_system_map)
+    ubs_poset, validate_shift, validate_system, verify_system_map)
 from mediankit.errors import MedianKitError
 from mediankit.oracles import (
     embedded_distances, halved_distances, interval_medians, max_antichain_brute, medians)
@@ -41,13 +41,15 @@ from references import (
     closure_depth, closure_group, closure_oracle, composed_map, composite_images, cube_by_name,
     defined_images, embed_by_name, equivalent_by_containment, factors_by_names,
     first_facing_tuple, gap_by_pairs,
-    gate_per_wall, image_per_bit, indented_by_stdlib, is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
+    gate_per_wall, image_per_bit, indented_by_stdlib, inversions_by_composite,
+    is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
     minimal_tail_by_containment, pair_order, pairwise_validate_system, point_sides,
     points_per_bit, poset_by_closures, preimage_by_name, product_by_names, rank_by_families,
     rel_index, rel_up_rows, resolve, sector_per_halfspace, separating_mass,
-    separating_per_halfspace, shape, stabilizer_per_point, star_image,
+    separating_per_halfspace, shape, shift_check_by_pairs, stabilizer_per_point, star_image,
     strongly_separated_per_wall, system_map_by_range, transpose_rows, transversality_pairwise,
-    truncation, unpreserved_pairwise, up_rows_by_names, validate_pairwise, zone_conflict_walk)
+    truncation, unpreserved_by_pairs, unpreserved_mismatches, unpreserved_pairwise,
+    up_rows_by_names, validate_pairwise, zone_conflict_walk)
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,40 @@ def _unpreserved_kinds(case, pair) -> list:
         ("image row in the head", block.start + min(shifts) < S2.head_extent),
         ("shift 10^3", max(shifts) >= 997)) if has]
     return [outcome] + [f"{name}, {outcome}" for name in features]
+
+
+def _shift_check(S1, S2, g, block):
+    """``validate_shift``'s outcome on a map of one system (block None),
+    else the pair ``_unpreserved`` names on the block."""
+    return outcome(validate_shift, S1, g) if block is None else _unpreserved(S1, S2, g, block)
+
+
+def _shift_check_by_pairs(S1, S2, g, block):
+    return outcome(shift_check_by_pairs, S1, g) if block is None else \
+        unpreserved_by_pairs(S1, S2, g, block)
+
+
+def _shift_check_kinds(case, expected) -> list:
+    """The check (a shift map or an isomorphism) and its verdict; for a
+    broken relation, where the image pairs of the first failing chain pair
+    that differ lie against S2's head: past it only, in its columns only,
+    or some in its rows; for broken weights, whether the relation keeps."""
+    S1, S2, g, block = case
+    check = "shift map" if block is None else "isomorphism"
+    if expected is None:
+        return [f"{check} preserved"]
+    if block is None:
+        block = range(max(g.min_index, S1.head_extent) + S1.lcm_period,
+                      max(g.min_index, S1.head_extent) + 2 * S1.lcm_period)
+    pairs = list(unpreserved_mismatches(S1, S2, g, block))
+    if "weights" in str(expected):
+        return ["weights, relation kept" if not pairs else "weights"]
+    E2, first = S2.head_extent, pairs[0][:2]
+    images = [(n + g.shift[ci], m + g.shift[cj]) for ci, cj, n, m in pairs if (ci, cj) == first]
+    where = "rows in the head" if any(N < E2 for N, _ in images) else \
+        "columns in the head only" if all(M < E2 for _, M in images) else \
+        "past the heads only" if all(M >= E2 for _, M in images) else "columns in and past the head"
+    return [f"{check} unpreserved", f"{check}, {where}"]
 
 
 def _system_map_kinds(case, verdict) -> list:
@@ -386,6 +422,10 @@ ORACLES = (
     Row("word_images", _word_images, composite_images, sc.word_image_cases, 536,
         _word_image_kinds, {"defined": 300, "left the window": 500, "inconsistent point": 60,
                             "cancelled expansion": 12}),
+    Row("wall_inversions", wall_inversions, inversions_by_composite, sc.inversion_cases, 2500,
+        lambda case, res: ["inverted"] * bool(res[0]) + ["undecided"] * bool(res[1])
+        + ["run of 33"] * (len(case[1]) == 33),
+        {"inverted": 700, "undecided": 700, "run of 33": 90}),
     Row("stabilizer_excluded",
         lambda act, w, side, forbidden: _stabilizer_excluded(WordImages(act), w, side, forbidden),
         stabilizer_per_point, sc.stabilizer_cases, 8056,
@@ -434,6 +474,13 @@ ORACLES = (
          "negative shift, unpreserved": 60, "image row in the head, preserved": 4,
          "image row in the head, unpreserved": 8, "shift 10^3, preserved": 40,
          "shift 10^3, unpreserved": 10}),
+    Row("shift_check", _shift_check, _shift_check_by_pairs, sc.shift_check_cases, 740,
+        _shift_check_kinds,
+        {"shift map preserved": 200, "weights, relation kept": 60, "weights": 70,
+         "shift map unpreserved": 50, "shift map, past the heads only": 30,
+         "shift map, columns in the head only": 10, "shift map, rows in the head": 10,
+         "isomorphism preserved": 180, "isomorphism unpreserved": 40,
+         "isomorphism, past the heads only": 40}),
     Row("system_map", verify_system_map, system_map_by_range, sc.system_map_cases, 149,
         _system_map_kinds,
         {True: 25, False: 90, ("periods 3 and 5", True): 5, ("periods 3 and 5", False): 60,
