@@ -262,26 +262,18 @@ def wall_inversions(action: Action, word: Word) -> tuple:
 
     For window actions only walls with visible images are decided; the
     count of undecided walls is returned alongside.  The walls' lower
-    sides step through the letter table from the word's right end, as
-    ``evaluate``'s composite maps them, with index n standing for an
-    undefined image, which every step keeps; a run of k equal letters
-    steps by the letter's powers 2^i for the bits i of k.
+    sides step letter by letter through the letter table from the word's
+    right end, as ``evaluate``'s composite maps them, composing no map.
     """
-    P, steps = action.pocset, {}
+    P = action.pocset
     images = [i for i, _ in P.walls]
-    for tok, run in itertools.groupby(reversed(word)):
-        if tok not in steps:
-            steps[tok] = [P.n if j is None else j for j in action.letters[tok].perm] + [P.n]
-        k, step = sum(1 for _ in run), steps[tok]
-        while k:
-            if k & 1:
-                images = list(map(step.__getitem__, images))
-            k >>= 1
-            step = list(map(step.__getitem__, step)) if k else step
+    for tok in reversed(word):
+        perm = action.letters[tok].perm
+        images = [None if j is None else perm[j] for j in images]
     inverted = []
     undecided = 0
     for pos, ((i, _), img) in enumerate(zip(P.walls, images)):
-        if img == P.n:
+        if img is None:
             undecided += 1
         elif img == P.star[i]:
             inverted.append(P.wall_ids[pos])

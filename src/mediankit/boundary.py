@@ -849,6 +849,16 @@ def _unpreserved(S1: ChainSystem, S2: ChainSystem, g: ShiftMap, block: range):
       image rows past it: per column, S2's index entry, constant from row
       m + sj + E2 on.
 
+    Every interval starts in a range of its two profiles, as ``_differs``
+    needs: in the first two parts at -E1 or dl - E2, their profiles'
+    lowest positions.  In the third, positions are rows n, the ranges are
+    [m - E1, m + E1] and [-si, m + dl + E2], and f = max(block.start,
+    E2 - si) lies in the second or is the block's start past it.  The first
+    interval starts at max(f, m - E1), in a range either way as
+    block.start <= m; the second starts at f too (its own start m + dl - E2
+    lies below -si, as m + sj < E2) and ends by m + dl + E2, so it is empty
+    when f is past the second range.
+
     So the work follows E1, E2 and at most E2 head rows and columns per
     chain pair, not the block's length or the shifts."""
     E1, E2, lo, top = S1.head_extent, S2.head_extent, block.start, block.stop - 1
@@ -893,15 +903,18 @@ def _profile(S: ChainSystem, c: str, d: str) -> tuple:
 
 def _differs(a: tuple, b: tuple, intervals: Iterable) -> bool:
     """Whether the clamped profiles a and b differ at a position of one of
-    the ``intervals`` (lo, hi).  A profile (SUB bits, SUP bits, p0, p1)
-    holds at position p the codes of bit min(max(p, p0), p1) - p0.  Only
-    an interval's lowest position and its positions within a range
-    [p0, p1] are read: off both ranges each profile is constant on a
-    stretch, and if a stretch starts past an interval's lowest position,
-    the position before it lies in the interval and in a range, where each
-    profile takes the values it takes on the stretch."""
+    the ``intervals`` (lo, hi), each empty or starting within a's or b's
+    range.  A profile (SUB bits, SUP bits, p0, p1) holds at position p the
+    codes of bit min(max(p, p0), p1) - p0.  Only an interval's positions
+    within a range [p0, p1] are read: off both ranges each profile is
+    constant on a stretch, and as the interval starts in a range, the
+    position before a stretch lies in the interval and in a range, where
+    each profile takes the values it takes on the stretch.  The lemma needs
+    each range's top, though ``_unpreserved``'s profiles hold there the
+    codes of the position below it (zones change within E - 1 of offset 0,
+    and a head column's rules end before row E2)."""
     for lo, hi in intervals:
-        for w0, w1 in ((lo, lo), a[2:], b[2:]):
+        for w0, w1 in (a[2:], b[2:]):
             w0, w1 = max(w0, lo), min(w1, hi)
             if w0 <= w1 and any(_placed(x, *a[2:], w0, w1) != _placed(y, *b[2:], w0, w1)
                                 for x, y in zip(a[:2], b[:2])):

@@ -515,6 +515,16 @@ def unpreserved_mismatches(S1, S2, g, block: range):
                     yield ci, cj, n, m
 
 
+def differs_per_position(a, b, intervals) -> bool:
+    """``boundary._differs`` position by position: whether the clamped
+    profiles a and b hold other codes at some position of some interval."""
+    def codes(profile, p):
+        sub, sup, p0, p1 = profile
+        k = min(max(p, p0), p1) - p0
+        return sub >> k & 1, sup >> k & 1
+    return any(codes(a, p) != codes(b, p) for lo, hi in intervals for p in range(lo, hi + 1))
+
+
 def unpreserved_by_pairs(S1, S2, g, block: range):
     """The first (ci, cj) of ``unpreserved_mismatches``, or None."""
     return next((pair[:2] for pair in unpreserved_mismatches(S1, S2, g, block)), None)

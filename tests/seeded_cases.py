@@ -780,6 +780,37 @@ def shift_check_cases():
             yield S1, S2, g, range(base, base + 2 * max(S1.lcm_period, S2.lcm_period))
 
 
+def differs_cases():
+    """Arguments (a, b, intervals) of ``boundary._differs``: two clamped
+    profiles of one relation f over the offsets -8..8, read on ranges
+    [p0, p1] of width 0..6, one of them changed at one position in a third
+    of the cases, and one or two intervals each starting in a range
+    (some empty).  f keeps its code from one position to the next with
+    probability 0.7, so f often changes at one profile's top; when the
+    other's range ends below it, the two differ only at that top and past
+    it."""
+    rng = seeded(19)
+    for _ in range(3000):
+        f = [rng.choice((SUB, SUP, TRANS))]
+        for _ in range(16):
+            f.append(f[-1] if rng.random() < 0.7 else rng.choice((SUB, SUP, TRANS)))
+        profiles = []
+        for _ in range(2):
+            p0 = rng.randint(-8, 2)
+            codes = f[p0 + 8:p0 + 8 + rng.randint(0, 6) + 1]
+            if rng.random() < 1 / 3:
+                codes[rng.randrange(len(codes))] = rng.choice((SUB, SUP, TRANS))
+            profiles.append((sum(1 << k for k, c in enumerate(codes) if c == SUB),
+                             sum(1 << k for k, c in enumerate(codes) if c == SUP),
+                             p0, p0 + len(codes) - 1))
+        intervals = []
+        for _ in range(rng.randint(1, 2)):
+            p0, p1 = rng.choice(profiles)[2:]
+            lo = rng.randint(p0, p1)
+            intervals.append((lo, lo + rng.randint(-1, 10)))
+        yield profiles[0], profiles[1], tuple(intervals)
+
+
 def _random_zones(rng: random.Random, count: int) -> tuple:
     """A partition of the offsets into ``count`` zones of random codes, cut
     at random offsets in -8..8."""

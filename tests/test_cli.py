@@ -1020,10 +1020,11 @@ PERIODS_5_UNIT = periods_system(7, 11, 13, 17, 19, unit=True)
 GAP_12 = dump_chain_system(sc.gap_system(12))
 
 
-@pytest.mark.parametrize("periods, seconds", [((7, 11, 13), 0.2), ((7, 11, 13, 17), 0.5),
-                                              ((11, 13, 17), 0.2), ((7, 11, 13, 17, 19), 1)],
+@pytest.mark.parametrize("periods, seconds, chi_seconds",
+                         [((7, 11, 13), 0.2, 0.1), ((7, 11, 13, 17), 0.5, 0.5),
+                          ((11, 13, 17), 0.2, 0.1), ((7, 11, 13, 17, 19), 1, 1)],
                          ids=["lcm 1001", "lcm 17017", "lcm 2431", "lcm 323323"])
-def test_lcm_sized_systems_answer_at_once(capsys, tmp_path, periods, seconds):
+def test_lcm_sized_systems_answer_at_once(capsys, tmp_path, periods, seconds, chi_seconds):
     """Validation and the graph on weights 1..p; the transfer characters on
     unit weights under the unit shift, which weights 1..p do not keep:
     one unit of mass per class, its shift checked at the heads, not over a
@@ -1037,4 +1038,4 @@ def test_lcm_sized_systems_answer_at_once(capsys, tmp_path, periods, seconds):
     code, report, _ = run_cli(capsys, "ubs-chi", "--system-file", str(tmp_path / "unit.json"),
                               "--shift", str(tmp_path / "unit-shift.json"))
     assert code == 0 and report["verdict"]["chi"] == ["1"] * len(periods)
-    assert report["timing"]["seconds"] < seconds
+    assert report["timing"]["seconds"] < chi_seconds

@@ -19,8 +19,8 @@ from mediankit.actions import (
     min_orbit, sector_halfspace, strongly_separated, wall_inversions)
 from mediankit.cli import _indented
 from mediankit.boundary import (
-    SUB, SUP, _truncation_rows, _unpreserved, _zone_conflict, chi_vector, closure, equivalent,
-    is_ubs, min_chain_cover, minimal_tail, tail, truncation_antichain_bound, ubs_graph,
+    SUB, SUP, _differs, _truncation_rows, _unpreserved, _zone_conflict, chi_vector, closure,
+    equivalent, is_ubs, min_chain_cover, minimal_tail, tail, truncation_antichain_bound, ubs_graph,
     ubs_poset, validate_shift, validate_system, verify_system_map)
 from mediankit.errors import MedianKitError
 from mediankit.oracles import (
@@ -39,8 +39,8 @@ import seeded_cases as sc
 from references import (
     automorphisms_pairwise, between_members, brute_total_flip, check_pairwise, child_by_names,
     closure_depth, closure_group, closure_oracle, composed_map, composite_images, cube_by_name,
-    defined_images, embed_by_name, equivalent_by_containment, factors_by_names,
-    first_facing_tuple, gap_by_pairs,
+    defined_images, differs_per_position, embed_by_name, equivalent_by_containment,
+    factors_by_names, first_facing_tuple, gap_by_pairs,
     gate_per_wall, image_per_bit, indented_by_stdlib, inversions_by_composite,
     is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
     minimal_tail_by_containment, pair_order, pairwise_validate_system, point_sides,
@@ -167,6 +167,19 @@ def _shift_check_kinds(case, expected) -> list:
         "columns in the head only" if all(M < E2 for _, M in images) else \
         "past the heads only" if all(M >= E2 for _, M in images) else "columns in and past the head"
     return [f"{check} unpreserved", f"{check}, {where}"]
+
+
+def _differs_kinds(case, differ) -> list:
+    """Whether the profiles differ, and whether they differ only off both
+    ranges less their top positions: at a top or past it, where reading
+    each range but its top would miss the difference."""
+    a, b, intervals = case
+    if not differ:
+        return ["equal"]
+    inner = [p for lo, hi in intervals for p in range(lo, hi + 1)
+             if any(p0 <= p < p1 for p0, p1 in (a[2:], b[2:]))]
+    only_top = not differs_per_position(a, b, [(p, p) for p in inner])
+    return ["differ"] + ["differ at a top or past it only"] * only_top
 
 
 def _system_map_kinds(case, verdict) -> list:
@@ -474,6 +487,8 @@ ORACLES = (
          "negative shift, unpreserved": 60, "image row in the head, preserved": 4,
          "image row in the head, unpreserved": 8, "shift 10^3, preserved": 40,
          "shift 10^3, unpreserved": 10}),
+    Row("differs", _differs, differs_per_position, sc.differs_cases, 3000, _differs_kinds,
+        {"equal": 1200, "differ": 1700, "differ at a top or past it only": 400}),
     Row("shift_check", _shift_check, _shift_check_by_pairs, sc.shift_check_cases, 740,
         _shift_check_kinds,
         {"shift map preserved": 200, "weights, relation kept": 60, "weights": 70,
