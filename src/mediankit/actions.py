@@ -172,11 +172,13 @@ class TotalAction(Action):
     def elements(self) -> list:
         """(word, element) for every group element, with its shortlex-least
         word, in shortlex order of the words; raises, and stores nothing,
-        when the budget is hit.  Breadth-first search that extends each
-        parent, in shortlex order, by the letters in alphabet order: a
-        prefix of a shortlex-least word is shortlex-least, so the first word
-        reaching an element is its least."""
+        when the budget is hit, naming it, its limit and the elements
+        found.  Breadth-first search that extends each parent, in shortlex
+        order, by the letters in alphabet order: a prefix of a
+        shortlex-least word is shortlex-least, so the first word reaching
+        an element is its least."""
         steps = self.letters.items()
+        limit = self.budgets.group_order
         ident = self.identity()
         seen = {ident.perm}
         frontier = [((), ident)]
@@ -187,8 +189,11 @@ class TotalAction(Action):
                 for tok, s in steps:
                     h = g.compose(s)
                     if h.perm not in seen:
-                        if len(seen) >= self.budgets.group_order:
-                            raise WallBudgetExceeded("generated group exceeds budget")
+                        if len(seen) >= limit:
+                            raise WallBudgetExceeded(
+                                f"generated group exceeds budget group_order {limit}: "
+                                f"{len(seen) + 1} elements found",
+                                budget="group_order", limit=limit, reached=len(seen) + 1)
                         seen.add(h.perm)
                         nxt.append((word + (tok,), h))
             out += nxt
@@ -226,6 +231,7 @@ class WordImages:
     def __init__(self, action: Action, idxs: Sequence[int] = ()):
         self.action = action
         self.root = (tuple(idxs), {}, {})  # images, longer suffixes by letter, set images
+        self.paths = {}  # word -> its suffixes' nodes, shortest first
 
     def _node(self, node: tuple, tok) -> tuple:
         perm = self.action.letters[tok].perm
@@ -240,12 +246,22 @@ class WordImages:
         return node[0]
 
     def set_image(self, word: Word, mask: int) -> int:
-        """The image of the halfspace set ``mask``."""
-        node, image = self.root, mask
-        for tok in reversed(word):
-            node = node[1].get(tok) or self._node(node, tok)
-            got = node[2].get(mask)
-            image = node[2][mask] = self.action.letters[tok].image(image) if got is None else got
+        """The image of the halfspace set ``mask``, mapped on from the
+        longest suffix whose image of it is kept, along the word's suffix
+        nodes, which are kept by word: one lookup when the word's own is."""
+        path = self.paths.get(word)
+        if path is None:
+            path, node = [], self.root
+            for tok in reversed(word):
+                node = node[1].get(tok) or self._node(node, tok)
+                path.append(node)
+            self.paths[word] = path
+        k = len(path)
+        while k and mask not in path[k - 1][2]:
+            k -= 1
+        image = path[k - 1][2][mask] if k else mask
+        for j in range(k, len(path)):
+            image = path[j][2][mask] = self.action.letters[word[-1 - j]].image(image)
         return image
 
     def point(self, word: Word, mask: int) -> Optional[Point]:
@@ -305,10 +321,10 @@ def min_orbit(action: TotalAction) -> OrbitResult:
             x = parent[x]
         return x
 
+    # a total map takes points to points, so a point's image is its set image
     for g in action.gens.values():
         for i, p in enumerate(pts):
-            q = g.apply_point(p)
-            a, b = find(i), find(pos[q.mask])
+            a, b = find(i), find(pos[g.image(p.mask)])
             if a != b:
                 parent[a] = b
     comps = {}
@@ -362,19 +378,20 @@ def find_flip(action: Action, h: str, max_len: Optional[int] = None) -> FlipResu
     P = action.pocset
     hs = P.star[P.idx(h)]
     if action.kind == "total":
-        elements = action.elements
+        # one pass: g𝔥* is disjoint from 𝔥* iff g𝔥* <= 𝔥, read off its up row;
+        # each image that is not a flip narrows the invariant set
+        hi = P.star[hs]
         masks = halfspace_point_masks(P, action.budgets)
-        for word, g in elements:
-            img = g.apply_idx(hs)
-            if _halfspace_disjoint(P, img, hs) and img != P.idx(h):
-                assert masks[img] & masks[hs] == 0
+        inter = -1
+        for word, g in action.elements:
+            img = g.perm[hs]
+            if P.up[img] >> hi & 1 and img != hi:
+                if not masks[img] & masks[hs] == 0:
+                    raise AssertionError("the flip's image meets h* on points")
                 return FlipResult("FLIPPED", word=word)
+            inter &= masks[img]
         pts = action.points()
-        inter = (1 << len(pts)) - 1
-        for _, g in elements:
-            inter &= masks[g.apply_idx(hs)]
-        members = tuple(pts[i] for i in _iter_bits(inter))
-        return FlipResult("INVARIANT_SET", invariant_set=members)
+        return FlipResult("INVARIANT_SET", invariant_set=tuple(pts[i] for i in _iter_bits(inter)))
     images = WordImages(action, (hs,))
     skipped = 0
     for word in enumerate_words(action.gen_names(), depth):
@@ -384,7 +401,8 @@ def find_flip(action: Action, h: str, max_len: Optional[int] = None) -> FlipResu
             continue
         if _halfspace_disjoint(P, img, hs) and img != P.idx(h):
             masks = halfspace_point_masks(P, action.budgets)
-            assert masks[img] & masks[hs] == 0
+            if not masks[img] & masks[hs] == 0:
+                raise AssertionError("the flip's image meets h* on points")
             return FlipResult("FLIPPED", word=word, skipped=skipped)
     return FlipResult("INCONCLUSIVE", depth=depth, skipped=skipped)
 
@@ -436,7 +454,8 @@ def double_skewer(action: Action, h: str, k: str,
             continue
         if img != hi and P.leq_idx(img, hi):
             # the proper containment, re-verified on point sets
-            assert masks[img] & ~masks[hi] == 0 and masks[img] != masks[hi]
+            if not (masks[img] & ~masks[hi] == 0 and masks[img] != masks[hi]):
+                raise AssertionError("the skewered image is not properly inside h on points")
             gap = _set_distance(P, masks[img], masks[P.star[hi]], action.budgets)
             return SkewerResult("SKEWERED", word=word, h=h, k=k, image=P.ids[img], gap=gap)
     return SkewerResult("INCONCLUSIVE", h=h, k=k, depth=depth)
@@ -738,7 +757,7 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
 
     # brute-force word check: letters are the two supplied generators
     letters = {"A": a, "B": b}
-    pos = {p.mask: i for i, p in enumerate(pts)}
+    inside = 1 << P.star[hi] | 1 << a_h | 1 << P.star[ki] | 1 << b_k  # Ω's four sides
     words_checked = 0
     checks = base_count
     stab_ok = True
@@ -754,7 +773,7 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
                 f"{word_str(word)}·Ω escapes {P.ids[target]}",
                 halfspace=P.ids[target])
         checks += 1  # claim inclusion
-        if any(omega_mask >> pos[q.mask] & 1 for q in mapped):
+        if any(q.mask & inside == inside for q in mapped):
             raise InclusionFailed(f"{word_str(word)} fixes part of Ω")
         checks += 1  # uΩ ∩ Ω = ∅
         for wi, img in zip((hi, ki), images(word)):
@@ -843,7 +862,8 @@ def classify(action: Action, max_len: Optional[int] = None) -> ClassificationRep
                 "ROLLER_ELEMENTARY", stage=1,
                 witness={"fixedPoint": sorted(orbit.orbit[0].ids)},
                 log=tuple(log))
-        assert orbit.size <= 2 ** r, "orbit bound violated"
+        if not orbit.size <= 2 ** r:
+            raise AssertionError("orbit bound violated")
         return ClassificationReport(
             "ROLLER_ELEMENTARY", stage=1,
             witness={"finiteOrbit": orbit.to_json()}, log=tuple(log))

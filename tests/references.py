@@ -747,6 +747,16 @@ def closure_group(action) -> list:
     return [seen[p] for p in sorted(seen)]
 
 
+def orbits_by_group(action) -> tuple:
+    """The orbit {g p : g in ``closure_group(action)``} of each point p,
+    each image read bit by bit, as its masks in increasing order, by p's
+    mask; and the least orbit, by size and then least mask."""
+    group = closure_group(action)
+    orbits = {p.mask: tuple(sorted({image_per_bit(g, p)[0] for g in group}))
+              for p in action.points()}
+    return orbits, min(orbits.values(), key=lambda orbit: (len(orbit), orbit[0]))
+
+
 def brute_total_flip(action, h: str) -> FlipResult:
     """Total-action flip search by evaluating reduced words shortest-first
     until every group element has been met, each at its first word; else

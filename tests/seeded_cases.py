@@ -352,6 +352,17 @@ def subgroups():
                     for r in (0, 1, 2) for gens in itertools.combinations(auts, r))
 
 
+def cube_actions() -> list:
+    """The 3-cube acted on by each of its 48 automorphisms and by 40
+    seeded pairs of them."""
+    P = WeightedPocset([(f"{a}+", f"{a}-", Fraction(1)) for a in "xyz"], wall_ids="xyz")
+    auts = automorphisms(P)
+    rng = seeded()
+    pairs = [rng.sample(auts, 2) for _ in range(40)]
+    return [TotalAction(P, {f"g{i}": g for i, g in enumerate(gens)})
+            for gens in [[g] for g in auts] + pairs]
+
+
 def pocset_pairs(count: int, max_walls: int, max_points: int) -> list:
     rng = seeded()
     return [random_pocsets(rng, 2, max_walls, max_points) for _ in range(count)]

@@ -1,6 +1,10 @@
 """Words, windows, flipping, skewering, facing tuples, ping-pong, classify."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,7 @@ from mediankit.structure import Automorphism, pocset_product
 from references import composed_map
 
 ONE = Fraction(1)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # -- words -------------------------------------------------------------------
@@ -156,14 +161,53 @@ def test_flip_searches_share_one_group_computation(monkeypatch):
     assert calls == []
 
 
+def test_total_searches_read_permutations(monkeypatch):
+    """With the group computed, total flip searches and the minimum orbit
+    read the elements' permutations and the generators' set images: no
+    halfspace, order or point call per element."""
+    act = fx.total_action("GRID")
+    assert len(act.elements) == 8
+    calls = []
+    for cls, name in ((Automorphism, "apply_idx"), (Automorphism, "apply_point"),
+                      (Automorphism, "image_point"), (WeightedPocset, "leq_idx")):
+        monkeypatch.setattr(cls, name, lambda *args, name=name: calls.append(name))
+    kinds = [find_flip(act, h).kind for h in act.pocset.ids]
+    assert min_orbit(act).size == 4
+    assert calls == [] and {"FLIPPED", "INVARIANT_SET"} <= set(kinds)
+
+
 def test_group_over_budget_raises_on_every_call():
+    """The error names the budget, its limit and the elements found: GRID's
+    group has 8, and the fifth passes a limit of 4."""
     grid = fx.total_action("GRID")
     act = TotalAction(grid.pocset, grid.gens, Budgets(group_order=4))
     for _ in range(2):
-        with pytest.raises(WallBudgetExceeded):
+        with pytest.raises(WallBudgetExceeded) as exc:
             find_flip(act, "x.h1")
+        assert exc.value.data == {"budget": "group_order", "limit": 4, "reached": 5}
+        assert str(exc.value) == "generated group exceeds budget group_order 4: 5 elements found"
         with pytest.raises(WallBudgetExceeded):
             act.group()
+
+
+# the flip re-verification of a search, on point sets that a corrupted
+# table makes overlap, from a process that strips assert statements
+DOCTORED_FLIP = """
+from mediankit import fixtures as fx
+from mediankit.actions import find_flip
+assert False, "assert statements run"
+act = fx.total_action("GRID")
+act.pocset._hmasks = ((1 << len(act.points())) - 1,) * act.pocset.n
+find_flip(act, "x.h1")
+"""
+
+
+def test_flip_reverification_raises_under_python_O():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-O", "-c", DOCTORED_FLIP], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.strip().endswith("AssertionError: the flip's image meets h* on points")
 
 
 # -- wall inversions ----------------------------------------------------------

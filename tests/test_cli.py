@@ -542,6 +542,8 @@ def test_env_budget_applies_to_fixture_and_file_actions(
     code, report, _ = run_cli(capsys, *argv)
     assert code == 3
     assert report["error"]["code"] == "WALL_BUDGET_EXCEEDED"
+    if budget == "group_order:2":  # the rotation's group has 3 elements
+        assert report["error"]["data"] == {"budget": "group_order", "limit": 2, "reached": 3}
     # the cached fixture keeps its own budgets
     assert fx.window("F2BALL").budgets == fx.WINDOW_BUDGETS
 

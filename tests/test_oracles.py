@@ -43,7 +43,8 @@ from references import (
     factors_by_names, first_facing_tuple, gap_by_pairs,
     gate_per_wall, image_per_bit, indented_by_stdlib, inversions_by_composite,
     is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
-    minimal_tail_by_containment, pair_order, pairwise_validate_system, point_sides,
+    minimal_tail_by_containment, orbits_by_group, pair_order, pairwise_validate_system,
+    point_sides,
     points_per_bit, poset_by_closures, preimage_by_name, product_by_names, rank_by_families,
     rel_index, rel_up_rows, resolve, sector_per_halfspace, separating_mass,
     separating_per_halfspace, shape, shift_check_by_pairs, stabilizer_per_point, star_image,
@@ -220,6 +221,11 @@ def _image_kinds(case, q) -> list:
     if q is None:
         return [image_per_bit(*case)[1]]
     return ["point"] + (["total"] if None not in case[0].perm else [])
+
+
+def _orbit_kinds(case, orbit) -> list:
+    sizes = [len(o) for o in set(orbits_by_group(case[0])[0].values())]
+    return [f"size {len(orbit)}"] + ["tied least size"] * (sizes.count(len(orbit)) > 1)
 
 
 def _word_images(action, word, cancelled) -> tuple:
@@ -419,6 +425,10 @@ ORACLES = (
     Row("group", lambda act: [g.perm for g in act.group()],
         lambda act: [g.perm for g in closure_group(act)],
         lambda: _each(sc.total_actions()), 24),
+    Row("min_orbit", lambda act: tuple(p.mask for p in min_orbit(act).orbit),
+        lambda act: orbits_by_group(act)[1],
+        lambda: list(sc.subgroups()) + _each(sc.cube_actions()), 190, _orbit_kinds,
+        {"size 1": 60, "size 2": 45, "size 4": 40, "size 8": 25, "tied least size": 95}),
     Row("total_flip", lambda act, h: find_flip(act, h).to_json(),
         lambda act, h: brute_total_flip(act, h).to_json(),
         lambda: [(act, h) for act in sc.total_actions() for h in act.pocset.ids], 136,
