@@ -144,14 +144,6 @@ class Action:
         alphabet order: the one step table of every word search."""
         return {(n, s): g if s > 0 else g.inverse() for n, g in self.gens.items() for s in (1, -1)}
 
-    def evaluate(self, word: Word):
-        """The word reads as a product left-to-right: (a, b) is the element
-        ab, whose rightmost factor acts first."""
-        g = self.identity()
-        for tok in word:
-            g = g.compose(self.letters[tok])
-        return g
-
     def points(self):
         return points(self.pocset, self.budgets)
 
@@ -231,7 +223,6 @@ class WordImages:
     def __init__(self, action: Action, idxs: Sequence[int] = ()):
         self.action = action
         self.root = (tuple(idxs), {}, {})  # images, longer suffixes by letter, set images
-        self.paths = {}  # word -> its suffixes' nodes, shortest first
 
     def _node(self, node: tuple, tok) -> tuple:
         perm = self.action.letters[tok].perm
@@ -246,22 +237,13 @@ class WordImages:
         return node[0]
 
     def set_image(self, word: Word, mask: int) -> int:
-        """The image of the halfspace set ``mask``, mapped on from the
-        longest suffix whose image of it is kept, along the word's suffix
-        nodes, which are kept by word: one lookup when the word's own is."""
-        path = self.paths.get(word)
-        if path is None:
-            path, node = [], self.root
-            for tok in reversed(word):
-                node = node[1].get(tok) or self._node(node, tok)
-                path.append(node)
-            self.paths[word] = path
-        k = len(path)
-        while k and mask not in path[k - 1][2]:
-            k -= 1
-        image = path[k - 1][2][mask] if k else mask
-        for j in range(k, len(path)):
-            image = path[j][2][mask] = self.action.letters[word[-1 - j]].image(image)
+        """The image of the halfspace set ``mask``, kept at each suffix node
+        of the word as the walk passes it."""
+        node, image = self.root, mask
+        for tok in reversed(word):
+            node = node[1].get(tok) or self._node(node, tok)
+            got = node[2].get(mask)
+            image = node[2][mask] = self.action.letters[tok].image(image) if got is None else got
         return image
 
     def point(self, word: Word, mask: int) -> Optional[Point]:
@@ -279,7 +261,7 @@ def wall_inversions(action: Action, word: Word) -> tuple:
     For window actions only walls with visible images are decided; the
     count of undecided walls is returned alongside.  The walls' lower
     sides step letter by letter through the letter table from the word's
-    right end, as ``evaluate``'s composite maps them, composing no map.
+    right end, as the word's composite maps them, composing no map.
     """
     P = action.pocset
     images = [i for i, _ in P.walls]
@@ -694,10 +676,13 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
 
     Precondition: 𝔥, a𝔥*, 𝔨, b𝔨* form a facing 4-tuple.  The four
     displayed inclusion families (3 inclusions per generator direction) are
-    verified once; then for every nontrivial reduced word u up to the depth
-    six elementary checks run: the claim inclusion uΩ ⊆ (prescribed side),
-    uΩ ∩ Ω = ∅, and the four wall-stabilizer inequalities u𝔥 ∉ {𝔥,𝔥*},
-    u𝔨 ∉ {𝔨,𝔨*}.
+    verified once; then every nontrivial reduced word u up to the depth, in
+    the letters A = a and B = b, makes exactly six checks: the claim
+    inclusion uΩ ⊆ (the side of u's first letter), uΩ ∩ Ω = ∅, and the four
+    wall-stabilizer inequalities u𝔥 ∉ {𝔥,𝔥*}, u𝔨 ∉ {𝔨,𝔨*}.  So
+    ``checksPerformed`` is ``baseInclusions + 6 * wordsChecked``.  The
+    second check follows from the first, as each such side is the
+    complement of one of Ω's four sides; both are read.
     """
     depth = _depth(action, max_len)
     P = action.pocset
@@ -728,22 +713,16 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
         raise NotFacing("the central region Ω is empty")
     omega = tuple(pts[i] for i in _iter_bits(omega_mask))
 
-    prescribed = {
-        ("A", 1): a_hs,    # u = a u'  =>  uΩ ⊆ a𝔥*
-        ("A", -1): hi,     # u = a⁻¹u' =>  uΩ ⊆ 𝔥
-        ("B", 1): b_ks,
-        ("B", -1): ki,
+    # per letter: its generator word, the side uΩ lies in when u starts
+    # with it, and the three halfspaces its displayed family maps into
+    # that side
+    sides = {
+        ("A", 1): (a, a_hs, (a_hs, b_ks, ki)),
+        ("A", -1): (invert_word(a), hi, (hi, b_ks, ki)),
+        ("B", 1): (b, b_ks, (a_hs, hi, b_ks)),
+        ("B", -1): (invert_word(b), ki, (a_hs, hi, ki)),
     }
-    # the four displayed inclusion families, one ≤-check per member
-    base_targets = {
-        (a, 1): (a_hs, [a_hs, b_ks, ki]),
-        (a, -1): (hi, [hi, b_ks, ki]),
-        (b, 1): (b_ks, [a_hs, hi, b_ks]),
-        (b, -1): (ki, [a_hs, hi, ki]),
-    }
-    base_count = 0
-    for (gw, sign), (target, sources) in base_targets.items():
-        word = gw if sign == 1 else invert_word(gw)
+    for word, target, sources in sides.values():
         for src, img in zip(sources, WordImages(action, sources)(word)):
             if img is None:
                 raise OutOfWindow(
@@ -753,55 +732,42 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
                 raise InclusionFailed(
                     f"{word_str(word)}·{P.ids[src]} is not contained in "
                     f"{P.ids[target]}", halfspace=P.ids[src])
-            base_count += 1
+    base_inclusions = 3 * len(sides)
 
-    # brute-force word check: letters are the two supplied generators
-    letters = {"A": a, "B": b}
     inside = 1 << P.star[hi] | 1 << a_h | 1 << P.star[ki] | 1 << b_k  # Ω's four sides
     words_checked = 0
-    checks = base_count
     stab_ok = True
     images = WordImages(action, (hi, ki))
     for u in enumerate_words(("A", "B"), depth):
-        word = _expand_letters(u, letters)
+        word = reduce_word(tuple(itertools.chain.from_iterable(sides[tok][0] for tok in u)))
         mapped = [images.point(word, p.mask) for p in omega]
         if any(q is None for q in mapped):
             raise OutOfWindow(f"word {word_str(word)} leaves the window on Ω")
-        target = prescribed[u[0]]
+        target = sides[u[0]][1]
         if any(not (q.mask >> target & 1) for q in mapped):
             raise InclusionFailed(
                 f"{word_str(word)}·Ω escapes {P.ids[target]}",
                 halfspace=P.ids[target])
-        checks += 1  # claim inclusion
         if any(q.mask & inside == inside for q in mapped):
             raise InclusionFailed(f"{word_str(word)} fixes part of Ω")
-        checks += 1  # uΩ ∩ Ω = ∅
         for wi, img in zip((hi, ki), images(word)):
             for forbidden in (wi, P.star[wi]):
                 if img == forbidden or img is None and \
                         not _stabilizer_excluded(images, word, wi, forbidden):
                     stab_ok = False
-                checks += 1
         words_checked += 1
 
     return FreeCertificate(
         a=a, b=b, h=h, k=k,
         facing_tuple=tuple(P.ids[i] for i in tup),
-        base_inclusions=base_count,
+        base_inclusions=base_inclusions,
         words_checked=words_checked,
-        checks_performed=checks,
+        checks_performed=base_inclusions + 6 * words_checked,
         depth=depth,
         omega=omega,
         stabilizer_trivial=stab_ok,
         verified=stab_ok,
     )
-
-
-def _expand_letters(u, letters) -> Word:
-    out = []
-    for name, sign in u:
-        out.extend(letters[name] if sign == 1 else invert_word(letters[name]))
-    return reduce_word(tuple(out))
 
 
 def _stabilizer_excluded(images: WordImages, word: Word, side: int, forbidden: int) -> bool:
@@ -845,8 +811,8 @@ def classify(action: Action, max_len: Optional[int] = None) -> ClassificationRep
     Stage 1 looks for a global fixed point or a finite orbit of size at most
     2^rank; for total actions on finite pocsets this is an exact decision.
     Stage 2 restricts to a minimal nonempty invariant convex core.  Stage 3
-    hunts for a facing triple, upgrades it, and attempts a ping-pong
-    certificate.  Window "fixed points" live at window resolution only, so
+    hunts for a facing triple and the first facing 4-tuple, and attempts a
+    ping-pong certificate on each ordering of the 4-tuple.  Window "fixed points" live at window resolution only, so
     for window actions stage 1 records candidates without concluding and
     the pipeline proceeds; only a stage-3 certificate is a verdict.
     """
@@ -879,39 +845,37 @@ def classify(action: Action, max_len: Optional[int] = None) -> ClassificationRep
         "(not conclusive for the underlying action)")
     log.append("stage2: window core restriction skipped (budgeted search)")
 
-    # facing_tuple(P, 3 or 4, action=...), with each search run once
+    # the combinatorial facing tuples alone: growing one by skewering is
+    # ``facing_tuple``'s route, not classify's
     triple = _facing_backtrack(P, 3, [], strong=False)
     if triple is None:
         log.append("stage3: no facing triple found")
         return ClassificationReport("INCONCLUSIVE", stage=3, log=tuple(log))
     log.append(f"stage3: facing triple {tuple(P.ids[i] for i in triple)}")
-    fours = (_facing_backtrack(P, 4, [], strong=False),
-             _upgrade_route(P, 4, triple, False, action, depth))
-    candidates = list(dict.fromkeys(tuple(P.ids[i] for i in t) for t in fours if t is not None))
-    if not candidates:
+    four = _facing_backtrack(P, 4, [], strong=False)
+    if four is None:
         log.append("stage3: no facing 4-tuple")
         return ClassificationReport("INCONCLUSIVE", stage=3, log=tuple(log))
-    for tup in candidates:
-        for h, hp, k, kp in itertools.permutations(tup):
-            res_a = double_skewer(action, hp, P.ids[P.star[P.idx(h)]],
-                                  max_len=depth)
-            if res_a.kind != "SKEWERED":
-                continue
-            res_b = double_skewer(action, kp, P.ids[P.star[P.idx(k)]],
-                                  max_len=depth)
-            if res_b.kind != "SKEWERED":
-                continue
-            try:
-                cert = pingpong(action, res_a.word, res_b.word, h, k,
-                                max_len=depth)
-            except (NotFacing, InclusionFailed, OutOfWindow):
-                continue
-            log.append(
-                f"stage3: ping-pong verified with h={h}, k={k}, "
-                f"a={word_str(res_a.word)}, b={word_str(res_b.word)}")
-            return ClassificationReport(
-                "FREE_SUBGROUP", stage=3, witness=cert.to_json(),
-                log=tuple(log))
+    for h, hp, k, kp in itertools.permutations(P.ids[i] for i in four):
+        res_a = double_skewer(action, hp, P.ids[P.star[P.idx(h)]],
+                              max_len=depth)
+        if res_a.kind != "SKEWERED":
+            continue
+        res_b = double_skewer(action, kp, P.ids[P.star[P.idx(k)]],
+                              max_len=depth)
+        if res_b.kind != "SKEWERED":
+            continue
+        try:
+            cert = pingpong(action, res_a.word, res_b.word, h, k,
+                            max_len=depth)
+        except (NotFacing, InclusionFailed, OutOfWindow):
+            continue
+        log.append(
+            f"stage3: ping-pong verified with h={h}, k={k}, "
+            f"a={word_str(res_a.word)}, b={word_str(res_b.word)}")
+        return ClassificationReport(
+            "FREE_SUBGROUP", stage=3, witness=cert.to_json(),
+            log=tuple(log))
     log.append("stage3: no ping-pong configuration verified within budget")
     return ClassificationReport("INCONCLUSIVE", stage=3, log=tuple(log))
 

@@ -21,6 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import __version__
 from .actions import (
     TotalAction,
+    WordImages,
     classify,
     double_skewer,
     facing_tuple,
@@ -271,10 +272,9 @@ def cmd_flip(args) -> int:
     res = find_flip(action, args.halfspace, args.max_word_len)
     extra = {}
     if args.verify and res.kind == "FLIPPED":
-        g = action.evaluate(res.word)
-        img = g.apply_idx(action.pocset.idx(action.pocset.star_of(args.halfspace)))
-        extra["verify"] = verification.verify_flip(
-            action.pocset, args.halfspace, action.pocset.ids[img])
+        P = action.pocset
+        img = WordImages(action, (P.idx(P.star_of(args.halfspace)),))(res.word)[0]
+        extra["verify"] = verification.verify_flip(P, args.halfspace, P.ids[img])
     code = EXIT_OK if res.kind in ("FLIPPED", "INVARIANT_SET") else EXIT_INCONCLUSIVE
     return _emit(args, src, res.to_json(), f"flip: {res.kind}", code, **extra)
 

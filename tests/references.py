@@ -13,7 +13,8 @@ from fractions import Fraction
 from functools import cache, reduce
 from operator import or_
 
-from mediankit.actions import FlipResult, SectorResult, enumerate_words
+from mediankit.actions import (
+    FlipResult, SectorResult, Word, enumerate_words, invert_word, reduce_word)
 from mediankit.boundary import (
     SUB, SUP, TRANS, _INVERSE, almost_contained, closure, tail, ubs_graph, union_seed,
     validate_system_rules)
@@ -679,15 +680,23 @@ def poset_by_closures(S) -> list:
                for z in outside for u in chosen for w in chosen):
             continue
         for N in range(max(G.starts, default=0), S.tail_depth + 1):
-            cand = closure(S, union_seed([tail(G.vertices[i][2], N) for i in chosen]))
-            if [i for i, (_, rep, _) in enumerate(G.vertices)
-                    if rep.tails() <= cand.tails()] == chosen:
+            cand = poset_candidate(S, G, chosen, N)
+            if cand is not None:
                 out.append((tuple(G.vertices[i][0] for i in chosen), cand))
                 break
         else:
             raise HorizonExceeded(
                 f"no representative for vertex set {chosen} within horizon")
     return out
+
+
+def poset_candidate(S, G, chosen: list, N: int):
+    """The closure of the tails at N of the vertices ``chosen`` of the graph
+    ``G``, if its tail set holds exactly theirs, else None."""
+    cand = closure(S, union_seed([tail(G.vertices[i][2], N) for i in chosen]))
+    if [i for i, (_, rep, _) in enumerate(G.vertices) if rep.tails() <= cand.tails()] == chosen:
+        return cand
+    return None
 
 
 def equivalent_by_containment(S, U, V) -> bool:
@@ -718,6 +727,25 @@ def composed_map(action, word) -> Automorphism:
     name, sign = word[-1]
     g = action.gens[name]
     return composed_map(action, word[:-1]).compose(g if sign > 0 else g.inverse())
+
+
+def evaluate(action, word):
+    """The word's map as a product read left to right, through the action's
+    letter table: (a, b) is the element ab, whose rightmost factor acts
+    first."""
+    g = action.identity()
+    for tok in word:
+        g = g.compose(action.letters[tok])
+    return g
+
+
+def expand_letters(u, letters) -> Word:
+    """The reduced word of the letter word ``u`` whose letters name the
+    generator words ``letters``, each inverse letter by its word inverted."""
+    out = []
+    for name, sign in u:
+        out.extend(letters[name] if sign == 1 else invert_word(letters[name]))
+    return reduce_word(tuple(out))
 
 
 def inversions_by_composite(action, word) -> tuple:
@@ -768,7 +796,7 @@ def brute_total_flip(action, h: str) -> FlipResult:
     words = itertools.chain(
         [()], enumerate_words(action.gen_names(), 2 * len(group) + 1))
     for word in words:
-        g = action.evaluate(word)
+        g = evaluate(action, word)
         if g.perm in seen:
             continue
         seen.add(g.perm)

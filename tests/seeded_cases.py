@@ -16,7 +16,7 @@ from functools import cache
 
 from mediankit import fixtures as fx
 from mediankit.actions import (
-    TotalAction, WindowAction, _expand_letters, enumerate_words, parse_word)
+    TotalAction, WindowAction, enumerate_words, parse_word)
 from mediankit.boundary import (
     SUB, SUP, TRANS, _INVERSE, Chain, ChainSystem, RowRule, ShiftMap, Zone, closure,
     validate_system, validate_system_rules)
@@ -26,7 +26,7 @@ from mediankit.randomgen import random_pocset, random_poset, random_system
 from mediankit.structure import Automorphism, automorphisms, decompose, pocset_product
 from mediankit.subdivision import subdivide
 from references import (
-    composed_map, pair_order, resolve, transversality_pairwise, wall_list)
+    composed_map, expand_letters, pair_order, resolve, transversality_pairwise, wall_list)
 
 
 def random_pocsets(rng: random.Random, count: int, max_walls: int = 10,
@@ -254,7 +254,7 @@ def word_image_cases():
     W = fx.window("F2BALL")
     letters = {"A": parse_word("a b", W.gen_names()), "B": parse_word("b^-1 a", W.gen_names())}
     for u in enumerate_words(("A", "B"), 3):
-        word = _expand_letters(u, letters)
+        word = expand_letters(u, letters)
         yield W, word, len(word) < 2 * len(u)
 
 
@@ -434,10 +434,25 @@ def validated_systems() -> list:
 
 def poset_systems() -> list:
     """The checked systems that pass validation, 30 random systems of up
-    to 5 chains and gap systems with D listed first, whose one class's
-    candidate holds C only from G past its start."""
+    to 5 chains, gap systems with D listed first, whose one class's
+    candidate holds C only from G past its start, and the later-start
+    system."""
     return [S for S in checked_systems() if validate_system(S).ok] + \
-        random_systems(seeded(8), 30, max_chains=5) + [gap_system(G, "DC") for G in (3, 12)]
+        random_systems(seeded(8), 30, max_chains=5) + [gap_system(G, "DC") for G in (3, 12)] + \
+        [later_start_system()]
+
+
+def later_start_system() -> ChainSystem:
+    """Chains A, B and C of period 1 and weight 1: A_n and C_m transverse
+    up to offset m - n = 2 and C_m in A_n from 3, B_n and C_m transverse up
+    to 0 and C_m in B_n from 1, and B_m in A_0 for m >= 4.  Every vertex's
+    minimal tail starts at 0, but the tails of A and C at 0 close to a set
+    holding B's, so {A, C} has its representative A[1:] C[1:] at N = 1."""
+    one = (Fraction(1),)
+    return ChainSystem([Chain(c, 1, one) for c in "ABC"], zones={
+        ("A", "C"): (Zone(None, 2, TRANS), Zone(3, None, SUP)),
+        ("B", "C"): (Zone(None, 0, TRANS), Zone(1, None, SUP))},
+        rows=(RowRule("A", 0, "B", SUP, 4, None),), name="LATER_START")
 
 
 def truncated_systems() -> list:

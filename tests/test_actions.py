@@ -11,8 +11,8 @@ import pytest
 from mediankit import fixtures as fx
 from mediankit.actions import (
     TotalAction,
+    WindowAction,
     WordImages,
-    _expand_letters,
     classify,
     double_skewer,
     enumerate_words,
@@ -30,6 +30,7 @@ from mediankit.actions import (
 )
 from mediankit.config import Budgets
 from mediankit.errors import (
+    InclusionFailed,
     InvalidInput,
     NotFacing,
     NotTransverse,
@@ -41,7 +42,7 @@ from mediankit.pocset import (
     points,
 )
 from mediankit.structure import Automorphism, pocset_product
-from references import composed_map
+from references import composed_map, evaluate, expand_letters
 
 ONE = Fraction(1)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -76,7 +77,7 @@ def test_word_enumeration_is_reduced_and_ordered():
 def test_word_evaluation_is_multiplicative(square):
     named = fx.named_automorphisms("SQUARE")
     act = TotalAction(square, {"r": named["rot"], "s": named["swap"]})
-    rs = act.evaluate(parse_word("r s", act.gen_names()))
+    rs = evaluate(act, parse_word("r s", act.gen_names()))
     assert rs.perm == named["rot"].compose(named["swap"]).perm
 
 
@@ -84,13 +85,13 @@ def test_word_evaluation_is_multiplicative(square):
 
 def test_search_maps_match_evaluate():
     """Every word's halfspace images in the engine are those of the map
-    evaluate() builds and of the composed reference, which passes the
+    ``evaluate`` builds and of the composed reference, which passes the
     structure check that only loading runs."""
     for action in (fx.line_window(), fx.f2ball_window()):
         images = WordImages(action, range(action.pocset.n))
         for word in enumerate_words(action.gen_names(), 3):
             g = composed_map(action, word)
-            assert images(word) == g.perm == action.evaluate(word).perm
+            assert images(word) == g.perm == evaluate(action, word).perm
             g.check()
 
 
@@ -100,13 +101,13 @@ def test_pingpong_letter_maps_match_evaluate():
     W = fx.f2ball_window()
     letters = {"A": parse_word("a b", W.gen_names()),
                "B": parse_word("b^-1 a", W.gen_names())}
-    assert _expand_letters((("A", 1), ("B", 1)), letters) == \
+    assert expand_letters((("A", 1), ("B", 1)), letters) == \
         parse_word("a a", W.gen_names())
     images = WordImages(W, range(W.pocset.n))
     for u in enumerate_words(("A", "B"), 3):
-        word = _expand_letters(u, letters)
+        word = expand_letters(u, letters)
         g = composed_map(W, word)
-        assert images(word) == g.perm == W.evaluate(word).perm
+        assert images(word) == g.perm == evaluate(W, word).perm
         g.check()
 
 
@@ -262,7 +263,7 @@ def test_tripod_rotation_flips_center_side(tripod):
     act = fx.total_action("TRIPOD", ("rot",))
     res = find_flip(act, "h1*")
     assert res.kind == "FLIPPED"
-    g = act.evaluate(res.word)
+    g = evaluate(act, res.word)
     P = tripod
     img = g.apply_idx(P.idx("h1"))
     assert P.leq_idx(img, P.star[P.idx("h1")])  # disjoint from h1
@@ -421,6 +422,60 @@ def test_pingpong_rejects_equal_walls():
         pingpong(W, a, b, "wA+", "wA+")
 
 
+def _f2ball_editing_a(sides: dict) -> WindowAction:
+    """F2BALL with generator a sending each halfspace of ``sides`` to the
+    named one instead (None: undefined), with no structure check: only
+    ``a`` restricted to fewer walls still passes ``Automorphism.check``."""
+    W = fx.f2ball_window()
+    P, perm = W.pocset, list(W.gens["a"].perm)
+    for side, image in sides.items():
+        perm[P.idx(side)] = None if image is None else P.idx(image)
+    return WindowAction(P, {**W.gens, "a": Automorphism(P, perm, "a")}, budgets=W.budgets)
+
+
+PINGPONG_EXITS = [
+    # (window, a, b, h, k, depth, error, message, data)
+    (fx.f2ball_window, "a", "b", "wA+", "wA-", 2, NotFacing,
+     "h and k must be sides of distinct walls", {}),
+    (fx.f2ball_window, "a", "a", "wA+", "wB+", 2, NotFacing,
+     "the two generator words must be distinct and nontrivial", {}),
+    (fx.f2ball_window, "a^5", "b", "wA+", "wB+", 2, OutOfWindow,
+     "a𝔥* or b𝔨* is not visible in the window", {}),
+    (fx.f2ball_window, "a", "a^-1", "wA+", "wB+", 2, NotFacing,
+     "the four halfspaces h, a h*, k, b k* are not pairwise disjoint",
+     {"tuple": ["wA+", "wa+", "wB+", "wAB-"]}),
+    # a restricted to every wall but wa: a h* = wa+ is defined, a·wa+ is not
+    (lambda: _f2ball_editing_a({"wa+": None, "wa-": None}), "a", "b", "wA+", "wB+", 2,
+     OutOfWindow, "inclusion source wa+ not visible under a", {}),
+    (fx.f2ball_window, "b", "a a", "wB+", "wA+", 4, OutOfWindow,
+     "word a a a a a a a a leaves the window on Ω", {}),
+    # the three exits below need a map that loading rejects: one defined on
+    # h* but not on h, one with a h = h, one reversing the order of wa+
+    (lambda: _f2ball_editing_a({"wA+": None}), "a", "b", "wA+", "wB+", 2, OutOfWindow,
+     "a𝔥 or b𝔨 is not visible in the window", {}),
+    (lambda: _f2ball_editing_a({"wA+": "wA+"}), "a", "b", "wA+", "wB+", 2, NotFacing,
+     "the central region Ω is empty", {}),
+    (lambda: _f2ball_editing_a({"wa+": "wB+", "wa-": "wB-"}), "a", "b", "wA+", "wB+", 2,
+     InclusionFailed, "a·wa+ is not contained in wa+", {"halfspace": "wa+"}),
+]
+
+
+@pytest.mark.parametrize("window,a,b,h,k,depth,error,message,data", PINGPONG_EXITS,
+                         ids=[case[7] for case in PINGPONG_EXITS])
+def test_pingpong_exits(window, a, b, h, k, depth, error, message, data):
+    """Each way ``pingpong`` rejects a configuration, by error class,
+    message and data.  The claim failures "escapes" and "fixes part of Ω"
+    are reached by no window here: the second cannot follow a passed claim
+    inclusion, whose target is the complement of one of Ω's four sides."""
+    W = window()
+    words = (parse_word(x, W.gen_names()) for x in (a, b))
+    with pytest.raises(error) as exc:
+        pingpong(W, *words, h, k, max_len=depth)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert exc.value.data == data
+
+
 # -- classification ----------------------------------------------------------------
 
 def test_classify_square_dihedral(square):
@@ -454,6 +509,19 @@ def test_classify_f2ball_finds_free_subgroup():
     rep = classify(W, max_len=3)
     assert rep.kind == "FREE_SUBGROUP"
     assert rep.witness["verified"]
+
+
+def test_classify_tries_the_combinatorial_facing_tuple_alone(monkeypatch):
+    """Stage 3 reads the first facing 4-tuple of the window and grows none
+    by skewering: ``facing_tuple`` keeps that route."""
+    from mediankit import actions
+
+    def no_upgrade(*args):
+        raise AssertionError("classify grew a facing tuple by skewering")
+
+    monkeypatch.setattr(actions, "_upgrade_route", no_upgrade)
+    rep = classify(fx.f2ball_window(), max_len=2)
+    assert rep.kind == "FREE_SUBGROUP"
 
 
 def test_classify_line_is_inconclusive():

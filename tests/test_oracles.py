@@ -44,8 +44,8 @@ from references import (
     gate_per_wall, image_per_bit, indented_by_stdlib, inversions_by_composite,
     is_ultrafilter_per_bit, lineal_pairs, mass_per_index,
     minimal_tail_by_containment, orbits_by_group, pair_order, pairwise_validate_system,
-    point_sides,
-    points_per_bit, poset_by_closures, preimage_by_name, product_by_names, rank_by_families,
+    point_sides, points_per_bit, poset_by_closures, poset_candidate, preimage_by_name,
+    product_by_names, rank_by_families,
     rel_index, rel_up_rows, resolve, sector_per_halfspace, separating_mass,
     separating_per_halfspace, shape, shift_check_by_pairs, stabilizer_per_point, star_image,
     strongly_separated_per_wall, system_map_by_range, transpose_rows, transversality_pairwise,
@@ -200,12 +200,18 @@ def _system_map_kinds(case, verdict) -> list:
 
 
 def _poset_kinds(case, poset) -> list:
-    """One label per kept and per dropped vertex set; one if the graph has
-    an edge path of length 2."""
-    G = ubs_graph(case[0])
+    """One label per kept and per dropped vertex set; one per kept set whose
+    representative needs an N past the largest minimal-tail start; one if
+    the graph has an edge path of length 2."""
+    S = case[0]
+    G = ubs_graph(S)
     edges, dropped = set(G.edges), (1 << len(G.vertices)) - 1 - len(poset)
     path = any((j, k) in edges for _, j in edges for k in range(len(G.vertices)))
-    return ["kept"] * len(poset) + ["dropped"] * dropped + ["two-edge path"] * path
+    index = {label: i for i, (label, _, _) in enumerate(G.vertices)}
+    later = sum(poset_candidate(S, G, [index[v] for v in labels],
+                                max(G.starts, default=0)) is None for labels, _ in poset)
+    return ["kept"] * len(poset) + ["dropped"] * dropped + ["later start"] * later + \
+        ["two-edge path"] * path
 
 
 def _cube(S, q) -> tuple:
@@ -522,7 +528,7 @@ ORACLES = (
                             for depth in sorted({0, 3 * S.head_extent, S.horizon + S.lcm_period})
                             for want in (SUB, SUP)], 340),
     Row("ubs_poset", ubs_poset, poset_by_closures, lambda: _each(sc.poset_systems()), 90,
-        _poset_kinds, {"kept": 700, "dropped": 120, "two-edge path": 20}),
+        _poset_kinds, {"kept": 700, "dropped": 120, "later start": 1, "two-edge path": 20}),
     Row("validate_system", lambda S: validate_system(S).to_json(),
         lambda S: pairwise_validate_system(S).to_json(),
         lambda: _each(sc.validated_systems()), 190, _validate_kinds,
