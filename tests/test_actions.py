@@ -514,12 +514,10 @@ def test_classify_f2ball_finds_free_subgroup():
 def test_classify_tries_the_combinatorial_facing_tuple_alone(monkeypatch):
     """Stage 3 reads the first facing 4-tuple of the window and grows none
     by skewering: ``facing_tuple`` keeps that route."""
-    from mediankit import actions
-
     def no_upgrade(*args):
         raise AssertionError("classify grew a facing tuple by skewering")
 
-    monkeypatch.setattr(actions, "_upgrade_route", no_upgrade)
+    monkeypatch.setattr("mediankit.actions._upgrade_route", no_upgrade)
     rep = classify(fx.f2ball_window(), max_len=2)
     assert rep.kind == "FREE_SUBGROUP"
 
