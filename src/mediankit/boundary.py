@@ -14,9 +14,10 @@ and a SUP table of bitmasks of the first chain's indices per index of the
 second, built in one pass with the rules' precedence, as deep as its
 callers ask; the zones are resolved once per code as one mask over
 offsets, which each entry reads by a shift), and every reader of the
-relation reads it there.  Closures also read suffix-OR tables, and a memo
-closes each seed once, window errors included.  A closure is the OR of
-its seed intervals' per-chain reads, and so is a class poset candidate.
+relation reads it there.  Closures also read suffix-OR tables, and one
+memo per system keeps each closure and the graph, errors included.  A
+closure is the OR of its seed intervals' per-chain reads, and so is a
+class poset candidate.
 
 Every depth read is set by E = ``head_extent``, not by the periods, by
 ``ChainSystem.rel``'s fold: for c != d and n, m >= E a relation depends
@@ -124,8 +125,8 @@ class RowRule:
 class ChainSystem:
     """Chains plus the relation rules; immutable after construction, apart
     from caches that depend on nothing else: the relation index and its
-    suffix-OR tables (rebuilt deeper when a caller asks for more), the
-    closure memo and the UBS graph."""
+    suffix-OR tables (rebuilt deeper when a caller asks for more), and the
+    kept closures and UBS graph (``_kept``)."""
 
     def __init__(self, chains: Sequence[Chain],
                  zones: Optional[dict] = None,
@@ -153,8 +154,7 @@ class ChainSystem:
         self.tail_depth = self.head_extent + 2 * self.lcm_period
         self._index: dict = {}
         self._suffix: dict = {}
-        self._closures: dict = {}
-        self._graph = None
+        self._kept: dict = {}
 
     # -- relation resolution ---------------------------------------------
 
@@ -436,6 +436,22 @@ def _zones_partition(zs: Sequence[Zone]) -> bool:
 
 # -- closures ---------------------------------------------------------------
 
+def _kept(S: ChainSystem, key, errors, build, *args):
+    """``build(*args)``, kept in S under ``key`` (sorted seed intervals, or
+    "graph"); an error among ``errors`` is kept and raised afresh, with
+    its message, on every later call."""
+    out = S._kept.get(key)
+    if out is None:
+        try:
+            out = build(*args)
+        except errors as exc:
+            out = exc
+        S._kept[key] = out
+    if isinstance(out, Exception):
+        raise type(out)(str(out))
+    return out
+
+
 def closure(S: ChainSystem, seed) -> UBS:
     """Inseparable closure of a union of chain intervals.
 
@@ -447,20 +463,10 @@ def closure(S: ChainSystem, seed) -> UBS:
     must lie in the horizon window: a seed interval starting past
     ``horizon``, or a finite one ending at or past it, raises
     ``HorizonExceeded`` naming its chain.  Each seed (its intervals, sorted
-    by chain) is closed once per system; a ``HorizonExceeded`` is kept and
-    raised afresh, with its message, on every later call.
+    by chain) is closed once per system (``_kept``), errors included.
     """
     key = tuple(sorted((seed if isinstance(seed, UBS) else UBS(seed)).intervals.items()))
-    out = S._closures.get(key)
-    if out is None:
-        try:
-            out = _close(S, dict(key))
-        except HorizonExceeded as exc:
-            out = exc
-        S._closures[key] = out
-    if isinstance(out, HorizonExceeded):
-        raise HorizonExceeded(str(out))
-    return out
+    return _kept(S, key, HorizonExceeded, _close, S, dict(key))
 
 
 def _close(S: ChainSystem, seed: dict) -> UBS:
@@ -659,17 +665,9 @@ def ubs_graph(S: ChainSystem) -> UBSGraph:
     """Minimal classes and the asymmetric almost-transversality edges: i -> j
     when (ci, E) and (cj, 2 E), E = ``head_extent``, offset past every zone
     bound, are transverse and (cj, E) and (ci, 2 E) are not.  Built once
-    per system, as a closure is: a graph that breaks its laws, or whose
-    closures leave the window, is kept as its error and raised afresh,
-    with its message, on every later call."""
-    if S._graph is None:
-        try:
-            S._graph = _build_graph(S)
-        except (HorizonExceeded, InvalidInput) as exc:
-            S._graph = exc
-    if isinstance(S._graph, Exception):
-        raise type(S._graph)(str(S._graph))
-    return S._graph
+    per system (``_kept``): a graph that breaks its laws, or whose
+    closures leave the window, is kept as its error."""
+    return _kept(S, "graph", (HorizonExceeded, InvalidInput), _build_graph, S)
 
 
 def _build_graph(S: ChainSystem) -> UBSGraph:
@@ -934,46 +932,32 @@ def _placed(bits: int, p0: int, p1: int, w0: int, w1: int) -> int:
     return out
 
 
-def _deep_representative(S: ChainSystem, U: UBS, g: ShiftMap) -> UBS:
-    """Equivalent tail-only representative everything below which is
-    untouched by the definedness boundary of g."""
+def _transfer(S: ChainSystem, U: UBS, g: ShiftMap) -> Optional[Fraction]:
+    """nu(g^{-1}Ω \\ Ω) − nu(Ω \\ g^{-1}Ω) for Ω the tails T of U, chain c
+    from a_c = max(lo_c, D) on, D = E + L + ``min_index`` + max |s| + 2 (E
+    = ``head_extent``, L = ``lcm_period``); None when g moves U's class.
+    g^{-1}Ω has tails on τ^{-1}T, c's from b_c = a_{τc} − s_c on; so g
+    keeps the class exactly when τT = T, and then the value is one sum over
+    c in T: + c's mass on [b_c, a_c) when b_c < a_c (indices gained), − its
+    mass on [a_c, b_c) when b_c > a_c (indices lost).  As b_c >= D − |s_c|
+    > ``min_index``, g^{-1}Ω needs no cut where g is undefined."""
     if not U.has_tail():
         raise InvalidInput("transfer characters need a UBS with a tail")
-    jump = max(abs(s) for s in g.shift.values()) if g.shift else 0
-    depth = S.head_extent + S.lcm_period + g.min_index + jump + 2
-    return UBS({cid: (max(lo, depth), None)
-                for cid, (lo, hi) in U.intervals.items() if hi is None})
-
-
-def preimage_ubs(S: ChainSystem, U: UBS, g: ShiftMap) -> UBS:
-    """g^{-1}U on the region where g is defined."""
-    out = {}
-    inv_tau = {v: k for k, v in g.tau.items()}
-    for cid_target, (lo, hi) in U.intervals.items():
-        c = inv_tau[cid_target]
-        s = g.shift[c]
-        nlo = max(lo - s, g.min_index)
-        nhi = None if hi is None else hi - s
-        out[c] = (nlo, nhi)
-    return UBS(out)
-
-
-def _transfer(S: ChainSystem, U: UBS, g: ShiftMap) -> Optional[Fraction]:
-    """nu(g^{-1}Ω \\ Ω) − nu(Ω \\ g^{-1}Ω) on a deep representative Ω of
-    U, or None when g does not preserve the class of U."""
-    omega = _deep_representative(S, U, g)
-    pre = preimage_ubs(S, omega, g)
-    gained, lost = almost_contained(S, pre, omega), almost_contained(S, omega, pre)
-    if gained.holds and lost.holds:
-        return gained.measure - lost.measure
-    return None
+    depth = S.head_extent + S.lcm_period + g.min_index + 2 + \
+        max(map(abs, g.shift.values()), default=0)
+    starts = {c: max(lo, depth) for c, (lo, hi) in U.intervals.items() if hi is None}
+    if {g.tau[c] for c in starts} != starts.keys():
+        return None
+    total = Fraction(0)
+    for c, a in starts.items():
+        b = starts[g.tau[c]] - g.shift[c]
+        total += S.chains[c].mass(b, a - 1) if b <= a else -S.chains[c].mass(a, b - 1)
+    return total
 
 
 def transfer_character(S: ChainSystem, U: UBS, g: ShiftMap) -> Fraction:
-    """nu(g^{-1}Ω \\ Ω) − nu(Ω \\ g^{-1}Ω) on a deep representative.
-
-    Well-defined on the equivalence class of Ω; requires g to preserve it.
-    """
+    """nu(g^{-1}Ω \\ Ω) − nu(Ω \\ g^{-1}Ω) on a deep representative Ω
+    (``_transfer``): well-defined on the class of Ω, which g must keep."""
     validate_shift(S, g)
     value = _transfer(S, U, g)
     if value is None:
@@ -982,11 +966,12 @@ def transfer_character(S: ChainSystem, U: UBS, g: ShiftMap) -> Fraction:
     return value
 
 
-def class_characters(S: ChainSystem, G: UBSGraph, g: ShiftMap) -> tuple:
-    """Transfer characters of the classes of ``G = ubs_graph(S)``, in
-    vertex order, for a shift map that has passed ``validate_shift``."""
+def chi_vector(S: ChainSystem, g: ShiftMap) -> tuple:
+    """Per-minimal-class transfer characters, in vertex order of the graph
+    ``ubs_graph`` keeps, once g has passed ``validate_shift``."""
+    validate_shift(S, g)
     values = []
-    for lab, rep, _ in G.vertices:
+    for lab, rep, _ in ubs_graph(S).vertices:
         value = _transfer(S, rep, g)
         if value is None:
             raise ClassPermuted(
@@ -994,12 +979,6 @@ def class_characters(S: ChainSystem, G: UBSGraph, g: ShiftMap) -> tuple:
                 "class-preserving subgroup first")
         values.append(value)
     return tuple(values)
-
-
-def chi_vector(S: ChainSystem, g: ShiftMap) -> tuple:
-    """Per-minimal-class transfer characters, in graph vertex order."""
-    validate_shift(S, g)
-    return class_characters(S, ubs_graph(S), g)
 
 
 # -- cross-system isomorphisms ---------------------------------------------
@@ -1012,7 +991,11 @@ def verify_system_map(S1: ChainSystem, S2: ChainSystem, m: ShiftMap) -> bool:
     every shift.  From a on, n -> S1.weight(c, n) and n -> S2.weight(tau c,
     n + s) are periodic, and their periods p | L1 and q | L2, the lcm
     periods, have p + q - gcd(p, q) < 2 max(L1, L2); so these weights
-    decide every index, whatever the shift."""
+    decide every index, whatever the shift.
+
+    The relation is compared only past both heads: STAIRFLAP and its copy
+    without the row rule H_0 ⊇ K_m are related by the identity map, though
+    their graphs label H's class ``H[1:]`` and ``H[0:]``."""
     if sorted(m.tau) != sorted(S1.chain_order) or \
             sorted(m.tau.values()) != sorted(S2.chain_order):
         return False

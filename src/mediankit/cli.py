@@ -2,9 +2,9 @@
 
 JSON reports go to stdout, a one-line human summary to stderr.  Exit codes:
 0 success/verified, 2 definitive negative, 3 inconclusive, 64 usage error,
-65 invalid input.  Each command reads exactly one input source; none or
-two is a usage error.  Identical invocations produce byte-identical reports
-apart from the timing field.
+65 invalid input; a raised error, its class's ``exit_code``.  Each command
+reads exactly one input source; none or two is a usage error.  Identical
+invocations produce byte-identical reports apart from the timing field.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ from .actions import (
     word_str,
 )
 from .boundary import (
-    class_characters,
+    chi_vector,
     dot_export,
     ubs_graph,
-    validate_shift,
     validate_system,
 )
 from .config import DEFAULT_BUDGETS, budget_overrides
@@ -388,16 +387,11 @@ def cmd_ubs_chi(args) -> int:
     if not rep.ok:
         return _emit(args, src, rep.to_json(), "ubs-chi: INVALID", EXIT_INVALID)
     g = serialize.load_shift_map(serialize.read_json(args.shift))
-    G = ubs_graph(S)
-    validate_shift(S, g)
-    vec = class_characters(S, G, g)
-    verdict = {
-        "classes": list(G.vertex_labels()),
-        "chi": [str(v) for v in vec],
-        "kernel": all(v == 0 for v in vec),
-    }
-    return _emit(args, src, verdict,
-                 f"chi = ({', '.join(str(v) for v in vec)})", EXIT_OK)
+    classes = list(ubs_graph(S).vertex_labels())  # graph errors first
+    vec = chi_vector(S, g)
+    chi = [str(v) for v in vec]
+    verdict = {"classes": classes, "chi": chi, "kernel": not any(vec)}
+    return _emit(args, src, verdict, f"chi = ({', '.join(chi)})", EXIT_OK)
 
 
 def cmd_acceptance(args) -> int:
@@ -421,7 +415,7 @@ def cmd_dump_fixture(args) -> int:
                     for key, label, table, dump in DUMPS
                     if name in table and kind in (None, key)), None)
     if verdict is None:
-        raise MedianKitError(f"unknown fixture {name!r} (kind {kind or 'any'})")
+        raise InvalidInput(f"unknown fixture {name!r} (kind {kind or 'any'})")
     return _emit(args, {"name": name, "kind": kind}, verdict, f"dumped {name}",
                  EXIT_OK)
 
@@ -565,15 +559,7 @@ def main(argv=None) -> int:
         }
         print(json.dumps(report, sort_keys=True, indent=2, default=str))
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        inconclusive = {"OUT_OF_WINDOW", "WALL_BUDGET_EXCEEDED",
-                        "HORIZON_EXCEEDED"}
-        negative = {"NOT_FACING", "NOT_TRANSVERSE", "INCLUSION_FAILED",
-                    "CLASS_NOT_PRESERVED", "CLASS_PERMUTED"}
-        if exc.code in inconclusive:
-            return EXIT_INCONCLUSIVE
-        if exc.code in negative:
-            return EXIT_NEGATIVE
-        return EXIT_INVALID
+        return exc.exit_code
     finally:
         elapsed = time.time() - t0
         print(f"[{elapsed:.3f}s]", file=sys.stderr)

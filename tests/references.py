@@ -16,7 +16,7 @@ from operator import or_
 from mediankit.actions import (
     FlipResult, SectorResult, Word, enumerate_words, invert_word, reduce_word)
 from mediankit.boundary import (
-    SUB, SUP, TRANS, _INVERSE, almost_contained, closure, tail, ubs_graph, union_seed,
+    SUB, SUP, TRANS, UBS, _INVERSE, almost_contained, closure, tail, ubs_graph, union_seed,
     validate_system_rules)
 from mediankit.config import DEFAULT_BUDGETS
 from mediankit.errors import HorizonExceeded, InvalidInput, NotAnAutomorphism, NotTransverse
@@ -701,6 +701,23 @@ def poset_candidate(S, G, chosen: list, N: int):
 
 def equivalent_by_containment(S, U, V) -> bool:
     return almost_contained(S, U, V).holds and almost_contained(S, V, U).holds
+
+
+def transfer_by_containment(S, U, g):
+    """``boundary._transfer`` through UBSs: the deep representative Ω (U's
+    tails from depth E + L + ``min_index`` + max |s| + 2 on), its preimage
+    g^{-1}Ω cut at ``min_index``, then nu(g^{-1}Ω \\ Ω) − nu(Ω \\ g^{-1}Ω)
+    by two ``almost_contained`` calls, or None when either fails."""
+    if not U.has_tail():
+        raise InvalidInput("transfer characters need a UBS with a tail")
+    jump = max(abs(s) for s in g.shift.values()) if g.shift else 0
+    depth = S.head_extent + S.lcm_period + g.min_index + jump + 2
+    omega = UBS({c: (max(lo, depth), None) for c, (lo, hi) in U.intervals.items() if hi is None})
+    inv_tau = {t: c for c, t in g.tau.items()}
+    pre = UBS({inv_tau[t]: (max(lo - g.shift[inv_tau[t]], g.min_index), hi)
+               for t, (lo, hi) in omega.intervals.items()})
+    gained, lost = almost_contained(S, pre, omega), almost_contained(S, omega, pre)
+    return gained.measure - lost.measure if gained.holds and lost.holds else None
 
 
 def mass_per_index(chain, lo: int, hi: int) -> Fraction:

@@ -18,7 +18,7 @@ from mediankit import fixtures as fx
 from mediankit.actions import (
     TotalAction, WindowAction, enumerate_words, parse_word)
 from mediankit.boundary import (
-    SUB, SUP, TRANS, _INVERSE, Chain, ChainSystem, RowRule, ShiftMap, Zone, closure,
+    SUB, SUP, TRANS, UBS, _INVERSE, Chain, ChainSystem, RowRule, ShiftMap, Zone, closure,
     validate_system, validate_system_rules)
 from mediankit.pocset import (
     ConvexSet, WeightedPocset, _iter_bits, convex_hull, halfspace_point_masks, points)
@@ -877,6 +877,33 @@ def uniform_shifts():
         shift = [ShiftMap({c: c for c in S.chain_order},
                           {c: k * S.lcm_period for c in S.chain_order}) for k in range(4)]
         yield from ((S, shift[a], shift[b]) for a, b in ((1, 1), (1, 2), (0, 3)))
+
+
+def transfer_cases():
+    """Arguments (S, U, g) of ``boundary._transfer`` on 40 random systems of
+    up to 5 chains, whose weights differ from chain to chain and within a
+    period, 40 maps each: a random chain permutation τ (the identity one
+    time in four), shifts in -6..6 (both ±1000 one time in ten) from
+    ``min_index`` max(0, -least shift) plus 0..3, and a UBS meeting each
+    chain in a tail from 0..12 half of the time, in a finite piece a
+    quarter of it, with one tail at least.  τ keeps the tails of about
+    three in five."""
+    rng = seeded(20)
+    for S in random_systems(rng, 40, max_chains=5):
+        ids = S.chain_order
+        for _ in range(40):
+            tau = dict(zip(ids, ids if rng.random() < 0.25 else rng.sample(ids, len(ids))))
+            big = rng.random() < 0.1
+            shift = {c: rng.choice((-1000, 1000)) if big else rng.randint(-6, 6) for c in ids}
+            g = ShiftMap(tau, shift, max(0, -min(shift.values())) + rng.randint(0, 3))
+            intervals = {}
+            for c in ids:
+                lo, kind = rng.randint(0, 12), rng.random()
+                if kind < 0.75:
+                    intervals[c] = (lo, None if kind < 0.5 else lo + rng.randint(0, 5))
+            if all(hi is not None for _, hi in intervals.values()):
+                intervals[rng.choice(ids)] = (rng.randint(0, 12), None)
+            yield S, UBS(intervals), g
 
 
 # -- order rows: every construction path, maps and halfspace pairs -----------

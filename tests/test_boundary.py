@@ -625,6 +625,18 @@ def test_swapping_stairflap_chains_is_not_a_system_map():
     assert not bd.verify_system_map(S, S, swap)
 
 
+def test_verify_system_map_compares_the_relation_only_past_both_heads():
+    """STAIRFLAP and its copy without the row rule H_0 ⊇ K_m differ only
+    in H's head row, which the relation check does not read: the identity
+    relates them, though their graphs start H's class at 1 and at 0."""
+    S = fx.stairflap()
+    T = ChainSystem([S.chains[c] for c in S.chain_order], zones=S.zones)
+    assert validate_system(T).ok
+    assert bd.verify_system_map(S, T, identity_shift(S))
+    assert ubs_graph(S).vertex_labels() == ("H[1:]", "K[0:]")
+    assert ubs_graph(T).vertex_labels() == ("H[0:]", "K[0:]")
+
+
 def test_shift_must_preserve_the_relation():
     # one period block of STAIRFLAP is its diagonal, where h_n and k_n are
     # transverse both ways; shifting K by one moves the pair off it

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from mediankit import errors
 from mediankit import fixtures as fx
 from mediankit.cli import main
 from mediankit.serialize import dump_chain_system, dump_pocset
@@ -447,6 +448,33 @@ def test_invalid_input_exit_code(capsys, tmp_path):
     code, report, _ = run_cli(capsys, "rank", "--pocset", str(bad))
     assert code == 65
     assert report["error"]["code"] == "INVALID_INPUT"
+
+
+def test_an_unknown_fixture_name_is_invalid_input(capsys):
+    code, report, _ = run_cli(capsys, "dump-fixture", "NOPE")
+    assert code == 65
+    assert report["error"] == {"code": "INVALID_INPUT", "data": {},
+                               "message": "unknown fixture 'NOPE' (kind any)"}
+
+
+EXIT_CODES = {
+    "MedianKitError": 65, "EmptyInput": 65, "InvalidInput": 65, "NotAnAutomorphism": 65,
+    "NotANewPoint": 65, "OutOfWindow": 3, "WallBudgetExceeded": 3, "HorizonExceeded": 3,
+    "NotFacing": 2, "NotTransverse": 2, "InclusionFailed": 2, "ClassNotPreserved": 2,
+    "ClassPermuted": 2}
+
+
+@pytest.mark.parametrize("error", [errors.MedianKitError, *errors.MedianKitError.__subclasses__()],
+                         ids=lambda error: error.__name__)
+def test_an_error_exits_with_the_exit_code_of_its_class(capsys, monkeypatch, error):
+    """65 by default, 3 for an inconclusive search, 2 for a definitive
+    negative; a class missing from ``EXIT_CODES`` fails here."""
+    def raising():
+        raise error("raised")
+
+    monkeypatch.setattr("mediankit.cli.budget_overrides", raising)
+    code, report, _ = run_cli(capsys, "rank", "--fixture", "SQUARE")
+    assert (code, report["error"]["code"]) == (EXIT_CODES[error.__name__], error.code)
 
 
 def test_pocset_file_naming_a_halfspace_twice_is_rejected(capsys, tmp_path):

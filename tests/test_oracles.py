@@ -19,9 +19,9 @@ from mediankit.actions import (
     min_orbit, sector_halfspace, strongly_separated, wall_inversions)
 from mediankit.cli import _indented
 from mediankit.boundary import (
-    SUB, SUP, _differs, _truncation_rows, _unpreserved, _zone_conflict, chi_vector, closure,
-    equivalent, is_ubs, min_chain_cover, minimal_tail, tail, truncation_antichain_bound, ubs_graph,
-    ubs_poset, validate_shift, validate_system, verify_system_map)
+    SUB, SUP, _differs, _transfer, _truncation_rows, _unpreserved, _zone_conflict, chi_vector,
+    closure, equivalent, is_ubs, min_chain_cover, minimal_tail, tail, truncation_antichain_bound,
+    ubs_graph, ubs_poset, validate_shift, validate_system, verify_system_map)
 from mediankit.errors import MedianKitError
 from mediankit.oracles import (
     embedded_distances, halved_distances, interval_medians, max_antichain_brute, medians)
@@ -48,9 +48,9 @@ from references import (
     product_by_names, rank_by_families,
     rel_index, rel_up_rows, resolve, sector_per_halfspace, separating_mass,
     separating_per_halfspace, shape, shift_check_by_pairs, stabilizer_per_point, star_image,
-    strongly_separated_per_wall, system_map_by_range, transpose_rows, transversality_pairwise,
-    truncation, unpreserved_by_pairs, unpreserved_mismatches, unpreserved_pairwise,
-    up_rows_by_names, validate_pairwise, zone_conflict_walk)
+    strongly_separated_per_wall, system_map_by_range, transfer_by_containment, transpose_rows,
+    transversality_pairwise, truncation, unpreserved_by_pairs, unpreserved_mismatches,
+    unpreserved_pairwise, up_rows_by_names, validate_pairwise, zone_conflict_walk)
 
 
 @dataclass(frozen=True)
@@ -492,6 +492,9 @@ ORACLES = (
                             "40 blocks": 400}),
     Row("equivalent", equivalent, equivalent_by_containment, sc.tail_closure_pairs, 2987,
         lambda case, eq: [eq], {True: 1, False: 1}),
+    Row("transfer", _transfer, transfer_by_containment, sc.transfer_cases, 1600,
+        lambda case, chi: ["moved" if chi is None else "preserved"],
+        {"preserved": 500, "moved": 500}),
     Row("rel", lambda S, c, d, idx: [S.rel(c, n, d, m) for n in idx for m in idx],
         lambda S, c, d, idx: [resolve(S, c, n, d, m) for n in idx for m in idx], sc.rel_cases,
         1150, lambda case, rels: ["long head" if case[0].head_extent > 5 * case[0].lcm_period + 4
