@@ -121,16 +121,24 @@ def enumerate_words(names: Sequence[str], max_len: int):
 
 class Action:
     """A pocset with named generators: ``Automorphism``s, which in a window
-    action may be undefined on part of the pocset."""
+    action may be undefined on part of the pocset, each checked here once."""
 
     def __init__(self, pocset: WeightedPocset, gens: dict,
                  budgets: Budgets = DEFAULT_BUDGETS):
         self.pocset = pocset
         self.gens = dict(gens)  # name -> map
         self.budgets = budgets
+        for g in self.gens.values():
+            g.check()
         holes = [n for n, g in self.gens.items() if None in g.perm]
         if self.kind == "total" and holes:  # its negatives are definitive
             raise NotAnAutomorphism(f"{holes[0]}: undefined on part of the pocset")
+
+    def with_budgets(self, budgets: Budgets) -> "Action":
+        """The same generators under ``budgets``, not checked again."""
+        out = object.__new__(type(self))
+        out.pocset, out.gens, out.budgets = self.pocset, self.gens, budgets
+        return out
 
     def gen_names(self) -> tuple:
         return tuple(self.gens)
@@ -502,25 +510,22 @@ def facing_tuple(P: WeightedPocset, n: int, seed: Optional[str] = None,
     """Search for n pairwise-disjoint halfspaces.
 
     The pure combinatorial search is exhaustive, so NOT_FOUND is a
-    definitive negative.  With an action, a failed combinatorial search is
-    retried through the skewering upgrade (extend an (m)-tuple by
-    translating two members past the last one); a failure there is only
-    INCONCLUSIVE.
+    definitive negative.  With an action and n > 3, a tuple grown from the
+    first facing triple by the skewering upgrade (extend an (m)-tuple by
+    translating two members past the last one) comes first, and the
+    combinatorial tuple only when the upgrade fails; a window action with
+    neither is only INCONCLUSIVE.
     """
     max_len = _depth(action, max_len)
     if n < 3:
         raise InvalidInput("facing tuples need n >= 3")
     base = [P.idx(seed)] if seed else []
-    combinatorial = _facing_backtrack(P, n, base, strong)
+    found = _facing_backtrack(P, n, base, strong)
     if action is not None and n > 3:
-        upgraded = _upgrade_route(P, n, _facing_backtrack(P, 3, base, strong), strong,
-                                  action, max_len)
-        if upgraded is not None:
-            return FacingResult("FOUND", tuple(P.ids[i] for i in upgraded),
-                                strong=strong)
-    if combinatorial is not None:
-        return FacingResult("FOUND", tuple(P.ids[i] for i in combinatorial),
-                            strong=strong)
+        found = _upgrade_route(P, n, _facing_backtrack(P, 3, base, strong), strong,
+                               action, max_len) or found
+    if found is not None:
+        return FacingResult("FOUND", tuple(P.ids[i] for i in found), strong=strong)
     # the backtracking search is exhaustive over the pocset, so the negative
     # is definitive unless the pocset is only a window into a larger space
     if action is not None and action.kind == "window":
@@ -530,34 +535,21 @@ def facing_tuple(P: WeightedPocset, n: int, seed: Optional[str] = None,
 
 def _upgrade_route(P, n, triple, strong, action, max_len):
     """Grow a facing ``triple`` (or None) one member at a time: g h0* pushed
-    inside the last member replaces it with two translated members."""
-    if triple is None:
-        return None
-    current = list(triple)
-    while len(current) < n:
-        h0 = current[0]
-        last = current[-1]
-        res = double_skewer(action, P.ids[last], P.ids[P.star[h0]],
+    inside the last member replaces it with two translated members, which
+    must be visible and, as ``_all_facing`` requires, new."""
+    current = triple
+    while current is not None and len(current) < n:
+        res = double_skewer(action, P.ids[current[-1]], P.ids[P.star[current[0]]],
                             max_len=max_len)
-        upgraded = None
-        if res.kind == "SKEWERED":
-            news = list(WordImages(action, current[1:3])(res.word))
-            if all(x is not None for x in news):
-                cand = current[:-1] + news
-                if len(set(cand)) == len(cand) and _all_facing(P, cand, strong):
-                    upgraded = cand
-        if upgraded is None:
+        if res.kind != "SKEWERED":
             return None
-        current = upgraded
-    return current[:n]
+        cand = current[:-1] + list(WordImages(action, current[1:3])(res.word))
+        current = cand if None not in cand and _all_facing(P, cand, strong) else None
+    return current
 
 
 def _all_facing(P: WeightedPocset, idxs: Sequence[int], strong: bool) -> bool:
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            if idxs[a] == idxs[b] or not _pair_ok(P, idxs[a], idxs[b], strong):
-                return False
-    return True
+    return all(i != j and _pair_ok(P, i, j, strong) for i, j in itertools.combinations(idxs, 2))
 
 
 def _facing_backtrack(P: WeightedPocset, n: int, base: list,
@@ -651,8 +643,10 @@ class FreeCertificate:
     omega: tuple
     stabilizer_trivial: bool
     verified: bool
+    window_depth: Optional[int] = None  # set when the word loop stopped short
 
     def to_json(self):
+        window = {} if self.window_depth is None else {"windowDepth": self.window_depth}
         return {
             "kind": "FREE_CERTIFICATE",
             "a": word_str(self.a),
@@ -667,24 +661,51 @@ class FreeCertificate:
             "omega": [sorted(p.ids) for p in self.omega],
             "stabilizerTrivial": self.stabilizer_trivial,
             "verified": self.verified,
+            **window,
         }
 
 
 def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
              max_len: Optional[int] = None) -> FreeCertificate:
-    """Verify the ping-pong configuration and brute-force all reduced words.
+    """The ping-pong certificate of a and b on 𝔥 and 𝔨: the facing 4-tuple
+    𝔥, a𝔥*, 𝔨, b𝔨* and its 12 base inclusions (``_configuration``).  By the
+    ping-pong lemma every nontrivial reduced word u in A = a and B = b then
+    maps Ω = 𝔥* ∩ a𝔥 ∩ 𝔨* ∩ b𝔨 into the side of its first letter, which
+    misses Ω, so ⟨a, b⟩ is free; a window's order is the underlying
+    pocset's, so this holds for window maps too.  The word loop checks it
+    on every word up to the depth and raises ``OutOfWindow`` at the first
+    that leaves the window on Ω.  Each word makes six checks, so
+    ``checksPerformed`` is ``baseInclusions + 6 * wordsChecked``: the claim
+    inclusion uΩ ⊆ (its first letter's side) and u𝔥 ∉ {𝔥, 𝔥*}, u𝔨 ∉ {𝔨,
+    𝔨*}, which set ``verified``, are read; uΩ ∩ Ω = ∅ is discharged, as
+    that side is the complement of one of Ω's four sides."""
+    cert, left = _certificate(action, a, b, h, k, _depth(action, max_len))
+    if left is not None:
+        raise OutOfWindow(f"word {word_str(left)} leaves the window on Ω")
+    return cert
 
-    Precondition: 𝔥, a𝔥*, 𝔨, b𝔨* form a facing 4-tuple.  The four
-    displayed inclusion families (3 inclusions per generator direction) are
-    verified once; then every nontrivial reduced word u up to the depth, in
-    the letters A = a and B = b, makes exactly six checks: the claim
-    inclusion uΩ ⊆ (the side of u's first letter), uΩ ∩ Ω = ∅, and the four
-    wall-stabilizer inequalities u𝔥 ∉ {𝔥,𝔥*}, u𝔨 ∉ {𝔨,𝔨*}.  So
-    ``checksPerformed`` is ``baseInclusions + 6 * wordsChecked``.  The
-    second check follows from the first, as each such side is the
-    complement of one of Ω's four sides; both are read.
-    """
-    depth = _depth(action, max_len)
+
+def _certificate(action: Action, a: Word, b: Word, h: str, k: str, depth: int) -> tuple:
+    """The certificate with its word loop run to ``depth``, and the first word
+    that left the window on Ω, or None (then ``window_depth`` is set)."""
+    tup, omega, sides = _configuration(action, a, b, h, k)
+    words, trivial, length, left = _word_loop(action, tup, omega, sides, depth)
+    return FreeCertificate(
+        a, b, h, k, tuple(action.pocset.ids[i] for i in tup), base_inclusions=12,
+        words_checked=words, checks_performed=12 + 6 * words, depth=depth, omega=omega,
+        stabilizer_trivial=trivial, verified=trivial,
+        window_depth=None if left is None else length), left
+
+
+def _configuration(action: Action, a: Word, b: Word, h: str, k: str) -> tuple:
+    """The facing 4-tuple (indices), Ω (points) and the side table: per
+    letter, its word, the side uΩ lies in when u starts with it, and the
+    sources of its base inclusions.  On checked maps only the sources'
+    visibility is read; the rest holds by argument:
+    - a𝔥 and b𝔨 are visible: a checked map's domain is closed under star;
+    - Ω is nonempty: its sides meet pairwise, in the other members (Helly);
+    - a base inclusion holds where defined: a checked map keeps order, so
+      b𝔨* ⊆ 𝔥* gives a(b𝔨*) ⊆ a𝔥*, and so on for each letter."""
     P = action.pocset
     hi, ki = P.idx(h), P.idx(k)
     if hi == ki or hi == P.star[ki]:
@@ -696,78 +717,51 @@ def pingpong(action: Action, a: Word, b: Word, h: str, k: str,
     _, _, b_k, b_ks = ends(b)
     if a_hs is None or b_ks is None:
         raise OutOfWindow("a𝔥* or b𝔨* is not visible in the window")
-    tup = [hi, a_hs, ki, b_ks]
+    tup = (hi, a_hs, ki, b_ks)
     if not _all_facing(P, tup, strong=False):
         raise NotFacing(
             "the four halfspaces h, a h*, k, b k* are not pairwise disjoint",
             tuple=[P.ids[i] for i in tup])
-
-    # Ω = h* ∩ a h ∩ k* ∩ b k as a point set
-    if a_h is None or b_k is None:
-        raise OutOfWindow("a𝔥 or b𝔨 is not visible in the window")
-    masks = halfspace_point_masks(P, action.budgets)
-    pts = points(P, action.budgets)
-    omega_mask = (masks[P.star[hi]] & masks[a_h]
-                  & masks[P.star[ki]] & masks[b_k])
-    if omega_mask == 0:
-        raise NotFacing("the central region Ω is empty")
-    omega = tuple(pts[i] for i in _iter_bits(omega_mask))
-
-    # per letter: its generator word, the side uΩ lies in when u starts
-    # with it, and the three halfspaces its displayed family maps into
-    # that side
     sides = {
         ("A", 1): (a, a_hs, (a_hs, b_ks, ki)),
         ("A", -1): (invert_word(a), hi, (hi, b_ks, ki)),
         ("B", 1): (b, b_ks, (a_hs, hi, b_ks)),
         ("B", -1): (invert_word(b), ki, (a_hs, hi, ki)),
     }
-    for word, target, sources in sides.values():
+    for word, _, sources in sides.values():
         for src, img in zip(sources, WordImages(action, sources)(word)):
             if img is None:
                 raise OutOfWindow(
-                    f"inclusion source {P.ids[src]} not visible under "
-                    f"{word_str(word)}")
-            if not P.leq_idx(img, target):
-                raise InclusionFailed(
-                    f"{word_str(word)}·{P.ids[src]} is not contained in "
-                    f"{P.ids[target]}", halfspace=P.ids[src])
-    base_inclusions = 3 * len(sides)
+                    f"inclusion source {P.ids[src]} not visible under {word_str(word)}")
+    masks, pts = halfspace_point_masks(P, action.budgets), points(P, action.budgets)
+    omega_mask = masks[P.star[hi]] & masks[a_h] & masks[P.star[ki]] & masks[b_k]
+    return tup, tuple(pts[i] for i in _iter_bits(omega_mask)), sides
 
-    inside = 1 << P.star[hi] | 1 << a_h | 1 << P.star[ki] | 1 << b_k  # Ω's four sides
-    words_checked = 0
-    stab_ok = True
+
+def _word_loop(action: Action, tup: tuple, omega: tuple, sides: dict, depth: int) -> tuple:
+    """The reduced words in A and B up to ``depth``, shortest first, checked
+    until one leaves the window on Ω: (words checked and whether none fixes
+    𝔥 or 𝔨 up to star, both over complete lengths; the longest complete
+    length; that word, expanded, or None)."""
+    P, (hi, _, ki, _) = action.pocset, tup
     images = WordImages(action, (hi, ki))
-    for u in enumerate_words(("A", "B"), depth):
-        word = reduce_word(tuple(itertools.chain.from_iterable(sides[tok][0] for tok in u)))
-        mapped = [images.point(word, p.mask) for p in omega]
-        if any(q is None for q in mapped):
-            raise OutOfWindow(f"word {word_str(word)} leaves the window on Ω")
-        target = sides[u[0]][1]
-        if any(not (q.mask >> target & 1) for q in mapped):
-            raise InclusionFailed(
-                f"{word_str(word)}·Ω escapes {P.ids[target]}",
-                halfspace=P.ids[target])
-        if any(q.mask & inside == inside for q in mapped):
-            raise InclusionFailed(f"{word_str(word)} fixes part of Ω")
-        for wi, img in zip((hi, ki), images(word)):
-            for forbidden in (wi, P.star[wi]):
-                if img == forbidden or img is None and \
-                        not _stabilizer_excluded(images, word, wi, forbidden):
-                    stab_ok = False
-        words_checked += 1
-
-    return FreeCertificate(
-        a=a, b=b, h=h, k=k,
-        facing_tuple=tuple(P.ids[i] for i in tup),
-        base_inclusions=base_inclusions,
-        words_checked=words_checked,
-        checks_performed=base_inclusions + 6 * words_checked,
-        depth=depth,
-        omega=omega,
-        stabilizer_trivial=stab_ok,
-        verified=stab_ok,
-    )
+    words, trivial = 0, True
+    for length, block in itertools.groupby(enumerate_words(("A", "B"), depth), len):
+        ok = trivial
+        for count, u in enumerate(block, 1):
+            word = reduce_word(tuple(itertools.chain.from_iterable(sides[tok][0] for tok in u)))
+            mapped = [images.point(word, p.mask) for p in omega]
+            if any(q is None for q in mapped):
+                return words, trivial, length - 1, word
+            target = sides[u[0]][1]
+            if any(not (q.mask >> target & 1) for q in mapped):
+                raise InclusionFailed(f"{word_str(word)}·Ω escapes {P.ids[target]}",
+                                      halfspace=P.ids[target])
+            ok = ok and not any(
+                img == f or img is None and not _stabilizer_excluded(images, word, wi, f)
+                for wi, img in zip((hi, ki), images(word)) for f in (wi, P.star[wi]))
+        words, trivial = words + count, ok
+    return words, trivial, depth, None
 
 
 def _stabilizer_excluded(images: WordImages, word: Word, side: int, forbidden: int) -> bool:
@@ -812,9 +806,14 @@ def classify(action: Action, max_len: Optional[int] = None) -> ClassificationRep
     2^rank; for total actions on finite pocsets this is an exact decision.
     Stage 2 restricts to a minimal nonempty invariant convex core.  Stage 3
     hunts for a facing triple and the first facing 4-tuple, and attempts a
-    ping-pong certificate on each ordering of the 4-tuple.  Window "fixed points" live at window resolution only, so
-    for window actions stage 1 records candidates without concluding and
-    the pipeline proceeds; only a stage-3 certificate is a verdict.
+    ping-pong certificate on each ordering of the 4-tuple.  Window "fixed
+    points" live at window resolution only, so for window actions stage 1
+    records candidates without concluding and the pipeline proceeds; only a
+    stage-3 certificate is a verdict.  It accepts a configuration on its
+    facing 4-tuple and base inclusions (``pingpong``), runs the word loop
+    until a word leaves the window on Ω, which the log names and after
+    which ``windowDepth`` is the longest length checked completely, and,
+    like ``free-cert``, takes only a ``verified`` certificate.
     """
     depth = _depth(action, max_len)
     log = []
@@ -857,22 +856,24 @@ def classify(action: Action, max_len: Optional[int] = None) -> ClassificationRep
         log.append("stage3: no facing 4-tuple")
         return ClassificationReport("INCONCLUSIVE", stage=3, log=tuple(log))
     for h, hp, k, kp in itertools.permutations(P.ids[i] for i in four):
-        res_a = double_skewer(action, hp, P.ids[P.star[P.idx(h)]],
-                              max_len=depth)
+        res_a = double_skewer(action, hp, P.ids[P.star[P.idx(h)]], max_len=depth)
         if res_a.kind != "SKEWERED":
             continue
-        res_b = double_skewer(action, kp, P.ids[P.star[P.idx(k)]],
-                              max_len=depth)
+        res_b = double_skewer(action, kp, P.ids[P.star[P.idx(k)]], max_len=depth)
         if res_b.kind != "SKEWERED":
             continue
         try:
-            cert = pingpong(action, res_a.word, res_b.word, h, k,
-                            max_len=depth)
+            cert, left = _certificate(action, res_a.word, res_b.word, h, k, depth)
         except (NotFacing, InclusionFailed, OutOfWindow):
+            continue
+        if not cert.verified:
             continue
         log.append(
             f"stage3: ping-pong verified with h={h}, k={k}, "
             f"a={word_str(res_a.word)}, b={word_str(res_b.word)}")
+        if left is not None:
+            log.append(f"stage3: word {word_str(left)} leaves the window on Ω, "
+                       f"so words are checked to length {cert.window_depth}")
         return ClassificationReport(
             "FREE_SUBGROUP", stage=3, witness=cert.to_json(),
             log=tuple(log))

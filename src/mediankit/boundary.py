@@ -466,26 +466,26 @@ def closure(S: ChainSystem, seed) -> UBS:
     by chain) is closed once per system (``_kept``), errors included.
     """
     key = tuple(sorted((seed if isinstance(seed, UBS) else UBS(seed)).intervals.items()))
-    return _kept(S, key, HorizonExceeded, _close, S, dict(key))
+    return _kept(S, key, HorizonExceeded, _close, S, key)
 
 
-def _close(S: ChainSystem, seed: dict) -> UBS:
-    """The window guard, then the OR of the seed intervals' reads at the
-    exact depth R, or at that of ``minimal_tail``'s deepest tail if deeper,
-    so a graph builds its tables once; a one-interval seed from s > 2E on
-    is closed moved down to 2E, and its closure moved back up."""
-    for cid, (lo, hi) in seed.items():
+def _close(S: ChainSystem, seed: tuple) -> UBS:
+    """The window guard on the seed, the memo key, then the OR of the seed
+    intervals' reads at the exact depth R, or at that of ``minimal_tail``'s
+    deepest tail if deeper, so a graph builds its tables once; a one-interval
+    seed from s > 2E on is closed moved down to 2E, its closure moved back up."""
+    for cid, (lo, hi) in seed:
         if lo > S.horizon or (hi is not None and hi >= S.horizon):
             raise HorizonExceeded(
                 f"seed interval on chain {cid} leaves the window of horizon {S.horizon}")
     E, t = S.head_extent, 0
     if len(seed) == 1:
-        ((d, (lo, hi)),) = seed.items()
+        ((d, (lo, hi)),) = seed
         t = max(lo - 2 * E, 0)
-        seed = {d: (lo - t, None if hi is None else hi - t)}
-    R = max([E, *(lo if hi is None else hi for lo, hi in seed.values())]) + E
+        seed = ((d, (lo - t, None if hi is None else hi - t)),)
+    R = max([E, *(lo if hi is None else hi for _, (lo, hi) in seed)]) + E
     R = max(R, min(3 * E, S.tail_depth + 1 + E))
-    reads = [_seed_reads(S, d, lo, hi, R) for d, (lo, hi) in seed.items()]
+    reads = [_seed_reads(S, d, lo, hi, R) for d, (lo, hi) in seed]
     out = _read_closure(S, reduce(_or_reads, reads, [(0, 0)] * len(S.chains)), R)
     return UBS({c: (lo + t, None if hi is None else hi + t)
                 for c, (lo, hi) in out.intervals.items()}) if t else out

@@ -135,12 +135,12 @@ def _load_pocset(args, checked=True):
 
 
 def _load_action(args):
-    """The action of the run's source and its automorphisms, rebuilt with the
-    ``MEDIANKIT_BUDGET`` overrides on its own budgets (fixture actions are
-    cached, so they are never changed in place).  ``--gens`` picks those of
-    a total-action fixture, ``--auto-file`` gives those of a pocset.  A
-    ``--window`` file's pocset must pass validation as a ``--pocset`` file's
-    does, before its maps are checked."""
+    """The action of the run's source and its automorphisms, copied with the
+    ``MEDIANKIT_BUDGET`` overrides on its own budgets and its maps not
+    checked again (fixture actions are cached, so never changed in place).
+    ``--gens`` picks those of a total-action fixture, ``--auto-file`` those
+    of a pocset.  A ``--window`` file's pocset must pass validation as a
+    ``--pocset`` file's does, before its maps are checked."""
     total_fixture = args.fixture and args.fixture not in fixtures.WINDOW_FIXTURES
     if args.gens and (args.auto_file or not total_fixture):
         raise InvalidInput("--gens needs a total-action fixture and no --auto-file")
@@ -167,8 +167,7 @@ def _load_action(args):
         action, src = fixtures.window(args.fixture), {"windowFixture": args.fixture}
     else:
         raise InvalidInput("--pocset needs --auto-file to give an action")
-    return type(action)(action.pocset, action.gens,
-                        _budgets(args, action.budgets)), src
+    return action.with_budgets(_budgets(args, action.budgets)), src
 
 
 def _load_system(args):

@@ -177,8 +177,9 @@ def pocset_product(parts: Sequence[WeightedPocset],
 class Automorphism:
     """A structure-preserving halfspace map: ``perm[i]`` is the image of
     halfspace ``i``, or None where a window map is undefined.  Structure is
-    checked once, in ``from_mapping``; composites and inverses of checked
-    maps preserve it by construction."""
+    checked once, by ``check`` when an ``actions.Action`` takes the map as
+    a generator; composites and inverses of checked maps preserve it by
+    construction."""
 
     __slots__ = ("pocset", "perm", "name", "_up_map", "_image")
 
@@ -203,9 +204,7 @@ class Automorphism:
                 if perm[sa] not in (None, sb):
                     raise NotAnAutomorphism(f"{name}: star images conflict")
                 perm[sa] = sb
-        g = cls(P, perm, name)
-        g.check()
-        return g
+        return cls(P, perm, name)
 
     @classmethod
     def identity(cls, P: WeightedPocset) -> "Automorphism":

@@ -224,12 +224,13 @@ def image_cases():
 
 @cache
 def partial_actions() -> list:
-    """The windows, and the restricted and scrambled maps of the mixed
-    pocsets as window actions, drawn from a generator seeded 8."""
+    """The windows, and the restricted maps of the mixed pocsets as window
+    actions, drawn from a generator seeded 8 (a scrambled map fails the
+    check that building an action makes)."""
     rng = random.Random(8)
     return [fx.window(name) for name in ("F2BALL", "LINE")] + [
         WindowAction(P, {"g": g}) for P in mixed_pocsets()
-        for g in partial_maps(rng, P) if None in g.perm]
+        for g in partial_maps(rng, P) if None in g.perm and g.name == "restricted"]
 
 
 def stabilizer_cases():

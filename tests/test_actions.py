@@ -30,8 +30,8 @@ from mediankit.actions import (
 )
 from mediankit.config import Budgets
 from mediankit.errors import (
-    InclusionFailed,
     InvalidInput,
+    NotAnAutomorphism,
     NotFacing,
     NotTransverse,
     OutOfWindow,
@@ -424,8 +424,7 @@ def test_pingpong_rejects_equal_walls():
 
 def _f2ball_editing_a(sides: dict) -> WindowAction:
     """F2BALL with generator a sending each halfspace of ``sides`` to the
-    named one instead (None: undefined), with no structure check: only
-    ``a`` restricted to fewer walls still passes ``Automorphism.check``."""
+    named one instead (None: undefined); the action checks the new map."""
     W = fx.f2ball_window()
     P, perm = W.pocset, list(W.gens["a"].perm)
     for side, image in sides.items():
@@ -449,14 +448,6 @@ PINGPONG_EXITS = [
      OutOfWindow, "inclusion source wa+ not visible under a", {}),
     (fx.f2ball_window, "b", "a a", "wB+", "wA+", 4, OutOfWindow,
      "word a a a a a a a a leaves the window on Ω", {}),
-    # the three exits below need a map that loading rejects: one defined on
-    # h* but not on h, one with a h = h, one reversing the order of wa+
-    (lambda: _f2ball_editing_a({"wA+": None}), "a", "b", "wA+", "wB+", 2, OutOfWindow,
-     "a𝔥 or b𝔨 is not visible in the window", {}),
-    (lambda: _f2ball_editing_a({"wA+": "wA+"}), "a", "b", "wA+", "wB+", 2, NotFacing,
-     "the central region Ω is empty", {}),
-    (lambda: _f2ball_editing_a({"wa+": "wB+", "wa-": "wB-"}), "a", "b", "wA+", "wB+", 2,
-     InclusionFailed, "a·wa+ is not contained in wa+", {"halfspace": "wa+"}),
 ]
 
 
@@ -464,9 +455,8 @@ PINGPONG_EXITS = [
                          ids=[case[7] for case in PINGPONG_EXITS])
 def test_pingpong_exits(window, a, b, h, k, depth, error, message, data):
     """Each way ``pingpong`` rejects a configuration, by error class,
-    message and data.  The claim failures "escapes" and "fixes part of Ω"
-    are reached by no window here: the second cannot follow a passed claim
-    inclusion, whose target is the complement of one of Ω's four sides."""
+    message and data.  The claim failure "escapes" is reached by no window
+    here."""
     W = window()
     words = (parse_word(x, W.gen_names()) for x in (a, b))
     with pytest.raises(error) as exc:
@@ -474,6 +464,29 @@ def test_pingpong_exits(window, a, b, h, k, depth, error, message, data):
     assert type(exc.value) is error
     assert str(exc.value) == message
     assert exc.value.data == data
+
+
+UNCHECKED_EDITS = [
+    # (id, edit of a, check message); each comment names the exit the map reached
+    # "a𝔥 or b𝔨 is not visible in the window"
+    ("a h or b k not visible", {"wA+": None}, "a: does not commute with star"),
+    # "the central region Ω is empty"
+    ("omega empty", {"wA+": "wA+"}, "a: not injective"),
+    # "a·wa+ is not contained in wa+"
+    ("base inclusion fails", {"wa+": "wB+", "wa-": "wB-"}, "a: not injective"),
+]
+
+
+@pytest.mark.parametrize("edit,message", [row[1:] for row in UNCHECKED_EDITS],
+                         ids=[row[0] for row in UNCHECKED_EDITS])
+def test_action_rejects_maps_of_removed_pingpong_exits(edit, message):
+    """Only such maps reached three exits that ``pingpong`` has no more: one
+    defined on h* but not on h, and two that send a second halfspace onto
+    the image of another, wA+ onto itself and wa+ onto wB+.  Building the
+    action checks its maps, so none gets that far."""
+    with pytest.raises(NotAnAutomorphism) as exc:
+        _f2ball_editing_a(edit)
+    assert str(exc.value) == message
 
 
 # -- classification ----------------------------------------------------------------
@@ -504,11 +517,34 @@ def test_classify_total_actions_never_inconclusive(rng):
         assert rep.stage <= 2
 
 
-def test_classify_f2ball_finds_free_subgroup():
+@pytest.mark.parametrize("depth", [2, 3, 4, 8, 16])
+def test_classify_f2ball_finds_free_subgroup(depth):
+    """The first configuration at every depth.  Its words of length 4 leave
+    the window on Ω, so from depth 4 on the witness is that of depth 3 but
+    for ``depth`` and ``windowDepth``."""
     W = fx.f2ball_window()
-    rep = classify(W, max_len=3)
+    rep = classify(W, max_len=depth)
     assert rep.kind == "FREE_SUBGROUP"
-    assert rep.witness["verified"]
+    w = rep.witness
+    assert (w["a"], w["b"], w["h"], w["k"]) == ("b^-1 a", "b a^-1", "wA+", "wa+")
+    assert w["verified"]
+    if depth >= 4:
+        assert w == dict(classify(W, max_len=3).witness, depth=depth, windowDepth=3)
+        assert rep.log[-1] == ("stage3: word b^-1 a b^-1 a b^-1 a b^-1 a leaves the window "
+                               "on Ω, so words are checked to length 3")
+    else:
+        assert "windowDepth" not in w
+
+
+def test_classify_accepts_only_verified_certificates(monkeypatch):
+    """A configuration whose checked words fail the stabilizer check is
+    passed over, as ``free-cert`` exits 3 on it."""
+    monkeypatch.setattr("mediankit.actions._stabilizer_excluded", lambda *args: False)
+    W = fx.f2ball_window()
+    a, b = (parse_word(x, W.gen_names()) for x in ("b^-1 a", "b a^-1"))
+    assert not pingpong(W, a, b, "wA+", "wa+", max_len=3).verified
+    rep = classify(W, max_len=3)
+    assert rep.kind == "INCONCLUSIVE"
 
 
 def test_classify_tries_the_combinatorial_facing_tuple_alone(monkeypatch):

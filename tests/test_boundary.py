@@ -157,11 +157,12 @@ def test_zone_tables_cost_no_range_per_column(monkeypatch):
 
 
 def _count_close(monkeypatch):
-    """Patch ``_close`` to record the seed of each call."""
+    """Patch ``_close`` to record the seed of each call, which it takes as
+    the memo key, sorted (chain, interval) pairs, as a dict."""
     calls, inner = [], bd._close
 
     def counting(S, seed):
-        calls.append(seed)
+        calls.append(dict(seed))
         return inner(S, seed)
 
     monkeypatch.setattr(bd, "_close", counting)

@@ -1069,3 +1069,24 @@ def test_lcm_sized_systems_answer_at_once(capsys, tmp_path, periods, seconds, ch
                               "--shift", str(tmp_path / "unit-shift.json"))
     assert code == 0 and report["verdict"]["chi"] == ["1"] * len(periods)
     assert report["timing"]["seconds"] < chi_seconds
+
+
+@pytest.mark.parametrize("source,word,gens", [
+    (["--fixture", "SQUARE", "--gens", "rot,swap"], "rot", 2),
+    (["--fixture", "SQUARE", "--auto-file", "{rot}"], "rot", 1),
+    (["--window", "{window}"], "a", 2),
+    (["--fixture", "F2BALL"], "a", 0),  # the cached fixture's maps were checked when built
+], ids=["total fixture", "auto-file", "window file", "window fixture"])
+def test_each_load_path_checks_each_map_once(capsys, tmp_path, monkeypatch, source, word, gens):
+    """The action that takes a map checks it; the copy the CLI makes under
+    the run's budgets checks none again."""
+    from mediankit import serialize as se
+    from mediankit.structure import Automorphism
+    (tmp_path / "rot.json").write_text(json.dumps({**SQUARE_ROT_G, "name": "rot"}))
+    (tmp_path / "window.json").write_text(json.dumps(se.dump_window_action(fx.f2ball_window())))
+    checked, check = [], Automorphism.check
+    monkeypatch.setattr(Automorphism, "check", lambda g: checked.append(g.name) or check(g))
+    argv = [a.format(rot=tmp_path / "rot.json", window=tmp_path / "window.json") for a in source]
+    code, _, _ = run_cli(capsys, "inversions", *argv, "--word", word)
+    assert code == 0
+    assert len(checked) == len(set(checked)) == gens

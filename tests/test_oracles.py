@@ -448,16 +448,17 @@ ORACLES = (
         lambda P: [first_facing_tuple(P, n, True) for n in (3, 4)],
         lambda: _each(sc.facing_pocsets()), 165,
         lambda case, found: ["FOUND" if found[1] else "NOT_FOUND"], {"FOUND": 1, "NOT_FOUND": 1}),
-    Row("word_images", _word_images, composite_images, sc.word_image_cases, 536,
-        _word_image_kinds, {"defined": 300, "left the window": 500, "inconsistent point": 60,
-                            "cancelled expansion": 12}),
-    Row("wall_inversions", wall_inversions, inversions_by_composite, sc.inversion_cases, 2500,
+    # checked maps keep order both ways, so no point image is inconsistent:
+    # the kind is labelled and must not occur
+    Row("word_images", _word_images, composite_images, sc.word_image_cases, 392,
+        _word_image_kinds, {"defined": 200, "left the window": 390, "cancelled expansion": 12}),
+    Row("wall_inversions", wall_inversions, inversions_by_composite, sc.inversion_cases, 2284,
         lambda case, res: ["inverted"] * bool(res[0]) + ["undecided"] * bool(res[1])
         + ["run of 33"] * (len(case[1]) == 33),
-        {"inverted": 700, "undecided": 700, "run of 33": 90}),
+        {"inverted": 700, "undecided": 530, "run of 33": 70}),
     Row("stabilizer_excluded",
         lambda act, w, side, forbidden: _stabilizer_excluded(WordImages(act), w, side, forbidden),
-        stabilizer_per_point, sc.stabilizer_cases, 8056,
+        stabilizer_per_point, sc.stabilizer_cases, 7640,
         lambda case, excluded: [(excluded, bool(defined_images(case[0], composed_map(*case[:2]))))],
         {(True, True): 1, (False, True): 1, (False, False): 1}),
     Row("skewer_gap", lambda P, a, b: _set_distance(P, a, b, fx.WINDOW_BUDGETS), gap_by_pairs,

@@ -7,6 +7,7 @@ import pytest
 
 from mediankit import fixtures as fx
 from mediankit import randomgen as rg
+from mediankit.actions import TotalAction
 from mediankit.config import DEFAULT_BUDGETS
 from mediankit.errors import NotAnAutomorphism, WallBudgetExceeded
 from mediankit.pocset import WeightedPocset, points, validate
@@ -173,5 +174,7 @@ def test_factor_permutation_respects_composition(grid):
 
 
 def test_bad_mapping_raises(square):
-    with pytest.raises(NotAnAutomorphism):
-        Automorphism.from_mapping(square, {"a": "a", "b": "a"})
+    """The action that takes the map checks it."""
+    g = Automorphism.from_mapping(square, {"a": "a", "b": "a"})
+    with pytest.raises(NotAnAutomorphism, match="not injective"):
+        TotalAction(square, {"g": g})
