@@ -42,13 +42,7 @@ from .pocset import (
     points,
     separating,
 )
-from .structure import (
-    Automorphism,
-    automorphisms,
-    decompose,
-    pocset_product,
-    rank,
-)
+from .structure import automorphisms, decompose, pocset_product, rank
 from .subdivision import cube_at, lift, subdivide
 
 SEED = 20260808
@@ -201,20 +195,18 @@ def criterion_5() -> CriterionResult:
     for name, P in cases:
         budgets = _budget_for(P)
         S = subdivide(P)
-        child_budgets = budgets if P.wall_count * 2 <= budgets.point_walls \
-            else fx.WINDOW_BUDGETS
         pts = points(P, budgets)
         if embedded_distances(S, pts) != halved_distances(P, pts):
             ok = False
         if P.walls and rank(S.child, fx.WINDOW_BUDGETS) != rank(P, fx.WINDOW_BUDGETS):
             ok = False
         if name == "SQUARE":
-            nine = len(points(S.child, child_budgets))
-            details["squarePrimePoints"] = nine
-            ok = ok and nine == 9
+            child_points = points(S.child, _budget_for(S.child))
+            details["squarePrimePoints"] = len(child_points)
+            ok = ok and len(child_points) == 9
             # the canonical cube at each new point: 3^k distinct midpoints,
             # with parent points at its vertices
-            for cube in (cube_at(S, x) for x in points(S.child, child_budgets) if S.is_new(x)):
+            for cube in (cube_at(S, x) for x in child_points if S.is_new(x)):
                 mids = {s: cube.midpoint(s) for s in itertools.product((-1, 0, 1), repeat=cube.k)}
                 ok = ok and len({m.mask for m in mids.values()}) == 3 ** cube.k and all(
                     S.preimage(m) is not None for s, m in mids.items() if 0 not in s)
@@ -232,14 +224,14 @@ def criterion_5() -> CriterionResult:
 
 
 def _all_subgroups(group):
-    """All subgroups of a small group given as a list of automorphisms."""
-    subgroups = set()
+    """One action per subgroup of a small group given as a list of
+    automorphisms: the first that generates it, which has its orbits."""
+    subgroups = {}
     for r in range(0, min(3, len(group)) + 1):
         for gens in itertools.combinations(group, r):
-            sub = TotalAction(group[0].pocset,
-                              {f"s{i}": g for i, g in enumerate(gens)}).group()
-            subgroups.add(frozenset(g.perm for g in sub))
-    return subgroups
+            act = TotalAction(group[0].pocset, {f"s{i}": g for i, g in enumerate(gens)})
+            subgroups.setdefault(frozenset(g.perm for g in act.group()), act)
+    return subgroups.values()
 
 
 def criterion_6() -> CriterionResult:
@@ -250,11 +242,8 @@ def criterion_6() -> CriterionResult:
         P = fx.pocset(name)
         group = list(automorphisms(P))
         r = rank(P)
-        for sub in _all_subgroups(group):
-            gens = {f"s{i}": Automorphism(P, perm) for i, perm in enumerate(sorted(sub))}
-            act = TotalAction(P, gens)
-            orb = min_orbit(act)
-            if orb.size > 2 ** r:
+        for act in _all_subgroups(group):
+            if min_orbit(act).size > 2 ** r:
                 ok = False
         details[name] = {"groupOrder": len(group), "rank": r}
     full = fx.total_action("SQUARE")

@@ -120,8 +120,9 @@ def enumerate_words(names: Sequence[str], max_len: int):
 
 
 class Action:
-    """A pocset with named generators: ``Automorphism``s, which in a window
-    action may be undefined on part of the pocset, each checked here once."""
+    """A pocset with named generators: ``Automorphism``s, each checked as
+    the action takes it (once: a map keeps its pass), and total in a total
+    action, whose negatives are definitive."""
 
     def __init__(self, pocset: WeightedPocset, gens: dict,
                  budgets: Budgets = DEFAULT_BUDGETS):
@@ -129,16 +130,7 @@ class Action:
         self.gens = dict(gens)  # name -> map
         self.budgets = budgets
         for g in self.gens.values():
-            g.check()
-        holes = [n for n, g in self.gens.items() if None in g.perm]
-        if self.kind == "total" and holes:  # its negatives are definitive
-            raise NotAnAutomorphism(f"{holes[0]}: undefined on part of the pocset")
-
-    def with_budgets(self, budgets: Budgets) -> "Action":
-        """The same generators under ``budgets``, not checked again."""
-        out = object.__new__(type(self))
-        out.pocset, out.gens, out.budgets = self.pocset, self.gens, budgets
-        return out
+            g.check(total=self.kind == "total")
 
     def gen_names(self) -> tuple:
         return tuple(self.gens)
@@ -232,10 +224,13 @@ class WordImages:
         self.action = action
         self.root = (tuple(idxs), {}, {})  # images, longer suffixes by letter, set images
 
-    def _node(self, node: tuple, tok) -> tuple:
+    def step(self, images: tuple, tok) -> tuple:
+        """``images`` under the letter ``tok``, None where undefined."""
         perm = self.action.letters[tok].perm
-        images = tuple([None if j is None else perm[j] for j in node[0]])
-        return node[1].setdefault(tok, (images, {}, {}))
+        return tuple([None if j is None else perm[j] for j in images])
+
+    def _node(self, node: tuple, tok) -> tuple:
+        return node[1].setdefault(tok, (self.step(node[0], tok), {}, {}))
 
     def __call__(self, word: Word) -> tuple:
         """The images of ``idxs``."""
@@ -268,14 +263,12 @@ def wall_inversions(action: Action, word: Word) -> tuple:
 
     For window actions only walls with visible images are decided; the
     count of undecided walls is returned alongside.  The walls' lower
-    sides step letter by letter through the letter table from the word's
-    right end, as the word's composite maps them, composing no map.
+    sides step through ``WordImages.step`` from the word's right end,
+    composing no map and, unlike a search, keeping no suffix: a word may
+    have 100,000 letters.
     """
     P = action.pocset
-    images = [i for i, _ in P.walls]
-    for tok in reversed(word):
-        perm = action.letters[tok].perm
-        images = [None if j is None else perm[j] for j in images]
+    images = reduce(WordImages(action).step, reversed(word), [i for i, _ in P.walls])
     inverted = []
     undecided = 0
     for pos, ((i, _), img) in enumerate(zip(P.walls, images)):

@@ -439,7 +439,7 @@ def _zones_partition(zs: Sequence[Zone]) -> bool:
 def _kept(S: ChainSystem, key, errors, build, *args):
     """``build(*args)``, kept in S under ``key`` (sorted seed intervals, or
     "graph"); an error among ``errors`` is kept and raised afresh, with
-    its message, on every later call."""
+    its message and data, on every later call."""
     out = S._kept.get(key)
     if out is None:
         try:
@@ -448,7 +448,7 @@ def _kept(S: ChainSystem, key, errors, build, *args):
             out = exc
         S._kept[key] = out
     if isinstance(out, Exception):
-        raise type(out)(str(out))
+        raise type(out)(str(out), **out.data)
     return out
 
 
@@ -477,7 +477,8 @@ def _close(S: ChainSystem, seed: tuple) -> UBS:
     for cid, (lo, hi) in seed:
         if lo > S.horizon or (hi is not None and hi >= S.horizon):
             raise HorizonExceeded(
-                f"seed interval on chain {cid} leaves the window of horizon {S.horizon}")
+                f"seed interval on chain {cid} leaves the window of horizon {S.horizon}",
+                budget="horizon", limit=S.horizon, reached=lo if hi is None else hi)
     E, t = S.head_extent, 0
     if len(seed) == 1:
         ((d, (lo, hi)),) = seed
@@ -624,7 +625,8 @@ def minimal_tail(S: ChainSystem, cid: str) -> tuple:
     top = S.tail_depth
     deep = closure(S, tail(cid, top)).tails()
     if closure(S, tail(cid, top + 1)).tails() != deep:
-        raise HorizonExceeded(f"tail closures of {cid} do not stabilize")
+        raise HorizonExceeded(f"tail closures of {cid} do not stabilize",
+                              budget="horizon", limit=S.horizon, reached=top + 1)
     lo, hi = (0, 0) if closure(S, tail(cid, 0)).tails() == deep else (1, top)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -732,7 +734,8 @@ def ubs_poset(S: ChainSystem) -> list:
                 break
         if rep is None:
             raise HorizonExceeded(
-                f"no representative for vertex set {chosen} within horizon")
+                f"no representative for vertex set {chosen} within horizon",
+                budget="horizon", limit=S.horizon, reached=S.tail_depth)
         out.append((tuple(G.vertices[i][0] for i in chosen), rep))
     return out
 

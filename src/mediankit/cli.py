@@ -135,9 +135,9 @@ def _load_pocset(args, checked=True):
 
 
 def _load_action(args):
-    """The action of the run's source and its automorphisms, copied with the
-    ``MEDIANKIT_BUDGET`` overrides on its own budgets and its maps not
-    checked again (fixture actions are cached, so never changed in place).
+    """The action of the run's source and its automorphisms, rebuilt with
+    the ``MEDIANKIT_BUDGET`` overrides on its own budgets (fixture actions
+    are cached, so never changed in place); its maps keep their passes.
     ``--gens`` picks those of a total-action fixture, ``--auto-file`` those
     of a pocset.  A ``--window`` file's pocset must pass validation as a
     ``--pocset`` file's does, before its maps are checked."""
@@ -167,7 +167,7 @@ def _load_action(args):
         action, src = fixtures.window(args.fixture), {"windowFixture": args.fixture}
     else:
         raise InvalidInput("--pocset needs --auto-file to give an action")
-    return action.with_budgets(_budgets(args, action.budgets)), src
+    return type(action)(action.pocset, action.gens, _budgets(args, action.budgets)), src
 
 
 def _load_system(args):

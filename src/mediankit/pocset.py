@@ -373,10 +373,13 @@ def points(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Point
     """
     if P.wall_count > budgets.point_walls:
         raise WallBudgetExceeded(
-            f"{P.wall_count} walls exceed enumeration cap {budgets.point_walls}")
+            f"{P.wall_count} walls exceed enumeration cap {budgets.point_walls}",
+            budget="point_walls", limit=budgets.point_walls, reached=P.wall_count)
     if P._points is not None:
         if len(P._points) > budgets.max_points:
-            raise WallBudgetExceeded("point enumeration exceeded max_points cap")
+            raise WallBudgetExceeded("point enumeration exceeded max_points cap",
+                                     budget="max_points", limit=budgets.max_points,
+                                     reached=len(P._points))
         return P._points
     up = P.up
     walls = P.walls
@@ -388,7 +391,9 @@ def points(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Point
         if w == len(walls):
             out.append(chosen)
             if len(out) > budgets.max_points:
-                raise WallBudgetExceeded("point enumeration exceeded max_points cap")
+                raise WallBudgetExceeded("point enumeration exceeded max_points cap",
+                                         budget="max_points", limit=budgets.max_points,
+                                         reached=len(out))
             return
         for side in walls[w]:
             rec(w + 1, chosen | up[side])

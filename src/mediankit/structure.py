@@ -70,7 +70,8 @@ def rank(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> int:
         return P._rank
     if len(active) > budgets.clique_walls:
         raise WallBudgetExceeded(
-            f"{len(active)} mutually transverse-capable walls exceed clique cap")
+            f"{len(active)} mutually transverse-capable walls exceed clique cap",
+            budget="clique_walls", limit=budgets.clique_walls, reached=len(active))
     firsts = {}  # per distinct row, the bit of its first wall
     for i in active:
         firsts.setdefault(adj[i], 1 << i)
@@ -176,12 +177,13 @@ def pocset_product(parts: Sequence[WeightedPocset],
 
 class Automorphism:
     """A structure-preserving halfspace map: ``perm[i]`` is the image of
-    halfspace ``i``, or None where a window map is undefined.  Structure is
-    checked once, by ``check`` when an ``actions.Action`` takes the map as
-    a generator; composites and inverses of checked maps preserve it by
-    construction."""
+    halfspace ``i``, or None where a window map is undefined.  ``check``,
+    run by each ``actions.Action`` that takes the map, records a pass on the
+    map itself, so no caller tracks what was checked; composites and
+    inverses of checked maps preserve structure by construction and start
+    unchecked."""
 
-    __slots__ = ("pocset", "perm", "name", "_up_map", "_image")
+    __slots__ = ("pocset", "perm", "name", "_up_map", "_image", "_passed")
 
     def __init__(self, pocset: WeightedPocset, perm: Sequence[Optional[int]],
                  name: str = ""):
@@ -190,6 +192,7 @@ class Automorphism:
         self.name = name
         self._up_map = None  # built by the first image_point
         self._image = None  # built by the first image
+        self._passed = False  # set by the first check that passes
 
     @classmethod
     def from_mapping(cls, P: WeightedPocset, mapping: dict,
@@ -210,9 +213,16 @@ class Automorphism:
     def identity(cls, P: WeightedPocset) -> "Automorphism":
         return cls(P, range(P.n), "id")
 
-    def check(self):
+    def check(self, total: bool = False):
         """Raise NotAnAutomorphism unless the map is injective, commutes
-        with star, keeps weights and keeps order both ways on its domain."""
+        with star, keeps weights and keeps order both ways on its domain,
+        and, with ``total``, is defined everywhere.  A map never changes
+        (``perm`` is a tuple), so it records a pass, and a later call that
+        passes the ``total`` rule returns at once; a failure records nothing."""
+        if total and None in self.perm:
+            raise NotAnAutomorphism(f"{self.name}: undefined on part of the pocset")
+        if self._passed:
+            return
         P, perm = self.pocset, self.perm
         domain = [a for a, b in enumerate(perm) if b is not None]
         if len({perm[a] for a in domain}) != len(domain):
@@ -228,16 +238,7 @@ class Automorphism:
         for a in domain:
             if self.image(P.up[a]) != P.up[perm[a]] & img:
                 raise NotAnAutomorphism(f"{self.name}: does not preserve order")
-
-    def is_valid(self) -> bool:
-        """Total and passing ``check``: an automorphism of the pocset."""
-        if None in self.perm:
-            return False
-        try:
-            self.check()
-        except NotAnAutomorphism:
-            return False
-        return True
+        self._passed = True
 
     @property
     def image(self) -> MaskMap:
@@ -306,7 +307,8 @@ def automorphisms(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tupl
     order of their permutation tuples.  Forms a group."""
     if P.wall_count > budgets.aut_walls:
         raise WallBudgetExceeded(
-            f"{P.wall_count} walls exceed automorphism cap {budgets.aut_walls}")
+            f"{P.wall_count} walls exceed automorphism cap {budgets.aut_walls}",
+            budget="aut_walls", limit=budgets.aut_walls, reached=P.wall_count)
     reps = [i for i, _ in P.walls]
     nw = len(reps)
     found: list[Automorphism] = []
@@ -353,8 +355,7 @@ def automorphisms(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tupl
 
 def factor_permutation(P: WeightedPocset, D: Decomposition, g: Automorphism) -> tuple[int, ...]:
     """The permutation of factor indices induced by an automorphism."""
-    if not g.is_valid():
-        raise NotAnAutomorphism("factor_permutation() given an invalid map")
+    g.check(total=True)
     out = []
     for fi, F in enumerate(D.factors):
         images = {D.assignment[g.apply(h)][0] for h in F.ids}

@@ -89,17 +89,17 @@ def subdivide(P: WeightedPocset) -> Subdivision:
 
 
 def lift(S: Subdivision, g: Automorphism) -> Automorphism:
-    """Canonical sign-preserving extension; never has wall inversions."""
-    P, C = S.parent, S.child
-    if g.pocset is not P or not g.is_valid():
+    """Canonical sign-preserving extension; never has wall inversions.  It
+    is ``g`` conjugated by the ``copies`` table, through which the child's
+    rows are the parent's, so it keeps star, weights and order exactly when
+    ``g`` does: checking ``g`` checks it."""
+    if g.pocset is not S.parent:
         raise NotAnAutomorphism("lift() requires an automorphism of the parent")
-    perm = [0] * C.n
+    g.check(total=True)
+    perm = [0] * S.child.n
     for i, (minus, plus) in enumerate(S.copies):
         perm[minus], perm[plus] = S.copies[g.apply_idx(i)]
-    lifted = Automorphism(C, perm, name=f"{g.name}'")
-    if not lifted.is_valid():
-        raise NotAnAutomorphism("internal: lift produced a non-automorphism")
-    return lifted
+    return Automorphism(S.child, perm, name=f"{g.name}'")
 
 
 class CanonicalCube:
@@ -151,12 +151,18 @@ def atom_mass(P: WeightedPocset) -> Fraction:
 
 
 def tower(P: WeightedPocset, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> list[Subdivision]:
-    """Iterated subdivisions X_0 ... X_n with composable embeddings."""
+    """Iterated subdivisions X_0 ... X_n with composable embeddings.  The
+    ``tower_walls`` budget, max(64 * ``point_walls``, 4096), caps the walls
+    of X_n (2^n times P's); its error reports the first stage past it."""
     if n < 0:
         raise InvalidInput(f"tower depth {n} is negative")
-    if P.wall_count * (2 ** n) > max(budgets.point_walls * 64, 4096):
+    tower_walls, walls, depth = max(budgets.point_walls * 64, 4096), P.wall_count, 0
+    while depth < n and 0 < walls <= tower_walls:
+        walls, depth = walls * 2, depth + 1
+    if walls > tower_walls:
         raise WallBudgetExceeded(
-            f"{P.wall_count} walls at depth {n} exceed the tower budget")
+            f"{P.wall_count} walls at depth {n} exceed the tower budget",
+            budget="tower_walls", limit=tower_walls, reached=walls)
     stages = []
     current = P
     for _ in range(n):

@@ -1038,6 +1038,17 @@ def map_cases():
         yield from ((P, list(g.perm)), (P, broken))
 
 
+def lift_cases():
+    """Every automorphism of the pocsets of ``automorphism_cases``, all
+    within ``aut_walls``; then the total scrambles of four fixtures and 30
+    random pocsets, most of them no automorphism."""
+    for (P,) in automorphism_cases():
+        yield from ((P, list(g.perm)) for g in automorphisms(P))
+    rng = random.Random(18)
+    for P in small_fixtures() + random_pocsets(random.Random(19), 30, 8):
+        yield from ((P, perm) for perm in _scrambles(P, rng) if None not in perm)
+
+
 def convex_pairs():
     """On four fixtures and 40 random pocsets, 20 times a pair of random
     convex sets and a pair of points."""

@@ -80,3 +80,10 @@ def test_criterion_12_four_corners():
 def test_criterion_13_skewering():
     res = _run(acc.criterion_13)
     assert res.details["f2ball"] == "a a"
+
+
+def test_no_map_is_checked_twice(checks_run):
+    """Across the whole suite each map's check runs at most once; later
+    calls return its recorded pass."""
+    acc.run_all()
+    assert checks_run and len(set(map(id, checks_run))) == len(checks_run)

@@ -576,6 +576,102 @@ def test_env_budget_applies_to_fixture_and_file_actions(
     assert fx.window("F2BALL").budgets == fx.WINDOW_BUDGETS
 
 
+def _budget_cli(budget, *argv):
+    """A run of ``argv`` under ``MEDIANKIT_BUDGET=budget``, ``{grid}`` a
+    file of the GRID pocset, loaded afresh: its error's message and data."""
+    def run(capsys, monkeypatch, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(dump_pocset(fx.grid())))
+        monkeypatch.setenv("MEDIANKIT_BUDGET", budget)
+        code, report, _ = run_cli(capsys, *[a.format(grid=grid) for a in argv])
+        assert code == 3
+        return report["error"]["message"], report["error"]["data"]
+    return run
+
+
+def _budget_library(call):
+    """The message and data of the error that ``call(monkeypatch)`` raises."""
+    def run(capsys, monkeypatch, tmp_path):
+        with pytest.raises((errors.WallBudgetExceeded, errors.HorizonExceeded)) as exc:
+            call(monkeypatch)
+        return str(exc.value), exc.value.data
+    return run
+
+
+def _kept_points_over_max(monkeypatch):
+    from mediankit.config import Budgets
+    from mediankit.pocset import points
+    from mediankit.serialize import load_pocset
+    P = load_pocset(dump_pocset(fx.grid()))  # its 16 points not yet kept
+    points(P)
+    points(P, Budgets(max_points=3))
+
+
+def _automorphisms_over_cap(monkeypatch):
+    from mediankit.config import Budgets
+    from mediankit.structure import automorphisms
+    automorphisms(fx.grid(), Budgets(aut_walls=5))
+
+
+def _closure_past_the_horizon(monkeypatch):
+    """Twice, so that the error read is the kept one, raised afresh."""
+    from mediankit.boundary import closure, tail
+    S = fx.line_system()
+    with pytest.raises(errors.HorizonExceeded):
+        closure(S, tail("H", S.horizon + 1))
+    closure(S, tail("H", S.horizon + 1))
+
+
+def _minimal_tail_unstable(monkeypatch):
+    from mediankit import boundary as bd
+    real = bd.closure
+    monkeypatch.setattr(bd, "closure", lambda S, seed: bd.UBS({})
+                        if seed == bd.tail("H", S.tail_depth + 1) else real(S, seed))
+    bd.minimal_tail(fx.stairflap(), "H")
+
+
+def _poset_without_representative(monkeypatch):
+    from mediankit import boundary as bd
+    S = fx.stairflap()
+    bd.ubs_graph(S)  # kept, so only the poset's candidates read the patch
+    monkeypatch.setattr(bd, "_read_closure", lambda S, reads, R: bd.UBS({}))
+    bd.ubs_poset(S)
+
+
+@pytest.mark.parametrize("run, message, data", [
+    (_budget_cli("point_walls:4", "points", "--fixture", "GRID"),
+     "6 walls exceed enumeration cap 4", ("point_walls", 4, 6)),
+    (_budget_cli("max_points:3", "points", "--pocset", "{grid}"),
+     "point enumeration exceeded max_points cap", ("max_points", 3, 4)),
+    (_budget_library(_kept_points_over_max),
+     "point enumeration exceeded max_points cap", ("max_points", 3, 16)),
+    (_budget_cli("clique_walls:4", "rank", "--pocset", "{grid}"),
+     "6 mutually transverse-capable walls exceed clique cap", ("clique_walls", 4, 6)),
+    (_budget_library(_automorphisms_over_cap),
+     "6 walls exceed automorphism cap 5", ("aut_walls", 5, 6)),
+    (_budget_cli("group_order:2", "flip", "--fixture", "TRIPOD", "--gens", "rot",
+                 "--halfspace", "h1*"),
+     "generated group exceeds budget group_order 2: 3 elements found", ("group_order", 2, 3)),
+    (_budget_cli("", "subdivide", "--fixture", "SQUARE", "-n", "12"),
+     "2 walls at depth 12 exceed the tower budget", ("tower_walls", 4096, 8192)),
+    (_budget_library(_closure_past_the_horizon),
+     "seed interval on chain H leaves the window of horizon 9", ("horizon", 9, 10)),
+    (_budget_library(_minimal_tail_unstable),
+     "tail closures of H do not stabilize", ("horizon", 10, 5)),
+    (_budget_library(_poset_without_representative),
+     "no representative for vertex set [0] within horizon", ("horizon", 10, 4)),
+], ids=["point_walls", "max_points", "max_points kept", "clique_walls", "aut_walls",
+        "group_order", "tower_walls", "closure horizon", "minimal_tail horizon",
+        "ubs_poset horizon"])
+def test_every_budget_error_says_how_far_it_got(capsys, monkeypatch, tmp_path, run, message, data):
+    """Each budget and horizon raise names the budget, its limit and what
+    it reached, through the CLI where a command reaches it; the messages
+    are unchanged."""
+    got_message, got_data = run(capsys, monkeypatch, tmp_path)
+    assert got_message == message
+    assert got_data == dict(zip(("budget", "limit", "reached"), data))
+
+
 def test_a_total_map_must_cover_every_wall(capsys, tmp_path):
     auto = tmp_path / "holes.json"
     auto.write_text(json.dumps({"map": {"a": "b"}}))
@@ -1071,22 +1167,26 @@ def test_lcm_sized_systems_answer_at_once(capsys, tmp_path, periods, seconds, ch
     assert report["timing"]["seconds"] < chi_seconds
 
 
-@pytest.mark.parametrize("source,word,gens", [
-    (["--fixture", "SQUARE", "--gens", "rot,swap"], "rot", 2),
-    (["--fixture", "SQUARE", "--auto-file", "{rot}"], "rot", 1),
-    (["--window", "{window}"], "a", 2),
-    (["--fixture", "F2BALL"], "a", 0),  # the cached fixture's maps were checked when built
+@pytest.mark.parametrize("source,word,runs", [
+    (["--fixture", "SQUARE", "--gens", "rot,swap"], "rot", [["rot", "swap"], []]),
+    (["--fixture", "SQUARE", "--auto-file", "{rot}"], "rot", [["rot"], ["rot"]]),
+    (["--window", "{window}"], "a", [["a", "b"], ["a", "b"]]),
+    (["--fixture", "F2BALL"], "a", [["a", "b"], []]),
 ], ids=["total fixture", "auto-file", "window file", "window fixture"])
-def test_each_load_path_checks_each_map_once(capsys, tmp_path, monkeypatch, source, word, gens):
-    """The action that takes a map checks it; the copy the CLI makes under
-    the run's budgets checks none again."""
+def test_each_load_path_checks_each_map_once(capsys, tmp_path, checks_run, source, word, runs):
+    """Counting only the checks that run, not the calls that return a
+    recorded pass: a file's maps are loaded afresh and checked once per
+    run; a fixture's maps are cached, so the second run checks none, and
+    the action the CLI rebuilds under the run's budgets checks none again."""
     from mediankit import serialize as se
-    from mediankit.structure import Automorphism
     (tmp_path / "rot.json").write_text(json.dumps({**SQUARE_ROT_G, "name": "rot"}))
     (tmp_path / "window.json").write_text(json.dumps(se.dump_window_action(fx.f2ball_window())))
-    checked, check = [], Automorphism.check
-    monkeypatch.setattr(Automorphism, "check", lambda g: checked.append(g.name) or check(g))
+    fx.named_automorphisms.cache_clear()
+    fx.f2ball_window.cache_clear()
     argv = [a.format(rot=tmp_path / "rot.json", window=tmp_path / "window.json") for a in source]
-    code, _, _ = run_cli(capsys, "inversions", *argv, "--word", word)
-    assert code == 0
-    assert len(checked) == len(set(checked)) == gens
+    for names in runs:
+        checks_run.clear()
+        code, _, _ = run_cli(capsys, "inversions", *argv, "--word", word)
+        assert code == 0
+        assert sorted(g.name for g in checks_run) == names
+        assert len(set(map(id, checks_run))) == len(checks_run)

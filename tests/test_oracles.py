@@ -32,7 +32,7 @@ from mediankit.serialize import dump_pocset
 from mediankit.structure import (
     Automorphism, _transversality_adjacency, automorphisms, decompose, pocset_product, rank,
     transverse)
-from mediankit.subdivision import cube_at, subdivide
+from mediankit.subdivision import cube_at, lift, subdivide
 from mediankit.verification import verify_skewer
 
 import seeded_cases as sc
@@ -409,6 +409,11 @@ ORACLES = (
          (False, "g: does not commute with star"): 1, (False, "g: does not preserve weights"): 1,
          (False, "g: does not preserve order"): 1,
          (True, None): 3, (True, "g: does not preserve order"): 3}),
+    Row("lift", lambda P, perm: outcome(lambda: lift(subdivide(P), Automorphism(P, perm, "g")).check()),
+        lambda P, perm: outcome(check_pairwise, P, perm), sc.lift_cases, 1241,
+        lambda case, res: [res and res[1]],
+        {None: 859, "g: not injective": 1, "g: does not commute with star": 1,
+         "g: does not preserve weights": 1, "g: does not preserve order": 1}),
     Row("validate", lambda P: validate(P).to_json(), validate_pairwise,
         lambda: _each(sc.construction_cases()), 406,
         lambda case, rep: [f["code"] for f in rep["failures"]],

@@ -178,3 +178,31 @@ def test_bad_mapping_raises(square):
     g = Automorphism.from_mapping(square, {"a": "a", "b": "a"})
     with pytest.raises(NotAnAutomorphism, match="not injective"):
         TotalAction(square, {"g": g})
+
+
+def test_a_failed_check_records_nothing(square):
+    g = Automorphism.from_mapping(square, {"a": "a", "b": "a"}, "g")
+    for _ in range(2):
+        with pytest.raises(NotAnAutomorphism, match="^g: not injective$"):
+            g.check()
+
+
+def test_total_rejects_a_partial_map_that_passed(square):
+    g = Automorphism.from_mapping(square, {"a": "b"}, "g")
+    g.check()
+    for _ in range(2):
+        with pytest.raises(NotAnAutomorphism, match="^g: undefined on part of the pocset$"):
+            g.check(total=True)
+    g.check()
+
+
+def test_composites_and_inverses_of_checked_maps_start_unchecked(square, checks_run):
+    rot = Automorphism.from_mapping(square, {"a": "b", "b": "a*"}, "rot")
+    swap = Automorphism.from_mapping(square, {"a": "b", "b": "a"}, "swap")
+    for g in (rot, swap):
+        g.check()
+        g.check()
+    made = [rot.compose(swap), rot.inverse(), swap.compose(rot).inverse()]
+    for g in made:
+        g.check(total=True)
+    assert checks_run == [rot, swap, *made]
