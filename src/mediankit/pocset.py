@@ -46,16 +46,25 @@ class MaskMap:
     ``images[i]`` over its set bits.  Each byte position memoises the images
     of the byte values met there, each computed when first met: memos stay
     small for maps applied once, and a map applied often costs one lookup
-    per byte."""
+    per byte.
 
-    __slots__ = ("images", "memos")
+    A map given ``shifts``, pairs (s, m), is the shift form instead: it
+    sends each bit i of m to bit i + s, with one AND, one shift and one OR
+    per pair and no memos."""
 
-    def __init__(self, images: Sequence[int]):
+    __slots__ = ("images", "memos", "shifts")
+
+    def __init__(self, images: Sequence[int], shifts: Sequence[tuple] = ()):
         self.images = images
-        self.memos = [{} for _ in range((len(images) + 7) // 8)]
+        self.shifts = shifts
+        self.memos = [] if shifts else [{} for _ in range((len(images) + 7) // 8)]
 
     def __call__(self, mask: int) -> int:
         out = 0
+        if self.shifts:
+            for s, m in self.shifts:
+                out |= (mask & m) << s if s >= 0 else (mask & m) >> -s
+            return out
         memos = self.memos
         for pos, byte in enumerate(mask.to_bytes(len(memos), "little")):
             if byte:
@@ -183,7 +192,15 @@ class WeightedPocset:
         self.star = tuple(self.index[star_by_id[h]] for h in self.ids)
         self.weight = tuple(weight_by_id[h] for h in self.ids)
         self.walls = tuple((i, j) for i, j in enumerate(self.star) if i <= j)
-        self.star_map = MaskMap(tuple([1 << j for j in self.star]))
+        # the star as shifts, one per offset star[i] - i, unless the offsets
+        # outnumber the bytes that a byte walk reads: the lower sides at
+        # offset d >= 0 of their walls, and their upper sides at -d
+        offsets: dict = {}
+        for i, j in self.walls:
+            offsets[j - i] = offsets.get(j - i, 0) | 1 << i
+        shifts = tuple(offsets.items()) + tuple((-d, m << d) for d, m in offsets.items() if d)
+        self.star_map = MaskMap(tuple([1 << j for j in self.star]),
+                                shifts if len(shifts) <= (self.n + 7) // 8 else ())
         if wall_ids is not None:
             if len(wall_ids) != len(wall_list):
                 raise InvalidInput("wall_ids length mismatch")
@@ -370,6 +387,12 @@ def points(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Point
     ``chosen`` is up-closed, so a side whose complement is chosen has its
     wall skipped, and an ``x >= side`` whose complement ``x*`` is chosen
     gives ``side* >= x*``, so ``side*`` is chosen and the wall skipped too.
+
+    A node keeps the lower sides of its open walls, those with neither side
+    chosen, and branches on the lowest.  Choosing ``s`` decides the walls
+    with a side in ``up[s]``, whose lower sides are ``(up[s] | down[s*]) &
+    lower`` (``down[s*]`` is the star image of ``up[s]``).  The search runs
+    on an explicit stack, so a long chain of walls needs no deep recursion.
     """
     if P.wall_count > budgets.point_walls:
         raise WallBudgetExceeded(
@@ -381,24 +404,26 @@ def points(P: WeightedPocset, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Point
                                      budget="max_points", limit=budgets.max_points,
                                      reached=len(P._points))
         return P._points
-    up = P.up
-    walls = P.walls
+    up, down = P.up, P.down
+    lower = sum(1 << i for i, _ in P.walls)
+    # by the bit of a wall's lower side i, for each side s of the wall (j is
+    # i*): the open walls that stay open, and up[s]; a fixed-point wall
+    # (i, i) branches twice on i
+    branch = {1 << i: ((lower & ~(up[i] | down[j]), up[i]), (lower & ~(up[j] | down[i]), up[j]))
+              for i, j in P.walls}
     out: list[int] = []
-
-    def rec(w: int, chosen: int):
-        while w < len(walls) and (chosen >> walls[w][0] & 1 or chosen >> walls[w][1] & 1):
-            w += 1
-        if w == len(walls):
-            out.append(chosen)
-            if len(out) > budgets.max_points:
-                raise WallBudgetExceeded("point enumeration exceeded max_points cap",
-                                         budget="max_points", limit=budgets.max_points,
-                                         reached=len(out))
-            return
-        for side in walls[w]:
-            rec(w + 1, chosen | up[side])
-
-    rec(0, 0)
+    stack = [(lower, 0)]
+    while stack:
+        open_, chosen = stack.pop()
+        if open_:
+            for keep, row in branch[open_ & -open_]:
+                stack.append((open_ & keep, chosen | row))
+            continue
+        out.append(chosen)
+        if len(out) > budgets.max_points:
+            raise WallBudgetExceeded("point enumeration exceeded max_points cap",
+                                     budget="max_points", limit=budgets.max_points,
+                                     reached=len(out))
     P._points = tuple(Point(P, m) for m in sorted(out))
     return P._points
 

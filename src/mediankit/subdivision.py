@@ -153,11 +153,13 @@ def atom_mass(P: WeightedPocset) -> Fraction:
 def tower(P: WeightedPocset, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> list[Subdivision]:
     """Iterated subdivisions X_0 ... X_n with composable embeddings.  The
     ``tower_walls`` budget, max(64 * ``point_walls``, 4096), caps the walls
-    of X_n (2^n times P's); its error reports the first stage past it."""
+    of X_n (2^n times P's, counting a wall-free P as one wall, so that no
+    tower is deeper than the budget allows); its error reports the first
+    stage past it."""
     if n < 0:
         raise InvalidInput(f"tower depth {n} is negative")
-    tower_walls, walls, depth = max(budgets.point_walls * 64, 4096), P.wall_count, 0
-    while depth < n and 0 < walls <= tower_walls:
+    tower_walls, walls, depth = max(budgets.point_walls * 64, 4096), max(P.wall_count, 1), 0
+    while depth < n and walls <= tower_walls:
         walls, depth = walls * 2, depth + 1
     if walls > tower_walls:
         raise WallBudgetExceeded(

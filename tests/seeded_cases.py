@@ -143,6 +143,45 @@ def window_pocsets() -> list:
     return [fx.window(name).pocset for name in ("F2BALL", "LINE")]
 
 
+def _renamed_pocset(P: WeightedPocset, names: dict) -> WeightedPocset:
+    return WeightedPocset([(names[a], names[b], w) for a, b, w in wall_list(P)],
+                          [(names[a], names[b]) for a, b in pair_order(P)])
+
+
+@cache
+def renamed_pocsets() -> list:
+    """Pocsets whose sides do not sort next to each other, so that their
+    star maps take the byte walk or shifts longer than one: the mixed
+    pocsets of at least five walls, LINE and F2BALL with their halfspaces
+    renamed by a shuffle of names seeded 31 (star offsets outnumbering the
+    bytes), then LINE and F2BALL with the sides of wall k named a<k> and
+    b<k> (offsets ±walls)."""
+    rng, out = random.Random(31), []
+    sources = [P for P in mixed_pocsets() if P.wall_count >= 5] + window_pocsets()[::-1]
+    for P in sources:
+        names = [f"x{k:03d}" for k in range(P.n)]
+        rng.shuffle(names)
+        out.append(_renamed_pocset(P, dict(zip(P.ids, names))))
+    for P in window_pocsets()[::-1]:
+        out.append(_renamed_pocset(P, {P.ids[s]: f"{side}{k:03d}" for k, wall in
+                                       enumerate(P.walls) for side, s in zip("ab", wall)}))
+    return out
+
+
+def long_path(walls: int) -> dict:
+    """The pocset file of a path of ``walls`` walls, h0000 ⊃ h0001 ⊃ ...,
+    given by its generating pairs alone.  The names sort in path order, so
+    a point search meets the walls one by one along its deepest path."""
+    names = [f"h{k:04d}" for k in range(walls)]
+    return {"walls": [{"id": h, "pos": h, "neg": h + "*", "weight": "1"} for h in names],
+            "order": [[b, a] for a, b in zip(names, names[1:])]}
+
+
+def point_pocsets() -> list:
+    """The pocsets whose points and point samples the geometry rows read."""
+    return mixed_pocsets() + window_pocsets() + renamed_pocsets()
+
+
 def copy_table_pocsets() -> list:
     return small_fixtures() + random_pocsets(random.Random(20240611), 12, 6, 12)
 
@@ -153,12 +192,12 @@ def _sample(rng: random.Random, seq, k: int) -> list:
 
 @cache
 def _point_samples() -> list:
-    """Per mixed and window pocset, drawn in turn from one stream of seed
-    11: sampled point pairs, gates onto hulls of sampled pairs, and masks
-    (random ones, points with one wall turned over, a side added or a side
-    dropped, and the points themselves)."""
+    """Per point pocset, drawn in turn from one stream of seed 11: sampled
+    point pairs, gates onto hulls of sampled pairs, and masks (random ones,
+    points with one wall turned over, a side added or a side dropped, and
+    the points themselves)."""
     rng, out = random.Random(11), []
-    for P in mixed_pocsets() + window_pocsets():
+    for P in point_pocsets():
         pts = points(P, fx.WINDOW_BUDGETS)
         pairs = [(P, x, y) for x in _sample(rng, pts, 12) for y in _sample(rng, pts, 12)]
         gates = []

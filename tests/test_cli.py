@@ -672,6 +672,36 @@ def test_every_budget_error_says_how_far_it_got(capsys, monkeypatch, tmp_path, r
     assert got_data == dict(zip(("budget", "limit", "reached"), data))
 
 
+# a path of 1,500 walls from its generating pairs, whose point search goes
+# one level deeper per wall, and a pocset without walls
+PATH_1500 = sc.long_path(1500)
+NO_WALLS = {"walls": [], "order": []}
+
+
+def test_a_path_of_1500_walls_validates(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(PATH_1500))
+    monkeypatch.setenv("MEDIANKIT_BUDGET", "point_walls:2000")
+    code, report, _ = run_cli(capsys, "validate", "--pocset", str(path))
+    assert code == 0
+    assert report["verdict"]["notes"] == ["1501 points enumerated; separation holds"]
+
+
+def test_a_pocset_without_walls_does_not_subdivide_without_end(capsys, tmp_path):
+    """The tower budget counts a wall-free pocset as one wall, so a depth
+    of 10^9 exits 3 at once; depth 12 stays within the budget."""
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(NO_WALLS))
+    start = time.perf_counter()
+    code, report, _ = run_cli(capsys, "subdivide", "--pocset", str(empty), "-n", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert report["error"]["data"] == {"budget": "tower_walls", "limit": 4096, "reached": 8192}
+    code, report, _ = run_cli(capsys, "subdivide", "--pocset", str(empty), "-n", "12")
+    assert code == 0
+    assert report["verdict"]["depth"] == 12
+
+
 def test_a_total_map_must_cover_every_wall(capsys, tmp_path):
     auto = tmp_path / "holes.json"
     auto.write_text(json.dumps({"map": {"a": "b"}}))

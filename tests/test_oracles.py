@@ -98,6 +98,15 @@ def _members(S, seed) -> set:
             for n in range(lo, closure_depth(S, seed) + 1) if hi is None or n <= hi}
 
 
+def _star_form(case, image) -> list:
+    """The form of the pocset's star map, and for shifts whether any moves
+    a bit by more than one."""
+    shifts = case[0].star_map.shifts
+    if not shifts:
+        return ["byte walk"]
+    return ["shifts by 1" if max(abs(s) for s, _ in shifts) == 1 else "longer shifts"]
+
+
 def _validate_kinds(case, rep) -> list:
     """The verdict and each code once; whether a failing transitivity check ran
     again at the horizon after failing at 3 head_extent below it."""
@@ -343,24 +352,25 @@ def _report_kinds(case, text) -> set:
 ORACLES = (
     Row("median", medians, interval_medians,
         lambda: [(P, points(P)) for P in sc.random_pocsets(sc.seeded(), 20, 8, 12)], 20),
-    Row("distance", distance, separating_mass, sc.point_pairs, 1724),
+    Row("distance", distance, separating_mass, sc.point_pairs, 3149),
     Row("points", lambda P: [p.mask for p in points(P, fx.WINDOW_BUDGETS)], points_per_bit,
-        lambda: _each(sc.mixed_pocsets() + sc.window_pocsets()), 42),
+        lambda: _each(sc.point_pocsets()), 54),
     Row("halfspace_point_masks", lambda P: list(halfspace_point_masks(P, fx.WINDOW_BUDGETS)),
-        point_sides, lambda: _each(sc.mixed_pocsets() + sc.window_pocsets()), 42),
+        point_sides, lambda: _each(sc.point_pocsets()), 54),
     Row("transpose", transpose, transpose_rows, sc.bit_matrices, 50),
     Row("up_map", lambda P, m: P.up_map(m),
         lambda P, m: reduce(or_, (P.up[i] for i in _iter_bits(m)), 0),
-        sc.point_masks, 2276),
+        sc.point_masks, 3433),
     Row("inseparable_closure",
         lambda P, m: inseparable_closure(P, [P.ids[i] for i in _iter_bits(m)]), between_members,
-        lambda: [(P, m) for P, m in sc.point_masks() if P.n <= 18], 1973),
+        lambda: [(P, m) for P, m in sc.point_masks() if P.n <= 18], 2524),
     Row("separating", separating, separating_per_halfspace,
-        lambda: sc.point_pairs() + list(sc.convex_pairs()), 3484),
+        lambda: sc.point_pairs() + list(sc.convex_pairs()), 4909),
     Row("gate_project", lambda P, C, x: gate_project(P, C, x).mask, gate_per_wall,
-        sc.point_gates, 765),
-    Row("star_map", lambda P, m: P.star_map(m), star_image, sc.point_masks, 2276),
-    Row("is_ultrafilter", is_ultrafilter, is_ultrafilter_per_bit, sc.point_masks, 2276,
+        sc.point_gates, 1065),
+    Row("star_map", lambda P, m: P.star_map(m), star_image, sc.point_masks, 3433, _star_form,
+        {"byte walk": 2000, "shifts by 1": 800, "longer shifts": 300}),
+    Row("is_ultrafilter", is_ultrafilter, is_ultrafilter_per_bit, sc.point_masks, 3433,
         lambda case, uf: [(uf, star_image(*case) == ((1 << case[0].n) - 1) ^ case[1])],
         {(True, True): 1, (False, True): 1, (False, False): 1}),
     Row("embed", lambda S, p: S.embed(p).mask, embed_by_name, sc.embed_cases, 392),

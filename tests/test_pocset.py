@@ -25,6 +25,9 @@ from mediankit.pocset import (
     separating,
     validate,
 )
+from mediankit.serialize import load_pocset
+
+import seeded_cases as sc
 
 ONE = Fraction(1)
 
@@ -103,6 +106,16 @@ def test_wall_budget_guard():
     W = se.load_pocset(se.dump_pocset(fx.f2ball()))  # fresh, uncached copy
     with pytest.raises(WallBudgetExceeded):
         points(W)  # 160 walls exceed the default cap of 20
+
+
+def test_a_path_longer_than_the_recursion_limit_enumerates():
+    """A search path meets each of the 1,100 walls in turn, one level each:
+    a recursive search would pass Python's recursion limit."""
+    P = load_pocset(sc.long_path(1100))
+    pts = points(P, Budgets(point_walls=1100))
+    assert len(pts) == 1101
+    assert {p.ids for p in pts} == {
+        tuple(sorted(P.ids[2 * w + (w >= k)] for w in range(1100))) for k in range(1101)}
 
 
 def test_cached_points_still_respect_the_budgets():
