@@ -14,10 +14,10 @@ and a SUP table of bitmasks of the first chain's indices per index of the
 second, built in one pass with the rules' precedence, as deep as its
 callers ask; the zones are resolved once per code as one mask over
 offsets, which each entry reads by a shift), and every reader of the
-relation reads it there.  Closures also read suffix-OR tables, and one
-memo per system keeps each closure and the graph, errors included.  A
-closure is the OR of its seed intervals' per-chain reads, and so is a
-class poset candidate.
+relation reads it there, closures two entries per seed interval and chain
+(the monotonicity lemma below); one memo per system keeps each closure and
+the graph, errors included.  A closure is the OR of its seed intervals'
+per-chain reads, and so is a class poset candidate.
 
 Every depth read is set by E = ``head_extent``, not by the periods, by
 ``ChainSystem.rel``'s fold: for c != d and n, m >= E a relation depends
@@ -36,6 +36,12 @@ n + E), likewise for n >= m + E.
   so on a system that passes ``validate_system`` the closure of the seed
   moved by t is its closure moved by t.  Seeds on two chains can have
   their witnesses on different chains, so they are not moved.
+- Monotonicity.  On a system that passes ``validate_system``, d_m' in d_m
+  for m' >= m and transitivity make c_n in d_m' give c_n in d_m and d_m in
+  c_n give d_m' in c_n: along d the (c, d) index's SUB entries only shrink
+  and its SUP entries only grow.  So an interval's entries OR to its first
+  SUB and its last SUP entry, for a tail the table's last, E past every
+  bit read, beyond which no bit changes (the fold).
 - Transitivity at 3E.  A failing triple keeps its three relations while
   all three indices move down until the lowest is at most E, and while
   each gap between sorted indices past E is cut to E; so it ends at most
@@ -48,7 +54,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, permutations
+from itertools import permutations
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
@@ -124,9 +130,11 @@ class RowRule:
 
 class ChainSystem:
     """Chains plus the relation rules; immutable after construction, apart
-    from caches that depend on nothing else: the relation index and its
-    suffix-OR tables (rebuilt deeper when a caller asks for more), and the
-    kept closures and UBS graph (``_kept``)."""
+    from caches that depend on nothing else: the relation index (rebuilt
+    deeper when a caller asks for more), of which a closure reads two
+    entries per seed interval and chain, the ORs of all its entries on
+    systems that pass ``validate_system`` (module docstring), and the kept
+    closures and UBS graph (``_kept``)."""
 
     def __init__(self, chains: Sequence[Chain],
                  zones: Optional[dict] = None,
@@ -153,18 +161,20 @@ class ChainSystem:
         # depth from which tails are deep: the graph's representatives
         self.tail_depth = self.head_extent + 2 * self.lcm_period
         self._index: dict = {}
-        self._suffix: dict = {}
         self._kept: dict = {}
 
     # -- relation resolution ---------------------------------------------
 
     def rel(self, ci: str, n: int, cj: str, m: int) -> str:
-        """The relation of (ci, n) to (cj, m), n, m >= 0, read off the index.
-        No head index, row rule index or bound, or finite zone bound reaches
-        E = ``head_extent``: past E a relation depends on m - n alone, and
-        no rule tells apart indices more than E past the other one.  So a
-        pair past E moves down until its lower index is E, and the higher
-        index to at most E past the lower: both end at most 2E."""
+        """The relation of (ci, n) to (cj, m) read off the index, n, m >= 0
+        on known chains, else ``InvalidInput``.  No head index, row rule
+        index or bound, or finite zone bound reaches E = ``head_extent``:
+        past E a relation depends on m - n alone, and no rule tells apart
+        indices more than E past the other one.  So a pair past E moves
+        down until its lower index is E, and the higher index to at most E
+        past the lower: both end at most 2E."""
+        _known(self, ci, n)
+        _known(self, cj, m)
         if ci == cj:
             return SUP if n <= m else SUB  # n == m: containment both ways
         E = self.head_extent
@@ -187,18 +197,6 @@ class ChainSystem:
         tables = self._index.get((c, d))
         if tables is None or len(tables[0]) <= depth + self.head_extent:
             tables = self._index[c, d] = self._build_index(c, d, depth)
-        return tables
-
-    def suffix(self, c: str, d: str, depth: int) -> tuple:
-        """The SUB and SUP suffix-OR tables of chains ``c != d`` to ``depth``:
-        entry ``lo`` of each is the OR of its index entries from ``lo`` on.
-        Past entry n + E, bit n no longer changes (the fold in ``rel``), so
-        the OR up to the last entry, E past the depth, is exact."""
-        tables = self._suffix.get((c, d))
-        if tables is None or len(tables[0]) <= depth + self.head_extent:
-            tables = self._suffix[c, d] = tuple(
-                list(accumulate(masks[::-1], or_))[::-1]
-                for masks in self.index(c, d, depth))
         return tables
 
     def _build_index(self, c, d, depth):
@@ -247,6 +245,14 @@ class ChainSystem:
 
     def __repr__(self):
         return f"ChainSystem({self.name or ','.join(self.chain_order)})"
+
+
+def _known(S: ChainSystem, cid: str, n: int = 0) -> None:
+    """Raises ``InvalidInput`` unless ``cid`` is a chain of S and n >= 0."""
+    if cid not in S.chains:
+        raise InvalidInput(f"unknown chain {cid!r}")
+    if n < 0:
+        raise InvalidInput(f"chain {cid} has no index {n}")
 
 
 class UBS:
@@ -460,21 +466,24 @@ def closure(S: ChainSystem, seed) -> UBS:
     least index below some member and the largest index above one, both
     read off the relation index at the exact depth (module docstring).
     The seed is read as a ``UBS``, which drops empty intervals; the others
-    must lie in the horizon window: a seed interval starting past
-    ``horizon``, or a finite one ending at or past it, raises
-    ``HorizonExceeded`` naming its chain.  Each seed (its intervals, sorted
-    by chain) is closed once per system (``_kept``), errors included.
+    must lie on known chains from index 0 on, else ``InvalidInput``, and in
+    the horizon window: a seed interval starting past ``horizon``, or a
+    finite one ending at or past it, raises ``HorizonExceeded`` naming its
+    chain.  Each seed (its intervals, sorted by chain) is closed once per
+    system (``_kept``), horizon errors included.
     """
     key = tuple(sorted((seed if isinstance(seed, UBS) else UBS(seed)).intervals.items()))
     return _kept(S, key, HorizonExceeded, _close, S, key)
 
 
 def _close(S: ChainSystem, seed: tuple) -> UBS:
-    """The window guard on the seed, the memo key, then the OR of the seed
-    intervals' reads at the exact depth R, or at that of ``minimal_tail``'s
-    deepest tail if deeper, so a graph builds its tables once; a one-interval
-    seed from s > 2E on is closed moved down to 2E, its closure moved back up."""
+    """The guards on the seed, the memo key (known chains and indices, then
+    the window), then its intervals' reads at the exact depth R, or at that
+    of ``minimal_tail``'s deepest tail if deeper, so a graph builds its
+    tables once; a one-interval seed from s > 2E on is closed moved down to
+    2E, its closure moved back up."""
     for cid, (lo, hi) in seed:
+        _known(S, cid, lo)
         if lo > S.horizon or (hi is not None and hi >= S.horizon):
             raise HorizonExceeded(
                 f"seed interval on chain {cid} leaves the window of horizon {S.horizon}",
@@ -486,38 +495,36 @@ def _close(S: ChainSystem, seed: tuple) -> UBS:
         seed = ((d, (lo - t, None if hi is None else hi - t)),)
     R = max([E, *(lo if hi is None else hi for _, (lo, hi) in seed)]) + E
     R = max(R, min(3 * E, S.tail_depth + 1 + E))
-    reads = [_seed_reads(S, d, lo, hi, R) for d, (lo, hi) in seed]
-    out = _read_closure(S, reduce(_or_reads, reads, [(0, 0)] * len(S.chains)), R)
+    out = _read_closure(S, [_seed_reads(S, d, lo, hi, R) for d, (lo, hi) in seed], R)
     return UBS({c: (lo + t, None if hi is None else hi + t)
                 for c, (lo, hi) in out.intervals.items()}) if t else out
 
 
 def _seed_reads(S: ChainSystem, d: str, lo: int, hi: Optional[int], R: int) -> list:
     """Per chain c, in chain order, the (above, below) masks that the seed
-    interval [lo, hi] on chain d (hi None: a tail) adds to c's closure,
-    exact up to bit R: the (c, d) suffix entries at lo, or the OR of the
-    (c, d) index entries lo..hi, and on d itself the interval."""
-    lo, reads = max(lo, 0), []
+    interval [lo, hi] on chain d, lo >= 0 (hi None: a tail), adds to c's
+    closure, exact up to bit R: the ORs of the (c, d) index entries lo..hi,
+    which by the monotonicity lemma (module docstring) are the SUB entry at
+    lo and the SUP entry at hi, for a tail the table's last; and on d
+    itself the interval."""
+    reads = []
     for c in S.chain_order:
         if c == d:
             reads.append((_range_mask(lo, R), _range_mask(0, R if hi is None else hi)))
-        elif hi is None:
-            sub, sup = S.suffix(c, d, R)
-            reads.append((sub[lo], sup[lo]))
         else:
             sub, sup = S.index(c, d, R)
-            reads.append((reduce(or_, sub[lo:hi + 1], 0), reduce(or_, sup[lo:hi + 1], 0)))
+            reads.append((sub[lo], sup[-1 if hi is None else hi]))
     return reads
 
 
-def _or_reads(a: list, b: list) -> list:
-    return [(x | u, y | v) for (x, y), (u, v) in zip(a, b)]
-
-
 def _read_closure(S: ChainSystem, reads: list, R: int) -> UBS:
-    """The closure of ORed seed reads, each chain read at depth R."""
+    """The closure of a seed from its intervals' reads: per chain, the ORs
+    of their (above, below) masks, read at depth R."""
+    ored = reads[0] if reads else []
+    for read in reads[1:]:
+        ored = [(x | u, y | v) for (x, y), (u, v) in zip(ored, read)]
     return UBS({c: _members_at(above, below, R)
-                for c, (above, below) in zip(S.chain_order, reads)})
+                for c, (above, below) in zip(S.chain_order, ored)})
 
 
 def _members_at(above: int, below: int, T: int):
@@ -548,21 +555,12 @@ class AlmostContainment:
 
 def _interval_minus(a, b):
     """Index intervals a \\ b as a list of (lo, hi|None) pieces."""
-    if a is None:
-        return []
-    alo, ahi = a
-    if b is None:
-        return [(alo, ahi)]
-    blo, bhi = b
-    pieces = []
-    left_hi = min(blo - 1, ahi) if ahi is not None else blo - 1
-    if alo <= left_hi:
-        pieces.append((alo, left_hi))
-    if bhi is not None:
-        rlo = max(alo, bhi + 1)
-        if ahi is None or rlo <= ahi:
-            pieces.append((rlo, ahi))
-    return pieces
+    if a is None or b is None:
+        return [a] if a else []
+    (alo, ahi), (blo, bhi) = a, b
+    pieces = [(alo, blo - 1 if ahi is None else min(blo - 1, ahi))]
+    pieces += [] if bhi is None else [(max(alo, bhi + 1), ahi)]
+    return [(lo, hi) for lo, hi in pieces if hi is None or lo <= hi]
 
 
 def almost_contained(S: ChainSystem, U1: UBS, U2: UBS) -> AlmostContainment:
@@ -620,8 +618,7 @@ def minimal_tail(S: ChainSystem, cid: str) -> tuple:
     grows: once ``top`` and ``top + 1`` agree, probe 0, then bisect [1, top]
     for the least M with ``top``'s tail set.  So this answers as the walk
     over all of them would."""
-    if cid not in S.chains:
-        raise InvalidInput(f"unknown chain {cid!r}")
+    _known(S, cid)
     top = S.tail_depth
     deep = closure(S, tail(cid, top)).tails()
     if closure(S, tail(cid, top + 1)).tails() != deep:
@@ -726,7 +723,7 @@ def ubs_poset(S: ChainSystem) -> list:
             R = max(N, S.head_extent) + S.head_extent
             if N not in reads_at:
                 reads_at[N] = [_seed_reads(S, chain, N, None, R) for _, _, chain in G.vertices]
-            cand = _read_closure(S, reduce(_or_reads, (reads_at[N][i] for i in chosen)), R)
+            cand = _read_closure(S, [reads_at[N][i] for i in chosen], R)
             cand_tails = cand.tails()
             if sum(1 << i for i, t in enumerate(vertex_tails)
                    if t <= cand_tails) == mask:
@@ -961,6 +958,8 @@ def _transfer(S: ChainSystem, U: UBS, g: ShiftMap) -> Optional[Fraction]:
 def transfer_character(S: ChainSystem, U: UBS, g: ShiftMap) -> Fraction:
     """nu(g^{-1}Ω \\ Ω) − nu(Ω \\ g^{-1}Ω) on a deep representative Ω
     (``_transfer``): well-defined on the class of Ω, which g must keep."""
+    for cid, (lo, _) in U.intervals.items():
+        _known(S, cid, lo)
     validate_shift(S, g)
     value = _transfer(S, U, g)
     if value is None:

@@ -3,8 +3,6 @@
 import random
 import time
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 
 import pytest
 
@@ -89,7 +87,7 @@ def test_head_entry_overrides_row_rule_in_closure():
         bd.UBS({"a": (1, 1), "b": (3, 3)})
 
 
-# -- the closure engine: suffix tables and the per-system memo ---------------
+# -- the closure engine: index reads and the per-system memo -----------------
 
 @pytest.mark.parametrize("name, seed, expected", [
     ("LINE", {"H": (11, None)}, "H"),
@@ -107,11 +105,32 @@ def test_closure_answers_only_inside_the_horizon_window(name, seed, expected):
         assert closure(S, seed) == expected == closure(S, bd.UBS(seed))
 
 
-def test_one_index_and_one_suffix_table_pair_per_chain_pair():
+@pytest.mark.parametrize("query, message", [
+    (lambda S: closure(S, {"Z": (0, None)}), "unknown chain 'Z'"),
+    (lambda S: closure(S, {"K": (1, 3), "Z": (0, 2)}), "unknown chain 'Z'"),
+    (lambda S: closure(S, {"H": (-3, -1)}), "chain H has no index -3"),
+    (lambda S: closure(S, {"K": (-1, None)}), "chain K has no index -1"),
+    (lambda S: transfer_character(S, bd.UBS({"Z": (0, None)}), identity_shift(S)),
+     "unknown chain 'Z'"),
+    (lambda S: S.rel("H", 0, "Z", 0), "unknown chain 'Z'"),
+    (lambda S: S.rel("Z", 0, "Z", 1), "unknown chain 'Z'"),
+    (lambda S: S.rel("H", 0, "K", -2), "chain K has no index -2"),
+    (lambda S: S.rel("H", -1, "K", 0), "chain H has no index -1")],
+    ids=["closure of Z", "closure of Z beside K", "closure below 0", "tail below 0",
+         "transfer on Z", "rel to Z", "rel within Z", "rel to K_-2", "rel of H_-1"])
+def test_unknown_chains_and_negative_indices_are_rejected(query, message):
+    """Every query naming a chain the system lacks, or an index below 0,
+    raises ``InvalidInput``, a closure on each call: the error is not kept."""
+    S = fx.stairflap()
+    for _ in range(2):
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            query(S)
+
+
+def test_one_index_table_pair_per_chain_pair():
     """Once the closure row's seeds are closed, each system caches one
     index table pair per ordered pair of distinct chains, as deep as the
-    least closure depth 2 head_extent at least, and at most one suffix pair, each
-    table the ORs of the index tails of a fresh system at its depth; no
+    least closure depth 2 head_extent at least, and no other table; no
     index entry is both SUB and SUP.  A deeper request rebuilds a pair's
     tables to exactly that depth, and a shallower one reads them as they
     are."""
@@ -124,14 +143,9 @@ def test_one_index_and_one_suffix_table_pair_per_chain_pair():
             pass
     for S in systems.values():
         E = S.head_extent
-        fresh = ChainSystem([S.chains[c] for c in S.chain_order], zones=S.zones,
-                            rows=S.rows, head=S.head)
         pairs = {(c, d) for c in S.chain_order for d in S.chain_order if c != d}
-        assert set(S._index) == pairs and set(S._suffix) <= pairs
-        for (c, d), tables in S._suffix.items():
-            assert tables == tuple(
-                [reduce(or_, masks[lo:], 0) for lo in range(len(masks))]
-                for masks in fresh.index(c, d, len(tables[0]) - E - 1))
+        assert set(S._index) == pairs
+        assert {k for k in vars(S) if k.startswith("_")} == {"_index", "_kept"}
         for sub, sup in S._index.values():
             assert len(sub) == len(sup) > 3 * E
             assert not any(s & p for s, p in zip(sub, sup))

@@ -1176,6 +1176,20 @@ PERIODS_5_UNIT = periods_system(7, 11, 13, 17, 19, unit=True)
 GAP_12 = dump_chain_system(sc.gap_system(12))
 
 
+def zone_system(bound: int) -> dict:
+    """Two period-1 chains H and K: H_n and K_m transverse for offsets
+    m - n up to ``bound`` - 1, K_m in H_n from ``bound`` on, so the head
+    extent, and every table, grows with the bound."""
+    return {"name": f"ZONE{bound}", "chains": [
+        {"id": c, "period": 1, "weights": ["1"]} for c in "HK"], "rel": {"periodic": [
+            {"from": "H", "to": "K", "rule": "trans", "offsetRange": [None, bound - 1]},
+            {"from": "H", "to": "K", "rule": "sup", "offsetRange": [bound, None]}]}}
+
+
+# the console script's memory step in CI reads this file
+ZONE_4000 = zone_system(4000)
+
+
 @pytest.mark.parametrize("periods, seconds, chi_seconds",
                          [((7, 11, 13), 0.2, 0.1), ((7, 11, 13, 17), 0.5, 0.5),
                           ((11, 13, 17), 0.2, 0.1), ((7, 11, 13, 17, 19), 1, 1)],

@@ -122,6 +122,25 @@ def _tail_sets(S, c) -> list:
     return [closure(S, tail(c, M)).tails() for M in range(S.tail_depth + 2)]
 
 
+def _valid_system_pairs():
+    """Every seeded system that passes ``validate_system``, each ordered
+    pair of distinct chains, and a depth past every closure read's."""
+    families = (sc.validated_systems(), sc.closure_systems(), sc.tail_systems(),
+                sc.index_systems(), sc.poset_systems())
+    for S in {id(S): S for family in families for S in family}.values():
+        if validate_system(S).ok:
+            depth = max(S.horizon, 2 * S.head_extent) + S.head_extent
+            yield from ((S, c, d, depth) for c, d in itertools.permutations(S.chain_order, 2))
+
+
+def _monotone_kinds(case, tables) -> list:
+    """Whether some SUB entry shrinks and some SUP entry grows along d."""
+    S, c, d, depth = case
+    sub, sup = S.index(c, d, depth)
+    return ["SUB shrinks"] * (sub[1:] != sub[:-1]) + ["SUP grows"] * (sup[1:] != sup[:-1]) \
+        + ["decorated"] * bool(S.head or S.rows)
+
+
 def _mass_kinds(case, mass) -> list:
     """Where the interval lies against the chain's head; whether it spans
     40 blocks."""
@@ -503,6 +522,11 @@ ORACLES = (
         lambda: [(S, c) for S in sc.tail_systems() for c in S.chain_order], 112,
         lambda case, sets: ["shrinks" if sets[0] != sets[-1] else "constant"],
         {"shrinks": 8, "constant": 1}),
+    Row("law: along chain d, SUB index entries shrink and SUP entries grow",
+        lambda S, c, d, depth: [[x & y for x, y in zip(t, t[1:])] for t in S.index(c, d, depth)],
+        lambda S, c, d, depth: [S.index(c, d, depth)[0][1:], S.index(c, d, depth)[1][:-1]],
+        _valid_system_pairs, 1200, _monotone_kinds,
+        {"SUB shrinks": 300, "SUP grows": 300, "decorated": 100}),
     Row("interval_mass", lambda c, lo, hi: c.mass(lo, hi), mass_per_index, sc.mass_cases,
         1440, _mass_kinds, {"head": 50, "across the head": 50, "past the head": 1300,
                             "40 blocks": 400}),
