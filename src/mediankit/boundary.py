@@ -46,6 +46,13 @@ n + E), likewise for n >= m + E.
   all three indices move down until the lowest is at most E, and while
   each gap between sorted indices past E is cut to E; so it ends at most
   3E.  Likewise an antichain, one per chain, folds below k E for k chains.
+- Tail sets fixed from E on.  On a system that passes ``validate_system``
+  take the seed tail(d, M), M >= E, and a chain c != d.  A pair of a
+  (c, n), n >= M + E, and a seed member (d, m) lies past the head, so it
+  depends on m - n clamped to [-E, E] alone (the fold), and as m runs
+  over [M, oo) that covers all of [-E, E].  So whether (c, n) lies
+  between two seed members, and hence whether c meets the closure in a
+  tail, is the same for every such n and every M >= E.
 """
 
 from __future__ import annotations
@@ -173,8 +180,7 @@ class ChainSystem:
         indices more than E past the other one.  So a pair past E moves
         down until its lower index is E, and the higher index to at most E
         past the lower: both end at most 2E."""
-        _known(self, ci, n)
-        _known(self, cj, m)
+        _known(self, (ci, n), (cj, m))
         if ci == cj:
             return SUP if n <= m else SUB  # n == m: containment both ways
         E = self.head_extent
@@ -247,12 +253,14 @@ class ChainSystem:
         return f"ChainSystem({self.name or ','.join(self.chain_order)})"
 
 
-def _known(S: ChainSystem, cid: str, n: int = 0) -> None:
-    """Raises ``InvalidInput`` unless ``cid`` is a chain of S and n >= 0."""
-    if cid not in S.chains:
-        raise InvalidInput(f"unknown chain {cid!r}")
-    if n < 0:
-        raise InvalidInput(f"chain {cid} has no index {n}")
+def _known(S: ChainSystem, *indices) -> None:
+    """Raises ``InvalidInput`` unless each (cid, n) of ``indices`` has
+    ``cid`` a chain of S and n >= 0."""
+    for cid, n in indices:
+        if cid not in S.chains:
+            raise InvalidInput(f"unknown chain {cid!r}")
+        if n < 0:
+            raise InvalidInput(f"chain {cid} has no index {n}")
 
 
 class UBS:
@@ -282,11 +290,8 @@ class UBS:
         return hash(tuple(sorted(self.intervals.items())))
 
     def __repr__(self):
-        parts = []
-        for cid in sorted(self.intervals):
-            lo, hi = self.intervals[cid]
-            parts.append(f"{cid}[{lo}:{'' if hi is None else hi + 1}]")
-        return "UBS(" + " ".join(parts) + ")"
+        return "UBS(" + " ".join(f"{cid}[{lo}:{'' if hi is None else hi + 1}]"
+                                 for cid, (lo, hi) in sorted(self.intervals.items())) + ")"
 
     def to_json(self):
         return {"intervals": {cid: [lo, hi] for cid, (lo, hi) in sorted(self.intervals.items())}}
@@ -300,12 +305,8 @@ def union_seed(parts: Iterable[UBS]) -> dict:
     out: dict = {}
     for u in parts:
         for cid, (lo, hi) in u.intervals.items():
-            if cid in out:
-                plo, phi = out[cid]
-                out[cid] = (min(plo, lo),
-                            None if phi is None or hi is None else max(phi, hi))
-            else:
-                out[cid] = (lo, hi)
+            plo, phi = out.get(cid, (lo, hi))
+            out[cid] = (min(plo, lo), None if phi is None or hi is None else max(phi, hi))
     return out
 
 
@@ -478,12 +479,13 @@ def closure(S: ChainSystem, seed) -> UBS:
 
 def _close(S: ChainSystem, seed: tuple) -> UBS:
     """The guards on the seed, the memo key (known chains and indices, then
-    the window), then its intervals' reads at the exact depth R, or at that
-    of ``minimal_tail``'s deepest tail if deeper, so a graph builds its
-    tables once; a one-interval seed from s > 2E on is closed moved down to
-    2E, its closure moved back up."""
+    the window), then its intervals' reads at the exact depth R, or at
+    min(3E, ``tail_depth`` + E), that of the graph's tails and so of every
+    ``minimal_tail`` probe, if deeper, so a graph builds its tables once; a
+    one-interval seed from s > 2E on is closed moved down to 2E, its
+    closure moved back up."""
     for cid, (lo, hi) in seed:
-        _known(S, cid, lo)
+        _known(S, (cid, lo))
         if lo > S.horizon or (hi is not None and hi >= S.horizon):
             raise HorizonExceeded(
                 f"seed interval on chain {cid} leaves the window of horizon {S.horizon}",
@@ -494,7 +496,7 @@ def _close(S: ChainSystem, seed: tuple) -> UBS:
         t = max(lo - 2 * E, 0)
         seed = ((d, (lo - t, None if hi is None else hi - t)),)
     R = max([E, *(lo if hi is None else hi for _, (lo, hi) in seed)]) + E
-    R = max(R, min(3 * E, S.tail_depth + 1 + E))
+    R = max(R, min(3 * E, S.tail_depth + E))
     out = _read_closure(S, [_seed_reads(S, d, lo, hi, R) for d, (lo, hi) in seed], R)
     return UBS({c: (lo + t, None if hi is None else hi + t)
                 for c, (lo, hi) in out.intervals.items()}) if t else out
@@ -564,7 +566,9 @@ def _interval_minus(a, b):
 
 
 def almost_contained(S: ChainSystem, U1: UBS, U2: UBS) -> AlmostContainment:
-    """U1 \\ U2 meets every chain finitely; when so, its exact mass."""
+    """U1 \\ U2 meets every chain finitely; when so, its exact mass.  Both
+    must lie on chains of S from index 0 on, else ``InvalidInput``."""
+    _known(S, *((c, lo) for U in (U1, U2) for c, (lo, _) in U.intervals.items()))
     total = Fraction(0)
     for cid in S.chain_order:
         for lo, hi in _interval_minus(U1.intervals.get(cid), U2.intervals.get(cid)):
@@ -576,7 +580,9 @@ def almost_contained(S: ChainSystem, U1: UBS, U2: UBS) -> AlmostContainment:
 
 def equivalent(S: ChainSystem, U1: UBS, U2: UBS) -> bool:
     """Each almost contains the other: U1 \\ U2 is infinite exactly where U1
-    has a tail and U2 has none, so the two meet the same chains in tails."""
+    has a tail and U2 has none, so the two meet the same chains in tails.
+    Both are checked as ``almost_contained`` checks them."""
+    _known(S, *((c, lo) for U in (U1, U2) for c, (lo, _) in U.intervals.items()))
     return U1.tails() == U2.tails()
 
 
@@ -615,16 +621,13 @@ def minimal_tail(S: ChainSystem, cid: str) -> tuple:
 
     Equivalence is equality of tail sets.  Closures are monotone in the
     seed, so the tail set of ``tail(cid, M)``'s closure only shrinks as M
-    grows: once ``top`` and ``top + 1`` agree, probe 0, then bisect [1, top]
-    for the least M with ``top``'s tail set.  So this answers as the walk
-    over all of them would."""
-    _known(S, cid)
-    top = S.tail_depth
-    deep = closure(S, tail(cid, top)).tails()
-    if closure(S, tail(cid, top + 1)).tails() != deep:
-        raise HorizonExceeded(f"tail closures of {cid} do not stabilize",
-                              budget="horizon", limit=S.horizon, reached=top + 1)
-    lo, hi = (0, 0) if closure(S, tail(cid, 0)).tails() == deep else (1, top)
+    grows, and from E = ``head_extent`` on it is fixed (module docstring):
+    it is that of ``tail_depth`` >= E, the graph's kept closure.  Probe 0,
+    then bisect [1, E] for the least M with that tail set.  So this answers
+    as the walk over all of them would."""
+    _known(S, (cid, 0))
+    deep = closure(S, tail(cid, S.tail_depth)).tails()
+    lo, hi = (0, 0) if closure(S, tail(cid, 0)).tails() == deep else (1, S.head_extent)
     while lo < hi:
         mid = (lo + hi) // 2
         if closure(S, tail(cid, mid)).tails() == deep:
@@ -650,14 +653,9 @@ class UBSGraph:
         return tuple(v[0] for v in self.vertices)
 
     def to_json(self):
-        return {
-            "vertices": [
-                {"label": lab, "chain": chain, "representative": rep.to_json()}
-                for lab, rep, chain in self.vertices
-            ],
-            "edges": [[self.vertices[i][0], self.vertices[j][0]]
-                      for i, j in self.edges],
-        }
+        return {"vertices": [{"label": lab, "chain": chain, "representative": rep.to_json()}
+                             for lab, rep, chain in self.vertices],
+                "edges": [[self.vertices[i][0], self.vertices[j][0]] for i, j in self.edges]}
 
 
 def ubs_graph(S: ChainSystem) -> UBSGraph:
@@ -695,8 +693,7 @@ def _assert_graph_laws(S: ChainSystem, G: UBSGraph):
             raise InvalidInput("UBS graph reachability without an edge")
     n, bound = len(G.vertices), truncation_antichain_bound(S)
     if n > bound:
-        raise InvalidInput(
-            f"UBS graph has {n} vertices over antichain bound {bound}")
+        raise InvalidInput(f"UBS graph has {n} vertices over antichain bound {bound}")
 
 
 def ubs_poset(S: ChainSystem) -> list:
@@ -758,7 +755,10 @@ class ShiftMap:
                 raise InvalidInput(f"shift map reads a negative index on chain {c}")
 
     def compose(self, other: "ShiftMap") -> "ShiftMap":
-        """self ∘ other (apply ``other`` first)."""
+        """self ∘ other (apply ``other`` first), ``InvalidInput`` when
+        ``other`` maps a chain to one that ``self`` does not map."""
+        if missing := sorted(set(other.tau.values()) - self.tau.keys()):
+            raise InvalidInput(f"shift map does not map chain {missing[0]}")
         tau = {c: self.tau[other.tau[c]] for c in other.tau}
         shift = {c: other.shift[c] + self.shift[other.tau[c]] for c in other.tau}
         min_index = max([other.min_index]
@@ -790,12 +790,10 @@ def validate_shift(S: ChainSystem, g: ShiftMap) -> None:
     base = max(g.min_index, S.head_extent) + L
     for c in S.chain_order:
         if _weights_differ(S.chains[c], S.chains[g.tau[c]], g.shift[c], base, base + 2 * L):
-            raise InvalidInput(
-                f"shift map does not preserve weights on chain {c}")
+            raise InvalidInput(f"shift map does not preserve weights on chain {c}")
     pair = _unpreserved(S, S, g, range(base, base + L))
     if pair:
-        raise InvalidInput(
-            "shift map does not preserve the relation on (%s, %s)" % pair)
+        raise InvalidInput("shift map does not preserve the relation on (%s, %s)" % pair)
 
 
 def _weights_differ(c: Chain, d: Chain, s: int, start: int, stop: int) -> bool:
@@ -958,13 +956,11 @@ def _transfer(S: ChainSystem, U: UBS, g: ShiftMap) -> Optional[Fraction]:
 def transfer_character(S: ChainSystem, U: UBS, g: ShiftMap) -> Fraction:
     """nu(g^{-1}Ω \\ Ω) − nu(Ω \\ g^{-1}Ω) on a deep representative Ω
     (``_transfer``): well-defined on the class of Ω, which g must keep."""
-    for cid, (lo, _) in U.intervals.items():
-        _known(S, cid, lo)
+    _known(S, *((cid, lo) for cid, (lo, _) in U.intervals.items()))
     validate_shift(S, g)
     value = _transfer(S, U, g)
     if value is None:
-        raise ClassNotPreserved(
-            "the shift map does not preserve the class of the UBS")
+        raise ClassNotPreserved("the shift map does not preserve the class of the UBS")
     return value
 
 
@@ -1013,10 +1009,11 @@ def verify_system_map(S1: ChainSystem, S2: ChainSystem, m: ShiftMap) -> bool:
 # -- DOT export ----------------------------------------------------------------
 
 def dot_export(G: UBSGraph) -> str:
-    lines = ["digraph ubs {"]
-    for lab, _, chain in G.vertices:
-        lines.append(f'  "{lab}" [label="{lab}" chain="{chain}"];')
-    for i, j in G.edges:
-        lines.append(f'  "{G.vertices[i][0]}" -> "{G.vertices[j][0]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """The graph in DOT, each id and attribute a quoted string in which
+    ``\\`` and ``"`` are escaped."""
+    def q(s: str) -> str:
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = [f"  {q(lab)} [label={q(lab)} chain={q(chain)}];" for lab, _, chain in G.vertices]
+    lines += [f"  {q(G.vertices[i][0])} -> {q(G.vertices[j][0])};" for i, j in G.edges]
+    return "\n".join(["digraph ubs {", *lines, "}"]) + "\n"

@@ -9,6 +9,7 @@ references that ``mediankit acceptance`` runs too stay in
 
 import itertools
 import json
+import re
 from fractions import Fraction
 from functools import cache, reduce
 from operator import or_
@@ -23,6 +24,17 @@ from mediankit.errors import HorizonExceeded, InvalidInput, NotAnAutomorphism, N
 from mediankit.pocset import (
     Point, WeightedPocset, _iter_bits, halfspace_point_masks, points)
 from mediankit.structure import Automorphism, decompose, transverse
+
+
+# a DOT quoted string: no bare '"', and '\\' escapes the next character
+_DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
+
+
+def dot_strings(text: str) -> tuple:
+    """DOT text read by the grammar of its quoted ids: the text with each
+    quoted string replaced by ``ID``, and the strings unescaped, in order."""
+    return (_DOT_STRING.sub("ID", text),
+            [re.sub(r"\\(.)", r"\1", s, flags=re.DOTALL) for s in _DOT_STRING.findall(text)])
 
 
 # -- pocsets bit by bit, per wall and pair by pair --------------------------------

@@ -421,11 +421,22 @@ def _system_fixtures() -> list:
 
 def closure_systems() -> list:
     """The system fixtures, the conflict system, 30 decorated systems that
-    validate and the gap systems of G = 3, 8 (head extent past 4
-    lcm_period + 4) and 12."""
+    validate, the gap systems of G = 3, 8 (head extent past 4
+    lcm_period + 4) and 12, and the nested system."""
     return _system_fixtures() + [edge_systems()["conflict"]] + random_systems(
         seeded(), 30, max_chains=4, tries=12, keep=lambda T: validate_system(T).ok) + \
-        [gap_system(G) for G in (3, 8, 12)]
+        [gap_system(G) for G in (3, 8, 12)] + [nested_system()]
+
+
+def nested_system() -> ChainSystem:
+    """Chains B and C of period 1 and weight 1, every B_n inside every C_m
+    (one ``sub`` zone), so E = 1.  The closure of B's tail from s and C's
+    from s' holds every B_n, n <= s, as B_n lies in C_s' and contains
+    B_s: it starts at 0 wherever s and s' lie, so moving a two-chain seed
+    down to 2E and its closure back up starts it at s - 2E instead."""
+    one = (Fraction(1),)
+    return ChainSystem([Chain(c, 1, one) for c in "BC"],
+                       zones={("B", "C"): (Zone(None, None, SUB),)}, name="NESTED")
 
 
 def staircase(theta: int, head: int) -> ChainSystem:
@@ -466,10 +477,12 @@ def checked_systems() -> list:
 
 def validated_systems() -> list:
     """The checked systems, the long-head systems, gap systems, the spread
-    triples and 40 random systems of up to 4 chains with 8 head entries
-    and row rules tried each, kept or not, many of them intransitive."""
+    triples, the late triple and 40 random systems of up to 4 chains with 8
+    head entries and row rules tried each, kept or not, many of them
+    intransitive."""
     return checked_systems() + long_head_systems() + [gap_system(G) for G in (3, 9, 12)] + \
-        spread_triples() + random_systems(seeded(12), 40, max_chains=4, tries=8)
+        spread_triples() + [late_triple()] + \
+        random_systems(seeded(12), 40, max_chains=4, tries=8)
 
 
 def poset_systems() -> list:
@@ -639,6 +652,22 @@ def spread_triples() -> list:
             ChainSystem(chains, zones={("A", "B"): step(3), ("B", "C"): step(3),
                                        ("A", "C"): step(6)},
                         rows=[RowRule("A", 6, "C", TRANS)], name="SPREAD3")]
+
+
+def late_triple() -> ChainSystem:
+    """Chains A, B, C of period 1 whose only failing triples lie past
+    depth 2E, E = ``head_extent`` = 4: A_n contains B_m, and B_m contains
+    C_r, from offset 3 on, and A_n contains every C_r for n < 3 (row
+    rules) and is transverse to it from n = 3 on.  So a failing triple
+    starts at A_3 or later and each of its two gaps is at least 3: the
+    least is A_3 ⊇ B_6 ⊇ C_9, past depth 8, and only a check to 3E = 12
+    (here the horizon) finds it."""
+    one = (Fraction(1),)
+    step = (Zone(None, 2, TRANS), Zone(3, None, SUP))
+    return ChainSystem([Chain(c, 1, one) for c in "ABC"],
+                       zones={("A", "B"): step, ("B", "C"): step,
+                              ("A", "C"): (Zone(None, None, TRANS),)},
+                       rows=[RowRule("A", n, "C", SUP) for n in range(3)], name="LATE_TRIPLE")
 
 
 def rel_cases():

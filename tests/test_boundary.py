@@ -1,5 +1,6 @@
 """Chain systems: closures, almost containment, the graph, characters."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -17,7 +18,7 @@ from mediankit.boundary import (
 from mediankit.errors import ClassNotPreserved, ClassPermuted, HorizonExceeded, InvalidInput
 
 import seeded_cases as sc
-from references import rel_up_rows, resolve
+from references import dot_strings, rel_up_rows, resolve
 
 ONE = Fraction(1)
 
@@ -115,9 +116,21 @@ def test_closure_answers_only_inside_the_horizon_window(name, seed, expected):
     (lambda S: S.rel("H", 0, "Z", 0), "unknown chain 'Z'"),
     (lambda S: S.rel("Z", 0, "Z", 1), "unknown chain 'Z'"),
     (lambda S: S.rel("H", 0, "K", -2), "chain K has no index -2"),
-    (lambda S: S.rel("H", -1, "K", 0), "chain H has no index -1")],
+    (lambda S: S.rel("H", -1, "K", 0), "chain H has no index -1"),
+    (lambda S: almost_contained(S, bd.UBS({"H": (0, None), "Z": (0, None)}),
+                                bd.UBS({"H": (0, None)})), "unknown chain 'Z'"),
+    (lambda S: almost_contained(S, bd.UBS({"H": (0, None)}),
+                                bd.UBS({"H": (0, None), "Z": (0, None)})), "unknown chain 'Z'"),
+    (lambda S: almost_contained(S, bd.UBS({"H": (0, 3)}), bd.UBS({"H": (-2, 5)})),
+     "chain H has no index -2"),
+    (lambda S: equivalent(S, bd.UBS({"Z": (0, None)}), bd.UBS({"Z": (3, None)})),
+     "unknown chain 'Z'"),
+    (lambda S: equivalent(S, bd.UBS({"K": (-1, None)}), bd.UBS({"K": (0, None)})),
+     "chain K has no index -1")],
     ids=["closure of Z", "closure of Z beside K", "closure below 0", "tail below 0",
-         "transfer on Z", "rel to Z", "rel within Z", "rel to K_-2", "rel of H_-1"])
+         "transfer on Z", "rel to Z", "rel within Z", "rel to K_-2", "rel of H_-1",
+         "almost containment of Z", "almost containment in Z", "almost containment in H_-2",
+         "equivalence on Z", "equivalence of K_-1"])
 def test_unknown_chains_and_negative_indices_are_rejected(query, message):
     """Every query naming a chain the system lacks, or an index below 0,
     raises ``InvalidInput``, a closure on each call: the error is not kept."""
@@ -391,30 +404,21 @@ def test_stairflap_minimal_tails():
 
 
 def test_minimal_tail_closes_the_deepest_pair_and_the_probes(monkeypatch):
-    """Start 0 costs three closures: ``tail_depth``, one past it and 0.
-    A deep flap's start k > 1 is found by bisecting [1, tail_depth]."""
+    """Start 0 costs two closures: ``tail_depth`` and 0.  A deep flap's
+    start k = E = ``head_extent`` > 1 is found by bisecting [1, E], and
+    the closure it returns is the last one taken; no tail past
+    ``tail_depth`` is closed."""
     calls = _count_close(monkeypatch)
     S = fx.line_system()
     assert minimal_tail(S, "H")[0] == 0
-    assert [seed["H"][0] for seed in calls] == [S.tail_depth, S.tail_depth + 1, 0]
-    for k, probes in ((2, [4, 5, 0, 2, 1]), (5, [7, 8, 0, 4, 6, 5])):
+    assert [seed["H"][0] for seed in calls] == [S.tail_depth, 0] == [3, 0]
+    for k, probes in ((2, [4, 0, 1, 2]), (5, [7, 0, 3, 4, 5])):
         S = sc.deep_flap(k, (1, 1))
         calls.clear()
-        assert validate_system(S).ok
-        assert minimal_tail(S, "H")[0] == k
+        assert validate_system(S).ok and S.head_extent == k
+        start, rep = minimal_tail(S, "H")
+        assert start == k and rep == closure(S, tail("H", k))
         assert [seed["H"][0] for seed in calls] == probes
-
-
-def test_minimal_tail_raises_when_the_deepest_pair_differs(monkeypatch):
-    S = fx.stairflap()
-    real = bd.closure
-
-    def emptied_past_the_depth(S, seed):
-        return bd.UBS({}) if seed == tail("H", S.tail_depth + 1) else real(S, seed)
-
-    monkeypatch.setattr(bd, "closure", emptied_past_the_depth)
-    with pytest.raises(HorizonExceeded, match="^tail closures of H do not stabilize$"):
-        minimal_tail(S, "H")
 
 
 def test_ubs_poset_reuses_the_graph_minimal_tails(monkeypatch):
@@ -522,8 +526,24 @@ def test_a_graph_that_breaks_its_laws_raises_on_every_call(monkeypatch):
 def test_dot_export():
     G = ubs_graph(fx.stairflap())
     dot = dot_export(G)
-    assert dot.startswith("digraph")
-    assert '"H[1:]" -> "K[0:]"' in dot
+    assert dot == ('digraph ubs {\n  "H[1:]" [label="H[1:]" chain="H"];\n'
+                   '  "K[0:]" [label="K[0:]" chain="K"];\n  "H[1:]" -> "K[0:]";\n}\n')
+
+
+def test_dot_export_escapes_chain_names():
+    """STAIRFLAP with its chains renamed by every ordered pair of distinct
+    report strings: every quoted string of the DOT text is well formed and
+    unescapes to a label or a chain name, and the text between them is the
+    DOT syntax alone."""
+    for h, k in itertools.permutations(sc.REPORT_STRINGS, 2):
+        S = sc._renamed(fx.stairflap(), {"H": h, "K": k})
+        assert validate_system(S).ok
+        G = ubs_graph(S)
+        skeleton, strings = dot_strings(dot_export(G))
+        assert skeleton == ("digraph ubs {\n  ID [label=ID chain=ID];\n"
+                            "  ID [label=ID chain=ID];\n  ID -> ID;\n}\n"), (h, k)
+        assert set(strings) == {v[0] for v in G.vertices} | {h, k}, (h, k)
+        assert len(strings) == 3 * len(G.vertices) + 2 * len(G.edges) == 8
 
 
 # -- the poset ---------------------------------------------------------------------
@@ -723,6 +743,14 @@ def test_shift_maps_reading_a_negative_index_are_rejected(min_index, shift, chai
 def test_composition_keeps_shift_images_nonnegative():
     tx = fx.corner_translation("MP", "x")
     assert tx.compose(tx) == ShiftMap({"X": "X", "Y": "Y"}, {"X": -2, "Y": 0}, 2)
+
+
+def test_composition_names_a_chain_the_outer_map_lacks():
+    """``other`` sends X and Y to chains that ``self`` does not map: the
+    least of them is named, as ``__post_init__`` names a chain."""
+    g = ShiftMap({"H": "H", "K": "K"}, {"H": 1, "K": 1})
+    with pytest.raises(InvalidInput, match="^shift map does not map chain X$"):
+        g.compose(ShiftMap({"X": "Y", "Y": "X"}, {"X": 0, "Y": 0}))
 
 
 def test_chain_weights_start_at_index_zero():

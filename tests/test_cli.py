@@ -11,6 +11,7 @@ from mediankit.cli import main
 from mediankit.serialize import dump_chain_system, dump_pocset
 
 import seeded_cases as sc
+from references import dot_strings
 
 
 def run_cli(capsys, *argv):
@@ -622,14 +623,6 @@ def _closure_past_the_horizon(monkeypatch):
     closure(S, tail("H", S.horizon + 1))
 
 
-def _minimal_tail_unstable(monkeypatch):
-    from mediankit import boundary as bd
-    real = bd.closure
-    monkeypatch.setattr(bd, "closure", lambda S, seed: bd.UBS({})
-                        if seed == bd.tail("H", S.tail_depth + 1) else real(S, seed))
-    bd.minimal_tail(fx.stairflap(), "H")
-
-
 def _poset_without_representative(monkeypatch):
     from mediankit import boundary as bd
     S = fx.stairflap()
@@ -656,13 +649,10 @@ def _poset_without_representative(monkeypatch):
      "2 walls at depth 12 exceed the tower budget", ("tower_walls", 4096, 8192)),
     (_budget_library(_closure_past_the_horizon),
      "seed interval on chain H leaves the window of horizon 9", ("horizon", 9, 10)),
-    (_budget_library(_minimal_tail_unstable),
-     "tail closures of H do not stabilize", ("horizon", 10, 5)),
     (_budget_library(_poset_without_representative),
      "no representative for vertex set [0] within horizon", ("horizon", 10, 4)),
 ], ids=["point_walls", "max_points", "max_points kept", "clique_walls", "aut_walls",
-        "group_order", "tower_walls", "closure horizon", "minimal_tail horizon",
-        "ubs_poset horizon"])
+        "group_order", "tower_walls", "closure horizon", "ubs_poset horizon"])
 def test_every_budget_error_says_how_far_it_got(capsys, monkeypatch, tmp_path, run, message, data):
     """Each budget and horizon raise names the budget, its limit and what
     it reached, through the CLI where a command reaches it; the messages
@@ -1188,6 +1178,25 @@ def zone_system(bound: int) -> dict:
 
 # the console script's memory step in CI reads this file
 ZONE_4000 = zone_system(4000)
+# STAIRFLAP with chain ids that DOT must escape; its DOT step in CI reads this file
+QUOTED_IDS_SYSTEM = dump_chain_system(
+    sc._renamed(fx.stairflap(), {"H": 'say "hi"', "K": "back\\slash"}))
+
+
+def test_ubs_graph_writes_dot_for_chain_ids_holding_quotes(capsys, tmp_path):
+    """Every quoted string of the DOT file is well formed and reads back
+    as a label or a chain id of the report."""
+    dot = tmp_path / "quoted.dot"
+    (tmp_path / "quoted.json").write_text(json.dumps(QUOTED_IDS_SYSTEM))
+    code, report, _ = run_cli(capsys, "ubs-graph", "--system-file", str(tmp_path / "quoted.json"),
+                              "--dot", str(dot))
+    assert code == 0
+    skeleton, strings = dot_strings(dot.read_text(encoding="utf-8"))
+    assert skeleton == ("digraph ubs {\n  ID [label=ID chain=ID];\n"
+                        "  ID [label=ID chain=ID];\n  ID -> ID;\n}\n")
+    vertices = report["verdict"]["vertices"]
+    assert set(strings) == {v["label"] for v in vertices} | {v["chain"] for v in vertices} \
+        == {'say "hi"', 'say "hi"[1:]', "back\\slash", "back\\slash[0:]"}
 
 
 @pytest.mark.parametrize("periods, seconds, chi_seconds",

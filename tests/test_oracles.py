@@ -122,15 +122,38 @@ def _tail_sets(S, c) -> list:
     return [closure(S, tail(c, M)).tails() for M in range(S.tail_depth + 2)]
 
 
+def _valid_systems():
+    """Every seeded system that passes ``validate_system``."""
+    families = (sc.validated_systems(), sc.closure_systems(), sc.tail_systems(),
+                sc.index_systems(), sc.poset_systems())
+    return [S for S in {id(S): S for family in families for S in family}.values()
+            if validate_system(S).ok]
+
+
 def _valid_system_pairs():
     """Every seeded system that passes ``validate_system``, each ordered
     pair of distinct chains, and a depth past every closure read's."""
-    families = (sc.validated_systems(), sc.closure_systems(), sc.tail_systems(),
-                sc.index_systems(), sc.poset_systems())
-    for S in {id(S): S for family in families for S in family}.values():
-        if validate_system(S).ok:
-            depth = max(S.horizon, 2 * S.head_extent) + S.head_extent
-            yield from ((S, c, d, depth) for c, d in itertools.permutations(S.chain_order, 2))
+    for S in _valid_systems():
+        depth = max(S.horizon, 2 * S.head_extent) + S.head_extent
+        yield from ((S, c, d, depth) for c, d in itertools.permutations(S.chain_order, 2))
+
+
+def _tail_sets_from_e(S, c) -> tuple:
+    """The tail sets of the closures of c's tails from E = ``head_extent``
+    to one past ``tail_depth``, and whether ``minimal_tail`` starts at most
+    E."""
+    sets = [closure(S, tail(c, M)).tails() for M in range(S.head_extent, S.tail_depth + 2)]
+    return sets, minimal_tail(S, c)[0] <= S.head_extent
+
+
+def _fixed_tail_kinds(case, expected) -> list:
+    """Whether the minimal tail starts at E or below; whether some closure
+    read is of a tail moved down from past 2E; whether the system has
+    head entries or row rules."""
+    S, c = case
+    start, E = minimal_tail(S, c)[0], S.head_extent
+    return ["starts at E" if start == E else "starts below E"] \
+        + ["moved"] * (S.tail_depth + 1 > 2 * E) + ["decorated"] * bool(S.head or S.rows)
 
 
 def _monotone_kinds(case, tables) -> list:
@@ -522,6 +545,12 @@ ORACLES = (
         lambda: [(S, c) for S in sc.tail_systems() for c in S.chain_order], 112,
         lambda case, sets: ["shrinks" if sets[0] != sets[-1] else "constant"],
         {"shrinks": 8, "constant": 1}),
+    Row("law: tail sets are fixed from E on", _tail_sets_from_e,
+        lambda S, c: ([closure(S, tail(c, S.tail_depth)).tails()]
+                      * (S.tail_depth + 2 - S.head_extent), True),
+        lambda: [(S, c) for S in _valid_systems() for c in S.chain_order], 615,
+        _fixed_tail_kinds,
+        {"starts below E": 600, "starts at E": 6, "moved": 560, "decorated": 90}),
     Row("law: along chain d, SUB index entries shrink and SUP entries grow",
         lambda S, c, d, depth: [[x & y for x, y in zip(t, t[1:])] for t in S.index(c, d, depth)],
         lambda S, c, d, depth: [S.index(c, d, depth)[0][1:], S.index(c, d, depth)[1][:-1]],
